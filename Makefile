@@ -5,7 +5,7 @@
 	bench-sched bench-sched-smoke bench-sim bench-sim-smoke \
 	bench-scale bench-scale-smoke bench-defrag bench-defrag-smoke \
 	bench-watch bench-watch-smoke bench-serve bench-serve-smoke \
-	bench-diff clean
+	bench-diff perfbench clean
 
 all: build
 
@@ -203,6 +203,16 @@ bench-diff: build
 	dune exec bench/benchdiff.exe -- --ref BENCH_serve_smoke.json \
 	  --new /tmp/BENCH_serve_smoke.json --key predictive.goodput_per_s \
 	  --max-regress 1
+
+# The repository benchmark (perfbench/README.md): every workload in
+# BENCHMARK.json, seed 1, 20 s of fresh processes each; prints each
+# workload's metrics as one JSON line.  A few minutes; not part of
+# `make check`.
+perfbench:
+	for w in fig12_open serve_steady serve_contended; do \
+	  python3 perfbench/run.py --workload $$w --seed 1 --seconds 20 --trace 0 \
+	    || exit 1; \
+	done
 
 clean:
 	dune clean

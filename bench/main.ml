@@ -954,6 +954,13 @@ let micro () =
       | Error e -> failwith e)
   in
   let gru_program = lazy (fst (Codegen.generate Codegen.Gru ~hidden:256 ~input:256 ~timesteps:5)) in
+  (* The largest program the scale-out service model reorders
+     (34,509 instructions, ~5.45M dependence edges). *)
+  let gru_1500 =
+    lazy
+      (Scale_out.generate Codegen.Gru ~hidden:1024 ~input:1024 ~timesteps:1500 ~parts:2
+         ~part:0)
+  in
   let eq_pair =
     lazy
       (let d = Lazy.force small_design in
@@ -997,6 +1004,10 @@ let micro () =
                Scale_out.generate Codegen.Lstm ~hidden:128 ~input:128 ~timesteps:10
                  ~parts:2 ~part:0
              in
+             ignore (Sys.opaque_identity (Scale_out.reorder ~sync_base:lay.Scale_out.sync_base p))));
+      Test.make ~name:"reorder GRU h=1024 t=1500 parts=2"
+        (Staged.stage (fun () ->
+             let p, lay = Lazy.force gru_1500 in
              ignore (Sys.opaque_identity (Scale_out.reorder ~sync_base:lay.Scale_out.sync_base p))));
     ]
   in

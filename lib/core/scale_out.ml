@@ -161,24 +161,36 @@ let reorder ~sync_base (p : Program.t) =
   else begin
   let instrs = p.Program.instrs in
   let n = Array.length instrs in
-  (* Dependence edges via last-writer / reader tracking. *)
-  let edges = Hashtbl.create (4 * n) in
+  (* Dependence edges via last-writer / reader tracking.  Every edge
+     added while scanning instruction [i] ends at [i], so
+     [stamp.(j) = i] says the edge j -> i is already present: one int
+     per instruction deduplicates the edges, in time linear in the
+     number of edges found. *)
   let succs = Array.make n [] in
   let pred_count = Array.make n 0 in
-  let add_edge i j =
-    if i <> j && not (Hashtbl.mem edges (i, j)) then begin
-      Hashtbl.replace edges (i, j) ();
-      succs.(i) <- j :: succs.(i);
-      pred_count.(j) <- pred_count.(j) + 1
+  let stamp = Array.make n (-1) in
+  let add_edge j i =
+    if j <> i && stamp.(j) <> i then begin
+      stamp.(j) <- i;
+      succs.(j) <- i :: succs.(j);
+      pred_count.(i) <- pred_count.(i) + 1
     end
   in
   let last_vwrite = Array.make p.Program.vregs (-1) in
   let vreaders = Array.make p.Program.vregs [] in
   let last_mwrite = Array.make p.Program.mregs (-1) in
   let mreaders = Array.make p.Program.mregs [] in
-  let mem_writes = ref [] (* (addr, len, idx) *) in
-  let mem_reads = ref [] in
-  let overlap (a, la) (b, lb) = a < b + lb && b < a + la in
+  (* Memory accesses so far as parallel (addr, len, index) arrays;
+     [hazards] adds an edge to [i] from each of the first [count] that
+     overlaps [a, a + l), newest first. *)
+  let w_addr = Array.make n 0 and w_len = Array.make n 0 and w_idx = Array.make n 0 in
+  let r_addr = Array.make n 0 and r_len = Array.make n 0 and r_idx = Array.make n 0 in
+  let nw = ref 0 and nr = ref 0 in
+  let hazards addrs lens idxs count i a l =
+    for k = count - 1 downto 0 do
+      if a < addrs.(k) + lens.(k) && addrs.(k) < a + l then add_edge idxs.(k) i
+    done
+  in
   Array.iteri
     (fun i instr ->
       let e = Instr.effects instr in
@@ -193,15 +205,21 @@ let reorder ~sync_base (p : Program.t) =
           mreaders.(r) <- i :: mreaders.(r))
         e.Instr.mreads;
       (match e.Instr.mem_read with
-      | Some range ->
-        List.iter (fun (a, l, j) -> if overlap range (a, l) then add_edge j i) !mem_writes;
-        mem_reads := (fst range, snd range, i) :: !mem_reads
+      | Some (a, l) ->
+        hazards w_addr w_len w_idx !nw i a l;
+        r_addr.(!nr) <- a;
+        r_len.(!nr) <- l;
+        r_idx.(!nr) <- i;
+        incr nr
       | None -> ());
       (match e.Instr.mem_write with
-      | Some range ->
-        List.iter (fun (a, l, j) -> if overlap range (a, l) then add_edge j i) !mem_writes;
-        List.iter (fun (a, l, j) -> if overlap range (a, l) then add_edge j i) !mem_reads;
-        mem_writes := (fst range, snd range, i) :: !mem_writes
+      | Some (a, l) ->
+        hazards w_addr w_len w_idx !nw i a l;
+        hazards r_addr r_len r_idx !nr i a l;
+        w_addr.(!nw) <- a;
+        w_len.(!nw) <- l;
+        w_idx.(!nw) <- i;
+        incr nw
       | None -> ());
       List.iter
         (fun r ->
@@ -219,7 +237,8 @@ let reorder ~sync_base (p : Program.t) =
         e.Instr.mwrites)
     instrs;
   (* Priority topological order: sends first, receives last, original
-     order otherwise. *)
+     order otherwise.  Priorities are unique, so the order does not
+     depend on how the edges were found. *)
   let priority i =
     let klass =
       match instrs.(i) with
@@ -345,19 +364,24 @@ let run_parts ?exact programs layouts ~drams ~max_steps =
 (* Fig. 11 analysis                                                    *)
 (* ------------------------------------------------------------------ *)
 
-let multi_fpga_latency_us ?(partner_slowdown = 1.0) ~parts ~config ~device
-    ~added_latency_us ~reordered kind ~hidden ~input ~timesteps =
-  let program, lay = generate kind ~hidden ~input ~timesteps ~parts ~part:0 in
+type plan = { program : Program.t; layout : part_layout }
+
+let plan ~reordered kind ~hidden ~input ~timesteps ~parts =
+  let program, layout = generate kind ~hidden ~input ~timesteps ~parts ~part:0 in
   let program =
-    if reordered then reorder ~sync_base:lay.sync_base program else program
+    if reordered then reorder ~sync_base:layout.sync_base program else program
   in
+  { program; layout }
+
+(* Timing of one part's program: a barrier read waits for the
+   farthest partner's slice; (parts-1) slices share the ring links. *)
+let part_latency_us ?partner_slowdown ~parts ~sync_base ~config ~device
+    ~added_latency_us program =
   let board = Board.default in
   let max_hops = max 1 (parts / 2) in
   let extra (instr : Instr.t) =
     match instr with
-    | Instr.V_rd { addr; len; _ } when addr >= lay.sync_base ->
-      (* the barrier completes when the farthest partner's slice
-         arrives; (parts-1) slices share the ring links *)
+    | Instr.V_rd { addr; len; _ } when addr >= sync_base ->
       let slice_bytes = len / parts * 2 in
       Board.ring_transfer_time_us board
         ~bytes:(slice_bytes * (parts - 1))
@@ -366,12 +390,18 @@ let multi_fpga_latency_us ?(partner_slowdown = 1.0) ~parts ~config ~device
   in
   let vbs = (config.Mlv_accel.Config.tiles / 2) + 2 in
   let deploy = Mlv_accel.Perf.vital_deploy ~virtual_blocks:vbs ~pattern_aware:true in
-  let b =
-    Mlv_accel.Perf.program_latency config device ~deploy ~board
-      ~partner_stretch:partner_slowdown ~extra_latency_us:extra
-      ~sync_base:lay.sync_base program
-  in
-  b.Mlv_accel.Perf.total_us
+  (Mlv_accel.Perf.program_latency config device ~deploy ~board
+     ?partner_stretch:partner_slowdown ~extra_latency_us:extra ~sync_base program)
+    .Mlv_accel.Perf.total_us
+
+let plan_latency_us ?partner_slowdown ~config ~device ~added_latency_us plan =
+  part_latency_us ?partner_slowdown ~parts:plan.layout.parts
+    ~sync_base:plan.layout.sync_base ~config ~device ~added_latency_us plan.program
+
+let multi_fpga_latency_us ?partner_slowdown ~parts ~config ~device ~added_latency_us
+    ~reordered kind ~hidden ~input ~timesteps =
+  plan_latency_us ?partner_slowdown ~config ~device ~added_latency_us
+    (plan ~reordered kind ~hidden ~input ~timesteps ~parts)
 
 let two_fpga_latency_us ~config ~device ~added_latency_us ~reordered kind ~hidden
     ~input ~timesteps =
@@ -522,19 +552,5 @@ let mlp_latency_us ~parts ~config ~device ~added_latency_us ~reordered spec ~bat
   let program =
     if reordered then reorder ~sync_base:lay.msync_base program else program
   in
-  let board = Board.default in
-  let max_hops = max 1 (parts / 2) in
-  let extra (instr : Instr.t) =
-    match instr with
-    | Instr.V_rd { addr; len; _ } when addr >= lay.msync_base ->
-      let slice_bytes = len / parts * 2 in
-      Board.ring_transfer_time_us board
-        ~bytes:(slice_bytes * (parts - 1))
-        ~hops:max_hops ~added_latency_us
-    | _ -> 0.0
-  in
-  let vbs = (config.Mlv_accel.Config.tiles / 2) + 2 in
-  let deploy = Mlv_accel.Perf.vital_deploy ~virtual_blocks:vbs ~pattern_aware:true in
-  (Mlv_accel.Perf.program_latency config device ~deploy ~board ~extra_latency_us:extra
-     ~sync_base:lay.msync_base program)
-    .Mlv_accel.Perf.total_us
+  part_latency_us ~parts ~sync_base:lay.msync_base ~config ~device ~added_latency_us
+    program

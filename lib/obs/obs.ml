@@ -727,9 +727,10 @@ module Trace = struct
     | Retry
     | Crash_interrupt
     | Mark
+    | Shed
 
   let phases =
-    [ Arrive; Queue; Deploy; Service; Complete; Reject; Retry; Crash_interrupt; Mark ]
+    [ Arrive; Queue; Deploy; Service; Complete; Reject; Retry; Crash_interrupt; Mark; Shed ]
 
   let phase_index = function
     | Arrive -> 0
@@ -741,6 +742,7 @@ module Trace = struct
     | Retry -> 6
     | Crash_interrupt -> 7
     | Mark -> 8
+    | Shed -> 9
 
   let phase_name = function
     | Arrive -> "arrive"
@@ -752,6 +754,7 @@ module Trace = struct
     | Retry -> "retry"
     | Crash_interrupt -> "crash_interrupt"
     | Mark -> "mark"
+    | Shed -> "shed"
 
   type event = {
     seq : int;

@@ -198,6 +198,7 @@ module Trace : sig
     | Retry
     | Crash_interrupt
     | Mark  (** cluster-level annotation, e.g. a fault injection *)
+    | Shed  (** turned away by the serving admission gate *)
 
   val phase_name : phase -> string
 

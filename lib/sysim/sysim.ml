@@ -389,6 +389,23 @@ let service_cache :
     (string * int * int * string * float * float * bool, float) Hashtbl.t =
   Hashtbl.create 64
 
+(* Reordered scale-out plans, keyed by (point, parts): the program
+   depends only on the model shape (input = hidden here) and the part
+   count, so the keys that differ in tiles, device, partner slowdown or
+   added latency share one [Scale_out.reorder] run. *)
+let plan_cache : (Deepbench.point * int, Scale_out.plan) Hashtbl.t = Hashtbl.create 16
+
+let scale_out_plan (point : Deepbench.point) ~parts =
+  match Hashtbl.find_opt plan_cache (point, parts) with
+  | Some plan -> plan
+  | None ->
+    let plan =
+      Scale_out.plan ~reordered:true point.Deepbench.kind ~hidden:point.Deepbench.hidden
+        ~input:point.Deepbench.hidden ~timesteps:point.Deepbench.timesteps ~parts
+    in
+    Hashtbl.replace plan_cache (point, parts) plan;
+    plan
+
 let service_latency_us ~policy ~added_latency_us (point : Deepbench.point)
     (d : Runtime.deployment) =
   let nodes = Runtime.nodes_used d in
@@ -434,10 +451,8 @@ let service_latency_us ~policy ~added_latency_us (point : Deepbench.point)
             ~tiles
         in
         let cfg = Config.make ~tiles:per_part ~mem_kind () in
-        Scale_out.multi_fpga_latency_us ~partner_slowdown ~parts ~config:cfg ~device
-          ~added_latency_us ~reordered:true point.Deepbench.kind
-          ~hidden:point.Deepbench.hidden ~input:point.Deepbench.hidden
-          ~timesteps:point.Deepbench.timesteps
+        Scale_out.plan_latency_us ~partner_slowdown ~config:cfg ~device
+          ~added_latency_us (scale_out_plan point ~parts)
       end
       else begin
         let cfg = Config.make ~tiles ~mem_kind () in
@@ -1972,7 +1987,7 @@ and run_serving ~registry cfg serving =
               t.tt_shed <- t.tt_shed + 1;
               Obs.Counter.incr t.tt_shed_c
             | None -> ());
-            Obs.Trace.task Obs.Trace.Reject task.Genset.task_id ~retries:0
+            Obs.Trace.task Obs.Trace.Shed task.Genset.task_id ~retries:0
               ~label:accel
           | Slo.Admitted -> (
             (match tally with

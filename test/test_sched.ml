@@ -735,9 +735,8 @@ let test_percentiles_match_histogram () =
   close 50.0 r.Sysim.p50_latency_us;
   close 99.0 r.Sysim.p99_latency_us
 
-let test_slo_classes_shed_under_pressure () =
-  (* starve the gate: tight buckets on a bursty trace must shed, and
-     per-class accounting must close against the run totals *)
+(* Tight per-class buckets on a bursty 40-task trace: the gate sheds. *)
+let shedding_config () =
   let cfg = serving_config ~tasks:40 () in
   let classes =
     [
@@ -747,14 +746,34 @@ let test_slo_classes_shed_under_pressure () =
     ]
   in
   let serving = { (Option.get cfg.Sysim.serving) with Sysim.classes } in
-  let r =
-    Sysim.run ~registry:(Lazy.force registry)
-      { cfg with Sysim.serving = Some serving }
-  in
+  { cfg with Sysim.serving = Some serving }
+
+let test_slo_classes_shed_under_pressure () =
+  (* starve the gate: tight buckets on a bursty trace must shed, and
+     per-class accounting must close against the run totals *)
+  let r = Sysim.run ~registry:(Lazy.force registry) (shedding_config ()) in
   Alcotest.(check bool) "tight buckets shed" true (r.Sysim.shed > 0);
   Alcotest.(check int) "accounting still closes" 40
     (r.Sysim.completed + r.Sysim.rejected + r.Sysim.shed);
   Alcotest.(check int) "none lost" 0 r.Sysim.lost
+
+(* A shed request is traced as [Shed], not [Reject]: each phase count
+   closes against its own result counter. *)
+let test_shed_traced_as_shed () =
+  let shed0 = Obs.Trace.count Obs.Trace.Shed in
+  let reject0 = Obs.Trace.count Obs.Trace.Reject in
+  let r =
+    Fun.protect
+      ~finally:(fun () -> Obs.Trace.set_enabled false)
+      (fun () ->
+        Obs.Trace.set_enabled true;
+        Sysim.run ~registry:(Lazy.force registry) (shedding_config ()))
+  in
+  Alcotest.(check bool) "the run sheds" true (r.Sysim.shed > 0);
+  Alcotest.(check int) "shed events = shed" r.Sysim.shed
+    (Obs.Trace.count Obs.Trace.Shed - shed0);
+  Alcotest.(check int) "reject events = rejected" r.Sysim.rejected
+    (Obs.Trace.count Obs.Trace.Reject - reject0)
 
 (* ---------------- priority preemption ---------------- *)
 
@@ -1032,6 +1051,7 @@ let () =
           Alcotest.test_case "percentiles match histogram" `Quick
             test_percentiles_match_histogram;
           Alcotest.test_case "slo classes shed" `Quick test_slo_classes_shed_under_pressure;
+          Alcotest.test_case "shed traced as shed" `Quick test_shed_traced_as_shed;
           Alcotest.test_case "preemption accounting" `Quick
             test_serving_preemption_accounting;
           Alcotest.test_case "preempt+defrag+cache mix" `Quick
