@@ -224,10 +224,11 @@ let intra_lanes ctx module_name =
       (match extracted with
       | [] -> None
       | first :: rest ->
-        ctx.checks <- ctx.checks + List.length rest;
         if
           List.for_all
-            (fun other -> Check.modules_equivalent ~config:ctx.eq_config first other)
+            (fun other ->
+              ctx.checks <- ctx.checks + 1;
+              Check.modules_equivalent ~config:ctx.eq_config first other)
             rest
         then begin
           let lane_resources =
@@ -260,22 +261,34 @@ type cgraph = {
 
 let rec repr g i = if g.alias.(i) = i then i else repr g g.alias.(i)
 
-let csuccs g i =
-  Hashtbl.fold
-    (fun (s, d) _ acc -> if repr g s = i && repr g d <> i then repr g d :: acc else acc)
-    g.cedges []
-  |> List.sort_uniq compare
+(* The quotient of [cedges] under [repr], built in one pass:
+   [succs.(r)] maps each successor representative of representative [r]
+   to the bits from [r] to it, and [preds.(r)] each predecessor to the
+   bits from it to [r]. *)
+type adjacency = {
+  succs : (int, int) Hashtbl.t array;
+  preds : (int, int) Hashtbl.t array;
+}
 
-let cpreds g i =
-  Hashtbl.fold
-    (fun (s, d) _ acc -> if repr g d = i && repr g s <> i then repr g s :: acc else acc)
-    g.cedges []
-  |> List.sort_uniq compare
+let adjacency g =
+  let n = Array.length g.nodes in
+  let succs = Array.init n (fun _ -> Hashtbl.create 4) in
+  let preds = Array.init n (fun _ -> Hashtbl.create 4) in
+  let add tbl k w = Hashtbl.replace tbl k (w + Option.value ~default:0 (Hashtbl.find_opt tbl k)) in
+  Hashtbl.iter
+    (fun (s, d) w ->
+      let rs = repr g s and rd = repr g d in
+      if rs <> rd then begin
+        add succs.(rs) rd w;
+        add preds.(rd) rs w
+      end)
+    g.cedges;
+  { succs; preds }
 
-let cedge_bits g a b =
-  Hashtbl.fold
-    (fun (s, d) w acc -> if repr g s = a && repr g d = b then acc + w else acc)
-    g.cedges 0
+let edge_bits adj a b = Option.value ~default:0 (Hashtbl.find_opt adj.succs.(a) b)
+
+(* Sorted neighbour representatives. *)
+let neighbours tbl = List.sort compare (Hashtbl.fold (fun k _ acc -> k :: acc) tbl [])
 
 let alive_ids g =
   Array.to_list (Array.mapi (fun i c -> (i, c)) g.nodes)
@@ -309,12 +322,13 @@ let dp_units tree =
 let step3 ctx g counter =
   let changed = ref false in
   let ids = alive_ids g in
+  let adj = adjacency g in
   (* Group alive nodes by (preds, succs); within each group, merge
      equivalence classes of unit shape. *)
   let by_context = Hashtbl.create 16 in
   List.iter
     (fun i ->
-      let key = (cpreds g i, csuccs g i) in
+      let key = (neighbours adj.preds.(i), neighbours adj.succs.(i)) in
       let cur = try Hashtbl.find by_context key with Not_found -> [] in
       Hashtbl.replace by_context key (i :: cur))
     ids;
@@ -365,29 +379,33 @@ let pipe_parts tree =
     (children, link_bits)
   | t -> ([ t ], [])
 
+(* [u] can absorb its successor: [u] has a single successor [v], [v] a
+   single predecessor (so [u]), and no edge runs back from [v] to [u]
+   (that would be a loop, not a pipeline). *)
+let pipe_successor adj u =
+  if Hashtbl.length adj.succs.(u) <> 1 then None
+  else begin
+    let v = Hashtbl.fold (fun v _ _ -> v) adj.succs.(u) (-1) in
+    if Hashtbl.length adj.preds.(v) = 1 && not (edge_bits adj v u > 0) then Some v else None
+  end
+
+(* Merges the lowest-numbered node that can absorb its successor, until
+   none can.  The adjacency is updated in place: after [v] merges into
+   [u], only [u] and its predecessors can change whether they qualify. *)
 let step4 g counter =
+  let adj = adjacency g in
+  let module S = Set.Make (Int) in
+  let qualifies u = Option.is_some (pipe_successor adj u) in
+  let ready = ref (S.of_list (List.filter qualifies (alive_ids g))) in
   let changed = ref false in
   let rec scan () =
-    let ids = alive_ids g in
-    let found =
-      List.find_map
-        (fun u ->
-          match csuccs g u with
-          | [ v ] when v <> u -> (
-            match cpreds g v with
-            | [ u' ] when u' = u ->
-              (* no back edge (would be a loop, not a pipeline) *)
-              if cedge_bits g v u > 0 then None else Some (u, v)
-            | _ -> None)
-          | _ -> None)
-        ids
-    in
-    match found with
+    match S.min_elt_opt !ready with
     | None -> ()
-    | Some (u, v) ->
+    | Some u ->
+      let v = Option.get (pipe_successor adj u) in
       let cu, lu = pipe_parts g.nodes.(u).tree in
       let cv, lv = pipe_parts g.nodes.(v).tree in
-      let bits = cedge_bits g u v in
+      let bits = edge_bits adj u v in
       incr counter;
       let tree =
         Soft_block.pipeline
@@ -397,6 +415,25 @@ let step4 g counter =
       in
       ignore (merge g [ u; v ] tree);
       changed := true;
+      (* [u]'s only successor was [v] and [v]'s only predecessor [u], so
+         [u] takes over [v]'s successors; a zero-bit edge from [v] back
+         to [u] becomes internal. *)
+      Hashtbl.reset adj.succs.(u);
+      Hashtbl.remove adj.preds.(u) v;
+      Hashtbl.iter
+        (fun x w ->
+          if x <> u then begin
+            Hashtbl.replace adj.succs.(u) x w;
+            Hashtbl.remove adj.preds.(x) v;
+            Hashtbl.replace adj.preds.(x) u w
+          end)
+        adj.succs.(v);
+      Hashtbl.reset adj.succs.(v);
+      Hashtbl.reset adj.preds.(v);
+      let recheck x = ready := if qualifies x then S.add x !ready else S.remove x !ready in
+      ready := S.remove v !ready;
+      recheck u;
+      Hashtbl.iter (fun x _ -> recheck x) adj.preds.(u);
       scan ()
   in
   scan ();
@@ -406,11 +443,11 @@ let step4 g counter =
 (* Driver                                                              *)
 (* ------------------------------------------------------------------ *)
 
-let leaf_resources design bmodule =
+let leaf_resources estimate bmodule =
   if String.length bmodule >= 5 && String.sub bmodule 0 5 = "prim:" then
     (* Residue primitive: negligible, use a nominal cost. *)
     Resource.make ~luts:1 ()
-  else Estimate.of_module design bmodule
+  else estimate bmodule
 
 let run_untraced ?(config = default_config) design ~top =
   match Design.find design top with
@@ -427,6 +464,7 @@ let run_untraced ?(config = default_config) design ~top =
         let ctx =
           { design; eq_config = config.eq; cache = Hashtbl.create 64; checks = 0 }
         in
+        let estimate = Estimate.memo design in
         (* Residue blocks connected only to control blocks fold into
            the control path (case-study adjustment). *)
         (* Chains of residue primitives require iterating the fold
@@ -477,7 +515,7 @@ let run_untraced ?(config = default_config) design ~top =
                 Soft_block.leaf
                   ~name:(Printf.sprintf "ctl_%s" blocks.(i).path)
                   ~module_name:blocks.(i).bmodule ~instance_path:blocks.(i).path
-                  ~resources:(leaf_resources design blocks.(i).bmodule)
+                  ~resources:(leaf_resources estimate blocks.(i).bmodule)
                   ~role:Soft_block.Control ())
               !control_ids
           in
@@ -493,7 +531,7 @@ let run_untraced ?(config = default_config) design ~top =
             let b = blocks.(i) in
             let plain () =
               Soft_block.leaf ~name:b.path ~module_name:b.bmodule ~instance_path:b.path
-                ~resources:(leaf_resources design b.bmodule) ()
+                ~resources:(leaf_resources estimate b.bmodule) ()
             in
             if not config.enable_intra then plain ()
             else begin

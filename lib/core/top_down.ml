@@ -10,6 +10,7 @@ type ctx = {
   config : Decompose.config;
   eq_cache : (string * string, bool) Hashtbl.t;
   tree_cache : (string, Soft_block.t) Hashtbl.t;
+  estimate : string -> Resource.t; (* Estimate.memo of [design] *)
   mutable checks : int;
 }
 
@@ -43,7 +44,7 @@ let leaf_for ctx ~path (inst : Ast.instance) =
       ~instance_path:path ~resources:(Estimate.of_prim p) ()
   | Ast.M_module name ->
     Soft_block.leaf ~name:path ~module_name:name ~instance_path:path
-      ~resources:(Estimate.of_module ctx.design name) ()
+      ~resources:(ctx.estimate name) ()
 
 (* Decompose the body of one module: group its instances into
    data-parallel families and pipeline chains following Fig. 3b. *)
@@ -55,7 +56,7 @@ let rec subtree ctx name =
     let t =
       if Ast.is_basic m then
         Soft_block.leaf ~name:m.Ast.mod_name ~module_name:m.Ast.mod_name
-          ~instance_path:m.Ast.mod_name ~resources:(Estimate.of_module ctx.design name)
+          ~instance_path:m.Ast.mod_name ~resources:(ctx.estimate name)
           ()
       else decompose_body ctx m ~prefix:m.Ast.mod_name
     in
@@ -189,6 +190,7 @@ let run ?(config = Decompose.default_config) design ~top =
           config;
           eq_cache = Hashtbl.create 32;
           tree_cache = Hashtbl.create 32;
+          estimate = Estimate.memo design;
           checks = 0;
         }
       in

@@ -41,3 +41,13 @@ let of_census census =
     Resource.zero census
 
 let of_module design name = of_census (Design.prim_census design name)
+
+let memo design =
+  let cache = Hashtbl.create 16 in
+  fun name ->
+    match Hashtbl.find_opt cache name with
+    | Some r -> r
+    | None ->
+      let r = of_module design name in
+      Hashtbl.add cache name r;
+      r

@@ -17,3 +17,9 @@ val of_census : (Ast.prim * int) list -> Resource.t
 (** [of_module design name] estimates the full hierarchy under module
     [name]. *)
 val of_module : Design.t -> string -> Resource.t
+
+(** [memo design] is [of_module design], remembering each module's
+    estimate for as long as the returned function is held.  A
+    decomposition makes one per run, so a module instantiated by many
+    blocks is estimated once. *)
+val memo : Design.t -> string -> Resource.t

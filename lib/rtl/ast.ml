@@ -94,6 +94,14 @@ let net_width m name =
     | Some p -> p.width
     | None -> raise Not_found)
 
+(* Filled in reverse, so the first declaration of a name wins, as in
+   [net_width]; nets after ports, so a net shadows a port. *)
+let width_table m =
+  let widths = Hashtbl.create (List.length m.ports + List.length m.nets) in
+  List.iter (fun p -> Hashtbl.replace widths p.port_name p.width) (List.rev m.ports);
+  List.iter (fun n -> Hashtbl.replace widths n.net_name n.net_width) (List.rev m.nets);
+  widths
+
 let is_basic m =
   List.for_all
     (fun inst -> match inst.master with M_module _ -> false | M_prim _ -> true)

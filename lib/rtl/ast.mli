@@ -81,6 +81,11 @@ val find_port : module_def -> string -> port option
     @raise Not_found if no such net or port exists. *)
 val net_width : module_def -> string -> int
 
+(** [width_table m] maps every net and port name of [m] to the width
+    [net_width m] gives it (a net shadows a port of the same name), for
+    callers that look up many names in one module. *)
+val width_table : module_def -> (string, int) Hashtbl.t
+
 (** [is_basic m] is true when [m] instantiates no user modules —
     the paper's definition of a basic module. *)
 val is_basic : module_def -> bool

@@ -88,6 +88,7 @@ let validate t =
   (try ignore (topo_order t) with Failure msg -> err "%s" msg);
   Hashtbl.iter
     (fun _ (m : Ast.module_def) ->
+      let widths = Ast.width_table m in
       List.iter
         (fun (inst : Ast.instance) ->
           let master_ports =
@@ -109,12 +110,12 @@ let validate t =
                 | None ->
                   err "%s.%s: no formal port %s" m.mod_name inst.inst_name c.formal
                 | Some p -> (
-                  match Ast.net_width m c.actual with
-                  | w when w <> p.width ->
+                  match Hashtbl.find_opt widths c.actual with
+                  | Some w when w <> p.width ->
                     err "%s.%s.%s: width mismatch (formal %d, net %s is %d)"
                       m.mod_name inst.inst_name c.formal p.width c.actual w
-                  | _ -> ()
-                  | exception Not_found ->
+                  | Some _ -> ()
+                  | None ->
                     err "%s.%s.%s: unknown net %s" m.mod_name inst.inst_name c.formal
                       c.actual))
               inst.conns)
@@ -122,32 +123,30 @@ let validate t =
     t.table;
   List.rev !errors
 
+(* Each module's census is counted into a table once (children's
+   censuses memoised) and listed in [compare] order. *)
 let prim_census t name =
   let memo : (string, (Ast.prim * int) list) Hashtbl.t = Hashtbl.create 64 in
-  let merge into extra =
-    List.fold_left
-      (fun acc (p, n) ->
-        let cur = try List.assoc p acc with Not_found -> 0 in
-        (p, cur + n) :: List.remove_assoc p acc)
-      into extra
-  in
   let rec census name =
     match Hashtbl.find_opt memo name with
     | Some c -> c
     | None ->
       let m = find_exn t name in
-      let c =
-        List.fold_left
-          (fun acc (inst : Ast.instance) ->
-            match inst.master with
-            | Ast.M_prim p -> merge acc [ (p, 1) ]
-            | Ast.M_module child -> merge acc (census child))
-          [] m.instances
+      let counts : (Ast.prim, int) Hashtbl.t = Hashtbl.create 16 in
+      let bump p n =
+        Hashtbl.replace counts p (n + Option.value ~default:0 (Hashtbl.find_opt counts p))
       in
+      List.iter
+        (fun (inst : Ast.instance) ->
+          match inst.master with
+          | Ast.M_prim p -> bump p 1
+          | Ast.M_module child -> List.iter (fun (p, n) -> bump p n) (census child))
+        m.instances;
+      let c = List.sort compare (Hashtbl.fold (fun p n acc -> (p, n) :: acc) counts []) in
       Hashtbl.add memo name c;
       c
   in
-  census name |> List.sort compare
+  census name
 
 let flat_instance_count t name =
   List.fold_left (fun acc (_, n) -> acc + n) 0 (prim_census t name)

@@ -62,9 +62,10 @@ let build design (m : Ast.module_def) =
   let edge_tbl = Hashtbl.create 64 in
   let reads_port = Array.make (max 1 n) false in
   let writes_port = Array.make (max 1 n) false in
+  let widths = Ast.width_table m in
   Hashtbl.iter
     (fun net (drivers, sinks) ->
-      let width = try Ast.net_width m net with Not_found -> 0 in
+      let width = Option.value ~default:0 (Hashtbl.find_opt widths net) in
       List.iter
         (fun d ->
           List.iter

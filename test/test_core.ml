@@ -357,6 +357,145 @@ endmodule
     Alcotest.failf "expected plain leaf with intra disabled, got %s"
       (Format.asprintf "%a" SB.pp other)
 
+let test_decompose_intra_counts_checks_run () =
+  (* Three disconnected lanes, the second unlike the first: step 2
+     stops at the first failed check, so exactly one check ran. *)
+  let src =
+    {|
+(* control_path *)
+module ctl (go);
+  output go;
+  wire n;
+  mlv_const #(.VALUE(1)) c (.o(n));
+  mlv_reg r (.d(n), .q(go));
+endmodule
+
+module simd3 (x0, x1, x2, o0, o1, o2);
+  input [7:0] x0;
+  input [7:0] x1;
+  input [7:0] x2;
+  output [7:0] o0;
+  output [7:0] o1;
+  output [7:0] o2;
+  wire [7:0] t0;
+  wire [7:0] t1;
+  wire [7:0] t2;
+  mlv_add a0 (.a(x0), .b(x0), .o(t0));
+  mlv_reg r0 (.d(t0), .q(o0));
+  mlv_xor a1 (.a(x1), .b(x1), .o(t1));
+  mlv_reg r1 (.d(t1), .q(o1));
+  mlv_add a2 (.a(x2), .b(x2), .o(t2));
+  mlv_reg r2 (.d(t2), .q(o2));
+endmodule
+
+module top5 (x0, x1, x2, o0, o1, o2);
+  input [7:0] x0;
+  input [7:0] x1;
+  input [7:0] x2;
+  output [7:0] o0;
+  output [7:0] o1;
+  output [7:0] o2;
+  wire go;
+  ctl c (.go(go));
+  simd3 s (.x0(x0), .x1(x1), .x2(x2), .o0(o0), .o1(o1), .o2(o2));
+endmodule
+|}
+  in
+  let r = decompose_ok src "top5" in
+  (match r.Decompose.data with
+  | SB.Leaf _ -> ()
+  | other ->
+    Alcotest.failf "expected an unsplit leaf, got %s" (Format.asprintf "%a" SB.pp other));
+  Alcotest.(check int) "checks performed" 1 r.Decompose.stats.Decompose.eq_checks
+
+(* Seeded random data-path graphs for the decomposer: basic modules
+   of three kinds (two inputs, one output), chained mostly forward,
+   with some back edges (cycles), broadcast from the control block and
+   residue primitives in the top. *)
+let random_design rng =
+  let module Ast = Mlv_rtl.Ast in
+  let port n dir = { Ast.port_name = n; dir; width = 8 } in
+  let conn formal actual = { Ast.formal; actual } in
+  let basic (name, p) =
+    {
+      Ast.mod_name = name;
+      ports = [ port "a" Ast.Input; port "b" Ast.Input; port "o" Ast.Output ];
+      nets = [ { Ast.net_name = "t"; net_width = 8 } ];
+      instances =
+        [
+          { Ast.inst_name = "g"; master = Ast.M_prim p; conns = [ conn "a" "a"; conn "b" "b"; conn "o" "t" ] };
+          { Ast.inst_name = "r"; master = Ast.M_prim (Ast.P_reg 8); conns = [ conn "d" "t"; conn "q" "o" ] };
+        ];
+      attrs = [];
+    }
+  in
+  let kinds = [| ("k_add", Ast.P_add 8); ("k_xor", Ast.P_xor 8); ("k_and", Ast.P_and 8) |] in
+  let ctl =
+    {
+      Ast.mod_name = "ctl";
+      ports = [ port "a" Ast.Input; port "go" Ast.Output ];
+      nets = [];
+      instances =
+        [ { Ast.inst_name = "r"; master = Ast.M_prim (Ast.P_reg 8); conns = [ conn "d" "a"; conn "q" "go" ] } ];
+      attrs = [ "control_path" ];
+    }
+  in
+  let n = 2 + Rng.int rng 40 in
+  let n_kinds = 1 + Rng.int rng 3 in
+  let net i = Printf.sprintf "n%d" i in
+  let source i =
+    match Rng.int rng 10 with
+    | 0 -> "x"
+    | 1 -> "go"
+    | 2 -> net (Rng.int rng n)
+    | _ -> if i = 0 then "x" else net (max 0 (i - 1 - Rng.int rng (min i 3)))
+  in
+  let insts =
+    List.init n (fun i ->
+        if Rng.int rng 8 = 0 then
+          {
+            Ast.inst_name = Printf.sprintf "p%d" i;
+            master = Ast.M_prim (Ast.P_not 8);
+            conns = [ conn "a" (source i); conn "o" (net i) ];
+          }
+        else
+          let a = source i in
+          let b = source i in
+          {
+            Ast.inst_name = Printf.sprintf "u%d" i;
+            master = Ast.M_module (fst kinds.(Rng.int rng n_kinds));
+            conns = [ conn "a" a; conn "b" b; conn "o" (net i) ];
+          })
+  in
+  let top =
+    {
+      Ast.mod_name = "top";
+      ports = [ port "x" Ast.Input ];
+      nets =
+        { Ast.net_name = "go"; net_width = 8 }
+        :: List.init n (fun i -> { Ast.net_name = net i; net_width = 8 });
+      instances =
+        { Ast.inst_name = "c"; master = Ast.M_module "ctl"; conns = [ conn "a" "x"; conn "go" "go" ] }
+        :: insts;
+      attrs = [];
+    }
+  in
+  Mlv_rtl.Design.of_modules (ctl :: top :: Array.to_list (Array.map basic kinds))
+
+(* Pinned before step 4 kept its adjacency up to date across merges:
+   the merge order, and so every tree, must not change. *)
+let test_decompose_random_designs_pinned () =
+  let rng = Rng.create 15 in
+  let buf = Buffer.create 4096 in
+  for _ = 1 to 300 do
+    match Mlv_core.Decompose.run (random_design rng) ~top:"top" with
+    | Ok d -> Buffer.add_string buf (Digest.string (Marshal.to_string d [ Marshal.No_sharing ]))
+    | Error e -> Buffer.add_string buf e
+  done;
+  Alcotest.(check string)
+    "digest of 300 decompositions" "b02719c7e9a5dc2b6942be01be442879"
+    (Digest.to_hex (Digest.string (Buffer.contents buf)))
+
 let npu_result =
   lazy
     (match Framework.build_npu ~tiles:6 () with
@@ -477,6 +616,65 @@ let test_mapping_infeasible_large () =
     let l1 = List.nth levels 1 in
     Alcotest.(check bool) "level1 feasible" true
       (List.for_all (fun (p : Mapping.compiled_piece) -> p.Mapping.bitstreams <> []) l1)
+
+(* The compile flow of every registry instance, pinned byte for byte:
+   per tile count, digests of the bottom-up decomposition (both trees
+   with their resources, and the stats), of the compiled mapping, and
+   of the top-down decomposition.  Speedups to estimation or to the
+   decomposer's cluster graph must leave all three unchanged. *)
+let registry_pins =
+  [
+    (4, "d8a6208498eb7a684fec986f175ac050", "c047159f6abedde71ed5ee5ab4582fca",
+     "52b657323ea23d07d168546b602fcc76");
+    (6, "3a29d736a989e6679b717cea2dabe020", "28031e963080ebbff31fcb3cf06426f0",
+     "d581f43c85e5762165a17f66da00da59");
+    (8, "711243cf10fdce283303b8ddc33de18c", "f6118da447c7def62c737cd5baa6639e",
+     "ca4531c6d8c187321dccb375306fa4c9");
+    (10, "88d6fc24034d44609fce9c7baea10b5c", "fa213d204886819580a6892844dcdceb",
+     "070f7a53ad655f8dbb87aec08091d348");
+    (13, "800b6544ea76a1fc8fde141f5a89760b", "992ef165ab609d88c7ab53406bdd1cb9",
+     "b67e34b180ad3968b48a64193d49bd4c");
+    (16, "9413ea154a2227e5cbb0b0997cf9c7c0", "b8a997a08879a9b2e547cdfe6cee2360",
+     "efac4ddf00e6d1bdb46ed528e234735f");
+    (18, "2d08270efc843ddf2c14885cce586dab", "64b9bd5813ebfd02144a5acf8ba47547",
+     "49366eea275dcf54dcf40b392e4f49e8");
+    (21, "b8036866181a4cee1d446b2cab3d6309", "aedacf910c19852841c232944cc23028",
+     "2e5f0d03242a353d210f5692a45b159f");
+    (32, "e2888a38b4e7afe7e8eefec9e0196e5a", "1ebe1dee4e90f82bf57508d52681ce22",
+     "da6409bd0a500d89bc22849fa9cc80b5");
+    (42, "2abeaf86793d760348a38b8fc7d7881e", "5d097b011f8b14e7b3e69c6108d454d3",
+     "f9cf2387fcb70ab5e3e7e4ec2464e4a7");
+  ]
+
+(* Structural: [No_sharing] makes the bytes independent of which equal
+   values happen to be physically shared. *)
+let structural_digest v =
+  Digest.to_hex (Digest.string (Marshal.to_string v [ Marshal.No_sharing ]))
+
+let test_registry_pinned () =
+  Alcotest.(check (list int))
+    "pins cover every registry instance" Mlv_sysim.Sysim.instance_tile_counts
+    (List.map (fun (t, _, _, _) -> t) registry_pins);
+  let cost_cache = Mapping.cost_cache () in
+  List.iter
+    (fun (tiles, decomposed, mapping, top_down) ->
+      match Framework.build_npu ~cost_cache ~tiles () with
+      | Error e -> Alcotest.fail e
+      | Ok npu ->
+        let name what = Printf.sprintf "npu-t%d %s" tiles what in
+        Alcotest.(check string)
+          (name "decomposition") decomposed
+          (structural_digest npu.Framework.decomposed);
+        Alcotest.(check string)
+          (name "mapping") mapping
+          (structural_digest npu.Framework.mapping);
+        (match
+           Top_down.run ~config:Framework.decompose_config npu.Framework.design
+             ~top:Mlv_accel.Rtl_gen.top_name
+         with
+        | Error e -> Alcotest.fail e
+        | Ok d -> Alcotest.(check string) (name "top-down") top_down (structural_digest d)))
+    registry_pins
 
 let test_registry () =
   let npu = Lazy.force npu_result in
@@ -1543,6 +1741,10 @@ let () =
           Alcotest.test_case "eqcheck different names" `Quick test_decompose_eqcheck_different_names;
           Alcotest.test_case "intra-block lanes" `Quick test_decompose_intra_block_lanes;
           Alcotest.test_case "intra disabled" `Quick test_decompose_intra_disabled;
+          Alcotest.test_case "intra counts checks run" `Quick
+            test_decompose_intra_counts_checks_run;
+          Alcotest.test_case "random designs pinned" `Quick
+            test_decompose_random_designs_pinned;
           Alcotest.test_case "NPU Fig.9 shape" `Quick test_decompose_npu_shape;
           Alcotest.test_case "top-down small accel" `Quick test_top_down_small_accel;
           Alcotest.test_case "top-down matches bottom-up" `Quick test_top_down_matches_bottom_up;
@@ -1565,6 +1767,7 @@ let () =
           Alcotest.test_case "npu levels" `Quick test_mapping_npu_levels;
           Alcotest.test_case "infeasible large" `Quick test_mapping_infeasible_large;
           Alcotest.test_case "registry" `Quick test_registry;
+          Alcotest.test_case "registry pinned" `Quick test_registry_pinned;
           Alcotest.test_case "custom accel end to end" `Quick test_custom_accel_end_to_end;
         ] );
       ( "runtime",

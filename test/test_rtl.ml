@@ -63,6 +63,30 @@ let test_ast_net_width () =
   Alcotest.check_raises "missing" Not_found (fun () ->
       ignore (Ast.net_width lane "nonexistent"))
 
+let test_ast_width_table () =
+  (* Duplicate names included: the table must answer as [net_width]. *)
+  let m =
+    {
+      Ast.mod_name = "m";
+      ports =
+        [
+          { Ast.port_name = "a"; dir = Ast.Input; width = 8 };
+          { Ast.port_name = "b"; dir = Ast.Input; width = 5 };
+          { Ast.port_name = "b"; dir = Ast.Output; width = 7 };
+        ];
+      nets = [ { Ast.net_name = "a"; net_width = 4 }; { Ast.net_name = "a"; net_width = 6 } ];
+      instances = [];
+      attrs = [];
+    }
+  in
+  let widths = Ast.width_table m in
+  Alcotest.(check int) "names" 2 (Hashtbl.length widths);
+  List.iter
+    (fun name ->
+      Alcotest.(check (option int)) name (Some (Ast.net_width m name))
+        (Hashtbl.find_opt widths name))
+    [ "a"; "b" ]
+
 (* ---------------- Parser ---------------- *)
 
 let test_parse_basic () =
@@ -76,9 +100,8 @@ let test_parse_attributes () =
   let m = Design.find_exn d "ctl" in
   Alcotest.(check (list string)) "attr" [ "control_path" ] m.Ast.attrs
 
-let test_parse_assign_lowering () =
-  let src =
-    {|
+let alu_src =
+  {|
 module alu (a, b, sel, o);
   input [15:0] a;
   input [15:0] b;
@@ -87,8 +110,9 @@ module alu (a, b, sel, o);
   assign o = sel ? a + b : a * b;
 endmodule
 |}
-  in
-  let d = parse_ok src in
+
+let test_parse_assign_lowering () =
+  let d = parse_ok alu_src in
   Alcotest.(check (list string)) "valid" [] (Design.validate d);
   let census = Design.prim_census d "alu" in
   let has p = List.exists (fun (q, _) -> q = p) census in
@@ -110,9 +134,8 @@ endmodule
   Alcotest.(check bool) "const 255" true
     (List.exists (fun (p, _) -> p = Ast.P_const { width = 8; value = 255 }) census)
 
-let test_parse_concat_slice () =
-  let src =
-    {|
+let concat_slice_src =
+  {|
 module cs (a, b, hi, wide);
   input [7:0] a;
   input [7:0] b;
@@ -122,8 +145,9 @@ module cs (a, b, hi, wide);
   assign hi = a[7:4];
 endmodule
 |}
-  in
-  let d = parse_ok src in
+
+let test_parse_concat_slice () =
+  let d = parse_ok concat_slice_src in
   Alcotest.(check (list string)) "valid" [] (Design.validate d)
 
 let test_parse_errors () =
@@ -205,6 +229,39 @@ endmodule
   (* mlv_not takes width from o (4) but a is 8 bits: mismatch. *)
   let d = parse_ok src in
   Alcotest.(check bool) "catches" true (Design.validate d <> [])
+
+let test_design_validate_net_shadows_port () =
+  (* A net named like a port shadows it: [a] is 4 bits inside [m]. *)
+  let not_gate name w =
+    {
+      Ast.inst_name = name;
+      master = Ast.M_prim (Ast.P_not w);
+      conns = [ { Ast.formal = "a"; actual = "a" }; { Ast.formal = "o"; actual = "o" } ];
+    }
+  in
+  let m instances =
+    {
+      Ast.mod_name = "m";
+      ports =
+        [
+          { Ast.port_name = "a"; dir = Ast.Input; width = 8 };
+          { Ast.port_name = "o"; dir = Ast.Output; width = 4 };
+        ];
+      nets = [ { Ast.net_name = "a"; net_width = 4 } ];
+      instances;
+      attrs = [];
+    }
+  in
+  Alcotest.(check (list string))
+    "the net's width binds" []
+    (Design.validate (Design.of_modules [ m [ not_gate "n0" 4 ] ]));
+  Alcotest.(check (list string))
+    "the port's width does not"
+    [
+      "m.n8.a: width mismatch (formal 8, net a is 4)";
+      "m.n8.o: width mismatch (formal 8, net o is 4)";
+    ]
+    (Design.validate (Design.of_modules [ m [ not_gate "n8" 8 ] ]))
 
 let test_design_cycle_detection () =
   let inst name master =
@@ -723,6 +780,32 @@ endmodule
       Alcotest.(check int) "two lanes" 2 (List.length children)
     | _ -> Alcotest.fail "expected DP root")
 
+(* Every module of [d] has the census the reference implementation
+   gives, pairs and order included. *)
+let check_census_matches_oracle label d =
+  List.iter
+    (fun (m : Ast.module_def) ->
+      let name = m.Ast.mod_name in
+      if Census_oracle.prim_census d name <> Design.prim_census d name then
+        Alcotest.failf "%s: census of %s differs from the reference" label name)
+    (Design.modules d)
+
+let test_design_census_matches_oracle () =
+  List.iter
+    (fun (label, src) -> check_census_matches_oracle label (parse_ok src))
+    [
+      ("lane pair", lane_pair_src);
+      ("alu", alu_src);
+      ("concat/slice", concat_slice_src);
+      ("parameterized", param_src);
+    ];
+  List.iter
+    (fun tiles ->
+      check_census_matches_oracle
+        (Printf.sprintf "npu-t%d" tiles)
+        (Mlv_accel.Rtl_gen.generate (Mlv_accel.Config.make ~tiles ())))
+    [ 4; 42 ]
+
 let () =
   Alcotest.run "rtl"
     [
@@ -732,6 +815,7 @@ let () =
           Alcotest.test_case "prim sequential" `Quick test_ast_prim_sequential;
           Alcotest.test_case "is_basic" `Quick test_ast_is_basic;
           Alcotest.test_case "net_width" `Quick test_ast_net_width;
+          Alcotest.test_case "width_table" `Quick test_ast_width_table;
         ] );
       ( "parser",
         [
@@ -753,6 +837,10 @@ let () =
           Alcotest.test_case "basic modules" `Quick test_design_basic_modules;
           Alcotest.test_case "validate unknown master" `Quick test_design_validate_unknown_master;
           Alcotest.test_case "validate width mismatch" `Quick test_design_validate_width_mismatch;
+          Alcotest.test_case "validate net shadows port" `Quick
+            test_design_validate_net_shadows_port;
+          Alcotest.test_case "census matches reference" `Quick
+            test_design_census_matches_oracle;
           Alcotest.test_case "cycle detection" `Quick test_design_cycle_detection;
         ] );
       ( "graph",

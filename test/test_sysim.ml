@@ -445,6 +445,22 @@ let test_wait_reasonable () =
   Alcotest.(check bool) "slo misses bounded" true
     (r.Sysim.slo_misses >= 0 && r.Sysim.slo_misses <= r.Sysim.completed)
 
+(* Allocation of one registry build is deterministic, so a bound on it
+   catches a return to per-block estimation without wall-clock noise.
+   The build allocates 6.9 M words; estimating every leaf block instead
+   of every basic module allocates 29.6 M even over the linear census,
+   and 127.6 M over the old quadratic one. *)
+let test_registry_build_allocation () =
+  let allocated () =
+    let minor, promoted, major = Gc.counters () in
+    minor +. major -. promoted
+  in
+  let before = allocated () in
+  ignore (Sysim.build_registry ());
+  let mwords = (allocated () -. before) /. 1e6 in
+  if mwords > 16.0 then
+    Alcotest.failf "one registry build allocated %.2f M words (bound 16)" mwords
+
 let () =
   Alcotest.run "sysim"
     [
@@ -460,6 +476,8 @@ let () =
           Alcotest.test_case "waits reasonable" `Quick test_wait_reasonable;
           Alcotest.test_case "scale-out shape" `Quick test_scale_out_shape;
           Alcotest.test_case "instance within cap" `Quick test_instance_within;
+          Alcotest.test_case "registry build allocation" `Quick
+            test_registry_build_allocation;
         ] );
       ( "flight_table",
         [
