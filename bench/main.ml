@@ -955,12 +955,19 @@ let micro () =
   in
   let gru_program = lazy (fst (Codegen.generate Codegen.Gru ~hidden:256 ~input:256 ~timesteps:5)) in
   (* The largest program the scale-out service model reorders
-     (34,509 instructions, ~5.45M dependence edges). *)
+     (34,509 instructions), and its reordered plan, timed at the
+     Fig. 12 open loop's 2-node shape (3 tiles per part). *)
   let gru_1500 =
     lazy
       (Scale_out.generate Codegen.Gru ~hidden:1024 ~input:1024 ~timesteps:1500 ~parts:2
          ~part:0)
   in
+  let gru_1500_plan =
+    lazy
+      (Scale_out.plan ~reordered:true Codegen.Gru ~hidden:1024 ~input:1024 ~timesteps:1500
+         ~parts:2)
+  in
+  let plan_config = Config.make ~tiles:3 ~mem_kind:Config.Bram_uram () in
   let eq_pair =
     lazy
       (let d = Lazy.force small_design in
@@ -1009,6 +1016,12 @@ let micro () =
         (Staged.stage (fun () ->
              let p, lay = Lazy.force gru_1500 in
              ignore (Sys.opaque_identity (Scale_out.reorder ~sync_base:lay.Scale_out.sync_base p))));
+      Test.make ~name:"plan_latency GRU h=1024 t=1500 parts=2"
+        (Staged.stage (fun () ->
+             ignore
+               (Sys.opaque_identity
+                  (Scale_out.plan_latency_us ~config:plan_config ~device:vu37p
+                     ~added_latency_us:0.0 (Lazy.force gru_1500_plan)))));
     ]
   in
   let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.5) ~kde:(Some 10) () in

@@ -52,12 +52,12 @@ let program_latency (c : Config.t) (dev : Device.t) ?(deploy = bare)
      MFU occupancy of length-free instructions is known. *)
   let vlen = Array.make p.Program.vregs 0 in
   let mshape = Array.make p.Program.mregs (0, 0) in
-  (* Outstanding synchronization sends: (addr, len, partner arrival
-     basis).  A slower partner (partner_stretch > 1) needs
-     proportionally longer for the compute segment since the previous
-     barrier, so its matching send lags ours by
+  (* Synchronization mailboxes: address -> partner arrival basis of
+     the last send posted there.  A slower partner (partner_stretch >
+     1) needs proportionally longer for the compute segment since the
+     previous barrier, so its matching send lags ours by
      (stretch - 1) x (time since the last barrier completed). *)
-  let sync_sends : (int * int * float) list ref = ref [] in
+  let sync_sends : (int, float) Hashtbl.t = Hashtbl.create 64 in
   let last_barrier = ref invocation_us in
   let clock = ref invocation_us in
   let compute_cycles = ref 0 in
@@ -163,25 +163,20 @@ let program_latency (c : Config.t) (dev : Device.t) ?(deploy = bare)
          since the send was posted. *)
       let finish =
         match instr with
-        | Instr.V_rd { addr; len; _ } when addr >= sync_base ->
-          (* The partner's matching send is approximated by our own,
-             stretched when the partner runs on a slower device (the
-             heterogeneous-deployment case). *)
-          let arrival =
-            List.fold_left
-              (fun acc (wa, wl, basis) ->
-                if addr < wa + wl && wa < addr + len then Float.max acc (basis +. extra)
-                else acc)
-              0.0 !sync_sends
-          in
-          Float.max nominal arrival
+        | Instr.V_rd { addr; _ } when addr >= sync_base -> (
+          (* The partner's matching send is approximated by our own to
+             the same address, stretched when the partner runs on a
+             slower device (the heterogeneous-deployment case). *)
+          match Hashtbl.find_opt sync_sends addr with
+          | Some basis -> Float.max nominal (basis +. extra)
+          | None -> nominal)
         | _ -> nominal +. extra
       in
       (match instr with
-      | Instr.V_wr { addr; len; _ } when addr >= sync_base ->
+      | Instr.V_wr { addr; _ } when addr >= sync_base ->
         let compute_segment = Float.max 0.0 (finish -. !last_barrier) in
         let basis = finish +. ((partner_stretch -. 1.0) *. compute_segment) in
-        sync_sends := (addr, len, basis) :: !sync_sends
+        Hashtbl.replace sync_sends addr basis
       | _ -> ());
       (match instr with
       | Instr.V_rd { addr; _ } when addr >= sync_base -> last_barrier := finish

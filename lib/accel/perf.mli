@@ -67,12 +67,18 @@ type breakdown = {
     (e.g. 400/300 when the partner is the slower XCKU115).
 
     [sync_base] marks DRAM addresses at and beyond it as inter-FPGA
-    synchronization accesses (paper §2.3).  A sync read is
+    synchronization accesses (paper §2.3).  A [V_wr] there is a send
+    posted to the mailbox at its exact address; a [V_rd] there is a
+    receive that waits for the last send posted to {e its own}
+    address, whatever its length (as in {!Mlv_isa.Exec}), plus the
+    transfer [extra_latency_us] charges it.  A receive with no send
+    posted to its address waits for nothing.  A sync read is
     {e issue-blocking}: the in-order processor stalls at the barrier
     until the partner's data arrives, so instructions textually after
     it cannot overlap the transfer — which is exactly why the
     instruction-reordering tool ({!Mlv_core.Scale_out.reorder}) sinks
-    sync reads below independent work. *)
+    sync reads below independent work.  The lookup is O(1) per
+    receive. *)
 val program_latency :
   Config.t ->
   Device.t ->

@@ -180,7 +180,12 @@ let reorder ~sync_base (p : Program.t) =
   let vreaders = Array.make p.Program.vregs [] in
   let last_mwrite = Array.make p.Program.mregs (-1) in
   let mreaders = Array.make p.Program.mregs [] in
-  (* Memory accesses so far as parallel (addr, len, index) arrays;
+  (* A [V_rd]/[V_wr] at or above [sync_base] is a mailbox access keyed
+     by its exact address, as in [Exec]: tracked like a register, and
+     never in conflict with DRAM. *)
+  let sync_writer = Hashtbl.create 64 and sync_readers = Hashtbl.create 64 in
+  let sync_readers_of a = Option.value ~default:[] (Hashtbl.find_opt sync_readers a) in
+  (* DRAM accesses so far as parallel (addr, len, index) arrays;
      [hazards] adds an edge to [i] from each of the first [count] that
      overlaps [a, a + l), newest first. *)
   let w_addr = Array.make n 0 and w_len = Array.make n 0 and w_idx = Array.make n 0 in
@@ -204,23 +209,33 @@ let reorder ~sync_base (p : Program.t) =
           if last_mwrite.(r) >= 0 then add_edge last_mwrite.(r) i;
           mreaders.(r) <- i :: mreaders.(r))
         e.Instr.mreads;
-      (match e.Instr.mem_read with
-      | Some (a, l) ->
-        hazards w_addr w_len w_idx !nw i a l;
-        r_addr.(!nr) <- a;
-        r_len.(!nr) <- l;
-        r_idx.(!nr) <- i;
-        incr nr
-      | None -> ());
-      (match e.Instr.mem_write with
-      | Some (a, l) ->
-        hazards w_addr w_len w_idx !nw i a l;
-        hazards r_addr r_len r_idx !nr i a l;
-        w_addr.(!nw) <- a;
-        w_len.(!nw) <- l;
-        w_idx.(!nw) <- i;
-        incr nw
-      | None -> ());
+      (match instr with
+      | Instr.V_rd { addr; _ } when addr >= sync_base ->
+        Option.iter (fun j -> add_edge j i) (Hashtbl.find_opt sync_writer addr);
+        Hashtbl.replace sync_readers addr (i :: sync_readers_of addr)
+      | Instr.V_wr { addr; _ } when addr >= sync_base ->
+        Option.iter (fun j -> add_edge j i) (Hashtbl.find_opt sync_writer addr);
+        List.iter (fun j -> add_edge j i) (sync_readers_of addr);
+        Hashtbl.remove sync_readers addr;
+        Hashtbl.replace sync_writer addr i
+      | _ ->
+        (match e.Instr.mem_read with
+        | Some (a, l) ->
+          hazards w_addr w_len w_idx !nw i a l;
+          r_addr.(!nr) <- a;
+          r_len.(!nr) <- l;
+          r_idx.(!nr) <- i;
+          incr nr
+        | None -> ());
+        (match e.Instr.mem_write with
+        | Some (a, l) ->
+          hazards w_addr w_len w_idx !nw i a l;
+          hazards r_addr r_len r_idx !nr i a l;
+          w_addr.(!nw) <- a;
+          w_len.(!nw) <- l;
+          w_idx.(!nw) <- i;
+          incr nw
+        | None -> ()));
       List.iter
         (fun r ->
           if last_vwrite.(r) >= 0 then add_edge last_vwrite.(r) i;

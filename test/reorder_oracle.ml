@@ -1,7 +1,13 @@
 (* Reference oracle for [Scale_out.reorder]: the original
    implementation, which deduplicates dependence edges through a
-   [(int * int, unit) Hashtbl.t].  The differential tests check the
-   production reorderer against it byte for byte. *)
+   [(int * int, unit) Hashtbl.t] and compares every pair of memory
+   accesses.  The differential tests check the production reorderer
+   against it byte for byte.
+
+   Memory has two namespaces, as in [Exec]: a [V_rd]/[V_wr] at or
+   above [sync_base] is a mailbox access, in conflict only with
+   another mailbox access at the same address; every other access is
+   a DRAM interval, in conflict with any overlapping DRAM interval. *)
 
 open Mlv_isa
 
@@ -33,9 +39,18 @@ let reorder ~sync_base (p : Program.t) =
   let vreaders = Array.make p.Program.vregs [] in
   let last_mwrite = Array.make p.Program.mregs (-1) in
   let mreaders = Array.make p.Program.mregs [] in
-  let mem_writes = ref [] (* (addr, len, idx) *) in
+  let mem_writes = ref [] (* (sync, addr, len, idx) *) in
   let mem_reads = ref [] in
-  let overlap (a, la) (b, lb) = a < b + lb && b < a + la in
+  let conflict (sa, a, la) (sb, b, lb) =
+    match (sa, sb) with
+    | true, true -> a = b
+    | false, false -> a < b + lb && b < a + la
+    | _ -> false
+  in
+  let is_sync = function
+    | Instr.V_rd { addr; _ } | Instr.V_wr { addr; _ } -> addr >= sync_base
+    | _ -> false
+  in
   Array.iteri
     (fun i instr ->
       let e = Instr.effects instr in
@@ -49,16 +64,20 @@ let reorder ~sync_base (p : Program.t) =
           if last_mwrite.(r) >= 0 then add_edge last_mwrite.(r) i;
           mreaders.(r) <- i :: mreaders.(r))
         e.Instr.mreads;
+      let sync = is_sync instr in
+      let hazards (a, l) =
+        List.iter (fun (s, b, lb, j) -> if conflict (sync, a, l) (s, b, lb) then add_edge j i)
+      in
       (match e.Instr.mem_read with
       | Some range ->
-        List.iter (fun (a, l, j) -> if overlap range (a, l) then add_edge j i) !mem_writes;
-        mem_reads := (fst range, snd range, i) :: !mem_reads
+        hazards range !mem_writes;
+        mem_reads := (sync, fst range, snd range, i) :: !mem_reads
       | None -> ());
       (match e.Instr.mem_write with
       | Some range ->
-        List.iter (fun (a, l, j) -> if overlap range (a, l) then add_edge j i) !mem_writes;
-        List.iter (fun (a, l, j) -> if overlap range (a, l) then add_edge j i) !mem_reads;
-        mem_writes := (fst range, snd range, i) :: !mem_writes
+        hazards range !mem_writes;
+        hazards range !mem_reads;
+        mem_writes := (sync, fst range, snd range, i) :: !mem_writes
       | None -> ());
       List.iter
         (fun r ->

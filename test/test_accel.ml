@@ -245,6 +245,55 @@ let test_perf_sync_read_blocks () =
   in
   Alcotest.(check bool) "arrival delays" true (lat 50.0 > lat 0.0 +. 40.0)
 
+let test_perf_sync_read_own_slot () =
+  (* Sync slots are mailboxes keyed by address: a receive waits for
+     the send to its own slot, even when its length spans the next
+     one.  Here the send to slot 0 is posted long before the receive,
+     so the transfer hides behind the compute; the later send to slot
+     1 must not delay it. *)
+  let c = Config.make ~tiles:4 () in
+  let sync_base = 10_000 in
+  let p =
+    Program.make
+      ([
+         Instr.M_rd { dst = 0; addr = 0; rows = 1024; cols = 1024 };
+         Instr.V_fill { dst = 0; len = 128; value = 1.0 };
+         Instr.V_fill { dst = 2; len = 1024; value = 1.0 };
+         Instr.V_wr { src = 0; addr = sync_base; len = 128 };
+       ]
+      @ List.init 4 (fun _ -> Instr.Mvm { dst = 3; mat = 0; src = 2 })
+      @ [
+          Instr.V_wr { src = 0; addr = sync_base + 1; len = 128 };
+          Instr.V_rd { dst = 1; addr = sync_base; len = 256 };
+        ])
+  in
+  let extra_us = 2.0 in
+  let run extra_us =
+    let sends = ref [] in
+    let extra (i : Instr.t) =
+      match i with
+      | Instr.V_rd { addr; _ } when addr >= sync_base -> extra_us
+      | _ -> 0.0
+    in
+    let trace (i : Instr.t) ~start ~finish =
+      match i with
+      | Instr.V_wr _ -> sends := (start, finish) :: !sends
+      | _ -> ()
+    in
+    let total =
+      (Perf.program_latency c vu37p ~sync_base ~extra_latency_us:extra ~trace p)
+        .Perf.total_us
+    in
+    (total, List.rev !sends)
+  in
+  let total, sends = run extra_us in
+  (match sends with
+  | [ (_, first_posted); (second_start, _) ] ->
+    Alcotest.(check bool) "the compute between the sends covers the transfer" true
+      (second_start -. first_posted > extra_us)
+  | _ -> Alcotest.fail "expected two sends");
+  Alcotest.(check (float 0.0)) "the receive does not wait for slot 1" (fst (run 0.0)) total
+
 (* ---------------- Sync module ---------------- *)
 
 let test_sync_module_rtl_valid () =
@@ -323,6 +372,7 @@ let () =
           Alcotest.test_case "pattern-oblivious worse" `Quick test_perf_pattern_oblivious_worse;
           Alcotest.test_case "weight streaming penalty" `Quick test_perf_weight_streaming_penalty;
           Alcotest.test_case "sync arrival" `Quick test_perf_sync_read_blocks;
+          Alcotest.test_case "sync arrival is per slot" `Quick test_perf_sync_read_own_slot;
         ] );
       ( "sync_module",
         [

@@ -1352,48 +1352,64 @@ let prop_decompose_lane_accel =
         | _ -> stages > 1 && k = 1))
 
 
+(* Under mailbox hazards the reorderer hoists one sample's sends above
+   the previous sample's receives, interleaving samples across the two
+   register banks of [generate_mlp]; the numerics are checked at
+   several batches and part counts. *)
 let test_mlp_scale_out_golden () =
-  let spec = Mlv_isa.Mlp.make_spec [ 12; 16; 8 ] in
-  let batch = 3 and parts = 2 in
-  let _, full_lay = Mlv_isa.Mlp.generate spec ~batch in
-  let rng = Rng.create 41 in
-  let full_dram = Mlv_isa.Mlp.init_dram ~rng full_lay in
-  let golden = Mlv_isa.Mlp.golden full_lay (Array.copy full_dram) in
   List.iter
-    (fun reorder ->
-      let progs =
-        Array.init parts (fun part ->
-            let p, l = Scale_out.generate_mlp spec ~batch ~parts ~part in
-            Alcotest.(check (list string)) "part valid" [] (Program.validate p);
-            if reorder then Scale_out.reorder ~sync_base:l.Scale_out.msync_base p else p)
-      in
-      let lays =
-        Array.init parts (fun part -> snd (Scale_out.generate_mlp spec ~batch ~parts ~part))
-      in
-      let drams =
-        Array.map
-          (fun l -> Scale_out.init_mlp_part_dram ~full_layout:full_lay ~full_dram l)
-          lays
-      in
-      let _ = Scale_out.run_mlp_parts ~exact:true progs lays ~drams ~max_steps:1_000_000 in
-      Array.iteri
-        (fun part l ->
-          for b = 0 to batch - 1 do
-            let y =
-              Array.sub drams.(part)
-                (l.Scale_out.my_base + (b * l.Scale_out.out_slice))
-                l.Scale_out.out_slice
-            in
-            Array.iteri
-              (fun i v ->
-                Alcotest.(check (float 1e-9))
-                  (Printf.sprintf "reorder=%b part %d b%d y[%d]" reorder part b i)
-                  golden.(b).((part * l.Scale_out.out_slice) + i)
-                  v)
-              y
-          done)
-        lays)
-    [ false; true ]
+    (fun (dims, batch, parts) ->
+      let spec = Mlv_isa.Mlp.make_spec dims in
+      let _, full_lay = Mlv_isa.Mlp.generate spec ~batch in
+      let rng = Rng.create 41 in
+      let full_dram = Mlv_isa.Mlp.init_dram ~rng full_lay in
+      let golden = Mlv_isa.Mlp.golden full_lay (Array.copy full_dram) in
+      List.iter
+        (fun reorder ->
+          let progs =
+            Array.init parts (fun part ->
+                let p, l = Scale_out.generate_mlp spec ~batch ~parts ~part in
+                Alcotest.(check (list string)) "part valid" [] (Program.validate p);
+                if reorder then Scale_out.reorder ~sync_base:l.Scale_out.msync_base p else p)
+          in
+          let lays =
+            Array.init parts (fun part ->
+                snd (Scale_out.generate_mlp spec ~batch ~parts ~part))
+          in
+          let drams =
+            Array.map
+              (fun l -> Scale_out.init_mlp_part_dram ~full_layout:full_lay ~full_dram l)
+              lays
+          in
+          let _ =
+            Scale_out.run_mlp_parts ~exact:true progs lays ~drams ~max_steps:1_000_000
+          in
+          Array.iteri
+            (fun part l ->
+              for b = 0 to batch - 1 do
+                let y =
+                  Array.sub drams.(part)
+                    (l.Scale_out.my_base + (b * l.Scale_out.out_slice))
+                    l.Scale_out.out_slice
+                in
+                Array.iteri
+                  (fun i v ->
+                    Alcotest.(check (float 1e-9))
+                      (Printf.sprintf "parts=%d batch=%d reorder=%b part %d b%d y[%d]"
+                         parts batch reorder part b i)
+                      golden.(b).((part * l.Scale_out.out_slice) + i)
+                      v)
+                  y
+              done)
+            lays)
+        [ false; true ])
+    [
+      ([ 12; 16; 8 ], 3, 2);
+      ([ 12; 16; 8 ], 6, 2);
+      ([ 12; 24; 12 ], 4, 3);
+      ([ 12; 24; 36; 12 ], 5, 3);
+      ([ 12; 24; 36; 12 ], 6, 4);
+    ]
 
 let test_mlp_scale_out_validation () =
   let spec = Mlv_isa.Mlp.make_spec [ 12; 15; 8 ] in
