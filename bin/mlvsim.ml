@@ -224,7 +224,7 @@ let report ?faults ?serving ?frontend set composition policy tasks seed
 
 let run set policy tasks seed interarrival repeats compare fault_plan max_retries
     burst diurnal batch autoscale slo tenants preempt defrag sessions
-    mapping_cache predict replay record bitstream_cache engine metrics_out
+    mapping_cache predict replay record bitstream_cache metrics_out
     trace_out scrape_interval alerts series_out prom_out =
   let ( let* ) r f = Result.bind r f in
   let parsed =
@@ -377,7 +377,6 @@ let run set policy tasks seed interarrival repeats compare fault_plan max_retrie
     prerr_endline "workload set must be 1..10";
     1
   | Ok (faults, arrival, serving, telemetry, frontend) ->
-    Mlv_cluster.Sim.set_default_engine engine;
     if trace_out <> None then Mlv_obs.Obs.Trace.set_enabled true;
     Printf.printf "building the mapping database (10 accelerator instances)...\n%!";
     let registry = Sysim.build_registry () in
@@ -706,22 +705,6 @@ let bitstream_cache_arg =
            device-kind) bitstream pay a tenth of the reconfiguration cost.  \
            0 (the default) disables caching")
 
-let engine_conv =
-  Arg.conv
-    ( (fun s ->
-        match Mlv_cluster.Sim.engine_of_string s with
-        | Some e -> Ok e
-        | None -> Error (`Msg (Printf.sprintf "unknown engine %s" s))),
-      fun fmt e -> Format.pp_print_string fmt (Mlv_cluster.Sim.engine_name e) )
-
-let engine_arg =
-  Arg.(
-    value
-    & opt engine_conv (Mlv_cluster.Sim.default_engine ())
-    & info [ "engine" ] ~docv:"ENGINE"
-        ~doc:
-          "Discrete-event queue engine: $(b,wheel) (hierarchical timing            wheel, the default) or $(b,heap) (binary heap, the            differential oracle).  Both produce bit-identical results;            the wheel is faster at scale")
-
 let metrics_out_arg =
   Arg.(
     value
@@ -798,8 +781,7 @@ let () =
       $ burst_arg $ diurnal_arg $ batch_arg $ autoscale_arg $ slo_arg
       $ tenants_arg $ preempt_arg $ defrag_arg $ sessions_arg
       $ mapping_cache_arg $ predict_arg $ replay_arg $ record_arg
-      $ bitstream_cache_arg $ engine_arg
-      $ metrics_out_arg $ trace_out_arg $ scrape_interval_arg $ alerts_arg
+      $ bitstream_cache_arg $ metrics_out_arg $ trace_out_arg $ scrape_interval_arg $ alerts_arg
       $ series_out_arg $ prom_out_arg)
   in
   exit (Cmd.eval' (Cmd.v info term))

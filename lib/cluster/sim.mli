@@ -4,39 +4,19 @@
     fire in scheduling order (FIFO on ties), so runs are exactly
     reproducible.
 
-    Two interchangeable engines implement the event queue: a binary
-    heap of closures ({!Heap}, the original implementation, kept as a
-    differential oracle) and a hierarchical timing wheel ({!Wheel},
-    the default) whose hot path is allocation-free.  Both produce
-    bit-identical event orderings — the differential suite in
-    [test/test_sim_engine.ml] enforces this. *)
+    The event queue is a hierarchical timing wheel
+    ([Mlv_util.Timing_wheel]) whose hot path is allocation-free.  A
+    binary-heap engine behind the same interface lives in
+    [test/oracle/heap_sim.ml] as the reference implementation:
+    [test/test_sim_engine.ml] and [bench/sim.ml] check that both fire
+    every event in the same order at the same time. *)
 
 type t
 
-(** Event-queue implementation. *)
-type engine =
-  | Heap  (** binary heap of closures ([Mlv_util.Pqueue]) *)
-  | Wheel  (** hierarchical timing wheel ([Mlv_util.Timing_wheel]) *)
-
-val engine_name : engine -> string
-
-(** [engine_of_string s] parses ["heap"] / ["wheel"]. *)
-val engine_of_string : string -> engine option
-
-(** [set_default_engine e] selects the engine used by [create] when
-    no explicit [?engine] is given (initially {!Wheel}).  The
-    [--engine] CLI flag routes here. *)
-val set_default_engine : engine -> unit
-
-val default_engine : unit -> engine
-
 (** [create ()] also registers this simulator's clock as the span
     sim-time source ({!Mlv_obs.Obs.set_sim_clock}); the most recently
-    created simulator wins.  [engine] overrides the process default. *)
-val create : ?engine:engine -> unit -> t
-
-(** [engine t] is the engine this simulator was created with. *)
-val engine : t -> engine
+    created simulator wins. *)
+val create : unit -> t
 
 (** [release t] unregisters this simulator's clock from the span
     sim-time source, if it is still the registered one — call when a

@@ -1,44 +1,39 @@
 (* Weighted least-outstanding routing.
 
-   The indexed shape (the default) keeps each group's replicas in an
-   array-backed binary min-heap ordered by (outstanding/weight,
-   replica id) with back-pointers, so pick is an O(1) peek and
-   begin/end_work are O(log replicas) sifts; a per-group id table
-   makes replica lookup O(1), the outstanding total is an incremental
-   counter, and [keys] returns a cached list rebuilt only when group
-   membership changes.  The linear shape preserves the pre-index
-   sorted-list layout (fold per pick, List.find per update, full-table
-   folds for the totals) as the differential oracle for
-   bench/scale.ml — both shapes implement the identical policy: least
-   outstanding per unit weight, ties to the lowest replica id. *)
+   Each group's replicas sit in an array-backed binary min-heap
+   ordered by (outstanding/weight, replica id) with back-pointers, so
+   pick is an O(1) peek and begin/end_work are O(log replicas) sifts;
+   a per-group id table makes replica lookup O(1), the outstanding
+   total is an incremental counter, and [keys] returns a cached list
+   rebuilt only when group membership changes.  The policy — least
+   outstanding per unit weight, ties to the lowest replica id — is
+   checked op by op against the sorted-list reference in
+   test/router_oracle.ml. *)
 
 type replica = {
   id : int;
   weight : float;
   mutable outstanding : int;
-  mutable pos : int;  (* heap slot (indexed shape); -1 when off-heap *)
+  mutable pos : int;  (* heap slot; -1 when off-heap *)
 }
 
 type group = {
-  mutable heap : replica array;  (* indexed shape *)
+  mutable heap : replica array;
   mutable heap_n : int;
-  by_id : (int, replica) Hashtbl.t;  (* indexed shape *)
-  mutable sorted : replica list;  (* linear shape, sorted by id *)
+  by_id : (int, replica) Hashtbl.t;
 }
 
 type t = {
-  indexed : bool;
   groups : (string, group) Hashtbl.t;
   mutable routed : int;
-  mutable total_out : int;  (* indexed shape: incremental total *)
+  mutable total_out : int;  (* incremental Σ outstanding *)
   mutable keys_cache : string list;
   mutable keys_dirty : bool;
   tenant_routed : (string, int ref) Hashtbl.t;
 }
 
-let create ?(indexed = true) () =
+let create () =
   {
-    indexed;
     groups = Hashtbl.create 8;
     routed = 0;
     total_out = 0;
@@ -49,8 +44,8 @@ let create ?(indexed = true) () =
 
 let load r = float_of_int r.outstanding /. r.weight
 
-(* Heap order: lexicographic on (load, id) — exactly the linear fold's
-   "first strict minimum in id order wins ties". *)
+(* Heap order: lexicographic on (load, id) — the least load wins, ties
+   to the lowest id. *)
 let before a b =
   let la = load a and lb = load b in
   la < lb || (la = lb && a.id < b.id)
@@ -107,68 +102,41 @@ let group t key =
   match Hashtbl.find_opt t.groups key with
   | Some g -> g
   | None ->
-    let g = { heap = [||]; heap_n = 0; by_id = Hashtbl.create 8; sorted = [] } in
+    let g = { heap = [||]; heap_n = 0; by_id = Hashtbl.create 8 } in
     Hashtbl.replace t.groups key g;
     g
-
-let group_size g = if g.heap_n > 0 then g.heap_n else List.length g.sorted
 
 let add_replica t ~key ~replica_id ~weight =
   if weight <= 0.0 then invalid_arg "Router.add_replica: weight must be positive";
   let g = group t key in
+  if Hashtbl.mem g.by_id replica_id then
+    invalid_arg "Router.add_replica: duplicate replica id";
   let r = { id = replica_id; weight; outstanding = 0; pos = -1 } in
-  if t.indexed then begin
-    if Hashtbl.mem g.by_id replica_id then
-      invalid_arg "Router.add_replica: duplicate replica id";
-    Hashtbl.replace g.by_id replica_id r;
-    heap_push g r
-  end
-  else begin
-    if List.exists (fun x -> x.id = replica_id) g.sorted then
-      invalid_arg "Router.add_replica: duplicate replica id";
-    g.sorted <- List.sort (fun a b -> compare a.id b.id) (r :: g.sorted)
-  end;
+  Hashtbl.replace g.by_id replica_id r;
+  heap_push g r;
   t.keys_dirty <- true
 
 let remove_replica t ~key ~replica_id =
   match Hashtbl.find_opt t.groups key with
   | None -> ()
-  | Some g ->
-    if t.indexed then (
-      match Hashtbl.find_opt g.by_id replica_id with
-      | None -> ()
-      | Some r ->
-        Hashtbl.remove g.by_id replica_id;
-        heap_delete g r;
-        t.total_out <- t.total_out - r.outstanding;
-        t.keys_dirty <- true)
-    else begin
-      g.sorted <- List.filter (fun r -> r.id <> replica_id) g.sorted;
-      t.keys_dirty <- true
-    end
+  | Some g -> (
+    match Hashtbl.find_opt g.by_id replica_id with
+    | None -> ()
+    | Some r ->
+      Hashtbl.remove g.by_id replica_id;
+      heap_delete g r;
+      t.total_out <- t.total_out - r.outstanding;
+      t.keys_dirty <- true)
 
 let pick t ~key =
   match Hashtbl.find_opt t.groups key with
   | None -> None
-  | Some g ->
-    if t.indexed then if g.heap_n = 0 then None else Some g.heap.(0).id
-    else
-      (* The list is sorted by id, so the first strict minimum wins
-         ties on the lowest id. *)
-      List.fold_left
-        (fun best r ->
-          match best with
-          | Some b when load b <= load r -> best
-          | _ -> Some r)
-        None g.sorted
-      |> Option.map (fun r -> r.id)
+  | Some g -> if g.heap_n = 0 then None else Some g.heap.(0).id
 
 let find t ~key ~replica_id =
   match Hashtbl.find_opt t.groups key with
   | None -> None
-  | Some g ->
-    if t.indexed then Hashtbl.find_opt g.by_id replica_id
-    else List.find_opt (fun r -> r.id = replica_id) g.sorted
+  | Some g -> Hashtbl.find_opt g.by_id replica_id
 
 let begin_work t ~key ~replica_id n =
   match find t ~key ~replica_id with
@@ -176,56 +144,40 @@ let begin_work t ~key ~replica_id n =
   | Some r ->
     r.outstanding <- r.outstanding + n;
     t.routed <- t.routed + n;
-    if t.indexed then begin
-      t.total_out <- t.total_out + n;
-      (* load grew: the replica can only move away from the root *)
-      sift_down (Hashtbl.find t.groups key) r.pos
-    end
+    t.total_out <- t.total_out + n;
+    (* load grew: the replica can only move away from the root *)
+    sift_down (Hashtbl.find t.groups key) r.pos
 
 let end_work t ~key ~replica_id n =
   match find t ~key ~replica_id with
   | None -> ()
   | Some r ->
     let next = max 0 (r.outstanding - n) in
-    if t.indexed then t.total_out <- t.total_out - (r.outstanding - next);
+    t.total_out <- t.total_out - (r.outstanding - next);
     r.outstanding <- next;
-    if t.indexed then sift_up (Hashtbl.find t.groups key) r.pos
+    sift_up (Hashtbl.find t.groups key) r.pos
 
 let outstanding t ~key ~replica_id =
   match find t ~key ~replica_id with None -> 0 | Some r -> r.outstanding
 
-let total_outstanding t =
-  if t.indexed then t.total_out
-  else
-    Hashtbl.fold
-      (fun _ g acc -> List.fold_left (fun a r -> a + r.outstanding) acc g.sorted)
-      t.groups 0
+let total_outstanding t = t.total_out
 
 let replicas t ~key =
   match Hashtbl.find_opt t.groups key with
   | None -> []
   | Some g ->
-    if t.indexed then
-      Hashtbl.fold (fun id _ acc -> id :: acc) g.by_id [] |> List.sort compare
-    else List.map (fun r -> r.id) g.sorted
+    Hashtbl.fold (fun id _ acc -> id :: acc) g.by_id [] |> List.sort compare
 
 let keys t =
-  if t.indexed then begin
-    if t.keys_dirty then begin
-      t.keys_cache <-
-        Hashtbl.fold
-          (fun k g acc -> if group_size g > 0 then k :: acc else acc)
-          t.groups []
-        |> List.sort compare;
-      t.keys_dirty <- false
-    end;
-    t.keys_cache
-  end
-  else
-    Hashtbl.fold
-      (fun k g acc -> if g.sorted <> [] then k :: acc else acc)
-      t.groups []
-    |> List.sort compare
+  if t.keys_dirty then begin
+    t.keys_cache <-
+      Hashtbl.fold
+        (fun k g acc -> if g.heap_n > 0 then k :: acc else acc)
+        t.groups []
+      |> List.sort compare;
+    t.keys_dirty <- false
+  end;
+  t.keys_cache
 
 let dispatched t = t.routed
 

@@ -8,18 +8,17 @@
     in-flight work.  Ties break on the lowest replica id, keeping
     dispatch deterministic.
 
-    The default (indexed) shape keeps each group in a position-tracked
-    binary min-heap on [(outstanding/weight, id)]: {!pick} is an O(1)
-    peek, {!begin_work}/{!end_work} are O(log replicas), and
+    Each group is a position-tracked binary min-heap on
+    [(outstanding/weight, id)]: {!pick} is an O(1) peek,
+    {!begin_work}/{!end_work} are O(log replicas), and
     {!total_outstanding}/{!keys} return incrementally maintained
-    values without allocating.  [~indexed:false] preserves the
-    pre-index sorted-list layout (linear folds and scans) as the
-    differential oracle for bench/scale.ml; both shapes implement the
-    identical routing policy. *)
+    values without allocating.  A sorted-list reference router in
+    [test/router_oracle.ml] implements the same policy with linear
+    scans; [test/test_sched.ml] checks this one against it op by op. *)
 
 type t
 
-val create : ?indexed:bool -> unit -> t
+val create : unit -> t
 
 (** [add_replica t ~key ~replica_id ~weight] registers a replica.
     @raise Invalid_argument on a non-positive weight or duplicate id
@@ -51,9 +50,9 @@ val total_outstanding : t -> int
 (** [replicas t ~key] lists replica ids under [key], sorted. *)
 val replicas : t -> key:string -> int list
 
-(** [keys t] lists keys with at least one replica, sorted.  In the
-    indexed shape the list is cached and rebuilt only when group
-    membership changes — repeated calls allocate nothing. *)
+(** [keys t] lists keys with at least one replica, sorted.  The list
+    is cached and rebuilt only when group membership changes —
+    repeated calls allocate nothing. *)
 val keys : t -> string list
 
 (** [dispatched t] counts requests routed via {!begin_work}. *)

@@ -1,17 +1,13 @@
 (* In-flight task table for the open-loop engine.
 
-   The indexed shape keeps entries on an intrusive doubly-linked list
-   (O(1) removal per completion, no allocation beyond the entry) plus
-   a per-node secondary index (node -> seq -> entry), so the crash
-   path asks "which flights touch node n" in O(hits) instead of
-   partitioning every flight in the system.
-
-   The linear shape preserves the pre-index data layout — a cons list
-   filtered per completion and partitioned per crash — as the
-   differential oracle: bench/scale.ml runs both shapes against the
-   same event stream and asserts bit-identical results.  Both shapes
-   return crash hits in unspecified order; callers needing determinism
-   sort (sysim sorts by task id, as it always has). *)
+   Entries sit on an intrusive doubly-linked list (O(1) removal per
+   completion, no allocation beyond the entry) plus a per-node
+   secondary index (node -> seq -> entry), so the crash path asks
+   "which flights touch node n" in O(hits) instead of partitioning
+   every flight in the system.  Crash hits come back in unspecified
+   order; callers needing determinism sort (sysim sorts by task id).
+   test/flight_table_oracle.ml keeps the original cons-list table, and
+   the differential test checks this one against it op by op. *)
 
 type 'a entry = {
   seq : int;
@@ -23,23 +19,14 @@ type 'a entry = {
 }
 
 type 'a t = {
-  indexed : bool;
   mutable head : 'a entry option;
   mutable size : int;
   mutable next_seq : int;
   by_node : (int, (int, 'a entry) Hashtbl.t) Hashtbl.t;
-  mutable linear : 'a entry list;  (* linear shape only, newest first *)
 }
 
-let create ?(indexed = true) () =
-  {
-    indexed;
-    head = None;
-    size = 0;
-    next_seq = 0;
-    by_node = Hashtbl.create 64;
-    linear = [];
-  }
+let create () =
+  { head = None; size = 0; next_seq = 0; by_node = Hashtbl.create 64 }
 
 let value e = e.value
 let live e = e.live
@@ -55,17 +42,13 @@ let node_table t node =
 
 let add t x ~nodes =
   let e =
-    { seq = t.next_seq; value = x; nodes; prev = None; next = None; live = true }
+    { seq = t.next_seq; value = x; nodes; prev = None; next = t.head; live = true }
   in
   t.next_seq <- t.next_seq + 1;
   t.size <- t.size + 1;
-  if t.indexed then begin
-    e.next <- t.head;
-    (match t.head with Some h -> h.prev <- Some e | None -> ());
-    t.head <- Some e;
-    List.iter (fun n -> Hashtbl.replace (node_table t n) e.seq e) nodes
-  end
-  else t.linear <- e :: t.linear;
+  (match t.head with Some h -> h.prev <- Some e | None -> ());
+  t.head <- Some e;
+  List.iter (fun n -> Hashtbl.replace (node_table t n) e.seq e) nodes;
   e
 
 let unlink t e =
@@ -84,41 +67,22 @@ let remove t e =
   if e.live then begin
     e.live <- false;
     t.size <- t.size - 1;
-    if t.indexed then unlink t e
-    else t.linear <- List.filter (fun x -> x != e) t.linear
+    unlink t e
   end
 
-(* Flights touching [node], removed from the table.  O(hits) when
-   indexed; a partition over every flight in the linear shape. *)
+(* Flights touching [node], removed from the table, in O(hits). *)
 let take_node t node =
-  if t.indexed then begin
-    match Hashtbl.find_opt t.by_node node with
-    | None -> []
-    | Some tbl ->
-      let hits = Hashtbl.fold (fun _ e acc -> e :: acc) tbl [] in
-      List.iter (remove t) hits;
-      hits
-  end
-  else begin
-    let hit, alive =
-      List.partition (fun e -> List.mem node e.nodes) t.linear
-    in
-    t.linear <- alive;
-    List.iter
-      (fun e ->
-        e.live <- false;
-        t.size <- t.size - 1)
-      hit;
-    hit
-  end
+  match Hashtbl.find_opt t.by_node node with
+  | None -> []
+  | Some tbl ->
+    let hits = Hashtbl.fold (fun _ e acc -> e :: acc) tbl [] in
+    List.iter (remove t) hits;
+    hits
 
-(* Entries in insertion order, newest first (both shapes agree). *)
+(* Entries in insertion order, newest first. *)
 let to_list t =
-  if t.indexed then begin
-    let rec walk acc = function
-      | None -> List.rev acc
-      | Some e -> walk (e :: acc) e.next
-    in
-    walk [] t.head
-  end
-  else t.linear
+  let rec walk acc = function
+    | None -> List.rev acc
+    | Some e -> walk (e :: acc) e.next
+  in
+  walk [] t.head

@@ -4,18 +4,17 @@
     The open-loop engine holds one entry per task in service.
     Completion removes its own entry in O(1); a node crash asks for
     the flights touching that node in O(hits) instead of scanning the
-    whole system.  [~indexed:false] keeps the pre-index linear layout
-    (cons list, filtered per removal, partitioned per crash) as the
-    differential oracle for bench/scale.ml — both shapes are
-    observationally identical. *)
+    whole system.  The original linear table (a cons list filtered
+    per removal and partitioned per crash) lives in
+    [test/flight_table_oracle.ml]; [test/test_sysim.ml] checks this
+    table against it op by op. *)
 
 type 'a entry
 
 type 'a t
 
-(** [create ()] builds an empty table; [~indexed:false] selects the
-    linear oracle shape. *)
-val create : ?indexed:bool -> unit -> 'a t
+(** [create ()] builds an empty table. *)
+val create : unit -> 'a t
 
 (** [add t x ~nodes] inserts a flight occupying [nodes] and returns
     its entry (keep it; removal is by entry, not by search). *)

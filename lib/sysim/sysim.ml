@@ -101,10 +101,6 @@ type config = {
   tenants : Genset.tenant_load list;
       (* non-empty: the workload is the merged multi-tenant stream and
          [tasks] is ignored in favour of the per-tenant counts *)
-  indexed : bool;
-      (* false selects the pre-PR7 linear data shapes (list flight
-         table, fold-per-pick router, per-completion group scans) as
-         the differential oracle for bench/scale.ml *)
   bitstream_cache : int option;
       (* capacity of the runtime's bitstream staging cache; None (the
          default) keeps reconfiguration costs bit-identical to
@@ -140,7 +136,6 @@ let default_config ~policy ~composition =
     faults = None;
     serving = None;
     tenants = [];
-    indexed = true;
     bitstream_cache = None;
     telemetry = None;
     frontend = None;
@@ -547,7 +542,7 @@ type sgroup = {
   g_accel : string;
   g_tracker : Autoscaler.tracker;
   mutable g_replicas : replica list;  (* creation order *)
-  g_by_id : (int, replica) Hashtbl.t;  (* secondary index (indexed shape) *)
+  g_by_id : (int, replica) Hashtbl.t;  (* g_replicas by id *)
   g_backlog : stask list Queue.t;  (* batches with no replica to run on *)
   mutable g_backlog_tasks : int;  (* Σ batch sizes across g_backlog *)
   mutable g_assigned_tasks : int;  (* Σ batch sizes across replica queues *)
@@ -685,9 +680,7 @@ and run_untraced ~registry cfg =
   let tallies = make_tallies cfg in
   let tally_of tenant = if multi then List.assoc_opt tenant tallies else None in
   let queue : pending Queue.t = Queue.create () in
-  let inflight : inflight Flight_table.t =
-    Flight_table.create ~indexed:cfg.indexed ()
-  in
+  let inflight : inflight Flight_table.t = Flight_table.create () in
   let completed = ref 0 in
   let retried = ref 0 in
   let rejected = ref 0 in
@@ -1137,11 +1130,11 @@ and run_serving ~registry cfg serving =
       ?tenant_of:(if multi then Some (fun st -> st.s_task.Genset.tenant) else None)
       serving.batch
   in
-  let router = Router.create ~indexed:cfg.indexed () in
+  let router = Router.create () in
   let groups : (string, sgroup) Hashtbl.t = Hashtbl.create 8 in
   (* Group names ascending, maintained on creation (groups are never
-     destroyed) — the indexed shape's replacement for the
-     fold-and-sort over the hashtable. *)
+     destroyed): decisions iterate groups in this order, never in
+     Hashtbl order, to stay deterministic. *)
   let sorted_keys = ref [] in
   let insert_key k =
     let rec ins = function
@@ -1205,15 +1198,6 @@ and run_serving ~registry cfg serving =
       insert_key accel;
       g
   in
-  (* Decisions iterate groups in sorted-name order, never in Hashtbl
-     order, to stay deterministic.  The linear shape re-derives the
-     order per call (the pre-index cost profile); the indexed shape
-     reads the maintained list. *)
-  let group_keys () =
-    if cfg.indexed then !sorted_keys
-    else Hashtbl.fold (fun k _ acc -> k :: acc) groups [] |> List.sort compare
-  in
-  let batchq_len q = Queue.fold (fun acc b -> acc + List.length b) 0 q in
   (* Optional scrape loop; the serving twin of the open-loop setup.
      The autoscaler tick additionally samples its observed backlog
      into [sysim.autoscale.backlog] (see the tick below). *)
@@ -1268,7 +1252,7 @@ and run_serving ~registry cfg serving =
                  (List.fold_left
                     (fun acc k ->
                       acc + List.length (Hashtbl.find groups k).g_replicas)
-                    0 (group_keys ())));
+                    0 !sorted_keys));
             List.iter
               (fun (t, cs, lc', ss, ls') ->
                 Series.observe cs ~now_us (float_of_int (t.tt_completed - !lc'));
@@ -1279,10 +1263,6 @@ and run_serving ~registry cfg serving =
             Alert.eval engine ~now_us);
         engine)
       cfg.telemetry
-  in
-  let find_replica g rid =
-    if cfg.indexed then Hashtbl.find g.g_by_id rid
-    else List.find (fun r -> r.r_id = rid) g.g_replicas
   in
   let backlog_push g batch =
     Queue.add batch g.g_backlog;
@@ -1316,13 +1296,6 @@ and run_serving ~registry cfg serving =
     g.g_backlog_tasks <- 0;
     Hashtbl.remove starved g.g_accel
   in
-  let any_busy () =
-    if cfg.indexed then !busy_count > 0
-    else
-      Hashtbl.fold
-        (fun _ g acc -> acc || List.exists (fun r -> r.r_busy) g.g_replicas)
-        groups false
-  in
   let is_idle r = (not r.r_busy) && Queue.is_empty r.r_queue in
   (* Longest-idle idle replica in any other group (tie: lowest replica
      id via the sorted iteration order) — the reclaim candidate when a
@@ -1341,7 +1314,7 @@ and run_serving ~registry cfg serving =
                 | Some (_, br) when br.r_idle_since <= r.r_idle_since -> best
                 | _ -> Some (g', r))
             best g'.g_replicas)
-      None (group_keys ())
+      None !sorted_keys
   in
   let remove_replica g r =
     Router.remove_replica router ~key:g.g_accel ~replica_id:r.r_id;
@@ -1393,8 +1366,8 @@ and run_serving ~registry cfg serving =
           Obs.Counter.incr (Obs.Counter.get "sysim.serving.reclaimed");
           remove_replica g' r;
           grow g ~allow_reclaim
-        | None -> if any_busy () then `Full else `Dead
-      else if any_busy () || g.g_replicas <> [] then `Full
+        | None -> if !busy_count > 0 then `Full else `Dead
+      else if !busy_count > 0 || g.g_replicas <> [] then `Full
       else if reclaim_candidate ~excluding:g.g_accel = None then `Dead
       else `Full
   in
@@ -1436,7 +1409,7 @@ and run_serving ~registry cfg serving =
                 | Some (bkey, _, _) when bkey <= key -> best
                 | _ -> Some (key, g', r))
               best g'.g_replicas)
-      None (group_keys ())
+      None !sorted_keys
   in
   (* Evict a victim replica: cancel its in-flight batch (those tasks
      are preempted losses, closing the per-tenant identity
@@ -1684,27 +1657,19 @@ and run_serving ~registry cfg serving =
     end
   (* A completion anywhere may unblock a starved group: retry
      bootstrap deploys for groups whose backlog has no replica.  The
-     indexed shape consults the maintained starved set — O(1) when
-     nothing is starved, O(starved log starved) otherwise — instead of
-     sweeping every group per completion. *)
+     maintained starved set makes this O(1) when nothing is starved,
+     O(starved log starved) otherwise, instead of sweeping every group
+     per completion. *)
   and pump_all () =
-    if cfg.indexed then begin
-      if Hashtbl.length starved > 0 then
-        Hashtbl.fold (fun k () acc -> k :: acc) starved []
-        |> List.sort compare
-        |> List.iter (fun k -> pump_group (Hashtbl.find groups k))
-    end
-    else
-      List.iter
-        (fun k ->
-          let g = Hashtbl.find groups k in
-          if not (Queue.is_empty g.g_backlog) then pump_group g)
-        (group_keys ())
+    if Hashtbl.length starved > 0 then
+      Hashtbl.fold (fun k () acc -> k :: acc) starved []
+      |> List.sort compare
+      |> List.iter (fun k -> pump_group (Hashtbl.find groups k))
   and pump_group g =
     if not (Queue.is_empty g.g_backlog) then begin
       match Router.pick router ~key:g.g_accel with
       | Some rid ->
-        let r = find_replica g rid in
+        let r = Hashtbl.find g.g_by_id rid in
         if is_idle r then begin
           assign g r (backlog_pop g);
           start_replica g r;
@@ -1716,10 +1681,6 @@ and run_serving ~registry cfg serving =
         | `Dead -> reject_backlog g
         | `Full -> ())
     end
-  in
-  let replica_alive g rid =
-    if cfg.indexed then Hashtbl.mem g.g_by_id rid
-    else List.exists (fun r -> r.r_id = rid) g.g_replicas
   in
   (* Sticky routing: a batch whose head belongs to a session goes back
      to the replica that served that session last (warm weights, warm
@@ -1733,7 +1694,7 @@ and run_serving ~registry cfg serving =
       match batch with
       | { s_session = Some sess; _ } :: _ -> (
         match Session.affinity sess ~accel:g.g_accel with
-        | Some rid when replica_alive g rid ->
+        | Some rid when Hashtbl.mem g.g_by_id rid ->
           Session.note_sticky stbl true;
           Some rid
         | _ -> (
@@ -1749,7 +1710,7 @@ and run_serving ~registry cfg serving =
     Obs.Counter.incr batches_c;
     match sticky_pick g batch with
     | Some rid ->
-      let r = find_replica g rid in
+      let r = Hashtbl.find g.g_by_id rid in
       assign g r batch;
       start_replica g r
     | None -> (
@@ -1813,15 +1774,8 @@ and run_serving ~registry cfg serving =
           (fun k ->
             let g = Hashtbl.find groups k in
             let backlog =
-              if cfg.indexed then
-                Batcher.pending batcher ~key:k + g.g_backlog_tasks
-                + g.g_assigned_tasks
-              else
-                Batcher.pending batcher ~key:k
-                + batchq_len g.g_backlog
-                + List.fold_left
-                    (fun acc r -> acc + batchq_len r.r_queue)
-                    0 g.g_replicas
+              Batcher.pending batcher ~key:k + g.g_backlog_tasks
+              + g.g_assigned_tasks
             in
             total_backlog := !total_backlog + backlog;
             let replicas = List.length g.g_replicas in
@@ -1869,7 +1823,7 @@ and run_serving ~registry cfg serving =
               grow_n (max 1 (target - replicas))
             | Autoscaler.Scale_down -> scale_down g ~now
             | Autoscaler.Hold -> ())
-          (group_keys ());
+          !sorted_keys;
         (* Capacity-bound: shed the lowest-priority class at the gate
            until a tick passes without an unsatisfied scale-up. *)
         if !capacity_bound && Slo.classes gate <> [] then
@@ -1898,13 +1852,13 @@ and run_serving ~registry cfg serving =
             (fun r ->
               if is_idle r then Hashtbl.replace ids r.r_depl.Runtime.id ())
             (Hashtbl.find groups k).g_replicas)
-        (group_keys ());
+        !sorted_keys;
       ids
     in
     let quiet () =
       List.for_all
         (fun k -> Queue.is_empty (Hashtbl.find groups k).g_backlog)
-        (group_keys ())
+        !sorted_keys
     in
     (* The tick must not keep the event queue alive once no progress
        is possible — when every arrival has fired, nothing is in
@@ -1916,7 +1870,7 @@ and run_serving ~registry cfg serving =
       !arrivals_in >= ntasks && !busy_count = 0
       && List.for_all
            (fun k -> Batcher.pending batcher ~key:k = 0)
-           (group_keys ())
+           !sorted_keys
     in
     let rec dtick () =
       if !completed + !rejected + !shed + !preempted < ntasks && not (stalled ())
@@ -1946,7 +1900,7 @@ and run_serving ~registry cfg serving =
       !arrivals_in >= ntasks && !busy_count = 0
       && List.for_all
            (fun k -> Batcher.pending batcher ~key:k = 0)
-           (group_keys ())
+           !sorted_keys
     in
     let rec etick () =
       if
@@ -2064,7 +2018,7 @@ and run_serving ~registry cfg serving =
           Runtime.undeploy runtime r.r_depl)
         g.g_replicas;
       g.g_replicas <- [])
-    (group_keys ());
+    !sorted_keys;
   let lost = ntasks - !completed - !rejected - !shed - !preempted in
   if lost > 0 then Obs.Counter.add (Obs.Counter.get "sysim.tasks.lost") lost;
   let mean xs = Mlv_util.Stats.mean xs in

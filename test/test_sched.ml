@@ -300,13 +300,13 @@ let test_router_validation () =
   Router.end_work r ~key:"k" ~replica_id:0 5;
   Alcotest.(check int) "clamped" 0 (Router.outstanding r ~key:"k" ~replica_id:0)
 
-(* Differential: the min-heap shape must agree with the pre-index
-   linear-scan shape on every pick, count and listing over a random
-   add/remove/work sequence. *)
+(* Differential: the min-heap router must agree with the sorted-list
+   reference in [Router_oracle] on every pick, count and listing over
+   a random add/remove/work sequence. *)
 let test_router_shapes_differential () =
   let rng = Mlv_util.Rng.create 23 in
-  let idx = Router.create ~indexed:true () in
-  let lin = Router.create ~indexed:false () in
+  let idx = Router.create () in
+  let lin = Router_oracle.create () in
   let keys = [| "a"; "b"; "c" |] in
   let next_id = ref 0 in
   let live = ref [] in
@@ -318,50 +318,50 @@ let test_router_shapes_differential () =
       incr next_id;
       let weight = 1.0 +. float_of_int (Mlv_util.Rng.int rng 3) in
       Router.add_replica idx ~key ~replica_id:id ~weight;
-      Router.add_replica lin ~key ~replica_id:id ~weight;
+      Router_oracle.add_replica lin ~key ~replica_id:id ~weight;
       live := (key, id) :: !live
     end
     else if r < 0.42 then begin
       let n = Mlv_util.Rng.int rng (List.length !live) in
       let key, id = List.nth !live n in
       Router.remove_replica idx ~key ~replica_id:id;
-      Router.remove_replica lin ~key ~replica_id:id;
+      Router_oracle.remove_replica lin ~key ~replica_id:id;
       live := List.filteri (fun j _ -> j <> n) !live
     end
     else begin
       let key = keys.(Mlv_util.Rng.int rng 3) in
       let pi = Router.pick idx ~key in
-      Alcotest.(check (option int)) "pick agrees" (Router.pick lin ~key) pi;
+      Alcotest.(check (option int)) "pick agrees" (Router_oracle.pick lin ~key) pi;
       match pi with
       | None -> ()
       | Some id ->
         let n = 1 + Mlv_util.Rng.int rng 4 in
         if Mlv_util.Rng.float rng 1.0 < 0.7 then begin
           Router.begin_work idx ~key ~replica_id:id n;
-          Router.begin_work lin ~key ~replica_id:id n
+          Router_oracle.begin_work lin ~key ~replica_id:id n
         end
         else begin
           Router.end_work idx ~key ~replica_id:id n;
-          Router.end_work lin ~key ~replica_id:id n
+          Router_oracle.end_work lin ~key ~replica_id:id n
         end
     end;
     Alcotest.(check int) "total outstanding agrees"
-      (Router.total_outstanding lin)
+      (Router_oracle.total_outstanding lin)
       (Router.total_outstanding idx);
-    Alcotest.(check (list string)) "keys agree" (Router.keys lin)
+    Alcotest.(check (list string)) "keys agree" (Router_oracle.keys lin)
       (Router.keys idx)
   done;
-  Alcotest.(check int) "dispatched agrees" (Router.dispatched lin)
+  Alcotest.(check int) "dispatched agrees" (Router_oracle.dispatched lin)
     (Router.dispatched idx);
   Array.iter
     (fun key ->
       Alcotest.(check (list int)) ("replicas of " ^ key)
-        (Router.replicas lin ~key) (Router.replicas idx ~key);
+        (Router_oracle.replicas lin ~key) (Router.replicas idx ~key);
       List.iter
         (fun id ->
           Alcotest.(check int)
             (Printf.sprintf "outstanding %s/%d" key id)
-            (Router.outstanding lin ~key ~replica_id:id)
+            (Router_oracle.outstanding lin ~key ~replica_id:id)
             (Router.outstanding idx ~key ~replica_id:id))
         (Router.replicas idx ~key))
     keys
