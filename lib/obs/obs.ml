@@ -505,9 +505,19 @@ module Histogram = struct
     hbase : string;
     hlabels : Labels.t;
     buckets : int array;
+    (* Occupied bucket range: every nonzero bucket lies in [lo, hi];
+       lo > hi when none is.  [percentile] and [clear] touch only this
+       range, so a narrow histogram costs a few slots, not 601. *)
+    mutable lo : int;
+    mutable hi : int;
     mutable zero_count : int;  (* samples <= 0 *)
-    mutable acc : Stats.Acc.t;
+    acc : Stats.Acc.t;
   }
+
+  let make ~name ~base ~labels =
+    { hname = name; hbase = base; hlabels = labels;
+      buckets = Array.make bucket_slots 0; lo = bucket_slots; hi = -1;
+      zero_count = 0; acc = Stats.Acc.create () }
 
   let registry : (string, t) Hashtbl.t = Hashtbl.create 32
 
@@ -515,11 +525,7 @@ module Histogram = struct
     match Hashtbl.find_opt registry name with
     | Some h -> h
     | None ->
-      let h =
-        { hname = name; hbase = base; hlabels = labels;
-          buckets = Array.make bucket_slots 0; zero_count = 0;
-          acc = Stats.Acc.create () }
-      in
+      let h = make ~name ~base ~labels in
       Hashtbl.replace registry name h;
       h
 
@@ -529,10 +535,7 @@ module Histogram = struct
     let labels = Labels.make kvs in
     get_full ~base:name ~labels (name ^ Labels.render labels)
 
-  let detached ?(name = "detached") () =
-    { hname = name; hbase = name; hlabels = [];
-      buckets = Array.make bucket_slots 0; zero_count = 0;
-      acc = Stats.Acc.create () }
+  let detached ?(name = "detached") () = make ~name ~base:name ~labels:[]
 
   let observe t v =
     if Float.is_nan v || Float.abs v = infinity then
@@ -546,7 +549,9 @@ module Histogram = struct
         else if b > bucket_offset then bucket_slots - 1
         else b + bucket_offset
       in
-      t.buckets.(b) <- t.buckets.(b) + 1
+      t.buckets.(b) <- t.buckets.(b) + 1;
+      if b < t.lo then t.lo <- b;
+      if b > t.hi then t.hi <- b
     end
 
   let count t = Stats.Acc.count t.acc
@@ -576,7 +581,7 @@ module Histogram = struct
         let cum = ref t.zero_count in
         let result = ref (max t) in
         (try
-           for i = 0 to bucket_slots - 1 do
+           for i = t.lo to t.hi do
              let c = t.buckets.(i) in
              if c > 0 then begin
                cum := !cum + c;
@@ -594,9 +599,11 @@ module Histogram = struct
     end
 
   let clear t =
-    Array.fill t.buckets 0 bucket_slots 0;
+    if t.lo <= t.hi then Array.fill t.buckets t.lo (t.hi - t.lo + 1) 0;
+    t.lo <- bucket_slots;
+    t.hi <- -1;
     t.zero_count <- 0;
-    t.acc <- Stats.Acc.create ()
+    Stats.Acc.reset t.acc
 end
 
 (* ------------------------------------------------------------------ *)
@@ -667,6 +674,20 @@ module Span = struct
   let next_id = ref 0
   let stack : t list ref = ref []
 
+  (* Span name -> its [span.<name>.wall_us] histogram, so an exit
+     neither builds the derived name nor hashes it.  [reset] clears
+     registry histograms in place and never drops them, so a memoised
+     handle stays the registered one. *)
+  let wall_hists : (string, Histogram.t) Hashtbl.t = Hashtbl.create 16
+
+  let wall_hist name =
+    match Hashtbl.find wall_hists name with
+    | h -> h
+    | exception Not_found ->
+      let h = Histogram.get ("span." ^ name ^ ".wall_us") in
+      Hashtbl.replace wall_hists name h;
+      h
+
   let enter name =
     let id = !next_id in
     Stdlib.incr next_id;
@@ -700,7 +721,7 @@ module Span = struct
         { id = s.sid; parent = s.parent; name = s.sname; depth = s.depth;
           start_wall_us = s.t0_wall_us; wall_us = wall;
           start_sim_us = s.t0_sim_us; sim_us = sim; args = List.rev s.sargs };
-      Histogram.observe (Histogram.get ("span." ^ s.sname ^ ".wall_us")) wall
+      Histogram.observe (wall_hist s.sname) wall
     end
 
   let with_ name f =

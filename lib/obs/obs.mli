@@ -120,9 +120,17 @@ module Histogram : sig
   (** [percentile t p] estimates the [p]-th percentile from the log
       buckets (exact to bucket resolution, clamped to the observed
       min/max); 0 when empty, the sample itself on a single-sample
-      histogram.
+      histogram.  It scans only the occupied bucket range, so its
+      cost follows the spread of the samples, not the 601 slots.
       @raise Invalid_argument if [p] is NaN or outside [0, 100]. *)
   val percentile : t -> float -> float
+
+  (** [clear t] empties [t] in place, touching only the occupied
+      bucket range and allocating nothing: afterwards [t] reads as a
+      fresh {!detached} histogram (count, sum, min, max and every
+      percentile).  Handles to [t] stay valid; {!reset} clears every
+      registry histogram this way. *)
+  val clear : t -> unit
 
   (** [name t] is the full canonical name; [base t] / [labels t] its
       components. *)

@@ -64,9 +64,13 @@ let decision_to_string = function
    latched [p99_breach] for the rest of the run and pinned replicas
    at max long after sojourns recovered.  Actuating a decision clears
    both windows outright: the retired samples describe the {e old}
-   replica count and say nothing about the new one. *)
+   replica count and say nothing about the new one.
+
+   The two windows are allocated once and reused: clearing and
+   rotating work in place, so a scale event or a window turn costs
+   the occupied buckets only.  The tracker is abstract, so no caller
+   can hold a window across a rotation. *)
 type tracker = {
-  tr_name : string;
   mutable cur : Obs.Histogram.t;  (* detached: this window's samples *)
   mutable prev : Obs.Histogram.t;  (* previous window *)
   mutable rotated_us : float;
@@ -75,7 +79,6 @@ type tracker = {
 
 let tracker ~name =
   {
-    tr_name = name;
     cur = Obs.Histogram.detached ~name ();
     prev = Obs.Histogram.detached ~name ();
     rotated_us = 0.0;
@@ -95,14 +98,18 @@ let sojourn_count tr =
 
 let mark_scaled tr ~now_us =
   tr.last_scale_us <- now_us;
-  tr.cur <- Obs.Histogram.detached ~name:tr.tr_name ();
-  tr.prev <- Obs.Histogram.detached ~name:tr.tr_name ();
+  Obs.Histogram.clear tr.cur;
+  Obs.Histogram.clear tr.prev;
   tr.rotated_us <- now_us
 
+(* The current window becomes the previous one; the old previous
+   window, emptied, becomes the current one. *)
 let rotate_window cfg tr ~now_us =
   if now_us -. tr.rotated_us >= cfg.p99_window_us then begin
+    let old_prev = tr.prev in
     tr.prev <- tr.cur;
-    tr.cur <- Obs.Histogram.detached ~name:tr.tr_name ();
+    Obs.Histogram.clear old_prev;
+    tr.cur <- old_prev;
     tr.rotated_us <- now_us
   end
 

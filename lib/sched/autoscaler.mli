@@ -21,7 +21,10 @@
     inside {!decide}; both cleared on {!mark_scaled}), so the
     estimate reflects recent sojourns only: a cumulative histogram
     would latch a single early burst into a permanent p99 breach and
-    pin the group at [max_replicas] for the rest of the run.
+    pin the group at [max_replicas] for the rest of the run.  The two
+    windows are allocated once per tracker and reused in place
+    ({!Mlv_obs.Obs.Histogram.clear}): a rotation or a scale event
+    allocates nothing and costs only the buckets the windows occupy.
 
     Bootstrap exception: a group with zero replicas and positive
     backlog scales up regardless of cooldown, otherwise the first
@@ -82,8 +85,9 @@ val p99_sojourn_us : tracker -> float
 val sojourn_count : tracker -> int
 
 (** [mark_scaled tr ~now_us] starts the cooldown window and clears
-    both observation epochs (their samples describe the old replica
-    count); call after actually actuating a decision. *)
+    both observation epochs in place (their samples describe the old
+    replica count); call after actually actuating a decision.
+    Allocation-free. *)
 val mark_scaled : tracker -> now_us:float -> unit
 
 (** [decide cfg tr ~now_us ~backlog ~replicas ~idle ~deadline_us]

@@ -377,11 +377,12 @@ let scale_out_shape ~hidden ~nodes ~tiles =
   let parts = if hidden mod nodes = 0 then nodes else 2 in
   (parts, max 1 (tiles / parts))
 
-(* Modeled service time of one deployed inference task.  Keyed by the
-   model inputs directly — the sprintf key this replaces burned an
-   allocation and a format pass per lookup on the serving hot path. *)
+(* Modeled service time of one deployed inference task, keyed by the
+   model inputs themselves: the point, the device kind and counts read
+   off the placements in one pass, so a hit allocates only the key
+   tuple.  The serving and open loops share it. *)
 let service_cache :
-    (string * int * int * string * float * float * bool, float) Hashtbl.t =
+    (Deepbench.point * int * int * Device.kind * float * float * bool, float) Hashtbl.t =
   Hashtbl.create 64
 
 (* Reordered scale-out plans, keyed by (point, parts): the program
@@ -403,31 +404,36 @@ let scale_out_plan (point : Deepbench.point) ~parts =
 
 let service_latency_us ~policy ~added_latency_us (point : Deepbench.point)
     (d : Runtime.deployment) =
-  let nodes = Runtime.nodes_used d in
-  let tiles = Runtime.tiles_deployed d in
-  let kinds =
-    List.map (fun (p : Runtime.placement) -> p.Runtime.bitstream.Mlv_vital.Bitstream.device)
-      d.Runtime.placements
-    |> List.sort_uniq compare
+  (* One pass over the placements: the tiles, the number of distinct
+     nodes, the least device kind (what sorting the kinds put first) and
+     the fastest and slowest device clocks. *)
+  let rec node_later id = function
+    | [] -> false
+    | (q : Runtime.placement) :: rest -> q.Runtime.node_id = id || node_later id rest
   in
-  let device_kind = match kinds with k :: _ -> k | [] -> Device.XCVU37P in
+  let rec scan tiles nodes kind fastest slowest = function
+    | [] -> (tiles, nodes, kind, fastest, slowest)
+    | (p : Runtime.placement) :: rest ->
+      let b = p.Runtime.bitstream in
+      let k = b.Mlv_vital.Bitstream.device in
+      let f = (Device.get k).Device.base_freq_mhz in
+      scan
+        (tiles + b.Mlv_vital.Bitstream.tiles)
+        (if node_later p.Runtime.node_id rest then nodes else nodes + 1)
+        (match kind with Some k0 when compare k0 k <= 0 -> kind | _ -> Some k)
+        (Float.max fastest f) (Float.min slowest f) rest
+  in
+  let tiles, nodes, kind, fastest, slowest =
+    scan 0 0 None 1.0 infinity d.Runtime.placements
+  in
+  let device_kind = match kind with Some k -> k | None -> Device.XCVU37P in
   (* Heterogeneous pieces: the barrier waits for the slowest device. *)
-  let partner_slowdown =
-    let fastest =
-      List.fold_left (fun acc k -> Float.max acc (Device.get k).Device.base_freq_mhz) 1.0 kinds
-    in
-    let slowest =
-      List.fold_left
-        (fun acc k -> Float.min acc (Device.get k).Device.base_freq_mhz)
-        infinity kinds
-    in
-    if slowest = infinity then 1.0 else fastest /. slowest
-  in
+  let partner_slowdown = if slowest = infinity then 1.0 else fastest /. slowest in
   let key =
-    ( Deepbench.name point,
+    ( point,
       tiles,
-      List.length nodes,
-      Device.kind_name device_kind,
+      nodes,
+      device_kind,
       partner_slowdown,
       added_latency_us,
       policy.Runtime.whole_device )
@@ -438,12 +444,11 @@ let service_latency_us ~policy ~added_latency_us (point : Deepbench.point)
     let device = Device.get device_kind in
     let mem_kind = if device.Device.has_uram then Config.Bram_uram else Config.Bram_only in
     let v =
-      if List.length nodes >= 2 then begin
+      if nodes >= 2 then begin
         (* Scale-out across the allocated nodes with the overlap
            optimization. *)
         let parts, per_part =
-          scale_out_shape ~hidden:point.Deepbench.hidden ~nodes:(List.length nodes)
-            ~tiles
+          scale_out_shape ~hidden:point.Deepbench.hidden ~nodes ~tiles
         in
         let cfg = Config.make ~tiles:per_part ~mem_kind () in
         Scale_out.plan_latency_us ~partner_slowdown ~config:cfg ~device
@@ -1780,11 +1785,12 @@ and run_serving ~registry cfg serving =
             total_backlog := !total_backlog + backlog;
             let replicas = List.length g.g_replicas in
             let idle =
-              List.length
-                (List.filter
-                   (fun r ->
-                     is_idle r && now -. r.r_idle_since >= acfg.idle_timeout_us)
-                   g.g_replicas)
+              List.fold_left
+                (fun n r ->
+                  if is_idle r && now -. r.r_idle_since >= acfg.idle_timeout_us
+                  then n + 1
+                  else n)
+                0 g.g_replicas
             in
             (* Predictive mode feeds the tick's admitted-arrival rate
                to the forecaster and grows toward its target in one

@@ -102,6 +102,13 @@ module Acc = struct
 
   let create () = { count = 0; cells = [| 0.0; infinity; neg_infinity |] }
 
+  let reset t =
+    t.count <- 0;
+    let c = t.cells in
+    c.(0) <- 0.0;
+    c.(1) <- infinity;
+    c.(2) <- neg_infinity
+
   let add t x =
     t.count <- t.count + 1;
     let c = t.cells in

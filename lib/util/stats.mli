@@ -31,6 +31,10 @@ module Acc : sig
   type t
 
   val create : unit -> t
+
+  (** [reset t] empties [t] in place: it then reads as [create ()]. *)
+  val reset : t -> unit
+
   val add : t -> float -> unit
   val count : t -> int
   val mean : t -> float

@@ -279,7 +279,17 @@ let test_span_feeds_histogram () =
   Obs.reset ();
   Obs.Span.with_ "timed" (fun () -> ());
   let h = Obs.Histogram.get "span.timed.wall_us" in
-  Alcotest.(check int) "histogram fed" 1 (Obs.Histogram.count h)
+  Alcotest.(check int) "histogram fed" 1 (Obs.Histogram.count h);
+  (* Exits resolve the histogram once per span name; after a reset the
+     same registered handle must keep filling, also for a name built
+     at run time (equal, not physically the same string). *)
+  Obs.reset ();
+  Alcotest.(check int) "reset clears" 0 (Obs.Histogram.count h);
+  Obs.Span.with_ "timed" (fun () -> ());
+  Obs.Span.with_ (String.concat "" [ "ti"; "med" ]) (fun () -> ());
+  Alcotest.(check bool) "same handle" true
+    (h == Obs.Histogram.get "span.timed.wall_us");
+  Alcotest.(check int) "fed after reset" 2 (Obs.Histogram.count h)
 
 let test_span_sim_clock () =
   Obs.reset ();
@@ -572,6 +582,69 @@ let test_single_sample_histogram_json () =
   Alcotest.(check bool) "parses back" true (Json.parse s <> None);
   Alcotest.(check bool) "no null" false (contains s "null")
 
+(* The occupied-range percentile and the in-place clear against the
+   full-scan oracle, bit for bit, over samples that include zeros,
+   negatives and values past the bucket clamp, with clears
+   interleaved.  After every clear the histogram must also read like a
+   fresh detached one. *)
+let histogram_ps = [ 0.0; 1.0; 50.0; 99.0; 100.0 ]
+
+let same_float a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let histogram_reads h ~count ~sum ~min ~max ~percentile =
+  Obs.Histogram.count h = count
+  && same_float (Obs.Histogram.sum h) sum
+  && same_float (Obs.Histogram.min h) min
+  && same_float (Obs.Histogram.max h) max
+  && List.for_all
+       (fun p -> same_float (Obs.Histogram.percentile h p) (percentile p))
+       histogram_ps
+
+let gen_histogram_op =
+  let open QCheck.Gen in
+  frequency
+    [
+      (1, return None);
+      (2, return (Some 0.0));
+      (2, map (fun x -> Some (-.x)) (float_range 0.0 1e6));
+      (8, map (fun e -> Some (10.0 ** e)) (float_range (-35.0) 35.0));
+      (6, map (fun x -> Some x) (float_range 0.5 2_000.0));
+    ]
+
+let prop_histogram_matches_oracle =
+  QCheck.Test.make ~name:"percentile and clear equal the full-scan oracle"
+    ~count:300
+    (QCheck.make
+       ~print:QCheck.Print.(list (option (Printf.sprintf "%h")))
+       QCheck.Gen.(list_size (int_range 0 120) gen_histogram_op))
+    (fun ops ->
+      let h = Obs.Histogram.detached () in
+      let o = Histogram_oracle.create () in
+      let agrees () =
+        histogram_reads h ~count:(Histogram_oracle.count o)
+          ~sum:(Histogram_oracle.sum o) ~min:(Histogram_oracle.min o)
+          ~max:(Histogram_oracle.max o)
+          ~percentile:(Histogram_oracle.percentile o)
+      in
+      let fresh = Obs.Histogram.detached () in
+      let reads_fresh () =
+        histogram_reads h ~count:(Obs.Histogram.count fresh)
+          ~sum:(Obs.Histogram.sum fresh) ~min:(Obs.Histogram.min fresh)
+          ~max:(Obs.Histogram.max fresh)
+          ~percentile:(Obs.Histogram.percentile fresh)
+      in
+      List.for_all
+        (fun op ->
+          (match op with
+          | Some v ->
+            Obs.Histogram.observe h v;
+            Histogram_oracle.observe o v
+          | None ->
+            Obs.Histogram.clear h;
+            Histogram_oracle.clear o);
+          agrees () && (op <> None || reads_fresh ()))
+        ops)
+
 let test_percentile_rejects_bad_p () =
   Obs.reset ();
   let h = Obs.Histogram.get "hard.p" in
@@ -625,6 +698,7 @@ let () =
             test_single_sample_histogram_json;
           Alcotest.test_case "percentile rejects bad p" `Quick
             test_percentile_rejects_bad_p;
+          QCheck_alcotest.to_alcotest prop_histogram_matches_oracle;
         ] );
       ( "span",
         [

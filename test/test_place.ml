@@ -93,6 +93,17 @@ let script =
     Deploy "npu-t6"; Restore 7; Deploy "npu-t21"; Deploy "npu-t6";
     Rebalance; Deploy "npu-t6"; Deploy "npu-t6"; Deploy "npu-t21";
   ]
+  (* The pod is full by now.  Refuse the same accelerator back to back,
+     and after each capacity change deploy it again: both allocators
+     must refuse, and place again, at the same steps. *)
+  @ [
+      Deploy "npu-t21"; Deploy "npu-t21"; Undeploy 0; Deploy "npu-t21";
+      Deploy "npu-t21"; Deploy "npu-t21"; Fail 4; Deploy "npu-t21";
+      Deploy "npu-t6"; Deploy "npu-t6"; Deploy "npu-t6"; Deploy "npu-t6";
+      Restore 4; Deploy "npu-t21"; Deploy "npu-t21"; Undeploy 2; Rebalance;
+      Deploy "npu-t21"; Deploy "npu-t21"; Undeploy 1; Undeploy 1;
+      Deploy "npu-t6"; Deploy "npu-t21"; Deploy "npu-t21";
+    ]
 
 let placement_sig (d : Runtime.deployment) =
   List.map
@@ -114,6 +125,9 @@ let run_differential policy =
   Alcotest.(check bool) "a indexed" true (Runtime.indexed ra);
   Alcotest.(check bool) "b naive" false (Runtime.indexed rb);
   let live_a = ref [] and live_b = ref [] in
+  (* accelerators whose latest deploy was refused *)
+  let refused = Hashtbl.create 2 in
+  let repeat_refusals = ref 0 and reopened = ref 0 in
   List.iteri
     (fun step op ->
       let ctx = Printf.sprintf "%s step %d" policy.Runtime.policy_name step in
@@ -124,8 +138,13 @@ let run_differential policy =
           Alcotest.check sig_t (ctx ^ ": same placements") (placement_sig db)
             (placement_sig da);
           live_a := !live_a @ [ da ];
-          live_b := !live_b @ [ db ]
-        | Error ea, Error eb -> Alcotest.(check string) (ctx ^ ": same error") eb ea
+          live_b := !live_b @ [ db ];
+          if Hashtbl.mem refused accel then incr reopened;
+          Hashtbl.remove refused accel
+        | Error ea, Error eb ->
+          if Hashtbl.mem refused accel then incr repeat_refusals;
+          Hashtbl.replace refused accel ();
+          Alcotest.(check string) (ctx ^ ": same error") eb ea
         | Ok _, Error e -> Alcotest.failf "%s: indexed placed, naive failed: %s" ctx e
         | Error e, Ok _ -> Alcotest.failf "%s: naive placed, indexed failed: %s" ctx e)
       | Undeploy i ->
@@ -164,7 +183,9 @@ let run_differential policy =
             (placement_sig da))
         !live_a !live_b;
       Alcotest.(check bool) (ctx ^ ": index consistent") true (Runtime.index_consistent ra))
-    script
+    script;
+  Alcotest.(check bool) "some refusal repeats one" true (!repeat_refusals > 0);
+  Alcotest.(check bool) "some refused deploy later places" true (!reopened > 0)
 
 let test_differential_greedy () = run_differential Runtime.greedy
 let test_differential_restricted () = run_differential Runtime.restricted

@@ -437,6 +437,144 @@ let test_autoscaler_p99_trigger () =
     (Autoscaler.decide acfg calm ~now_us:0.0 ~backlog:2 ~replicas:2 ~idle:0
        ~deadline_us:5000.0)
 
+(* Reference tracker: the windowed p99 rules with a fresh detached
+   histogram for every cleared or rotated window, as the autoscaler
+   allocated them before it reused its two windows in place. *)
+module Fresh_tracker = struct
+  type t = {
+    mutable cur : Obs.Histogram.t;
+    mutable prev : Obs.Histogram.t;
+    mutable rotated_us : float;
+    mutable last_scale_us : float;
+  }
+
+  let fresh () = Obs.Histogram.detached ()
+
+  let create () =
+    { cur = fresh (); prev = fresh (); rotated_us = 0.0; last_scale_us = neg_infinity }
+
+  let observe t us = Obs.Histogram.observe t.cur us
+
+  let count t = Obs.Histogram.count t.cur + Obs.Histogram.count t.prev
+
+  let p99 t =
+    let p h =
+      if Obs.Histogram.count h = 0 then 0.0 else Obs.Histogram.percentile h 99.0
+    in
+    Float.max (p t.cur) (p t.prev)
+
+  let mark_scaled t ~now_us =
+    t.last_scale_us <- now_us;
+    t.cur <- fresh ();
+    t.prev <- fresh ();
+    t.rotated_us <- now_us
+
+  let decide (cfg : Autoscaler.config) t ~now_us ~backlog ~replicas ~idle ~deadline_us =
+    if now_us -. t.rotated_us >= cfg.Autoscaler.p99_window_us then begin
+      t.prev <- t.cur;
+      t.cur <- fresh ();
+      t.rotated_us <- now_us
+    end;
+    if replicas = 0 && backlog > 0 then
+      if replicas < cfg.max_replicas then Autoscaler.Scale_up else Autoscaler.Hold
+    else if now_us -. t.last_scale_us < cfg.cooldown_us then Autoscaler.Hold
+    else begin
+      let per_replica =
+        if replicas = 0 then 0.0 else float_of_int backlog /. float_of_int replicas
+      in
+      let breach = deadline_us > 0.0 && count t > 0 && p99 t > deadline_us in
+      if
+        replicas < cfg.max_replicas
+        && (per_replica > cfg.high_backlog_per_replica || breach)
+      then Autoscaler.Scale_up
+      else if
+        replicas > cfg.min_replicas && idle > 0
+        && per_replica <= cfg.low_backlog_per_replica
+      then Autoscaler.Scale_down
+      else Autoscaler.Hold
+    end
+end
+
+type tracker_op =
+  | Observe of float
+  | Decide of float * int * int * int * float  (* dt, backlog, replicas, idle, deadline *)
+  | Mark of float  (* dt *)
+
+let gen_tracker_op =
+  let open QCheck.Gen in
+  frequency
+    [
+      ( 6,
+        map
+          (fun e -> Observe (10.0 ** e))
+          (float_range 1.0 5.0) );
+      (1, return (Observe 0.0));
+      ( 4,
+        map
+          (fun ((dt, backlog), (replicas, idle, deadline)) ->
+            Decide (dt, backlog, replicas, idle, deadline))
+          (pair
+             (pair (float_range 0.0 1_500.0) (int_range 0 40))
+             (triple (int_range 0 9) (int_range 0 3)
+                (oneofl [ 0.0; 500.0; 5_000.0; 50_000.0 ]))) );
+      (1, map (fun dt -> Mark dt) (float_range 0.0 1_500.0));
+    ]
+
+let prop_tracker_reuse_matches_fresh =
+  let cfg = Autoscaler.config ~p99_window_us:1_000.0 ~cooldown_us:500.0 () in
+  QCheck.Test.make ~name:"in-place windows decide as fresh ones" ~count:300
+    (QCheck.make QCheck.Gen.(list_size (int_range 0 200) gen_tracker_op))
+    (fun ops ->
+      let tr = Autoscaler.tracker ~name:"test.reuse" in
+      let ref_tr = Fresh_tracker.create () in
+      let now = ref 0.0 in
+      List.for_all
+        (fun op ->
+          let same_decision =
+            match op with
+            | Observe us ->
+              Autoscaler.observe_sojourn tr us;
+              Fresh_tracker.observe ref_tr us;
+              true
+            | Mark dt ->
+              now := !now +. dt;
+              Autoscaler.mark_scaled tr ~now_us:!now;
+              Fresh_tracker.mark_scaled ref_tr ~now_us:!now;
+              true
+            | Decide (dt, backlog, replicas, idle, deadline_us) ->
+              now := !now +. dt;
+              let now_us = !now in
+              Autoscaler.decide cfg tr ~now_us ~backlog ~replicas ~idle ~deadline_us
+              = Fresh_tracker.decide cfg ref_tr ~now_us ~backlog ~replicas ~idle
+                  ~deadline_us
+          in
+          same_decision
+          && Autoscaler.sojourn_count tr = Fresh_tracker.count ref_tr
+          && Int64.equal
+               (Int64.bits_of_float (Autoscaler.p99_sojourn_us tr))
+               (Int64.bits_of_float (Fresh_tracker.p99 ref_tr)))
+        ops)
+
+(* A scale event clears both windows in place: 10,000 of them allocate
+   next to nothing outside the minor heap, where two fresh 601-bucket
+   windows per event (too large for the minor heap) came to 12.0 M
+   words. *)
+let test_autoscaler_mark_scaled_allocation () =
+  let tr = Autoscaler.tracker ~name:"test.alloc" in
+  let direct_major () =
+    let _, promoted, major = Gc.counters () in
+    major -. promoted
+  in
+  let before = direct_major () in
+  for i = 1 to 10_000 do
+    Autoscaler.observe_sojourn tr (float_of_int i);
+    Autoscaler.mark_scaled tr ~now_us:(float_of_int i)
+  done;
+  let mwords = (direct_major () -. before) /. 1e6 in
+  if mwords >= 0.1 then
+    Alcotest.failf "10,000 mark_scaled allocated %.3f M words outside the minor heap"
+      mwords
+
 let test_autoscaler_p99_window () =
   (* Regression: the p99 tracker used to accumulate sojourns forever,
      so one burst latched the breach trigger for the rest of the run
@@ -1027,6 +1165,9 @@ let () =
           Alcotest.test_case "p99 window ages out" `Quick
             test_autoscaler_p99_window;
           Alcotest.test_case "validation" `Quick test_autoscaler_validation;
+          QCheck_alcotest.to_alcotest prop_tracker_reuse_matches_fresh;
+          Alcotest.test_case "mark_scaled allocation" `Quick
+            test_autoscaler_mark_scaled_allocation;
           Alcotest.test_case "tenant pool re-set renormalizes" `Quick
             test_slo_tenant_pool_reset_renormalizes;
           Alcotest.test_case "forecast learns season" `Quick
