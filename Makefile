@@ -1,7 +1,7 @@
 # Convenience entry points; everything is plain dune underneath.
 
 .PHONY: all build check fmt test bench bench-place bench-place-smoke \
-	bench-faults bench-faults-smoke bench-trace bench-trace-smoke \
+	bench-faults bench-trace \
 	bench-sched bench-sched-smoke bench-sim bench-sim-smoke \
 	bench-scale bench-scale-smoke bench-defrag bench-defrag-smoke \
 	bench-watch bench-watch-smoke bench-serve bench-serve-smoke \
@@ -30,12 +30,12 @@ fmt:
 test:
 	dune runtest
 
-# The one-stop pre-commit gate.  bench-place-smoke keeps the indexed
+# The one-stop pre-commit gate.  `test` includes test_sysim's "closed
+# accounting", which asserts zero lost tasks under a single-crash fault
+# plan and a valid lifecycle-trace export whose event counts close
+# against the run's own accounting; bench-place-smoke keeps the indexed
 # placement engine honest (it must never regress below the naive scan)
-# without the cost of the full 1k-node run; bench-faults-smoke asserts
-# zero lost tasks under a single-crash fault plan; bench-trace-smoke
-# asserts the lifecycle-trace export is valid JSON whose event counts
-# close against the run's own accounting; bench-sched-smoke asserts the
+# without the cost of the full 1k-node run; bench-sched-smoke asserts the
 # autoscaled serving loop never regresses the static p99 and that every
 # request is accounted for; bench-sim-smoke asserts the timing-wheel
 # engine fires events in the same order as the heap reference engine
@@ -59,7 +59,7 @@ test:
 # flash-crowd trace (with a determinism re-run); bench-diff compares
 # the smoke outputs against the committed smoke artifacts to catch
 # order-of-magnitude throughput cliffs.
-check: build fmt test bench-place-smoke bench-faults-smoke bench-trace-smoke \
+check: build fmt test bench-place-smoke \
 	bench-sched-smoke bench-sim-smoke bench-scale-smoke bench-defrag-smoke \
 	bench-watch-smoke bench-serve-smoke bench-diff
 
@@ -86,21 +86,11 @@ bench-place-smoke:
 bench-faults:
 	dune exec bench/main.exe -- faults
 
-# Fast single-crash variant for `make check`: exits non-zero if any
-# task is lost or the availability accounting does not add up.
-bench-faults-smoke:
-	dune exec bench/main.exe -- faults-smoke
-
 # Faulted run with lifecycle tracing on: writes BENCH_trace.json (a
 # Chrome/Perfetto trace) and asserts tracing does not perturb the
 # simulated results.
 bench-trace:
 	dune exec bench/main.exe -- trace
-
-# Fast variant for `make check`: valid-JSON export + closed lifecycle
-# accounting (arrive/complete/reject/retry deltas match the run).
-bench-trace-smoke:
-	dune exec bench/main.exe -- trace-smoke
 
 # Elastic serving comparison on a bursty trace: static provisioning vs
 # the closed autoscaler loop; writes BENCH_sched.json (p99 sojourn,

@@ -1,9 +1,9 @@
 (* Benchmark harness: regenerates every table and figure of the
    paper's evaluation (Section 4).
 
-   Usage:  main.exe [table2|table3|table4|fig11|fig12|faults|
-           faults-smoke|trace|trace-smoke|compile|mlp|congestion|
-           isolation|ablate|micro]
+   Usage:  main.exe [table2|table3|table4|fig11|fig12|faults|trace|
+           sched|sched-smoke|compile|mlp|compact|congestion|isolation|
+           ablate|micro]
    With no argument, every experiment runs in order.  Paper reference
    values are printed alongside so EXPERIMENTS.md can record
    paper-vs-measured.  All randomness is seeded; output is
@@ -361,39 +361,6 @@ let faults ?(tasks = 60) () =
      loses a task unaccounted.";
   ignore results
 
-(* Small single-crash plan asserted in `make check`: every task must
-   complete (retried, never lost) and the availability counters must
-   add up. *)
-let faults_smoke () =
-  section "Availability smoke: single crash+restore, zero lost tasks";
-  let tasks = 30 in
-  let composition = Genset.table1.(6) in
-  let base = run_availability ~tasks composition Fault_plan.empty in
-  let plan =
-    Fault_plan.make
-      [
-        { Fault_plan.at = 0.3 *. base.Sysim.makespan_us; action = Fault_plan.Crash 1 };
-        { Fault_plan.at = 0.6 *. base.Sysim.makespan_us; action = Fault_plan.Restore 1 };
-      ]
-  in
-  let r = run_availability ~tasks composition plan in
-  Printf.printf
-    "completed=%d retried=%d rejected=%d lost=%d (no-fault tput %.1f t/s, \
-     faulted %.1f t/s)\n"
-    r.Sysim.completed r.Sysim.retried r.Sysim.rejected r.Sysim.lost
-    base.Sysim.throughput_per_s r.Sysim.throughput_per_s;
-  if r.Sysim.lost <> 0 then begin
-    Printf.eprintf "FAIL: %d tasks lost under a single-crash plan\n" r.Sysim.lost;
-    exit 1
-  end;
-  if r.Sysim.completed + r.Sysim.rejected <> tasks then begin
-    Printf.eprintf "FAIL: availability accounting does not add up\n";
-    exit 1
-  end;
-  if r.Sysim.retried = 0 then
-    Printf.eprintf "warning: crash interrupted no in-flight task (plan too late?)\n";
-  print_endline "ok: no lost tasks; accounting adds up"
-
 (* ------------------------------------------------------------------ *)
 (* Lifecycle-trace export and tracing overhead                         *)
 (* ------------------------------------------------------------------ *)
@@ -457,47 +424,6 @@ let trace ?(tasks = 60) () =
         "trace written to %s (%d events recorded, %d dropped; load in \
          ui.perfetto.dev)\n"
         path (Obs.Trace.recorded ()) (Obs.Trace.dropped ()))
-
-(* `make check` smoke: a small faulted run with tracing on must export
-   valid JSON and its lifecycle-event counts must close against the
-   run's own accounting. *)
-let trace_smoke () =
-  section "Trace smoke: lifecycle accounting closes against the run";
-  let tasks = 30 in
-  let composition = Genset.table1.(6) in
-  let base = run_availability ~tasks composition Fault_plan.empty in
-  let plan = crash_restore_plan base.Sysim.makespan_us in
-  let arrive0 = Obs.Trace.count Obs.Trace.Arrive in
-  let complete0 = Obs.Trace.count Obs.Trace.Complete in
-  let reject0 = Obs.Trace.count Obs.Trace.Reject in
-  let retry0 = Obs.Trace.count Obs.Trace.Retry in
-  Fun.protect
-    ~finally:(fun () -> Obs.Trace.set_enabled false)
-    (fun () ->
-      Obs.Trace.set_enabled true;
-      let r = run_availability ~tasks composition plan in
-      let delta c c0 = c - c0 in
-      let arrives = delta (Obs.Trace.count Obs.Trace.Arrive) arrive0 in
-      let completes = delta (Obs.Trace.count Obs.Trace.Complete) complete0 in
-      let rejects = delta (Obs.Trace.count Obs.Trace.Reject) reject0 in
-      let retries = delta (Obs.Trace.count Obs.Trace.Retry) retry0 in
-      Printf.printf
-        "events: arrive=%d complete=%d reject=%d retry=%d (run: completed=%d \
-         rejected=%d retried=%d lost=%d)\n"
-        arrives completes rejects retries r.Sysim.completed r.Sysim.rejected
-        r.Sysim.retried r.Sysim.lost;
-      let fail fmt = Printf.ksprintf (fun s -> Printf.eprintf "FAIL: %s\n" s; exit 1) fmt in
-      if not (Obs.Json.is_valid (Obs.Json.to_string (Obs.Trace.to_chrome_json ())))
-      then fail "trace export is not valid JSON";
-      if arrives <> tasks then fail "arrive events %d <> %d tasks" arrives tasks;
-      if completes <> r.Sysim.completed then
-        fail "complete events %d <> %d completed" completes r.Sysim.completed;
-      if rejects <> r.Sysim.rejected then
-        fail "reject events %d <> %d rejected" rejects r.Sysim.rejected;
-      if retries <> r.Sysim.retried then
-        fail "retry events %d <> %d retried" retries r.Sysim.retried;
-      if r.Sysim.lost <> 0 then fail "%d tasks lost" r.Sysim.lost;
-      print_endline "ok: trace JSON valid; lifecycle accounting closes")
 
 (* ------------------------------------------------------------------ *)
 (* Compilation overhead (Section 4.3)                                  *)
@@ -1250,9 +1176,7 @@ let experiments =
     ("fig11", fig11);
     ("fig12", fun () -> fig12 ());
     ("faults", fun () -> faults ());
-    ("faults-smoke", faults_smoke);
     ("trace", fun () -> trace ());
-    ("trace-smoke", trace_smoke);
     ("sched", fun () -> sched ());
     ("sched-smoke", sched_smoke);
     ("compile", compile_overhead);

@@ -169,7 +169,7 @@ let generate_tasks ~rng cfg =
     | loads ->
       Genset.generate_tenants ~seed:cfg.seed ~composition:cfg.composition loads)
 
-(* The exact task stream [run] will play for this config: both engines
+(* The exact task stream [run] will play for this config: both loops
    generate from a fresh seed-derived stream before consuming any
    other randomness, so recording this workload and replaying it is
    bit-identical to letting [run] generate it. *)
@@ -377,6 +377,16 @@ let scale_out_shape ~hidden ~nodes ~tiles =
   let parts = if hidden mod nodes = 0 then nodes else 2 in
   (parts, max 1 (tiles / parts))
 
+(* [tbl]'s value for [key], made by [make key] on first sight.  The
+   lookup allocates nothing on a hit. *)
+let memo tbl key make =
+  match Hashtbl.find tbl key with
+  | v -> v
+  | exception Not_found ->
+    let v = make key in
+    Hashtbl.replace tbl key v;
+    v
+
 (* Modeled service time of one deployed inference task, keyed by the
    model inputs themselves: the point, the device kind and counts read
    off the placements in one pass, so a hit allocates only the key
@@ -392,15 +402,9 @@ let service_cache :
 let plan_cache : (Deepbench.point * int, Scale_out.plan) Hashtbl.t = Hashtbl.create 16
 
 let scale_out_plan (point : Deepbench.point) ~parts =
-  match Hashtbl.find_opt plan_cache (point, parts) with
-  | Some plan -> plan
-  | None ->
-    let plan =
+  memo plan_cache (point, parts) (fun ((point : Deepbench.point), parts) ->
       Scale_out.plan ~reordered:true point.Deepbench.kind ~hidden:point.Deepbench.hidden
-        ~input:point.Deepbench.hidden ~timesteps:point.Deepbench.timesteps ~parts
-    in
-    Hashtbl.replace plan_cache (point, parts) plan;
-    plan
+        ~input:point.Deepbench.hidden ~timesteps:point.Deepbench.timesteps ~parts)
 
 let service_latency_us ~policy ~added_latency_us (point : Deepbench.point)
     (d : Runtime.deployment) =
@@ -495,17 +499,29 @@ type inflight = {
   mutable cancelled : bool;
 }
 
+(* Put [xs] at the front of [q], in order: re-queued work is the
+   oldest, and FIFO order must survive a crash retry or an eviction. *)
+let push_front q xs =
+  let tmp = Queue.create () in
+  List.iter (fun x -> Queue.add x tmp) xs;
+  Queue.transfer q tmp;
+  Queue.transfer tmp q
+
 (* Deployment dimensions for labeled metrics and lifecycle events:
-   the primary (first) node and the device kind of the first
-   placement. *)
+   the primary (lowest-numbered) node and the device kind of the first
+   placement.  This runs per open-loop task and per serving batch, so
+   it takes the minimum node id in one pass instead of sorting the
+   node list for its head. *)
 let deployment_dims (d : Runtime.deployment) =
-  let node = match Runtime.nodes_used d with n :: _ -> Some n | [] -> None in
-  let kind =
-    match d.Runtime.placements with
-    | p :: _ -> Device.kind_name p.Runtime.bitstream.Mlv_vital.Bitstream.device
-    | [] -> "none"
-  in
-  (node, kind)
+  match d.Runtime.placements with
+  | [] -> (None, "none")
+  | p :: rest ->
+    let node =
+      List.fold_left
+        (fun n (q : Runtime.placement) -> Int.min n q.Runtime.node_id)
+        p.Runtime.node_id rest
+    in
+    (Some node, Device.kind_name p.Runtime.bitstream.Mlv_vital.Bitstream.device)
 
 (* Closed-loop serving state.  Requests for the same accelerator
    instance form a group; a group owns replicas (live deployments kept
@@ -534,13 +550,6 @@ type replica = {
       (* bumped when a preemption cancels the in-flight batch, so the
          already-scheduled completion event recognizes it is void *)
   mutable r_inflight : stask list;  (* the batch currently in service *)
-  (* Labeled metric handles cached against the deployment dims they
-     were built for; refreshed only when consolidation migrates the
-     deployment (so completions stop allocating label lists). *)
-  mutable r_node : int option;
-  mutable r_kind : string;
-  mutable r_completed_c : Obs.Counter.t option;
-  mutable r_sojourn_h : Obs.Histogram.t option;
 }
 
 type sgroup = {
@@ -565,217 +574,376 @@ type sgroup = {
          rate the forecaster consumes (predictive mode only) *)
 }
 
-(* Telemetry scrape loop, shared by both engines.  Ticks ride the
-   event queue at absolute times k*interval so series bucket epochs
-   align exactly with scrape boundaries.  A tick reschedules only
-   while other work remains queued (at execution time the tick itself
-   is already off the queue), so a drained run terminates instead of
-   the loop keeping itself alive forever. *)
-let start_scrape_loop sim ~interval_us f =
-  let rec tick k () =
-    f ~now_us:(Sim.now sim);
-    if Sim.pending sim > 0 then
-      Sim.schedule_at sim
-        ~at:(float_of_int (k + 1) *. interval_us)
-        (tick (k + 1))
-  in
-  Sim.schedule_at sim ~at:interval_us (tick 1)
+(* ------------------------------------------------------------------ *)
+(* Run skeleton: what the open loop and the serving loop share         *)
+(* ------------------------------------------------------------------ *)
 
-(* One scrape's worth of a monotonically growing tally: the delta
-   since the previous scrape. *)
-let scrape_delta r last =
-  let v = !r - !last in
-  last := !r;
-  float_of_int v
+(* The state both loops run on: the cluster they drive, the task
+   stream, the tallies every task ends in and the metric handles the
+   per-task paths emit through.  Each loop keeps its own dispatch
+   state (a FIFO and a flight table, or replica groups) beside it. *)
+type run = {
+  cfg : config;
+  cluster : Cluster.t;
+  runtime : Runtime.t;
+  sim : Sim.t;
+  tasks : Genset.task list;
+  ntasks : int;
+  multi : bool;
+  tallies : (string * ttally) list;
+  accel_names : (int, string) Hashtbl.t;
+      (* instance size -> accelerator name: a sprintf per arrival
+         otherwise *)
+  node_cs : (int, Obs.Counter.t) Hashtbl.t;  (* sysim.tasks.completed{node} *)
+  kind_hs : (string, Obs.Histogram.t) Hashtbl.t;  (* sysim.task_sojourn_us{kind} *)
+  rejected_c : Obs.Counter.t;
+  completed_c : Obs.Counter.t;
+  arrived_c : Obs.Counter.t;
+  slo_miss_c : Obs.Counter.t;
+  wait_attempt_h : Obs.Histogram.t;
+  service_h : Obs.Histogram.t;
+  wait_h : Obs.Histogram.t;
+  sojourn_h : Obs.Histogram.t;
+  mutable completed : int;
+  mutable rejected : int;
+  mutable shed : int;  (* serving only: turned away at the gate *)
+  mutable preempted : int;  (* serving only: in-flight work evicted *)
+  mutable slo_misses : int;
+  mutable latencies : float list;
+  mutable waits : float list;
+  mutable services : float list;
+  mutable peak_queue : int;
+  mutable makespan : float;
+  mutable sojourn_s : Series.t option;  (* sysim.sojourn_us.p99, telemetry on *)
+  mutable scrapes : int;
+}
 
-let rec run ~registry cfg =
-  (* A completed run releases its simulator's span clock — otherwise
-     the closure keeps the whole sim state live and stamps stale sim
-     times onto later, unrelated spans. *)
-  Fun.protect ~finally:Obs.clear_sim_clock (fun () ->
-      Obs.Span.with_ "sysim.run" (fun () ->
-          match cfg.serving with
-          | Some s ->
-            if cfg.faults <> None then
-              invalid_arg
-                "Sysim.run: serving mode does not compose with fault plans";
-            (match cfg.frontend with
-            | Some f when f.predict <> None && s.autoscale = None ->
-              invalid_arg
-                "Sysim.run: frontend.predict requires serving.autoscale"
-            | _ -> ());
-            run_serving ~registry cfg s
-          | None ->
-            if cfg.frontend <> None then
-              invalid_arg "Sysim.run: config.frontend requires serving mode";
-            run_untraced ~registry cfg))
-
-and run_untraced ~registry cfg =
+let setup ~registry cfg =
   let cluster = Cluster.create ~kinds:cfg.cluster_kinds () in
   let cache =
     Option.map (fun capacity -> Bitstream.Cache.create ~capacity ()) cfg.bitstream_cache
   in
   let runtime = Runtime.create ~policy:cfg.policy ?cache cluster registry in
-  let sim = cluster.Cluster.sim in
   let rng = Rng.create cfg.seed in
-  (* Metric handles are interned by name; hoist the string-keyed
-     registry lookups out of the per-event closures so the hot path
-     emits through direct handles. *)
+  (* Metric handles are interned by name; hoisting the string-keyed
+     registry lookups out of the per-event closures lets the hot paths
+     emit through direct handles. *)
   let rejected_c = Obs.Counter.get "sysim.tasks.rejected" in
   let completed_c = Obs.Counter.get "sysim.tasks.completed" in
-  let retried_c = Obs.Counter.get "sysim.tasks.retried" in
   let arrived_c = Obs.Counter.get "sysim.tasks.arrived" in
   let slo_miss_c = Obs.Counter.get "sysim.slo_misses" in
   let wait_attempt_h = Obs.Histogram.get "sysim.task_wait_attempt_us" in
   let service_h = Obs.Histogram.get "sysim.task_service_us" in
   let wait_h = Obs.Histogram.get "sysim.task_wait_us" in
   let sojourn_h = Obs.Histogram.get "sysim.task_sojourn_us" in
-  (* Labeled series are interned by (name, labels); cache the handles
-     per dimension value so completions stop allocating label lists. *)
-  let completed_node_cs : (int, Obs.Counter.t) Hashtbl.t = Hashtbl.create 32 in
-  let completed_node n =
-    match Hashtbl.find_opt completed_node_cs n with
-    | Some c -> c
-    | None ->
-      let c =
-        Obs.Counter.get_labeled "sysim.tasks.completed"
-          [ ("node", string_of_int n) ]
+  let tasks = generate_tasks ~rng cfg in
+  {
+    cfg;
+    cluster;
+    runtime;
+    sim = cluster.Cluster.sim;
+    tasks;
+    ntasks = task_count cfg;
+    multi = cfg.tenants <> [];
+    tallies = make_tallies cfg;
+    accel_names = Hashtbl.create 16;
+    node_cs = Hashtbl.create 32;
+    kind_hs = Hashtbl.create 8;
+    rejected_c;
+    completed_c;
+    arrived_c;
+    slo_miss_c;
+    wait_attempt_h;
+    service_h;
+    wait_h;
+    sojourn_h;
+    completed = 0;
+    rejected = 0;
+    shed = 0;
+    preempted = 0;
+    slo_misses = 0;
+    latencies = [];
+    waits = [];
+    services = [];
+    peak_queue = 0;
+    makespan = 0.0;
+    sojourn_s = None;
+    scrapes = 0;
+  }
+
+let tally_of run tenant = if run.multi then List.assoc_opt tenant run.tallies else None
+
+(* Tasks that ended one way or another; the serving ticks stop once
+   every task has. *)
+let unfinished run = run.completed + run.rejected + run.shed + run.preempted < run.ntasks
+
+let accel_of_point run point =
+  memo run.accel_names (instance_for ~policy:run.cfg.policy point) (fun tiles ->
+      Framework.accel_name ~tiles)
+
+(* Arrival prologue: count the task (and its tenant's arrival), trace
+   it, and return the accelerator it asks for. *)
+let arrive run (task : Genset.task) =
+  Obs.Counter.incr run.arrived_c;
+  (match tally_of run task.Genset.tenant with
+  | Some t -> t.tt_arrived <- t.tt_arrived + 1
+  | None -> ());
+  let accel = accel_of_point run task.Genset.point in
+  Obs.Trace.task Obs.Trace.Arrive task.Genset.task_id ~label:accel;
+  accel
+
+let reject run (task : Genset.task) ?retries ~label () =
+  run.rejected <- run.rejected + 1;
+  Obs.Counter.incr run.rejected_c;
+  (match tally_of run task.Genset.tenant with
+  | Some t -> t.tt_rejected <- t.tt_rejected + 1
+  | None -> ());
+  Obs.Trace.task Obs.Trace.Reject task.Genset.task_id ?retries ~label
+
+(* Service start: trace the deploy, record the attempt's wait and the
+   task's service time, trace the service. *)
+let start run (task : Genset.task) ~attempt_wait ~service ?node ~deployment ?retries
+    ~label () =
+  Obs.Trace.task Obs.Trace.Deploy task.Genset.task_id ?node ~deployment ?retries ~label;
+  Obs.Histogram.observe run.wait_attempt_h attempt_wait;
+  run.services <- service :: run.services;
+  Obs.Histogram.observe run.service_h service;
+  Obs.Trace.task Obs.Trace.Service task.Genset.task_id ?node ~deployment ?retries ~label
+
+(* Labeled series are interned by (name, labels); caching the handles
+   per dimension value keeps completions from building label lists. *)
+let completed_on_node n =
+  Obs.Counter.get_labeled "sysim.tasks.completed" [ ("node", string_of_int n) ]
+
+let sojourn_of_kind kind =
+  Obs.Histogram.get_labeled "sysim.task_sojourn_us" [ ("kind", kind) ]
+
+(* Completion at [finished] on a deployment whose dims are [node] and
+   [kind]: count the task, record its sojourn in the latency list, the
+   sojourn histograms and the p99 series, trace it, check it against
+   [deadline_us] and charge its tenant.  Returns the sojourn for the
+   loop's own observers. *)
+let complete run (task : Genset.task) ~finished ~deadline_us ?node ~kind ~deployment
+    ?retries ~label () =
+  run.completed <- run.completed + 1;
+  Obs.Counter.incr run.completed_c;
+  (match node with
+  | Some n -> Obs.Counter.incr (memo run.node_cs n completed_on_node)
+  | None -> ());
+  let sojourn = finished -. task.Genset.arrival_us in
+  run.latencies <- sojourn :: run.latencies;
+  Obs.Histogram.observe run.sojourn_h sojourn;
+  (match run.sojourn_s with
+  | Some s -> Series.observe s ~now_us:finished sojourn
+  | None -> ());
+  Obs.Histogram.observe (memo run.kind_hs kind sojourn_of_kind) sojourn;
+  Obs.Trace.task Obs.Trace.Complete task.Genset.task_id ?node ~deployment ?retries
+    ~label;
+  let missed = sojourn > deadline_us in
+  if missed then begin
+    run.slo_misses <- run.slo_misses + 1;
+    Obs.Counter.incr run.slo_miss_c
+  end;
+  (match tally_of run task.Genset.tenant with
+  | Some t ->
+    t.tt_completed <- t.tt_completed + 1;
+    t.tt_latencies <- sojourn :: t.tt_latencies;
+    if missed then t.tt_slo_misses <- t.tt_slo_misses + 1;
+    Obs.Counter.incr t.tt_completed_c
+  | None -> ());
+  run.makespan <- Float.max run.makespan finished;
+  sojourn
+
+(* A series the scrape loop samples: a cumulative tally observed as its
+   per-scrape delta, or a level observed as is. *)
+type probe =
+  | Delta of string * (string * string) list * (unit -> int)
+  | Level of string * (unit -> int)
+
+(* A telemetry series of this run.  Own the name: a previous run in
+   this process may have registered it with a different interval or
+   capacity. *)
+let own_series tel kind name labels =
+  Series.remove (Obs.Labels.key name labels);
+  Series.create_labeled ~buckets:tel.series_buckets ~kind
+    ~interval_us:tel.scrape_interval_us name labels
+
+(* Optional scrape loop: each interval, sample the series both loops
+   publish (completed / rejected / slo_missed rates, queue depth), the
+   loop's own [probes] and the per-tenant rates, then evaluate the
+   alert rules; completions feed the sojourn p99 series directly.
+   Ticks ride the event queue at absolute times k*interval so series
+   bucket epochs align exactly with scrape boundaries.  A tick
+   reschedules only while other work remains queued (at execution time
+   the tick itself is already off the queue), so a drained run
+   terminates instead of the loop keeping itself alive forever.
+   Sampling only reads state, so results are identical with telemetry
+   on or off; series are re-created at setup so back-to-back runs in
+   one process stay independent.  Call it before the loop schedules
+   anything: the first scrape is the first event at its time. *)
+let start_telemetry run ~queue_depth ~probes =
+  Option.map
+    (fun tel ->
+      let engine = Alert.create tel.rules in
+      let sampler = function
+        | Delta (name, labels, read) ->
+          let s = own_series tel Series.Rate name labels in
+          let last = ref 0 in
+          fun ~now_us ->
+            let v = read () in
+            Series.observe s ~now_us (float_of_int (v - !last));
+            last := v
+        | Level (name, read) ->
+          let s = own_series tel Series.Gauge name [] in
+          fun ~now_us -> Series.observe s ~now_us (float_of_int (read ()))
       in
-      Hashtbl.replace completed_node_cs n c;
-      c
+      let tenant_probes =
+        List.concat_map
+          (fun (_, t) ->
+            let lbl = [ ("tenant", t.tt_name) ] in
+            [
+              Delta ("sysim.tenant.completed.rate", lbl, fun () -> t.tt_completed);
+              Delta ("sysim.tenant.slo_missed.rate", lbl, fun () -> t.tt_slo_misses);
+            ])
+          run.tallies
+      in
+      let samplers =
+        List.map sampler
+          ([
+             Delta ("sysim.completed.rate", [], fun () -> run.completed);
+             Delta ("sysim.rejected.rate", [], fun () -> run.rejected);
+             Delta ("sysim.slo_missed.rate", [], fun () -> run.slo_misses);
+             Level ("sysim.queue_depth", queue_depth);
+           ]
+          @ probes @ tenant_probes)
+      in
+      run.sojourn_s <- Some (own_series tel (Series.Quantile 0.99) "sysim.sojourn_us.p99" []);
+      let iv = tel.scrape_interval_us in
+      let rec tick k () =
+        let now_us = Sim.now run.sim in
+        run.scrapes <- run.scrapes + 1;
+        List.iter (fun sample -> sample ~now_us) samplers;
+        Alert.eval engine ~now_us;
+        if Sim.pending run.sim > 0 then
+          Sim.schedule_at run.sim ~at:(float_of_int (k + 1) *. iv) (tick (k + 1))
+      in
+      Sim.schedule_at run.sim ~at:iv (tick 1);
+      engine)
+    run.cfg.telemetry
+
+(* Report: drain the event queue (timed: [loop_wall_s] is the loop
+   alone), let the loop settle what never finished ([leftovers]),
+   count whatever no tally claims as lost, and build the fields both
+   loops share; each loop adds its own with a record update. *)
+let finish run ~leftovers alerts =
+  let loop_t0 = Obs.wall_us () in
+  Sim.run run.sim;
+  let loop_wall_s = (Obs.wall_us () -. loop_t0) /. 1e6 in
+  leftovers ();
+  let lost = run.ntasks - run.completed - run.rejected - run.shed - run.preempted in
+  if lost > 0 then Obs.Counter.add (Obs.Counter.get "sysim.tasks.lost") lost;
+  let mean xs = Mlv_util.Stats.mean xs in
+  let p50, p95, p99 = latency_percentiles run.latencies in
+  let per_s n =
+    if run.makespan > 0.0 then float_of_int n /. (run.makespan /. 1e6) else 0.0
   in
-  let sojourn_kind_hs : (string, Obs.Histogram.t) Hashtbl.t = Hashtbl.create 8 in
-  let sojourn_kind kind =
-    match Hashtbl.find_opt sojourn_kind_hs kind with
-    | Some h -> h
-    | None ->
-      let h = Obs.Histogram.get_labeled "sysim.task_sojourn_us" [ ("kind", kind) ] in
-      Hashtbl.replace sojourn_kind_hs kind h;
-      h
+  let throughput = per_s run.completed in
+  let cache_hits, cache_misses = cache_stats run.runtime in
+  {
+    completed = run.completed;
+    retried = 0;
+    rejected = run.rejected;
+    shed = run.shed;
+    lost;
+    makespan_us = run.makespan;
+    throughput_per_s = throughput;
+    goodput_per_s = per_s (run.completed - run.slo_misses);
+    fault_downtime_us = 0.0;
+    fault_free_throughput_per_s = throughput;
+    mean_latency_us = mean run.latencies;
+    mean_wait_us = mean run.waits;
+    wait_attempts = List.length run.waits;
+    mean_wait_per_attempt_us = mean run.waits;
+    mean_service_us = mean run.services;
+    p50_latency_us = p50;
+    p95_latency_us = p95;
+    p99_latency_us = p99;
+    peak_queue = run.peak_queue;
+    latencies_us = List.rev run.latencies;
+    slo_misses = run.slo_misses;
+    batches = 0;
+    scale_ups = 0;
+    scale_downs = 0;
+    preempted = run.preempted;
+    preemptions = 0;
+    defrag_moves = 0;
+    cache_hits;
+    cache_misses;
+    sessions_opened = 0;
+    sessions_expired = 0;
+    sticky_hits = 0;
+    sticky_misses = 0;
+    held_results = 0;
+    mapcache_hits = 0;
+    mapcache_misses = 0;
+    mapcache_evictions = 0;
+    per_tenant = tenant_stats_of ~makespan_us:run.makespan run.tallies;
+    scrapes = run.scrapes;
+    alert_transitions = (match alerts with Some e -> Alert.transitions e | None -> []);
+    loop_wall_s;
+  }
+
+(* A periodic serving tick: [f] every [interval_us] of sim time while
+   [live ()] holds, checked before each firing, so a drained (or
+   permanently starved) run terminates instead of the tick keeping the
+   event queue alive. *)
+let every sim ~interval_us ~live f =
+  let rec tick () =
+    if live () then begin
+      f ();
+      Sim.schedule sim ~delay:interval_us tick
+    end
   in
+  Sim.schedule sim ~delay:interval_us tick
+
+(* The open loop (Fig. 12): one global FIFO with head-of-line blocking,
+   a deploy per task and an undeploy on its completion, and crash
+   retry under a fault plan. *)
+let run_open run =
+  let cfg = run.cfg and sim = run.sim and runtime = run.runtime in
+  let network = run.cluster.Cluster.network in
+  let retried_c = Obs.Counter.get "sysim.tasks.retried" in
   let sojourn_kind_node_hs : (string * int, Obs.Histogram.t) Hashtbl.t =
     Hashtbl.create 32
   in
-  let sojourn_kind_node kind n =
-    match Hashtbl.find_opt sojourn_kind_node_hs (kind, n) with
-    | Some h -> h
-    | None ->
-      let h =
-        Obs.Histogram.get_labeled "sysim.task_sojourn_us"
-          [ ("kind", kind); ("node", string_of_int n) ]
-      in
-      Hashtbl.replace sojourn_kind_node_hs (kind, n) h;
-      h
+  let sojourn_of_kind_node (kind, n) =
+    Obs.Histogram.get_labeled "sysim.task_sojourn_us"
+      [ ("kind", kind); ("node", string_of_int n) ]
   in
-  (* The accelerator name is a pure function of the instance size;
-     computing it per arrival cost a sprintf per task. *)
-  let accel_names : (int, string) Hashtbl.t = Hashtbl.create 16 in
-  let accel_of_point point =
-    let tiles = instance_for ~policy:cfg.policy point in
-    match Hashtbl.find_opt accel_names tiles with
-    | Some s -> s
-    | None ->
-      let s = Framework.accel_name ~tiles in
-      Hashtbl.replace accel_names tiles s;
-      s
-  in
-  let tasks = generate_tasks ~rng cfg in
-  let ntasks = task_count cfg in
-  let multi = cfg.tenants <> [] in
-  let tallies = make_tallies cfg in
-  let tally_of tenant = if multi then List.assoc_opt tenant tallies else None in
   let queue : pending Queue.t = Queue.create () in
   let inflight : inflight Flight_table.t = Flight_table.create () in
-  let completed = ref 0 in
   let retried = ref 0 in
-  let rejected = ref 0 in
-  let latencies = ref [] in
-  let waits = ref [] in
   let attempt_waits = ref [] in
-  let services = ref [] in
-  let peak_queue = ref 0 in
-  let slo_misses = ref 0 in
-  let makespan = ref 0.0 in
   (* Fault-window bookkeeping: closed [start, stop] outage intervals
      (≥ 1 node down), plus completions that landed inside one. *)
   let down : (int, unit) Hashtbl.t = Hashtbl.create 4 in
   let outage_start = ref None in
   let outages = ref [] in
   let completed_in_outage = ref 0 in
-  (* Optional scrape loop: sample windowed series from the run tallies
-     each interval, then evaluate the alert rules.  Sampling only
-     reads state, so results are identical with telemetry on or off;
-     series are cleared at setup so back-to-back runs in one process
-     stay independent. *)
-  let scrapes = ref 0 in
-  let sojourn_s = ref None in
   let alerts =
-    Option.map
-      (fun tel ->
-        let engine = Alert.create tel.rules in
-        let iv = tel.scrape_interval_us in
-        (* Own the name: a previous run in this process may have
-           registered it with a different interval or capacity. *)
-        let mk kind name =
-          Series.remove name;
-          Series.create ~buckets:tel.series_buckets ~kind ~interval_us:iv name
-        in
-        let completed_s = mk Series.Rate "sysim.completed.rate" in
-        let rejected_s = mk Series.Rate "sysim.rejected.rate" in
-        let retried_s = mk Series.Rate "sysim.retried.rate" in
-        let slo_s = mk Series.Rate "sysim.slo_missed.rate" in
-        let queue_s = mk Series.Gauge "sysim.queue_depth" in
-        let down_s = mk Series.Gauge "sysim.nodes_down" in
-        sojourn_s := Some (mk (Series.Quantile 0.99) "sysim.sojourn_us.p99");
-        let tenant_series =
-          List.map
-            (fun (_, t) ->
-              let lbl = [ ("tenant", t.tt_name) ] in
-              let mk_l kind name =
-                Series.remove (Obs.Labels.key name lbl);
-                Series.create_labeled ~buckets:tel.series_buckets ~kind
-                  ~interval_us:iv name lbl
-              in
-              ( t,
-                mk_l Series.Rate "sysim.tenant.completed.rate",
-                ref 0,
-                mk_l Series.Rate "sysim.tenant.slo_missed.rate",
-                ref 0 ))
-            tallies
-        in
-        let lc = ref 0 and lr = ref 0 and lt = ref 0 and ls = ref 0 in
-        start_scrape_loop sim ~interval_us:iv (fun ~now_us ->
-            incr scrapes;
-            Series.observe completed_s ~now_us (scrape_delta completed lc);
-            Series.observe rejected_s ~now_us (scrape_delta rejected lr);
-            Series.observe retried_s ~now_us (scrape_delta retried lt);
-            Series.observe slo_s ~now_us (scrape_delta slo_misses ls);
-            Series.observe queue_s ~now_us (float_of_int (Queue.length queue));
-            Series.observe down_s ~now_us (float_of_int (Hashtbl.length down));
-            List.iter
-              (fun (t, cs, lc', ss, ls') ->
-                Series.observe cs ~now_us (float_of_int (t.tt_completed - !lc'));
-                lc' := t.tt_completed;
-                Series.observe ss ~now_us (float_of_int (t.tt_slo_misses - !ls'));
-                ls' := t.tt_slo_misses)
-              tenant_series;
-            Alert.eval engine ~now_us);
-        engine)
-      cfg.telemetry
+    start_telemetry run
+      ~queue_depth:(fun () -> Queue.length queue)
+      ~probes:
+        [
+          Delta ("sysim.retried.rate", [], fun () -> !retried);
+          Level ("sysim.nodes_down", fun () -> Hashtbl.length down);
+        ]
   in
-  let reject (p : pending) =
-    incr rejected;
-    Obs.Counter.incr rejected_c;
-    (match tally_of p.task.Genset.tenant with
-    | Some t -> t.tt_rejected <- t.tt_rejected + 1
-    | None -> ());
-    Obs.Trace.task Obs.Trace.Reject p.task.Genset.task_id ~retries:p.retries
-      ~label:p.accel
-  in
+  let reject (p : pending) = reject run p.task ~retries:p.retries ~label:p.accel () in
   let rec try_start () =
     if not (Queue.is_empty queue) then begin
       let p = Queue.peek queue in
-      let tenant = if multi then Some p.task.Genset.tenant else None in
+      let tenant = if run.multi then Some p.task.Genset.tenant else None in
       match Runtime.deploy ?tenant runtime ~accel:p.accel with
       | Error _ ->
         (* The head blocks the FIFO queue to avoid starvation — but a
@@ -792,8 +960,6 @@ and run_untraced ~registry cfg =
         ignore (Queue.pop queue);
         let now = Sim.now sim in
         let node, kind = deployment_dims d in
-        Obs.Trace.task Obs.Trace.Deploy p.task.Genset.task_id ?node
-          ~deployment:d.Runtime.id ~retries:p.retries ~label:p.accel;
         (* Two wait views: end-to-end (from the task's original
            arrival to the deployment that actually completes, so a
            crash retry accumulates every round of queueing into one
@@ -803,72 +969,42 @@ and run_untraced ~registry cfg =
         let wait = now -. p.task.Genset.arrival_us in
         let attempt_wait = now -. p.ready_us in
         attempt_waits := attempt_wait :: !attempt_waits;
-        Obs.Histogram.observe wait_attempt_h attempt_wait;
         let service =
           d.Runtime.reconfig_us
           +. (float_of_int cfg.repeats_per_task
              *. service_latency_us ~policy:cfg.policy
-                  ~added_latency_us:(Network.added_latency_us cluster.Cluster.network)
+                  ~added_latency_us:(Network.added_latency_us network)
                   p.task.Genset.point d)
         in
-        services := service :: !services;
-        Obs.Histogram.observe service_h service;
-        Obs.Trace.task Obs.Trace.Service p.task.Genset.task_id ?node
-          ~deployment:d.Runtime.id ~retries:p.retries ~label:p.accel;
+        start run p.task ~attempt_wait ~service ?node ~deployment:d.Runtime.id
+          ~retries:p.retries ~label:p.accel ();
         let fl = { pend = p; depl = d; cancelled = false } in
         let fe = Flight_table.add inflight fl ~nodes:(Runtime.nodes_used d) in
         Sim.schedule sim ~delay:service (fun () ->
             if not fl.cancelled then begin
               Flight_table.remove inflight fe;
               Runtime.undeploy runtime d;
-              incr completed;
               if Hashtbl.length down > 0 then incr completed_in_outage;
-              Obs.Counter.incr completed_c;
-              (match node with
-              | Some n -> Obs.Counter.incr (completed_node n)
-              | None -> ());
-              waits := wait :: !waits;
-              Obs.Histogram.observe wait_h wait;
-              let finished = Sim.now sim in
-              let sojourn = finished -. p.task.Genset.arrival_us in
-              latencies := sojourn :: !latencies;
-              Obs.Histogram.observe sojourn_h sojourn;
-              (match !sojourn_s with
-              | Some s -> Series.observe s ~now_us:finished sojourn
-              | None -> ());
-              Obs.Histogram.observe (sojourn_kind kind) sojourn;
-              (match node with
-              | Some n -> Obs.Histogram.observe (sojourn_kind_node kind n) sojourn
-              | None -> ());
-              Obs.Trace.task Obs.Trace.Complete p.task.Genset.task_id ?node
-                ~deployment:d.Runtime.id ~retries:p.retries ~label:p.accel;
+              run.waits <- wait :: run.waits;
+              Obs.Histogram.observe run.wait_h wait;
               (* SLO: a task should finish within slo_multiplier x its
                  unqueued service time. *)
-              let missed = sojourn > cfg.slo_multiplier *. service in
-              if missed then begin
-                incr slo_misses;
-                Obs.Counter.incr slo_miss_c
-              end;
-              (match tally_of p.task.Genset.tenant with
-              | Some t ->
-                t.tt_completed <- t.tt_completed + 1;
-                t.tt_latencies <- sojourn :: t.tt_latencies;
-                if missed then t.tt_slo_misses <- t.tt_slo_misses + 1;
-                Obs.Counter.incr t.tt_completed_c
+              let sojourn =
+                complete run p.task ~finished:(Sim.now sim)
+                  ~deadline_us:(cfg.slo_multiplier *. service)
+                  ?node ~kind ~deployment:d.Runtime.id ~retries:p.retries
+                  ~label:p.accel ()
+              in
+              (match node with
+              | Some n ->
+                Obs.Histogram.observe
+                  (memo sojourn_kind_node_hs (kind, n) sojourn_of_kind_node)
+                  sojourn
               | None -> ());
-              makespan := Float.max !makespan finished;
               try_start ()
             end);
         try_start ()
     end
-  in
-  (* Move re-queued tasks to the queue's front: they are the oldest
-     work and FIFO order must survive a retry. *)
-  let requeue_front ps =
-    let tmp = Queue.create () in
-    List.iter (fun p -> Queue.add p tmp) ps;
-    Queue.transfer queue tmp;
-    Queue.transfer tmp queue
   in
   let max_retries =
     match cfg.faults with Some f -> f.max_retries | None -> 0
@@ -909,7 +1045,7 @@ and run_untraced ~registry cfg =
         Obs.Trace.task Obs.Trace.Retry fl.pend.task.Genset.task_id ~node
           ~retries:fl.pend.retries ~label:fl.pend.accel)
       again;
-    requeue_front (List.map (fun fl -> fl.pend) again);
+    push_front queue (List.map (fun fl -> fl.pend) again);
     List.iter (fun fl -> reject fl.pend) exhausted;
     try_start ()
   in
@@ -926,48 +1062,39 @@ and run_untraced ~registry cfg =
     end;
     try_start ()
   in
-  let on_degrade us = Network.set_added_latency_us cluster.Cluster.network us in
+  let on_degrade us = Network.set_added_latency_us network us in
   List.iter
     (fun (task : Genset.task) ->
       Sim.schedule_at sim ~at:task.Genset.arrival_us (fun () ->
-          Obs.Counter.incr arrived_c;
-          (match tally_of task.Genset.tenant with
-          | Some t -> t.tt_arrived <- t.tt_arrived + 1
-          | None -> ());
-          let accel = accel_of_point task.Genset.point in
-          Obs.Trace.task Obs.Trace.Arrive task.Genset.task_id ~label:accel;
+          let accel = arrive run task in
           Queue.add
             { task; accel; retries = 0; ready_us = task.Genset.arrival_us }
             queue;
           Obs.Trace.task Obs.Trace.Queue task.Genset.task_id ~label:accel;
-          peak_queue := max !peak_queue (Queue.length queue);
+          run.peak_queue <- max run.peak_queue (Queue.length queue);
           try_start ()))
-    tasks;
+    run.tasks;
   (match cfg.faults with
   | None -> ()
   | Some f ->
-    (match Fault_plan.validate f.plan ~nodes:(Cluster.node_count cluster) with
+    (match Fault_plan.validate f.plan ~nodes:(Cluster.node_count run.cluster) with
     | Ok () -> ()
     | Error e -> invalid_arg ("Sysim.run: " ^ e));
     Fault_plan.schedule f.plan sim ~on_crash ~on_restore ~on_degrade);
-  let loop_t0 = Obs.wall_us () in
-  Sim.run sim;
-  let loop_wall_s = (Obs.wall_us () -. loop_t0) /. 1e6 in
-  (* Tasks still queued when the events drained could not be served
-     (e.g. a crash that was never restored): reject them so every
-     task is accounted for instead of silently starving. *)
-  Queue.iter reject queue;
-  Queue.clear queue;
-  (match !outage_start with
-  | Some t0 ->
-    outages := (t0, Sim.now sim) :: !outages;
-    outage_start := None
-  | None -> ());
-  let lost = ntasks - !completed - !rejected in
-  if lost > 0 then
-    Obs.Counter.add (Obs.Counter.get "sysim.tasks.lost") lost;
-  let mean xs = Mlv_util.Stats.mean xs in
-  let p50, p95, p99 = latency_percentiles !latencies in
+  let r =
+    finish run alerts ~leftovers:(fun () ->
+        (* Tasks still queued when the events drained could not be
+           served (e.g. a crash that was never restored): reject them
+           so every task is accounted for instead of silently
+           starving. *)
+        Queue.iter reject queue;
+        Queue.clear queue;
+        match !outage_start with
+        | Some t0 ->
+          outages := (t0, Sim.now sim) :: !outages;
+          outage_start := None
+        | None -> ())
+  in
   let fault_downtime_us =
     List.fold_left (fun acc (t0, t1) -> acc +. (t1 -. t0)) 0.0 !outages
   in
@@ -976,107 +1103,36 @@ and run_untraced ~registry cfg =
      overlapping it. *)
   let downtime_in_makespan =
     List.fold_left
-      (fun acc (t0, t1) -> acc +. Float.max 0.0 (Float.min t1 !makespan -. t0))
+      (fun acc (t0, t1) -> acc +. Float.max 0.0 (Float.min t1 run.makespan -. t0))
       0.0 !outages
   in
   let fault_free_throughput_per_s =
-    let up_time = !makespan -. downtime_in_makespan in
-    if fault_downtime_us = 0.0 then
-      if !makespan > 0.0 then float_of_int !completed /. (!makespan /. 1e6) else 0.0
-    else if up_time > 0.0 then
-      float_of_int (!completed - !completed_in_outage) /. (up_time /. 1e6)
-    else 0.0
+    if fault_downtime_us = 0.0 then r.throughput_per_s
+    else
+      let up_time = run.makespan -. downtime_in_makespan in
+      if up_time > 0.0 then
+        float_of_int (run.completed - !completed_in_outage) /. (up_time /. 1e6)
+      else 0.0
   in
   {
-    completed = !completed;
+    r with
     retried = !retried;
-    rejected = !rejected;
-    shed = 0;
-    lost;
-    makespan_us = !makespan;
-    throughput_per_s =
-      (if !makespan > 0.0 then float_of_int !completed /. (!makespan /. 1e6) else 0.0);
-    goodput_per_s =
-      (if !makespan > 0.0 then
-         float_of_int (!completed - !slo_misses) /. (!makespan /. 1e6)
-       else 0.0);
     fault_downtime_us;
     fault_free_throughput_per_s;
-    mean_latency_us = mean !latencies;
-    mean_wait_us = mean !waits;
     wait_attempts = List.length !attempt_waits;
-    mean_wait_per_attempt_us = mean !attempt_waits;
-    mean_service_us = mean !services;
-    p50_latency_us = p50;
-    p95_latency_us = p95;
-    p99_latency_us = p99;
-    peak_queue = !peak_queue;
-    latencies_us = List.rev !latencies;
-    slo_misses = !slo_misses;
-    batches = 0;
-    scale_ups = 0;
-    scale_downs = 0;
-    preempted = 0;
-    preemptions = 0;
-    defrag_moves = 0;
-    cache_hits = fst (cache_stats runtime);
-    cache_misses = snd (cache_stats runtime);
-    sessions_opened = 0;
-    sessions_expired = 0;
-    sticky_hits = 0;
-    sticky_misses = 0;
-    held_results = 0;
-    mapcache_hits = 0;
-    mapcache_misses = 0;
-    mapcache_evictions = 0;
-    per_tenant = tenant_stats_of ~makespan_us:!makespan tallies;
-    scrapes = !scrapes;
-    alert_transitions =
-      (match alerts with Some e -> Alert.transitions e | None -> []);
-    loop_wall_s;
+    mean_wait_per_attempt_us = Mlv_util.Stats.mean !attempt_waits;
   }
 
 (* Closed-loop serving: admission gate -> batcher -> router ->
    replicas, with an optional autoscaler control loop on the sim
    clock.  Fault plans are rejected up front (see [run]); every task
-   ends as completed, shed or rejected. *)
-and run_serving ~registry cfg serving =
-  let cluster = Cluster.create ~kinds:cfg.cluster_kinds () in
-  let cache =
-    Option.map (fun capacity -> Bitstream.Cache.create ~capacity ()) cfg.bitstream_cache
-  in
-  let runtime = Runtime.create ~policy:cfg.policy ?cache cluster registry in
-  let sim = cluster.Cluster.sim in
-  let rng = Rng.create cfg.seed in
-  (* Same hoist as [run_untraced]: per-task/per-batch emit sites use
-     direct metric handles instead of string-keyed registry lookups. *)
-  let rejected_c = Obs.Counter.get "sysim.tasks.rejected" in
-  let completed_c = Obs.Counter.get "sysim.tasks.completed" in
-  let arrived_c = Obs.Counter.get "sysim.tasks.arrived" in
-  let slo_miss_c = Obs.Counter.get "sysim.slo_misses" in
+   ends as completed, shed, rejected or preempted. *)
+let run_serving run serving =
+  let cfg = run.cfg and sim = run.sim and runtime = run.runtime in
+  let registry = Runtime.registry runtime in
   let batches_c = Obs.Counter.get "sysim.serving.batches" in
   let shed_c = Obs.Counter.get "sysim.serving.shed" in
-  let wait_attempt_h = Obs.Histogram.get "sysim.task_wait_attempt_us" in
-  let service_h = Obs.Histogram.get "sysim.task_service_us" in
-  let wait_h = Obs.Histogram.get "sysim.task_wait_us" in
-  let sojourn_h = Obs.Histogram.get "sysim.task_sojourn_us" in
-  (* Accelerator names are a pure function of the instance size; see
-     the identical cache in [run_untraced]. *)
-  let accel_names : (int, string) Hashtbl.t = Hashtbl.create 16 in
-  let accel_of_point point =
-    let tiles = instance_for ~policy:cfg.policy point in
-    match Hashtbl.find_opt accel_names tiles with
-    | Some s -> s
-    | None ->
-      let s = Framework.accel_name ~tiles in
-      Hashtbl.replace accel_names tiles s;
-      s
-  in
-  let tasks = generate_tasks ~rng cfg in
-  let ntasks = task_count cfg in
-  let multi = cfg.tenants <> [] in
-  let tallies = make_tallies cfg in
-  let tally_of tenant = if multi then List.assoc_opt tenant tallies else None in
+  let multi = run.multi in
   let gate = Slo.create serving.classes in
   (match serving.tenant_pool with
   | None -> ()
@@ -1114,18 +1170,12 @@ and run_serving ~registry cfg serving =
   (* Shape signatures are a pure function of the registered plan;
      memoized so the admission path pays one hash lookup. *)
   let shape_sigs : (string, string) Hashtbl.t = Hashtbl.create 16 in
-  let shape_sig_of accel =
-    match Hashtbl.find_opt shape_sigs accel with
-    | Some s -> s
-    | None ->
-      let s =
-        match Registry.plan registry accel with
-        | Some p -> Mapdb.shape_signature p
-        | None -> accel
-      in
-      Hashtbl.replace shape_sigs accel s;
-      s
+  let shape_sig accel =
+    match Registry.plan registry accel with
+    | Some p -> Mapdb.shape_signature p
+    | None -> accel
   in
+  let shape_sig_of accel = memo shape_sigs accel shape_sig in
   (* Interned lazily: a run that never preempts registers no
      preemption metrics. *)
   let preempted_task_c = lazy (Obs.Counter.get "sysim.serving.preempted") in
@@ -1137,38 +1187,28 @@ and run_serving ~registry cfg serving =
   in
   let router = Router.create () in
   let groups : (string, sgroup) Hashtbl.t = Hashtbl.create 8 in
-  (* Group names ascending, maintained on creation (groups are never
+  (* Groups by name ascending, maintained on creation (groups are never
      destroyed): decisions iterate groups in this order, never in
      Hashtbl order, to stay deterministic. *)
-  let sorted_keys = ref [] in
-  let insert_key k =
+  let sorted_groups = ref [] in
+  let insert_group g =
     let rec ins = function
-      | [] -> [ k ]
-      | x :: rest as l -> if k < x then k :: l else x :: ins rest
+      | [] -> [ g ]
+      | x :: rest as l -> if g.g_accel < x.g_accel then g :: l else x :: ins rest
     in
-    sorted_keys := ins !sorted_keys
+    sorted_groups := ins !sorted_groups
   in
   (* Groups whose backlog is non-empty: the per-completion pump only
      looks at these instead of sweeping every group. *)
   let starved : (string, unit) Hashtbl.t = Hashtbl.create 8 in
   let busy_count = ref 0 in
   let next_replica_id = ref 0 in
-  let completed = ref 0 in
-  let rejected = ref 0 in
-  let shed = ref 0 in
-  let preempted = ref 0 in
   let preemptions = ref 0 in
   let defrag_moves = ref 0 in
   let arrivals_in = ref 0 in
   let scale_ups = ref 0 in
   let scale_downs = ref 0 in
-  let latencies = ref [] in
-  let waits = ref [] in
-  let services = ref [] in
-  let slo_misses = ref 0 in
-  let makespan = ref 0.0 in
   let queued = ref 0 in
-  let peak_queue = ref 0 in
   let group_of accel =
     match Hashtbl.find_opt groups accel with
     | Some g -> g
@@ -1200,73 +1240,27 @@ and run_serving ~registry cfg serving =
         }
       in
       Hashtbl.replace groups accel g;
-      insert_key accel;
+      insert_group g;
       g
   in
-  (* Optional scrape loop; the serving twin of the open-loop setup.
-     The autoscaler tick additionally samples its observed backlog
-     into [sysim.autoscale.backlog] (see the tick below). *)
-  let scrapes = ref 0 in
-  let sojourn_s = ref None in
-  let autoscale_backlog_s = ref None in
   let alerts =
+    start_telemetry run
+      ~queue_depth:(fun () -> !queued)
+      ~probes:
+        [
+          Delta ("sysim.shed.rate", [], fun () -> run.shed);
+          Level
+            ( "sysim.replicas",
+              fun () ->
+                List.fold_left
+                  (fun acc g -> acc + List.length g.g_replicas)
+                  0 !sorted_groups );
+        ]
+  in
+  (* The autoscaler tick samples its observed backlog here. *)
+  let autoscale_backlog_s =
     Option.map
-      (fun tel ->
-        let engine = Alert.create tel.rules in
-        let iv = tel.scrape_interval_us in
-        (* Own the name: a previous run in this process may have
-           registered it with a different interval or capacity. *)
-        let mk kind name =
-          Series.remove name;
-          Series.create ~buckets:tel.series_buckets ~kind ~interval_us:iv name
-        in
-        let completed_s = mk Series.Rate "sysim.completed.rate" in
-        let rejected_s = mk Series.Rate "sysim.rejected.rate" in
-        let shed_s = mk Series.Rate "sysim.shed.rate" in
-        let slo_s = mk Series.Rate "sysim.slo_missed.rate" in
-        let queue_s = mk Series.Gauge "sysim.queue_depth" in
-        let replicas_s = mk Series.Gauge "sysim.replicas" in
-        sojourn_s := Some (mk (Series.Quantile 0.99) "sysim.sojourn_us.p99");
-        autoscale_backlog_s := Some (mk Series.Gauge "sysim.autoscale.backlog");
-        let tenant_series =
-          List.map
-            (fun (_, t) ->
-              let lbl = [ ("tenant", t.tt_name) ] in
-              let mk_l kind name =
-                Series.remove (Obs.Labels.key name lbl);
-                Series.create_labeled ~buckets:tel.series_buckets ~kind
-                  ~interval_us:iv name lbl
-              in
-              ( t,
-                mk_l Series.Rate "sysim.tenant.completed.rate",
-                ref 0,
-                mk_l Series.Rate "sysim.tenant.slo_missed.rate",
-                ref 0 ))
-            tallies
-        in
-        let lc = ref 0 and lr = ref 0 and lsh = ref 0 and ls = ref 0 in
-        start_scrape_loop sim ~interval_us:iv (fun ~now_us ->
-            incr scrapes;
-            Series.observe completed_s ~now_us (scrape_delta completed lc);
-            Series.observe rejected_s ~now_us (scrape_delta rejected lr);
-            Series.observe shed_s ~now_us (scrape_delta shed lsh);
-            Series.observe slo_s ~now_us (scrape_delta slo_misses ls);
-            Series.observe queue_s ~now_us (float_of_int !queued);
-            Series.observe replicas_s ~now_us
-              (float_of_int
-                 (List.fold_left
-                    (fun acc k ->
-                      acc + List.length (Hashtbl.find groups k).g_replicas)
-                    0 !sorted_keys));
-            List.iter
-              (fun (t, cs, lc', ss, ls') ->
-                Series.observe cs ~now_us (float_of_int (t.tt_completed - !lc'));
-                lc' := t.tt_completed;
-                Series.observe ss ~now_us (float_of_int (t.tt_slo_misses - !ls'));
-                ls' := t.tt_slo_misses)
-              tenant_series;
-            Alert.eval engine ~now_us);
-        engine)
+      (fun tel -> own_series tel Series.Gauge "sysim.autoscale.backlog" [])
       cfg.telemetry
   in
   let backlog_push g batch =
@@ -1281,23 +1275,20 @@ and run_serving ~registry cfg serving =
     b
   in
   let reject_stask ~accel (st : stask) =
-    incr rejected;
     decr queued;
-    Obs.Counter.incr rejected_c;
-    (match tally_of st.s_task.Genset.tenant with
-    | Some t -> t.tt_rejected <- t.tt_rejected + 1
-    | None -> ());
     (* A rejected seq must not block its session's in-order stream. *)
     (match (sessions, st.s_session) with
     | Some stbl, Some sess ->
       Session.skip stbl sess ~seq:st.s_seq ~now_us:(Sim.now sim)
     | _ -> ());
-    Obs.Trace.task Obs.Trace.Reject st.s_task.Genset.task_id ~retries:0
-      ~label:accel
+    reject run st.s_task ~label:accel ()
+  in
+  let reject_batches ~accel q =
+    Queue.iter (List.iter (reject_stask ~accel)) q;
+    Queue.clear q
   in
   let reject_backlog g =
-    Queue.iter (fun b -> List.iter (reject_stask ~accel:g.g_accel) b) g.g_backlog;
-    Queue.clear g.g_backlog;
+    reject_batches ~accel:g.g_accel g.g_backlog;
     g.g_backlog_tasks <- 0;
     Hashtbl.remove starved g.g_accel
   in
@@ -1307,10 +1298,9 @@ and run_serving ~registry cfg serving =
      starved group cannot deploy. *)
   let reclaim_candidate ~excluding =
     List.fold_left
-      (fun best k ->
-        if k = excluding then best
+      (fun best g' ->
+        if g'.g_accel = excluding then best
         else
-          let g' = Hashtbl.find groups k in
           List.fold_left
             (fun best r ->
               if not (is_idle r) then best
@@ -1319,7 +1309,7 @@ and run_serving ~registry cfg serving =
                 | Some (_, br) when br.r_idle_since <= r.r_idle_since -> best
                 | _ -> Some (g', r))
             best g'.g_replicas)
-      None !sorted_keys
+      None !sorted_groups
   in
   let remove_replica g r =
     Router.remove_replica router ~key:g.g_accel ~replica_id:r.r_id;
@@ -1340,10 +1330,6 @@ and run_serving ~registry cfg serving =
         r_idle_since = Sim.now sim;
         r_epoch = 0;
         r_inflight = [];
-        r_node = None;
-        r_kind = "";
-        r_completed_c = None;
-        r_sojourn_h = None;
       }
     in
     Router.add_replica router ~key:g.g_accel ~replica_id:id ~weight:1.0;
@@ -1376,19 +1362,12 @@ and run_serving ~registry cfg serving =
       else if reclaim_candidate ~excluding:g.g_accel = None then `Dead
       else `Full
   in
-  (* Push batches at the FRONT of the backlog: a preempted victim's
-     queued work is its oldest, and FIFO order must survive the
-     eviction. *)
+  (* A preempted victim's queued batches are its oldest work: they go
+     to the front of the backlog. *)
   let backlog_push_front g batches =
     if batches <> [] then begin
-      let tmp = Queue.create () in
-      List.iter
-        (fun b ->
-          Queue.add b tmp;
-          g.g_backlog_tasks <- g.g_backlog_tasks + List.length b)
-        batches;
-      Queue.transfer g.g_backlog tmp;
-      Queue.transfer tmp g.g_backlog;
+      List.iter (fun b -> g.g_backlog_tasks <- g.g_backlog_tasks + List.length b) batches;
+      push_front g.g_backlog batches;
       Hashtbl.replace starved g.g_accel ()
     end
   in
@@ -1398,11 +1377,8 @@ and run_serving ~registry cfg serving =
      (the deterministic tie-break). *)
   let preempt_candidate ~excluding ~prio =
     List.fold_left
-      (fun best k ->
-        if k = excluding then best
-        else
-          let g' = Hashtbl.find groups k in
-          if g'.g_priority >= prio then best
+      (fun best g' ->
+        if g'.g_accel = excluding || g'.g_priority >= prio then best
           else
             List.fold_left
               (fun best r ->
@@ -1414,7 +1390,7 @@ and run_serving ~registry cfg serving =
                 | Some (bkey, _, _) when bkey <= key -> best
                 | _ -> Some (key, g', r))
               best g'.g_replicas)
-      None !sorted_keys
+      None !sorted_groups
   in
   (* Evict a victim replica: cancel its in-flight batch (those tasks
      are preempted losses, closing the per-tenant identity
@@ -1428,13 +1404,13 @@ and run_serving ~registry cfg serving =
       decr busy_count;
       List.iter
         (fun (st : stask) ->
-          incr preempted;
+          run.preempted <- run.preempted + 1;
           Obs.Counter.incr (Lazy.force preempted_task_c);
           (match (sessions, st.s_session) with
           | Some stbl, Some sess ->
             Session.skip stbl sess ~seq:st.s_seq ~now_us:now
           | _ -> ());
-          match tally_of st.s_task.Genset.tenant with
+          match tally_of run st.s_task.Genset.tenant with
           | Some t -> t.tt_preempted <- t.tt_preempted + 1
           | None -> ())
         r.r_inflight;
@@ -1457,19 +1433,13 @@ and run_serving ~registry cfg serving =
      scratch clone of the configured cluster and memoized. *)
   let feasible_cache : (string, bool) Hashtbl.t = Hashtbl.create 8 in
   let feasible accel =
-    match Hashtbl.find_opt feasible_cache accel with
-    | Some b -> b
-    | None ->
-      let scratch =
-        Runtime.create ~policy:cfg.policy
-          (Cluster.create ~kinds:cfg.cluster_kinds ())
-          registry
-      in
-      let b =
-        match Runtime.deploy scratch ~accel with Ok _ -> true | Error _ -> false
-      in
-      Hashtbl.replace feasible_cache accel b;
-      b
+    memo feasible_cache accel (fun accel ->
+        let scratch =
+          Runtime.create ~policy:cfg.policy
+            (Cluster.create ~kinds:cfg.cluster_kinds ())
+            registry
+        in
+        match Runtime.deploy scratch ~accel with Ok _ -> true | Error _ -> false)
   in
   (* Admission with preemption: when the mapper refuses and the
      demanding batch carries tenant priority, evict lower-priority
@@ -1514,25 +1484,6 @@ and run_serving ~registry cfg serving =
     g.g_assigned_tasks <- g.g_assigned_tasks + n;
     Queue.add batch r.r_queue
   in
-  (* Refresh the replica's cached labeled handles when the deployment
-     dims changed (consolidation migrates idle replicas); the counter
-     is created before the histogram to keep registry creation order
-     identical to the per-completion lookups this replaces. *)
-  let replica_handles r node kind =
-    if r.r_sojourn_h = None || r.r_node <> node || r.r_kind <> kind then begin
-      r.r_node <- node;
-      r.r_kind <- kind;
-      r.r_completed_c <-
-        (match node with
-        | Some n ->
-          Some
-            (Obs.Counter.get_labeled "sysim.tasks.completed"
-               [ ("node", string_of_int n) ])
-        | None -> None);
-      r.r_sojourn_h <-
-        Some (Obs.Histogram.get_labeled "sysim.task_sojourn_us" [ ("kind", kind) ])
-    end
-  in
   let rec start_replica g r =
     if (not r.r_busy) && not (Queue.is_empty r.r_queue) then begin
       let batch = Queue.pop r.r_queue in
@@ -1544,7 +1495,7 @@ and run_serving ~registry cfg serving =
       let now = Sim.now sim in
       let d = r.r_depl in
       let node, kind = deployment_dims d in
-      let added = Network.added_latency_us cluster.Cluster.network in
+      let added = Network.added_latency_us run.cluster.Cluster.network in
       let reconfig = if r.r_fresh then d.Runtime.reconfig_us else 0.0 in
       r.r_fresh <- false;
       let n = List.length batch in
@@ -1564,27 +1515,19 @@ and run_serving ~registry cfg serving =
       List.iter2
         (fun st svc ->
           decr queued;
-          let id = st.s_task.Genset.task_id in
-          Obs.Trace.task Obs.Trace.Deploy id ?node ~deployment:d.Runtime.id
-            ~retries:0 ~label:g.g_accel;
           (* No retries in serving mode: per-attempt and end-to-end
              waits coincide. *)
           let wait = now -. st.s_task.Genset.arrival_us in
-          waits := wait :: !waits;
-          Obs.Histogram.observe wait_h wait;
-          Obs.Histogram.observe wait_attempt_h
-            wait;
+          run.waits <- wait :: run.waits;
+          Obs.Histogram.observe run.wait_h wait;
           (* Reconfiguration (and compilation) amortizes across the
              batch. *)
           let task_service = svc +. ((reconfig +. compile) /. float_of_int n) in
-          services := task_service :: !services;
-          Obs.Histogram.observe service_h
-            task_service;
           (match g.g_pt with
           | Some pt -> Autoscaler.observe_service pt task_service
           | None -> ());
-          Obs.Trace.task Obs.Trace.Service id ?node ~deployment:d.Runtime.id
-            ~retries:0 ~label:g.g_accel)
+          start run st.s_task ~attempt_wait:wait ~service:task_service ?node
+            ~deployment:d.Runtime.id ~label:g.g_accel ())
         batch per_task;
       Sim.schedule sim ~delay:service (fun () ->
           (* A preemption during service bumped the epoch: the replica
@@ -1597,63 +1540,29 @@ and run_serving ~registry cfg serving =
           r.r_inflight <- [];
           r.r_idle_since <- finished;
           Router.end_work router ~key:g.g_accel ~replica_id:r.r_id n;
-          replica_handles r node kind;
-          let sojourn_kind_h =
-            match r.r_sojourn_h with Some h -> h | None -> assert false
-          in
           (* One task's result delivery.  Without sessions it runs
              inline at [finished]; with sessions it routes through the
              in-order stream, so a held result is delivered (and
              timed) at the releasing event's clock. *)
           let record (st : stask) svc ~finished =
-            incr completed;
-            Obs.Counter.incr completed_c;
-            (match r.r_completed_c with
-            | Some c -> Obs.Counter.incr c
-            | None -> ());
-            let sojourn = finished -. st.s_task.Genset.arrival_us in
-            latencies := sojourn :: !latencies;
-            Obs.Histogram.observe sojourn_h
-              sojourn;
-            (match !sojourn_s with
-            | Some s -> Series.observe s ~now_us:finished sojourn
-            | None -> ());
-            Obs.Histogram.observe sojourn_kind_h sojourn;
-            Autoscaler.observe_sojourn g.g_tracker sojourn;
-            Obs.Trace.task Obs.Trace.Complete st.s_task.Genset.task_id ?node
-              ~deployment:d.Runtime.id ~retries:0 ~label:g.g_accel;
             let task_service = svc +. ((reconfig +. compile) /. float_of_int n) in
-            let deadline =
+            let deadline_us =
               if st.s_deadline_us > 0.0 then st.s_deadline_us
               else cfg.slo_multiplier *. task_service
             in
-            let missed = sojourn > deadline in
-            if missed then begin
-              incr slo_misses;
-              Obs.Counter.incr slo_miss_c
-            end;
-            makespan := Float.max !makespan finished;
-            match tally_of st.s_task.Genset.tenant with
-            | Some t ->
-              t.tt_completed <- t.tt_completed + 1;
-              t.tt_latencies <- sojourn :: t.tt_latencies;
-              if missed then t.tt_slo_misses <- t.tt_slo_misses + 1;
-              Obs.Counter.incr t.tt_completed_c
-            | None -> ()
+            Autoscaler.observe_sojourn g.g_tracker
+              (complete run st.s_task ~finished ~deadline_us ?node ~kind
+                 ~deployment:d.Runtime.id ~label:g.g_accel ())
           in
-          (match sessions with
-          | None ->
-            List.iter2 (fun st svc -> record st svc ~finished) batch per_task
-          | Some stbl ->
-            List.iter2
-              (fun st svc ->
-                match st.s_session with
-                | Some sess ->
-                  Session.complete stbl sess ~seq:st.s_seq ~now_us:finished
-                    (fun ~now_us -> record st svc ~finished:now_us)
-                | None -> record st svc ~finished)
-              batch per_task);
-          makespan := Float.max !makespan finished;
+          List.iter2
+            (fun st svc ->
+              match (sessions, st.s_session) with
+              | Some stbl, Some sess ->
+                Session.complete stbl sess ~seq:st.s_seq ~now_us:finished
+                  (fun ~now_us -> record st svc ~finished:now_us)
+              | _ -> record st svc ~finished)
+            batch per_task;
+          run.makespan <- Float.max run.makespan finished;
           if Queue.is_empty r.r_queue && not (Queue.is_empty g.g_backlog)
           then assign g r (backlog_pop g);
           start_replica g r;
@@ -1762,6 +1671,17 @@ and run_serving ~registry cfg serving =
             | Ok _ | Error _ -> ())
         g.g_replicas
   in
+  (* The defrag and session-expiry ticks must not keep the event queue
+     alive once no progress is possible — when every arrival has fired,
+     nothing is in flight and no batch is lingering, the remaining
+     backlog is permanently starved (e.g. its replica was preempted and
+     the fabric never frees up) and the run must drain so the leftovers
+     can be rejected. *)
+  let stalled () =
+    !arrivals_in >= run.ntasks && !busy_count = 0
+    && List.for_all (fun g -> Batcher.pending batcher ~key:g.g_accel = 0) !sorted_groups
+  in
+  let progressing () = unfinished run && not (stalled ()) in
   (match serving.autoscale with
   | None -> ()
   | Some acfg ->
@@ -1770,16 +1690,15 @@ and run_serving ~registry cfg serving =
         (fun acc (c : Slo.class_spec) -> min acc c.priority)
         max_int (Slo.classes gate)
     in
-    let rec tick () =
-      if !completed + !rejected + !shed + !preempted < ntasks then begin
+    every sim ~interval_us:acfg.interval_us ~live:(fun () -> unfinished run)
+      (fun () ->
         let now = Sim.now sim in
         let capacity_bound = ref false in
         let total_backlog = ref 0 in
         List.iter
-          (fun k ->
-            let g = Hashtbl.find groups k in
+          (fun g ->
             let backlog =
-              Batcher.pending batcher ~key:k + g.g_backlog_tasks
+              Batcher.pending batcher ~key:g.g_accel + g.g_backlog_tasks
               + g.g_assigned_tasks
             in
             total_backlog := !total_backlog + backlog;
@@ -1829,19 +1748,15 @@ and run_serving ~registry cfg serving =
               grow_n (max 1 (target - replicas))
             | Autoscaler.Scale_down -> scale_down g ~now
             | Autoscaler.Hold -> ())
-          !sorted_keys;
+          !sorted_groups;
         (* Capacity-bound: shed the lowest-priority class at the gate
            until a tick passes without an unsatisfied scale-up. *)
         if !capacity_bound && Slo.classes gate <> [] then
           Slo.set_shed_below gate (min_priority () + 1)
         else Slo.set_shed_below gate min_int;
-        (match !autoscale_backlog_s with
+        match autoscale_backlog_s with
         | Some s -> Series.observe s ~now_us:now (float_of_int !total_backlog)
-        | None -> ());
-        Sim.schedule sim ~delay:acfg.interval_us tick
-      end
-    in
-    Sim.schedule sim ~delay:acfg.interval_us tick);
+        | None -> ()));
   (* Background defragmentation: a periodic tick that compacts idle
      replicas when the fleet is quiet (no backlog anywhere) and the
      fragmentation index crosses the policy threshold.  In-flight
@@ -1853,34 +1768,18 @@ and run_serving ~registry cfg serving =
     let idle_deployments () =
       let ids = Hashtbl.create 16 in
       List.iter
-        (fun k ->
+        (fun g ->
           List.iter
             (fun r ->
               if is_idle r then Hashtbl.replace ids r.r_depl.Runtime.id ())
-            (Hashtbl.find groups k).g_replicas)
-        !sorted_keys;
+            g.g_replicas)
+        !sorted_groups;
       ids
     in
     let quiet () =
-      List.for_all
-        (fun k -> Queue.is_empty (Hashtbl.find groups k).g_backlog)
-        !sorted_keys
+      List.for_all (fun g -> Queue.is_empty g.g_backlog) !sorted_groups
     in
-    (* The tick must not keep the event queue alive once no progress
-       is possible — when every arrival has fired, nothing is in
-       flight and no batch is lingering, the remaining backlog is
-       permanently starved (e.g. its replica was preempted and the
-       fabric never frees up) and the run must drain so the leftovers
-       can be rejected. *)
-    let stalled () =
-      !arrivals_in >= ntasks && !busy_count = 0
-      && List.for_all
-           (fun k -> Batcher.pending batcher ~key:k = 0)
-           !sorted_keys
-    in
-    let rec dtick () =
-      if !completed + !rejected + !shed + !preempted < ntasks && not (stalled ())
-      then begin
+    every sim ~interval_us:dcfg.Defrag.interval_us ~live:progressing (fun () ->
         if quiet () && Defrag.should_run dcfg runtime then begin
           let ids = idle_deployments () in
           let pass =
@@ -1890,46 +1789,20 @@ and run_serving ~registry cfg serving =
               dcfg runtime
           in
           defrag_moves := !defrag_moves + pass.Defrag.moved
-        end;
-        Sim.schedule sim ~delay:dcfg.Defrag.interval_us dtick
-      end
-    in
-    Sim.schedule sim ~delay:dcfg.Defrag.interval_us dtick);
+        end));
   (* Session idle expiry rides its own tick at the configured timeout
-     period.  The guard mirrors the autoscale / defrag ticks so a
-     drained (or permanently starved) run terminates instead of the
-     tick keeping the event queue alive. *)
+     period, under the defrag tick's guard. *)
   (match (sessions, fe.sessions) with
   | Some stbl, Some scfg ->
-    let iv = scfg.Session.idle_timeout_us in
-    let stalled () =
-      !arrivals_in >= ntasks && !busy_count = 0
-      && List.for_all
-           (fun k -> Batcher.pending batcher ~key:k = 0)
-           !sorted_keys
-    in
-    let rec etick () =
-      if
-        !completed + !rejected + !shed + !preempted < ntasks
-        && not (stalled ())
-      then begin
-        ignore (Session.expire stbl ~now_us:(Sim.now sim));
-        Sim.schedule sim ~delay:iv etick
-      end
-    in
-    Sim.schedule sim ~delay:iv etick
+    every sim ~interval_us:scfg.Session.idle_timeout_us ~live:progressing (fun () ->
+        ignore (Session.expire stbl ~now_us:(Sim.now sim)))
   | _ -> ());
   List.iter
     (fun (task : Genset.task) ->
       Sim.schedule_at sim ~at:task.Genset.arrival_us (fun () ->
           incr arrivals_in;
-          Obs.Counter.incr arrived_c;
-          let tally = tally_of task.Genset.tenant in
-          (match tally with
-          | Some t -> t.tt_arrived <- t.tt_arrived + 1
-          | None -> ());
-          let accel = accel_of_point task.Genset.point in
-          Obs.Trace.task Obs.Trace.Arrive task.Genset.task_id ~label:accel;
+          let accel = arrive run task in
+          let tally = tally_of run task.Genset.tenant in
           let now = Sim.now sim in
           let cname = Sizes.name task.Genset.model_class in
           let verdict =
@@ -1940,7 +1813,7 @@ and run_serving ~registry cfg serving =
           in
           match verdict with
           | Slo.Shed_rate | Slo.Shed_priority | Slo.Shed_tenant ->
-            incr shed;
+            run.shed <- run.shed + 1;
             Obs.Counter.incr shed_c;
             (match tally with
             | Some t ->
@@ -1986,7 +1859,7 @@ and run_serving ~registry cfg serving =
               }
             in
             incr queued;
-            peak_queue := max !peak_queue !queued;
+            run.peak_queue <- max run.peak_queue !queued;
             Obs.Trace.task Obs.Trace.Queue task.Genset.task_id ~label:accel;
             let g = group_of accel in
             g.g_arrivals <- g.g_arrivals + 1;
@@ -2003,87 +1876,62 @@ and run_serving ~registry cfg serving =
                   | [] -> ()
                   | batch -> dispatch g batch)
             | Batcher.Joined -> ())))
-    tasks;
-  let loop_t0 = Obs.wall_us () in
-  Sim.run sim;
-  let loop_wall_s = (Obs.wall_us () -. loop_t0) /. 1e6 in
-  (* Whatever never reached a replica is rejected, and the warm pool
-     is torn down, so every task and every placement is accounted
-     for. *)
-  List.iter
-    (fun k ->
-      let g = Hashtbl.find groups k in
-      List.iter (reject_stask ~accel:k) (Batcher.drain batcher ~key:k);
-      reject_backlog g;
-      List.iter
-        (fun r ->
-          Queue.iter
-            (fun b -> List.iter (reject_stask ~accel:k) b)
-            r.r_queue;
-          Queue.clear r.r_queue;
-          Runtime.undeploy runtime r.r_depl)
-        g.g_replicas;
-      g.g_replicas <- [])
-    !sorted_keys;
-  let lost = ntasks - !completed - !rejected - !shed - !preempted in
-  if lost > 0 then Obs.Counter.add (Obs.Counter.get "sysim.tasks.lost") lost;
-  let mean xs = Mlv_util.Stats.mean xs in
-  let p50, p95, p99 = latency_percentiles !latencies in
-  let throughput =
-    if !makespan > 0.0 then float_of_int !completed /. (!makespan /. 1e6)
-    else 0.0
+    run.tasks;
+  let r =
+    finish run alerts ~leftovers:(fun () ->
+        (* Whatever never reached a replica is rejected, and the warm
+           pool is torn down, so every task and every placement is
+           accounted for. *)
+        List.iter
+          (fun g ->
+            let accel = g.g_accel in
+            List.iter (reject_stask ~accel) (Batcher.drain batcher ~key:accel);
+            reject_backlog g;
+            List.iter
+              (fun r ->
+                reject_batches ~accel r.r_queue;
+                Runtime.undeploy runtime r.r_depl)
+              g.g_replicas;
+            g.g_replicas <- [])
+          !sorted_groups)
   in
+  let session_stat f = match sessions with Some s -> f s | None -> 0 in
+  let mapcache_stat f = match mapcache with Some (mc, _) -> f mc | None -> 0 in
   {
-    completed = !completed;
-    retried = 0;
-    rejected = !rejected;
-    shed = !shed;
-    lost;
-    makespan_us = !makespan;
-    throughput_per_s = throughput;
-    goodput_per_s =
-      (if !makespan > 0.0 then
-         float_of_int (!completed - !slo_misses) /. (!makespan /. 1e6)
-       else 0.0);
-    fault_downtime_us = 0.0;
-    fault_free_throughput_per_s = throughput;
-    mean_latency_us = mean !latencies;
-    mean_wait_us = mean !waits;
-    wait_attempts = List.length !waits;
-    mean_wait_per_attempt_us = mean !waits;
-    mean_service_us = mean !services;
-    p50_latency_us = p50;
-    p95_latency_us = p95;
-    p99_latency_us = p99;
-    peak_queue = !peak_queue;
-    latencies_us = List.rev !latencies;
-    slo_misses = !slo_misses;
+    r with
     batches = Batcher.batches batcher;
     scale_ups = !scale_ups;
     scale_downs = !scale_downs;
-    preempted = !preempted;
     preemptions = !preemptions;
     defrag_moves = !defrag_moves;
-    cache_hits = fst (cache_stats runtime);
-    cache_misses = snd (cache_stats runtime);
-    sessions_opened =
-      (match sessions with Some s -> Session.opened s | None -> 0);
-    sessions_expired =
-      (match sessions with Some s -> Session.expired s | None -> 0);
-    sticky_hits =
-      (match sessions with Some s -> Session.sticky_hits s | None -> 0);
-    sticky_misses =
-      (match sessions with Some s -> Session.sticky_misses s | None -> 0);
-    held_results = (match sessions with Some s -> Session.held s | None -> 0);
-    mapcache_hits =
-      (match mapcache with Some (mc, _) -> Mapcache.hits mc | None -> 0);
-    mapcache_misses =
-      (match mapcache with Some (mc, _) -> Mapcache.misses mc | None -> 0);
-    mapcache_evictions =
-      (match mapcache with Some (mc, _) -> Mapcache.evictions mc | None -> 0);
-    per_tenant = tenant_stats_of ~makespan_us:!makespan tallies;
-    scrapes = !scrapes;
-    alert_transitions =
-      (match alerts with Some e -> Alert.transitions e | None -> []);
-    loop_wall_s;
+    sessions_opened = session_stat Session.opened;
+    sessions_expired = session_stat Session.expired;
+    sticky_hits = session_stat Session.sticky_hits;
+    sticky_misses = session_stat Session.sticky_misses;
+    held_results = session_stat Session.held;
+    mapcache_hits = mapcache_stat Mapcache.hits;
+    mapcache_misses = mapcache_stat Mapcache.misses;
+    mapcache_evictions = mapcache_stat Mapcache.evictions;
   }
+
+let run ~registry cfg =
+  (* A completed run releases its simulator's span clock — otherwise
+     the closure keeps the whole sim state live and stamps stale sim
+     times onto later, unrelated spans. *)
+  Fun.protect ~finally:Obs.clear_sim_clock (fun () ->
+      Obs.Span.with_ "sysim.run" (fun () ->
+          match cfg.serving with
+          | Some s ->
+            if cfg.faults <> None then
+              invalid_arg
+                "Sysim.run: serving mode does not compose with fault plans";
+            (match cfg.frontend with
+            | Some f when f.predict <> None && s.autoscale = None ->
+              invalid_arg
+                "Sysim.run: frontend.predict requires serving.autoscale"
+            | _ -> ());
+            run_serving (setup ~registry cfg) s
+          | None ->
+            if cfg.frontend <> None then
+              invalid_arg "Sysim.run: config.frontend requires serving mode";
+            run_open (setup ~registry cfg)))

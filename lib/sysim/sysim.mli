@@ -21,7 +21,7 @@
     [completed + rejected + shed + lost = tasks], with [lost > 0] only
     on an accounting bug.
 
-    With a {!serving} config the engine switches to a closed-loop
+    With a {!serving} config the simulator switches to a closed-loop
     elastic serving mode: arrivals pass an SLO admission gate
     (token-bucket per request class; sheds early instead of queueing
     unboundedly), admitted requests coalesce in a dynamic batcher, a
@@ -30,8 +30,8 @@
     optional autoscaler control loop grows and shrinks each group's
     replica set from queue depth and observed p99 sojourn —
     consolidating idle multi-piece replicas via forced migration when
-    load drops.  [serving = None] (the default) leaves the open-loop
-    engine untouched — results are bit-identical to builds without
+    load drops.  [serving = None] (the default) leaves the open loop
+    untouched — results are bit-identical to builds without
     the serving layer.  Serving mode does not compose with fault
     plans; {!run} raises [Invalid_argument] when both are set. *)
 
@@ -90,7 +90,7 @@ val default_serving : serving
     state into {!Mlv_obs.Series} rings every [scrape_interval_us] of
     simulated time and evaluates the alert [rules] against them.
 
-    Both engines publish [sysim.completed.rate], [sysim.rejected.rate],
+    Both loops publish [sysim.completed.rate], [sysim.rejected.rate],
     [sysim.slo_missed.rate], [sysim.queue_depth] and
     [sysim.sojourn_us.p99]; the open loop adds [sysim.retried.rate]
     and [sysim.nodes_down], serving mode adds [sysim.shed.rate],
@@ -167,7 +167,7 @@ type config = {
       (** [None] (the default) runs fault-free and is bit-identical to
           a build without the fault layer *)
   serving : serving option;
-      (** [None] (the default) keeps the open-loop engine *)
+      (** [None] (the default) keeps the open loop *)
   tenants : Genset.tenant_load list;
       (** non-empty: the workload is the merged multi-tenant stream of
           {!Genset.generate_tenants} and [tasks] is ignored in favour
@@ -190,7 +190,7 @@ type config = {
       (** play this exact recorded task stream (see
           {!Mlv_serve.Trace_file}) instead of generating one;
           overrides [composition] / [tasks] / [arrival] / [tenants]
-          task generation.  Both engines accept a replay *)
+          task generation.  Both loops accept a replay *)
 }
 
 (** [default_config ~policy ~composition] gives 120 tasks, 200 µs

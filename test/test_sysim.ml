@@ -397,46 +397,142 @@ let test_availability_acceptance () =
 
 module Obs = Mlv_obs.Obs
 
-let test_trace_closed_accounting () =
-  (* a faulted run with tracing on: every lifecycle count must close
-     against the run's own accounting, crash-requeue path included *)
-  let base = run Runtime.greedy 7 in
-  let plan =
-    Fault_plan.make
-      [
-        { Fault_plan.at = 0.3 *. base.Sysim.makespan_us; action = Fault_plan.Crash 1 };
-        { Fault_plan.at = 0.6 *. base.Sysim.makespan_us; action = Fault_plan.Restore 1 };
-      ]
-  in
-  let cfg = Sysim.default_config ~policy:Runtime.greedy ~composition:Genset.table1.(7) in
+(* Runs [cfg] with lifecycle tracing on from a clean registry and
+   returns the result and whether the Chrome trace export is valid
+   JSON; [Obs.Trace.count] then reads this run's events. *)
+let traced_run cfg =
   Obs.reset ();
   Fun.protect
     ~finally:(fun () -> Obs.Trace.set_enabled false)
     (fun () ->
       Obs.Trace.set_enabled true;
-      let r =
-        Sysim.run ~registry:(Lazy.force registry)
-          { cfg with Sysim.tasks = 40; faults = Some (Sysim.default_faults plan) }
+      let r = Sysim.run ~registry:(Lazy.force registry) cfg in
+      let json_ok =
+        Obs.Json.is_valid (Obs.Json.to_string (Obs.Trace.to_chrome_json ()))
       in
-      Alcotest.(check int) "arrive events = tasks" 40
-        (Obs.Trace.count Obs.Trace.Arrive);
-      Alcotest.(check int) "queue events = tasks" 40
-        (Obs.Trace.count Obs.Trace.Queue);
-      Alcotest.(check int) "complete events = completed" r.Sysim.completed
-        (Obs.Trace.count Obs.Trace.Complete);
-      Alcotest.(check int) "reject events = rejected" r.Sysim.rejected
-        (Obs.Trace.count Obs.Trace.Reject);
-      Alcotest.(check int) "retry events = retried" r.Sysim.retried
-        (Obs.Trace.count Obs.Trace.Retry);
-      Alcotest.(check bool) "crash interrupted in-flight work" true
-        (Obs.Trace.count Obs.Trace.Crash_interrupt > 0);
-      Alcotest.(check int) "deploy events = service events"
-        (Obs.Trace.count Obs.Trace.Deploy)
-        (Obs.Trace.count Obs.Trace.Service);
-      Alcotest.(check int) "fault marks on the timeline" 2
-        (Obs.Trace.count Obs.Trace.Mark);
-      Alcotest.(check int) "run accounting closes" 40
-        (r.Sysim.completed + r.Sysim.rejected + r.Sysim.lost))
+      (r, json_ok))
+
+let crash_restore_plan makespan_us =
+  Fault_plan.make
+    [
+      { Fault_plan.at = 0.3 *. makespan_us; action = Fault_plan.Crash 1 };
+      { Fault_plan.at = 0.6 *. makespan_us; action = Fault_plan.Restore 1 };
+    ]
+
+(* test_sched's preemption config (seed 3) plus a fair-share pool: two
+   tenants on two XCVU37P nodes, a best-effort tenant whose replicas
+   fill the fabric from t=0 and a priority tenant arriving later on
+   disjoint groups, so its bootstrap must evict; the pool sheds part of
+   the best-effort burst at the gate. *)
+let shed_preempt_config () =
+  let base =
+    Sysim.default_config ~policy:Runtime.greedy ~composition:Genset.table1.(2)
+  in
+  {
+    base with
+    Sysim.seed = 3;
+    cluster_kinds = [ Device.XCVU37P; Device.XCVU37P ];
+    tenants =
+      [
+        Genset.tenant_load ~priority:1 ~tasks:30
+          ~arrival:(Genset.Exponential { mean_us = 400.0 })
+          "gold";
+        Genset.tenant_load ~tasks:30 ~composition:Genset.table1.(1)
+          ~arrival:(Genset.Exponential { mean_us = 20.0 })
+          "bulk";
+      ];
+    serving =
+      Some
+        {
+          Sysim.default_serving with
+          Sysim.batch = Mlv_sched.Batcher.config ~max_batch:4 ~max_linger_us:100.0 ();
+          autoscale = None;
+          tenant_pool = Some (20_000.0, 8);
+          preempt = true;
+        };
+  }
+
+let test_trace_closed_accounting () =
+  (* Every lifecycle count must close against the run's own accounting,
+     and the trace export must be valid JSON, on three inputs. *)
+  let count = Obs.Trace.count in
+  (* 1. A faulted set-8 open loop: the crash-requeue path. *)
+  let base = run Runtime.greedy 7 in
+  let cfg = Sysim.default_config ~policy:Runtime.greedy ~composition:Genset.table1.(7) in
+  let r, json_ok =
+    traced_run
+      {
+        cfg with
+        Sysim.tasks = 40;
+        faults = Some (Sysim.default_faults (crash_restore_plan base.Sysim.makespan_us));
+      }
+  in
+  Alcotest.(check int) "arrive events = tasks" 40 (count Obs.Trace.Arrive);
+  Alcotest.(check int) "queue events = tasks" 40 (count Obs.Trace.Queue);
+  Alcotest.(check int) "complete events = completed" r.Sysim.completed
+    (count Obs.Trace.Complete);
+  Alcotest.(check int) "reject events = rejected" r.Sysim.rejected
+    (count Obs.Trace.Reject);
+  Alcotest.(check int) "retry events = retried" r.Sysim.retried
+    (count Obs.Trace.Retry);
+  Alcotest.(check bool) "crash interrupted in-flight work" true
+    (count Obs.Trace.Crash_interrupt > 0);
+  Alcotest.(check int) "deploy events = service events" (count Obs.Trace.Deploy)
+    (count Obs.Trace.Service);
+  Alcotest.(check int) "fault marks on the timeline" 2 (count Obs.Trace.Mark);
+  Alcotest.(check int) "run accounting closes" 40
+    (r.Sysim.completed + r.Sysim.rejected + r.Sysim.lost);
+  Alcotest.(check int) "nothing lost" 0 r.Sysim.lost;
+  Alcotest.(check bool) "trace JSON valid" true json_ok;
+  (* 2. Set 7, 30 tasks, node 1 crashed at 0.3 and restored at 0.6 of
+     the fault-free makespan: zero lost tasks under a single crash. *)
+  let tasks = 30 in
+  let cfg = Sysim.default_config ~policy:Runtime.greedy ~composition:Genset.table1.(6) in
+  let cfg = { cfg with Sysim.tasks } in
+  let base = Sysim.run ~registry:(Lazy.force registry) cfg in
+  let r, json_ok =
+    traced_run
+      {
+        cfg with
+        Sysim.faults = Some (Sysim.default_faults (crash_restore_plan base.Sysim.makespan_us));
+      }
+  in
+  Alcotest.(check int) "single crash: nothing lost" 0 r.Sysim.lost;
+  Alcotest.(check int) "single crash: completed + rejected = tasks" tasks
+    (r.Sysim.completed + r.Sysim.rejected);
+  Alcotest.(check int) "single crash: arrive events = tasks" tasks
+    (count Obs.Trace.Arrive);
+  Alcotest.(check int) "single crash: complete events = completed" r.Sysim.completed
+    (count Obs.Trace.Complete);
+  Alcotest.(check int) "single crash: reject events = rejected" r.Sysim.rejected
+    (count Obs.Trace.Reject);
+  Alcotest.(check int) "single crash: retry events = retried" r.Sysim.retried
+    (count Obs.Trace.Retry);
+  Alcotest.(check bool) "single crash: trace JSON valid" true json_ok;
+  (* 3. A serving run that both sheds at the gate and preempts
+     in-flight batches. *)
+  let cfg = shed_preempt_config () in
+  let tasks = 60 (* two tenants x 30 *) in
+  let r, json_ok = traced_run cfg in
+  Alcotest.(check bool) "serving: the run sheds" true (r.Sysim.shed > 0);
+  Alcotest.(check bool) "serving: the run preempts" true (r.Sysim.preempted > 0);
+  Alcotest.(check int) "serving: arrive events = tasks" tasks (count Obs.Trace.Arrive);
+  Alcotest.(check int) "serving: shed events = shed" r.Sysim.shed
+    (count Obs.Trace.Shed);
+  Alcotest.(check int) "serving: queue events = tasks - shed" (tasks - r.Sysim.shed)
+    (count Obs.Trace.Queue);
+  Alcotest.(check int) "serving: complete events = completed" r.Sysim.completed
+    (count Obs.Trace.Complete);
+  Alcotest.(check int) "serving: reject events = rejected" r.Sysim.rejected
+    (count Obs.Trace.Reject);
+  Alcotest.(check int) "serving: deploy events = completed + preempted"
+    (r.Sysim.completed + r.Sysim.preempted)
+    (count Obs.Trace.Deploy);
+  Alcotest.(check int) "serving: service events = completed + preempted"
+    (r.Sysim.completed + r.Sysim.preempted)
+    (count Obs.Trace.Service);
+  Alcotest.(check int) "serving: nothing lost" 0 r.Sysim.lost;
+  Alcotest.(check bool) "serving: trace JSON valid" true json_ok
 
 let test_labeled_metrics_deterministic () =
   (* two identical runs must produce byte-identical sysim counter and
@@ -462,6 +558,124 @@ let test_labeled_metrics_deterministic () =
   Alcotest.(check bool) "labeled series present" true
     (List.exists (fun (n, _) -> String.contains n '{') ca
     && List.exists (fun (n, _) -> String.contains n '{') ha)
+
+(* ---------------- run metrics and trace pins ---------------- *)
+
+module Series = Mlv_obs.Series
+module Alert = Mlv_obs.Alert
+
+(* The MD5 of everything a run leaves in the observability layer: the
+   counters, every histogram's count (plus sum/min/max except for the
+   wall-clock [span.*.wall_us] ones), the lifecycle trace and the
+   telemetry series.  Taken on a warm second run after a reset, because
+   the process-wide service and plan caches emit spans on first sight.
+   Metrics the run leaves at zero are indistinguishable from ones an
+   earlier test registered, so only non-zero ones take part. *)
+let run_obs_md5 cfg =
+  let go () = ignore (Sysim.run ~registry:(Lazy.force registry) cfg) in
+  go ();
+  Obs.reset ();
+  Series.remove_all ();
+  Fun.protect
+    ~finally:(fun () -> Obs.Trace.set_enabled false)
+    (fun () ->
+      Obs.Trace.set_enabled true;
+      go ());
+  let counters = List.filter (fun (_, v) -> v <> 0) (Obs.counters ()) in
+  let wall n =
+    String.length n > 13
+    && String.sub n 0 5 = "span."
+    && String.sub n (String.length n - 8) 8 = ".wall_us"
+  in
+  let hists =
+    List.filter_map
+      (fun (n, h) ->
+        let c = Obs.Histogram.count h in
+        if c = 0 then None
+        else if wall n then Some (n, c, 0.0, 0.0, 0.0)
+        else
+          Some (n, c, Obs.Histogram.sum h, Obs.Histogram.min h, Obs.Histogram.max h))
+      (Obs.histograms ())
+  in
+  let series = Obs.Json.to_string (Series.registry_json ()) in
+  Digest.to_hex
+    (Digest.string
+       (Marshal.to_string
+          (counters, hists, Obs.Trace.events (), series)
+          [ Marshal.No_sharing ]))
+
+let pin_open_cfg () =
+  let cfg = Sysim.default_config ~policy:Runtime.greedy ~composition:Genset.table1.(6) in
+  { cfg with Sysim.tasks = 40 }
+
+let pin_rule s =
+  match Alert.of_string s with Ok rules -> rules | Error e -> failwith e
+
+let pin_faulted_cfg () =
+  let cfg = pin_open_cfg () in
+  let base = Sysim.run ~registry:(Lazy.force registry) cfg in
+  {
+    cfg with
+    Sysim.faults = Some (Sysim.default_faults (crash_restore_plan base.Sysim.makespan_us));
+    telemetry =
+      Some
+        {
+          Sysim.default_telemetry with
+          Sysim.scrape_interval_us = 1000.0;
+          rules = pin_rule "outage gt sysim.nodes_down 0 1 1 0";
+        };
+  }
+
+let pin_serving_cfg () =
+  let cfg = tenant_cfg ~serving:None in
+  {
+    cfg with
+    Sysim.tenants =
+      List.map
+        (fun (l : Genset.tenant_load) ->
+          if l.Genset.tl_name = "a" then { l with Genset.tl_priority = 1 } else l)
+        cfg.Sysim.tenants;
+    serving =
+      Some
+        {
+          Sysim.default_serving with
+          Sysim.tenant_pool = Some (12_000.0, 8);
+          preempt = true;
+          defrag = Some (Mlv_core.Defrag.config ~frag_threshold:0.05 ~interval_us:500.0 ());
+        };
+    frontend =
+      Some
+        {
+          Sysim.sessions = Some (Mlv_serve.Session.config ~idle_timeout_us:2_000.0 ());
+          mapping_cache = Some (4, 50.0);
+          predict = Some Mlv_sched.Autoscaler.default_predict;
+        };
+    telemetry =
+      Some
+        {
+          Sysim.default_telemetry with
+          Sysim.scrape_interval_us = 1000.0;
+          rules =
+            pin_rule
+              "a-burn burn sysim.tenant.slo_missed.rate{tenant=a} \
+               sysim.tenant.completed.rate{tenant=a} 0.9 2 6 2 1 0";
+        };
+  }
+
+(* Recorded before the two loops shared their setup, bookkeeping,
+   telemetry and report code; any change to what a run registers,
+   counts, traces or samples moves these. *)
+let test_run_obs_pinned () =
+  List.iter
+    (fun (label, cfg, want) ->
+      Alcotest.(check string) label want (run_obs_md5 (cfg ())))
+    [
+      ("set-7 open loop", pin_open_cfg, "0436378b090db8f26e4b2fd9ee7aa285");
+      ("open loop, crash/restore, telemetry", pin_faulted_cfg,
+        "be56b95c8bfca0ef35ebc370594ff740");
+      ("multi-tenant serving, every feature", pin_serving_cfg,
+        "a569bf228d9c3372dac0a23adc1be5f0");
+    ]
 
 let test_wait_reasonable () =
   let r = run ~tasks:20 Runtime.greedy 0 in
@@ -492,7 +706,9 @@ let test_registry_build_allocation () =
 (* One serving run's allocation: 200 tasks of set 8 under the default
    serving loop.  Measured on the second of two identical runs, so the
    process-wide service and plan caches are warm and the count covers
-   the loop alone.  [Gc.minor_words] is exact: 2.45 M words, 2.85 M
+   the loop alone.  [Gc.minor_words] is exact: 2.43 M words, 2.45 M
+   while each batch sorted its node list for [deployment_dims] and
+   each replica cached its own labeled handles, 2.85 M
    while every refused deploy formatted its message with [sprintf]
    (~7,100 refusals a run: the loop retries a full cluster), 4.29 M
    before the heap-indexed loop.
@@ -584,5 +800,7 @@ let () =
           Alcotest.test_case "closed accounting" `Quick test_trace_closed_accounting;
           Alcotest.test_case "labeled metrics deterministic" `Quick
             test_labeled_metrics_deterministic;
+          Alcotest.test_case "run metrics and trace pinned" `Quick
+            test_run_obs_pinned;
         ] );
     ]
