@@ -2,7 +2,7 @@
 
 .PHONY: all build check fmt test bench bench-place bench-place-smoke \
 	bench-faults bench-trace \
-	bench-sched bench-sched-smoke bench-sim bench-sim-smoke \
+	bench-sched bench-sim bench-sim-smoke \
 	bench-scale bench-scale-smoke bench-defrag bench-defrag-smoke \
 	bench-watch bench-watch-smoke bench-serve bench-serve-smoke \
 	bench-diff perfbench clean
@@ -33,11 +33,13 @@ test:
 # The one-stop pre-commit gate.  `test` includes test_sysim's "closed
 # accounting", which asserts zero lost tasks under a single-crash fault
 # plan and a valid lifecycle-trace export whose event counts close
-# against the run's own accounting; bench-place-smoke keeps the indexed
-# placement engine honest (it must never regress below the naive scan)
-# without the cost of the full 1k-node run; bench-sched-smoke asserts the
-# autoscaled serving loop never regresses the static p99 and that every
-# request is accounted for; bench-sim-smoke asserts the timing-wheel
+# against the run's own accounting, and test_sched's "autoscaled tail
+# vs static", which asserts the autoscaled serving loop never regresses
+# the static p99 and that every request is accounted for;
+# bench-place-smoke checks the indexed placement engine against the
+# test-side snapshot-scan oracle (test/oracle/placement.ml) at every
+# deploy and keeps it no slower than that scan, without the cost of
+# the full 1k-node run; bench-sim-smoke asserts the timing-wheel
 # engine fires events in the same order as the heap reference engine
 # (test/oracle/heap_sim.ml) and is at least as fast; bench-scale-smoke
 # asserts the serving run reproduces its pinned result digest, that
@@ -60,7 +62,7 @@ test:
 # the smoke outputs against the committed smoke artifacts to catch
 # order-of-magnitude throughput cliffs.
 check: build fmt test bench-place-smoke \
-	bench-sched-smoke bench-sim-smoke bench-scale-smoke bench-defrag-smoke \
+	bench-sim-smoke bench-scale-smoke bench-defrag-smoke \
 	bench-watch-smoke bench-serve-smoke bench-diff
 
 # Regenerates every table/figure and leaves BENCH_obs.json (the
@@ -70,12 +72,14 @@ bench:
 
 # Placement-churn microbenchmark (paper §2.3 system controller at
 # fleet scale): 1k-node heterogeneous cluster, asserts the indexed
-# engine's deploy throughput is ≥5× the naive snapshot scan.
+# engine's deploy throughput is ≥5× the search of the snapshot-scan
+# placement oracle (test/oracle/placement.ml), replayed over the same
+# churn, and that the two place every deploy identically.
 bench-place:
 	dune exec bench/place.exe -- --nodes 1000 --ops 4000 --assert-speedup 5
 
 # Small, fast configuration for `make check`: same differential churn,
-# only asserts the index is not slower than the scan.
+# only asserts the index is not slower than the oracle's scan.
 bench-place-smoke:
 	dune exec bench/place.exe -- --nodes 64 --ops 400 \
 	  --out $(SMOKE_DIR)/BENCH_place_smoke.json --assert-speedup 1
@@ -97,11 +101,6 @@ bench-trace:
 # goodput, sheds and scaling activity per mode).
 bench-sched:
 	dune exec bench/main.exe -- sched
-
-# Fast variant for `make check`: accounting closes, the run is
-# deterministic, and the autoscaled p99 does not exceed the static p99.
-bench-sched-smoke:
-	dune exec bench/main.exe -- sched-smoke
 
 # Discrete-event engine microbenchmark: 1M events through the
 # timing-wheel engine (Sim) and the binary-heap reference engine

@@ -2,7 +2,7 @@
    paper's evaluation (Section 4).
 
    Usage:  main.exe [table2|table3|table4|fig11|fig12|faults|trace|
-           sched|sched-smoke|compile|mlp|compact|congestion|isolation|
+           sched|compile|mlp|compact|congestion|isolation|
            ablate|micro]
    With no argument, every experiment runs in order.  Paper reference
    values are printed alongside so EXPERIMENTS.md can record
@@ -1123,47 +1123,6 @@ let sched ?(tasks = 120) () =
      and consolidates in the lull, cutting tail latency.  The starved row\n\
      shows the admission gate shedding early when capacity cannot grow."
 
-(* `make check` smoke: the autoscaler must beat static provisioning on
-   tail latency for the canned burst trace, accounting must close, and
-   the same config twice must be bit-identical. *)
-let sched_smoke () =
-  section "Serving smoke: autoscaled p99 <= static p99; accounting closes";
-  let tasks = 60 in
-  let deadline_us, rows = sched_rows ~tasks in
-  let static = List.assoc "static" rows in
-  let autoscaled = List.assoc "autoscaled" rows in
-  Printf.printf
-    "static p99 %.0f us -> autoscaled p99 %.0f us (deadline %.0f us, %d ups / \
-     %d downs, %d batches)\n"
-    static.Sysim.p99_latency_us autoscaled.Sysim.p99_latency_us deadline_us
-    autoscaled.Sysim.scale_ups autoscaled.Sysim.scale_downs
-    autoscaled.Sysim.batches;
-  let fail fmt = Printf.ksprintf (fun s -> Printf.eprintf "FAIL: %s\n" s; exit 1) fmt in
-  List.iter
-    (fun (name, (r : Sysim.result)) ->
-      if r.Sysim.completed + r.Sysim.rejected + r.Sysim.shed <> tasks then
-        fail "%s accounting does not close" name;
-      if r.Sysim.lost <> 0 then fail "%s lost %d tasks" name r.Sysim.lost)
-    rows;
-  if autoscaled.Sysim.p99_latency_us > static.Sysim.p99_latency_us then
-    fail "autoscaled p99 %.0f us worse than static %.0f us"
-      autoscaled.Sysim.p99_latency_us static.Sysim.p99_latency_us;
-  if autoscaled.Sysim.goodput_per_s +. 1e-9 < static.Sysim.goodput_per_s then
-    Printf.printf "note: goodput %.1f/s below static %.1f/s (tail win only)\n"
-      autoscaled.Sysim.goodput_per_s static.Sysim.goodput_per_s;
-  if autoscaled.Sysim.scale_ups = 0 then fail "autoscaler never scaled up";
-  let again =
-    Sysim.run ~registry:(Lazy.force registry)
-      (sched_config ~tasks
-         (Some (sched_serving ~deadline_us ~autoscale:(Some Autoscaler.default))))
-  in
-  if
-    again.Sysim.latencies_us <> autoscaled.Sysim.latencies_us
-    || again.Sysim.scale_ups <> autoscaled.Sysim.scale_ups
-    || again.Sysim.makespan_us <> autoscaled.Sysim.makespan_us
-  then fail "closed-loop run is not deterministic";
-  print_endline "ok: autoscaling beats static tail latency; runs deterministic"
-
 (* ------------------------------------------------------------------ *)
 (* Driver                                                              *)
 (* ------------------------------------------------------------------ *)
@@ -1178,7 +1137,6 @@ let experiments =
     ("faults", fun () -> faults ());
     ("trace", fun () -> trace ());
     ("sched", fun () -> sched ());
-    ("sched-smoke", sched_smoke);
     ("compile", compile_overhead);
     ("mlp", mlp);
     ("compact", compact);

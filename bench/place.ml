@@ -1,14 +1,16 @@
 (* Placement-churn microbenchmark: deploy/undeploy/fail/restore churn
-   on a synthetic heterogeneous cluster, run once with the naive
-   snapshot-scan allocator and once with the indexed placement
-   engine.  Both runs share the mapping-result database and the
-   random op stream; the differential tests guarantee they make
-   identical placement decisions, so the comparison is pure allocator
-   cost.
+   on a synthetic heterogeneous cluster, replayed twice from one seed.
+   The [indexed] pass times the loop through [Runtime] as it is.  The
+   [naive] pass times, at each deploy, the snapshot-scan search of the
+   test-side placement oracle (test/oracle/placement.ml), then advances
+   the state with an untimed [Runtime.deploy] and fails unless the two
+   placements agree; its wall time is the loop's minus those deploys.
+   The naive row therefore leaves out the controller loads and the
+   deploy span, which only lowers the speedup.
 
-   Emits BENCH_place.json with deploys/sec and p50/p99 deploy latency
-   (recorded through the Mlv_obs histograms) per engine, plus the
-   indexed-over-naive throughput speedup.
+   Emits BENCH_place.json with deploys/sec and p50/p99 deploy (or
+   search) latency (recorded through the Mlv_obs histograms) per
+   engine, plus the indexed-over-naive throughput speedup.
 
    Usage: place.exe [--nodes N] [--ops K] [--seed S] [--out FILE]
                     [--assert-speedup X]
@@ -19,6 +21,7 @@ module Device = Mlv_fpga.Device
 module Cluster = Mlv_cluster.Cluster
 module Runtime = Mlv_core.Runtime
 module Framework = Mlv_core.Framework
+module Placement = Mlv_oracle.Placement
 module Rng = Mlv_util.Rng
 module Obs = Mlv_obs.Obs
 
@@ -41,12 +44,13 @@ type outcome = {
   p99_us : float;
 }
 
-let run ~indexed ~nodes ~ops ~seed registry =
-  let engine = if indexed then "indexed" else "naive" in
+(* One seeded churn.  [deploy rt accel] performs each deploy and tells
+   whether it placed; [untimed ()] is the wall time it spent that the
+   engine's row leaves out. *)
+let run ~engine ~deploy ~untimed ~nodes ~ops ~seed registry =
   let cluster = Cluster.create ~kinds:(pod nodes) () in
-  let rt = Runtime.create ~policy:Runtime.greedy ~indexed cluster registry in
+  let rt = Runtime.create ~policy:Runtime.greedy cluster registry in
   let rng = Rng.create seed in
-  let hist = Obs.Histogram.get (Printf.sprintf "bench.place.%s.deploy_us" engine) in
   let deploy_ok = ref 0
   and deploy_fail = ref 0
   and undeploys = ref 0
@@ -57,11 +61,7 @@ let run ~indexed ~nodes ~ops ~seed registry =
     let roll = Rng.int rng 100 in
     if roll < 60 then begin
       let accel = accels.(Rng.int rng (Array.length accels)) in
-      let d0 = Unix.gettimeofday () in
-      (match Runtime.deploy rt ~accel with
-      | Ok _ -> incr deploy_ok
-      | Error _ -> incr deploy_fail);
-      Obs.Histogram.observe hist ((Unix.gettimeofday () -. d0) *. 1e6)
+      if deploy rt accel then incr deploy_ok else incr deploy_fail
     end
     else if roll < 90 then (
       match Runtime.deployments rt with
@@ -83,8 +83,9 @@ let run ~indexed ~nodes ~ops ~seed registry =
         Runtime.restore_node rt (Rng.choose rng l);
         incr restores
   done;
-  let wall_s = Unix.gettimeofday () -. t0 in
+  let wall_s = Unix.gettimeofday () -. t0 -. untimed () in
   let attempts = !deploy_ok + !deploy_fail in
+  let hist = Obs.Histogram.get (Printf.sprintf "bench.place.%s.deploy_us" engine) in
   {
     engine;
     deploy_ok = !deploy_ok;
@@ -97,6 +98,36 @@ let run ~indexed ~nodes ~ops ~seed registry =
     p50_us = Obs.Histogram.percentile hist 50.0;
     p99_us = Obs.Histogram.percentile hist 99.0;
   }
+
+let indexed_deploy () =
+  let hist = Obs.Histogram.get "bench.place.indexed.deploy_us" in
+  fun rt accel ->
+    let d0 = Unix.gettimeofday () in
+    let ok = Result.is_ok (Runtime.deploy rt ~accel) in
+    Obs.Histogram.observe hist ((Unix.gettimeofday () -. d0) *. 1e6);
+    ok
+
+(* The oracle's search is timed; the real deploy that advances the
+   state, and the comparison, are not. *)
+let naive_deploy ~untimed () =
+  let hist = Obs.Histogram.get "bench.place.naive.deploy_us" in
+  fun rt accel ->
+    let s0 = Unix.gettimeofday () in
+    let expected = Placement.assign rt ~accel in
+    let s1 = Unix.gettimeofday () in
+    Obs.Histogram.observe hist ((s1 -. s0) *. 1e6);
+    let ok =
+      match (Runtime.deploy rt ~accel, expected) with
+      | Ok d, Some a
+        when Placement.signature (Placement.deployed d) = Placement.signature a ->
+        true
+      | Error _, None -> false
+      | _ ->
+        Printf.eprintf "FAIL: oracle and runtime disagree on deploying %s\n" accel;
+        exit 1
+    in
+    untimed := !untimed +. (Unix.gettimeofday () -. s1);
+    ok
 
 let outcome_json o =
   Obs.Json.Obj
@@ -135,8 +166,17 @@ let () =
     (String.concat " " (Array.to_list accels));
   let registry = Framework.npu_registry ~tile_counts:[ 6; 10; 21 ] () in
   Printf.printf "churn: %d nodes, %d ops per engine, seed %d\n%!" !nodes !ops !seed;
-  let naive = run ~indexed:false ~nodes:!nodes ~ops:!ops ~seed:!seed registry in
-  let indexed = run ~indexed:true ~nodes:!nodes ~ops:!ops ~seed:!seed registry in
+  let untimed = ref 0.0 in
+  let naive =
+    run ~engine:"naive" ~deploy:(naive_deploy ~untimed ())
+      ~untimed:(fun () -> !untimed)
+      ~nodes:!nodes ~ops:!ops ~seed:!seed registry
+  in
+  let indexed =
+    run ~engine:"indexed" ~deploy:(indexed_deploy ())
+      ~untimed:(fun () -> 0.0)
+      ~nodes:!nodes ~ops:!ops ~seed:!seed registry
+  in
   let speedup =
     if naive.deploys_per_s > 0.0 then indexed.deploys_per_s /. naive.deploys_per_s
     else 0.0

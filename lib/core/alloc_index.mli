@@ -1,7 +1,8 @@
 (** Cluster capacity index: the system controller's incremental view
     of every node's free virtual blocks (paper §2.3).
 
-    The naive allocator re-snapshots the whole cluster
+    A snapshot-scan allocator (the test-side oracle,
+    [test/oracle/placement.ml]) re-snapshots the whole cluster
     ([Array.init n Node.free_vbs]) and linear-scans every node per
     piece, per device option, per kind filter and per level on every
     deployment — O(n) work repeated hundreds of times per request at

@@ -16,6 +16,10 @@
       list                  ->  ok <accel> <accel> ...
       deployments           ->  ok <id>:<accel>:<nodes> ...
       rebalance             ->  ok moved=<n>
+                                one unbudgeted Defrag pass: each live
+                                deployment on a partially-occupied
+                                node may migrate once; a move that
+                                cannot be placed rolls back alone
       fail <node>           ->  ok recovered=<n> lost=<m>
       restore <node>        ->  ok
       migrate <id> [force]  ->  ok moved=<n> nodes=<i,j>
@@ -81,6 +85,9 @@
                                 cluster simulator; crashes fail over
       faults                ->  ok failed=<nodes|-> degraded=<ids|->
                                 added_latency_us=<v>
+      index                 ->  ok consistent=<bool>
+                                the capacity index agrees with the
+                                ViTAL controllers
       metrics               ->  ok counters=<n> histograms=<m> spans=<k>
                                 followed by the live Obs registry
       metrics json          ->  ok <one-line JSON export>

@@ -1,7 +1,6 @@
 open Mlv_fpga
 module Cluster = Mlv_cluster.Cluster
 module Node = Mlv_cluster.Node
-module Sim = Mlv_cluster.Sim
 module Controller = Mlv_vital.Controller
 module Bitstream = Mlv_vital.Bitstream
 module Obs = Mlv_obs.Obs
@@ -57,7 +56,7 @@ type t = {
   cluster : Cluster.t;
   registry : Registry.t;
   policy : policy;
-  index : Alloc_index.t option;
+  index : Alloc_index.t;
   cache : Bitstream.Cache.t option;
       (* bitstream staging cache: when present, every controller load
          is re-priced through it (hit = amortized reconfiguration);
@@ -66,24 +65,18 @@ type t = {
   mutable live : deployment list;
   mutable next_deploy_id : int;
   failed : (int, unit) Hashtbl.t;
-  tenant_of_depl : (int, string) Hashtbl.t;
-      (* only deployments tagged via [deploy ~tenant]; internal
-         redeploys (rebalance / migrate / fail_node) pass no tenant and
-         leave no entry, so grafted-and-discarded fresh handles cannot
-         leak or skew the accounting *)
 }
 
-let create ?(policy = greedy) ?(indexed = true) ?cache cluster registry =
+let create ?(policy = greedy) ?cache cluster registry =
   {
     cluster;
     registry;
     policy;
-    index = (if indexed then Some (Alloc_index.build cluster) else None);
+    index = Alloc_index.build cluster;
     cache;
     live = [];
     next_deploy_id = 0;
     failed = Hashtbl.create 4;
-    tenant_of_depl = Hashtbl.create 8;
   }
 
 let failed_nodes t = Hashtbl.fold (fun i () acc -> i :: acc) t.failed [] |> List.sort compare
@@ -92,23 +85,20 @@ let cluster t = t.cluster
 let policy t = t.policy
 let registry t = t.registry
 let deployments t = t.live
-let indexed t = t.index <> None
 let bitstream_cache t = t.cache
 
-let index_consistent t =
-  match t.index with None -> true | Some ix -> Alloc_index.consistent ix
+let index_consistent t = Alloc_index.consistent t.index
 
 (* Every real controller load/unload must re-file the node in the
    capacity index (the index mirrors the controllers). *)
-let sync_node t id =
-  match t.index with Some ix -> Alloc_index.refresh ix id | None -> ()
+let sync_node t id = Alloc_index.refresh t.index id
 
 let unload_placement t p =
   Controller.unload (Cluster.node t.cluster p.node_id).Node.controller p.handle;
   sync_node t p.node_id
 
-(* Reload previously-held placements (rollback paths: a failed
-   rebalance or migration restores the exact prior allocation). *)
+(* Reload previously-held placements (rollback path: a failed
+   migration restores the exact prior allocation). *)
 let reload_placements t placements =
   List.map
     (fun p ->
@@ -121,65 +111,12 @@ let reload_placements t placements =
     placements
 
 (* Tentative assignment of pieces (already in allocation order — the
-   plan presorts them biggest-first) to nodes against a snapshot of
-   free virtual blocks: the pre-index O(n)-per-step path, kept behind
-   [~indexed:false] for differential testing. *)
-let try_assign_naive t ~target_kind (pieces : Mapdb.piece_plan list) =
-  let n = Cluster.node_count t.cluster in
-  let free = Array.init n (fun i -> Node.free_vbs (Cluster.node t.cluster i)) in
-  let total = Array.init n (fun i -> Node.total_vbs (Cluster.node t.cluster i)) in
-  let choose_node (bs : Bitstream.t) =
-    let need =
-      if t.policy.whole_device then
-        (* whole-device granularity: demand an empty device *)
-        fun i -> free.(i) = total.(i) && free.(i) >= bs.Bitstream.vbs
-      else fun i -> free.(i) >= bs.Bitstream.vbs
-    in
-    let candidates =
-      List.filter
-        (fun i ->
-          (not (Hashtbl.mem t.failed i))
-          && Device.equal_kind (Cluster.node t.cluster i).Node.kind bs.Bitstream.device
-          && need i)
-        (List.init n Fun.id)
-    in
-    match candidates with
-    | [] -> None
-    | first :: _ ->
-      if t.policy.best_fit then
-        Some
-          (List.fold_left
-             (fun best i -> if free.(i) < free.(best) then i else best)
-             first candidates)
-      else Some first
-  in
-  let rec assign acc = function
-    | [] -> Some (List.rev acc)
-    | (pp : Mapdb.piece_plan) :: rest -> (
-      let rec try_options = function
-        | [] -> None
-        | (_, bs) :: more -> (
-          match choose_node bs with
-          | Some node ->
-            let vbs =
-              if t.policy.whole_device then total.(node) else bs.Bitstream.vbs
-            in
-            free.(node) <- free.(node) - vbs;
-            (match assign ((node, bs) :: acc) rest with
-            | Some _ as ok -> ok
-            | None ->
-              free.(node) <- free.(node) + vbs;
-              try_options more)
-          | None -> try_options more)
-      in
-      try_options (Mapdb.options pp ~kind:target_kind))
-  in
-  assign [] pieces
-
-(* Same search over the incremental capacity index: candidate
-   selection is one bucket scan, tentative allocations are
-   transactional so backtracking leaves the index untouched. *)
-let try_assign_indexed t ix ~target_kind (pieces : Mapdb.piece_plan list) =
+   plan presorts them biggest-first) to nodes over the incremental
+   capacity index: candidate selection is one bucket scan, tentative
+   allocations are transactional so backtracking leaves the index
+   untouched. *)
+let try_assign t ~target_kind (pieces : Mapdb.piece_plan list) =
+  let ix = t.index in
   let choose =
     if t.policy.best_fit then Alloc_index.best_fit else Alloc_index.first_fit
   in
@@ -212,11 +149,6 @@ let try_assign_indexed t ix ~target_kind (pieces : Mapdb.piece_plan list) =
       try_options (Mapdb.options pp ~kind:target_kind))
   in
   assign [] pieces
-
-let try_assign t ~target_kind pieces =
-  match t.index with
-  | Some ix -> try_assign_indexed t ix ~target_kind pieces
-  | None -> try_assign_naive t ~target_kind pieces
 
 let perform t accel assignment =
   let reconfig = ref 0.0 in
@@ -282,15 +214,12 @@ let deploy_untraced t ~accel =
     in
     try_levels levels
 
-let deploy ?tenant t ~accel =
+let deploy t ~accel =
   Obs.Span.with_span "deploy" (fun span ->
       Obs.Span.add_arg span "accel" accel;
       match deploy_untraced t ~accel with
       | Ok d ->
         Obs.Span.add_arg span "deployment" (string_of_int d.id);
-        (match tenant with
-        | Some tn -> Hashtbl.replace t.tenant_of_depl d.id tn
-        | None -> ());
         Obs.Counter.incr (Obs.Counter.get "runtime.deploy.ok");
         Obs.Histogram.observe (Obs.Histogram.get "runtime.reconfig_us") d.reconfig_us;
         Ok d
@@ -298,37 +227,8 @@ let deploy ?tenant t ~accel =
         Obs.Counter.incr (Obs.Counter.get "runtime.deploy.fail");
         e)
 
-let default_tenant = "-"
-
-let deployment_tenant t d =
-  match Hashtbl.find_opt t.tenant_of_depl d.id with
-  | Some tn -> tn
-  | None -> default_tenant
-
 let deployment_vbs d =
   List.fold_left (fun acc p -> acc + p.bitstream.Bitstream.vbs) 0 d.placements
-
-(* Per-tenant slice of the live allocation: (tenant, deployments,
-   virtual blocks), sorted by tenant.  Computed over [t.live] on
-   demand — an observability accessor, not a hot-path structure. *)
-let tenant_usage t =
-  let acc : (string, int ref * int ref) Hashtbl.t = Hashtbl.create 8 in
-  List.iter
-    (fun d ->
-      let tn = deployment_tenant t d in
-      let depls, vbs =
-        match Hashtbl.find_opt acc tn with
-        | Some c -> c
-        | None ->
-          let c = (ref 0, ref 0) in
-          Hashtbl.replace acc tn c;
-          c
-      in
-      incr depls;
-      vbs := !vbs + deployment_vbs d)
-    t.live;
-  Hashtbl.fold (fun tn (d, v) l -> (tn, !d, !v) :: l) acc []
-  |> List.sort compare
 
 type stats = {
   live : int;
@@ -353,74 +253,13 @@ let cluster_utilization t =
   let s = stats t in
   if s.vbs_total = 0 then 0.0 else float_of_int s.vbs_used /. float_of_int s.vbs_total
 
-let rebalance_untraced (t : t) =
-  let live = t.live in
-  (* Tear everything down, remembering enough to restore on failure. *)
-  let snapshot =
-    List.map
-      (fun d ->
-        List.iter (unload_placement t) d.placements;
-        (d, d.placements))
-      live
-  in
-  let order =
-    List.sort (fun (a, _) (b, _) -> compare (tiles_deployed b) (tiles_deployed a)) snapshot
-  in
-  let redeployed = ref [] in
-  let rec place = function
-    | [] -> Ok ()
-    | (d, _) :: rest -> (
-      match deploy t ~accel:d.accel with
-      | Ok fresh ->
-        redeployed := (d, fresh) :: !redeployed;
-        place rest
-      | Error e -> Error e)
-  in
-  (* deploy pushes fresh deployments onto t.live; take them back off
-     as we go and graft their placements onto the original values. *)
-  t.live <- [];
-  match place order with
-  | Ok () ->
-    let moved = ref 0 in
-    List.iter
-      (fun (original, fresh) ->
-        if nodes_used original <> nodes_used fresh then incr moved;
-        original.placements <- fresh.placements;
-        original.reconfig_us <- original.reconfig_us +. fresh.reconfig_us)
-      !redeployed;
-    t.live <- live;
-    Ok !moved
-  | Error e ->
-    (* Roll back: free whatever we re-placed, then restore the
-       original placements. *)
-    List.iter
-      (fun (_, fresh) -> List.iter (unload_placement t) fresh.placements)
-      !redeployed;
-    List.iter
-      (fun (d, placements) -> d.placements <- reload_placements t placements)
-      snapshot;
-    t.live <- live;
-    Error e
-
-let rebalance (t : t) =
-  Obs.Span.with_ "rebalance" (fun () ->
-      match rebalance_untraced t with
-      | Ok moved ->
-        Obs.Counter.incr (Obs.Counter.get "runtime.rebalance.ok");
-        Obs.Counter.add (Obs.Counter.get "runtime.rebalance.moved") moved;
-        Ok moved
-      | Error _ as e ->
-        Obs.Counter.incr (Obs.Counter.get "runtime.rebalance.fail");
-        e)
-
 let undeploy t d =
   List.iter (unload_placement t) d.placements;
   t.live <- List.filter (fun x -> x != d) t.live;
-  Hashtbl.remove t.tenant_of_depl d.id;
   Obs.Counter.incr (Obs.Counter.get "runtime.undeploy")
 
 (* ------------------------------------------------------------------ *)
-(* Fault handling: node failure, health, migration, retry              *)
+(* Fault handling: node failure, health, migration                     *)
 (* ------------------------------------------------------------------ *)
 
 (* Marking a node failed removes it from the allocators' candidate
@@ -433,7 +272,7 @@ let mark_node_failed (t : t) node_id =
     invalid_arg (Printf.sprintf "Runtime.mark_node_failed: node %d out of range" node_id);
   if not (Hashtbl.mem t.failed node_id) then begin
     Hashtbl.replace t.failed node_id ();
-    (match t.index with Some ix -> Alloc_index.mark_failed ix node_id | None -> ());
+    Alloc_index.mark_failed t.index node_id;
     Obs.Counter.incr (Obs.Counter.get "runtime.node_failed")
   end
 
@@ -476,32 +315,6 @@ let migrate ?(force = false) t d =
       | Error _ as e ->
         Obs.Counter.incr (Obs.Counter.get "runtime.migrate.fail");
         e)
-
-(* Deploy with capped exponential backoff over the cluster's DES
-   clock: a refused request retries after base, 2·base, 4·base, …
-   (capped), so transient capacity loss — a failed node awaiting
-   restore, a full cluster awaiting departures — resolves without the
-   caller polling. *)
-let deploy_with_retry t ~accel ?(max_retries = 3) ?(base_backoff_us = 100.0)
-    ?(max_backoff_us = 10_000.0) k =
-  if max_retries < 0 then invalid_arg "Runtime.deploy_with_retry: negative max_retries";
-  if base_backoff_us <= 0.0 || max_backoff_us <= 0.0 then
-    invalid_arg "Runtime.deploy_with_retry: backoff must be positive";
-  let sim = t.cluster.Cluster.sim in
-  let rec attempt n =
-    match deploy t ~accel with
-    | Ok _ as ok -> k ok
-    | Error _ as e ->
-      if n >= max_retries then k e
-      else begin
-        let backoff =
-          Float.min max_backoff_us (base_backoff_us *. (2.0 ** float_of_int n))
-        in
-        Obs.Counter.incr (Obs.Counter.get "runtime.deploy.retried");
-        Sim.schedule sim ~delay:backoff (fun () -> attempt (n + 1))
-      end
-  in
-  attempt 0
 
 type failover = { recovered : int; lost : deployment list }
 
@@ -546,39 +359,9 @@ let fail_node (t : t) node_id =
 
 let restore_node (t : t) node_id =
   Hashtbl.remove t.failed node_id;
-  match t.index with Some ix -> Alloc_index.restore ix node_id | None -> ()
+  Alloc_index.restore t.index node_id
 
 (* Fleet fragmentation: fraction of free virtual blocks stranded on
-   partially-occupied healthy devices.  O(1) off the capacity index;
-   the naive runtime computes the identical value by scanning, so the
-   two allocator shapes report the same score. *)
-let frag_counts_naive (t : t) =
-  let n = Cluster.node_count t.cluster in
-  let free_total = ref 0 and free_whole = ref 0 and whole_nodes = ref 0 in
-  for i = 0 to n - 1 do
-    if not (Hashtbl.mem t.failed i) then begin
-      let node = Cluster.node t.cluster i in
-      let free = Node.free_vbs node in
-      free_total := !free_total + free;
-      if free = Node.total_vbs node then begin
-        free_whole := !free_whole + free;
-        incr whole_nodes
-      end
-    end
-  done;
-  (!free_total, !free_whole, !whole_nodes)
-
-let fragmentation (t : t) =
-  match t.index with
-  | Some ix -> Alloc_index.fragmentation ix
-  | None ->
-    let free_total, free_whole, _ = frag_counts_naive t in
-    if free_total = 0 then 0.0
-    else float_of_int (free_total - free_whole) /. float_of_int free_total
-
-let whole_free_nodes (t : t) =
-  match t.index with
-  | Some ix -> Alloc_index.whole_free_nodes ix
-  | None ->
-    let _, _, whole_nodes = frag_counts_naive t in
-    whole_nodes
+   partially-occupied healthy devices, O(1) off the capacity index. *)
+let fragmentation (t : t) = Alloc_index.fragmentation t.index
+let whole_free_nodes (t : t) = Alloc_index.whole_free_nodes t.index

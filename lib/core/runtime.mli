@@ -54,18 +54,12 @@ val tiles_deployed : deployment -> int
 
 type t
 
-(** [create ?policy ?indexed cluster registry] builds a controller.
+(** [create ?policy ?cache cluster registry] builds a controller.
 
-    With [indexed] (the default) candidate nodes come from an
-    incremental {!Alloc_index} maintained across deploy / undeploy /
-    rebalance / failover / restore, so a request does no per-node
-    cluster scan.  [~indexed:false] keeps the original
-    snapshot-and-scan allocator; both make byte-identical placement
-    decisions (asserted by the differential tests) — the flag exists
-    for that comparison and for the placement-churn benchmark.
-
-    The index assumes this runtime is the only writer of the
-    cluster's controllers.
+    Candidate nodes come from an incremental {!Alloc_index} maintained
+    across deploy / undeploy / migrate / failover / restore, so a
+    request does no per-node cluster scan.  The index assumes this
+    runtime is the only writer of the cluster's controllers.
 
     [~cache] installs a bitstream staging cache
     ({!Mlv_vital.Bitstream.Cache}): every controller load's
@@ -76,7 +70,6 @@ type t
     bit-identical to cacheless builds. *)
 val create :
   ?policy:policy ->
-  ?indexed:bool ->
   ?cache:Mlv_vital.Bitstream.Cache.t ->
   Mlv_cluster.Cluster.t ->
   Registry.t ->
@@ -84,15 +77,12 @@ val create :
 
 val policy : t -> policy
 
-(** [indexed t] tells which allocator the runtime uses. *)
-val indexed : t -> bool
-
 (** [bitstream_cache t] is the staging cache, if one was installed. *)
 val bitstream_cache : t -> Mlv_vital.Bitstream.Cache.t option
 
 (** [index_consistent t] checks the capacity index against the
-    controllers (always true for a non-indexed runtime); the churn
-    invariant tests call it after every mutation. *)
+    controllers; the churn invariant tests call it after every
+    mutation. *)
 val index_consistent : t -> bool
 
 (** [registry t] is the mapping database the controller serves from. *)
@@ -103,43 +93,17 @@ val registry : t -> Registry.t
 val cluster : t -> Mlv_cluster.Cluster.t
 
 (** [deploy t ~accel] finds and performs a feasible allocation, or
-    explains why none exists.  [~tenant] tags the deployment for
-    {!tenant_usage} accounting; untagged deployments (including every
-    internal redeploy during rebalance / migrate / failover) belong to
-    {!default_tenant}. *)
-val deploy : ?tenant:string -> t -> accel:string -> (deployment, string) result
-
-(** The tenant of untagged deployments (["-"]). *)
-val default_tenant : string
-
-(** [deployment_tenant t d] is the tenant [d] was deployed for. *)
-val deployment_tenant : t -> deployment -> string
+    explains why none exists.  It walks {!Mapdb.levels} in policy
+    order and, per level, each kind filter (every device kind under
+    [same_type_only], else none), assigning pieces biggest-first to
+    the capacity index's best- or first-fit node with backtracking.
+    The test-side placement oracle repeats this search by scanning
+    the cluster's controllers and must agree at every deploy. *)
+val deploy : t -> accel:string -> (deployment, string) result
 
 (** [deployment_vbs d] sums the virtual blocks across [d]'s
     placements. *)
 val deployment_vbs : deployment -> int
-
-(** [tenant_usage t] is the per-tenant slice of the live allocation:
-    [(tenant, deployments, virtual blocks)], sorted by tenant. *)
-val tenant_usage : t -> (string * int * int) list
-
-(** [deploy_with_retry t ~accel k] deploys with capped exponential
-    backoff over the cluster's simulation clock: a refused request
-    retries after [base_backoff_us], doubling up to [max_backoff_us],
-    at most [max_retries] times (defaults 3 / 100 µs / 10 ms), then
-    [k] receives the final outcome.  Each scheduled retry increments
-    [runtime.deploy.retried].  The continuation runs inside simulator
-    events, so the caller must drive {!Mlv_cluster.Sim.run}.
-    @raise Invalid_argument on a negative retry count or
-    non-positive backoff. *)
-val deploy_with_retry :
-  t ->
-  accel:string ->
-  ?max_retries:int ->
-  ?base_backoff_us:float ->
-  ?max_backoff_us:float ->
-  ((deployment, string) result -> unit) ->
-  unit
 
 (** [undeploy t d] releases every placement. *)
 val undeploy : t -> deployment -> unit
@@ -168,7 +132,7 @@ val fail_node : t -> int -> failover
 val mark_node_failed : t -> int -> unit
 
 (** [restore_node t node] returns a node to service (existing
-    deployments are not moved back; see {!rebalance}). *)
+    deployments are not moved back; {!Defrag.run_pass} repacks). *)
 val restore_node : t -> int -> unit
 
 (** [failed_nodes t] lists nodes currently marked failed. *)
@@ -198,23 +162,6 @@ val degraded : t -> deployment list
     identical. *)
 val migrate : ?force:bool -> t -> deployment -> (int, string) result
 
-(** [rebalance t] repacks every live deployment (paper §2.3 closes
-    with runtime-policy exploration as future work; this implements
-    the obvious next step).  Over time, arrivals and departures
-    fragment the virtual-block pool so that an accelerator which
-    would fit in the cluster's total free blocks fits on no single
-    device.  Rebalancing tears all live deployments down and places
-    them again, largest first — live migration through partial
-    reconfiguration.  Returns the number of deployments whose node
-    set changed, or [Error] (with the cluster restored) if some
-    deployment could not be placed again.
-
-    Existing {!deployment} values remain valid handles: their
-    placements are updated in place semantically (callers must use
-    the return of {!deployments} afterwards for fresh placement
-    data). *)
-val rebalance : t -> (int, string) result
-
 (** [deployments t] lists live deployments. *)
 val deployments : t -> deployment list
 
@@ -234,9 +181,8 @@ val cluster_utilization : t -> float
 (** [fragmentation t] is the fraction of free virtual blocks stranded
     on partially-occupied healthy devices — free capacity no
     whole-device (or device-sized) request can use; 0 when nothing is
-    free.  O(1) on an indexed runtime (incremental counters in the
-    capacity index), an O(nodes) scan with the identical formula on a
-    naive one. *)
+    free.  O(1): incremental counters in the capacity index (the
+    test-side placement oracle recomputes it by scanning). *)
 val fragmentation : t -> float
 
 (** [whole_free_nodes t] counts healthy nodes with every virtual

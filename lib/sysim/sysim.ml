@@ -943,8 +943,7 @@ let run_open run =
   let rec try_start () =
     if not (Queue.is_empty queue) then begin
       let p = Queue.peek queue in
-      let tenant = if run.multi then Some p.task.Genset.tenant else None in
-      match Runtime.deploy ?tenant runtime ~accel:p.accel with
+      match Runtime.deploy runtime ~accel:p.accel with
       | Error _ ->
         (* The head blocks the FIFO queue to avoid starvation — but a
            head that cannot deploy even on an empty, fully healthy

@@ -24,6 +24,7 @@ module Program = Mlv_isa.Program
 module Instr = Mlv_isa.Instr
 module Rng = Mlv_util.Rng
 module Obs = Mlv_obs.Obs
+module Placement = Mlv_oracle.Placement
 
 let parse_ok src =
   match Parser.parse_string src with
@@ -1074,6 +1075,13 @@ let test_to_dot () =
   Alcotest.(check bool) "closes" true (contains "}")
 
 
+(* The hypervisor's repack, one unbudgeted defrag pass over [rt]. *)
+let rebalance rt =
+  let reply = Hypervisor.handle (Hypervisor.create rt) "rebalance" in
+  match Scanf.sscanf_opt reply "ok moved=%d%!" Fun.id with
+  | Some moved -> Ok moved
+  | None -> Error reply
+
 let test_runtime_rebalance_defragments () =
   (* Fill the cluster with small instances, free alternating ones to
      fragment it, and show a large instance only fits after
@@ -1112,9 +1120,13 @@ let test_runtime_rebalance_defragments () =
       (List.length (Runtime.nodes_used d) >= 2);
     Runtime.undeploy rt d
   | Error _ -> () (* also acceptable: nothing fits at all *));
-  (match Runtime.rebalance rt with
+  (match rebalance rt with
   | Ok moved -> Alcotest.(check bool) "something moved" true (moved > 0)
   | Error e -> Alcotest.failf "rebalance failed: %s" e);
+  Alcotest.(check (list (triple int int int)))
+    "repacked occupancy"
+    [ (0, 12, 15); (1, 12, 15); (2, 0, 15); (3, 0, 10) ]
+    (Runtime.stats rt).Runtime.per_node;
   match Runtime.deploy rt ~accel:"npu-t21" with
   | Ok d ->
     Alcotest.(check int) "single node after defrag" 1
@@ -1123,7 +1135,7 @@ let test_runtime_rebalance_defragments () =
 
 let test_runtime_rebalance_empty () =
   let rt, _ = runtime_fixture Runtime.greedy in
-  match Runtime.rebalance rt with
+  match rebalance rt with
   | Ok moved -> Alcotest.(check int) "nothing to move" 0 moved
   | Error e -> Alcotest.fail e
 
@@ -1133,9 +1145,9 @@ let per_node_free rt =
     (Runtime.stats rt).Runtime.per_node
 
 let test_runtime_rebalance_rollback () =
-  (* When a redeploy inside rebalance fails, every torn-down placement
-     must be restored with the controllers' free-block counts exactly
-     where they started. *)
+  (* When the redeploy inside each of the pass's migrations fails,
+     every torn-down placement must be restored with the controllers'
+     free-block counts exactly where they started. *)
   let rt, cluster = runtime_fixture Runtime.greedy in
   let ds =
     List.init 3 (fun _ ->
@@ -1147,9 +1159,15 @@ let test_runtime_rebalance_rollback () =
   let nodes_before = List.map Runtime.nodes_used ds in
   (* make every redeploy fail mid-rebalance *)
   Registry.remove (Runtime.registry rt) "npu-t6";
-  (match Runtime.rebalance rt with
-  | Ok _ -> Alcotest.fail "rebalance should fail with the accel unregistered"
-  | Error _ -> ());
+  let failed = Obs.Counter.get "runtime.migrate.fail" in
+  let failed_before = Obs.Counter.value failed in
+  (match rebalance rt with
+  | Ok moved -> Alcotest.(check int) "nothing moved" 0 moved
+  | Error e -> Alcotest.failf "rebalance replied %s" e);
+  Alcotest.(check int) "every migration failed with the accel unregistered" 3
+    (Obs.Counter.value failed - failed_before);
+  Alcotest.(check bool) "index consistent after rollback" true
+    (Runtime.index_consistent rt);
   Alcotest.(check (list (pair int int))) "free blocks restored exactly" free_before
     (per_node_free rt);
   Alcotest.(check int) "deployments survive" 3 (List.length (Runtime.deployments rt));
@@ -1500,7 +1518,11 @@ let test_hypervisor_failover_commands () =
   ignore (Hypervisor.handle h "deploy npu-t6");
   Alcotest.(check bool) "fail ok" true
     (starts_with "ok recovered=" (Hypervisor.handle h "fail 0"));
+  Alcotest.(check string) "index after fail" "ok consistent=true"
+    (Hypervisor.handle h "index");
   Alcotest.(check string) "restore" "ok" (Hypervisor.handle h "restore 0");
+  Alcotest.(check string) "index after restore" "ok consistent=true"
+    (Hypervisor.handle h "index");
   Alcotest.(check bool) "bad node" true
     (starts_with "error" (Hypervisor.handle h "fail 99"))
 
@@ -1559,42 +1581,35 @@ let prop_runtime_conservation =
 
 let test_fragmentation_shapes_agree () =
   let npu = Lazy.force npu_result in
-  let mk indexed =
-    let registry = Registry.create () in
-    Registry.register registry npu.Framework.mapping;
-    Runtime.create ~policy:Runtime.greedy ~indexed (Cluster.create ()) registry
-  in
-  let rt_i = mk true and rt_n = mk false in
+  let registry = Registry.create () in
+  Registry.register registry npu.Framework.mapping;
+  let rt = Runtime.create ~policy:Runtime.greedy (Cluster.create ()) registry in
   let agree label =
     Alcotest.(check (float 1e-12))
       (label ^ ": fragmentation agrees")
-      (Runtime.fragmentation rt_n) (Runtime.fragmentation rt_i);
+      (Placement.fragmentation rt) (Runtime.fragmentation rt);
     Alcotest.(check int)
       (label ^ ": whole-free agrees")
-      (Runtime.whole_free_nodes rt_n)
-      (Runtime.whole_free_nodes rt_i);
+      (Placement.whole_free_nodes rt)
+      (Runtime.whole_free_nodes rt);
     Alcotest.(check bool) (label ^ ": index consistent") true
-      (Runtime.index_consistent rt_i)
+      (Runtime.index_consistent rt)
   in
   agree "empty";
   Alcotest.(check (float 1e-12)) "empty cluster has no stranding" 0.0
-    (Runtime.fragmentation rt_i);
+    (Runtime.fragmentation rt);
   let deploy rt =
     match Runtime.deploy rt ~accel:"npu-t6" with
     | Ok d -> d
     | Error e -> Alcotest.fail e
   in
-  let di = List.init 5 (fun _ -> deploy rt_i) in
-  let dn = List.init 5 (fun _ -> deploy rt_n) in
+  let ds = List.init 5 (fun _ -> deploy rt) in
   agree "loaded";
-  List.iteri (fun i d -> if i mod 2 = 0 then Runtime.undeploy rt_i d) di;
-  List.iteri (fun i d -> if i mod 2 = 0 then Runtime.undeploy rt_n d) dn;
+  List.iteri (fun i d -> if i mod 2 = 0 then Runtime.undeploy rt d) ds;
   agree "after churn";
-  Runtime.mark_node_failed rt_i 0;
-  Runtime.mark_node_failed rt_n 0;
+  Runtime.mark_node_failed rt 0;
   agree "node failed";
-  Runtime.restore_node rt_i 0;
-  Runtime.restore_node rt_n 0;
+  Runtime.restore_node rt 0;
   agree "restored"
 
 (* One stranded 6-VB deployment per device: plenty of free blocks in

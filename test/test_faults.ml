@@ -1,5 +1,5 @@
 (* Tests for the fault-injection and recovery layer: the fault-plan
-   data type, runtime failure marking / migration / deploy retry, and
+   data type, runtime failure marking and migration, and
    index consistency across fault/restore cycles. *)
 
 module Fault_plan = Mlv_cluster.Fault_plan
@@ -204,53 +204,6 @@ let test_migrate_errors () =
   | Ok _ -> Alcotest.fail "migrating an undeployed handle should fail"
   | Error _ -> ()
 
-let test_deploy_with_retry_immediate () =
-  let rt, _ = runtime_fixture () in
-  let result = ref None in
-  Runtime.deploy_with_retry rt ~accel:"npu-t6" (fun r -> result := Some r);
-  match !result with
-  | Some (Ok _) -> ()
-  | Some (Error e) -> Alcotest.fail e
-  | None -> Alcotest.fail "continuation not called synchronously on success"
-
-let test_deploy_with_retry_backoff () =
-  let rt, cluster = runtime_fixture () in
-  let sim = cluster.Cluster.sim in
-  for n = 0 to Cluster.node_count cluster - 1 do
-    Runtime.mark_node_failed rt n
-  done;
-  (* restore capacity at t=250: attempts at 0 and 100 fail, the
-     attempt at 300 (backoff 100 then 200) succeeds *)
-  Sim.schedule_at sim ~at:250.0 (fun () ->
-      for n = 0 to Cluster.node_count cluster - 1 do
-        Runtime.restore_node rt n
-      done);
-  let result = ref None in
-  Runtime.deploy_with_retry rt ~accel:"npu-t6" ~base_backoff_us:100.0 (fun r ->
-      result := Some (r, Sim.now sim));
-  Sim.run sim;
-  match !result with
-  | Some (Ok _, at) -> Alcotest.(check (float 1e-9)) "succeeded at 3rd attempt" 300.0 at
-  | Some (Error e, _) -> Alcotest.fail e
-  | None -> Alcotest.fail "continuation never called"
-
-let test_deploy_with_retry_exhaustion () =
-  let rt, cluster = runtime_fixture () in
-  let sim = cluster.Cluster.sim in
-  for n = 0 to Cluster.node_count cluster - 1 do
-    Runtime.mark_node_failed rt n
-  done;
-  let result = ref None in
-  Runtime.deploy_with_retry rt ~accel:"npu-t6" ~max_retries:3 ~base_backoff_us:100.0
-    (fun r -> result := Some (r, Sim.now sim));
-  Sim.run sim;
-  match !result with
-  | Some (Error _, at) ->
-    (* retries at +100, +200, +400 after the immediate attempt *)
-    Alcotest.(check (float 1e-9)) "gave up after full backoff" 700.0 at
-  | Some (Ok _, _) -> Alcotest.fail "deploy on a dead cluster should fail"
-  | None -> Alcotest.fail "continuation never called"
-
 (* The churn invariant under faults: the allocation index stays
    consistent after every crash, failover, migration and restore. *)
 let test_index_consistent_through_fault_plan () =
@@ -304,9 +257,6 @@ let () =
           Alcotest.test_case "mark failed + health" `Quick test_mark_failed_and_health;
           Alcotest.test_case "migrate" `Quick test_migrate;
           Alcotest.test_case "migrate errors" `Quick test_migrate_errors;
-          Alcotest.test_case "retry immediate" `Quick test_deploy_with_retry_immediate;
-          Alcotest.test_case "retry backoff" `Quick test_deploy_with_retry_backoff;
-          Alcotest.test_case "retry exhaustion" `Quick test_deploy_with_retry_exhaustion;
           Alcotest.test_case "index consistent through faults" `Quick
             test_index_consistent_through_fault_plan;
         ] );

@@ -1,18 +1,20 @@
 (* Placement-engine tests: the indexed allocator must make
-   byte-identical decisions to the naive snapshot-scan path under
-   every policy, and the capacity index must never drift from the
-   controllers across deploy/undeploy/fail/restore/rebalance churn. *)
+   byte-identical decisions to the snapshot-scan oracle
+   (test/oracle/placement.ml) under every policy, and the capacity
+   index must never drift from the controllers across
+   deploy/undeploy/fail/restore/rebalance churn. *)
 
 module Mapping = Mlv_core.Mapping
 module Mapdb = Mlv_core.Mapdb
 module Registry = Mlv_core.Registry
 module Runtime = Mlv_core.Runtime
 module Framework = Mlv_core.Framework
+module Hypervisor = Mlv_core.Hypervisor
+module Placement = Mlv_oracle.Placement
 module SB = Mlv_core.Soft_block
 module Device = Mlv_fpga.Device
 module Resource = Mlv_fpga.Resource
 module Cluster = Mlv_cluster.Cluster
-module Node = Mlv_cluster.Node
 module Bitstream = Mlv_vital.Bitstream
 module Rng = Mlv_util.Rng
 
@@ -79,7 +81,7 @@ let test_mapdb_plan () =
       (fun lp -> Alcotest.(check int) "single levels only" 1 lp.Mapdb.piece_count)
       plan.Mapdb.single_fewest
 
-(* ---------------- differential: indexed ≡ naive ---------------- *)
+(* ---------------- differential: indexed ≡ oracle ---------------- *)
 
 type op = Deploy of string | Undeploy of int | Fail of int | Restore of int | Rebalance
 
@@ -94,8 +96,8 @@ let script =
     Rebalance; Deploy "npu-t6"; Deploy "npu-t6"; Deploy "npu-t21";
   ]
   (* The pod is full by now.  Refuse the same accelerator back to back,
-     and after each capacity change deploy it again: both allocators
-     must refuse, and place again, at the same steps. *)
+     and after each capacity change deploy it again: the runtime and
+     the oracle must refuse, and place again, at the same steps. *)
   @ [
       Deploy "npu-t21"; Deploy "npu-t21"; Undeploy 0; Deploy "npu-t21";
       Deploy "npu-t21"; Deploy "npu-t21"; Fail 4; Deploy "npu-t21";
@@ -105,26 +107,36 @@ let script =
       Deploy "npu-t6"; Deploy "npu-t21"; Deploy "npu-t21";
     ]
 
-let placement_sig (d : Runtime.deployment) =
-  List.map
-    (fun (p : Runtime.placement) ->
-      (p.Runtime.node_id, Bitstream.id p.Runtime.bitstream, p.Runtime.bitstream.Bitstream.vbs))
-    d.Runtime.placements
-
-let free_state cluster =
-  List.init (Cluster.node_count cluster) (fun i -> Node.free_vbs (Cluster.node cluster i))
-
 let sig_t = Alcotest.(list (triple int string int))
+
+(* Used blocks per node, as the controllers see them and as the live
+   deployments' placements add up. *)
+let used_state rt =
+  List.map (fun (_, used, _) -> used) (Runtime.stats rt).Runtime.per_node
+
+let placed_state cluster live =
+  let used = Array.make (Cluster.node_count cluster) 0 in
+  List.iter
+    (fun (d : Runtime.deployment) ->
+      List.iter
+        (fun (p : Runtime.placement) ->
+          used.(p.Runtime.node_id) <- used.(p.Runtime.node_id) + p.Runtime.bitstream.Bitstream.vbs)
+        d.Runtime.placements)
+    live;
+  Array.to_list used
+
+(* The hypervisor's repack: one unbudgeted defrag pass. *)
+let rebalance h =
+  let reply = Hypervisor.handle h "rebalance" in
+  if not (String.starts_with ~prefix:"ok moved=" reply) then
+    Alcotest.failf "rebalance replied %S" reply
 
 let run_differential policy =
   let r = Lazy.force registry in
-  let ca = Cluster.create ~kinds:pod_kinds () in
-  let cb = Cluster.create ~kinds:pod_kinds () in
-  let ra = Runtime.create ~policy ~indexed:true ca r in
-  let rb = Runtime.create ~policy ~indexed:false cb r in
-  Alcotest.(check bool) "a indexed" true (Runtime.indexed ra);
-  Alcotest.(check bool) "b naive" false (Runtime.indexed rb);
-  let live_a = ref [] and live_b = ref [] in
+  let cluster = Cluster.create ~kinds:pod_kinds () in
+  let rt = Runtime.create ~policy cluster r in
+  let h = Hypervisor.create rt in
+  let live = ref [] in
   (* accelerators whose latest deploy was refused *)
   let refused = Hashtbl.create 2 in
   let repeat_refusals = ref 0 and reopened = ref 0 in
@@ -133,56 +145,39 @@ let run_differential policy =
       let ctx = Printf.sprintf "%s step %d" policy.Runtime.policy_name step in
       (match op with
       | Deploy accel -> (
-        match (Runtime.deploy ra ~accel, Runtime.deploy rb ~accel) with
-        | Ok da, Ok db ->
-          Alcotest.check sig_t (ctx ^ ": same placements") (placement_sig db)
-            (placement_sig da);
-          live_a := !live_a @ [ da ];
-          live_b := !live_b @ [ db ];
+        let expected = Placement.assign rt ~accel in
+        match (Runtime.deploy rt ~accel, expected) with
+        | Ok d, Some a ->
+          Alcotest.check sig_t (ctx ^ ": oracle placements") (Placement.signature a)
+            (Placement.signature (Placement.deployed d));
+          live := !live @ [ d ];
           if Hashtbl.mem refused accel then incr reopened;
           Hashtbl.remove refused accel
-        | Error ea, Error eb ->
+        | Error _, None ->
           if Hashtbl.mem refused accel then incr repeat_refusals;
-          Hashtbl.replace refused accel ();
-          Alcotest.(check string) (ctx ^ ": same error") eb ea
-        | Ok _, Error e -> Alcotest.failf "%s: indexed placed, naive failed: %s" ctx e
-        | Error e, Ok _ -> Alcotest.failf "%s: naive placed, indexed failed: %s" ctx e)
+          Hashtbl.replace refused accel ()
+        | Ok _, None -> Alcotest.failf "%s: indexed placed, oracle refused" ctx
+        | Error e, Some _ -> Alcotest.failf "%s: oracle placed, indexed failed: %s" ctx e)
       | Undeploy i ->
-        if i < List.length !live_a then begin
-          Runtime.undeploy ra (List.nth !live_a i);
-          Runtime.undeploy rb (List.nth !live_b i);
-          live_a := List.filteri (fun j _ -> j <> i) !live_a;
-          live_b := List.filteri (fun j _ -> j <> i) !live_b
+        if i < List.length !live then begin
+          Runtime.undeploy rt (List.nth !live i);
+          live := List.filteri (fun j _ -> j <> i) !live
         end
       | Fail n ->
-        let fa = Runtime.fail_node ra n in
-        let fb = Runtime.fail_node rb n in
-        Alcotest.(check int) (ctx ^ ": same recovered") fb.Runtime.recovered
-          fa.Runtime.recovered;
-        Alcotest.(check int)
-          (ctx ^ ": same lost")
-          (List.length fb.Runtime.lost)
-          (List.length fa.Runtime.lost);
-        live_a := List.filter (fun d -> not (List.memq d fa.Runtime.lost)) !live_a;
-        live_b := List.filter (fun d -> not (List.memq d fb.Runtime.lost)) !live_b
-      | Restore n ->
-        Runtime.restore_node ra n;
-        Runtime.restore_node rb n
-      | Rebalance -> (
-        match (Runtime.rebalance ra, Runtime.rebalance rb) with
-        | Ok ma, Ok mb -> Alcotest.(check int) (ctx ^ ": same moved") mb ma
-        | Error ea, Error eb -> Alcotest.(check string) (ctx ^ ": same error") eb ea
-        | _ -> Alcotest.failf "%s: rebalance outcomes diverged" ctx));
+        let f = Runtime.fail_node rt n in
+        live := List.filter (fun d -> not (List.memq d f.Runtime.lost)) !live
+      | Restore n -> Runtime.restore_node rt n
+      | Rebalance -> rebalance h);
       Alcotest.(check (list int))
-        (ctx ^ ": same free blocks per node")
-        (free_state cb) (free_state ca);
-      (* every live pair must agree placement-for-placement *)
-      List.iter2
-        (fun da db ->
-          Alcotest.check sig_t (ctx ^ ": live placements agree") (placement_sig db)
-            (placement_sig da))
-        !live_a !live_b;
-      Alcotest.(check bool) (ctx ^ ": index consistent") true (Runtime.index_consistent ra))
+        (ctx ^ ": live placements account for every used block")
+        (used_state rt) (placed_state cluster !live);
+      Alcotest.(check (float 1e-12))
+        (ctx ^ ": fragmentation agrees")
+        (Placement.fragmentation rt) (Runtime.fragmentation rt);
+      Alcotest.(check int)
+        (ctx ^ ": whole-free agrees")
+        (Placement.whole_free_nodes rt) (Runtime.whole_free_nodes rt);
+      Alcotest.(check bool) (ctx ^ ": index consistent") true (Runtime.index_consistent rt))
     script;
   Alcotest.(check bool) "some refusal repeats one" true (!repeat_refusals > 0);
   Alcotest.(check bool) "some refused deploy later places" true (!reopened > 0)
@@ -199,6 +194,7 @@ let test_churn_invariant () =
   let cluster = Cluster.create ~kinds:pod_kinds () in
   let total0 = Cluster.total_free_vbs cluster in
   let rt = Runtime.create ~policy:Runtime.greedy cluster r in
+  let h = Hypervisor.create rt in
   let rng = Rng.create 42 in
   let nodes = Cluster.node_count cluster in
   for step = 1 to 400 do
@@ -218,7 +214,7 @@ let test_churn_invariant () =
        match Runtime.failed_nodes rt with
        | [] -> ()
        | l -> Runtime.restore_node rt (Rng.choose rng l))
-     else ignore (Runtime.rebalance rt));
+     else rebalance h);
     if not (Runtime.index_consistent rt) then
       Alcotest.failf "index drifted from controllers at step %d" step
   done;

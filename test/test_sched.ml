@@ -822,6 +822,56 @@ let test_serving_deterministic () =
   Alcotest.(check int) "same sheds" a.Sysim.shed b.Sysim.shed;
   Alcotest.(check (float 0.0)) "same makespan" a.Sysim.makespan_us b.Sysim.makespan_us
 
+(* The elastic-serving comparison of [bench/main.exe sched] at 60
+   tasks: static provisioning, warm-replica serving and the closed
+   autoscaler loop on one bursty trace, with admission classes whose
+   deadlines are 20x the static row's mean service time and whose
+   rates shed nothing. *)
+let test_autoscaled_tail_vs_static () =
+  let tasks = 60 in
+  let run serving =
+    Sysim.run ~registry:(Lazy.force registry)
+      { (serving_config ~tasks ()) with Sysim.serving }
+  in
+  let static = run None in
+  let deadline_us = 20.0 *. static.Sysim.mean_service_us in
+  let serve autoscale =
+    run
+      (Some
+         {
+           Sysim.classes =
+             [
+               Slo.class_spec ~priority:2 ~deadline_us ~rate_per_s:100_000.0 ~burst:256 "S";
+               Slo.class_spec ~priority:1 ~deadline_us ~rate_per_s:100_000.0 ~burst:256 "M";
+               Slo.class_spec ~priority:0 ~deadline_us:(2.0 *. deadline_us)
+                 ~rate_per_s:100_000.0 ~burst:256 "L";
+             ];
+           batch = Batcher.config ~max_batch:4 ~max_linger_us:100.0 ();
+           autoscale;
+           tenant_pool = None;
+           preempt = false;
+           defrag = None;
+         })
+  in
+  let served = serve None in
+  let autoscaled = serve (Some Autoscaler.default) in
+  List.iter
+    (fun (name, (r : Sysim.result)) ->
+      Alcotest.(check int) (name ^ ": accounting closes") tasks
+        (r.Sysim.completed + r.Sysim.rejected + r.Sysim.shed);
+      Alcotest.(check int) (name ^ ": none lost") 0 r.Sysim.lost)
+    [ ("static", static); ("served", served); ("autoscaled", autoscaled) ];
+  Alcotest.(check bool) "autoscaled p99 <= static p99" true
+    (autoscaled.Sysim.p99_latency_us <= static.Sysim.p99_latency_us);
+  Alcotest.(check bool) "autoscaler scaled up" true (autoscaled.Sysim.scale_ups > 0);
+  let again = serve (Some Autoscaler.default) in
+  Alcotest.(check (list (float 0.0))) "rerun: same latencies" autoscaled.Sysim.latencies_us
+    again.Sysim.latencies_us;
+  Alcotest.(check int) "rerun: same scale_ups" autoscaled.Sysim.scale_ups
+    again.Sysim.scale_ups;
+  Alcotest.(check (float 0.0)) "rerun: same makespan" autoscaled.Sysim.makespan_us
+    again.Sysim.makespan_us
+
 let test_serving_rejects_fault_plans () =
   let plan =
     match Fault_plan.of_string "crash@100:1" with Ok p -> p | Error e -> Alcotest.fail e
@@ -1015,13 +1065,14 @@ let toy_registry () =
 let test_migrate_rollback_differential () =
   (* Force-migrate with every node marked failed: the deploy inside
      migrate cannot place anywhere, so the rollback must restore the
-     original placements exactly.  Run the same scenario on an indexed
-     and a naive runtime: every decision must match, and the capacity
-     index must stay consistent after the failed migration. *)
-  let scenario ~indexed =
+     original placements exactly, and the capacity index must stay
+     consistent after the failed migration.  The outcome is pinned to
+     the tuple the indexed and the snapshot-scan allocators agreed on
+     when both lived in the runtime. *)
+  let outcome =
     let reg = toy_registry () in
     let cluster = Cluster.create ~kinds:[ Device.XCVU37P; Device.XCVU37P ] () in
-    let rt = Runtime.create ~policy:Runtime.greedy ~indexed cluster reg in
+    let rt = Runtime.create ~policy:Runtime.greedy cluster reg in
     let rec fill acc =
       match Runtime.deploy rt ~accel:"npu-t6" with
       | Ok d -> fill (d :: acc)
@@ -1061,13 +1112,13 @@ let test_migrate_rollback_differential () =
     let tag = function Ok n -> Printf.sprintf "ok:%d" n | Error _ -> "error" in
     (List.length deployed, tag outcome, tag second, Runtime.nodes_used victim)
   in
-  let i = scenario ~indexed:true in
-  let n = scenario ~indexed:false in
   let pp_outcome fmt (a, b, c, d) =
     Format.fprintf fmt "(%d, %s, %s, [%s])" a b c
       (String.concat ";" (List.map string_of_int d))
   in
-  Alcotest.(check (testable pp_outcome ( = ))) "indexed and naive agree" n i
+  Alcotest.(check (testable pp_outcome ( = ))) "pinned outcome"
+    (4, "error", "ok:1", [ 0 ])
+    outcome
 
 (* ---------------- per-attempt wait accounting ---------------- *)
 
@@ -1186,6 +1237,8 @@ let () =
         [
           Alcotest.test_case "accounting closes" `Quick test_serving_accounting_closes;
           Alcotest.test_case "deterministic" `Quick test_serving_deterministic;
+          Alcotest.test_case "autoscaled tail vs static" `Quick
+            test_autoscaled_tail_vs_static;
           Alcotest.test_case "rejects fault plans" `Quick test_serving_rejects_fault_plans;
           Alcotest.test_case "open loop untouched" `Quick
             test_open_loop_untouched_by_arrival_field;
