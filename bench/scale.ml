@@ -14,19 +14,18 @@
 
    Usage: scale.exe [--nodes N] [--big-nodes N] [--tasks N] [--seed S]
                     [--mean-us F] [--repeats N] [--max-replicas N]
-                    [--out FILE] [--smoke]
-   `make bench-scale-smoke` runs the small 1k-node configuration as
-   part of `make check`: it asserts the serving run's result digest
-   equals [smoke_digest], plus isolation and allocation-free counter
-   checks.  `make bench-scale` runs the full configuration and writes
-   BENCH_scale.json. *)
+                    [--out FILE]
+   `make bench-scale` runs the full configuration and writes
+   BENCH_scale.json.  The same shape at 1k nodes, with its pinned
+   result digest, is test_sched's "datacenter shape at 1k nodes"; the
+   allocation-free counter reads are checked in test_sched's batching
+   and routing tests. *)
 
 module Sysim = Mlv_sysim.Sysim
 module Genset = Mlv_workload.Genset
 module Runtime = Mlv_core.Runtime
 module Device = Mlv_fpga.Device
 module Batcher = Mlv_sched.Batcher
-module Router = Mlv_sched.Router
 module Autoscaler = Mlv_sched.Autoscaler
 module Obs = Mlv_obs.Obs
 
@@ -193,55 +192,6 @@ let run_case ~registry ~label cfg =
   List.iter (fun t -> Printf.printf "    %s\n%!" (tenant_line t)) r.Sysim.per_tenant;
   o
 
-(* ---------------- allocation-free counter checks ---------------- *)
-
-(* The incrementally maintained read paths the serving tick leans on
-   must not allocate: warm the caches, then demand (near-)zero
-   allocation over a thousand calls.  512 bytes of slack absorbs the
-   boxed floats of [Gc.allocated_bytes] itself. *)
-let assert_no_alloc () =
-  let router = Router.create () in
-  for i = 0 to 63 do
-    Router.add_replica router
-      ~key:("g" ^ string_of_int (i land 7))
-      ~replica_id:i ~weight:1.0;
-    Router.begin_work router
-      ~key:("g" ^ string_of_int (i land 7))
-      ~replica_id:i (1 + (i land 3))
-  done;
-  let batcher = Batcher.create (Batcher.config ~max_batch:8 ~max_linger_us:100.0 ()) in
-  for i = 0 to 31 do
-    ignore (Batcher.add batcher ~key:("g" ^ string_of_int (i land 7)) ~now_us:(float_of_int i) i)
-  done;
-  let sink = ref 0 in
-  let measure name f =
-    for _ = 1 to 10 do
-      sink := !sink + f ()
-    done;
-    let b0 = Gc.allocated_bytes () in
-    for _ = 1 to 1000 do
-      sink := !sink + f ()
-    done;
-    let delta = Gc.allocated_bytes () -. b0 in
-    if delta > 512.0 then begin
-      Printf.eprintf "FAIL: %s allocated %.0f bytes over 1000 calls\n" name delta;
-      exit 1
-    end;
-    Printf.printf "  %-28s %.0f bytes / 1000 calls\n" name delta
-  in
-  Printf.printf "allocation-free counter checks:\n";
-  measure "Router.keys" (fun () ->
-      List.length (Sys.opaque_identity (Router.keys router)));
-  measure "Router.total_outstanding" (fun () ->
-      Sys.opaque_identity (Router.total_outstanding router));
-  measure "Batcher.keys" (fun () ->
-      List.length (Sys.opaque_identity (Batcher.keys batcher)));
-  measure "Batcher.total_pending" (fun () ->
-      Sys.opaque_identity (Batcher.total_pending batcher));
-  measure "Batcher.nonempty_kinds" (fun () ->
-      Sys.opaque_identity (Batcher.nonempty_kinds batcher));
-  ignore (Sys.opaque_identity !sink)
-
 (* ---------------- json ---------------- *)
 
 let tenant_json (t : Sysim.tenant_stats) =
@@ -284,12 +234,6 @@ let outcome_json o =
 
 (* ---------------- driver ---------------- *)
 
-(* [digest_result] of the --smoke serving run.  Recorded while the
-   pre-index linear data shapes (list flight table, fold-per-pick
-   router, per-completion group sweeps) were still selectable, with
-   both shapes producing this digest, so it certifies both. *)
-let smoke_digest = 3361769800954537541
-
 let () =
   let nodes = ref 10_000
   and big_nodes = ref 100_000
@@ -299,8 +243,7 @@ let () =
   and repeats = ref 8
   and max_replicas = ref 2048
   and out = ref "BENCH_scale.json"
-  and isolation_margin = ref 0.85
-  and smoke = ref false in
+  and isolation_margin = ref 0.85 in
   Arg.parse
     [
       ("--nodes", Arg.Set_int nodes, "cluster size of the throughput run (default 10000)");
@@ -321,20 +264,9 @@ let () =
         Arg.Set_float isolation_margin,
         "minimum bursty/calm SLO-met-completion ratio for the calm tenant \
          (default 0.85)" );
-      ( "--smoke",
-        Arg.Set smoke,
-        "small configuration: 1k nodes, 24k tasks; digest, isolation and \
-         allocation checks" );
     ]
     (fun a -> raise (Arg.Bad ("unexpected argument " ^ a)))
     "datacenter-scale serving benchmark";
-  if !smoke then begin
-    nodes := 1_000;
-    big_nodes := 0;
-    tasks := 24_000;
-    mean_us := 33.0;
-    max_replicas := 96
-  end;
   if !nodes <= 0 || !tasks <= 0 || !mean_us <= 0.0 || !max_replicas <= 0 then begin
     prerr_endline "nodes, tasks, mean-us and max-replicas must be positive";
     exit 1
@@ -426,7 +358,6 @@ let () =
     "isolation: alice SLO-met completions bursty/calm %.3f (floor %.2f), \
      bob shed %d\n%!"
     alice_ratio !isolation_margin bob_shed;
-  if !smoke then assert_no_alloc ();
   let json =
     Obs.Json.Obj
       ([
@@ -458,11 +389,6 @@ let () =
   output_char oc '\n';
   close_out oc;
   Printf.printf "results written to %s\n" !out;
-  if !smoke && indexed.digest <> smoke_digest then begin
-    Printf.eprintf "FAIL: serving digest %d, pinned %d\n" indexed.digest
-      smoke_digest;
-    exit 1
-  end;
   if alice_ratio < !isolation_margin then begin
     Printf.eprintf
       "FAIL: alice's SLO-met completions dropped to %.3f of calm under \

@@ -1,37 +1,18 @@
-(* Streaming-telemetry benchmark: alert detection latency, false
-   positives and scrape overhead.
+(* Streaming-telemetry overhead benchmark: what the scrape loop and
+   its alert rules cost the serving event loop.
 
-   Scenario A replays a fault-free open-loop trace twice — telemetry
-   off, then on with the outage rule armed — and asserts the
-   simulation results are bit-identical and that no alert ever
-   transitions (zero false positives).
+   A dense serving workload runs as adjacent telemetry-off/on pairs;
+   the overhead is the median of the per-pair event-loop wall ratios,
+   taken from the quietest of three rounds, and must stay within 5%.
+   The telemetry scenarios on the sim clock (bit-identical results,
+   outage detection, burn-rate firing) are tier-1 tests in
+   test/test_watch.ml.
 
-   Scenario B replays a fault-injection trace with known outage
-   windows, telemetry off and on.  The results must again be
-   bit-identical; the outage rule must produce exactly one
-   firing -> resolved cycle per injected window; detection latency
-   (fire time minus crash time) and resolve latency (resolve time
-   minus restore time) must each stay within two scrape intervals.
-   A third run checks the transition log is deterministic.
-
-   Scenario C runs a contended two-tenant serving trace with a
-   multi-window burn-rate rule over the gold tenant's SLO budget; the
-   overloaded stream must burn through the budget and fire, results
-   staying bit-identical with telemetry off.
-
-   Finally the scrape loop's cost is measured on a dense serving
-   workload: paired off/on event-loop wall times, overhead taken as
-   the median of the per-pair ratios.  The full configuration asserts
-   the overhead stays within 5%; smoke mode only reports it (short
-   runs are wall-clock noise).
-
-   Usage: watch.exe [--tasks N] [--seed S] [--out FILE] [--smoke]
-   `make bench-watch-smoke` runs as part of `make check`;
+   Usage: watch.exe [--wall-tasks N] [--wall-reps N] [--seed S] [--out FILE]
    `make bench-watch` writes BENCH_watch.json. *)
 
 module Sysim = Mlv_sysim.Sysim
 module Runtime = Mlv_core.Runtime
-module Fault_plan = Mlv_cluster.Fault_plan
 module Genset = Mlv_workload.Genset
 module Batcher = Mlv_sched.Batcher
 module Autoscaler = Mlv_sched.Autoscaler
@@ -39,73 +20,8 @@ module Device = Mlv_fpga.Device
 module Obs = Mlv_obs.Obs
 module Alert = Mlv_obs.Alert
 
-let fail fmt = Printf.ksprintf (fun s -> prerr_endline ("FAIL: " ^ s); exit 1) fmt
-
-(* Everything in a result except the wall clock and the
-   telemetry-only fields must be bit-identical across a telemetry
-   off/on pair. *)
-let fingerprint (r : Sysim.result) =
-  { r with Sysim.loop_wall_s = 0.0; scrapes = 0; alert_transitions = [] }
-
-let scrape_interval_us = 1_000.0
-
-let outage_rules =
-  match Alert.of_string "outage gt sysim.nodes_down 0 1 1 0" with
-  | Ok rules -> rules
-  | Error e -> fail "outage rule: %s" e
-
-let telemetry rules =
-  Some { Sysim.default_telemetry with Sysim.scrape_interval_us; rules }
-
-(* ---------------- open-loop scenarios ---------------- *)
-
-let open_config ~seed ~tasks ~faults ~telemetry =
-  let base =
-    Sysim.default_config ~policy:Runtime.greedy ~composition:Genset.table1.(2)
-  in
-  { base with Sysim.seed; tasks; faults; telemetry }
-
-(* Two well-separated outages of node 1: crash and restore times are
-   the ground truth the alert log is judged against. *)
-let outage_windows = [ (8_000.0, 20_000.0); (40_000.0, 52_000.0) ]
-
-let outage_plan =
-  Fault_plan.make
-    (List.concat_map
-       (fun (c, r) ->
-         [
-           { Fault_plan.at = c; action = Fault_plan.Crash 1 };
-           { Fault_plan.at = r; action = Fault_plan.Restore 1 };
-         ])
-       outage_windows)
-
-(* ---------------- serving scenario ---------------- *)
-
-(* The bulk tenant's 20 µs stream overloads the cluster; queueing
-   pushes most gold sojourns past the SLO, burning the 90% objective
-   at well over twice budget on both windows. *)
-let serving_config ~seed ~tasks_per_tenant ~telemetry =
-  let base =
-    Sysim.default_config ~policy:Runtime.greedy ~composition:Genset.table1.(2)
-  in
-  {
-    base with
-    Sysim.seed;
-    slo_multiplier = 4.0;
-    tenants =
-      [
-        Genset.tenant_load ~tasks:tasks_per_tenant
-          ~arrival:(Genset.Exponential { mean_us = 100.0 })
-          "gold";
-        Genset.tenant_load ~tasks:tasks_per_tenant
-          ~composition:Genset.table1.(1)
-          ~arrival:(Genset.Exponential { mean_us = 20.0 })
-          "bulk";
-      ];
-    serving = Some { Sysim.default_serving with Sysim.autoscale = None };
-    telemetry;
-  }
-
+(* The burn-rate rule the scraper evaluates on every tick: a
+   multi-window rule over the gold tenant's SLO budget. *)
 let burn_rules =
   [
     {
@@ -125,55 +41,13 @@ let burn_rules =
     };
   ]
 
-(* ---------------- transition-log checks ---------------- *)
-
-let events_of kind trs = List.filter (fun t -> t.Alert.event = kind) trs
-
-let transitions_json trs = Obs.Json.List (List.map Alert.transition_json trs)
-
-(* One firing -> resolved cycle per window, each edge within two
-   scrape intervals of its ground-truth cause.  Returns the per-window
-   detection latencies. *)
-let check_outage_log trs =
-  let fires = events_of Alert.Fire trs in
-  let resolves = events_of Alert.Resolve trs in
-  let n = List.length outage_windows in
-  if List.length fires <> n then
-    fail "expected %d firings for %d outages, got %d" n n (List.length fires);
-  if List.length resolves <> n then
-    fail "expected %d resolves for %d outages, got %d" n n
-      (List.length resolves);
-  let slack = 2.0 *. scrape_interval_us in
-  List.mapi
-    (fun i (crash, restore) ->
-      let f = List.nth fires i and r = List.nth resolves i in
-      let detect = f.Alert.at_us -. crash in
-      let resolve = r.Alert.at_us -. restore in
-      if detect < 0.0 || detect > slack then
-        fail "outage %d: detection latency %.1f us outside [0, %.1f]" i detect
-          slack;
-      if resolve < 0.0 || resolve > slack then
-        fail "outage %d: resolve latency %.1f us outside [0, %.1f]" i resolve
-          slack;
-      (detect, resolve))
-    outage_windows
-
-(* ---------------- driver ---------------- *)
-
 let () =
-  let tasks = ref 240
-  and tasks_per_tenant = ref 120
-  and wall_tasks = ref 30_000
+  let wall_tasks = ref 30_000
   and wall_reps = ref 7
   and seed = ref 42
-  and out = ref "BENCH_watch.json"
-  and smoke = ref false in
+  and out = ref "BENCH_watch.json" in
   Arg.parse
     [
-      ("--tasks", Arg.Set_int tasks, "open-loop tasks (default 240)");
-      ( "--serving-tasks",
-        Arg.Set_int tasks_per_tenant,
-        "serving tasks per tenant (default 120)" );
       ( "--wall-tasks",
         Arg.Set_int wall_tasks,
         "tasks in the overhead measurement (default 30000)" );
@@ -182,88 +56,15 @@ let () =
         "off/on pairs in the overhead measurement (default 7)" );
       ("--seed", Arg.Set_int seed, "base seed (default 42)");
       ("--out", Arg.Set_string out, "output JSON path (default BENCH_watch.json)");
-      ( "--smoke",
-        Arg.Set smoke,
-        "short configuration; reports overhead without asserting it" );
     ]
     (fun a -> raise (Arg.Bad ("unexpected argument " ^ a)))
-    "streaming-telemetry benchmark";
-  if !smoke then begin
-    tasks := 80;
-    tasks_per_tenant := 40;
-    wall_tasks := 2_000;
-    wall_reps := 3
-  end;
-  if !tasks <= 0 || !tasks_per_tenant <= 0 || !wall_tasks <= 0 || !wall_reps <= 0
-  then begin
+    "streaming-telemetry overhead benchmark";
+  if !wall_tasks <= 0 || !wall_reps <= 0 then begin
     prerr_endline "task and repetition counts must be positive";
     exit 1
   end;
   let registry = Sysim.build_registry () in
   let run cfg = Sysim.run ~registry cfg in
-
-  (* A: fault-free, no alert may transition. *)
-  let a_off = run (open_config ~seed:!seed ~tasks:!tasks ~faults:None ~telemetry:None) in
-  let a_on =
-    run
-      (open_config ~seed:!seed ~tasks:!tasks ~faults:None
-         ~telemetry:(telemetry outage_rules))
-  in
-  let a_identical = fingerprint a_off = fingerprint a_on in
-  let false_positives = List.length a_on.Sysim.alert_transitions in
-  Printf.printf
-    "fault-free: %d tasks, %d scrapes, %d alert events, bit-identical=%b\n%!"
-    !tasks a_on.Sysim.scrapes false_positives a_identical;
-  if not a_identical then
-    fail "telemetry changed the fault-free simulation result";
-  if false_positives <> 0 then
-    fail "%d alert transitions on a fault-free run" false_positives;
-
-  (* B: injected outages; the log must match the ground truth. *)
-  let faults = Some (Sysim.default_faults outage_plan) in
-  let b_off = run (open_config ~seed:!seed ~tasks:!tasks ~faults ~telemetry:None) in
-  let b_on =
-    run
-      (open_config ~seed:!seed ~tasks:!tasks ~faults
-         ~telemetry:(telemetry outage_rules))
-  in
-  if fingerprint b_off <> fingerprint b_on then
-    fail "telemetry changed the faulted simulation result";
-  let latencies = check_outage_log b_on.Sysim.alert_transitions in
-  List.iteri
-    (fun i (d, r) ->
-      Printf.printf
-        "outage %d: detected %+.1f us after crash, resolved %+.1f us after restore\n%!"
-        i d r)
-    latencies;
-  let b_again =
-    run
-      (open_config ~seed:!seed ~tasks:!tasks ~faults
-         ~telemetry:(telemetry outage_rules))
-  in
-  let deterministic =
-    fingerprint b_again = fingerprint b_on
-    && b_again.Sysim.alert_transitions = b_on.Sysim.alert_transitions
-  in
-  if not deterministic then fail "faulted telemetry run is not deterministic";
-
-  (* C: burn-rate rule over the overloaded gold tenant. *)
-  let c_off =
-    run (serving_config ~seed:!seed ~tasks_per_tenant:!tasks_per_tenant ~telemetry:None)
-  in
-  let c_on =
-    run
-      (serving_config ~seed:!seed ~tasks_per_tenant:!tasks_per_tenant
-         ~telemetry:(telemetry burn_rules))
-  in
-  if fingerprint c_off <> fingerprint c_on then
-    fail "telemetry changed the serving simulation result";
-  let burn_fires = List.length (events_of Alert.Fire c_on.Sysim.alert_transitions) in
-  Printf.printf "serving: %d scrapes, burn-rate rule fired %d time(s)\n%!"
-    c_on.Sysim.scrapes burn_fires;
-  if burn_fires = 0 then
-    fail "burn-rate rule never fired on the overloaded serving trace";
-
   (* Overhead: event-loop wall time, telemetry off vs on.  The true
      effect is small (scrape ticks plus a ~44 ns quantile observe per
      completion), so each off run is paired with the on run that
@@ -277,17 +78,17 @@ let () =
      set by the tick-to-event ratio — it must be measured where a
      cluster monitor actually runs: a dense, well-provisioned serving
      workload (the bench-scale shape at reduced size) under a 100 ms
-     scraper.  Scenarios A/B deliberately use a 1 ms probe on a
-     trickle workload to bound detection latency; pricing the scraper
-     against that near-idle loop would measure the cost of watching a
-     cluster do nothing. *)
-  let wall_nodes = if !smoke then 64 else 256 in
+     scraper.  The detection tests in test/test_watch.ml deliberately
+     use a 1 ms probe on a trickle workload to bound detection
+     latency; pricing the scraper against that near-idle loop would
+     measure the cost of watching a cluster do nothing. *)
+  let wall_nodes = 256 in
   let wall_cfg t =
     let base =
       Sysim.default_config ~policy:Runtime.greedy
         ~composition:{ Genset.s = 1.0; m = 0.0; l = 0.0 }
     in
-    (* per-node arrival pressure held constant across sizes *)
+    (* the per-node arrival pressure of bench-scale's 10k-node run *)
     let unit_mean_us = 2.5 *. 10_000.0 /. float_of_int wall_nodes in
     let gold = !wall_tasks / 2 in
     {
@@ -356,10 +157,9 @@ let () =
      noise is positive-heavy-tailed, so the quietest round's median is
      the sound estimate; a single round was measured swinging several
      percent either way on an identical binary. *)
-  let rounds = if !smoke then 1 else 3 in
   let overhead_pct =
     let best = ref infinity in
-    for _ = 1 to rounds do
+    for _ = 1 to 3 do
       let m = round () in
       if m < !best then best := m
     done;
@@ -369,45 +169,18 @@ let () =
   Printf.printf
     "overhead: %d tasks, %d pairs  off %.4fs  on %.4fs  (%+.1f%% median-pair)\n%!"
     !wall_tasks !wall_reps wall_off wall_on overhead_pct;
-  if (not !smoke) && overhead_pct > 5.0 then
-    fail "telemetry overhead %.1f%% exceeds the 5%% budget" overhead_pct;
+  if overhead_pct > 5.0 then begin
+    Printf.eprintf "FAIL: telemetry overhead %.1f%% exceeds the 5%% budget\n"
+      overhead_pct;
+    exit 1
+  end;
 
   let json =
     Obs.Json.Obj
       [
         ("benchmark", Obs.Json.String "watch");
-        ("tasks", Obs.Json.Int !tasks);
-        ("serving_tasks_per_tenant", Obs.Json.Int !tasks_per_tenant);
         ("seed", Obs.Json.Int !seed);
-        ("scrape_interval_us", Obs.Json.Float scrape_interval_us);
-        ("fault_free_bit_identical", Obs.Json.Bool a_identical);
-        ("false_positives", Obs.Json.Int false_positives);
-        ("fault_free_scrapes", Obs.Json.Int a_on.Sysim.scrapes);
-        ( "outage_windows",
-          Obs.Json.List
-            (List.map
-               (fun (c, r) ->
-                 Obs.Json.Obj
-                   [
-                     ("crash_us", Obs.Json.Float c);
-                     ("restore_us", Obs.Json.Float r);
-                   ])
-               outage_windows) );
-        ( "detection_latencies_us",
-          Obs.Json.List
-            (List.map (fun (d, _) -> Obs.Json.Float d) latencies) );
-        ( "resolve_latencies_us",
-          Obs.Json.List
-            (List.map (fun (_, r) -> Obs.Json.Float r) latencies) );
-        ( "max_detection_latency_us",
-          Obs.Json.Float
-            (List.fold_left (fun acc (d, _) -> Float.max acc d) 0.0 latencies)
-        );
-        ("outage_transitions", transitions_json b_on.Sysim.alert_transitions);
-        ("deterministic", Obs.Json.Bool deterministic);
-        ("burn_fires", Obs.Json.Int burn_fires);
-        ("burn_transitions", transitions_json c_on.Sysim.alert_transitions);
-        ("serving_scrapes", Obs.Json.Int c_on.Sysim.scrapes);
+        ("scrape_interval_us", Obs.Json.Float wall_interval_us);
         ("wall_tasks", Obs.Json.Int !wall_tasks);
         ("wall_reps", Obs.Json.Int !wall_reps);
         ("loop_wall_off_s", Obs.Json.Float wall_off);

@@ -248,13 +248,16 @@ let do_migrate t ?(force = false) id_str =
 
 (* One unbudgeted compaction pass: every partially-occupied healthy
    node is a source and every live deployment may move once.  A move
-   that cannot be placed rolls back on its own; the others stand. *)
+   that cannot be placed rolls back on its own; the others stand.  The
+   reply carries both counts, so "nothing needed to move" (attempted=0)
+   reads apart from "every move rolled back" (moved=0, attempted>0). *)
 let do_rebalance t =
   let live = List.length (Runtime.deployments t.runtime) in
   let cfg =
     Defrag.config ~frag_threshold:0.0 ~min_node_fill:1.0 ~max_moves:(max 1 live) ()
   in
-  Printf.sprintf "ok moved=%d" (Defrag.run_pass cfg t.runtime).Defrag.moved
+  let pass = Defrag.run_pass cfg t.runtime in
+  Printf.sprintf "ok moved=%d attempted=%d" pass.Defrag.moved pass.Defrag.attempted
 
 (* ------------------------------------------------------------------ *)
 (* Serving layer: admission gate, router, autoscaler evaluation        *)

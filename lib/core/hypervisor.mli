@@ -15,11 +15,12 @@
       nodes                 ->  ok 0:<used>/<total>:<kind> 1:...
       list                  ->  ok <accel> <accel> ...
       deployments           ->  ok <id>:<accel>:<nodes> ...
-      rebalance             ->  ok moved=<n>
+      rebalance             ->  ok moved=<n> attempted=<m>
                                 one unbudgeted Defrag pass: each live
                                 deployment on a partially-occupied
                                 node may migrate once; a move that
                                 cannot be placed rolls back alone
+                                (counted in m, not in n)
       fail <node>           ->  ok recovered=<n> lost=<m>
       restore <node>        ->  ok
       migrate <id> [force]  ->  ok moved=<n> nodes=<i,j>

@@ -1000,7 +1000,8 @@ let test_hypervisor_protocol () =
     (starts_with "error" (Hypervisor.handle h "frobnicate"));
   Alcotest.(check bool) "empty" true (starts_with "error" (Hypervisor.handle h "  "));
   Alcotest.(check bool) "help" true (starts_with "ok" (Hypervisor.handle h "help"));
-  Alcotest.(check string) "rebalance empty" "ok moved=0" (Hypervisor.handle h "rebalance")
+  Alcotest.(check string) "rebalance empty" "ok moved=0 attempted=0"
+    (Hypervisor.handle h "rebalance")
 
 let test_multi_fpga_latency_parts () =
   let dev = Device.get Device.XCVU37P in
@@ -1075,11 +1076,12 @@ let test_to_dot () =
   Alcotest.(check bool) "closes" true (contains "}")
 
 
-(* The hypervisor's repack, one unbudgeted defrag pass over [rt]. *)
+(* The hypervisor's repack, one unbudgeted defrag pass over [rt]:
+   (moved, attempted). *)
 let rebalance rt =
   let reply = Hypervisor.handle (Hypervisor.create rt) "rebalance" in
-  match Scanf.sscanf_opt reply "ok moved=%d%!" Fun.id with
-  | Some moved -> Ok moved
+  match Scanf.sscanf_opt reply "ok moved=%d attempted=%d%!" (fun m a -> (m, a)) with
+  | Some counts -> Ok counts
   | None -> Error reply
 
 let test_runtime_rebalance_defragments () =
@@ -1121,7 +1123,9 @@ let test_runtime_rebalance_defragments () =
     Runtime.undeploy rt d
   | Error _ -> () (* also acceptable: nothing fits at all *));
   (match rebalance rt with
-  | Ok moved -> Alcotest.(check bool) "something moved" true (moved > 0)
+  | Ok (moved, attempted) ->
+    Alcotest.(check bool) "something moved" true (moved > 0);
+    Alcotest.(check bool) "moved <= attempted" true (moved <= attempted)
   | Error e -> Alcotest.failf "rebalance failed: %s" e);
   Alcotest.(check (list (triple int int int)))
     "repacked occupancy"
@@ -1135,9 +1139,8 @@ let test_runtime_rebalance_defragments () =
 
 let test_runtime_rebalance_empty () =
   let rt, _ = runtime_fixture Runtime.greedy in
-  match rebalance rt with
-  | Ok moved -> Alcotest.(check int) "nothing to move" 0 moved
-  | Error e -> Alcotest.fail e
+  Alcotest.(check string) "nothing to move, nothing tried" "ok moved=0 attempted=0"
+    (Hypervisor.handle (Hypervisor.create rt) "rebalance")
 
 let per_node_free rt =
   List.map
@@ -1162,7 +1165,9 @@ let test_runtime_rebalance_rollback () =
   let failed = Obs.Counter.get "runtime.migrate.fail" in
   let failed_before = Obs.Counter.value failed in
   (match rebalance rt with
-  | Ok moved -> Alcotest.(check int) "nothing moved" 0 moved
+  | Ok (moved, attempted) ->
+    Alcotest.(check int) "three attempted" 3 attempted;
+    Alcotest.(check int) "nothing moved" 0 moved
   | Error e -> Alcotest.failf "rebalance replied %s" e);
   Alcotest.(check int) "every migration failed with the accel unregistered" 3
     (Obs.Counter.value failed - failed_before);
@@ -1680,6 +1685,129 @@ let test_defrag_gates () =
       ignore (Defrag.config ~frag_threshold:1.5 ()))
 
 
+(* A simulated week of deploy/undeploy churn (20,160 half-minute
+   steps) over a 12-node 9:3 XCVU37P:XCKU115 cluster, run bare and with
+   the background defragmenter.  Small and mid-size NPUs arrive and
+   depart around 18 live deployments; every 20 steps the defragmenter
+   gets its chance and a whole-device probe (npu-t21, which needs a
+   nearly empty XCVU37P) asks whether a large tenant would still be
+   admitted.  The op-intent stream depends only on the seed, so both
+   runs face the same demand.  The registry holds only the five
+   instances the churn touches: deploy looks accelerators up by name,
+   so the larger benchmark registry gives the same outcome. *)
+let churn_registry =
+  lazy (Framework.npu_registry ~tile_counts:[ 4; 6; 8; 10; 21 ] ())
+
+type churn = {
+  probes : int;
+  admitted : int;
+  frag_sum : float;
+  frag_final : float;
+  deploys : int;
+  failures : int;
+  moves : int;
+  passes : int;
+  hits : int;
+  misses : int;
+}
+
+let run_churn ~defrag =
+  let churn_accels = [| "npu-t4"; "npu-t6"; "npu-t8"; "npu-t10" |] in
+  let kinds =
+    List.init 12 (fun i -> if i land 3 = 3 then Device.XCKU115 else Device.XCVU37P)
+  in
+  let cache = Mlv_vital.Bitstream.Cache.create ~capacity:64 () in
+  let rt =
+    Runtime.create ~policy:Runtime.greedy ~cache (Cluster.create ~kinds ())
+      (Lazy.force churn_registry)
+  in
+  let rng = Rng.create 11 in
+  let live = ref [] and nlive = ref 0 in
+  let probes = ref 0 and admitted = ref 0 and frag_sum = ref 0.0 in
+  let deploys = ref 0 and failures = ref 0 in
+  let moves = ref 0 and passes = ref 0 in
+  let target = 18 in
+  for step = 1 to 20_160 do
+    let arrive =
+      if !nlive < target / 2 then true
+      else if !nlive > target * 3 / 2 then false
+      else Rng.int rng 2 = 0
+    in
+    if arrive then begin
+      let accel = churn_accels.(Rng.int rng (Array.length churn_accels)) in
+      incr deploys;
+      match Runtime.deploy rt ~accel with
+      | Ok d ->
+        live := d :: !live;
+        incr nlive
+      | Error _ -> incr failures
+    end
+    else if !live <> [] then begin
+      let i = Rng.int rng !nlive in
+      Runtime.undeploy rt (List.nth !live i);
+      live := List.filteri (fun j _ -> j <> i) !live;
+      decr nlive
+    end;
+    if step mod 20 = 0 then begin
+      (match defrag with
+      | Some cfg when Defrag.should_run cfg rt ->
+        moves := !moves + (Defrag.run_pass cfg rt).Defrag.moved;
+        incr passes
+      | _ -> ());
+      incr probes;
+      frag_sum := !frag_sum +. Runtime.fragmentation rt;
+      match Runtime.deploy rt ~accel:"npu-t21" with
+      | Ok d ->
+        incr admitted;
+        Runtime.undeploy rt d
+      | Error _ -> ()
+    end
+  done;
+  {
+    probes = !probes;
+    admitted = !admitted;
+    frag_sum = !frag_sum;
+    frag_final = Runtime.fragmentation rt;
+    deploys = !deploys;
+    failures = !failures;
+    moves = !moves;
+    passes = !passes;
+    hits = Mlv_vital.Bitstream.Cache.hits cache;
+    misses = Mlv_vital.Bitstream.Cache.misses cache;
+  }
+
+let test_defrag_churn_week () =
+  let dcfg = Defrag.config ~frag_threshold:0.15 () in
+  let bare = run_churn ~defrag:None in
+  let defragged = run_churn ~defrag:(Some dcfg) in
+  let mean o = o.frag_sum /. float_of_int o.probes in
+  Alcotest.(check bool)
+    (Printf.sprintf "mean fragmentation falls (%.4f -> %.4f)" (mean bare)
+       (mean defragged))
+    true
+    (mean defragged < mean bare);
+  Alcotest.(check bool) "large-probe admission rises" true
+    (defragged.admitted > bare.admitted);
+  Alcotest.(check bool) "bitstream cache hits under churn" true
+    (defragged.hits > 0);
+  (* the EXPERIMENTS.md figures, exact: the churn is sim-clock only *)
+  let fmt4 = Printf.sprintf "%.4f" in
+  Alcotest.(check (pair string string)) "mean fragmentation bare/defragged"
+    ("0.5729", "0.4095")
+    (fmt4 (mean bare), fmt4 (mean defragged));
+  Alcotest.(check (pair int int)) "bare admission" (844, 1008)
+    (bare.admitted, bare.probes);
+  Alcotest.(check (pair int int)) "defragged admission" (856, 1008)
+    (defragged.admitted, defragged.probes);
+  Alcotest.(check (pair int int)) "moves and passes" (857, 931)
+    (defragged.moves, defragged.passes);
+  Alcotest.(check (pair int int)) "bare cache hits/misses" (12_044, 60)
+    (bare.hits, bare.misses);
+  Alcotest.(check (pair int int)) "defragged cache hits/misses" (13_115, 59)
+    (defragged.hits, defragged.misses);
+  Alcotest.(check bool) "rerun reproduces the outcome" true
+    (run_churn ~defrag:(Some dcfg) = defragged)
+
 let test_custom_accel_end_to_end () =
   (* A non-NPU accelerator through the whole flow: parse, decompose,
      map with the estimation cost model, register, deploy. *)
@@ -1831,6 +1959,7 @@ let () =
             test_fragmentation_shapes_agree;
           Alcotest.test_case "pass compacts" `Quick test_defrag_compacts;
           Alcotest.test_case "gates and budget" `Quick test_defrag_gates;
+          Alcotest.test_case "churn week" `Quick test_defrag_churn_week;
         ] );
       ( "scale_out",
         [

@@ -186,6 +186,25 @@ let test_slo_tenant_pool_burst_bound () =
 
 (* ---------------- dynamic batching ---------------- *)
 
+(* The serving tick reads the incrementally maintained counters on
+   every event, so once warm they must not allocate: at most 512 bytes
+   over 1000 calls, slack that absorbs the boxed floats of
+   [Gc.allocated_bytes] itself. *)
+let check_no_alloc name f =
+  let sink = ref 0 in
+  for _ = 1 to 10 do
+    sink := !sink + f ()
+  done;
+  let b0 = Gc.allocated_bytes () in
+  for _ = 1 to 1000 do
+    sink := !sink + f ()
+  done;
+  let delta = Gc.allocated_bytes () -. b0 in
+  ignore (Sys.opaque_identity !sink);
+  Alcotest.(check bool)
+    (Printf.sprintf "%s: %.0f bytes / 1000 calls <= 512" name delta)
+    true (delta <= 512.0)
+
 let test_batch_dispatch_on_fullness () =
   let b = Batcher.create (Batcher.config ~max_batch:3 ~max_linger_us:100.0 ()) in
   (match Batcher.add b ~key:"k" ~now_us:0.0 1 with
@@ -264,7 +283,19 @@ let test_batch_incremental_counters () =
   Alcotest.(check int) "all drained" 0 (Batcher.total_pending b);
   Alcotest.(check int) "no nonempty kinds" 0 (Batcher.nonempty_kinds b);
   Alcotest.(check int) "tenant accounting drained" 0
-    (Batcher.pending_of_tenant b "a")
+    (Batcher.pending_of_tenant b "a");
+  (* warm read paths over a loaded batcher: 32 requests across 8 kinds *)
+  let b = Batcher.create (Batcher.config ~max_batch:8 ~max_linger_us:100.0 ()) in
+  for i = 0 to 31 do
+    ignore
+      (Batcher.add b ~key:("g" ^ string_of_int (i land 7)) ~now_us:(float_of_int i) i)
+  done;
+  check_no_alloc "Batcher.keys" (fun () ->
+      List.length (Sys.opaque_identity (Batcher.keys b)));
+  check_no_alloc "Batcher.total_pending" (fun () ->
+      Sys.opaque_identity (Batcher.total_pending b));
+  check_no_alloc "Batcher.nonempty_kinds" (fun () ->
+      Sys.opaque_identity (Batcher.nonempty_kinds b))
 
 (* ---------------- weighted routing ---------------- *)
 
@@ -285,7 +316,18 @@ let test_router_weighted_least_outstanding () =
   Alcotest.(check int) "dispatched counts begin_work" 2 (Router.dispatched r);
   Router.remove_replica r ~key:"k" ~replica_id:0;
   Router.remove_replica r ~key:"k" ~replica_id:1;
-  Alcotest.(check (option int)) "empty group" None (Router.pick r ~key:"k")
+  Alcotest.(check (option int)) "empty group" None (Router.pick r ~key:"k");
+  (* warm read paths over a loaded router: 64 busy replicas in 8 groups *)
+  let r = Router.create () in
+  for i = 0 to 63 do
+    let key = "g" ^ string_of_int (i land 7) in
+    Router.add_replica r ~key ~replica_id:i ~weight:1.0;
+    Router.begin_work r ~key ~replica_id:i (1 + (i land 3))
+  done;
+  check_no_alloc "Router.keys" (fun () ->
+      List.length (Sys.opaque_identity (Router.keys r)));
+  check_no_alloc "Router.total_outstanding" (fun () ->
+      Sys.opaque_identity (Router.total_outstanding r))
 
 let test_router_validation () =
   let r = Router.create () in
@@ -879,9 +921,23 @@ let test_serving_rejects_fault_plans () =
   let cfg =
     { (serving_config ()) with Sysim.faults = Some (Sysim.default_faults plan) }
   in
-  match Sysim.run ~registry:(Lazy.force registry) cfg with
-  | _ -> Alcotest.fail "serving + faults should raise"
-  | exception Invalid_argument _ -> ()
+  Alcotest.check_raises "serving + faults"
+    (Invalid_argument "Sysim.run: serving mode does not compose with fault plans")
+    (fun () -> ignore (Sysim.run ~registry:(Lazy.force registry) cfg))
+
+(* A fair-share pool divides capacity between tenants, so a run
+   without [config.tenants] has nothing to divide. *)
+let test_tenant_pool_requires_tenants () =
+  let cfg = serving_config () in
+  let serving =
+    { (Option.get cfg.Sysim.serving) with Sysim.tenant_pool = Some (1000.0, 8) }
+  in
+  Alcotest.check_raises "tenant_pool without tenants"
+    (Invalid_argument "Sysim.run: serving.tenant_pool requires config.tenants")
+    (fun () ->
+      ignore
+        (Sysim.run ~registry:(Lazy.force registry)
+           { cfg with Sysim.serving = Some serving }))
 
 let test_open_loop_untouched_by_arrival_field () =
   (* serving = None and arrival = None must reproduce the exact run
@@ -963,6 +1019,147 @@ let test_shed_traced_as_shed () =
   Alcotest.(check int) "reject events = rejected" r.Sysim.rejected
     (Obs.Trace.count Obs.Trace.Reject - reject0)
 
+(* ---------------- datacenter shape at 1k nodes ---------------- *)
+
+let tenant (r : Sysim.result) name =
+  List.find (fun t -> t.Sysim.tn_name = name) r.Sysim.per_tenant
+
+(* SLO-meeting completions: where a pair of runs sees identical
+   arrivals, counts compare directly, where rates would be skewed by
+   the runs' different makespans. *)
+let slo_met r name =
+  let t = tenant r name in
+  t.Sysim.tn_completed - t.Sysim.tn_slo_misses
+
+(* The serving stack at the small end of [bench/scale.exe]'s shape:
+   three tenants (alice 40%, bob 40%, carol 20%) of single-inference
+   S-class models over a 3:1 XCVU37P:XCKU115 cluster, behind the
+   autoscaler at a 250 us tick.  bob is either calm (Poisson at
+   alice's rate) or bursty: on-phases of ~200 arrivals at ~4x his fair
+   share, near-silent between, the same average rate. *)
+let scale_config ~nodes ~tasks ~unit_mean_us ~max_replicas ~bursty ~tenant_pool =
+  let a = tasks * 2 / 5 and b = tasks * 2 / 5 in
+  let bob_arrival =
+    if bursty then
+      Genset.Bursty
+        {
+          on_us = unit_mean_us *. 150.0;
+          off_us = unit_mean_us *. 450.0;
+          on_mean_us = unit_mean_us *. 0.66;
+          off_mean_us = unit_mean_us *. 37.5;
+        }
+    else Genset.Exponential { mean_us = unit_mean_us /. 0.4 }
+  in
+  let base =
+    Sysim.default_config ~policy:Runtime.greedy
+      ~composition:{ Genset.s = 1.0; m = 0.0; l = 0.0 }
+  in
+  {
+    base with
+    Sysim.seed = 11;
+    repeats_per_task = 8;
+    slo_multiplier = 50.0;
+    cluster_kinds =
+      List.init nodes (fun i -> if i land 3 = 3 then Device.XCKU115 else Device.XCVU37P);
+    tenants =
+      [
+        Genset.tenant_load "alice" ~tasks:a
+          ~arrival:(Genset.Exponential { mean_us = unit_mean_us /. 0.4 });
+        Genset.tenant_load "bob" ~tasks:b ~arrival:bob_arrival;
+        Genset.tenant_load "carol" ~tasks:(tasks - a - b)
+          ~arrival:(Genset.Exponential { mean_us = unit_mean_us /. 0.2 });
+      ];
+    serving =
+      Some
+        {
+          Sysim.classes = [];
+          batch = Batcher.config ~max_batch:4 ~max_linger_us:50.0 ();
+          autoscale =
+            Some
+              (Autoscaler.config ~interval_us:250.0 ~high_backlog_per_replica:2.0
+                 ~low_backlog_per_replica:0.0 ~cooldown_us:0.0 ~idle_timeout_us:1e9
+                 ~max_replicas ());
+          tenant_pool;
+          preempt = false;
+          defrag = None;
+        };
+  }
+
+let fbits f = Int64.to_int (Int64.bits_of_float f)
+
+(* Order-sensitive fold over every deterministic result field
+   (loop_wall_s is real time and excluded): two runs agree on the
+   digest iff they made the identical event-by-event decisions. *)
+let digest_result (r : Sysim.result) =
+  let d = ref 0 in
+  let mix v = d := (!d * 31) + v in
+  mix r.Sysim.completed;
+  mix r.Sysim.rejected;
+  mix r.Sysim.shed;
+  mix r.Sysim.lost;
+  mix r.Sysim.slo_misses;
+  mix r.Sysim.batches;
+  mix r.Sysim.scale_ups;
+  mix r.Sysim.scale_downs;
+  mix r.Sysim.peak_queue;
+  mix (fbits r.Sysim.makespan_us);
+  mix (fbits r.Sysim.mean_latency_us);
+  mix (fbits r.Sysim.p99_latency_us);
+  List.iter (fun l -> mix (fbits l)) r.Sysim.latencies_us;
+  List.iter
+    (fun (t : Sysim.tenant_stats) ->
+      mix (Hashtbl.hash t.Sysim.tn_name);
+      mix t.Sysim.tn_arrived;
+      mix t.Sysim.tn_admitted;
+      mix t.Sysim.tn_shed;
+      mix t.Sysim.tn_completed;
+      mix t.Sysim.tn_rejected;
+      mix t.Sysim.tn_slo_misses;
+      mix (fbits t.Sysim.tn_goodput_per_s);
+      mix (fbits t.Sysim.tn_p99_latency_us))
+    r.Sysim.per_tenant;
+  !d
+
+let test_datacenter_shape () =
+  let run label cfg =
+    let r = Sysim.run ~registry:(Lazy.force registry) cfg in
+    Alcotest.(check int) (label ^ ": none lost") 0 r.Sysim.lost;
+    r
+  in
+  (* Saturated: 24k tasks over 1k nodes at a 33 us combined mean. *)
+  let saturated =
+    run "saturated"
+      (scale_config ~nodes:1_000 ~tasks:24_000 ~unit_mean_us:33.0 ~max_replicas:96
+         ~bursty:true ~tenant_pool:None)
+  in
+  (* Recorded while the pre-index linear data shapes (list flight
+     table, fold-per-pick router, per-completion group sweeps) were
+     still selectable, with both shapes producing this digest, so it
+     certifies both. *)
+  Alcotest.(check int) "saturated run digest" 3361769800954537541
+    (digest_result saturated);
+  (* Isolation at moderate load: 6k tasks over 200 nodes at a 16x
+     slower stream, behind a weighted fair-share pool sized at ~1.65x
+     the combined calm rate.  alice's arrivals are seed-split, so they
+     are identical across the pair. *)
+  let iso_mean = 33.0 *. 16.0 in
+  let iso ~bursty =
+    run
+      (if bursty then "iso-bursty" else "iso-calm")
+      (scale_config ~nodes:200 ~tasks:6_000 ~unit_mean_us:iso_mean ~max_replicas:24
+         ~bursty
+         ~tenant_pool:(Some (1.65 /. (iso_mean /. 1e6), 60)))
+  in
+  let calm = iso ~bursty:false and bursty = iso ~bursty:true in
+  let ratio =
+    float_of_int (slo_met bursty "alice") /. float_of_int (slo_met calm "alice")
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "alice keeps %.3f >= 0.85 of her calm SLO-met completions" ratio)
+    true (ratio >= 0.85);
+  Alcotest.(check bool) "the pool sheds bursty bob" true
+    ((tenant bursty "bob").Sysim.tn_shed > 0)
+
 (* ---------------- priority preemption ---------------- *)
 
 (* Two XCVU37P nodes, a best-effort tenant whose replicas hog the
@@ -972,7 +1169,8 @@ let test_shed_traced_as_shed () =
    full and must evict.  (Two nodes, not one: the priority tenant's
    large models span devices, and a demand that cannot fit even an
    empty cluster never evicts anyone.) *)
-let preempt_config ?(preempt = true) ?defrag ?bitstream_cache seed =
+let preempt_config ?(preempt = true) ?defrag ?bitstream_cache
+    ?(tasks_per_tenant = 30) seed =
   let base =
     Sysim.default_config ~policy:Runtime.greedy ~composition:Genset.table1.(2)
   in
@@ -982,10 +1180,10 @@ let preempt_config ?(preempt = true) ?defrag ?bitstream_cache seed =
     cluster_kinds = [ Device.XCVU37P; Device.XCVU37P ];
     tenants =
       [
-        Genset.tenant_load ~priority:1 ~tasks:30
+        Genset.tenant_load ~priority:1 ~tasks:tasks_per_tenant
           ~arrival:(Genset.Exponential { mean_us = 400.0 })
           "gold";
-        Genset.tenant_load ~tasks:30
+        Genset.tenant_load ~tasks:tasks_per_tenant
           ~composition:Genset.table1.(1) (* 100% M: disjoint groups *)
           ~arrival:(Genset.Exponential { mean_us = 20.0 })
           "bulk";
@@ -1003,8 +1201,8 @@ let preempt_config ?(preempt = true) ?defrag ?bitstream_cache seed =
     bitstream_cache;
   }
 
-let check_preempt_identities ~label (r : Sysim.result) =
-  Alcotest.(check int) (label ^ ": global identity") 60
+let check_preempt_identities ?(tasks = 60) ~label (r : Sysim.result) =
+  Alcotest.(check int) (label ^ ": global identity") tasks
     (r.Sysim.completed + r.Sysim.rejected + r.Sysim.shed + r.Sysim.preempted);
   Alcotest.(check int) (label ^ ": none lost") 0 r.Sysim.lost;
   List.iter
@@ -1051,6 +1249,33 @@ let test_serving_preempt_defrag_cache_mix () =
   in
   Alcotest.(check int) "preempt off: no evictions" 0 off.Sysim.preemptions;
   Alcotest.(check int) "preempt off: nothing preempted" 0 off.Sysim.preempted
+
+(* The contended pair of EXPERIMENTS.md: 60 tasks per tenant, seed
+   11, a 32-entry bitstream cache, preemption off and on.  Shed-only
+   serving leaves gold backlogged behind bulk's replicas; preemption
+   evicts to let it through.  Every figure is on the sim clock. *)
+let test_preemption_vs_shed_only () =
+  let run preempt =
+    Sysim.run ~registry:(Lazy.force registry)
+      (preempt_config ~preempt ~bitstream_cache:32 ~tasks_per_tenant:60 11)
+  in
+  let shed_only = run false and preempting = run true in
+  let gold_met r = slo_met r "gold" in
+  check_preempt_identities ~tasks:120 ~label:"shed-only" shed_only;
+  check_preempt_identities ~tasks:120 ~label:"preempt" preempting;
+  Alcotest.(check bool) "preemption fired" true (preempting.Sysim.preemptions > 0);
+  Alcotest.(check bool) "gold SLO-met: preempt >= shed-only" true
+    (gold_met preempting >= gold_met shed_only);
+  Alcotest.(check (pair int int)) "gold SLO-met shed-only/preempt" (0, 19)
+    (gold_met shed_only, gold_met preempting);
+  let counts (r : Sysim.result) =
+    (r.Sysim.completed, r.Sysim.rejected, r.Sysim.preempted)
+  in
+  Alcotest.(check (triple int int int)) "shed-only completed/rejected/preempted"
+    (33, 87, 0) (counts shed_only);
+  Alcotest.(check (triple int int int)) "preempt completed/rejected/preempted"
+    (42, 73, 5) (counts preempting);
+  Alcotest.(check int) "evictions" 2 preempting.Sysim.preemptions
 
 (* ---------------- migrate rollback differential ---------------- *)
 
@@ -1240,6 +1465,8 @@ let () =
           Alcotest.test_case "autoscaled tail vs static" `Quick
             test_autoscaled_tail_vs_static;
           Alcotest.test_case "rejects fault plans" `Quick test_serving_rejects_fault_plans;
+          Alcotest.test_case "tenant pool requires tenants" `Quick
+            test_tenant_pool_requires_tenants;
           Alcotest.test_case "open loop untouched" `Quick
             test_open_loop_untouched_by_arrival_field;
           Alcotest.test_case "percentiles match histogram" `Quick
@@ -1248,6 +1475,10 @@ let () =
           Alcotest.test_case "shed traced as shed" `Quick test_shed_traced_as_shed;
           Alcotest.test_case "preemption accounting" `Quick
             test_serving_preemption_accounting;
+          Alcotest.test_case "datacenter shape at 1k nodes" `Quick
+            test_datacenter_shape;
+          Alcotest.test_case "preemption vs shed-only" `Quick
+            test_preemption_vs_shed_only;
           Alcotest.test_case "preempt+defrag+cache mix" `Quick
             test_serving_preempt_defrag_cache_mix;
         ] );

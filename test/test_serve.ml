@@ -3,7 +3,11 @@
    the textual trace format, the diurnal arrival model, and the
    sysim integration invariants — a disabled front door must be
    bit-invisible, and the shape-signature key space must separate
-   every distinct compiled shape in the benchmark registry. *)
+   every distinct compiled shape in the benchmark registry.  The
+   sysim cases also run the 800-task flash-crowd workload whose
+   figures EXPERIMENTS.md quotes: trace round-trip and replay, cache
+   hit rate and economics, session accounting and expiry, and
+   reactive vs predictive autoscaling, each figure pinned. *)
 
 module Session = Mlv_serve.Session
 module Mapcache = Mlv_serve.Mapcache
@@ -161,22 +165,53 @@ let diurnal =
       flash_mean_us = 300.0;
     }
 
-let test_trace_roundtrip_bit_exact () =
-  let tasks =
-    Genset.generate_arrival ~rng:(Rng.create 11) ~composition:Genset.table1.(6)
-      ~tasks:200 ~arrival:diurnal
+let registry = lazy (Sysim.build_registry ())
+let run cfg = Sysim.run ~registry:(Lazy.force registry) cfg
+
+(* The front-door workload of EXPERIMENTS.md: 800 single-inference
+   S-class tasks (a handful of live shapes, so the trace is
+   repeat-heavy and the arrival stream lands on few replica groups) on
+   the diurnal cycle above, whose 32 ms period matches the predictive
+   autoscaler's season (32 ticks of 1 ms).  Single inferences keep the
+   flash absorbable by a fully scaled group. *)
+let flash_cfg =
+  let base =
+    Sysim.default_config ~policy:Runtime.greedy
+      ~composition:{ Genset.s = 1.0; m = 0.0; l = 0.0 }
   in
+  {
+    base with
+    Sysim.seed = 42;
+    tasks = 800;
+    repeats_per_task = 1;
+    arrival = Some diurnal;
+    slo_multiplier = 4.0;
+    serving = Some { Sysim.default_serving with Sysim.autoscale = None };
+  }
+
+let roundtrip tasks =
   match Trace_file.of_string (Trace_file.to_string tasks) with
   | Error e -> Alcotest.failf "round-trip parse failed: %s" e
-  | Ok parsed ->
-    Alcotest.(check bool) "structurally bit-exact" true (parsed = tasks);
-    (* hex floats: arrival instants survive to the last bit *)
-    List.iter2
-      (fun a b ->
-        if a.Genset.arrival_us <> b.Genset.arrival_us then
-          Alcotest.failf "arrival drifted: %h vs %h" a.Genset.arrival_us
-            b.Genset.arrival_us)
-      tasks parsed
+  | Ok parsed -> parsed
+
+let test_trace_roundtrip_bit_exact () =
+  List.iter
+    (fun (label, tasks) ->
+      let parsed = roundtrip tasks in
+      Alcotest.(check bool) (label ^ ": structurally bit-exact") true (parsed = tasks);
+      (* hex floats: arrival instants survive to the last bit *)
+      List.iter2
+        (fun a b ->
+          if a.Genset.arrival_us <> b.Genset.arrival_us then
+            Alcotest.failf "%s: arrival drifted: %h vs %h" label a.Genset.arrival_us
+              b.Genset.arrival_us)
+        tasks parsed)
+    [
+      ( "set 7, 200 tasks",
+        Genset.generate_arrival ~rng:(Rng.create 11) ~composition:Genset.table1.(6)
+          ~tasks:200 ~arrival:diurnal );
+      ("flash workload", Sysim.workload flash_cfg);
+    ]
 
 let test_trace_rejects_malformed () =
   let bad s =
@@ -253,7 +288,7 @@ let test_diurnal_deterministic_and_flash_dense () =
 (* ---------------- shape signatures ---------------- *)
 
 let test_shape_signature_separates_registry () =
-  let registry = Sysim.build_registry () in
+  let registry = Lazy.force registry in
   let names = Registry.names registry in
   let sigs =
     List.filter_map
@@ -304,98 +339,219 @@ let base_cfg ~tasks =
     serving = Some { Sysim.default_serving with Sysim.autoscale = None };
   }
 
+(* Everything in a result but the wall clock. *)
+let strip r = { r with Sysim.loop_wall_s = 0.0 }
+
+let with_frontend cfg fe = { cfg with Sysim.frontend = Some fe }
+
+let with_cache cfg ~capacity ~compile_us =
+  with_frontend cfg
+    { Sysim.default_frontend with Sysim.mapping_cache = Some (capacity, compile_us) }
+
+let hit_rate (r : Sysim.result) =
+  let lookups = r.Sysim.mapcache_hits + r.Sysim.mapcache_misses in
+  if lookups = 0 then 0.0 else float_of_int r.Sysim.mapcache_hits /. float_of_int lookups
+
+(* Sim-clock figures quoted in EXPERIMENTS.md, compared at the
+   precision quoted there. *)
+let check_fixed label digits expected v =
+  Alcotest.(check string) label expected (Printf.sprintf "%.*f" digits v)
+
 let test_frontend_none_bit_identical () =
-  let registry = Sysim.build_registry () in
-  let strip r = { r with Sysim.loop_wall_s = 0.0 } in
-  let cfg = base_cfg ~tasks:80 in
-  let bare = Sysim.run ~registry cfg in
-  let neutral =
-    Sysim.run ~registry { cfg with Sysim.frontend = Some Sysim.default_frontend }
-  in
-  Alcotest.(check bool) "all-off frontend is invisible" true
-    (strip bare = strip neutral);
-  (* and a zero-cost cache only adds counters, never behavior *)
-  let free =
-    Sysim.run ~registry
-      {
-        cfg with
-        Sysim.frontend =
-          Some { Sysim.default_frontend with Sysim.mapping_cache = Some (32, 0.0) };
-      }
-  in
-  let blind r =
-    { (strip r) with Sysim.mapcache_hits = 0; mapcache_misses = 0; mapcache_evictions = 0 }
-  in
-  Alcotest.(check bool) "zero-cost cache is invisible" true
-    (blind bare = blind free);
-  Alcotest.(check bool) "but the cache did run" true
-    (free.Sysim.mapcache_hits + free.Sysim.mapcache_misses > 0)
+  List.iter
+    (fun (label, cfg, capacity, expected_hits) ->
+      let bare = run cfg in
+      let neutral = run (with_frontend cfg Sysim.default_frontend) in
+      Alcotest.(check bool) (label ^ ": all-off frontend is invisible") true
+        (strip bare = strip neutral);
+      (* and a zero-cost cache only adds counters, never behavior *)
+      let free = run (with_cache cfg ~capacity ~compile_us:0.0) in
+      let blind r =
+        {
+          (strip r) with
+          Sysim.mapcache_hits = 0;
+          mapcache_misses = 0;
+          mapcache_evictions = 0;
+        }
+      in
+      Alcotest.(check bool) (label ^ ": zero-cost cache is invisible") true
+        (blind bare = blind free);
+      Alcotest.(check bool) (label ^ ": but the cache did run") true
+        (free.Sysim.mapcache_hits + free.Sysim.mapcache_misses > 0);
+      Option.iter
+        (fun hits_misses ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: hit rate %.3f >= 0.9 on a repeat-heavy trace" label
+               (hit_rate free))
+            true
+            (hit_rate free >= 0.9);
+          Alcotest.(check (pair int int)) (label ^ ": hits/misses") hits_misses
+            (free.Sysim.mapcache_hits, free.Sysim.mapcache_misses))
+        expected_hits)
+    [
+      ("set 3, 80 tasks", base_cfg ~tasks:80, 32, None);
+      ("flash workload", flash_cfg, 64, Some (798, 2));
+    ]
+
+(* One price per miss, three caches: free and priced at the same
+   capacity see the same shapes (identical hit pattern) and only the
+   priced one pays; a one-entry cache at the same price thrashes and
+   must lose to the warm one on hits, misses and mean latency. *)
+let cache_differential ~label cfg ~capacity ~compile_us =
+  let free = run (with_cache cfg ~capacity ~compile_us:0.0) in
+  let warm = run (with_cache cfg ~capacity ~compile_us) in
+  let cold = run (with_cache cfg ~capacity:1 ~compile_us) in
+  Alcotest.(check (pair int int)) (label ^ ": hit pattern independent of price")
+    (free.Sysim.mapcache_hits, free.Sysim.mapcache_misses)
+    (warm.Sysim.mapcache_hits, warm.Sysim.mapcache_misses);
+  (* only misses pay: pricing compilation must slow the run down *)
+  Alcotest.(check bool) (label ^ ": compile cost shows up in latency") true
+    (warm.Sysim.mean_latency_us > free.Sysim.mean_latency_us);
+  Alcotest.(check bool) (label ^ ": and in the makespan") true
+    (warm.Sysim.makespan_us >= free.Sysim.makespan_us);
+  Alcotest.(check bool) (label ^ ": warm out-hits cold") true
+    (warm.Sysim.mapcache_hits > cold.Sysim.mapcache_hits);
+  Alcotest.(check bool) (label ^ ": warm out-misses cold") true
+    (warm.Sysim.mapcache_misses < cold.Sysim.mapcache_misses);
+  Alcotest.(check bool) (label ^ ": warm mean latency <= cold") true
+    (warm.Sysim.mean_latency_us <= cold.Sysim.mean_latency_us);
+  Alcotest.(check bool) (label ^ ": a one-entry cache evicts") true
+    (cold.Sysim.mapcache_evictions > 0);
+  (warm, cold)
 
 let test_mapping_cache_cost_differential () =
-  let registry = Sysim.build_registry () in
-  let with_cache compile_us =
-    Sysim.run ~registry
-      {
-        (base_cfg ~tasks:80) with
-        Sysim.frontend =
-          Some
-            {
-              Sysim.default_frontend with
-              Sysim.mapping_cache = Some (32, compile_us);
-            };
-      }
+  ignore
+    (cache_differential ~label:"set 3, 80 tasks" (base_cfg ~tasks:80) ~capacity:32
+       ~compile_us:2_000.0);
+  let warm, cold =
+    cache_differential ~label:"flash workload" flash_cfg ~capacity:64 ~compile_us:800.0
   in
-  let free = with_cache 0.0 and costly = with_cache 2_000.0 in
-  (* same shapes arrive either way: identical hit pattern *)
-  Alcotest.(check (pair int int)) "hit pattern independent of price"
-    (free.Sysim.mapcache_hits, free.Sysim.mapcache_misses)
-    (costly.Sysim.mapcache_hits, costly.Sysim.mapcache_misses);
-  (* only misses pay: pricing compilation must slow the run down *)
-  Alcotest.(check bool) "compile cost shows up in latency" true
-    (costly.Sysim.mean_latency_us > free.Sysim.mean_latency_us);
-  Alcotest.(check bool) "and in the makespan" true
-    (costly.Sysim.makespan_us >= free.Sysim.makespan_us)
+  check_fixed "warm mean latency (ms)" 1 "220.2" (warm.Sysim.mean_latency_us /. 1000.0);
+  check_fixed "cold mean latency (ms)" 1 "252.5" (cold.Sysim.mean_latency_us /. 1000.0);
+  Alcotest.(check (triple int int int)) "cold hits/misses/evictions" (601, 199, 198)
+    ( cold.Sysim.mapcache_hits,
+      cold.Sysim.mapcache_misses,
+      cold.Sysim.mapcache_evictions )
 
 let test_frontend_requires_serving () =
-  let registry = Sysim.build_registry () in
   let base =
     Sysim.default_config ~policy:Runtime.greedy ~composition:Genset.table1.(2)
   in
-  raises_invalid (fun () ->
-      Sysim.run ~registry
-        { base with Sysim.tasks = 4; frontend = Some Sysim.default_frontend });
+  Alcotest.check_raises "frontend without serving"
+    (Invalid_argument "Sysim.run: config.frontend requires serving mode")
+    (fun () ->
+      ignore (run { base with Sysim.tasks = 4; frontend = Some Sysim.default_frontend }));
   (* predictive mode replaces the autoscaler's control law, so it
      needs one *)
-  raises_invalid (fun () ->
-      Sysim.run ~registry
-        {
-          base with
-          Sysim.tasks = 4;
-          serving = Some { Sysim.default_serving with Sysim.autoscale = None };
-          frontend =
-            Some
-              {
-                Sysim.default_frontend with
-                Sysim.predict = Some Autoscaler.default_predict;
-              };
-        })
+  Alcotest.check_raises "predict without autoscale"
+    (Invalid_argument "Sysim.run: frontend.predict requires serving.autoscale")
+    (fun () ->
+      ignore
+        (run
+           {
+             base with
+             Sysim.tasks = 4;
+             serving = Some { Sysim.default_serving with Sysim.autoscale = None };
+             frontend =
+               Some
+                 {
+                   Sysim.default_frontend with
+                   Sysim.predict = Some Autoscaler.default_predict;
+                 };
+           }))
 
 let test_replay_matches_generation () =
-  let registry = Sysim.build_registry () in
-  let cfg = base_cfg ~tasks:80 in
-  let strip r = { r with Sysim.loop_wall_s = 0.0 } in
-  let generated = Sysim.run ~registry cfg in
-  let trace = Sysim.workload cfg in
-  let replayed = Sysim.run ~registry { cfg with Sysim.replay = Some trace } in
-  Alcotest.(check bool) "replayed trace is bit-identical" true
-    (strip generated = strip replayed);
-  (* replay also bypasses generation entirely: a different seed with
-     the same replayed trace gives the same result *)
-  let reseeded =
-    Sysim.run ~registry { cfg with Sysim.seed = 999; replay = Some trace }
+  List.iter
+    (fun (label, cfg) ->
+      let generated = run cfg in
+      (* replay what the textual trace format hands back *)
+      let trace = roundtrip (Sysim.workload cfg) in
+      let replayed = run { cfg with Sysim.replay = Some trace } in
+      Alcotest.(check bool) (label ^ ": replayed trace is bit-identical") true
+        (strip generated = strip replayed);
+      (* replay also bypasses generation entirely: a different seed
+         with the same replayed trace gives the same result *)
+      let reseeded = run { cfg with Sysim.seed = 999; replay = Some trace } in
+      Alcotest.(check bool) (label ^ ": replay wins over the seed") true
+        (strip replayed = strip reseeded))
+    [ ("set 3, 80 tasks", base_cfg ~tasks:80); ("flash workload", flash_cfg) ]
+
+(* On the busy flash trace sticky routing lands repeat hits,
+   out-of-order completions exercise the in-order hold buffer, and
+   every request is delivered, shed or rejected: none is lost held. *)
+let test_sessions_account () =
+  let r =
+    run
+      (with_frontend flash_cfg
+         {
+           Sysim.default_frontend with
+           Sysim.sessions = Some (Session.config ~idle_timeout_us:2_000.0 ());
+         })
   in
-  Alcotest.(check bool) "replay wins over the seed" true
-    (strip replayed = strip reseeded)
+  Alcotest.(check int) "every request accounted" 800
+    (r.Sysim.completed + r.Sysim.shed + r.Sysim.rejected);
+  Alcotest.(check bool) "sticky routing lands repeat hits" true (r.Sysim.sticky_hits > 0);
+  Alcotest.(check bool) "a completion was held for in-order delivery" true
+    (r.Sysim.held_results > 0);
+  Alcotest.(check (pair int int)) "sticky hits/misses" (591, 2)
+    (r.Sysim.sticky_hits, r.Sysim.sticky_misses);
+  Alcotest.(check int) "held results" 121 r.Sysim.held_results
+
+(* Expiry needs quiet gaps with nothing outstanding, which the flash
+   trace never offers (a backlogged session may not be reaped): a calm
+   sparse stream whose idle timeout undercuts the arrival spacing must
+   cycle the session through expiry and reopening. *)
+let test_sessions_calm_expiry () =
+  let r =
+    run
+      {
+        flash_cfg with
+        Sysim.tasks = 80;
+        arrival = Some (Genset.Exponential { mean_us = 50_000.0 });
+        frontend =
+          Some
+            {
+              Sysim.default_frontend with
+              Sysim.sessions = Some (Session.config ~idle_timeout_us:5_000.0 ());
+            };
+      }
+  in
+  Alcotest.(check bool) "expired and reopened" true
+    (r.Sysim.sessions_expired >= 1 && r.Sysim.sessions_opened >= 2);
+  Alcotest.(check (pair int int)) "opened/expired" (64, 63)
+    (r.Sysim.sessions_opened, r.Sysim.sessions_expired)
+
+(* Reactive and predictive autoscaling replay one recorded trace
+   behind the same priced mapping cache; the control law is the only
+   difference.  After its one-season warmup the Holt-Winters forecast
+   pre-provisions the recurring flash. *)
+let test_predictive_beats_reactive () =
+  let scaled predict =
+    with_frontend
+      {
+        flash_cfg with
+        Sysim.replay = Some (Sysim.workload flash_cfg);
+        serving =
+          Some { Sysim.default_serving with Sysim.autoscale = Some Autoscaler.default };
+      }
+      { Sysim.default_frontend with Sysim.mapping_cache = Some (64, 500.0); predict }
+  in
+  let reactive = run (scaled None) in
+  let predictive = run (scaled (Some Autoscaler.default_predict)) in
+  Alcotest.(check bool) "cache hit rate >= 0.9" true (hit_rate predictive >= 0.9);
+  Alcotest.(check bool) "predictive goodput >= reactive" true
+    (predictive.Sysim.goodput_per_s >= reactive.Sysim.goodput_per_s);
+  check_fixed "reactive goodput (/s)" 3 "463.711" reactive.Sysim.goodput_per_s;
+  check_fixed "predictive goodput (/s)" 3 "548.209" predictive.Sysim.goodput_per_s;
+  check_fixed "reactive p99 (ms)" 1 "34.4" (reactive.Sysim.p99_latency_us /. 1000.0);
+  check_fixed "predictive p99 (ms)" 1 "35.3" (predictive.Sysim.p99_latency_us /. 1000.0);
+  Alcotest.(check (pair int int)) "reactive scale up/down" (102, 100)
+    (reactive.Sysim.scale_ups, reactive.Sysim.scale_downs);
+  Alcotest.(check (pair int int)) "predictive scale up/down" (906, 147)
+    (predictive.Sysim.scale_ups, predictive.Sysim.scale_downs);
+  check_fixed "cache hit rate (%)" 1 "99.8" (100.0 *. hit_rate predictive);
+  Alcotest.(check bool) "rerun is bit-identical" true
+    (strip (run (scaled (Some Autoscaler.default_predict))) = strip predictive)
 
 let () =
   Alcotest.run "serve"
@@ -443,5 +599,9 @@ let () =
             test_frontend_requires_serving;
           Alcotest.test_case "replay matches generation" `Quick
             test_replay_matches_generation;
+          Alcotest.test_case "sessions account" `Quick test_sessions_account;
+          Alcotest.test_case "sessions calm expiry" `Quick test_sessions_calm_expiry;
+          Alcotest.test_case "predictive >= reactive" `Quick
+            test_predictive_beats_reactive;
         ] );
     ]

@@ -2,13 +2,20 @@
    rings (Obs.Series), the alert rule engine (Obs.Alert) and the
    Prometheus text exposition — plus the differential property that
    windowed aggregates over a full run agree with the cumulative Obs
-   histograms fed the same stream. *)
+   histograms fed the same stream, and the telemetry scenarios of
+   EXPERIMENTS.md run through the simulator: bit-identical results
+   with telemetry off and on, no false positives, outage detection
+   against injected ground truth, and a firing burn-rate rule. *)
 
 module Obs = Mlv_obs.Obs
 module Series = Mlv_obs.Series
 module Alert = Mlv_obs.Alert
 module Prometheus = Mlv_obs.Prometheus
 module Stats = Mlv_util.Stats
+module Sysim = Mlv_sysim.Sysim
+module Runtime = Mlv_core.Runtime
+module Fault_plan = Mlv_cluster.Fault_plan
+module Genset = Mlv_workload.Genset
 
 (* Every test starts from an empty series registry: registrations from
    earlier tests would otherwise collide on parameters. *)
@@ -465,6 +472,161 @@ let test_prometheus_exposition () =
   Alcotest.(check string) "leading digit prefixed" "_9x"
     (Prometheus.metric_name "9x")
 
+(* ---------------- telemetry on the simulator ---------------- *)
+
+let registry = lazy (Sysim.build_registry ())
+
+let run cfg =
+  fresh ();
+  Sysim.run ~registry:(Lazy.force registry) cfg
+
+(* Everything but the wall clock and the telemetry-only fields must be
+   bit-identical across a telemetry off/on pair. *)
+let fingerprint (r : Sysim.result) =
+  { r with Sysim.loop_wall_s = 0.0; scrapes = 0; alert_transitions = [] }
+
+let scrape_interval_us = 1_000.0
+
+let telemetry rules = Some { Sysim.default_telemetry with Sysim.scrape_interval_us; rules }
+
+let outage_rules =
+  match Alert.of_string "outage gt sysim.nodes_down 0 1 1 0" with
+  | Ok rules -> rules
+  | Error e -> failwith e
+
+(* 240 open-loop tasks of set 3, seed 42. *)
+let open_config ?faults telemetry =
+  let base =
+    Sysim.default_config ~policy:Runtime.greedy ~composition:Genset.table1.(2)
+  in
+  { base with Sysim.seed = 42; tasks = 240; faults; telemetry }
+
+let events_of kind trs = List.filter (fun t -> t.Alert.event = kind) trs
+
+let test_fault_free_no_false_positives () =
+  let off = run (open_config None) in
+  let on = run (open_config (telemetry outage_rules)) in
+  Alcotest.(check bool) "telemetry leaves the result bit-identical" true
+    (fingerprint off = fingerprint on);
+  Alcotest.(check int) "zero alert transitions" 0 (List.length on.Sysim.alert_transitions);
+  Alcotest.(check int) "scrapes" 10_753 on.Sysim.scrapes
+
+(* Two well-separated outages of node 1: the crash and restore times
+   are the ground truth the alert log is judged against. *)
+let outage_windows = [ (8_000.0, 20_000.0); (40_000.0, 52_000.0) ]
+
+let test_outage_detection () =
+  let faults =
+    Sysim.default_faults
+      (Fault_plan.make
+         (List.concat_map
+            (fun (c, r) ->
+              [
+                { Fault_plan.at = c; action = Fault_plan.Crash 1 };
+                { Fault_plan.at = r; action = Fault_plan.Restore 1 };
+              ])
+            outage_windows))
+  in
+  let off = run (open_config ~faults None) in
+  let on = run (open_config ~faults (telemetry outage_rules)) in
+  Alcotest.(check bool) "telemetry leaves the faulted result bit-identical" true
+    (fingerprint off = fingerprint on);
+  let trs = on.Sysim.alert_transitions in
+  let fires = events_of Alert.Fire trs and resolves = events_of Alert.Resolve trs in
+  Alcotest.(check int) "one fire per outage" 2 (List.length fires);
+  Alcotest.(check int) "one resolve per outage" 2 (List.length resolves);
+  List.iteri
+    (fun i ((crash, restore), (f, r)) ->
+      let detect = f.Alert.at_us -. crash and resolve = r.Alert.at_us -. restore in
+      let within d = d >= 0.0 && d <= 2.0 *. scrape_interval_us in
+      Alcotest.(check bool)
+        (Printf.sprintf "outage %d: detected %.1f us after the crash, within 2 scrapes" i
+           detect)
+        true (within detect);
+      Alcotest.(check bool)
+        (Printf.sprintf "outage %d: resolved %.1f us after the restore, within 2 scrapes"
+           i resolve)
+        true (within resolve);
+      (* the FIFO tie-break runs the fault before the scrape tick of
+         the same microsecond, so detection is same-timestamp *)
+      Alcotest.(check (pair (float 0.0) (float 0.0)))
+        (Printf.sprintf "outage %d: same-timestamp detect/resolve" i)
+        (0.0, 0.0) (detect, resolve))
+    (List.combine outage_windows (List.combine fires resolves));
+  let again = run (open_config ~faults (telemetry outage_rules)) in
+  Alcotest.(check bool) "rerun: same result" true (fingerprint again = fingerprint on);
+  Alcotest.(check bool) "rerun: same transition log" true
+    (again.Sysim.alert_transitions = trs)
+
+(* The bulk tenant's 20 us stream overloads the cluster; queueing
+   pushes most gold sojourns past the SLO, burning the 90% objective
+   at well over twice budget on both windows. *)
+let burn_rules =
+  [
+    {
+      Alert.name = "gold-slo-burn";
+      condition =
+        Alert.Burn_rate
+          {
+            bad = "sysim.tenant.slo_missed.rate{tenant=gold}";
+            total = "sysim.tenant.completed.rate{tenant=gold}";
+            objective = 0.9;
+            factor = 2.0;
+            long_window = 10;
+            short_window = 3;
+          };
+      for_intervals = 2;
+      cooldown_intervals = 5;
+    };
+  ]
+
+let test_burn_rate_fires () =
+  let cfg telemetry =
+    let base =
+      Sysim.default_config ~policy:Runtime.greedy ~composition:Genset.table1.(2)
+    in
+    {
+      base with
+      Sysim.seed = 42;
+      slo_multiplier = 4.0;
+      tenants =
+        [
+          Genset.tenant_load ~tasks:120
+            ~arrival:(Genset.Exponential { mean_us = 100.0 })
+            "gold";
+          Genset.tenant_load ~tasks:120 ~composition:Genset.table1.(1)
+            ~arrival:(Genset.Exponential { mean_us = 20.0 })
+            "bulk";
+        ];
+      serving = Some { Sysim.default_serving with Sysim.autoscale = None };
+      telemetry;
+    }
+  in
+  let off = run (cfg None) in
+  let on = run (cfg (telemetry burn_rules)) in
+  Alcotest.(check bool) "telemetry leaves the serving result bit-identical" true
+    (fingerprint off = fingerprint on);
+  let trs = on.Sysim.alert_transitions in
+  let fires = List.length (events_of Alert.Fire trs) in
+  Alcotest.(check bool) "the burn-rate rule fires" true (fires > 0);
+  Alcotest.(check (pair int int)) "fires/scrapes" (21, 835) (fires, on.Sysim.scrapes);
+  (* every gold completion in the windows misses its SLO, so each
+     transition logs the largest burn rate, 1 / (1 - 0.9) = 10 *)
+  List.iter
+    (fun t ->
+      Alcotest.(check string) "transition value" "10" (Printf.sprintf "%g" t.Alert.value))
+    trs;
+  (* the log and the alert.transitions counters (fresh at [run]) agree *)
+  List.iter
+    (fun event ->
+      Alcotest.(check int)
+        ("counter agrees with the log: " ^ Alert.event_name event)
+        (List.length (events_of event trs))
+        (Obs.Counter.value
+           (Obs.Counter.get_labeled "alert.transitions"
+              [ ("rule", "gold-slo-burn"); ("event", Alert.event_name event) ])))
+    [ Alert.Pend; Alert.Fire; Alert.Resolve ]
+
 let () =
   Alcotest.run "watch"
     [
@@ -500,5 +662,12 @@ let () =
       ( "prometheus",
         [
           Alcotest.test_case "exposition" `Quick test_prometheus_exposition;
+        ] );
+      ( "sysim",
+        [
+          Alcotest.test_case "fault-free: no false positives" `Quick
+            test_fault_free_no_false_positives;
+          Alcotest.test_case "outage detection" `Quick test_outage_detection;
+          Alcotest.test_case "burn rate fires" `Quick test_burn_rate_fires;
         ] );
     ]
