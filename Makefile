@@ -50,8 +50,9 @@ test:
 # throughput cliffs.
 check: build fmt test bench-place-smoke bench-sim-smoke bench-diff
 
-# Regenerates every table/figure and leaves BENCH_obs.json (the
-# observability registry of the run) next to the console output.
+# Regenerates every table/figure; writes no observability dump.
+# `dune exec bench/main.exe -- --obs-out FILE` also writes the run's
+# observability registry (counters, histograms, spans) as JSON.
 bench:
 	dune exec bench/main.exe
 

@@ -1004,7 +1004,7 @@ let sched_classes ~deadline_us =
 
 let sched_config ~tasks serving =
   let cfg = Sysim.default_config ~policy:Runtime.greedy ~composition:Genset.table1.(6) in
-  { cfg with Sysim.tasks; arrival = Some sched_arrival; serving }
+  { cfg with Sysim.tasks; arrival = sched_arrival; serving }
 
 let sched_serving ~deadline_us ~autoscale =
   {
@@ -1146,27 +1146,36 @@ let experiments =
     ("micro", micro);
   ]
 
-(* Dump the observability registry accumulated by the experiments so a
-   bench run leaves a machine-readable artifact next to the tables. *)
-let dump_obs () =
-  let path = "BENCH_obs.json" in
-  Mlv_obs.Obs.write_json path;
-  Printf.printf "\nobservability metrics written to %s\n" path
+let usage () =
+  prerr_endline "usage: main.exe [--obs-out PATH] [experiment]";
+  exit 1
 
+(* Runs one experiment, or all of them.  With [--obs-out PATH] the
+   observability registry the experiments accumulated is dumped to
+   PATH as a machine-readable artifact next to the tables. *)
 let () =
-  match Sys.argv with
-  | [| _ |] ->
-    List.iter (fun (_, f) -> f ()) experiments;
-    dump_obs ()
-  | [| _; name |] -> (
-    match List.assoc_opt name experiments with
-    | Some f ->
-      f ();
-      dump_obs ()
-    | None ->
-      Printf.eprintf "unknown experiment %s; available: %s\n" name
-        (String.concat " " (List.map fst experiments));
-      exit 1)
-  | _ ->
-    prerr_endline "usage: main.exe [experiment]";
-    exit 1
+  let rec parse obs_out names = function
+    | "--obs-out" :: path :: rest -> parse (Some path) names rest
+    | "--obs-out" :: [] -> usage ()
+    | name :: rest -> parse obs_out (name :: names) rest
+    | [] -> (obs_out, List.rev names)
+  in
+  let obs_out, names = parse None [] (List.tl (Array.to_list Sys.argv)) in
+  let run =
+    match names with
+    | [] -> List.map snd experiments
+    | [ name ] -> (
+      match List.assoc_opt name experiments with
+      | Some f -> [ f ]
+      | None ->
+        Printf.eprintf "unknown experiment %s; available: %s\n" name
+          (String.concat " " (List.map fst experiments));
+        exit 1)
+    | _ -> usage ()
+  in
+  List.iter (fun f -> f ()) run;
+  Option.iter
+    (fun path ->
+      Mlv_obs.Obs.write_json path;
+      Printf.printf "\nobservability metrics written to %s\n" path)
+    obs_out

@@ -129,7 +129,6 @@ let () =
     wall_cfg
       (Some
          {
-           Sysim.default_telemetry with
            Sysim.scrape_interval_us = wall_interval_us;
            rules = burn_rules;
          })

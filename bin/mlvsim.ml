@@ -340,7 +340,6 @@ let run set policy tasks seed interarrival repeats compare fault_plan max_retrie
         Ok
           (Some
              {
-               Sysim.default_telemetry with
                Sysim.rules;
                scrape_interval_us =
                  Option.value iv
@@ -407,8 +406,10 @@ let run set policy tasks seed interarrival repeats compare fault_plan max_retrie
       {
         (Sysim.default_config ~policy ~composition) with
         Sysim.tasks;
-        mean_interarrival_us = interarrival;
-        arrival;
+        arrival =
+          (match arrival with
+          | Some a -> a
+          | None -> Genset.Exponential { mean_us = interarrival });
         seed;
         repeats_per_task = repeats;
         faults;

@@ -69,132 +69,6 @@ module Json = struct
     go v;
     Buffer.contents buf
 
-  (* Minimal recursive-descent validator: accepts exactly one JSON
-     value (plus surrounding whitespace). *)
-  let is_valid s =
-    let n = String.length s in
-    let pos = ref 0 in
-    let peek () = if !pos < n then Some s.[!pos] else None in
-    let advance () = incr pos in
-    let skip_ws () =
-      while
-        !pos < n && (match s.[!pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false)
-      do
-        advance ()
-      done
-    in
-    let fail () = raise Exit in
-    let expect c = match peek () with Some x when x = c -> advance () | _ -> fail () in
-    let literal word =
-      let l = String.length word in
-      if !pos + l <= n && String.sub s !pos l = word then pos := !pos + l else fail ()
-    in
-    let rec value () =
-      skip_ws ();
-      match peek () with
-      | None -> fail ()
-      | Some '{' -> obj ()
-      | Some '[' -> arr ()
-      | Some '"' -> string_lit ()
-      | Some 't' -> literal "true"
-      | Some 'f' -> literal "false"
-      | Some 'n' -> literal "null"
-      | Some ('-' | '0' .. '9') -> number ()
-      | Some _ -> fail ()
-    and obj () =
-      expect '{';
-      skip_ws ();
-      if peek () = Some '}' then advance ()
-      else begin
-        let rec members () =
-          skip_ws ();
-          string_lit ();
-          skip_ws ();
-          expect ':';
-          value ();
-          skip_ws ();
-          match peek () with
-          | Some ',' ->
-            advance ();
-            members ()
-          | Some '}' -> advance ()
-          | _ -> fail ()
-        in
-        members ()
-      end
-    and arr () =
-      expect '[';
-      skip_ws ();
-      if peek () = Some ']' then advance ()
-      else begin
-        let rec elements () =
-          value ();
-          skip_ws ();
-          match peek () with
-          | Some ',' ->
-            advance ();
-            elements ()
-          | Some ']' -> advance ()
-          | _ -> fail ()
-        in
-        elements ()
-      end
-    and string_lit () =
-      expect '"';
-      let rec chars () =
-        match peek () with
-        | None -> fail ()
-        | Some '"' -> advance ()
-        | Some '\\' ->
-          advance ();
-          (match peek () with
-          | Some ('"' | '\\' | '/' | 'b' | 'f' | 'n' | 'r' | 't') ->
-            advance ();
-            chars ()
-          | Some 'u' ->
-            advance ();
-            for _ = 1 to 4 do
-              match peek () with
-              | Some ('0' .. '9' | 'a' .. 'f' | 'A' .. 'F') -> advance ()
-              | _ -> fail ()
-            done;
-            chars ()
-          | _ -> fail ())
-        | Some _ ->
-          advance ();
-          chars ()
-      in
-      chars ()
-    and number () =
-      if peek () = Some '-' then advance ();
-      let digits () =
-        let saw = ref false in
-        while (match peek () with Some '0' .. '9' -> true | _ -> false) do
-          saw := true;
-          advance ()
-        done;
-        if not !saw then fail ()
-      in
-      digits ();
-      if peek () = Some '.' then begin
-        advance ();
-        digits ()
-      end;
-      match peek () with
-      | Some ('e' | 'E') ->
-        advance ();
-        (match peek () with Some ('+' | '-') -> advance () | _ -> ());
-        digits ()
-      | _ -> ()
-    in
-    match
-      value ();
-      skip_ws ();
-      !pos = n
-    with
-    | complete -> complete
-    | exception Exit -> false
-
   (* Recursive-descent parser for one complete JSON value; [None] on
      malformed input.  bench/benchdiff.ml reads committed BENCH_*.json
      artifacts back through this, so it accepts what [to_string] emits
@@ -383,6 +257,8 @@ module Json = struct
     with
     | r -> r
     | exception Exit -> None
+
+  let is_valid s = parse s <> None
 end
 
 (* ------------------------------------------------------------------ *)

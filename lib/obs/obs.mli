@@ -30,7 +30,8 @@ module Json : sig
 
   val to_string : t -> string
 
-  (** [is_valid s] is true when [s] is one complete JSON value. *)
+  (** [is_valid s] is true when [s] is one complete JSON value:
+      [parse s <> None]. *)
   val is_valid : string -> bool
 
   (** [parse s] reads one complete JSON value back; [None] on

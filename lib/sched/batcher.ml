@@ -15,31 +15,9 @@ type 'a t = {
   cfg : config;
   slots : (string, 'a slot) Hashtbl.t;
   mutable dispatched : int;
-  (* The totals below are maintained incrementally on add/take so the
-     autoscaler tick reads them in O(1) without folding (or
-     allocating over) the slot table. *)
-  mutable total : int;  (* sum of slot counts *)
-  mutable nonempty : int;  (* slots with count > 0 *)
-  mutable keys_cache : string list;
-  mutable keys_dirty : bool;
-  tenant_of : ('a -> string) option;
-  tenant_pending : (string, int ref) Hashtbl.t;
 }
 
-let create ?tenant_of cfg =
-  {
-    cfg;
-    slots = Hashtbl.create 8;
-    dispatched = 0;
-    total = 0;
-    nonempty = 0;
-    keys_cache = [];
-    keys_dirty = false;
-    tenant_of;
-    tenant_pending = Hashtbl.create 8;
-  }
-
-let get_config t = t.cfg
+let create cfg = { cfg; slots = Hashtbl.create 8; dispatched = 0 }
 
 type 'a outcome = Dispatch of 'a list | Opened of float | Joined
 
@@ -51,24 +29,8 @@ let slot t key =
     Hashtbl.replace t.slots key s;
     s
 
-let tenant_delta t x d =
-  match t.tenant_of with
-  | None -> ()
-  | Some f -> (
-    let tn = f x in
-    match Hashtbl.find_opt t.tenant_pending tn with
-    | Some c -> c := !c + d
-    | None -> Hashtbl.replace t.tenant_pending tn (ref d))
-
 let take t s =
   let batch = List.rev s.items in
-  if s.count > 0 then begin
-    t.total <- t.total - s.count;
-    t.nonempty <- t.nonempty - 1;
-    t.keys_dirty <- true;
-    if t.tenant_of <> None then
-      List.iter (fun x -> tenant_delta t x (-1)) batch
-  end;
   s.items <- [];
   s.count <- 0;
   if batch <> [] then t.dispatched <- t.dispatched + 1;
@@ -78,12 +40,6 @@ let add t ~key ~now_us x =
   let s = slot t key in
   s.items <- x :: s.items;
   s.count <- s.count + 1;
-  t.total <- t.total + 1;
-  tenant_delta t x 1;
-  if s.count = 1 then begin
-    t.nonempty <- t.nonempty + 1;
-    t.keys_dirty <- true
-  end;
   if s.count >= t.cfg.max_batch then Dispatch (take t s)
   else if s.count = 1 then begin
     s.opened_us <- now_us;
@@ -108,24 +64,5 @@ let drain t ~key =
 
 let pending t ~key =
   match Hashtbl.find_opt t.slots key with None -> 0 | Some s -> s.count
-
-let total_pending t = t.total
-let nonempty_kinds t = t.nonempty
-
-let keys t =
-  if t.keys_dirty then begin
-    t.keys_cache <-
-      Hashtbl.fold
-        (fun k s acc -> if s.count > 0 then k :: acc else acc)
-        t.slots []
-      |> List.sort compare;
-    t.keys_dirty <- false
-  end;
-  t.keys_cache
-
-let pending_of_tenant t tenant =
-  match Hashtbl.find_opt t.tenant_pending tenant with
-  | Some c -> !c
-  | None -> 0
 
 let batches t = t.dispatched

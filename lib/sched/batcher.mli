@@ -27,13 +27,8 @@ val config : ?max_batch:int -> ?max_linger_us:float -> unit -> config
 
 type 'a t
 
-(** [create cfg] builds a batcher.  [~tenant_of] attributes each
-    pending request to a tenant so {!pending_of_tenant} can report
-    per-tenant queue pressure; omitted, tenant accounting is off and
-    costs nothing. *)
-val create : ?tenant_of:('a -> string) -> config -> 'a t
-
-val get_config : 'a t -> config
+(** [create cfg] builds a batcher with no pending requests. *)
+val create : config -> 'a t
 
 type 'a outcome =
   | Dispatch of 'a list  (** batch filled: serve these now *)
@@ -55,24 +50,6 @@ val drain : 'a t -> key:string -> 'a list
 
 (** [pending t ~key] counts requests waiting in [key]'s open batch. *)
 val pending : 'a t -> key:string -> int
-
-(** [total_pending t] is the number of requests waiting across every
-    key — an incrementally maintained counter, O(1) and
-    allocation-free. *)
-val total_pending : 'a t -> int
-
-(** [nonempty_kinds t] counts keys with a non-empty pending batch —
-    incrementally maintained, O(1) and allocation-free. *)
-val nonempty_kinds : 'a t -> int
-
-(** [keys t] lists keys with a non-empty pending batch, sorted.  The
-    list is cached and rebuilt only when a slot transitions between
-    empty and non-empty — repeated calls allocate nothing. *)
-val keys : 'a t -> string list
-
-(** [pending_of_tenant t tenant] is the tenant's waiting-request count
-    (0 unless [create ~tenant_of] was used). *)
-val pending_of_tenant : 'a t -> string -> int
 
 (** [batches t] counts batches dispatched so far (fullness, linger and
     drain alike). *)

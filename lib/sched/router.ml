@@ -29,7 +29,6 @@ type t = {
   mutable total_out : int;  (* incremental Σ outstanding *)
   mutable keys_cache : string list;
   mutable keys_dirty : bool;
-  tenant_routed : (string, int ref) Hashtbl.t;
 }
 
 let create () =
@@ -39,7 +38,6 @@ let create () =
     total_out = 0;
     keys_cache = [];
     keys_dirty = false;
-    tenant_routed = Hashtbl.create 8;
   }
 
 let load r = float_of_int r.outstanding /. r.weight
@@ -180,18 +178,3 @@ let keys t =
   t.keys_cache
 
 let dispatched t = t.routed
-
-(* Per-tenant routed accounting: callers attribute dispatched requests
-   to tenants (the group structures themselves are tenant-agnostic —
-   replicas are shared). *)
-let note_routed t ~tenant n =
-  match Hashtbl.find_opt t.tenant_routed tenant with
-  | Some c -> c := !c + n
-  | None -> Hashtbl.replace t.tenant_routed tenant (ref n)
-
-let routed_of_tenant t tenant =
-  match Hashtbl.find_opt t.tenant_routed tenant with Some c -> !c | None -> 0
-
-let routed_by_tenant t =
-  Hashtbl.fold (fun k c acc -> (k, !c) :: acc) t.tenant_routed []
-  |> List.sort compare

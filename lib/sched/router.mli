@@ -57,14 +57,3 @@ val keys : t -> string list
 
 (** [dispatched t] counts requests routed via {!begin_work}. *)
 val dispatched : t -> int
-
-(** [note_routed t ~tenant n] attributes [n] dispatched requests to a
-    tenant.  Replicas are shared across tenants, so attribution is the
-    caller's (sysim's) knowledge — the router only keeps the
-    counters. *)
-val note_routed : t -> tenant:string -> int -> unit
-
-val routed_of_tenant : t -> string -> int
-
-(** [routed_by_tenant t] lists [(tenant, routed)] sorted by tenant. *)
-val routed_by_tenant : t -> (string * int) list

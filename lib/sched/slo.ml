@@ -21,30 +21,21 @@ type bucket = {
   mutable b_shed : int;
 }
 
-type tenant_spec = {
-  tenant_name : string;
-  tenant_weight : float;
-  tenant_priority : int;
-}
+type tenant_spec = { tenant_name : string; tenant_weight : float }
 
-let tenant_spec ?(weight = 1.0) ?(priority = 0) name =
+let tenant_spec ?(weight = 1.0) name =
   if weight <= 0.0 then invalid_arg "Slo.tenant_spec: weight must be positive";
-  { tenant_name = name; tenant_weight = weight; tenant_priority = priority }
+  { tenant_name = name; tenant_weight = weight }
 
 (* A tenant's weighted fair share of the admission pool: its bucket
    refills at [weight / sum weights] of the pool rate, so a bursty
    tenant saturates its own bucket and is shed at the gate without
    touching its neighbours' shares. *)
 type tbucket = {
-  tspec : tenant_spec;
   t_rate_per_s : float;
   t_burst : float;
   mutable t_tokens : float;
   mutable t_refilled_us : float;
-  mutable tb_admitted : int;
-  mutable tb_shed : int;
-      (* every shed of this tenant's requests: fair-share sheds here
-         plus class-level rate/priority sheds downstream *)
 }
 
 type t = {
@@ -60,13 +51,6 @@ type t = {
          holds exactly instead of silently leaking unknown classes
          into the admitted total *)
   mutable tenant_buckets : (string * tbucket) list;  (* declaration order *)
-  mutable t_shed_tenant : int;  (* Shed_tenant verdicts (fair-share gate) *)
-  mutable t_tenant_unknown : int;
-      (* decisions with no matching tenant bucket — including every
-         call without a tenant — so the per-tenant identity
-         sum (admitted_of_tenant + shed_of_tenant) + tenant_unknown
-           = admitted + shed
-         closes exactly, mirroring the per-class identity *)
 }
 
 let create specs =
@@ -87,13 +71,12 @@ let create specs =
   if List.length (List.sort_uniq compare names) <> List.length names then
     invalid_arg "Slo.create: duplicate class names";
   { buckets; threshold = min_int; t_admitted = 0; t_shed = 0;
-    t_unknown_admitted = 0; tenant_buckets = []; t_shed_tenant = 0;
-    t_tenant_unknown = 0 }
+    t_unknown_admitted = 0; tenant_buckets = [] }
 
-(* Install (or replace) the tenant fair-share pool: [rate_per_s] and
-   [burst] describe the whole pool; each tenant's bucket gets its
-   weight share of both, with burst floored at one token so every
-   tenant can always eventually admit.
+(* Install the tenant fair-share pool, once, before the first
+   admission: [rate_per_s] and [burst] describe the whole pool; each
+   tenant's bucket gets its weight share of both, with burst floored
+   at one token so every tenant can always eventually admit.
 
    The floor is water-filled, not minted: a tenant whose weighted
    share of the burst falls below one token gets exactly 1.0, and the
@@ -105,6 +88,8 @@ let create specs =
    the isolation guarantee.  When no tenant hits the floor the shares
    (and their floating-point bits) are unchanged. *)
 let set_tenant_pool t ~rate_per_s ~burst specs =
+  if t.tenant_buckets <> [] then
+    invalid_arg "Slo.set_tenant_pool: the pool is already set";
   if rate_per_s <= 0.0 then
     invalid_arg "Slo.set_tenant_pool: rate must be positive";
   if burst < 1 then invalid_arg "Slo.set_tenant_pool: burst must be >= 1";
@@ -131,48 +116,18 @@ let set_tenant_pool t ~rate_per_s ~burst specs =
         ~remaining:(remaining -. float_of_int (List.length floored))
   in
   settle specs ~active_w:total_w ~remaining:(float_of_int burst);
-  (* Re-setting the pool mid-run (session churn adds and removes
-     tenants) renormalizes every share but must not mint tokens: a
-     surviving tenant keeps its consumed state — tokens scaled by the
-     burst ratio (so "half a bucket left" stays half a bucket), refill
-     clock and admission counters intact.  Only genuinely new tenants
-     start with a full bucket. *)
-  let old = t.tenant_buckets in
   t.tenant_buckets <-
     List.map
       (fun s ->
-        let share = s.tenant_weight /. total_w in
         let b = Hashtbl.find bursts s.tenant_name in
-        let tb =
-          match List.assoc_opt s.tenant_name old with
-          | Some prev ->
-            {
-              tspec = s;
-              t_rate_per_s = rate_per_s *. share;
-              t_burst = b;
-              t_tokens =
-                Float.min b
-                  (if prev.t_burst > 0.0 then prev.t_tokens *. (b /. prev.t_burst)
-                   else b);
-              t_refilled_us = prev.t_refilled_us;
-              tb_admitted = prev.tb_admitted;
-              tb_shed = prev.tb_shed;
-            }
-          | None ->
-            {
-              tspec = s;
-              t_rate_per_s = rate_per_s *. share;
-              t_burst = b;
-              t_tokens = b;
-              t_refilled_us = 0.0;
-              tb_admitted = 0;
-              tb_shed = 0;
-            }
-        in
-        (s.tenant_name, tb))
+        ( s.tenant_name,
+          {
+            t_rate_per_s = rate_per_s *. (s.tenant_weight /. total_w);
+            t_burst = b;
+            t_tokens = b;
+            t_refilled_us = 0.0;
+          } ))
       specs
-
-let tenants t = List.map (fun (_, b) -> b.tspec) t.tenant_buckets
 
 let tenant_rate_of t name =
   match List.assoc_opt name t.tenant_buckets with
@@ -183,11 +138,6 @@ let tenant_burst_of t name =
   match List.assoc_opt name t.tenant_buckets with
   | Some b -> b.t_burst
   | None -> 0.0
-
-let tenant_priority_of t name =
-  match List.assoc_opt name t.tenant_buckets with
-  | Some b -> b.tspec.tenant_priority
-  | None -> 0
 
 let classes t = List.map (fun (_, b) -> b.spec) t.buckets
 let find t name = List.assoc_opt name t.buckets |> Option.map (fun b -> b.spec)
@@ -238,9 +188,7 @@ let admit_class t ~class_name ~now_us =
 
 (* The tenant fair-share gate sits in front of the class gate.  A
    tenant token is only consumed when the request is finally admitted,
-   so a class-level shed does not burn the tenant's share; either way
-   the decision lands in exactly one tenant counter (or
-   [tenant_unknown]), keeping the per-tenant identity closed. *)
+   so a class-level shed does not burn the tenant's share. *)
 let admit ?tenant t ~class_name ~now_us =
   let tb =
     match tenant with
@@ -248,26 +196,19 @@ let admit ?tenant t ~class_name ~now_us =
     | Some tn -> List.assoc_opt tn t.tenant_buckets
   in
   match tb with
-  | None ->
-    t.t_tenant_unknown <- t.t_tenant_unknown + 1;
-    admit_class t ~class_name ~now_us
+  | None -> admit_class t ~class_name ~now_us
   | Some tb ->
     refill_tenant tb ~now_us;
     if tb.t_tokens < 1.0 then begin
-      tb.tb_shed <- tb.tb_shed + 1;
       t.t_shed <- t.t_shed + 1;
-      t.t_shed_tenant <- t.t_shed_tenant + 1;
       Shed_tenant
     end
     else begin
       match admit_class t ~class_name ~now_us with
       | Admitted ->
         tb.t_tokens <- tb.t_tokens -. 1.0;
-        tb.tb_admitted <- tb.tb_admitted + 1;
         Admitted
-      | v ->
-        tb.tb_shed <- tb.tb_shed + 1;
-        v
+      | v -> v
     end
 
 let set_shed_below t prio = t.threshold <- prio
@@ -282,16 +223,3 @@ let shed_of t name =
   match List.assoc_opt name t.buckets with Some b -> b.b_shed | None -> 0
 
 let unknown_admitted t = t.t_unknown_admitted
-
-let admitted_of_tenant t name =
-  match List.assoc_opt name t.tenant_buckets with
-  | Some b -> b.tb_admitted
-  | None -> 0
-
-let shed_of_tenant t name =
-  match List.assoc_opt name t.tenant_buckets with
-  | Some b -> b.tb_shed
-  | None -> 0
-
-let shed_tenant t = t.t_shed_tenant
-let tenant_unknown t = t.t_tenant_unknown

@@ -40,15 +40,11 @@ val class_spec :
 type tenant_spec = {
   tenant_name : string;
   tenant_weight : float;  (** share of the pool; must be positive *)
-  tenant_priority : int;
-      (** scheduling priority; the serving loop's preemption policy
-          lets higher-priority tenants evict lower-priority replicas
-          (0 = best effort) *)
 }
 
-(** [tenant_spec name] with weight 1 and priority 0.
+(** [tenant_spec name] with weight 1.
     @raise Invalid_argument on a non-positive weight. *)
-val tenant_spec : ?weight:float -> ?priority:int -> string -> tenant_spec
+val tenant_spec : ?weight:float -> string -> tenant_spec
 
 type t
 
@@ -68,21 +64,12 @@ val create : class_spec list -> t
     the declared pool.  A request whose tenant bucket is empty is
     {!Shed_tenant} before the class gate sees it; the token is only
     consumed on final admission, so a class-level shed does not burn
-    the tenant's share.
-
-    Re-setting the pool mid-run renormalizes every share against the
-    new membership without minting tokens: a tenant present in both
-    the old and new pool keeps its refill clock and admission
-    counters, and its token balance is scaled by the ratio of new to
-    old burst (then clamped to the new burst), so consumed capacity
-    stays consumed.  Tenants new to the pool start with a full
-    bucket.
-    @raise Invalid_argument on a non-positive rate, burst < 1 or
-    duplicate tenant names. *)
+    the tenant's share.  Every tenant starts with a full bucket.  The
+    pool is set once, before the first admission.
+    @raise Invalid_argument on a non-positive rate, burst < 1,
+    duplicate tenant names, or a pool that is already set. *)
 val set_tenant_pool :
   t -> rate_per_s:float -> burst:int -> tenant_spec list -> unit
-
-val tenants : t -> tenant_spec list
 
 (** [tenant_rate_of t name] is the tenant's fair-share refill rate
     (requests/s), 0 for unknown tenants. *)
@@ -91,10 +78,6 @@ val tenant_rate_of : t -> string -> float
 (** [tenant_burst_of t name] is the tenant's water-filled bucket
     capacity (tokens), 0 for unknown tenants. *)
 val tenant_burst_of : t -> string -> float
-
-(** [tenant_priority_of t name] is the tenant's declared priority, 0
-    for unknown tenants. *)
-val tenant_priority_of : t -> string -> int
 
 val classes : t -> class_spec list
 
@@ -116,8 +99,7 @@ type verdict =
     always admitted.  [now_us] must not go backwards between calls for
     the same class.  [~tenant] routes the request through that
     tenant's fair-share bucket first (see {!set_tenant_pool});
-    omitted or unknown tenants bypass the fair-share gate and count
-    toward {!tenant_unknown}. *)
+    omitted or unknown tenants bypass the fair-share gate. *)
 val admit : ?tenant:string -> t -> class_name:string -> now_us:float -> verdict
 
 (** [set_shed_below t prio] sheds every class with [priority < prio]
@@ -141,20 +123,3 @@ val shed_of : t -> string -> int
     no configured class (including every admission through an empty
     gate). *)
 val unknown_admitted : t -> int
-
-(** Per-tenant decision counters.  [shed_of_tenant] counts every shed
-    of the tenant's requests — fair-share sheds and downstream class
-    sheds alike — so the identity
-    [sum (admitted_of_tenant + shed_of_tenant) + tenant_unknown
-     = admitted + shed] holds exactly. *)
-val admitted_of_tenant : t -> string -> int
-
-val shed_of_tenant : t -> string -> int
-
-(** [shed_tenant t] counts {!Shed_tenant} verdicts (fair-share gate
-    only). *)
-val shed_tenant : t -> int
-
-(** [tenant_unknown t] counts decisions that bypassed the fair-share
-    gate: no [~tenant] given, or the tenant matched no bucket. *)
-val tenant_unknown : t -> int

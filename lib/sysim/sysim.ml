@@ -58,11 +58,12 @@ let default_serving =
 type telemetry = {
   scrape_interval_us : float;
   rules : Alert.rule list;
-  series_buckets : int;
 }
 
-let default_telemetry =
-  { scrape_interval_us = 10_000.0; rules = []; series_buckets = 512 }
+let default_telemetry = { scrape_interval_us = 10_000.0; rules = [] }
+
+(* Ring capacity of every published series. *)
+let series_buckets = 512
 
 (* The serving front door: client sessions with sticky routing and
    in-order delivery, a compiled-mapping cache, and forecast-driven
@@ -90,8 +91,7 @@ type config = {
   policy : Runtime.policy;
   composition : Genset.composition;
   tasks : int;
-  mean_interarrival_us : float;
-  arrival : Genset.arrival option;
+  arrival : Genset.arrival;
   seed : int;
   repeats_per_task : int;
   slo_multiplier : float;
@@ -127,8 +127,7 @@ let default_config ~policy ~composition =
     policy;
     composition;
     tasks = 120;
-    mean_interarrival_us = 200.0;
-    arrival = None;
+    arrival = Genset.Exponential { mean_us = 200.0 };
     seed = 42;
     repeats_per_task = 20;
     slo_multiplier = 20.0;
@@ -141,11 +140,6 @@ let default_config ~policy ~composition =
     frontend = None;
     replay = None;
   }
-
-let arrival_of cfg =
-  match cfg.arrival with
-  | Some a -> a
-  | None -> Genset.Exponential { mean_us = cfg.mean_interarrival_us }
 
 (* Multi-tenant runs play the merged stream; [cfg.tasks] only drives
    the single-tenant generators.  A replay overrides both: the
@@ -165,7 +159,7 @@ let generate_tasks ~rng cfg =
     match cfg.tenants with
     | [] ->
       Genset.generate_arrival ~rng ~composition:cfg.composition ~tasks:cfg.tasks
-        ~arrival:(arrival_of cfg)
+        ~arrival:cfg.arrival
     | loads ->
       Genset.generate_tenants ~seed:cfg.seed ~composition:cfg.composition loads)
 
@@ -490,14 +484,8 @@ type pending = {
          attempt, re-queue time after a crash retry *)
 }
 
-(* An in-service task: enough to interrupt it when its node dies.  The
-   completion event stays queued after an interruption (the simulator
-   has no cancel), so it checks [cancelled] before acting. *)
-type inflight = {
-  pend : pending;
-  depl : Runtime.deployment;
-  mutable cancelled : bool;
-}
+(* An in-service task: enough to interrupt it when its node dies. *)
+type inflight = { pend : pending; depl : Runtime.deployment }
 
 (* Put [xs] at the front of [q], in order: re-queued work is the
    oldest, and FIFO order must survive a crash retry or an eviction. *)
@@ -581,7 +569,8 @@ type sgroup = {
 (* The state both loops run on: the cluster they drive, the task
    stream, the tallies every task ends in and the metric handles the
    per-task paths emit through.  Each loop keeps its own dispatch
-   state (a FIFO and a flight table, or replica groups) beside it. *)
+   state (a FIFO and an in-flight table, or replica groups) beside
+   it. *)
 type run = {
   cfg : config;
   cluster : Cluster.t;
@@ -765,7 +754,7 @@ type probe =
    capacity. *)
 let own_series tel kind name labels =
   Series.remove (Obs.Labels.key name labels);
-  Series.create_labeled ~buckets:tel.series_buckets ~kind
+  Series.create_labeled ~buckets:series_buckets ~kind
     ~interval_us:tel.scrape_interval_us name labels
 
 (* Optional scrape loop: each interval, sample the series both loops
@@ -921,7 +910,11 @@ let run_open run =
       [ ("kind", kind); ("node", string_of_int n) ]
   in
   let queue : pending Queue.t = Queue.create () in
-  let inflight : inflight Flight_table.t = Flight_table.create () in
+  (* In-service tasks by deployment id (never reused).  The completion
+     event stays queued after a crash interrupts its task (the
+     simulator has no cancel); the crash removed the key, so the
+     completion finds it gone and does nothing. *)
+  let inflight : (int, inflight) Hashtbl.t = Hashtbl.create 64 in
   let retried = ref 0 in
   let attempt_waits = ref [] in
   (* Fault-window bookkeeping: closed [start, stop] outage intervals
@@ -977,11 +970,10 @@ let run_open run =
         in
         start run p.task ~attempt_wait ~service ?node ~deployment:d.Runtime.id
           ~retries:p.retries ~label:p.accel ();
-        let fl = { pend = p; depl = d; cancelled = false } in
-        let fe = Flight_table.add inflight fl ~nodes:(Runtime.nodes_used d) in
+        Hashtbl.replace inflight d.Runtime.id { pend = p; depl = d };
         Sim.schedule sim ~delay:service (fun () ->
-            if not fl.cancelled then begin
-              Flight_table.remove inflight fe;
+            if Hashtbl.mem inflight d.Runtime.id then begin
+              Hashtbl.remove inflight d.Runtime.id;
               Runtime.undeploy runtime d;
               if Hashtbl.length down > 0 then incr completed_in_outage;
               run.waits <- wait :: run.waits;
@@ -1020,13 +1012,21 @@ let run_open run =
        burnt its retry budget, in which case it is rejected rather
        than starving the queue. *)
     let hit =
-      List.map Flight_table.value (Flight_table.take_node inflight node)
+      Hashtbl.fold
+        (fun _ fl acc ->
+          if
+            List.exists
+              (fun p -> p.Runtime.node_id = node)
+              fl.depl.Runtime.placements
+          then fl :: acc
+          else acc)
+        inflight []
       |> List.sort (fun a b ->
              compare a.pend.task.Genset.task_id b.pend.task.Genset.task_id)
     in
     List.iter
       (fun fl ->
-        fl.cancelled <- true;
+        Hashtbl.remove inflight fl.depl.Runtime.id;
         Runtime.undeploy runtime fl.depl;
         Obs.Trace.task Obs.Trace.Crash_interrupt fl.pend.task.Genset.task_id
           ~node ~deployment:fl.depl.Runtime.id ~retries:fl.pend.retries
@@ -1141,8 +1141,7 @@ let run_serving run serving =
     Slo.set_tenant_pool gate ~rate_per_s ~burst
       (List.map
          (fun (l : Genset.tenant_load) ->
-           Slo.tenant_spec ~weight:l.Genset.tl_weight
-             ~priority:l.Genset.tl_priority l.Genset.tl_name)
+           Slo.tenant_spec ~weight:l.Genset.tl_weight l.Genset.tl_name)
          cfg.tenants));
   (* Tenant priorities drive the preemption policy; a run without
      positive priorities (every single-tenant run) never preempts. *)
@@ -1179,11 +1178,7 @@ let run_serving run serving =
      preemption metrics. *)
   let preempted_task_c = lazy (Obs.Counter.get "sysim.serving.preempted") in
   let preemption_c = lazy (Obs.Counter.get "sysim.serving.preemptions") in
-  let batcher : stask Batcher.t =
-    Batcher.create
-      ?tenant_of:(if multi then Some (fun st -> st.s_task.Genset.tenant) else None)
-      serving.batch
-  in
+  let batcher : stask Batcher.t = Batcher.create serving.batch in
   let router = Router.create () in
   let groups : (string, sgroup) Hashtbl.t = Hashtbl.create 8 in
   (* Groups by name ascending, maintained on creation (groups are never
@@ -1233,7 +1228,7 @@ let run_serving run serving =
                  registered it with a different interval. *)
               Series.remove (Obs.Labels.key "serve.arrivals.rate" lbl);
               Some
-                (Series.create_labeled ~buckets:512 ~kind:Series.Gauge
+                (Series.create_labeled ~buckets:series_buckets ~kind:Series.Gauge
                    ~interval_us:acfg.interval_us "serve.arrivals.rate" lbl)
             | _ -> None);
         }
@@ -1470,16 +1465,11 @@ let run_serving run serving =
           grow_preempting g ~prio ~tried
         end)
   in
-  (* Route a batch onto a replica: router bookkeeping (plus per-tenant
-     attribution) and the queue append, with the group's assigned-task
-     counter kept in step. *)
+  (* Route a batch onto a replica: router bookkeeping and the queue
+     append, with the group's assigned-task counter kept in step. *)
   let assign g r batch =
     let n = List.length batch in
     Router.begin_work router ~key:g.g_accel ~replica_id:r.r_id n;
-    if multi then
-      List.iter
-        (fun st -> Router.note_routed router ~tenant:st.s_task.Genset.tenant 1)
-        batch;
     g.g_assigned_tasks <- g.g_assigned_tasks + n;
     Queue.add batch r.r_queue
   in

@@ -103,7 +103,6 @@ val default_serving : serving
 type telemetry = {
   scrape_interval_us : float;  (** simulated µs between scrapes, > 0 *)
   rules : Mlv_obs.Alert.rule list;
-  series_buckets : int;  (** ring capacity of each published series *)
 }
 
 (** [default_telemetry] scrapes every 10 ms of simulated time into
@@ -149,10 +148,9 @@ type config = {
   policy : Mlv_core.Runtime.policy;
   composition : Genset.composition;
   tasks : int;
-  mean_interarrival_us : float;
-  arrival : Genset.arrival option;
-      (** overrides [mean_interarrival_us] when set (e.g. a bursty
-          trace); [None] keeps the exponential stream *)
+  arrival : Genset.arrival;
+      (** the task arrival process (e.g. a bursty trace); the default
+          is exponential with a 200 µs mean *)
   seed : int;
   repeats_per_task : int;
       (** inferences served per deployment (amortizes reconfiguration,

@@ -5,7 +5,6 @@ module Sim = Mlv_cluster.Sim
 module Network = Mlv_cluster.Network
 module Node = Mlv_cluster.Node
 module Cluster = Mlv_cluster.Cluster
-module Trace = Mlv_cluster.Trace
 module Device = Mlv_fpga.Device
 module Board = Mlv_fpga.Board
 module Obs = Mlv_obs.Obs
@@ -225,38 +224,6 @@ let prop_transfer_consistent =
       Sim.run sim;
       Float.abs (!arrived -. Network.transfer_time_us net ~src ~dst ~bytes) < 1e-9)
 
-
-(* ---------------- Trace ---------------- *)
-
-let test_trace_basic () =
-  let t = Trace.create () in
-  Trace.record t ~at:1.0 "deploy npu-t6";
-  Trace.record t ~at:2.0 "undeploy npu-t6";
-  Alcotest.(check int) "two events" 2 (Trace.length t);
-  Alcotest.(check (list (pair (float 0.0) string))) "events"
-    [ (1.0, "deploy npu-t6"); (2.0, "undeploy npu-t6") ]
-    (Trace.events t);
-  Alcotest.(check int) "matching" 1 (List.length (Trace.matching t "undeploy"));
-  Trace.clear t;
-  Alcotest.(check int) "cleared" 0 (Trace.length t)
-
-let test_trace_ring_eviction () =
-  let t = Trace.create ~capacity:4 () in
-  for i = 1 to 10 do
-    Trace.record t ~at:(float_of_int i) (Printf.sprintf "e%d" i)
-  done;
-  Alcotest.(check int) "capped" 4 (Trace.length t);
-  Alcotest.(check int) "dropped" 6 (Trace.dropped t);
-  Alcotest.(check (list string)) "keeps newest" [ "e7"; "e8"; "e9"; "e10" ]
-    (List.map snd (Trace.events t))
-
-let test_trace_capacity_validation () =
-  Alcotest.(check bool) "zero rejected" true
-    (try
-       ignore (Trace.create ~capacity:0 ());
-       false
-     with Invalid_argument _ -> true)
-
 let () =
   Alcotest.run "cluster"
     [
@@ -282,12 +249,6 @@ let () =
           Alcotest.test_case "segment contention" `Quick test_network_contention;
           Alcotest.test_case "disjoint segments" `Quick test_network_disjoint_segments;
           QCheck_alcotest.to_alcotest prop_transfer_consistent;
-        ] );
-      ( "trace",
-        [
-          Alcotest.test_case "basic" `Quick test_trace_basic;
-          Alcotest.test_case "ring eviction" `Quick test_trace_ring_eviction;
-          Alcotest.test_case "capacity validation" `Quick test_trace_capacity_validation;
         ] );
       ( "cluster",
         [

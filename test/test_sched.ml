@@ -122,37 +122,51 @@ let test_slo_accounting_identity () =
 
 (* The same closure property for the tenant fair-share layer: over a
    mixed 3-tenant stream — plus decisions with no tenant or an
-   unknown one, which bypass the pool — the per-tenant admitted/shed
-   counters and [tenant_unknown] must cover every decision the gate
-   made. *)
+   unknown one, which bypass the pool — the verdicts counted per
+   tenant here must cover every decision the gate's totals record. *)
 let test_slo_tenant_pool_identity () =
   let gate = Slo.create [ Slo.class_spec ~rate_per_s:1000.0 ~burst:4 "S" ] in
   Slo.set_tenant_pool gate ~rate_per_s:3000.0 ~burst:8
     [ Slo.tenant_spec "a"; Slo.tenant_spec ~weight:2.0 "b"; Slo.tenant_spec "c" ];
   let tenants = [| Some "a"; Some "b"; Some "c"; None; Some "mystery" |] in
+  (* (tenant, verdict) -> count; the no-tenant calls count under "" *)
+  let verdicts = Hashtbl.create 16 in
+  let count tenant v =
+    Option.value (Hashtbl.find_opt verdicts (tenant, v)) ~default:0
+  in
   for i = 0 to 199 do
     let now_us = float_of_int i *. 97.0 in
-    match tenants.(i mod Array.length tenants) with
-    | Some tenant -> ignore (Slo.admit ~tenant gate ~class_name:"S" ~now_us)
-    | None -> ignore (Slo.admit gate ~class_name:"S" ~now_us)
+    let tenant = tenants.(i mod Array.length tenants) in
+    let v =
+      match tenant with
+      | Some tenant -> Slo.admit ~tenant gate ~class_name:"S" ~now_us
+      | None -> Slo.admit gate ~class_name:"S" ~now_us
+    in
+    let key = (Option.value tenant ~default:"", v) in
+    Hashtbl.replace verdicts key (1 + count (fst key) v)
   done;
-  let known = [ "a"; "b"; "c" ] in
-  let sum f = List.fold_left (fun acc t -> acc + f gate t) 0 known in
-  Alcotest.(check int) "per-tenant + unknown = totals"
-    (Slo.admitted gate + Slo.shed gate)
-    (sum Slo.admitted_of_tenant + sum Slo.shed_of_tenant
-    + Slo.tenant_unknown gate);
+  let all = [ "a"; "b"; "c"; "mystery"; "" ] in
+  let sum f = List.fold_left (fun acc t -> acc + f t) 0 all in
+  let admitted t = count t Slo.Admitted in
+  let shed t =
+    count t Slo.Shed_rate + count t Slo.Shed_priority + count t Slo.Shed_tenant
+  in
+  Alcotest.(check int) "admit verdicts = admitted" (Slo.admitted gate) (sum admitted);
+  Alcotest.(check int) "shed verdicts = shed" (Slo.shed gate) (sum shed);
   Alcotest.(check int) "every arrival accounted" 200
     (Slo.admitted gate + Slo.shed gate);
   Alcotest.(check bool) "fair-share sheds occurred" true
-    (Slo.shed_tenant gate > 0);
-  Alcotest.(check bool) "pool bypass observed" true
-    (Slo.tenant_unknown gate > 0);
+    (sum (fun t -> count t Slo.Shed_tenant) > 0);
+  Alcotest.(check int) "bypassing tenants never shed at the pool" 0
+    (count "" Slo.Shed_tenant + count "mystery" Slo.Shed_tenant);
   (* weight 2 of 4 entitles b to half the pool rate *)
   Alcotest.(check (float 1e-9)) "weighted refill rate" 1500.0
     (Slo.tenant_rate_of gate "b");
   Alcotest.(check bool) "weighted tenant admits at least an equal peer" true
-    (Slo.admitted_of_tenant gate "b" >= Slo.admitted_of_tenant gate "a")
+    (admitted "b" >= admitted "a");
+  Alcotest.check_raises "the pool is set once"
+    (Invalid_argument "Slo.set_tenant_pool: the pool is already set") (fun () ->
+      Slo.set_tenant_pool gate ~rate_per_s:3000.0 ~burst:8 [ Slo.tenant_spec "a" ])
 
 let test_slo_tenant_pool_burst_bound () =
   (* Regression: flooring every tenant's burst at one token without
@@ -186,25 +200,6 @@ let test_slo_tenant_pool_burst_bound () =
 
 (* ---------------- dynamic batching ---------------- *)
 
-(* The serving tick reads the incrementally maintained counters on
-   every event, so once warm they must not allocate: at most 512 bytes
-   over 1000 calls, slack that absorbs the boxed floats of
-   [Gc.allocated_bytes] itself. *)
-let check_no_alloc name f =
-  let sink = ref 0 in
-  for _ = 1 to 10 do
-    sink := !sink + f ()
-  done;
-  let b0 = Gc.allocated_bytes () in
-  for _ = 1 to 1000 do
-    sink := !sink + f ()
-  done;
-  let delta = Gc.allocated_bytes () -. b0 in
-  ignore (Sys.opaque_identity !sink);
-  Alcotest.(check bool)
-    (Printf.sprintf "%s: %.0f bytes / 1000 calls <= 512" name delta)
-    true (delta <= 512.0)
-
 let test_batch_dispatch_on_fullness () =
   let b = Batcher.create (Batcher.config ~max_batch:3 ~max_linger_us:100.0 ()) in
   (match Batcher.add b ~key:"k" ~now_us:0.0 1 with
@@ -217,7 +212,7 @@ let test_batch_dispatch_on_fullness () =
   | Batcher.Dispatch batch ->
     Alcotest.(check (list int)) "oldest first" [ 1; 2; 3 ] batch
   | _ -> Alcotest.fail "third request should fill and dispatch");
-  Alcotest.(check int) "nothing pending" 0 (Batcher.total_pending b);
+  Alcotest.(check int) "nothing pending" 0 (Batcher.pending b ~key:"k");
   Alcotest.(check int) "one batch" 1 (Batcher.batches b)
 
 let test_batch_linger_flush_and_stale_timer () =
@@ -246,58 +241,25 @@ let test_batch_validation () =
   | _ -> Alcotest.fail "negative linger should raise"
   | exception Invalid_argument _ -> ()
 
-(* The O(1) counters must track a from-scratch recount through every
-   transition: open, join, dispatch on fullness, linger flush and
-   drain. *)
-let test_batch_incremental_counters () =
-  let b =
-    Batcher.create
-      ~tenant_of:(fun (t, _) -> t)
-      (Batcher.config ~max_batch:3 ~max_linger_us:100.0 ())
-  in
-  let recount () =
-    let keys = Batcher.keys b in
-    let total =
-      List.fold_left (fun acc k -> acc + Batcher.pending b ~key:k) 0 keys
-    in
-    Alcotest.(check int) "total_pending matches recount" total
-      (Batcher.total_pending b);
-    Alcotest.(check int) "nonempty_kinds matches keys" (List.length keys)
-      (Batcher.nonempty_kinds b)
-  in
-  ignore (Batcher.add b ~key:"x" ~now_us:0.0 ("a", 1));
-  recount ();
-  ignore (Batcher.add b ~key:"x" ~now_us:1.0 ("b", 2));
-  ignore (Batcher.add b ~key:"y" ~now_us:2.0 ("a", 3));
-  recount ();
-  Alcotest.(check (list string)) "keys sorted" [ "x"; "y" ] (Batcher.keys b);
-  Alcotest.(check int) "per-tenant pending" 2 (Batcher.pending_of_tenant b "a");
-  (match Batcher.add b ~key:"x" ~now_us:3.0 ("c", 4) with
-  | Batcher.Dispatch batch -> Alcotest.(check int) "full batch" 3 (List.length batch)
-  | _ -> Alcotest.fail "third request should fill and dispatch");
-  recount ();
-  Alcotest.(check (list string)) "x empty after dispatch" [ "y" ] (Batcher.keys b);
-  Alcotest.(check int) "flush pops y" 1
-    (List.length (Batcher.flush_due b ~key:"y" ~now_us:500.0));
-  recount ();
-  Alcotest.(check int) "all drained" 0 (Batcher.total_pending b);
-  Alcotest.(check int) "no nonempty kinds" 0 (Batcher.nonempty_kinds b);
-  Alcotest.(check int) "tenant accounting drained" 0
-    (Batcher.pending_of_tenant b "a");
-  (* warm read paths over a loaded batcher: 32 requests across 8 kinds *)
-  let b = Batcher.create (Batcher.config ~max_batch:8 ~max_linger_us:100.0 ()) in
-  for i = 0 to 31 do
-    ignore
-      (Batcher.add b ~key:("g" ^ string_of_int (i land 7)) ~now_us:(float_of_int i) i)
-  done;
-  check_no_alloc "Batcher.keys" (fun () ->
-      List.length (Sys.opaque_identity (Batcher.keys b)));
-  check_no_alloc "Batcher.total_pending" (fun () ->
-      Sys.opaque_identity (Batcher.total_pending b));
-  check_no_alloc "Batcher.nonempty_kinds" (fun () ->
-      Sys.opaque_identity (Batcher.nonempty_kinds b))
-
 (* ---------------- weighted routing ---------------- *)
+
+(* The router's incrementally maintained read paths must not allocate
+   once warm: at most 512 bytes over 1000 calls, slack that absorbs
+   the boxed floats of [Gc.allocated_bytes] itself. *)
+let check_no_alloc name f =
+  let sink = ref 0 in
+  for _ = 1 to 10 do
+    sink := !sink + f ()
+  done;
+  let b0 = Gc.allocated_bytes () in
+  for _ = 1 to 1000 do
+    sink := !sink + f ()
+  done;
+  let delta = Gc.allocated_bytes () -. b0 in
+  ignore (Sys.opaque_identity !sink);
+  Alcotest.(check bool)
+    (Printf.sprintf "%s: %.0f bytes / 1000 calls <= 512" name delta)
+    true (delta <= 512.0)
 
 let test_router_weighted_least_outstanding () =
   let r = Router.create () in
@@ -661,48 +623,6 @@ let test_autoscaler_validation () =
   raises (fun () -> Autoscaler.config ~min_replicas:(-1) ());
   raises (fun () -> Autoscaler.config ~min_replicas:4 ~max_replicas:2 ())
 
-(* ---------------- tenant-pool re-set ---------------- *)
-
-(* Session churn re-sets the pool mid-run; the renormalization must
-   re-split shares against the new membership without minting tokens
-   for surviving tenants or dropping their counters. *)
-let test_slo_tenant_pool_reset_renormalizes () =
-  let gate = Slo.create [] in
-  Slo.set_tenant_pool gate ~rate_per_s:1000.0 ~burst:4
-    [ Slo.tenant_spec "a"; Slo.tenant_spec "b" ];
-  (* a drains its 2-token bucket; everything at t=0 so nothing refills *)
-  Alcotest.(check bool) "a admits 1" true
-    (Slo.admit ~tenant:"a" gate ~class_name:"S" ~now_us:0.0 = Slo.Admitted);
-  Alcotest.(check bool) "a admits 2" true
-    (Slo.admit ~tenant:"a" gate ~class_name:"S" ~now_us:0.0 = Slo.Admitted);
-  Alcotest.(check bool) "a bucket empty" true
-    (Slo.admit ~tenant:"a" gate ~class_name:"S" ~now_us:0.0 = Slo.Shed_tenant);
-  (* c joins: shares renormalize 2 -> 4/3, still summing to the pool *)
-  Slo.set_tenant_pool gate ~rate_per_s:1000.0 ~burst:4
-    [ Slo.tenant_spec "a"; Slo.tenant_spec "b"; Slo.tenant_spec "c" ];
-  let total =
-    List.fold_left
-      (fun acc n -> acc +. Slo.tenant_burst_of gate n)
-      0.0 [ "a"; "b"; "c" ]
-  in
-  Alcotest.(check (float 1e-9)) "bursts still sum to the pool" 4.0 total;
-  (* a consumed everything before the re-set: scaling 0 tokens by the
-     burst ratio must not conjure admission capacity *)
-  Alcotest.(check bool) "a stays drained across the re-set" true
-    (Slo.admit ~tenant:"a" gate ~class_name:"S" ~now_us:0.0 = Slo.Shed_tenant);
-  (* b kept its full 2 tokens, scaled to the new 4/3 burst: one
-     admission left, not two *)
-  Alcotest.(check bool) "b keeps its scaled balance" true
-    (Slo.admit ~tenant:"b" gate ~class_name:"S" ~now_us:0.0 = Slo.Admitted);
-  Alcotest.(check bool) "b has no second token" true
-    (Slo.admit ~tenant:"b" gate ~class_name:"S" ~now_us:0.0 = Slo.Shed_tenant);
-  (* the newcomer starts with a full (4/3-token) bucket *)
-  Alcotest.(check bool) "c starts full" true
-    (Slo.admit ~tenant:"c" gate ~class_name:"S" ~now_us:0.0 = Slo.Admitted);
-  (* admission counters survive the re-set *)
-  Alcotest.(check int) "a's counters preserved" 2 (Slo.admitted_of_tenant gate "a");
-  Alcotest.(check bool) "a's sheds preserved" true (Slo.shed_of_tenant gate "a" >= 1)
-
 (* ---------------- predictive autoscaling ---------------- *)
 
 let test_forecast_learns_season () =
@@ -828,9 +748,8 @@ let serving_config ?(tasks = 30) ?(autoscale = Some Autoscaler.default) () =
     cfg with
     Sysim.tasks;
     arrival =
-      Some
-        (Genset.Bursty
-           { on_us = 2000.0; off_us = 8000.0; on_mean_us = 50.0; off_mean_us = 2000.0 });
+      Genset.Bursty
+        { on_us = 2000.0; off_us = 8000.0; on_mean_us = 50.0; off_mean_us = 2000.0 };
     serving =
       Some
         {
@@ -940,9 +859,9 @@ let test_tenant_pool_requires_tenants () =
            { cfg with Sysim.serving = Some serving }))
 
 let test_open_loop_untouched_by_arrival_field () =
-  (* serving = None and arrival = None must reproduce the exact run
-     the engine produced before the serving layer existed; spelling
-     the default arrival out explicitly must change nothing *)
+  (* serving = None must reproduce the exact run the engine produced
+     before the serving layer existed; the default arrival is the
+     exponential 200 us stream, so spelling it out changes nothing *)
   let base =
     Sysim.default_config ~policy:Runtime.greedy ~composition:Genset.table1.(6)
   in
@@ -950,7 +869,7 @@ let test_open_loop_untouched_by_arrival_field () =
   let a = Sysim.run ~registry:(Lazy.force registry) base in
   let b =
     Sysim.run ~registry:(Lazy.force registry)
-      { base with Sysim.arrival = Some (Genset.Exponential { mean_us = 200.0 }) }
+      { base with Sysim.arrival = Genset.Exponential { mean_us = 200.0 } }
   in
   Alcotest.(check (list (float 0.0))) "same latency series" a.Sysim.latencies_us
     b.Sysim.latencies_us;
@@ -1364,7 +1283,7 @@ let test_wait_accounting_under_crash () =
     {
       cfg with
       Sysim.tasks = 1;
-      mean_interarrival_us = 1.0;
+      arrival = Genset.Exponential { mean_us = 1.0 };
       repeats_per_task = 500;
       cluster_kinds = [ Device.XCVU37P ];
       faults = Some (Sysim.default_faults plan);
@@ -1421,8 +1340,6 @@ let () =
           Alcotest.test_case "linger flush + stale timer" `Quick
             test_batch_linger_flush_and_stale_timer;
           Alcotest.test_case "validation" `Quick test_batch_validation;
-          Alcotest.test_case "incremental counters" `Quick
-            test_batch_incremental_counters;
         ] );
       ( "router",
         [
@@ -1444,8 +1361,6 @@ let () =
           QCheck_alcotest.to_alcotest prop_tracker_reuse_matches_fresh;
           Alcotest.test_case "mark_scaled allocation" `Quick
             test_autoscaler_mark_scaled_allocation;
-          Alcotest.test_case "tenant pool re-set renormalizes" `Quick
-            test_slo_tenant_pool_reset_renormalizes;
           Alcotest.test_case "forecast learns season" `Quick
             test_forecast_learns_season;
           Alcotest.test_case "predictive cold fallback" `Quick

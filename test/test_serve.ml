@@ -184,7 +184,7 @@ let flash_cfg =
     Sysim.seed = 42;
     tasks = 800;
     repeats_per_task = 1;
-    arrival = Some diurnal;
+    arrival = diurnal;
     slo_multiplier = 4.0;
     serving = Some { Sysim.default_serving with Sysim.autoscale = None };
   }
@@ -335,7 +335,7 @@ let base_cfg ~tasks =
     Sysim.seed = 5;
     tasks;
     repeats_per_task = 2;
-    arrival = Some diurnal;
+    arrival = diurnal;
     serving = Some { Sysim.default_serving with Sysim.autoscale = None };
   }
 
@@ -507,7 +507,7 @@ let test_sessions_calm_expiry () =
       {
         flash_cfg with
         Sysim.tasks = 80;
-        arrival = Some (Genset.Exponential { mean_us = 50_000.0 });
+        arrival = Genset.Exponential { mean_us = 50_000.0 };
         frontend =
           Some
             {

@@ -165,7 +165,7 @@ let test_sysim_serving () =
     {
       cfg with
       Sysim.tasks = 40;
-      mean_interarrival_us = 120.0;
+      arrival = Genset.Exponential { mean_us = 120.0 };
       serving = Some Sysim.default_serving;
     }
     ~pin:"2fa7ee0a0059af9882e50e0f390429d4"

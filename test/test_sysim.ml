@@ -52,7 +52,11 @@ let test_slo_misses_grow_with_load () =
       Sysim.default_config ~policy:Runtime.greedy ~composition:Genset.table1.(6)
     in
     Sysim.run ~registry:(Lazy.force registry)
-      { cfg with Sysim.tasks = 40; mean_interarrival_us = interarrival }
+      {
+        cfg with
+        Sysim.tasks = 40;
+        arrival = Genset.Exponential { mean_us = interarrival };
+      }
   in
   let tight = run_rate 50.0 in
   let relaxed = run_rate 100_000.0 in
@@ -126,78 +130,6 @@ let test_instance_within () =
     (Sysim.instance_within ~need:100 ~cap:5 cands);
   Alcotest.(check (option int)) "need below smallest" (Some 6)
     (Sysim.instance_within ~need:1 ~cap:64 cands)
-
-(* ---------------- flight table ---------------- *)
-
-module Flight_table = Mlv_sysim.Flight_table
-module Rng = Mlv_util.Rng
-
-let test_flight_table_basics () =
-  let t : int Flight_table.t = Flight_table.create () in
-  let a = Flight_table.add t 1 ~nodes:[ 0; 1 ] in
-  let b = Flight_table.add t 2 ~nodes:[ 1 ] in
-  let c = Flight_table.add t 3 ~nodes:[ 2 ] in
-  Alcotest.(check int) "size" 3 (Flight_table.size t);
-  Alcotest.(check (list int)) "newest first" [ 3; 2; 1 ]
-    (List.map Flight_table.value (Flight_table.to_list t));
-  Flight_table.remove t b;
-  Flight_table.remove t b;
-  (* idempotent *)
-  Alcotest.(check int) "size after double remove" 2 (Flight_table.size t);
-  Alcotest.(check bool) "removed entry dead" false (Flight_table.live b);
-  Alcotest.(check bool) "other entry live" true (Flight_table.live a);
-  let hits = Flight_table.take_node t 1 in
-  Alcotest.(check (list int)) "crash on node 1 hits the survivor" [ 1 ]
-    (List.map Flight_table.value hits);
-  Alcotest.(check bool) "taken entries dead" true
-    (List.for_all (fun e -> not (Flight_table.live e)) hits);
-  Alcotest.(check int) "only the untouched flight remains" 1
-    (Flight_table.size t);
-  Alcotest.(check (list int)) "node 2 still occupied" [ 3 ]
-    (List.map Flight_table.value (Flight_table.take_node t 2));
-  Alcotest.(check int) "empty" 0 (Flight_table.size t);
-  ignore c
-
-let test_flight_table_differential () =
-  (* random add/remove/crash sequence: the indexed table and the
-     linear [Flight_table_oracle] must expose identical contents at
-     every step *)
-  let rng = Rng.create 17 in
-  let idx : int Flight_table.t = Flight_table.create () in
-  let lin : int Flight_table_oracle.t = Flight_table_oracle.create () in
-  let entries = ref [] in
-  let values t = List.map Flight_table.value (Flight_table.to_list t) in
-  let lin_values () =
-    List.map Flight_table_oracle.value (Flight_table_oracle.to_list lin)
-  in
-  for i = 0 to 499 do
-    let r = Rng.float rng 1.0 in
-    if r < 0.55 || !entries = [] then begin
-      let nodes = [ Rng.int rng 8; Rng.int rng 8 ] in
-      let ei = Flight_table.add idx i ~nodes in
-      let el = Flight_table_oracle.add lin i ~nodes in
-      entries := (ei, el) :: !entries
-    end
-    else if r < 0.8 then begin
-      let n = Rng.int rng (List.length !entries) in
-      let ei, el = List.nth !entries n in
-      Flight_table.remove idx ei;
-      Flight_table_oracle.remove lin el;
-      entries := List.filteri (fun j _ -> j <> n) !entries
-    end
-    else begin
-      let node = Rng.int rng 8 in
-      let sorted value es = List.map value es |> List.sort compare in
-      Alcotest.(check (list int))
-        "crash hits agree"
-        (sorted Flight_table_oracle.value (Flight_table_oracle.take_node lin node))
-        (sorted Flight_table.value (Flight_table.take_node idx node));
-      entries := List.filter (fun (ei, _) -> Flight_table.live ei) !entries
-    end;
-    Alcotest.(check int) "sizes agree" (Flight_table_oracle.size lin)
-      (Flight_table.size idx);
-    Alcotest.(check (list int)) "contents agree" (lin_values ()) (values idx)
-  done
 
 (* ---------------- multi-tenant pins ---------------- *)
 
@@ -312,7 +244,7 @@ let single_node_config ~plan =
   {
     cfg with
     Sysim.tasks = 1;
-    mean_interarrival_us = 1.0;
+    arrival = Genset.Exponential { mean_us = 1.0 };
     repeats_per_task = 500;
     cluster_kinds = [ Device.XCVU37P ];
     faults = Some (Sysim.default_faults plan);
@@ -451,6 +383,64 @@ let shed_preempt_config () =
           preempt = true;
         };
   }
+
+let test_crash_hits_two_node_flight () =
+  (* One L task (seed 1 draws npu-t32) on two XCVU37P nodes: no single
+     device holds it, so its deployment spans both.  A crash of either
+     node mid-service must interrupt it exactly once — not only a
+     crash of the node its first placement sits on — and after the
+     restore it redeploys and completes. *)
+  let kinds = [ Device.XCVU37P; Device.XCVU37P ] in
+  let cfg =
+    {
+      (Sysim.default_config ~policy:Runtime.greedy
+         ~composition:{ Genset.s = 0.0; m = 0.0; l = 1.0 })
+      with
+      Sysim.tasks = 1;
+      seed = 1;
+      repeats_per_task = 500;
+      cluster_kinds = kinds;
+    }
+  in
+  List.iter
+    (fun node ->
+      let plan =
+        plan_of_string (Printf.sprintf "crash@100000:%d,restore@150000:%d" node node)
+      in
+      let r, _ =
+        traced_run { cfg with Sysim.faults = Some (Sysim.default_faults plan) }
+      in
+      let name s = Printf.sprintf "crash of node %d: %s" node s in
+      let phase p =
+        List.filter (fun e -> e.Obs.Trace.phase = p) (Obs.Trace.events ())
+      in
+      (match phase Obs.Trace.Deploy with
+      | first :: _ ->
+        (* the first deploy on an empty cluster: a fresh runtime over
+           the same kinds places it identically *)
+        let rt =
+          Runtime.create ~policy:Runtime.greedy
+            (Mlv_cluster.Cluster.create ~kinds ())
+            (Lazy.force registry)
+        in
+        (match Runtime.deploy rt ~accel:first.Obs.Trace.label with
+        | Ok d ->
+          Alcotest.(check (list int)) (name "deployment spans both nodes") [ 0; 1 ]
+            (Runtime.nodes_used d)
+        | Error e -> Alcotest.fail e)
+      | [] -> Alcotest.fail (name "no deploy traced"));
+      Alcotest.(check int) (name "interrupted once") 1
+        (Obs.Trace.count Obs.Trace.Crash_interrupt);
+      Alcotest.(check int) (name "retried once") 1 r.Sysim.retried;
+      Alcotest.(check int) (name "completed") 1 r.Sysim.completed;
+      Alcotest.(check int) (name "not rejected") 0 r.Sysim.rejected;
+      Alcotest.(check int) (name "none lost") 0 r.Sysim.lost;
+      match phase Obs.Trace.Complete with
+      | [ c ] ->
+        Alcotest.(check bool) (name "completes after the restore") true
+          (c.Obs.Trace.at_sim_us > 150_000.0)
+      | _ -> Alcotest.fail (name "expected one completion"))
+    [ 0; 1 ]
 
 let test_trace_closed_accounting () =
   (* Every lifecycle count must close against the run's own accounting,
@@ -620,7 +610,6 @@ let pin_faulted_cfg () =
     telemetry =
       Some
         {
-          Sysim.default_telemetry with
           Sysim.scrape_interval_us = 1000.0;
           rules = pin_rule "outage gt sysim.nodes_down 0 1 1 0";
         };
@@ -653,7 +642,6 @@ let pin_serving_cfg () =
     telemetry =
       Some
         {
-          Sysim.default_telemetry with
           Sysim.scrape_interval_us = 1000.0;
           rules =
             pin_rule
@@ -725,7 +713,7 @@ let test_serving_run_allocation () =
     {
       cfg with
       Sysim.tasks = 200;
-      mean_interarrival_us = 120.0;
+      arrival = Genset.Exponential { mean_us = 120.0 };
       serving = Some Sysim.default_serving;
     }
   in
@@ -770,12 +758,6 @@ let () =
           Alcotest.test_case "results independent of history" `Quick
             test_results_independent_of_history;
         ] );
-      ( "flight_table",
-        [
-          Alcotest.test_case "basics" `Quick test_flight_table_basics;
-          Alcotest.test_case "shapes differential" `Quick
-            test_flight_table_differential;
-        ] );
       ( "tenants",
         [
           Alcotest.test_case "open-loop shapes identical" `Quick
@@ -794,6 +776,8 @@ let () =
             test_late_crash_does_not_perturb;
           Alcotest.test_case "availability acceptance" `Quick
             test_availability_acceptance;
+          Alcotest.test_case "crash hits a two-node flight" `Quick
+            test_crash_hits_two_node_flight;
         ] );
       ( "tracing",
         [

@@ -487,7 +487,7 @@ let fingerprint (r : Sysim.result) =
 
 let scrape_interval_us = 1_000.0
 
-let telemetry rules = Some { Sysim.default_telemetry with Sysim.scrape_interval_us; rules }
+let telemetry rules = Some { Sysim.scrape_interval_us; rules }
 
 let outage_rules =
   match Alert.of_string "outage gt sysim.nodes_down 0 1 1 0" with
