@@ -1012,7 +1012,6 @@ let sched_serving ~deadline_us ~autoscale =
     batch = Batcher.config ~max_batch:4 ~max_linger_us:100.0 ();
     autoscale;
     tenant_pool = None;
-    preempt = false;
     defrag = None;
   }
 
@@ -1098,7 +1097,6 @@ let sched ?(tasks = 120) () =
         batch = Batcher.config ~max_batch:4 ~max_linger_us:100.0 ();
         autoscale = Some Autoscaler.default;
         tenant_pool = None;
-        preempt = false;
         defrag = None;
       }
     in

@@ -96,7 +96,6 @@ let scale_config ~nodes ~tasks ~unit_mean_us ~max_replicas ~repeats ~seed
                  ~high_backlog_per_replica:2.0 ~low_backlog_per_replica:0.0
                  ~cooldown_us:0.0 ~idle_timeout_us:1e9 ~max_replicas ());
           tenant_pool;
-          preempt = false;
           defrag = None;
         };
   }

@@ -105,7 +105,6 @@ let run_engine (module E : ENGINE) ~engine ~events ~pending ~seed =
   let words1 = Gc.allocated_bytes () /. word_bytes in
   let processed = E.events_processed sim in
   let final_now = E.now sim in
-  E.release sim;
   if processed <> events then begin
     Printf.eprintf "FAIL: %s processed %d events, expected %d\n" engine
       processed events;

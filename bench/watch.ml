@@ -117,7 +117,6 @@ let () =
                    ~high_backlog_per_replica:2.0 ~low_backlog_per_replica:0.0
                    ~cooldown_us:0.0 ~idle_timeout_us:1e9 ~max_replicas:96 ());
             tenant_pool = None;
-            preempt = false;
             defrag = None;
           };
       telemetry = t;

@@ -124,7 +124,7 @@ let policy_conv =
     ( (fun s -> policy_of_string s),
       fun fmt p -> Format.pp_print_string fmt p.Runtime.policy_name )
 
-let report ?faults ?serving ?frontend set composition policy tasks seed
+let report ~preempt ?faults ?serving ?frontend set composition policy tasks seed
     (r : Sysim.result) =
   Printf.printf "workload set %d (%s), policy %s, %d tasks, seed %d\n" set
     (Genset.composition_name composition)
@@ -153,7 +153,7 @@ let report ?faults ?serving ?frontend set composition policy tasks seed
     Printf.printf "  rejected:        %d\n" r.Sysim.rejected;
     Printf.printf "  batches:         %d\n" r.Sysim.batches;
     Printf.printf "  scale up/down:   %d/%d\n" r.Sysim.scale_ups r.Sysim.scale_downs;
-    if s.Sysim.preempt then
+    if preempt then
       Printf.printf "  preempted:       %d tasks (%d evictions)\n"
         r.Sysim.preempted r.Sysim.preemptions;
     (match s.Sysim.defrag with
@@ -317,7 +317,6 @@ let run set policy tasks seed interarrival repeats compare fault_plan max_retrie
             batch = Option.value batch ~default:(Batcher.config ());
             autoscale = (if autoscale then Some Autoscaler.default else None);
             tenant_pool;
-            preempt;
             defrag = (if defrag then Some Mlv_core.Defrag.default else None);
           }
     in
@@ -450,7 +449,7 @@ let run set policy tasks seed interarrival repeats compare fault_plan max_retrie
       match replay_tasks with Some ts -> List.length ts | None -> tasks
     in
     let run_one policy =
-      report ?faults ?serving ?frontend set composition policy shown_tasks seed
+      report ~preempt ?faults ?serving ?frontend set composition policy shown_tasks seed
         (Sysim.run ~registry (mk_cfg policy replay_tasks))
     in
     if compare then

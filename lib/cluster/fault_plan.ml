@@ -113,10 +113,10 @@ let schedule t sim ~on_crash ~on_restore ~on_degrade =
             on_degrade us))
     t
 
-let downtime_us t ~until =
+let outages t ~until =
   (* Replay node up/down states over the (sorted) plan. *)
   let down = Hashtbl.create 4 in
-  let acc = ref 0.0 in
+  let windows = ref [] in
   let open_since = ref None in
   List.iter
     (fun e ->
@@ -132,7 +132,7 @@ let downtime_us t ~until =
             Hashtbl.remove down n;
             if Hashtbl.length down = 0 then begin
               (match !open_since with
-              | Some t0 -> acc := !acc +. (e.at -. t0)
+              | Some t0 -> windows := (t0, e.at) :: !windows
               | None -> ());
               open_since := None
             end
@@ -141,6 +141,11 @@ let downtime_us t ~until =
       end)
     t;
   (match !open_since with
-  | Some t0 -> acc := !acc +. Float.max 0.0 (until -. t0)
+  | Some t0 -> windows := (t0, until) :: !windows
   | None -> ());
-  !acc
+  List.rev !windows
+
+(* Summed most recent window first: the system simulation's pinned
+   downtimes depend on this float summation order. *)
+let downtime_us t ~until =
+  List.fold_left (fun acc (t0, t1) -> acc +. (t1 -. t0)) 0.0 (List.rev (outages t ~until))

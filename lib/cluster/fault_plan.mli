@@ -71,8 +71,13 @@ val schedule :
   on_degrade:(float -> unit) ->
   unit
 
-(** [downtime_us t ~until] is the total time in [\[0, until\]] during
-    which at least one node is down according to the plan alone
-    (crash starts an outage, restore of the last down node ends it;
-    an outage still open at [until] counts up to [until]). *)
+(** [outages t ~until] lists, in chronological order, the [(start,
+    stop)] windows in [\[0, until\]] during which at least one node is
+    down according to the plan alone: a crash of the first node opens
+    a window, the restore of the last down node closes it, and a
+    window still open at [until] closes there.  Events after [until]
+    are ignored. *)
+val outages : t -> until:float -> (float * float) list
+
+(** [downtime_us t ~until] is the total length of {!outages}. *)
 val downtime_us : t -> until:float -> float

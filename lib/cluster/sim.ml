@@ -10,33 +10,16 @@ type t = {
   mutable processed : int;
   events_counter : Obs.Counter.t;
   scheduled_counter : Obs.Counter.t;
-  clock : unit -> float;
-      (* the closure registered as the span sim clock; kept so
-         [release] can unregister exactly this simulator *)
 }
 
 let create () =
-  let now = ref 0.0 in
-  let t =
-    {
-      wheel = Wheel.create ();
-      now;
-      processed = 0;
-      events_counter = Obs.Counter.get "sim.events_processed";
-      scheduled_counter = Obs.Counter.get "sim.events_scheduled";
-      clock = (fun () -> !now);
-    }
-  in
-  (* Spans opened while this simulator is live report its clock as
-     the simulation time; the most recently created simulator wins. *)
-  Obs.set_sim_clock t.clock;
-  t
-
-(* Without this, the last simulator's clock closure (and the whole
-   sim state it captures) stays registered forever, keeping the state
-   live and stamping stale sim times onto spans of later, unrelated
-   work.  A release of an already-superseded simulator is a no-op. *)
-let release t = Obs.clear_sim_clock_of t.clock
+  {
+    wheel = Wheel.create ();
+    now = ref 0.0;
+    processed = 0;
+    events_counter = Obs.Counter.get "sim.events_processed";
+    scheduled_counter = Obs.Counter.get "sim.events_scheduled";
+  }
 
 let now t = !(t.now)
 

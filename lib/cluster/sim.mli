@@ -13,17 +13,10 @@
 
 type t
 
-(** [create ()] also registers this simulator's clock as the span
-    sim-time source ({!Mlv_obs.Obs.set_sim_clock}); the most recently
-    created simulator wins. *)
+(** [create ()] is an empty simulator at time 0.  It does not become
+    the span sim-time source: whoever drives it binds its clock with
+    {!Mlv_obs.Obs.with_sim_clock}. *)
 val create : unit -> t
-
-(** [release t] unregisters this simulator's clock from the span
-    sim-time source, if it is still the registered one — call when a
-    run completes so the closure (and the sim state it captures)
-    does not outlive the run and stamp stale sim times onto later
-    spans.  No-op when a newer simulator has already taken over. *)
-val release : t -> unit
 
 (** [now t] is the current simulation time (µs). *)
 val now : t -> float

@@ -123,8 +123,6 @@ let restore t i =
 let free t i = t.free.(i)
 let total t i = t.total.(i)
 
-let free_vbs_total t = t.free_total
-let free_vbs_whole t = t.free_whole
 let whole_free_nodes t = t.whole_free_nodes
 
 (* Fraction of free virtual blocks stranded on partially-occupied

@@ -52,15 +52,6 @@ val free : t -> int -> int
 
 val total : t -> int -> int
 
-(** Incrementally maintained fleet-wide capacity counters over the
-    {e healthy} nodes (failed nodes drop out until {!restore}); each
-    is O(1) to read.  [free_vbs_whole] counts only the free blocks of
-    completely-free devices — capacity a whole-device request can
-    actually use. *)
-val free_vbs_total : t -> int
-
-val free_vbs_whole : t -> int
-
 (** [whole_free_nodes t] counts healthy nodes with every block free. *)
 val whole_free_nodes : t -> int
 

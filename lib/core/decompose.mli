@@ -58,6 +58,24 @@ type decomposition = {
   stats : stats;
 }
 
+(** [is_control_module config m] tells whether [m] is designer-marked
+    control path: it carries the [control_path] attribute or is named
+    in [config.control_modules]. *)
+val is_control_module : config -> Ast.module_def -> bool
+
+(** Equivalence-check state shared by the decomposition flows. *)
+type eq_ctx = {
+  design : Design.t;
+  eq_config : Mlv_eqcheck.Check.config;
+  cache : (string * string, bool) Hashtbl.t;  (** by ordered name pair *)
+  mutable checks : int;  (** equivalence checks actually run *)
+}
+
+(** [modules_equivalent ctx a b]: [a] and [b] name the same module, or
+    both are basic modules that {!Mlv_eqcheck.Check} proves
+    equivalent; each pair is checked once and cached. *)
+val modules_equivalent : eq_ctx -> string -> string -> bool
+
 (** [run ?config design ~top] decomposes module [top].  Returns
     [Error reason] when the design does not validate, [top] is
     missing, or no control path can be identified. *)

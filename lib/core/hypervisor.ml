@@ -560,7 +560,7 @@ let do_mapcache_lookup t accel =
         Mapcache.put mc key accel;
         Printf.sprintf "ok miss accel=%s key=%s" accel key))
 
-let handle t line =
+let command t line =
   let words =
     String.split_on_char ' ' (String.trim line) |> List.filter (fun w -> w <> "")
   in
@@ -661,3 +661,7 @@ let handle t line =
   | [ "help" ] -> help
   | [] -> "error empty command"
   | cmd :: _ -> Printf.sprintf "error unknown command %S (try help)" cmd
+
+(* Spans and lifecycle events a command emits read the cluster's
+   clock, and only while the command runs. *)
+let handle t line = Obs.with_sim_clock (fun () -> now_us t) (fun () -> command t line)

@@ -130,7 +130,8 @@ val create : Runtime.t -> t
 
 (** [handle t command] executes one command line and returns the
     response line.  Never raises: malformed input yields
-    [error ...]. *)
+    [error ...].  While the command runs, the cluster's simulator is
+    the sim-time source of the spans and lifecycle events it emits. *)
 val handle : t -> string -> string
 
 (** [live_handles t] lists currently tracked deployment ids. *)

@@ -150,7 +150,3 @@ let compile ?(cost_model = estimate_cost_model) ?cost_cache:cache ?(iterations =
 let levels_fewest_first t =
   List.sort (fun a b -> compare (List.length a) (List.length b)) t.levels
 
-let total_tiles t =
-  match t.levels with
-  | (p :: _) :: _ -> p.tiles
-  | _ -> 0

@@ -69,5 +69,3 @@ val compile :
     count ascending — the greedy runtime policy's order. *)
 val levels_fewest_first : t -> compiled_piece list list
 
-(** [total_tiles t] is the engine count of the whole accelerator. *)
-val total_tiles : t -> int

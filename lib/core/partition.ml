@@ -61,24 +61,6 @@ let bisect tree =
               bits.(cut) )
         end))
 
-let naive_bisect tree =
-  let leaves = Soft_block.leaves tree in
-  match leaves with
-  | [] | [ _ ] -> None
-  | ls ->
-    let half = (List.length ls + 1) / 2 in
-    let left, right = take half ls in
-    let wrap name group =
-      match group with
-      | [ l ] -> Soft_block.Leaf l
-      | ls -> Soft_block.pipeline ~name (List.map (fun l -> Soft_block.Leaf l) ls)
-    in
-    (* A position split ignores patterns; the cut crosses every net
-       between the halves — approximate with the total I/O of the
-       smaller half. *)
-    let cut_bits = 64 * min (List.length left) (List.length right) in
-    Some (wrap "naive_a" left, wrap "naive_b" right, cut_bits)
-
 let run_untraced tree ~iterations =
   let level0 = [ { piece_id = "p0/0"; level = 0; index = 0; tree; cut_bits = 0 } ] in
   let next level pieces =

@@ -29,8 +29,3 @@ val bisect : Soft_block.t -> (Soft_block.t * Soft_block.t * int) option
     tree. *)
 val run : Soft_block.t -> iterations:int -> piece list list
 
-(** [naive_bisect tree] is the ablation cut: splits the flattened
-    leaf list in half by position, ignoring patterns — the
-    pattern-oblivious partitioner existing HS abstractions would
-    use.  Returns [None] for a single leaf. *)
-val naive_bisect : Soft_block.t -> (Soft_block.t * Soft_block.t * int) option

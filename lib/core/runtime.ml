@@ -81,6 +81,7 @@ let create ?(policy = greedy) ?cache cluster registry =
 
 let failed_nodes t = Hashtbl.fold (fun i () acc -> i :: acc) t.failed [] |> List.sort compare
 let node_failed t id = Hashtbl.mem t.failed id
+let failed_count t = Hashtbl.length t.failed
 let cluster t = t.cluster
 let policy t = t.policy
 let registry t = t.registry

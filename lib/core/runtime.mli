@@ -141,6 +141,10 @@ val failed_nodes : t -> int list
 (** [node_failed t node] tells whether the node is marked failed. *)
 val node_failed : t -> int -> bool
 
+(** [failed_count t] is the number of nodes currently marked failed
+    (O(1), allocation-free). *)
+val failed_count : t -> int
+
 (** [deployment_health t d] lists the failed nodes [d] still occupies
     ([[]] means healthy). *)
 val deployment_health : t -> deployment -> int list

@@ -68,9 +68,6 @@ let rec count_composition t c =
     (if n.composition = c then 1 else 0)
     + List.fold_left (fun acc child -> acc + count_composition child c) 0 n.children
 
-let leaf_count_of_module t m =
-  List.length (List.filter (fun l -> l.module_name = m) (leaves t))
-
 let rec equal_shape a b =
   match (a, b) with
   | Leaf la, Leaf lb -> la.module_name = lb.module_name

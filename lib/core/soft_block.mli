@@ -81,9 +81,6 @@ val depth : t -> int
 (** [count_composition t c] counts internal nodes using pattern [c]. *)
 val count_composition : t -> composition -> int
 
-(** [leaf_count_of_module t m] counts leaves containing module [m]. *)
-val leaf_count_of_module : t -> string -> int
-
 (** [equal_shape a b] — same tree structure, compositions and leaf
     module names (instance paths and names may differ).  This is the
     equivalence the partitioner uses to recognize replicas. *)

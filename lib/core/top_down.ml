@@ -1,36 +1,13 @@
 open Mlv_rtl
-module Check = Mlv_eqcheck.Check
 module Estimate = Mlv_fpga.Estimate
 module Resource = Mlv_fpga.Resource
 
-(* Equivalence between two masters: name equality, or a cached
-   equivalence check on basic modules. *)
 type ctx = {
   design : Design.t;
-  config : Decompose.config;
-  eq_cache : (string * string, bool) Hashtbl.t;
+  eq : Decompose.eq_ctx;  (* cached equivalence of basic masters *)
   tree_cache : (string, Soft_block.t) Hashtbl.t;
   estimate : string -> Resource.t; (* Estimate.memo of [design] *)
-  mutable checks : int;
 }
-
-let masters_equivalent ctx a b =
-  if a = b then true
-  else begin
-    let key = if a < b then (a, b) else (b, a) in
-    match Hashtbl.find_opt ctx.eq_cache key with
-    | Some r -> r
-    | None ->
-      let r =
-        match (Design.find ctx.design a, Design.find ctx.design b) with
-        | Some ma, Some mb when Ast.is_basic ma && Ast.is_basic mb ->
-          ctx.checks <- ctx.checks + 1;
-          Check.modules_equivalent ~config:ctx.config.Decompose.eq ma mb
-        | _ -> false
-      in
-      Hashtbl.replace ctx.eq_cache key r;
-      r
-  end
 
 let master_name (inst : Ast.instance) =
   match inst.Ast.master with
@@ -87,7 +64,7 @@ and decompose_body ctx (m : Ast.module_def) ~prefix =
         for j = i + 1 to n - 1 do
           if
             family.(j) < 0
-            && masters_equivalent ctx
+            && Decompose.modules_equivalent ctx.eq
                  (master_name (Graph.instance g i))
                  (master_name (Graph.instance g j))
             && Graph.preds g i = Graph.preds g j
@@ -172,10 +149,6 @@ and decompose_body ctx (m : Ast.module_def) ~prefix =
       Soft_block.pipeline ~name:(prefix ^ ".pipe") ~link_bits several
   end
 
-let is_control_module config (m : Ast.module_def) =
-  List.mem "control_path" m.Ast.attrs
-  || List.mem m.Ast.mod_name config.Decompose.control_modules
-
 let run ?(config = Decompose.default_config) design ~top =
   match Design.find design top with
   | None -> Error (Printf.sprintf "no module named %s" top)
@@ -187,17 +160,22 @@ let run ?(config = Decompose.default_config) design ~top =
       let ctx =
         {
           design;
-          config;
-          eq_cache = Hashtbl.create 32;
+          eq =
+            {
+              Decompose.design;
+              eq_config = config.Decompose.eq;
+              cache = Hashtbl.create 32;
+              checks = 0;
+            };
           tree_cache = Hashtbl.create 32;
           estimate = Estimate.memo design;
-          checks = 0;
         }
       in
       (* Split control and data at the top (paper Fig. 3a). *)
       let is_control_inst (inst : Ast.instance) =
         match inst.Ast.master with
-        | Ast.M_module name -> is_control_module config (Design.find_exn design name)
+        | Ast.M_module name ->
+          Decompose.is_control_module config (Design.find_exn design name)
         | Ast.M_prim _ -> false
       in
       let control_insts, data_insts =
@@ -237,20 +215,18 @@ let run ?(config = Decompose.default_config) design ~top =
           top_def.Ast.instances
       done;
       let data_insts =
-        List.filteri
-          (fun _ _ -> true)
+        List.filter
+          (fun (inst : Ast.instance) ->
+            match inst.Ast.master with
+            | Ast.M_prim _ ->
+              (* position lookup for fold table *)
+              let rec index k = function
+                | [] -> -1
+                | x :: rest -> if x == inst then k else index (k + 1) rest
+              in
+              not (Hashtbl.mem folded (index 0 top_def.Ast.instances))
+            | Ast.M_module _ -> true)
           data_insts
-        |> List.filter (fun (inst : Ast.instance) ->
-               match inst.Ast.master with
-               | Ast.M_prim _ -> (
-                 (* position lookup for fold table *)
-                 let rec index k = function
-                   | [] -> -1
-                   | x :: rest -> if x == inst then k else index (k + 1) rest
-                 in
-                 let i = index 0 top_def.Ast.instances in
-                 not (Hashtbl.mem folded i))
-               | Ast.M_module _ -> true)
       in
       if control_insts = [] then
         Error
@@ -284,7 +260,7 @@ let run ?(config = Decompose.default_config) design ~top =
               List.length (Soft_block.leaves data) + List.length control_leaves;
             dp_groups = Soft_block.count_composition data Soft_block.Data_parallel;
             pipe_groups = Soft_block.count_composition data Soft_block.Pipeline;
-            eq_checks = ctx.checks;
+            eq_checks = ctx.eq.Decompose.checks;
             iterations = 1;
           }
         in

@@ -25,8 +25,6 @@ let dram_read_time_us t ~bytes =
   transfer_time_us ~bandwidth_gbps:t.dram_bandwidth_gbps
     ~latency_us:(t.dram_latency_ns /. 1000.0) ~bytes
 
-let dram_write_time_us = dram_read_time_us
-
 let ring_transfer_time_us t ~bytes ~hops ~added_latency_us =
   let hops = max 1 hops in
   (float_of_int hops *. (t.ring_latency_us +. added_latency_us))

@@ -17,11 +17,9 @@ type t = {
 (** [default] is the evaluation cluster's board configuration. *)
 val default : t
 
-(** [dram_read_time_us t ~bytes] / [dram_write_time_us t ~bytes] are
-    transfer times for a contiguous burst. *)
+(** [dram_read_time_us t ~bytes] is the transfer time for a
+    contiguous burst. *)
 val dram_read_time_us : t -> bytes:int -> float
-
-val dram_write_time_us : t -> bytes:int -> float
 
 (** [ring_transfer_time_us t ~bytes ~hops ~added_latency_us] models a
     ring transfer: per-hop latency (plus the programmable delay

@@ -63,5 +63,4 @@ let of_name s =
   | "xcku115" | "ku115" | "kcu115" -> Some XCKU115
   | _ -> None
 
-let pp_kind fmt k = Format.pp_print_string fmt (kind_name k)
 let equal_kind (a : kind) b = a = b

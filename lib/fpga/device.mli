@@ -38,8 +38,5 @@ val kind_name : kind -> string
     ["xcku115"]. *)
 val of_name : string -> kind option
 
-(** [pp_kind] formats a kind. *)
-val pp_kind : Format.formatter -> kind -> unit
-
 (** [equal_kind] compares kinds. *)
 val equal_kind : kind -> kind -> bool

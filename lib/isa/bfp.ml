@@ -44,7 +44,3 @@ let dot a b =
 
 let quantize ~mantissa_bits xs = decode (encode ~mantissa_bits xs)
 
-let max_relative_error ~mantissa_bits =
-  (* Rounding to the nearest mantissa step; the largest element uses
-     at least half the range. *)
-  1.0 /. float_of_int (1 lsl (mantissa_bits - 1))

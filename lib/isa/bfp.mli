@@ -30,6 +30,3 @@ val dot : t -> t -> float
     value looks like after a trip through the BFP datapath. *)
 val quantize : mantissa_bits:int -> float array -> float array
 
-(** [max_relative_error ~mantissa_bits] bounds the elementwise
-    relative error for the largest-magnitude element of a block. *)
-val max_relative_error : mantissa_bits:int -> float

@@ -89,10 +89,5 @@ let opcode_histogram p =
     p.instrs;
   Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [] |> List.sort compare
 
-let mvm_count p =
-  Array.fold_left
-    (fun acc instr -> match instr with Instr.Mvm _ -> acc + 1 | _ -> acc)
-    0 p.instrs
-
 let pp fmt p =
   Array.iter (fun instr -> Format.fprintf fmt "%a@." Instr.pp instr) p.instrs

@@ -26,9 +26,6 @@ val dep_predecessors : t -> int list array
 (** [opcode_histogram p] counts instructions by mnemonic. *)
 val opcode_histogram : t -> (string * int) list
 
-(** [mvm_count p] counts matrix-vector multiplies, the unit of
-    compute the performance model charges for. *)
-val mvm_count : t -> int
 
 (** [pp] prints one instruction per line. *)
 val pp : Format.formatter -> t -> unit

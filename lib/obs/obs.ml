@@ -314,14 +314,11 @@ end
 let wall_us () = Unix.gettimeofday () *. 1e6
 
 let sim_clock : (unit -> float) option ref = ref None
-let set_sim_clock f = sim_clock := Some f
-let clear_sim_clock () = sim_clock := None
 
-(* Targeted clear for simulator teardown: only removes [f] if it is
-   the registered clock, so a newer simulator's registration survives
-   an older one's release. *)
-let clear_sim_clock_of f =
-  match !sim_clock with Some g when g == f -> sim_clock := None | _ -> ()
+let with_sim_clock clock f =
+  let prev = !sim_clock in
+  sim_clock := Some clock;
+  Fun.protect ~finally:(fun () -> sim_clock := prev) f
 
 let sim_us () = match !sim_clock with Some f -> f () | None -> 0.0
 

@@ -154,7 +154,7 @@ type span_record = {
   depth : int;  (** 0 for root spans *)
   start_wall_us : float;  (** wall-clock µs since the Unix epoch *)
   wall_us : float;  (** wall-clock duration *)
-  start_sim_us : float;  (** registered sim clock at entry (0 if none) *)
+  start_sim_us : float;  (** bound sim clock at entry (0 if none) *)
   sim_us : float;  (** sim-clock duration (0 if no sim clock) *)
   args : (string * string) list;  (** annotations added while open *)
 }
@@ -216,7 +216,7 @@ module Trace : sig
     phase : phase;
     task : int option;
     label : string;  (** accelerator name, fault description, ... *)
-    at_sim_us : float;  (** registered sim clock at emission *)
+    at_sim_us : float;  (** bound sim clock at emission (0 if none) *)
     node : int option;
     deployment : int option;
     retries : int;
@@ -260,18 +260,13 @@ module Trace : sig
   val write_chrome_json : string -> unit
 end
 
-(** [set_sim_clock f] makes [f] the source of simulation time for
-    spans.  The discrete-event simulator registers itself on
-    creation; the most recently created simulator wins. *)
-val set_sim_clock : (unit -> float) -> unit
-
-val clear_sim_clock : unit -> unit
-
-(** [clear_sim_clock_of f] clears the sim clock only if [f] (compared
-    physically) is the registered source — simulator teardown uses
-    this so releasing an old simulator cannot unregister a newer
-    one. *)
-val clear_sim_clock_of : (unit -> float) -> unit
+(** [with_sim_clock clock f] runs [f ()] with [clock] as the source
+    of simulation time for spans and lifecycle events, and restores
+    the previous source when [f] returns or raises.  Whoever drives a
+    simulator binds its clock (a system-simulation run, a hypervisor
+    command); creating a simulator binds nothing.  Outside every
+    binding, sim time reads 0. *)
+val with_sim_clock : (unit -> float) -> (unit -> 'a) -> 'a
 
 (** Registry inspection (sorted by name). *)
 val counters : unit -> (string * int) list

@@ -106,15 +106,3 @@ let is_basic m =
   List.for_all
     (fun inst -> match inst.master with M_module _ -> false | M_prim _ -> true)
     m.instances
-
-let pp_prim fmt p =
-  match p with
-  | P_ram { words; width } -> Format.fprintf fmt "mlv_ram(%dx%d)" words width
-  | P_rom { words; width } -> Format.fprintf fmt "mlv_rom(%dx%d)" words width
-  | P_const { width; value } -> Format.fprintf fmt "mlv_const(%d'%d)" width value
-  | P_slice { width; lo; out_width } ->
-    Format.fprintf fmt "mlv_slice(%d[%d+:%d])" width lo out_width
-  | P_concat { wa; wb } -> Format.fprintf fmt "mlv_concat(%d,%d)" wa wb
-  | P_and w | P_or w | P_xor w | P_not w | P_mux w | P_add w | P_sub w | P_mul w
-  | P_mac w | P_reg w | P_cmp_lt w | P_cmp_eq w ->
-    Format.fprintf fmt "%s(%d)" (prim_name p) w

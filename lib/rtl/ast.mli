@@ -90,5 +90,3 @@ val width_table : module_def -> (string, int) Hashtbl.t
     the paper's definition of a basic module. *)
 val is_basic : module_def -> bool
 
-(** [pp_prim] and [pp_module_name] are formatters for diagnostics. *)
-val pp_prim : Format.formatter -> prim -> unit

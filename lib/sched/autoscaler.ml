@@ -194,7 +194,6 @@ let predicted_rate_per_s (p : predict) pt =
   Float.max 0.0 (Forecast.forecast pt.pt_forecast ~ahead:p.horizon)
 
 let rate_samples pt = Forecast.observations pt.pt_forecast
-let service_ewma_us pt = pt.pt_service_ewma_us
 
 let decide cfg tr ~now_us ~backlog ~replicas ~idle ~deadline_us =
   (* Rotate even while held in cooldown so stale samples age out. *)

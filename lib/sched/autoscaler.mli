@@ -169,7 +169,6 @@ val observe_service : ptracker -> float -> unit
 val predicted_rate_per_s : predict -> ptracker -> float
 
 val rate_samples : ptracker -> int
-val service_ewma_us : ptracker -> float
 
 (** [decide_predictive cfg p tr pt ...] is one predictive control
     step: the decision plus the target replica count to grow toward

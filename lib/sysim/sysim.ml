@@ -37,10 +37,6 @@ type serving = {
   tenant_pool : (float * int) option;
       (* (rate_per_s, burst) of the tenant fair-share admission pool;
          requires config.tenants *)
-  preempt : bool;
-      (* higher-priority tenants may evict lower-priority tenants'
-         replicas (migrate-or-undeploy) instead of backlogging; a
-         no-op unless some tenant declares a positive tl_priority *)
   defrag : Defrag.config option;
       (* background compaction of idle replicas during low load *)
 }
@@ -51,7 +47,6 @@ let default_serving =
     batch = Batcher.config ();
     autoscale = Some Autoscaler.default;
     tenant_pool = None;
-    preempt = false;
     defrag = None;
   }
 
@@ -562,6 +557,35 @@ type sgroup = {
          rate the forecaster consumes (predictive mode only) *)
 }
 
+(* The replica selection every eviction shares: over the [groups] not
+   [skip]ped (in list order) and their [eligible] replicas (in creation
+   order), the first one no later one beats, where [less g r bg br]
+   says (g, r) beats the best so far (bg, br).  Closed over nothing,
+   so a search allocates only its answer: the reclaim search runs on
+   every refused deploy. *)
+let rec least_in skip eligible less bg br gs g = function
+  | r :: rs ->
+    if eligible r && less g r bg br then least_in skip eligible less g r gs g rs
+    else least_in skip eligible less bg br gs g rs
+  | [] -> (
+    match gs with
+    | [] -> (bg, br)
+    | g :: gs ->
+      least_in skip eligible less bg br gs g (if skip g then [] else g.g_replicas))
+
+let rec first_in skip eligible less gs g = function
+  | r :: rs ->
+    if eligible r then Some (least_in skip eligible less g r gs g rs)
+    else first_in skip eligible less gs g rs
+  | [] -> (
+    match gs with
+    | [] -> None
+    | g :: gs -> first_in skip eligible less gs g (if skip g then [] else g.g_replicas))
+
+let least_replica ~skip ~eligible ~less = function
+  | [] -> None
+  | g :: gs -> first_in skip eligible less gs g (if skip g then [] else g.g_replicas)
+
 (* ------------------------------------------------------------------ *)
 (* Run skeleton: what the open loop and the serving loop share         *)
 (* ------------------------------------------------------------------ *)
@@ -598,6 +622,7 @@ type run = {
   mutable shed : int;  (* serving only: turned away at the gate *)
   mutable preempted : int;  (* serving only: in-flight work evicted *)
   mutable slo_misses : int;
+  mutable completed_in_outage : int;  (* completions while a node was down *)
   mutable latencies : float list;
   mutable waits : float list;
   mutable services : float list;
@@ -651,6 +676,7 @@ let setup ~registry cfg =
     shed = 0;
     preempted = 0;
     slo_misses = 0;
+    completed_in_outage = 0;
     latencies = [];
     waits = [];
     services = [];
@@ -716,6 +742,8 @@ let complete run (task : Genset.task) ~finished ~deadline_us ?node ~kind ~deploy
     ?retries ~label () =
   run.completed <- run.completed + 1;
   Obs.Counter.incr run.completed_c;
+  if Runtime.failed_count run.runtime > 0 then
+    run.completed_in_outage <- run.completed_in_outage + 1;
   (match node with
   | Some n -> Obs.Counter.incr (memo run.node_cs n completed_on_node)
   | None -> ());
@@ -837,6 +865,29 @@ let finish run ~leftovers alerts =
     if run.makespan > 0.0 then float_of_int n /. (run.makespan /. 1e6) else 0.0
   in
   let throughput = per_s run.completed in
+  (* Outage windows come from the fault plan; throughput outside them
+     counts the completions that landed while every node was up, over
+     the makespan minus the downtime overlapping it.  Windows are
+     summed most recent first. *)
+  let fault_downtime_us, fault_free_throughput_per_s =
+    match run.cfg.faults with
+    | None -> (0.0, throughput)
+    | Some f ->
+      let until = Sim.now run.sim in
+      let windows = List.rev (Fault_plan.outages f.plan ~until) in
+      let downtime = Fault_plan.downtime_us f.plan ~until in
+      let in_makespan =
+        List.fold_left
+          (fun acc (t0, t1) -> acc +. Float.max 0.0 (Float.min t1 run.makespan -. t0))
+          0.0 windows
+      in
+      let up_time = run.makespan -. in_makespan in
+      ( downtime,
+        if downtime = 0.0 then throughput
+        else if up_time > 0.0 then
+          float_of_int (run.completed - run.completed_in_outage) /. (up_time /. 1e6)
+        else 0.0 )
+  in
   let cache_hits, cache_misses = cache_stats run.runtime in
   {
     completed = run.completed;
@@ -847,8 +898,8 @@ let finish run ~leftovers alerts =
     makespan_us = run.makespan;
     throughput_per_s = throughput;
     goodput_per_s = per_s (run.completed - run.slo_misses);
-    fault_downtime_us = 0.0;
-    fault_free_throughput_per_s = throughput;
+    fault_downtime_us;
+    fault_free_throughput_per_s;
     mean_latency_us = mean run.latencies;
     mean_wait_us = mean run.waits;
     wait_attempts = List.length run.waits;
@@ -917,19 +968,13 @@ let run_open run =
   let inflight : (int, inflight) Hashtbl.t = Hashtbl.create 64 in
   let retried = ref 0 in
   let attempt_waits = ref [] in
-  (* Fault-window bookkeeping: closed [start, stop] outage intervals
-     (≥ 1 node down), plus completions that landed inside one. *)
-  let down : (int, unit) Hashtbl.t = Hashtbl.create 4 in
-  let outage_start = ref None in
-  let outages = ref [] in
-  let completed_in_outage = ref 0 in
   let alerts =
     start_telemetry run
       ~queue_depth:(fun () -> Queue.length queue)
       ~probes:
         [
           Delta ("sysim.retried.rate", [], fun () -> !retried);
-          Level ("sysim.nodes_down", fun () -> Hashtbl.length down);
+          Level ("sysim.nodes_down", fun () -> Runtime.failed_count runtime);
         ]
   in
   let reject (p : pending) = reject run p.task ~retries:p.retries ~label:p.accel () in
@@ -975,7 +1020,6 @@ let run_open run =
             if Hashtbl.mem inflight d.Runtime.id then begin
               Hashtbl.remove inflight d.Runtime.id;
               Runtime.undeploy runtime d;
-              if Hashtbl.length down > 0 then incr completed_in_outage;
               run.waits <- wait :: run.waits;
               Obs.Histogram.observe run.wait_h wait;
               (* SLO: a task should finish within slo_multiplier x its
@@ -1002,10 +1046,6 @@ let run_open run =
   in
   let on_crash node =
     Runtime.mark_node_failed runtime node;
-    if not (Hashtbl.mem down node) then begin
-      if Hashtbl.length down = 0 then outage_start := Some (Sim.now sim);
-      Hashtbl.replace down node ()
-    end;
     (* Interrupt every in-service task with a piece on the dead node:
        its partial progress is gone, its surviving placements free up,
        and it goes back to the head of the queue — unless it already
@@ -1050,15 +1090,6 @@ let run_open run =
   in
   let on_restore node =
     Runtime.restore_node runtime node;
-    if Hashtbl.mem down node then begin
-      Hashtbl.remove down node;
-      if Hashtbl.length down = 0 then begin
-        (match !outage_start with
-        | Some t0 -> outages := (t0, Sim.now sim) :: !outages
-        | None -> ());
-        outage_start := None
-      end
-    end;
     try_start ()
   in
   let on_degrade us = Network.set_added_latency_us network us in
@@ -1087,37 +1118,11 @@ let run_open run =
            so every task is accounted for instead of silently
            starving. *)
         Queue.iter reject queue;
-        Queue.clear queue;
-        match !outage_start with
-        | Some t0 ->
-          outages := (t0, Sim.now sim) :: !outages;
-          outage_start := None
-        | None -> ())
-  in
-  let fault_downtime_us =
-    List.fold_left (fun acc (t0, t1) -> acc +. (t1 -. t0)) 0.0 !outages
-  in
-  (* Throughput outside the fault window: completions that landed
-     while every node was up, over the makespan minus the downtime
-     overlapping it. *)
-  let downtime_in_makespan =
-    List.fold_left
-      (fun acc (t0, t1) -> acc +. Float.max 0.0 (Float.min t1 run.makespan -. t0))
-      0.0 !outages
-  in
-  let fault_free_throughput_per_s =
-    if fault_downtime_us = 0.0 then r.throughput_per_s
-    else
-      let up_time = run.makespan -. downtime_in_makespan in
-      if up_time > 0.0 then
-        float_of_int (run.completed - !completed_in_outage) /. (up_time /. 1e6)
-      else 0.0
+        Queue.clear queue)
   in
   {
     r with
     retried = !retried;
-    fault_downtime_us;
-    fault_free_throughput_per_s;
     wait_attempts = List.length !attempt_waits;
     mean_wait_per_attempt_us = Mlv_util.Stats.mean !attempt_waits;
   }
@@ -1150,11 +1155,14 @@ let run_serving run serving =
     (fun (l : Genset.tenant_load) ->
       Hashtbl.replace tenant_prio l.Genset.tl_name l.Genset.tl_priority)
     cfg.tenants;
+  (* Allocation-free: every admitted arrival asks, and every dispatch
+     that finds no replica. *)
   let prio_of tenant =
-    match Hashtbl.find_opt tenant_prio tenant with Some p -> p | None -> 0
+    match Hashtbl.find tenant_prio tenant with p -> p | exception Not_found -> 0
   in
-  let batch_priority batch =
-    List.fold_left (fun a st -> max a (prio_of st.s_task.Genset.tenant)) 0 batch
+  let rec batch_priority acc = function
+    | [] -> acc
+    | st :: batch -> batch_priority (max acc (prio_of st.s_task.Genset.tenant)) batch
   in
   (* The serving front door: all-None (the default) takes none of the
      branches below and is bit-identical to a build without it. *)
@@ -1287,23 +1295,14 @@ let run_serving run serving =
     Hashtbl.remove starved g.g_accel
   in
   let is_idle r = (not r.r_busy) && Queue.is_empty r.r_queue in
+  let longer_idle _ r _ br = r.r_idle_since < br.r_idle_since in
   (* Longest-idle idle replica in any other group (tie: lowest replica
      id via the sorted iteration order) — the reclaim candidate when a
      starved group cannot deploy. *)
   let reclaim_candidate ~excluding =
-    List.fold_left
-      (fun best g' ->
-        if g'.g_accel = excluding then best
-        else
-          List.fold_left
-            (fun best r ->
-              if not (is_idle r) then best
-              else
-                match best with
-                | Some (_, br) when br.r_idle_since <= r.r_idle_since -> best
-                | _ -> Some (g', r))
-            best g'.g_replicas)
-      None !sorted_groups
+    least_replica
+      ~skip:(fun g -> g.g_accel = excluding)
+      ~eligible:is_idle ~less:longer_idle !sorted_groups
   in
   let remove_replica g r =
     Router.remove_replica router ~key:g.g_accel ~replica_id:r.r_id;
@@ -1370,21 +1369,15 @@ let run_serving run serving =
      first, idle before queued before busy, then lowest replica id
      (the deterministic tie-break). *)
   let preempt_candidate ~excluding ~prio =
-    List.fold_left
-      (fun best g' ->
-        if g'.g_accel = excluding || g'.g_priority >= prio then best
-          else
-            List.fold_left
-              (fun best r ->
-                let rank =
-                  if is_idle r then 0 else if not r.r_busy then 1 else 2
-                in
-                let key = (g'.g_priority, rank, r.r_id) in
-                match best with
-                | Some (bkey, _, _) when bkey <= key -> best
-                | _ -> Some (key, g', r))
-              best g'.g_replicas)
-      None !sorted_groups
+    let rank r = if is_idle r then 0 else if not r.r_busy then 1 else 2 in
+    least_replica
+      ~skip:(fun g -> g.g_accel = excluding || g.g_priority >= prio)
+      ~eligible:(fun _ -> true)
+      ~less:(fun g r bg br ->
+        g.g_priority < bg.g_priority
+        || g.g_priority = bg.g_priority
+           && (rank r < rank br || (rank r = rank br && r.r_id < br.r_id)))
+      !sorted_groups
   in
   (* Evict a victim replica: cancel its in-flight batch (those tasks
      are preempted losses, closing the per-tenant identity
@@ -1451,7 +1444,7 @@ let run_serving run serving =
     | `Full -> (
       match preempt_candidate ~excluding:g.g_accel ~prio with
       | None -> `Full
-      | Some (_, g', r) ->
+      | Some (g', r) ->
         if
           (not (List.mem r.r_id tried))
           && is_idle r
@@ -1617,7 +1610,7 @@ let run_serving run serving =
       assign g r batch;
       start_replica g r
     | None -> (
-      let prio = if serving.preempt then batch_priority batch else 0 in
+      let prio = batch_priority 0 batch in
       let outcome =
         if prio > 0 then grow_preempting g ~prio ~tried:[]
         else grow g ~allow_reclaim:(serving.autoscale <> None)
@@ -1631,19 +1624,11 @@ let run_serving run serving =
      tries to consolidate a surviving idle multi-piece replica into a
      denser packing (the mapping search sees the freed space). *)
   let scale_down g ~now =
-    let victim =
-      List.fold_left
-        (fun best r ->
-          if not (is_idle r) then best
-          else
-            match best with
-            | Some (b : replica) when b.r_idle_since <= r.r_idle_since -> best
-            | _ -> Some r)
-        None g.g_replicas
-    in
-    match victim with
+    match
+      least_replica ~skip:(fun _ -> false) ~eligible:is_idle ~less:longer_idle [ g ]
+    with
     | None -> ()
-    | Some r ->
+    | Some (_, r) ->
       remove_replica g r;
       incr scale_downs;
       Obs.Counter.incr (Obs.Counter.get "sysim.serving.scale_down");
@@ -1904,23 +1889,26 @@ let run_serving run serving =
   }
 
 let run ~registry cfg =
-  (* A completed run releases its simulator's span clock — otherwise
-     the closure keeps the whole sim state live and stamps stale sim
-     times onto later, unrelated spans. *)
-  Fun.protect ~finally:Obs.clear_sim_clock (fun () ->
+  (match cfg.serving with
+  | Some s ->
+    if cfg.faults <> None then
+      invalid_arg "Sysim.run: serving mode does not compose with fault plans";
+    (match cfg.frontend with
+    | Some f when f.predict <> None && s.autoscale = None ->
+      invalid_arg "Sysim.run: frontend.predict requires serving.autoscale"
+    | _ -> ())
+  | None ->
+    if cfg.frontend <> None then
+      invalid_arg "Sysim.run: config.frontend requires serving mode");
+  (* The run stamps its spans and lifecycle events with its own
+     simulator's clock, and only for as long as it runs: a scratch
+     cluster built mid-run (the preemption feasibility probe) or a
+     later, unrelated run never reads or steals it. *)
+  let run = setup ~registry cfg in
+  Obs.with_sim_clock
+    (fun () -> Sim.now run.sim)
+    (fun () ->
       Obs.Span.with_ "sysim.run" (fun () ->
           match cfg.serving with
-          | Some s ->
-            if cfg.faults <> None then
-              invalid_arg
-                "Sysim.run: serving mode does not compose with fault plans";
-            (match cfg.frontend with
-            | Some f when f.predict <> None && s.autoscale = None ->
-              invalid_arg
-                "Sysim.run: frontend.predict requires serving.autoscale"
-            | _ -> ());
-            run_serving (setup ~registry cfg) s
-          | None ->
-            if cfg.frontend <> None then
-              invalid_arg "Sysim.run: config.frontend requires serving mode";
-            run_open (setup ~registry cfg)))
+          | Some s -> run_serving run s
+          | None -> run_open run))

@@ -30,10 +30,26 @@
     optional autoscaler control loop grows and shrinks each group's
     replica set from queue depth and observed p99 sojourn —
     consolidating idle multi-piece replicas via forced migration when
-    load drops.  [serving = None] (the default) leaves the open loop
-    untouched — results are bit-identical to builds without
-    the serving layer.  Serving mode does not compose with fault
-    plans; {!run} raises [Invalid_argument] when both are set. *)
+    load drops.  Tenant priority alone turns on preemption: when a
+    batch from a tenant with positive
+    {!Genset.tenant_load.tl_priority} cannot be admitted to the
+    fabric, a lower-priority tenant's replica is evicted instead of
+    the batch backlogging.  An idle victim is first force-migrated
+    (denser packing may free the needed device; rollback keeps it
+    live); otherwise it is undeployed and its in-flight batch counts
+    as preempted losses.  A demand that could not deploy even on an
+    empty, healthy cluster never evicts anyone — it is rejected
+    outright.  A workload without positive priorities (every
+    single-tenant one) never preempts.  [serving = None] (the
+    default) leaves the open loop untouched — results are
+    bit-identical to builds without the serving layer.  Serving mode
+    does not compose with fault plans; {!run} raises
+    [Invalid_argument] when both are set.
+
+    While {!run} runs, its own simulator is the sim-time source of
+    the spans and lifecycle events it emits
+    ({!Mlv_obs.Obs.with_sim_clock}); nothing else it builds, and
+    nothing after it returns, stamps with that clock. *)
 
 open Mlv_workload
 
@@ -60,18 +76,6 @@ type serving = {
           split across [config.tenants] (see
           {!Mlv_sched.Slo.set_tenant_pool}); requires a multi-tenant
           workload.  [None] admits without per-tenant gating. *)
-  preempt : bool;
-      (** when a batch from a tenant with positive
-          {!Genset.tenant_load.tl_priority} cannot be admitted to the
-          fabric, evict a lower-priority tenant's replica instead of
-          backlogging: an idle victim is first force-migrated (denser
-          packing may free the needed device; rollback keeps it live),
-          otherwise it is undeployed and its in-flight batch counts as
-          preempted losses.  A demand that could not deploy even on an
-          empty, healthy cluster never evicts anyone — it is rejected
-          outright.  [false] (the default), or a workload with no
-          positive priorities, never preempts — results are
-          bit-identical to a build without the policy. *)
   defrag : Mlv_core.Defrag.config option;
       (** background defragmentation: every
           {!Mlv_core.Defrag.config.interval_us} of simulated time,
@@ -82,8 +86,9 @@ type serving = {
 }
 
 (** [default_serving] admits every class, batches up to 4 requests
-    with a 300 µs linger, runs the default autoscaler, and enables
-    neither preemption nor defragmentation. *)
+    with a 300 µs linger, runs the default autoscaler and never
+    defragments.  Preemption is not a serving knob: it follows the
+    tenants' priorities (see the module header). *)
 val default_serving : serving
 
 (** Streaming telemetry: an optional scrape loop that samples run
@@ -233,7 +238,9 @@ type result = {
   goodput_per_s : float;
       (** completions that met their SLO deadline / makespan *)
   fault_downtime_us : float;
-      (** total time with at least one node down *)
+      (** total time with at least one node down, from the fault
+          plan's {!Mlv_cluster.Fault_plan.outages} up to the last
+          event *)
   fault_free_throughput_per_s : float;
       (** completions outside outage windows over makespan minus
           overlapping downtime; equals [throughput_per_s] when no

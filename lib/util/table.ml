@@ -1,35 +1,24 @@
-type align = Left | Right
-type row = Cells of string list | Sep
-
 type t = {
   title : string option;
   headers : string list;
   ncols : int;
-  mutable aligns : align array;
-  mutable rows : row list; (* reversed *)
+  mutable rows : string list list; (* reversed *)
 }
 
-let create ?title headers =
-  let ncols = List.length headers in
-  let aligns = Array.make (max 1 ncols) Right in
-  if ncols > 0 then aligns.(0) <- Left;
-  { title; headers; ncols; aligns; rows = [] }
-
-let set_align t col align = t.aligns.(col) <- align
+let create ?title headers = { title; headers; ncols = List.length headers; rows = [] }
 
 let add_row t cells =
   if List.length cells <> t.ncols then
     invalid_arg "Table.add_row: arity mismatch";
-  t.rows <- Cells cells :: t.rows
+  t.rows <- cells :: t.rows
 
-let add_sep t = t.rows <- Sep :: t.rows
-
-let pad align width s =
+(* The first column is left-aligned, the others right-aligned. *)
+let pad ~left width s =
   let n = String.length s in
   if n >= width then s
   else begin
     let fill = String.make (width - n) ' ' in
-    match align with Left -> s ^ fill | Right -> fill ^ s
+    if left then s ^ fill else fill ^ s
   end
 
 let render t =
@@ -39,7 +28,7 @@ let render t =
     List.iteri (fun i c -> widths.(i) <- max widths.(i) (String.length c)) cells
   in
   measure t.headers;
-  List.iter (function Cells c -> measure c | Sep -> ()) rows;
+  List.iter measure rows;
   let buf = Buffer.create 256 in
   let hline () =
     Buffer.add_char buf '+';
@@ -55,7 +44,7 @@ let render t =
     List.iteri
       (fun i c ->
         Buffer.add_char buf ' ';
-        Buffer.add_string buf (pad t.aligns.(i) widths.(i) c);
+        Buffer.add_string buf (pad ~left:(i = 0) widths.(i) c);
         Buffer.add_string buf " |")
       cells;
     Buffer.add_char buf '\n'
@@ -68,7 +57,7 @@ let render t =
   hline ();
   emit t.headers;
   hline ();
-  List.iter (function Cells c -> emit c | Sep -> hline ()) rows;
+  List.iter emit rows;
   hline ();
   Buffer.contents buf
 

@@ -1,24 +1,15 @@
 (** ASCII table rendering for the benchmark harness, in the style of
     the tables in the paper. *)
 
-type align = Left | Right
-
 type t
 
 (** [create ~title headers] starts a table with column [headers].
     Columns are right-aligned by default except the first. *)
 val create : ?title:string -> string list -> t
 
-(** [set_align t col align] overrides the alignment of column [col]
-    (0-indexed). *)
-val set_align : t -> int -> align -> unit
-
 (** [add_row t cells] appends one row.
     @raise Invalid_argument if the arity differs from the header. *)
 val add_row : t -> string list -> unit
-
-(** [add_sep t] appends a horizontal separator row. *)
-val add_sep : t -> unit
 
 (** [render t] produces the complete table as a string. *)
 val render : t -> string

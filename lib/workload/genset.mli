@@ -111,8 +111,9 @@ type tenant_load = {
   tl_arrival : arrival;
   tl_priority : int;
       (** scheduling priority; higher preempts lower (0 = best
-          effort).  Only consulted when the serving loop enables
-          preemption. *)
+          effort).  In the serving loop a batch carrying a positive
+          priority may evict lower-priority replicas; a workload
+          without one never preempts. *)
   tl_composition : composition option;
       (** overrides the run's composition for this tenant's stream;
           [None] (the default) inherits it, leaving the draw sequence

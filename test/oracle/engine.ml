@@ -5,7 +5,6 @@ module type S = sig
   type t
 
   val create : unit -> t
-  val release : t -> unit
   val now : t -> float
   val schedule : t -> delay:float -> (unit -> unit) -> unit
   val schedule_at : t -> at:float -> (unit -> unit) -> unit

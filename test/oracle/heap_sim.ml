@@ -16,25 +16,17 @@ type t = {
   mutable processed : int;
   events_counter : Obs.Counter.t;
   scheduled_counter : Obs.Counter.t;
-  clock : unit -> float;
 }
 
 let create () =
-  let now = ref 0.0 in
-  let t =
-    {
-      queue = Pqueue.create ();
-      now;
-      processed = 0;
-      events_counter = Obs.Counter.get "sim.events_processed";
-      scheduled_counter = Obs.Counter.get "sim.events_scheduled";
-      clock = (fun () -> !now);
-    }
-  in
-  Obs.set_sim_clock t.clock;
-  t
+  {
+    queue = Pqueue.create ();
+    now = ref 0.0;
+    processed = 0;
+    events_counter = Obs.Counter.get "sim.events_processed";
+    scheduled_counter = Obs.Counter.get "sim.events_scheduled";
+  }
 
-let release t = Obs.clear_sim_clock_of t.clock
 let now t = !(t.now)
 
 let schedule t ~delay f =

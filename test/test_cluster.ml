@@ -67,12 +67,11 @@ let test_sim_until_advances_clock () =
   Sim.run ~until:3.0 sim2;
   Alcotest.(check (float 1e-9)) "empty queue clock" 3.0 (Sim.now sim2)
 
-(* Sim.create registers the simulator's clock as the span sim-time
-   source but nothing cleared it: a finished run kept stamping stale
-   times onto later, unrelated spans (and kept the sim state live).
-   Sim.release clears the registration — but only its own, so a
-   superseded simulator cannot clobber a newer one's clock. *)
-let test_sim_release_clears_clock () =
+(* Creating a simulator binds no sim clock: inside a driver's binding
+   a scratch simulator or cluster (the serving loop's preemption
+   feasibility probe builds one mid-run) leaves the driver's stamps
+   alone, and outside every binding sim time reads 0. *)
+let test_sim_create_binds_no_clock () =
   Obs.reset ();
   let sim_now name =
     Obs.Span.with_ name (fun () -> ());
@@ -81,19 +80,16 @@ let test_sim_release_clears_clock () =
   let sim = Sim.create () in
   Sim.schedule sim ~delay:5.0 (fun () -> ());
   Sim.run sim;
-  Alcotest.(check (float 1e-9)) "clock registered by create" 5.0
-    (sim_now "rel.before");
-  Sim.release sim;
-  Alcotest.(check (float 1e-9)) "released" 0.0 (sim_now "rel.after");
-  let a = Sim.create () in
-  let b = Sim.create () in
-  Sim.schedule b ~delay:3.0 (fun () -> ());
-  Sim.run b;
-  Sim.release a;
-  Alcotest.(check (float 1e-9)) "superseded release is a no-op" 3.0
-    (sim_now "rel.super");
-  Sim.release b;
-  Alcotest.(check (float 1e-9)) "owner release clears" 0.0 (sim_now "rel.end")
+  Alcotest.(check (float 1e-9)) "create alone binds nothing" 0.0 (sim_now "clk.unbound");
+  Obs.with_sim_clock
+    (fun () -> Sim.now sim)
+    (fun () ->
+      Alcotest.(check (float 1e-9)) "the driver's clock" 5.0 (sim_now "clk.bound");
+      ignore (Sim.create ());
+      ignore (Cluster.create ());
+      Alcotest.(check (float 1e-9)) "a scratch simulator does not take the clock" 5.0
+        (sim_now "clk.scratch"));
+  Alcotest.(check (float 1e-9)) "no stale stamp after the scope" 0.0 (sim_now "clk.after")
 
 let test_sim_negative_delay () =
   let sim = Sim.create () in
@@ -235,8 +231,8 @@ let () =
           Alcotest.test_case "run until" `Quick test_sim_until;
           Alcotest.test_case "run until advances clock" `Quick
             test_sim_until_advances_clock;
-          Alcotest.test_case "release clears sim clock" `Quick
-            test_sim_release_clears_clock;
+          Alcotest.test_case "create binds no sim clock" `Quick
+            test_sim_create_binds_no_clock;
           Alcotest.test_case "negative delay" `Quick test_sim_negative_delay;
           Alcotest.test_case "counts" `Quick test_sim_counts;
         ] );

@@ -573,19 +573,16 @@ let test_partition_exhausts () =
   let levels = Partition.run t ~iterations:3 in
   Alcotest.(check (list int)) "saturates" [ 1; 2; 2; 2 ] (List.map List.length levels)
 
-let test_partition_naive_cuts_pipelines () =
-  (* The naive split cuts a DP of pipelines down the middle of
-     replicas' pipelines; the pattern-aware one never does. *)
+let test_partition_bisect_keeps_pipelines () =
+  (* A position split would cut a DP of pipelines down the middle of
+     a replica's pipeline; the pattern-aware one never does. *)
   let t = Pattern.map_pipeline ~name:"mp" ~ways:3 [ mk_leaf ~m:"s1" "a"; mk_leaf ~m:"s2" "b" ] in
-  (match Partition.bisect t with
+  match Partition.bisect t with
   | Some (a, b, _) ->
-    (* pattern-aware: each side holds whole pipelines *)
+    (* each side holds whole pipelines *)
     Alcotest.(check int) "left leaves even" 4 (List.length (SB.leaves a));
     Alcotest.(check int) "right leaves" 2 (List.length (SB.leaves b))
-  | None -> Alcotest.fail "expected split");
-  match Partition.naive_bisect t with
-  | Some (_, _, cut) -> Alcotest.(check bool) "naive pays bandwidth" true (cut > 0)
-  | None -> Alcotest.fail "expected naive split"
+  | None -> Alcotest.fail "expected split"
 
 (* ---------------- Mapping / registry ---------------- *)
 
@@ -1919,7 +1916,8 @@ let () =
           Alcotest.test_case "leaf atomic" `Quick test_partition_leaf_atomic;
           Alcotest.test_case "levels" `Quick test_partition_levels;
           Alcotest.test_case "exhausts" `Quick test_partition_exhausts;
-          Alcotest.test_case "naive cuts pipelines" `Quick test_partition_naive_cuts_pipelines;
+          Alcotest.test_case "bisect keeps pipelines whole" `Quick
+            test_partition_bisect_keeps_pipelines;
         ] );
       ( "mapping",
         [

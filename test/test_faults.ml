@@ -65,32 +65,51 @@ let test_plan_validate () =
   | Ok () -> ()
   | Error e -> Alcotest.fail e
 
+(* A crash/restore pair followed by a crash that is never restored. *)
+let crash_restore_crash =
+  Fault_plan.make
+    [
+      { Fault_plan.at = 100.0; action = Fault_plan.Crash 0 };
+      { Fault_plan.at = 300.0; action = Fault_plan.Restore 0 };
+      { Fault_plan.at = 500.0; action = Fault_plan.Crash 1 };
+    ]
+
+(* Two crashes whose down times overlap. *)
+let overlapping_crashes =
+  Fault_plan.make
+    [
+      { Fault_plan.at = 100.0; action = Fault_plan.Crash 0 };
+      { Fault_plan.at = 150.0; action = Fault_plan.Crash 1 };
+      { Fault_plan.at = 200.0; action = Fault_plan.Restore 0 };
+      { Fault_plan.at = 400.0; action = Fault_plan.Restore 1 };
+    ]
+
 let test_plan_downtime () =
-  let plan =
-    Fault_plan.make
-      [
-        { Fault_plan.at = 100.0; action = Fault_plan.Crash 0 };
-        { Fault_plan.at = 300.0; action = Fault_plan.Restore 0 };
-        { Fault_plan.at = 500.0; action = Fault_plan.Crash 1 };
-      ]
-  in
   (* [100,300] closed plus [500,600] still open at until=600 *)
   Alcotest.(check (float 1e-9)) "two outages" 300.0
-    (Fault_plan.downtime_us plan ~until:600.0);
+    (Fault_plan.downtime_us crash_restore_crash ~until:600.0);
   (* overlapping crashes are one outage, not two *)
-  let overlap =
-    Fault_plan.make
-      [
-        { Fault_plan.at = 100.0; action = Fault_plan.Crash 0 };
-        { Fault_plan.at = 150.0; action = Fault_plan.Crash 1 };
-        { Fault_plan.at = 200.0; action = Fault_plan.Restore 0 };
-        { Fault_plan.at = 400.0; action = Fault_plan.Restore 1 };
-      ]
-  in
   Alcotest.(check (float 1e-9)) "overlap merged" 300.0
-    (Fault_plan.downtime_us overlap ~until:1000.0);
+    (Fault_plan.downtime_us overlapping_crashes ~until:1000.0);
   Alcotest.(check (float 1e-9)) "empty plan no downtime" 0.0
     (Fault_plan.downtime_us Fault_plan.empty ~until:1000.0)
+
+let test_plan_outages () =
+  let check label plan ~until want =
+    Alcotest.(check (list (pair (float 0.0) (float 0.0))))
+      (label ^ ": windows") want
+      (Fault_plan.outages plan ~until);
+    Alcotest.(check (float 0.0))
+      (label ^ ": the windows sum to the downtime")
+      (List.fold_left (fun acc (t0, t1) -> acc +. (t1 -. t0)) 0.0 want)
+      (Fault_plan.downtime_us plan ~until)
+  in
+  (* events after [until] are not replayed *)
+  check "single crash/restore" crash_restore_crash ~until:400.0 [ (100.0, 300.0) ];
+  check "open window closed at until" crash_restore_crash ~until:600.0
+    [ (100.0, 300.0); (500.0, 600.0) ];
+  check "overlapping crashes" overlapping_crashes ~until:1000.0 [ (100.0, 400.0) ];
+  check "empty plan" Fault_plan.empty ~until:1000.0 []
 
 let test_plan_schedule_order () =
   let sim = Sim.create () in
@@ -250,6 +269,7 @@ let () =
           Alcotest.test_case "parse errors" `Quick test_plan_parse_errors;
           Alcotest.test_case "validate" `Quick test_plan_validate;
           Alcotest.test_case "downtime" `Quick test_plan_downtime;
+          Alcotest.test_case "outage windows" `Quick test_plan_outages;
           Alcotest.test_case "schedule order" `Quick test_plan_schedule_order;
         ] );
       ( "runtime",

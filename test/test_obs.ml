@@ -240,7 +240,6 @@ let test_labeled_histogram () =
 
 let test_span_nesting () =
   Obs.reset ();
-  Obs.clear_sim_clock ();
   Obs.Span.with_ "outer" (fun () ->
       Obs.Span.with_ "inner" (fun () -> ());
       Obs.Span.with_ "inner2" (fun () -> ()));
@@ -294,14 +293,40 @@ let test_span_feeds_histogram () =
 let test_span_sim_clock () =
   Obs.reset ();
   let now = ref 100.0 in
-  Obs.set_sim_clock (fun () -> !now);
-  let s = Obs.Span.enter "simmed" in
-  now := 350.0;
-  Obs.Span.exit s;
-  Obs.clear_sim_clock ();
+  Obs.with_sim_clock
+    (fun () -> !now)
+    (fun () ->
+      let s = Obs.Span.enter "simmed" in
+      now := 350.0;
+      Obs.Span.exit s);
   let r = List.hd (Obs.spans_matching "simmed") in
   Alcotest.(check (float 1e-9)) "start sim time" 100.0 r.Obs.start_sim_us;
   Alcotest.(check (float 1e-9)) "sim duration" 250.0 r.Obs.sim_us
+
+(* A sim-clock binding lasts exactly as long as its thunk: nothing
+   stamps with it afterwards, an inner binding gives the outer one
+   back, and a raising thunk unbinds too. *)
+let test_sim_clock_scoped () =
+  Obs.reset ();
+  let stamp name =
+    Obs.Span.with_ name (fun () -> ());
+    (List.hd (Obs.spans_matching name)).Obs.start_sim_us
+  in
+  let inner, outer =
+    Obs.with_sim_clock
+      (fun () -> 5.0)
+      (fun () ->
+        let inner = Obs.with_sim_clock (fun () -> 7.0) (fun () -> stamp "scope.inner") in
+        (inner, stamp "scope.outer"))
+  in
+  Alcotest.(check (float 1e-9)) "inner binding" 7.0 inner;
+  Alcotest.(check (float 1e-9)) "nested scope restores the outer clock" 5.0 outer;
+  Alcotest.(check (float 1e-9)) "no stale stamp after the scope" 0.0
+    (stamp "scope.after");
+  (match Obs.with_sim_clock (fun () -> 9.0) (fun () -> raise Exit) with
+  | () -> Alcotest.fail "the thunk raised"
+  | exception Exit -> ());
+  Alcotest.(check (float 1e-9)) "a raising thunk unbinds" 0.0 (stamp "scope.raised")
 
 let test_spans_matching_substring () =
   Obs.reset ();
@@ -317,7 +342,6 @@ let test_spans_matching_substring () =
    span ids (and parent references), breaking run-to-run diffing of
    metrics and trace dumps within one process. *)
 let test_reset_restarts_span_ids () =
-  Obs.clear_sim_clock ();
   let run () =
     Obs.reset ();
     Obs.Span.with_ "rr.outer" (fun () ->
@@ -360,14 +384,13 @@ let test_span_args () =
 
 (* ---------------- Lifecycle trace ---------------- *)
 
-let with_tracing f =
-  Fun.protect
-    ~finally:(fun () ->
-      Obs.Trace.set_enabled false;
-      Obs.clear_sim_clock ())
-    (fun () ->
-      Obs.Trace.set_enabled true;
-      f ())
+let with_tracing ?(clock = fun () -> 0.0) f =
+  Obs.with_sim_clock clock (fun () ->
+      Fun.protect
+        ~finally:(fun () -> Obs.Trace.set_enabled false)
+        (fun () ->
+          Obs.Trace.set_enabled true;
+          f ()))
 
 let test_trace_disabled_noop () =
   Obs.reset ();
@@ -379,8 +402,7 @@ let test_trace_disabled_noop () =
 
 let test_trace_lifecycle () =
   Obs.reset ();
-  Obs.set_sim_clock (fun () -> 123.0);
-  with_tracing (fun () ->
+  with_tracing ~clock:(fun () -> 123.0) (fun () ->
       Obs.Trace.task Obs.Trace.Arrive 7 ~label:"npu";
       Obs.Trace.task Obs.Trace.Deploy 7 ~node:2 ~deployment:5 ~retries:1 ~label:"npu";
       Obs.Trace.mark ~node:2 "fault.crash";
@@ -440,8 +462,7 @@ let contains needle hay =
 
 let test_trace_chrome_export () =
   Obs.reset ();
-  Obs.set_sim_clock (fun () -> 50.0);
-  with_tracing (fun () ->
+  with_tracing ~clock:(fun () -> 50.0) (fun () ->
       Obs.Span.with_span "chrome.span" (fun s -> Obs.Span.add_arg s "key" "val");
       Obs.Trace.task Obs.Trace.Service 3 ~node:1 ~deployment:4 ~label:"npu";
       Obs.Trace.mark "fault.degrade";
@@ -707,6 +728,7 @@ let () =
           Alcotest.test_case "exception safety" `Quick test_span_records_on_exception;
           Alcotest.test_case "feeds histogram" `Quick test_span_feeds_histogram;
           Alcotest.test_case "sim clock" `Quick test_span_sim_clock;
+          Alcotest.test_case "sim clock scoped" `Quick test_sim_clock_scoped;
           Alcotest.test_case "substring match" `Quick test_spans_matching_substring;
           Alcotest.test_case "substring scan edges" `Quick test_spans_matching_edges;
           Alcotest.test_case "reset restarts span ids" `Quick

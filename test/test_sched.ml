@@ -757,7 +757,6 @@ let serving_config ?(tasks = 30) ?(autoscale = Some Autoscaler.default) () =
           batch = Batcher.config ~max_batch:4 ~max_linger_us:100.0 ();
           autoscale;
           tenant_pool = None;
-          preempt = false;
           defrag = None;
         };
   }
@@ -810,7 +809,6 @@ let test_autoscaled_tail_vs_static () =
            batch = Batcher.config ~max_batch:4 ~max_linger_us:100.0 ();
            autoscale;
            tenant_pool = None;
-           preempt = false;
            defrag = None;
          })
   in
@@ -999,7 +997,6 @@ let scale_config ~nodes ~tasks ~unit_mean_us ~max_replicas ~bursty ~tenant_pool 
                  ~low_backlog_per_replica:0.0 ~cooldown_us:0.0 ~idle_timeout_us:1e9
                  ~max_replicas ());
           tenant_pool;
-          preempt = false;
           defrag = None;
         };
   }
@@ -1087,7 +1084,9 @@ let test_datacenter_shape () =
    a replica group: the priority tenant's bootstrap finds the fabric
    full and must evict.  (Two nodes, not one: the priority tenant's
    large models span devices, and a demand that cannot fit even an
-   empty cluster never evicts anyone.) *)
+   empty cluster never evicts anyone.)  Tenant priority alone turns
+   preemption on: [~preempt:false] gives gold priority 0, the
+   shed-only comparison on the same workload. *)
 let preempt_config ?(preempt = true) ?defrag ?bitstream_cache
     ?(tasks_per_tenant = 30) seed =
   let base =
@@ -1099,7 +1098,9 @@ let preempt_config ?(preempt = true) ?defrag ?bitstream_cache
     cluster_kinds = [ Device.XCVU37P; Device.XCVU37P ];
     tenants =
       [
-        Genset.tenant_load ~priority:1 ~tasks:tasks_per_tenant
+        Genset.tenant_load
+          ~priority:(if preempt then 1 else 0)
+          ~tasks:tasks_per_tenant
           ~arrival:(Genset.Exponential { mean_us = 400.0 })
           "gold";
         Genset.tenant_load ~tasks:tasks_per_tenant
@@ -1114,7 +1115,6 @@ let preempt_config ?(preempt = true) ?defrag ?bitstream_cache
           batch = Batcher.config ~max_batch:4 ~max_linger_us:100.0 ();
           autoscale = None;
           tenant_pool = None;
-          preempt;
           defrag;
         };
     bitstream_cache;

@@ -34,7 +34,6 @@ let fire_order (module E : ENGINE) spec =
       E.schedule_at sim ~at (fun () -> log := (E.now sim, tag) :: !log))
     spec;
   E.run sim;
-  E.release sim;
   List.rev !log
 
 let check_same_order name spec =
@@ -92,7 +91,6 @@ let test_random_stream_differential () =
       E.schedule_at sim ~at:(Rng.float rng 100.0) handler
     done;
     E.run sim;
-    E.release sim;
     List.rev !log
   in
   let h = spec heap and w = spec wheel in
@@ -109,7 +107,6 @@ let test_run_until_agrees () =
     E.run ~until:300.0 sim;
     let mid = (E.now sim, List.rev !fired, E.pending sim) in
     E.run sim;
-    E.release sim;
     (mid, E.now sim, E.events_processed sim)
   in
   let h = go heap and w = go wheel in

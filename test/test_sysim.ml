@@ -380,7 +380,6 @@ let shed_preempt_config () =
           Sysim.batch = Mlv_sched.Batcher.config ~max_batch:4 ~max_linger_us:100.0 ();
           autoscale = None;
           tenant_pool = Some (20_000.0, 8);
-          preempt = true;
         };
   }
 
@@ -629,7 +628,6 @@ let pin_serving_cfg () =
         {
           Sysim.default_serving with
           Sysim.tenant_pool = Some (12_000.0, 8);
-          preempt = true;
           defrag = Some (Mlv_core.Defrag.config ~frag_threshold:0.05 ~interval_us:500.0 ());
         };
     frontend =
@@ -650,6 +648,33 @@ let pin_serving_cfg () =
         };
   }
 
+(* A run stamps its lifecycle events with its own sim clock from the
+   first arrival to the last completion, even though the serving
+   loop's preemption feasibility probe builds a scratch cluster (and
+   simulator) mid-run. *)
+let test_trace_clock_owned_by_run () =
+  let r, _ = traced_run (pin_serving_cfg ()) in
+  Alcotest.(check bool) "the run preempts" true (r.Sysim.preemptions > 0);
+  let evs = Obs.Trace.events () in
+  Alcotest.(check int) "the ring kept every event" (Obs.Trace.recorded ())
+    (List.length evs);
+  let rec monotone = function
+    | a :: (b :: _ as rest) ->
+      a.Obs.Trace.seq < b.Obs.Trace.seq
+      && a.Obs.Trace.at_sim_us <= b.Obs.Trace.at_sim_us
+      && monotone rest
+    | _ -> true
+  in
+  Alcotest.(check bool) "stamps never decrease in seq order" true (monotone evs);
+  let last_complete =
+    List.fold_left
+      (fun acc e ->
+        if e.Obs.Trace.phase = Obs.Trace.Complete then e.Obs.Trace.at_sim_us else acc)
+      Float.nan evs
+  in
+  Alcotest.(check (float 0.0)) "last Complete stamp is the makespan"
+    r.Sysim.makespan_us last_complete
+
 (* Recorded before the two loops shared their setup, bookkeeping,
    telemetry and report code; any change to what a run registers,
    counts, traces or samples moves these. *)
@@ -662,7 +687,7 @@ let test_run_obs_pinned () =
       ("open loop, crash/restore, telemetry", pin_faulted_cfg,
         "be56b95c8bfca0ef35ebc370594ff740");
       ("multi-tenant serving, every feature", pin_serving_cfg,
-        "a569bf228d9c3372dac0a23adc1be5f0");
+        "e8c745899e6b8707e68d302ea0b8c2f3");
     ]
 
 let test_wait_reasonable () =
@@ -786,5 +811,7 @@ let () =
             test_labeled_metrics_deterministic;
           Alcotest.test_case "run metrics and trace pinned" `Quick
             test_run_obs_pinned;
+          Alcotest.test_case "run owns its trace clock" `Quick
+            test_trace_clock_owned_by_run;
         ] );
     ]
