@@ -6,17 +6,17 @@
      dune exec examples/hypervisor_shell.exe *)
 
 module Framework = Mlv_core.Framework
-module Registry = Mlv_core.Registry
+module Mapdb = Mlv_core.Mapdb
 module Runtime = Mlv_core.Runtime
 module Hypervisor = Mlv_core.Hypervisor
 module Cluster = Mlv_cluster.Cluster
 
 let () =
-  let registry = Registry.create () in
+  let registry = Mapdb.create () in
   List.iter
     (fun tiles ->
       match Framework.build_npu ~tiles () with
-      | Ok npu -> Registry.register registry npu.Framework.mapping
+      | Ok npu -> Mapdb.register registry npu.Framework.mapping
       | Error e -> failwith e)
     [ 6; 13; 21 ];
   let cluster = Cluster.create () in

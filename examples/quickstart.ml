@@ -15,7 +15,7 @@ module Framework = Mlv_core.Framework
 module Decompose = Mlv_core.Decompose
 module SB = Mlv_core.Soft_block
 module Mapping = Mlv_core.Mapping
-module Registry = Mlv_core.Registry
+module Mapdb = Mlv_core.Mapdb
 module Runtime = Mlv_core.Runtime
 module Cluster = Mlv_cluster.Cluster
 module Codegen = Mlv_isa.Codegen
@@ -62,8 +62,8 @@ let () =
   print_newline ();
 
   print_endline "== 4. Deploy on the heterogeneous cluster ==";
-  let registry = Registry.create () in
-  Registry.register registry npu.Framework.mapping;
+  let registry = Mapdb.create () in
+  Mapdb.register registry npu.Framework.mapping;
   let cluster = Cluster.create () in
   let runtime = Runtime.create ~policy:Runtime.greedy cluster registry in
   let deployment =

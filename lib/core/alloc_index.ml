@@ -59,7 +59,7 @@ let detach t i =
     end
   end
 
-let build cluster =
+let index cluster ~vacant =
   let n = Cluster.node_count cluster in
   let node_kind = Array.init n (fun i -> (Cluster.node cluster i).Node.kind) in
   let total = Array.init n (fun i -> Node.total_vbs (Cluster.node cluster i)) in
@@ -82,7 +82,9 @@ let build cluster =
   let t =
     {
       cluster;
-      free = Array.init n (fun i -> Node.free_vbs (Cluster.node cluster i));
+      free =
+        (if vacant then Array.copy total
+         else Array.init n (fun i -> Node.free_vbs (Cluster.node cluster i)));
       total;
       failed = Array.make n false;
       node_kind;
@@ -96,6 +98,9 @@ let build cluster =
     attach t i
   done;
   t
+
+let build cluster = index cluster ~vacant:false
+let vacant cluster = index cluster ~vacant:true
 
 let set_free t i f =
   detach t i;

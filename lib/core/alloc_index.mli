@@ -35,6 +35,13 @@ type t
     second runtime would go stale. *)
 val build : Mlv_cluster.Cluster.t -> t
 
+(** [vacant cluster] indexes the cluster's shape as if every node
+    were free and healthy, whatever its controllers hold: a scratch
+    view for feasibility searches.  It mirrors no controller, so only
+    selection and transactions are meaningful on it ({!refresh},
+    {!restore} and {!consistent} read the controllers). *)
+val vacant : Mlv_cluster.Cluster.t -> t
+
 (** [refresh t node] re-reads the node's controller free count and
     re-files the node.  Call after every real load/unload. *)
 val refresh : t -> int -> unit

@@ -30,14 +30,14 @@ let build_npu ?(iterations = 2) ?cost_cache ~tiles () =
         Ok { config; design; decomposed; mapping })
 
 let npu_registry ?(iterations = 2) ~tile_counts () =
-  let registry = Registry.create () in
+  let registry = Mapdb.create () in
   (* One cost cache across every instance: equal unit shapes (the
      engines, the converters) are priced once per device kind. *)
   let cost_cache = Mapping.cost_cache () in
   List.iter
     (fun tiles ->
       match build_npu ~iterations ~cost_cache ~tiles () with
-      | Ok npu -> Registry.register registry npu.mapping
+      | Ok npu -> Mapdb.register registry npu.mapping
       | Error e -> failwith (Printf.sprintf "npu_registry: tiles=%d: %s" tiles e))
     tile_counts;
   registry

@@ -30,7 +30,7 @@ val accel_name : tiles:int -> string
 (** [npu_registry ?iterations ~tile_counts ()] compiles one instance
     per tile count and registers them all.
     @raise Failure if any build fails. *)
-val npu_registry : ?iterations:int -> tile_counts:int list -> unit -> Registry.t
+val npu_registry : ?iterations:int -> tile_counts:int list -> unit -> Mapdb.t
 
 (** [decompose_config] is the decomposer configuration used for the
     NPU (control-path marking plus the case-study companions). *)

@@ -549,7 +549,7 @@ let do_mapcache_lookup t accel =
   match t.mapcache with
   | None -> "error mapcache is off (try mapcache <capacity>)"
   | Some mc -> (
-    match Registry.plan (Runtime.registry t.runtime) accel with
+    match Mapdb.find (Runtime.registry t.runtime) accel with
     | None -> Printf.sprintf "error unknown accelerator %S" accel
     | Some plan -> (
       let key = Mapdb.shape_signature plan in
@@ -569,7 +569,7 @@ let command t line =
   | [ "undeploy"; id ] -> do_undeploy t id
   | [ "status" ] -> do_status t
   | [ "nodes" ] -> do_nodes t
-  | [ "list" ] -> "ok " ^ String.concat " " (Registry.names (Runtime.registry t.runtime))
+  | [ "list" ] -> "ok " ^ String.concat " " (Mapdb.names (Runtime.registry t.runtime))
   | [ "deployments" ] -> do_deployments t
   | [ "rebalance" ] -> do_rebalance t
   | [ "fail"; node ] -> (

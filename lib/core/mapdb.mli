@@ -1,15 +1,13 @@
 (** The mapping-result database of the system controller (paper
     §2.3, Fig. 7), in deployment-ready form.
 
-    [Registry] used to store raw {!Mapping.t} values, which forced
-    the runtime to re-sort levels fewest-first, re-sort pieces into
-    allocation order and re-filter device options on {e every}
-    deployment request.  This module precomputes all of that once, at
-    registration time: per accelerator a {!plan} holding, for both
-    search directions and for the whole-device (AS-ISA-only) policy
-    subset, every level's pieces in allocation order with per-kind
-    bitstream lookup tables.  A deployment request then walks plain
-    precomputed lists. *)
+    Per accelerator it stores the compiled partitioning results for
+    every level and device type, precomputed at registration time so
+    the runtime never re-sorts or re-filters per request: a {!plan}
+    holds, for both search directions and for the whole-device
+    (AS-ISA-only) policy subset, every level's pieces in allocation
+    order with per-kind bitstream lookup tables.  A deployment request
+    then walks plain precomputed lists. *)
 
 open Mlv_fpga
 
@@ -60,6 +58,15 @@ val create : unit -> t
     mapping results, precomputing its deployment plan. *)
 val register : t -> Mapping.t -> unit
 
+(** [remove t name] deletes an accelerator's mapping results; no-op
+    when unknown.  Live deployments of it keep working, but new
+    deploys (and rebalances touching it) fail with an unknown-
+    accelerator error. *)
 val remove : t -> string -> unit
+
+(** [find t name] is the accelerator's plan; its raw mapping results
+    are [plan.mapping]. *)
 val find : t -> string -> plan option
+
+(** [names t] lists registered accelerators alphabetically. *)
 val names : t -> string list

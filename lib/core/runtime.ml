@@ -54,7 +54,7 @@ let tiles_deployed d =
 
 type t = {
   cluster : Cluster.t;
-  registry : Registry.t;
+  registry : Mapdb.t;
   policy : policy;
   index : Alloc_index.t;
   cache : Bitstream.Cache.t option;
@@ -65,6 +65,7 @@ type t = {
   mutable live : deployment list;
   mutable next_deploy_id : int;
   failed : (int, unit) Hashtbl.t;
+  feasible : (string, Mapdb.plan * bool) Hashtbl.t;
 }
 
 let create ?(policy = greedy) ?cache cluster registry =
@@ -77,6 +78,7 @@ let create ?(policy = greedy) ?cache cluster registry =
     live = [];
     next_deploy_id = 0;
     failed = Hashtbl.create 4;
+    feasible = Hashtbl.create 8;
   }
 
 let failed_nodes t = Hashtbl.fold (fun i () acc -> i :: acc) t.failed [] |> List.sort compare
@@ -113,14 +115,11 @@ let reload_placements t placements =
 
 (* Tentative assignment of pieces (already in allocation order — the
    plan presorts them biggest-first) to nodes over the incremental
-   capacity index: candidate selection is one bucket scan, tentative
-   allocations are transactional so backtracking leaves the index
-   untouched. *)
-let try_assign t ~target_kind (pieces : Mapdb.piece_plan list) =
-  let ix = t.index in
-  let choose =
-    if t.policy.best_fit then Alloc_index.best_fit else Alloc_index.first_fit
-  in
+   capacity index [ix]: candidate selection is one bucket scan,
+   tentative allocations are transactional so backtracking leaves the
+   index untouched. *)
+let try_assign ix policy ~target_kind (pieces : Mapdb.piece_plan list) =
+  let choose = if policy.best_fit then Alloc_index.best_fit else Alloc_index.first_fit in
   let rec assign acc = function
     | [] -> Some (List.rev acc)
     | (pp : Mapdb.piece_plan) :: rest -> (
@@ -128,12 +127,12 @@ let try_assign t ~target_kind (pieces : Mapdb.piece_plan list) =
         | [] -> None
         | (_, (bs : Bitstream.t)) :: more -> (
           match
-            choose ix ~kind:bs.Bitstream.device ~whole_device:t.policy.whole_device
+            choose ix ~kind:bs.Bitstream.device ~whole_device:policy.whole_device
               ~vbs:bs.Bitstream.vbs
           with
           | Some node ->
             let vbs =
-              if t.policy.whole_device then Alloc_index.total ix node
+              if policy.whole_device then Alloc_index.total ix node
               else bs.Bitstream.vbs
             in
             let tx = Alloc_index.begin_ ix in
@@ -150,6 +149,33 @@ let try_assign t ~target_kind (pieces : Mapdb.piece_plan list) =
       try_options (Mapdb.options pp ~kind:target_kind))
   in
   assign [] pieces
+
+(* The mapping-database search: levels in policy order (the
+   whole-device single-piece restriction — AS-ISA-only management has
+   no multi-FPGA support — is precomputed at registration time), and
+   per level each kind filter (every device kind under
+   [same_type_only], else none).  The first assignment found, with its
+   reservations committed on [ix], or [None]. *)
+let search ix policy plan =
+  let levels =
+    Mapdb.levels plan ~fewest_first:policy.fewest_first ~whole_device:policy.whole_device
+  in
+  let target_kinds =
+    if policy.same_type_only then List.map Option.some Device.kinds else [ None ]
+  in
+  let rec try_levels = function
+    | [] -> None
+    | (lp : Mapdb.level_plan) :: rest ->
+      let rec try_filters = function
+        | [] -> try_levels rest
+        | k :: more -> (
+          match try_assign ix policy ~target_kind:k lp.Mapdb.pieces with
+          | Some _ as found -> found
+          | None -> try_filters more)
+      in
+      try_filters target_kinds
+  in
+  try_levels levels
 
 let perform t accel assignment =
   let reconfig = ref 0.0 in
@@ -182,38 +208,32 @@ let perform t accel assignment =
   d
 
 let deploy_untraced t ~accel =
-  match Registry.plan t.registry accel with
+  match Mapdb.find t.registry accel with
   | None -> Error (Printf.sprintf "unknown accelerator %s" accel)
-  | Some plan ->
-    (* Level order (and the whole-device single-piece restriction —
-       AS-ISA-only management has no multi-FPGA support) is
-       precomputed at registration time. *)
-    let levels =
-      Mapdb.levels plan ~fewest_first:t.policy.fewest_first
-        ~whole_device:t.policy.whole_device
-    in
-    let target_kinds =
-      if t.policy.same_type_only then List.map Option.some Device.kinds
-      else [ None ]
-    in
-    let rec try_levels = function
-      | [] ->
-        (* A full cluster refuses most deploys; [concat] builds the
-           message for a quarter of [sprintf]'s allocation. *)
-        Error
-          (String.concat ""
-             [ "no feasible allocation for "; accel; " under policy "; t.policy.policy_name ])
-      | (lp : Mapdb.level_plan) :: rest -> (
-        let rec try_filters = function
-          | [] -> try_levels rest
-          | k :: more -> (
-            match try_assign t ~target_kind:k lp.Mapdb.pieces with
-            | Some assignment -> Ok (perform t accel assignment)
-            | None -> try_filters more)
-        in
-        try_filters target_kinds)
-    in
-    try_levels levels
+  | Some plan -> (
+    match search t.index t.policy plan with
+    | Some assignment -> Ok (perform t accel assignment)
+    | None ->
+      (* A full cluster refuses most deploys; [concat] builds the
+         message for a quarter of [sprintf]'s allocation. *)
+      Error
+        (String.concat ""
+           [ "no feasible allocation for "; accel; " under policy "; t.policy.policy_name ]))
+
+(* The same search over a vacant view of the cluster, built per
+   answer: a successful search leaves its reservations on the view.
+   Memoised against the plan it was computed for, so re-registering an
+   accelerator asks again. *)
+let feasible t ~accel =
+  match Mapdb.find t.registry accel with
+  | None -> false
+  | Some plan -> (
+    match Hashtbl.find_opt t.feasible accel with
+    | Some (p, ok) when p == plan -> ok
+    | _ ->
+      let ok = search (Alloc_index.vacant t.cluster) t.policy plan <> None in
+      Hashtbl.replace t.feasible accel (plan, ok);
+      ok)
 
 let deploy t ~accel =
   Obs.Span.with_span "deploy" (fun span ->

@@ -54,7 +54,8 @@ val tiles_deployed : deployment -> int
 
 type t
 
-(** [create ?policy ?cache cluster registry] builds a controller.
+(** [create ?policy ?cache cluster registry] builds a controller
+    serving [registry]'s accelerators.
 
     Candidate nodes come from an incremental {!Alloc_index} maintained
     across deploy / undeploy / migrate / failover / restore, so a
@@ -72,7 +73,7 @@ val create :
   ?policy:policy ->
   ?cache:Mlv_vital.Bitstream.Cache.t ->
   Mlv_cluster.Cluster.t ->
-  Registry.t ->
+  Mapdb.t ->
   t
 
 val policy : t -> policy
@@ -86,7 +87,7 @@ val bitstream_cache : t -> Mlv_vital.Bitstream.Cache.t option
 val index_consistent : t -> bool
 
 (** [registry t] is the mapping database the controller serves from. *)
-val registry : t -> Registry.t
+val registry : t -> Mapdb.t
 
 (** [cluster t] is the cluster this controller drives (the fault
     layers schedule against its simulator and network). *)
@@ -98,8 +99,25 @@ val cluster : t -> Mlv_cluster.Cluster.t
     [same_type_only], else none), assigning pieces biggest-first to
     the capacity index's best- or first-fit node with backtracking.
     The test-side placement oracle repeats this search by scanning
-    the cluster's controllers and must agree at every deploy. *)
+    the cluster's controllers and must agree at every deploy.
+
+    A refusal ([Error]) says only that no allocation fits the cluster
+    as it is now: the accelerator is unknown, or its pieces do not fit
+    the free blocks of the healthy nodes.  {!feasible} tells the two
+    kinds of "no" apart — whether waiting (for undeploys, restores)
+    can ever help. *)
 val deploy : t -> accel:string -> (deployment, string) result
+
+(** [feasible t ~accel] is whether {!deploy} would succeed if every
+    node of the cluster were free and healthy: [false] for an unknown
+    accelerator and for one no policy-ordered mapping result fits
+    this cluster's shape.  It runs [deploy]'s own search against a
+    vacant view of the cluster and touches nothing else: no
+    controller, counter, span, deployment id or the live capacity
+    index.  Memoised per accelerator against its registered plan, so
+    a repeat query is one table lookup and a re-registered
+    accelerator is checked again. *)
+val feasible : t -> accel:string -> bool
 
 (** [deployment_vbs d] sums the virtual blocks across [d]'s
     placements. *)

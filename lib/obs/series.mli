@@ -136,10 +136,6 @@ val render : unit -> string
 (** [clear t] empties one series' data (registration survives). *)
 val clear : t -> unit
 
-(** [clear_all ()] empties every registered series' data — also runs
-    on every {!Obs.reset} via the reset hook. *)
-val clear_all : unit -> unit
-
 (** [remove name] drops one registration by full canonical name
     (base plus rendered labels, {!Obs.Labels.key}); no-op when
     absent.  A later {!create} with the same name starts fresh and

@@ -168,8 +168,6 @@ val observe_service : ptracker -> float -> unit
     0. *)
 val predicted_rate_per_s : predict -> ptracker -> float
 
-val rate_samples : ptracker -> int
-
 (** [decide_predictive cfg p tr pt ...] is one predictive control
     step: the decision plus the target replica count to grow toward
     (a predicted flash crowd closes the whole gap in one tick, where

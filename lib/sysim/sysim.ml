@@ -1,6 +1,5 @@
 open Mlv_workload
 module Runtime = Mlv_core.Runtime
-module Registry = Mlv_core.Registry
 module Framework = Mlv_core.Framework
 module Scale_out = Mlv_core.Scale_out
 module Defrag = Mlv_core.Defrag
@@ -715,6 +714,15 @@ let reject run (task : Genset.task) ?retries ~label () =
   | None -> ());
   Obs.Trace.task Obs.Trace.Reject task.Genset.task_id ?retries ~label
 
+(* Deploy [accel], classifying a refusal: [`Dead] when the
+   accelerator can never deploy on this cluster ({!Runtime.feasible}),
+   so waiting is pointless, [`Full] when freed or restored capacity
+   may still let it in. *)
+let place run accel =
+  match Runtime.deploy run.runtime ~accel with
+  | Ok d -> `Ok d
+  | Error _ -> if Runtime.feasible run.runtime ~accel then `Full else `Dead
+
 (* Service start: trace the deploy, record the attempt's wait and the
    task's service time, trace the service. *)
 let start run (task : Genset.task) ~attempt_wait ~service ?node ~deployment ?retries
@@ -981,19 +989,19 @@ let run_open run =
   let rec try_start () =
     if not (Queue.is_empty queue) then begin
       let p = Queue.peek queue in
-      match Runtime.deploy runtime ~accel:p.accel with
-      | Error _ ->
-        (* The head blocks the FIFO queue to avoid starvation — but a
-           head that cannot deploy even on an empty, fully healthy
-           cluster will never start: reject it instead of stalling the
-           queue (and the run's accounting) forever. *)
-        if Runtime.deployments runtime = [] && Runtime.failed_nodes runtime = []
-        then begin
-          ignore (Queue.pop queue);
-          reject p;
-          try_start ()
-        end
-      | Ok d ->
+      match place run p.accel with
+      | `Full ->
+        (* The head blocks the FIFO queue to avoid starvation, also
+           through an outage: freed or restored capacity lets it in. *)
+        ()
+      | `Dead ->
+        (* A head that cannot deploy even on an empty, fully healthy
+           cluster will never start: reject it at once instead of
+           stalling the queue behind it. *)
+        ignore (Queue.pop queue);
+        reject p;
+        try_start ()
+      | `Ok d ->
         ignore (Queue.pop queue);
         let now = Sim.now sim in
         let node, kind = deployment_dims d in
@@ -1177,7 +1185,7 @@ let run_serving run serving =
      memoized so the admission path pays one hash lookup. *)
   let shape_sigs : (string, string) Hashtbl.t = Hashtbl.create 16 in
   let shape_sig accel =
-    match Registry.plan registry accel with
+    match Mapdb.find registry accel with
     | Some p -> Mapdb.shape_signature p
     | None -> accel
   in
@@ -1333,28 +1341,6 @@ let run_serving run serving =
     Autoscaler.mark_scaled g.g_tracker ~now_us:(Sim.now sim);
     r
   in
-  (* Add a replica to [g]: deploy, optionally reclaiming idle replicas
-     from other groups until the deploy fits.  [`Dead] means the accel
-     can never deploy: nothing is busy, nothing is left to reclaim,
-     and the mapper still refuses — mirror the open loop and reject
-     rather than wait forever. *)
-  let rec grow g ~allow_reclaim =
-    match Runtime.deploy runtime ~accel:g.g_accel with
-    | Ok d ->
-      ignore (make_replica g d);
-      `Ok
-    | Error _ ->
-      if allow_reclaim then
-        match reclaim_candidate ~excluding:g.g_accel with
-        | Some (g', r) ->
-          Obs.Counter.incr (Obs.Counter.get "sysim.serving.reclaimed");
-          remove_replica g' r;
-          grow g ~allow_reclaim
-        | None -> if !busy_count > 0 then `Full else `Dead
-      else if !busy_count > 0 || g.g_replicas <> [] then `Full
-      else if reclaim_candidate ~excluding:g.g_accel = None then `Dead
-      else `Full
-  in
   (* A preempted victim's queued batches are its oldest work: they go
      to the front of the backlog. *)
   let backlog_push_front g batches =
@@ -1414,49 +1400,54 @@ let run_serving run serving =
     Obs.Counter.incr (Lazy.force preemption_c);
     Autoscaler.mark_scaled g'.g_tracker ~now_us:now
   in
-  (* An accelerator that cannot deploy even on an empty, fully
-     healthy cluster must never trigger an eviction — the freed space
-     could not satisfy it anyway.  Probed once per accelerator on a
-     scratch clone of the configured cluster and memoized. *)
-  let feasible_cache : (string, bool) Hashtbl.t = Hashtbl.create 8 in
-  let feasible accel =
-    memo feasible_cache accel (fun accel ->
-        let scratch =
-          Runtime.create ~policy:cfg.policy
-            (Cluster.create ~kinds:cfg.cluster_kinds ())
-            registry
-        in
-        match Runtime.deploy scratch ~accel with Ok _ -> true | Error _ -> false)
-  in
-  (* Admission with preemption: when the mapper refuses and the
-     demanding batch carries tenant priority, evict lower-priority
-     work.  An idle victim is first relocated (force-migrate; the
-     rollback guarantee keeps it live on failure) in case a denser
-     packing alone frees the needed device; a victim that stays in
-     the way is undeployed.  [tried] lists replicas already relocated
-     so none relocates twice — every step then either grows [tried]
-     (bounded by the replica count) or evicts a replica, so the loop
+  (* Add a replica to [g].  A refused deploy of an accelerator that
+     can never deploy is [`Dead] at once — nothing is reclaimed or
+     evicted for it, and the caller rejects rather than waits forever,
+     as the open loop does.  Otherwise, in order: with [allow_reclaim],
+     reclaim another group's longest-idle replica and retry; for a
+     batch of priority [prio] > 0, move the lowest-priority victim out
+     of the way and retry — an idle victim not yet in [tried] is first
+     relocated (force-migrate; the rollback guarantee keeps it live on
+     failure) in case a denser packing alone frees the needed device,
+     a victim that stays in the way is evicted; and [`Full] once
+     nothing is left to try.  Every retry removes a replica or grows
+     [tried] (bounded by the replica count), so the recursion
      terminates. *)
-  let rec grow_preempting g ~prio ~tried =
-    match grow g ~allow_reclaim:(serving.autoscale <> None) with
-    | (`Ok | `Dead) as outcome -> outcome
-    | `Full when not (feasible g.g_accel) -> `Dead
-    | `Full -> (
-      match preempt_candidate ~excluding:g.g_accel ~prio with
-      | None -> `Full
-      | Some (g', r) ->
-        if
-          (not (List.mem r.r_id tried))
-          && is_idle r
-          &&
-          match Runtime.migrate ~force:true runtime r.r_depl with
-          | Ok m -> m > 0
-          | Error _ -> false
-        then grow_preempting g ~prio ~tried:(r.r_id :: tried)
-        else begin
-          preempt_replica g' r ~now:(Sim.now sim);
-          grow_preempting g ~prio ~tried
-        end)
+  let grow g ~allow_reclaim ~prio =
+    let rec attempt tried =
+      match place run g.g_accel with
+      | `Ok d ->
+        ignore (make_replica g d);
+        `Ok
+      | `Dead -> `Dead
+      | `Full -> (
+        match
+          if allow_reclaim then reclaim_candidate ~excluding:g.g_accel else None
+        with
+        | Some (g', r) ->
+          Obs.Counter.incr (Obs.Counter.get "sysim.serving.reclaimed");
+          remove_replica g' r;
+          attempt tried
+        | None -> (
+          match
+            if prio > 0 then preempt_candidate ~excluding:g.g_accel ~prio else None
+          with
+          | None -> `Full
+          | Some (g', r) ->
+            if
+              (not (List.mem r.r_id tried))
+              && is_idle r
+              &&
+              match Runtime.migrate ~force:true runtime r.r_depl with
+              | Ok m -> m > 0
+              | Error _ -> false
+            then attempt (r.r_id :: tried)
+            else begin
+              preempt_replica g' r ~now:(Sim.now sim);
+              attempt tried
+            end))
+    in
+    attempt []
   in
   (* Route a batch onto a replica: router bookkeeping and the queue
      append, with the group's assigned-task counter kept in step. *)
@@ -1572,7 +1563,7 @@ let run_serving run serving =
           pump_group g
         end
       | None -> (
-        match grow g ~allow_reclaim:false with
+        match grow g ~allow_reclaim:false ~prio:0 with
         | `Ok -> pump_group g
         | `Dead -> reject_backlog g
         | `Full -> ())
@@ -1610,12 +1601,10 @@ let run_serving run serving =
       assign g r batch;
       start_replica g r
     | None -> (
-      let prio = batch_priority 0 batch in
-      let outcome =
-        if prio > 0 then grow_preempting g ~prio ~tried:[]
-        else grow g ~allow_reclaim:(serving.autoscale <> None)
-      in
-      match outcome with
+      match
+        grow g ~allow_reclaim:(serving.autoscale <> None)
+          ~prio:(batch_priority 0 batch)
+      with
       | `Ok -> dispatch g batch
       | `Full -> backlog_push g batch
       | `Dead -> List.iter (reject_stask ~accel:g.g_accel) batch)
@@ -1712,11 +1701,15 @@ let run_serving run serving =
             | Autoscaler.Scale_up ->
               let rec grow_n k =
                 if k > 0 then
-                  match grow g ~allow_reclaim:true with
+                  match grow g ~allow_reclaim:true ~prio:0 with
                   | `Ok ->
                     pump_group g;
                     grow_n (k - 1)
-                  | `Full -> capacity_bound := true
+                  | `Full ->
+                    (* With nothing busy the group already holds every
+                       live deployment: no load is being turned away
+                       for lack of capacity, so nothing is shed. *)
+                    if !busy_count > 0 then capacity_bound := true
                   | `Dead -> reject_backlog g
               in
               grow_n (max 1 (target - replicas))
@@ -1901,9 +1894,9 @@ let run ~registry cfg =
     if cfg.frontend <> None then
       invalid_arg "Sysim.run: config.frontend requires serving mode");
   (* The run stamps its spans and lifecycle events with its own
-     simulator's clock, and only for as long as it runs: a scratch
-     cluster built mid-run (the preemption feasibility probe) or a
-     later, unrelated run never reads or steals it. *)
+     simulator's clock, and only for as long as it runs: a simulator
+     created meanwhile or a later, unrelated run never reads or
+     steals it. *)
   let run = setup ~registry cfg in
   Obs.with_sim_clock
     (fun () -> Sim.now run.sim)

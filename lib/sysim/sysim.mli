@@ -6,9 +6,11 @@
     instance whose on-chip weight capacity covers its model, asks the
     system controller to deploy it, runs for its modeled inference
     latency, and releases its resources.  Tasks that cannot be placed
-    queue FIFO; a head that could never deploy even on an empty,
-    healthy cluster is rejected rather than stalling the queue.
-    Everything is deterministic given the seed.
+    queue FIFO, and the head blocks the tasks behind it (through an
+    outage too) until freed or restored capacity lets it in; a head
+    that could never deploy even on an empty, healthy cluster
+    ({!Mlv_core.Runtime.feasible}) is rejected at once rather than
+    stalling the queue.  Everything is deterministic given the seed.
 
     With a {!fault_config}, the plan's crash / restore / degrade
     events fire as simulator events: a crash interrupts every
@@ -38,8 +40,8 @@
     (denser packing may free the needed device; rollback keeps it
     live); otherwise it is undeployed and its in-flight batch counts
     as preempted losses.  A demand that could not deploy even on an
-    empty, healthy cluster never evicts anyone — it is rejected
-    outright.  A workload without positive priorities (every
+    empty, healthy cluster ({!Mlv_core.Runtime.feasible}) never
+    reclaims or evicts anyone — it is rejected outright.  A workload without positive priorities (every
     single-tenant one) never preempts.  [serving = None] (the
     default) leaves the open loop untouched — results are
     bit-identical to builds without the serving layer.  Serving mode
@@ -315,9 +317,9 @@ type result = {
     ten tile counts, as in the paper's evaluation (§4.3). *)
 val instance_tile_counts : int list
 
-(** [build_registry ()] compiles every instance (expensive; share the
-    result across runs). *)
-val build_registry : unit -> Mlv_core.Registry.t
+(** [build_registry ()] compiles every instance into one mapping
+    database (expensive; share the result across runs). *)
+val build_registry : unit -> Mlv_core.Mapdb.t
 
 (** [instance_within ~need ~cap candidates] picks the smallest
     candidate covering [need] within [cap]; an oversized demand falls
@@ -344,5 +346,6 @@ val scale_out_shape : hidden:int -> nodes:int -> tiles:int -> int * int
     bit-identical to letting {!run} generate it. *)
 val workload : config -> Genset.task list
 
-(** [run ~registry config] plays the workload to completion. *)
-val run : registry:Mlv_core.Registry.t -> config -> result
+(** [run ~registry config] plays the workload to completion against
+    the accelerators of the mapping database [registry]. *)
+val run : registry:Mlv_core.Mapdb.t -> config -> result

@@ -13,16 +13,14 @@ val table1 : composition array
 (** [composition_name c] e.g. ["50%S+50%L"]. *)
 val composition_name : composition -> string
 
-(** The tenant of tasks from the single-stream generators (["-"]);
-    {!generate_tenants} stamps real tenant names. *)
-val default_tenant : string
-
 type task = {
   task_id : int;
   point : Deepbench.point;
   model_class : Sizes.model_class;
   arrival_us : float;  (** absolute arrival time *)
-  tenant : string;  (** {!default_tenant} unless multi-tenant *)
+  tenant : string;
+      (** ["-"] from the single-stream generators; {!generate_tenants}
+          stamps real tenant names *)
 }
 
 (** Arrival processes.  [Exponential] is a Poisson stream.  [Bursty]

@@ -29,22 +29,3 @@ let summarize = function
 let pp_summary ~unit_name fmt s =
   Format.fprintf fmt "n=%d mean=%.1f%s p50=%.1f p90=%.1f p95=%.1f p99=%.1f max=%.1f"
     s.count s.mean unit_name s.p50 s.p90 s.p95 s.p99 s.max
-
-let throughput_windows ~window completions =
-  if window <= 0.0 then invalid_arg "Metrics.throughput_windows: window must be positive";
-  match completions with
-  | [] -> []
-  | xs ->
-    let tbl = Hashtbl.create 16 in
-    List.iter
-      (fun t ->
-        let bucket = int_of_float (Float.max 0.0 t /. window) in
-        let cur = try Hashtbl.find tbl bucket with Not_found -> 0 in
-        Hashtbl.replace tbl bucket (cur + 1))
-      xs;
-    (* Emit every bucket up to the last observed one: omitting empty
-       windows inflates the mean throughput of gappy traces. *)
-    let max_bucket = Hashtbl.fold (fun b _ acc -> max acc b) tbl 0 in
-    List.init (max_bucket + 1) (fun b ->
-        ( float_of_int b *. window,
-          try Hashtbl.find tbl b with Not_found -> 0 ))

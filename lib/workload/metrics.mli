@@ -17,12 +17,3 @@ val summarize : float list -> summary option
 (** [pp_summary ~unit_name fmt s] renders one line, e.g.
     ["n=120 mean=3.2ms p50=2.9 p95=7.7 p99=9.0 max=9.4"]. *)
 val pp_summary : unit_name:string -> Format.formatter -> summary -> unit
-
-(** [throughput_windows ~window completions] buckets completion
-    timestamps into fixed windows and returns (window start, count)
-    pairs — the time series behind a throughput plot.  Every window
-    from 0 to the last observed completion is present, including
-    zero-count ones, so averaging the counts gives the true mean
-    throughput over gappy traces.
-    @raise Invalid_argument if [window <= 0]. *)
-val throughput_windows : window:float -> float list -> (float * int) list

@@ -9,7 +9,6 @@
 
 module Runtime = Mlv_core.Runtime
 module Mapdb = Mlv_core.Mapdb
-module Registry = Mlv_core.Registry
 module Cluster = Mlv_cluster.Cluster
 module Node = Mlv_cluster.Node
 module Device = Mlv_fpga.Device
@@ -76,7 +75,7 @@ let try_assign rt ~target_kind (pieces : Mapdb.piece_plan list) =
    or [None] where it would refuse. *)
 let assign rt ~accel =
   let policy = Runtime.policy rt in
-  match Registry.plan (Runtime.registry rt) accel with
+  match Mapdb.find (Runtime.registry rt) accel with
   | None -> None
   | Some plan ->
     let levels =

@@ -7,7 +7,7 @@ module Pattern = Mlv_core.Pattern
 module Decompose = Mlv_core.Decompose
 module Partition = Mlv_core.Partition
 module Mapping = Mlv_core.Mapping
-module Registry = Mlv_core.Registry
+module Mapdb = Mlv_core.Mapdb
 module Runtime = Mlv_core.Runtime
 module Scale_out = Mlv_core.Scale_out
 module Defrag = Mlv_core.Defrag
@@ -676,21 +676,28 @@ let test_registry_pinned () =
 
 let test_registry () =
   let npu = Lazy.force npu_result in
-  let r = Registry.create () in
-  Registry.register r npu.Framework.mapping;
-  Alcotest.(check (list string)) "names" [ "npu-t6" ] (Registry.names r);
-  Alcotest.(check bool) "find" true (Registry.find r "npu-t6" <> None);
-  Alcotest.(check bool) "missing" true (Registry.find r "ghost" = None);
-  let opts = Registry.deployment_options r "npu-t6" in
-  Alcotest.(check bool) "fewest first" true
-    (List.length (List.hd opts) <= List.length (List.nth opts 1))
+  let r = Mapdb.create () in
+  Mapdb.register r npu.Framework.mapping;
+  Alcotest.(check (list string)) "names" [ "npu-t6" ] (Mapdb.names r);
+  Alcotest.(check bool) "missing" true (Mapdb.find r "ghost" = None);
+  match Mapdb.find r "npu-t6" with
+  | None -> Alcotest.fail "npu-t6 not found"
+  | Some plan ->
+    Alcotest.(check string) "find" "npu-t6" plan.Mapdb.mapping.Mapping.accel_name;
+    let sizes =
+      List.map
+        (fun (lp : Mapdb.level_plan) -> List.length lp.Mapdb.pieces)
+        (Mapdb.levels plan ~fewest_first:true ~whole_device:false)
+    in
+    Alcotest.(check bool) "several levels" true (List.length sizes > 1);
+    Alcotest.(check (list int)) "fewest first" (List.sort compare sizes) sizes
 
 (* ---------------- Runtime ---------------- *)
 
 let runtime_fixture policy =
   let npu = Lazy.force npu_result in
-  let registry = Registry.create () in
-  Registry.register registry npu.Framework.mapping;
+  let registry = Mapdb.create () in
+  Mapdb.register registry npu.Framework.mapping;
   let cluster = Cluster.create () in
   (Runtime.create ~policy cluster registry, cluster)
 
@@ -740,8 +747,8 @@ let test_runtime_multi_fpga () =
   match Framework.build_npu ~tiles:32 () with
   | Error e -> Alcotest.fail e
   | Ok npu ->
-    let registry = Registry.create () in
-    Registry.register registry npu.Framework.mapping;
+    let registry = Mapdb.create () in
+    Mapdb.register registry npu.Framework.mapping;
     let cluster = Cluster.create () in
     let rt = Runtime.create ~policy:Runtime.greedy cluster registry in
     (match Runtime.deploy rt ~accel:"npu-t32" with
@@ -759,8 +766,8 @@ let test_runtime_restricted_same_type () =
   match Framework.build_npu ~tiles:32 () with
   | Error e -> Alcotest.fail e
   | Ok npu ->
-    let registry = Registry.create () in
-    Registry.register registry npu.Framework.mapping;
+    let registry = Mapdb.create () in
+    Mapdb.register registry npu.Framework.mapping;
     let cluster = Cluster.create () in
     let rt = Runtime.create ~policy:Runtime.restricted cluster registry in
     (match Runtime.deploy rt ~accel:"npu-t32" with
@@ -1086,10 +1093,10 @@ let test_runtime_rebalance_defragments () =
      fragment it, and show a large instance only fits after
      rebalancing. *)
   let npu6 = Lazy.force npu_result in
-  let registry = Registry.create () in
-  Registry.register registry npu6.Framework.mapping;
+  let registry = Mapdb.create () in
+  Mapdb.register registry npu6.Framework.mapping;
   (match Framework.build_npu ~tiles:21 () with
-  | Ok npu21 -> Registry.register registry npu21.Framework.mapping
+  | Ok npu21 -> Mapdb.register registry npu21.Framework.mapping
   | Error e -> Alcotest.fail e);
   let cluster = Cluster.create () in
   let rt = Runtime.create ~policy:Runtime.greedy cluster registry in
@@ -1158,7 +1165,7 @@ let test_runtime_rebalance_rollback () =
   let free_before = per_node_free rt in
   let nodes_before = List.map Runtime.nodes_used ds in
   (* make every redeploy fail mid-rebalance *)
-  Registry.remove (Runtime.registry rt) "npu-t6";
+  Mapdb.remove (Runtime.registry rt) "npu-t6";
   let failed = Obs.Counter.get "runtime.migrate.fail" in
   let failed_before = Obs.Counter.value failed in
   (match rebalance rt with
@@ -1583,8 +1590,8 @@ let prop_runtime_conservation =
 
 let test_fragmentation_shapes_agree () =
   let npu = Lazy.force npu_result in
-  let registry = Registry.create () in
-  Registry.register registry npu.Framework.mapping;
+  let registry = Mapdb.create () in
+  Mapdb.register registry npu.Framework.mapping;
   let rt = Runtime.create ~policy:Runtime.greedy (Cluster.create ()) registry in
   let agree label =
     Alcotest.(check (float 1e-12))
@@ -1619,8 +1626,8 @@ let test_fragmentation_shapes_agree () =
    stragglers until at least one frees up. *)
 let fragment_fixture () =
   let npu = Lazy.force npu_result in
-  let registry = Registry.create () in
-  Registry.register registry npu.Framework.mapping;
+  let registry = Mapdb.create () in
+  Mapdb.register registry npu.Framework.mapping;
   let rt = Runtime.create ~policy:Runtime.greedy (Cluster.create ()) registry in
   let ds =
     List.init 7 (fun _ ->
@@ -1659,8 +1666,8 @@ let test_defrag_compacts () =
 let test_defrag_gates () =
   (* below the threshold a pass is a no-op *)
   let npu = Lazy.force npu_result in
-  let registry = Registry.create () in
-  Registry.register registry npu.Framework.mapping;
+  let registry = Mapdb.create () in
+  Mapdb.register registry npu.Framework.mapping;
   let empty = Runtime.create ~policy:Runtime.greedy (Cluster.create ()) registry in
   let cfg = Defrag.config () in
   Alcotest.(check bool) "empty cluster below threshold" false
@@ -1852,8 +1859,8 @@ endmodule
       Mapping.compile ~iterations:1 ~name:"farm" ~control:r.Decompose.control
         ~data:r.Decompose.data ()
     in
-    let registry = Registry.create () in
-    Registry.register registry mapping;
+    let registry = Mapdb.create () in
+    Mapdb.register registry mapping;
     let cluster = Cluster.create () in
     let rt = Runtime.create ~policy:Runtime.greedy cluster registry in
     (match Runtime.deploy rt ~accel:"farm" with

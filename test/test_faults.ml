@@ -5,7 +5,7 @@
 module Fault_plan = Mlv_cluster.Fault_plan
 module Sim = Mlv_cluster.Sim
 module Cluster = Mlv_cluster.Cluster
-module Registry = Mlv_core.Registry
+module Mapdb = Mlv_core.Mapdb
 module Runtime = Mlv_core.Runtime
 module Framework = Mlv_core.Framework
 module Obs = Mlv_obs.Obs
@@ -142,8 +142,8 @@ let runtime_fixture () =
     | Ok npu -> npu
     | Error e -> Alcotest.failf "npu build failed: %s" e
   in
-  let registry = Registry.create () in
-  Registry.register registry npu.Framework.mapping;
+  let registry = Mapdb.create () in
+  Mapdb.register registry npu.Framework.mapping;
   let cluster = Cluster.create () in
   (Runtime.create ~policy:Runtime.greedy cluster registry, cluster)
 

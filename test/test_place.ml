@@ -6,7 +6,6 @@
 
 module Mapping = Mlv_core.Mapping
 module Mapdb = Mlv_core.Mapdb
-module Registry = Mlv_core.Registry
 module Runtime = Mlv_core.Runtime
 module Framework = Mlv_core.Framework
 module Hypervisor = Mlv_core.Hypervisor
@@ -46,7 +45,7 @@ let test_shape_key () =
 
 let test_mapdb_plan () =
   let r = Lazy.force registry in
-  match Registry.plan r "npu-t21" with
+  match Mapdb.find r "npu-t21" with
   | None -> Alcotest.fail "npu-t21 not registered"
   | Some plan ->
     let counts = List.map (fun lp -> lp.Mapdb.piece_count) plan.Mapdb.fewest_first in
@@ -226,6 +225,125 @@ let test_churn_invariant () =
   Alcotest.(check bool) "index consistent after drain" true (Runtime.index_consistent rt);
   Alcotest.(check int) "no leaked virtual blocks" total0 (Cluster.total_free_vbs cluster)
 
+(* ---------------- feasibility ---------------- *)
+
+module Obs = Mlv_obs.Obs
+
+let full_registry = lazy (Mlv_sysim.Sysim.build_registry ())
+let policies = [ Runtime.greedy; Runtime.restricted; Runtime.baseline; Runtime.first_fit ]
+
+let shapes =
+  [
+    ("paper cluster", Cluster.paper_kinds);
+    ("lone XCKU115", [ Device.XCKU115 ]);
+    ("lone XCVU37P", [ Device.XCVU37P ]);
+    ("two XCKU115", [ Device.XCKU115; Device.XCKU115 ]);
+  ]
+
+let fresh_runtime policy kinds =
+  Runtime.create ~policy (Cluster.create ~kinds ()) (Lazy.force full_registry)
+
+(* Accelerators up to [last] in registration-size order. *)
+let upto last =
+  List.filter_map
+    (fun tiles -> if tiles <= last then Some (Framework.accel_name ~tiles) else None)
+    Mlv_sysim.Sysim.instance_tile_counts
+
+(* [feasible] is exactly "deploy succeeds on a fresh runtime over a
+   fresh cluster of that shape", for every accelerator, policy and
+   shape; the answers for the small shapes are pinned. *)
+let test_feasible_differential () =
+  let names = Mapdb.names (Lazy.force full_registry) in
+  List.iter
+    (fun (shape, kinds) ->
+      List.iter
+        (fun policy ->
+          let ctx = shape ^ " / " ^ policy.Runtime.policy_name in
+          let rt = fresh_runtime policy kinds in
+          let feasible = List.filter (fun accel -> Runtime.feasible rt ~accel) names in
+          List.iter
+            (fun accel ->
+              let deploys =
+                Result.is_ok (Runtime.deploy (fresh_runtime policy kinds) ~accel)
+              in
+              Alcotest.(check bool)
+                (ctx ^ ": " ^ accel ^ " feasible iff a fresh deploy succeeds")
+                deploys (List.mem accel feasible))
+            names;
+          let pinned =
+            match (shape, policy.Runtime.policy_name) with
+            | "lone XCKU115", _ -> Some (upto 13)
+            | "lone XCVU37P", _ -> Some (upto 21)
+            | "two XCKU115", "baseline" -> Some (upto 13)
+            | "two XCKU115", ("greedy" | "restricted") -> Some (upto 21)
+            | _ -> None
+          in
+          Option.iter
+            (fun want ->
+              Alcotest.(check (list string)) (ctx ^ ": pinned") (List.sort compare want)
+                feasible)
+            pinned)
+        policies)
+    shapes;
+  Alcotest.(check bool) "unknown accelerator" false
+    (Runtime.feasible (fresh_runtime Runtime.greedy Cluster.paper_kinds) ~accel:"ghost")
+
+(* Asking a busy runtime changes nothing anyone can observe: no
+   counter, histogram or span, the index and the live set, and the id
+   the next deployment gets. *)
+let test_feasible_no_side_effects () =
+  Obs.reset ();
+  let rt = fresh_runtime Runtime.greedy [ Device.XCKU115; Device.XCKU115 ] in
+  let placed =
+    List.filter_map
+      (fun accel -> Result.to_option (Runtime.deploy rt ~accel))
+      [ "npu-t6"; "npu-t4"; "npu-t6" ]
+  in
+  Runtime.mark_node_failed rt 1;
+  let observed () =
+    ( Obs.counters (),
+      List.map (fun (n, h) -> (n, Obs.Histogram.count h)) (Obs.histograms ()),
+      List.length (Obs.spans ()),
+      Runtime.index_consistent rt,
+      List.map (fun (d : Runtime.deployment) -> (d.Runtime.id, Runtime.nodes_used d))
+        (Runtime.deployments rt) )
+  in
+  let before = observed () in
+  let answers =
+    List.map
+      (fun accel -> Runtime.feasible rt ~accel)
+      (Mapdb.names (Lazy.force full_registry))
+  in
+  Alcotest.(check int) "busy: three live deployments" 3 (List.length placed);
+  Alcotest.(check bool) "something is feasible" true (List.mem true answers);
+  Alcotest.(check bool) "something is not" true (List.mem false answers);
+  Alcotest.(check bool) "nothing observable moved" true (before = observed ());
+  Alcotest.(check bool) "index consistent" true (Runtime.index_consistent rt);
+  Runtime.restore_node rt 1;
+  Runtime.undeploy rt (List.hd placed);
+  match Runtime.deploy rt ~accel:(List.hd placed).Runtime.accel with
+  | Error e -> Alcotest.fail e
+  | Ok d ->
+    Alcotest.(check int) "next deployment id" (List.length placed) d.Runtime.id
+
+(* The memo belongs to the registered plan: re-registering an
+   accelerator under the same name asks again. *)
+let test_feasible_reregistered () =
+  let r = Mapdb.create () in
+  let rt = Runtime.create ~policy:Runtime.greedy (Cluster.create ~kinds:[ Device.XCKU115 ] ()) r in
+  let plan tiles =
+    match Mapdb.find (Lazy.force full_registry) (Framework.accel_name ~tiles) with
+    | Some p -> p.Mapdb.mapping
+    | None -> Alcotest.failf "npu-t%d not registered" tiles
+  in
+  Alcotest.(check bool) "unknown" false (Runtime.feasible rt ~accel:"npu-t6");
+  Mapdb.register r (plan 6);
+  Alcotest.(check bool) "registered" true (Runtime.feasible rt ~accel:"npu-t6");
+  Mapdb.register r { (plan 42) with Mapping.accel_name = "npu-t6" };
+  Alcotest.(check bool) "re-registered too large" false (Runtime.feasible rt ~accel:"npu-t6");
+  Mapdb.remove r "npu-t6";
+  Alcotest.(check bool) "removed" false (Runtime.feasible rt ~accel:"npu-t6")
+
 let () =
   Alcotest.run "place"
     [
@@ -243,4 +361,10 @@ let () =
         ] );
       ( "churn",
         [ Alcotest.test_case "index never drifts" `Quick test_churn_invariant ] );
+      ( "feasible",
+        [
+          Alcotest.test_case "fresh-deploy differential" `Quick test_feasible_differential;
+          Alcotest.test_case "no side effects" `Quick test_feasible_no_side_effects;
+          Alcotest.test_case "re-registered" `Quick test_feasible_reregistered;
+        ] );
     ]

@@ -10,7 +10,7 @@ module Autoscaler = Mlv_sched.Autoscaler
 module Sysim = Mlv_sysim.Sysim
 module Runtime = Mlv_core.Runtime
 module Defrag = Mlv_core.Defrag
-module Registry = Mlv_core.Registry
+module Mapdb = Mlv_core.Mapdb
 module Framework = Mlv_core.Framework
 module Cluster = Mlv_cluster.Cluster
 module Fault_plan = Mlv_cluster.Fault_plan
@@ -1200,9 +1200,9 @@ let test_preemption_vs_shed_only () =
 
 (* A small registry the single-device cluster can host a few of. *)
 let toy_registry () =
-  let r = Registry.create () in
+  let r = Mapdb.create () in
   (match Framework.build_npu ~tiles:6 () with
-  | Ok npu -> Registry.register r npu.Framework.mapping
+  | Ok npu -> Mapdb.register r npu.Framework.mapping
   | Error e -> Alcotest.fail e);
   r
 

@@ -14,7 +14,6 @@ module Mapcache = Mlv_serve.Mapcache
 module Trace_file = Mlv_serve.Trace_file
 module Genset = Mlv_workload.Genset
 module Mapdb = Mlv_core.Mapdb
-module Registry = Mlv_core.Registry
 module Runtime = Mlv_core.Runtime
 module Sysim = Mlv_sysim.Sysim
 module Autoscaler = Mlv_sched.Autoscaler
@@ -289,10 +288,10 @@ let test_diurnal_deterministic_and_flash_dense () =
 
 let test_shape_signature_separates_registry () =
   let registry = Lazy.force registry in
-  let names = Registry.names registry in
+  let names = Mapdb.names registry in
   let sigs =
     List.filter_map
-      (fun n -> Option.map (fun p -> (n, Mapdb.shape_signature p)) (Registry.plan registry n))
+      (fun n -> Option.map (fun p -> (n, Mapdb.shape_signature p)) (Mapdb.find registry n))
       names
   in
   Alcotest.(check bool) "registry exposes plans" true (List.length sigs >= 10);
@@ -304,7 +303,7 @@ let test_shape_signature_separates_registry () =
       List.iter
         (fun (n2, s2) ->
           if n1 < n2 && s1 = s2 then
-            match (Registry.plan registry n1, Registry.plan registry n2) with
+            match (Mapdb.find registry n1, Mapdb.find registry n2) with
             | Some p1, Some p2 ->
               let shape (p : Mapdb.plan) =
                 ( List.length p.Mapdb.fewest_first,

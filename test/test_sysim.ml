@@ -15,7 +15,7 @@ let run ?(tasks = 40) policy set =
   Sysim.run ~registry:(Lazy.force registry) { cfg with Sysim.tasks }
 
 let test_instances_registered () =
-  let names = Mlv_core.Registry.names (Lazy.force registry) in
+  let names = Mlv_core.Mapdb.names (Lazy.force registry) in
   Alcotest.(check int) "10 instances" 10 (List.length names);
   Alcotest.(check bool) "has t21" true (List.mem "npu-t21" names)
 
@@ -285,6 +285,72 @@ let test_undeployable_head_rejected () =
   Alcotest.(check bool) "some rejected" true (r.Sysim.rejected > 0);
   Alcotest.(check int) "all accounted" 5 (r.Sysim.completed + r.Sysim.rejected);
   Alcotest.(check int) "none lost" 0 r.Sysim.lost
+
+(* A lone XCVU37P under greedy: npu-t6 fits twice, npu-t32 and
+   npu-t42 never fit.  [replay_tasks] replays [(point, arrival)] in
+   order. *)
+let small_point = { Deepbench.kind = Codegen.Gru; hidden = 512; timesteps = 1 }
+let large_point = { Deepbench.kind = Codegen.Gru; hidden = 2560; timesteps = 100 }
+
+let replay_cfg ?serving tasks =
+  let cfg =
+    Sysim.default_config ~policy:Runtime.greedy ~composition:{ Genset.s = 1.0; m = 0.0; l = 0.0 }
+  in
+  {
+    cfg with
+    Sysim.tasks = List.length tasks;
+    cluster_kinds = [ Device.XCVU37P ];
+    serving;
+    replay =
+      Some
+        (List.mapi
+           (fun task_id (point, arrival_us) ->
+             {
+               Genset.task_id;
+               point;
+               model_class = Mlv_workload.Sizes.S;
+               arrival_us;
+               tenant = "-";
+             })
+           tasks);
+  }
+
+let test_infeasible_head_rejected_at_once () =
+  (* The middle task can never deploy: it is rejected on arrival, and
+     the task behind it starts on arrival on the node's free half
+     instead of waiting for the first task to finish. *)
+  let accel point =
+    Mlv_core.Framework.accel_name ~tiles:(Sysim.instance_for ~policy:Runtime.greedy point)
+  in
+  Alcotest.(check string) "small point" "npu-t6" (accel small_point);
+  Alcotest.(check bool) "large point" true
+    (List.mem (accel large_point) [ "npu-t32"; "npu-t42" ]);
+  let r =
+    Sysim.run ~registry:(Lazy.force registry)
+      (replay_cfg [ (small_point, 0.0); (large_point, 1.0); (small_point, 2.0) ])
+  in
+  Alcotest.(check int) "rejected" 1 r.Sysim.rejected;
+  Alcotest.(check int) "completed" 2 r.Sysim.completed;
+  Alcotest.(check (float 0.0)) "nobody waited" 0.0 r.Sysim.mean_wait_us
+
+let test_serving_infeasible_reclaims_nothing () =
+  (* Autoscaled serving: a request for an accelerator that can never
+     deploy is rejected without tearing down the warm, idle npu-t6
+     replica first. *)
+  let first =
+    Sysim.run ~registry:(Lazy.force registry)
+      (replay_cfg ~serving:Sysim.default_serving [ (small_point, 0.0) ])
+  in
+  Mlv_obs.Obs.reset ();
+  let r =
+    Sysim.run ~registry:(Lazy.force registry)
+      (replay_cfg ~serving:Sysim.default_serving
+         [ (small_point, 0.0); (large_point, first.Sysim.makespan_us +. 1.0) ])
+  in
+  Alcotest.(check int) "completed" 1 r.Sysim.completed;
+  Alcotest.(check int) "rejected" 1 r.Sysim.rejected;
+  Alcotest.(check int) "nothing reclaimed" 0
+    Mlv_obs.Obs.Counter.(value (get "sysim.serving.reclaimed"))
 
 let test_late_crash_does_not_perturb () =
   (* a fault plan firing after the last completion must not change the
@@ -649,9 +715,7 @@ let pin_serving_cfg () =
   }
 
 (* A run stamps its lifecycle events with its own sim clock from the
-   first arrival to the last completion, even though the serving
-   loop's preemption feasibility probe builds a scratch cluster (and
-   simulator) mid-run. *)
+   first arrival to the last completion, preemptions included. *)
 let test_trace_clock_owned_by_run () =
   let r, _ = traced_run (pin_serving_cfg ()) in
   Alcotest.(check bool) "the run preempts" true (r.Sysim.preemptions > 0);
@@ -675,6 +739,23 @@ let test_trace_clock_owned_by_run () =
   Alcotest.(check (float 0.0)) "last Complete stamp is the makespan"
     r.Sysim.makespan_us last_complete
 
+(* Every deploy span of a preempting run comes from the run's own
+   runtime: deciding whether an eviction can help deploys nothing, so
+   no two spans share a deployment id. *)
+let test_deploy_spans_own_ids () =
+  let r, _ = traced_run (pin_serving_cfg ()) in
+  Alcotest.(check bool) "the run preempts" true (r.Sysim.preemptions > 0);
+  Alcotest.(check int) "no span dropped" 0 (Obs.dropped_spans ());
+  let ids =
+    List.filter_map
+      (fun (sp : Obs.span_record) ->
+        if sp.Obs.name = "deploy" then List.assoc_opt "deployment" sp.Obs.args else None)
+      (Obs.spans ())
+  in
+  Alcotest.(check bool) "some deploys" true (ids <> []);
+  Alcotest.(check int) "distinct deployment ids" (List.length ids)
+    (List.length (List.sort_uniq compare ids))
+
 (* Recorded before the two loops shared their setup, bookkeeping,
    telemetry and report code; any change to what a run registers,
    counts, traces or samples moves these. *)
@@ -687,7 +768,7 @@ let test_run_obs_pinned () =
       ("open loop, crash/restore, telemetry", pin_faulted_cfg,
         "be56b95c8bfca0ef35ebc370594ff740");
       ("multi-tenant serving, every feature", pin_serving_cfg,
-        "e8c745899e6b8707e68d302ea0b8c2f3");
+        "73f95b160e0dd1de2496a702a4bfa424");
     ]
 
 let test_wait_reasonable () =
@@ -797,6 +878,10 @@ let () =
             test_crash_without_capacity_rejects;
           Alcotest.test_case "undeployable head rejected" `Quick
             test_undeployable_head_rejected;
+          Alcotest.test_case "infeasible head rejected at once" `Quick
+            test_infeasible_head_rejected_at_once;
+          Alcotest.test_case "serving reclaims nothing for the infeasible" `Quick
+            test_serving_infeasible_reclaims_nothing;
           Alcotest.test_case "late crash does not perturb" `Quick
             test_late_crash_does_not_perturb;
           Alcotest.test_case "availability acceptance" `Quick
@@ -813,5 +898,7 @@ let () =
             test_run_obs_pinned;
           Alcotest.test_case "run owns its trace clock" `Quick
             test_trace_clock_owned_by_run;
+          Alcotest.test_case "deploy spans own their ids" `Quick
+            test_deploy_spans_own_ids;
         ] );
     ]

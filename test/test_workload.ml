@@ -195,20 +195,6 @@ let test_metrics_summary () =
 let test_metrics_empty () =
   Alcotest.(check bool) "none" true (Metrics.summarize [] = None)
 
-let test_metrics_windows () =
-  let completions = [ 0.5; 1.5; 1.7; 3.2 ] in
-  let windows = Metrics.throughput_windows ~window:1.0 completions in
-  (* the idle 2.0 window must appear with an explicit zero (regression:
-     gaps used to be silently dropped, skewing window-rate plots) *)
-  Alcotest.(check (list (pair (float 1e-9) int))) "buckets"
-    [ (0.0, 1); (1.0, 2); (2.0, 0); (3.0, 1) ]
-    windows;
-  Alcotest.(check bool) "bad window" true
-    (try
-       ignore (Metrics.throughput_windows ~window:0.0 [ 1.0 ]);
-       false
-     with Invalid_argument _ -> true)
-
 let () =
   Alcotest.run "workload"
     [
@@ -241,6 +227,5 @@ let () =
         [
           Alcotest.test_case "summary" `Quick test_metrics_summary;
           Alcotest.test_case "empty" `Quick test_metrics_empty;
-          Alcotest.test_case "throughput windows" `Quick test_metrics_windows;
         ] );
     ]
