@@ -150,7 +150,7 @@ let report ~preempt ?faults ?serving ?frontend set composition policy tasks seed
       s.Sysim.batch.Batcher.max_batch s.Sysim.batch.Batcher.max_linger_us
       (if s.Sysim.autoscale = None then "off" else "on");
     Printf.printf "  shed:            %d\n" r.Sysim.shed;
-    Printf.printf "  rejected:        %d\n" r.Sysim.rejected;
+    if faults = None then Printf.printf "  rejected:        %d\n" r.Sysim.rejected;
     Printf.printf "  batches:         %d\n" r.Sysim.batches;
     Printf.printf "  scale up/down:   %d/%d\n" r.Sysim.scale_ups r.Sysim.scale_downs;
     if preempt then
@@ -345,11 +345,7 @@ let run set policy tasks seed interarrival repeats compare fault_plan max_retrie
                    ~default:Sysim.default_telemetry.Sysim.scrape_interval_us;
              })
     in
-    if serving <> None && faults <> None then
-      Error
-        "serving flags (--batch/--slo/--autoscale/--preempt/--defrag) do not \
-         compose with --fault-plan"
-    else if tenants < 0 then Error "--tenants must be non-negative"
+    if tenants < 0 then Error "--tenants must be non-negative"
     else if tenants > tasks then Error "--tenants cannot exceed --tasks"
     else if preempt && tenants < 2 then
       Error "--preempt needs --tenants >= 2 (the first tenant gets priority)"
@@ -361,10 +357,6 @@ let run set policy tasks seed interarrival repeats compare fault_plan max_retrie
       Error
         "--replay carries its own tenant names; it does not compose with \
          --tenants"
-    else if frontend <> None && faults <> None then
-      Error
-        "front-door flags (--sessions/--mapping-cache/--predict) do not \
-         compose with --fault-plan"
     else Ok (faults, arrival, serving, telemetry, frontend)
   in
   match parsed with

@@ -157,8 +157,8 @@ let generate_tasks ~rng cfg =
     | loads ->
       Genset.generate_tenants ~seed:cfg.seed ~composition:cfg.composition loads)
 
-(* The exact task stream [run] will play for this config: both loops
-   generate from a fresh seed-derived stream before consuming any
+(* The exact task stream [run] will play for this config: a run
+   generates from a fresh seed-derived stream before consuming any
    other randomness, so recording this workload and replaying it is
    bit-identical to letting [run] generate it. *)
 let workload cfg = generate_tasks ~rng:(Rng.create cfg.seed) cfg
@@ -378,7 +378,7 @@ let memo tbl key make =
 (* Modeled service time of one deployed inference task, keyed by the
    model inputs themselves: the point, the device kind and counts read
    off the placements in one pass, so a hit allocates only the key
-   tuple.  The serving and open loops share it. *)
+   tuple. *)
 let service_cache :
     (Deepbench.point * int * int * Device.kind * float * float * bool, float) Hashtbl.t =
   Hashtbl.create 64
@@ -469,20 +469,8 @@ let service_latency_us ~policy ~added_latency_us (point : Deepbench.point)
     Hashtbl.replace service_cache key v;
     v
 
-type pending = {
-  task : Genset.task;
-  accel : string;
-  mutable retries : int;
-  mutable ready_us : float;
-      (* when this attempt entered the queue: arrival for the first
-         attempt, re-queue time after a crash retry *)
-}
-
-(* An in-service task: enough to interrupt it when its node dies. *)
-type inflight = { pend : pending; depl : Runtime.deployment }
-
 (* Put [xs] at the front of [q], in order: re-queued work is the
-   oldest, and FIFO order must survive a crash retry or an eviction. *)
+   oldest, and lane order must survive a crash retry or an eviction. *)
 let push_front q xs =
   let tmp = Queue.create () in
   List.iter (fun x -> Queue.add x tmp) xs;
@@ -491,9 +479,8 @@ let push_front q xs =
 
 (* Deployment dimensions for labeled metrics and lifecycle events:
    the primary (lowest-numbered) node and the device kind of the first
-   placement.  This runs per open-loop task and per serving batch, so
-   it takes the minimum node id in one pass instead of sorting the
-   node list for its head. *)
+   placement.  This runs per batch, so it takes the minimum node id in
+   one pass instead of sorting the node list for its head. *)
 let deployment_dims (d : Runtime.deployment) =
   match d.Runtime.placements with
   | [] -> (None, "none")
@@ -505,12 +492,13 @@ let deployment_dims (d : Runtime.deployment) =
     in
     (Some node, Device.kind_name p.Runtime.bitstream.Mlv_vital.Bitstream.device)
 
-(* Closed-loop serving state.  Requests for the same accelerator
-   instance form a group; a group owns replicas (live deployments kept
-   warm across batches) and a backlog of batches that could not be
-   placed yet. *)
+(* Dispatch state.  Requests for the same accelerator instance form a
+   group; a group owns replicas (live deployments, kept warm across
+   batches when serving) and waits in a lane for a replica when none
+   can take its batch. *)
 type stask = {
   s_task : Genset.task;
+  s_group : sgroup;  (* the group of the accelerator it asks for *)
   s_deadline_us : float;  (* class SLO deadline; 0 = multiplier rule *)
   s_session : Session.session option;
       (* front-door session (sticky routing, in-order delivery);
@@ -519,9 +507,13 @@ type stask = {
   s_compile_us : float;
       (* mapping-compilation time this request pays (cache miss);
          0 on a hit or without a mapping cache *)
+  mutable s_retries : int;  (* crash interruptions survived so far *)
+  mutable s_ready_us : float;
+      (* when this attempt entered its lane: arrival for the first
+         attempt, re-queue time after a crash retry *)
 }
 
-type replica = {
+and replica = {
   r_id : int;
   r_depl : Runtime.deployment;
   r_queue : stask list Queue.t;  (* batches assigned, not yet started *)
@@ -529,18 +521,18 @@ type replica = {
   mutable r_fresh : bool;  (* reconfiguration not yet charged *)
   mutable r_idle_since : float;
   mutable r_epoch : int;
-      (* bumped when a preemption cancels the in-flight batch, so the
-         already-scheduled completion event recognizes it is void *)
+      (* bumped when a preemption or a crash voids the in-flight batch,
+         so the already-scheduled completion event recognizes it is
+         void *)
   mutable r_inflight : stask list;  (* the batch currently in service *)
 }
 
-type sgroup = {
+and sgroup = {
   g_accel : string;
   g_tracker : Autoscaler.tracker;
   mutable g_replicas : replica list;  (* creation order *)
   g_by_id : (int, replica) Hashtbl.t;  (* g_replicas by id *)
-  g_backlog : stask list Queue.t;  (* batches with no replica to run on *)
-  mutable g_backlog_tasks : int;  (* Σ batch sizes across g_backlog *)
+  g_lane : lane;  (* where its batches wait for a replica *)
   mutable g_assigned_tasks : int;  (* Σ batch sizes across replica queues *)
   mutable g_priority : int;
       (* highest tl_priority among tenants that routed work here — the
@@ -554,6 +546,16 @@ type sgroup = {
   g_rate_s : Series.t option;
       (* serve.arrivals.rate{accel=..}: the per-tick admitted-arrival
          rate the forecaster consumes (predictive mode only) *)
+}
+
+(* Batches that found no replica to run on, oldest first.  Serving
+   gives every group a lane of its own; the open loop's FIFO policy
+   shares one lane among all groups, so a refused head blocks every
+   request behind it (Fig. 12's head-of-line rule). *)
+and lane = {
+  l_key : string;  (* lanes are pumped in key order *)
+  l_batches : stask list Queue.t;
+  mutable l_tasks : int;  (* Σ batch sizes across l_batches *)
 }
 
 (* The replica selection every eviction shares: over the [groups] not
@@ -586,14 +588,44 @@ let least_replica ~skip ~eligible ~less = function
   | g :: gs -> first_in skip eligible less gs g (if skip g then [] else g.g_replicas)
 
 (* ------------------------------------------------------------------ *)
-(* Run skeleton: what the open loop and the serving loop share         *)
+(* Run skeleton                                                        *)
 (* ------------------------------------------------------------------ *)
 
-(* The state both loops run on: the cluster they drive, the task
-   stream, the tallies every task ends in and the metric handles the
-   per-task paths emit through.  Each loop keeps its own dispatch
-   state (a FIFO and an in-flight table, or replica groups) beside
-   it. *)
+(* Samples kept for an exact mean, unboxed in a growable array: one
+   word per sample where a list spends five.  [mean] sums newest first,
+   the order [Stats.mean] sums a list built by consing, so it is
+   bit-identical to that list's mean. *)
+module Samples = struct
+  type t = { mutable a : Float.Array.t; mutable n : int }
+
+  let create () = { a = Float.Array.create 256; n = 0 }
+
+  let add t x =
+    if t.n = Float.Array.length t.a then begin
+      let b = Float.Array.create (2 * t.n) in
+      Float.Array.blit t.a 0 b 0 t.n;
+      t.a <- b
+    end;
+    Float.Array.set t.a t.n x;
+    t.n <- t.n + 1
+
+  let count t = t.n
+
+  let mean t =
+    if t.n = 0 then 0.0
+    else begin
+      let sum = ref 0.0 in
+      for i = t.n - 1 downto 0 do
+        sum := !sum +. Float.Array.get t.a i
+      done;
+      !sum /. float_of_int t.n
+    end
+end
+
+(* The state a run drives: the cluster, the task stream, the tallies
+   every task ends in and the metric handles the per-task paths emit
+   through.  The dispatch loop keeps its groups, lanes and replicas
+   beside it. *)
 type run = {
   cfg : config;
   cluster : Cluster.t;
@@ -618,13 +650,15 @@ type run = {
   sojourn_h : Obs.Histogram.t;
   mutable completed : int;
   mutable rejected : int;
-  mutable shed : int;  (* serving only: turned away at the gate *)
-  mutable preempted : int;  (* serving only: in-flight work evicted *)
+  mutable shed : int;  (* turned away at the gate *)
+  mutable preempted : int;  (* in-flight work evicted *)
+  mutable retried : int;  (* crash interruptions re-queued *)
   mutable slo_misses : int;
   mutable completed_in_outage : int;  (* completions while a node was down *)
   mutable latencies : float list;
-  mutable waits : float list;
-  mutable services : float list;
+  waits : Samples.t;  (* end to end, one per completion *)
+  attempt_waits : Samples.t;  (* one per service start *)
+  services : Samples.t;
   mutable peak_queue : int;
   mutable makespan : float;
   mutable sojourn_s : Series.t option;  (* sysim.sojourn_us.p99, telemetry on *)
@@ -674,11 +708,13 @@ let setup ~registry cfg =
     rejected = 0;
     shed = 0;
     preempted = 0;
+    retried = 0;
     slo_misses = 0;
     completed_in_outage = 0;
     latencies = [];
-    waits = [];
-    services = [];
+    waits = Samples.create ();
+    attempt_waits = Samples.create ();
+    services = Samples.create ();
     peak_queue = 0;
     makespan = 0.0;
     sojourn_s = None;
@@ -687,7 +723,7 @@ let setup ~registry cfg =
 
 let tally_of run tenant = if run.multi then List.assoc_opt tenant run.tallies else None
 
-(* Tasks that ended one way or another; the serving ticks stop once
+(* Tasks that ended one way or another; the periodic ticks stop once
    every task has. *)
 let unfinished run = run.completed + run.rejected + run.shed + run.preempted < run.ntasks
 
@@ -706,32 +742,25 @@ let arrive run (task : Genset.task) =
   Obs.Trace.task Obs.Trace.Arrive task.Genset.task_id ~label:accel;
   accel
 
-let reject run (task : Genset.task) ?retries ~label () =
+let reject run (task : Genset.task) ~retries ~label =
   run.rejected <- run.rejected + 1;
   Obs.Counter.incr run.rejected_c;
   (match tally_of run task.Genset.tenant with
   | Some t -> t.tt_rejected <- t.tt_rejected + 1
   | None -> ());
-  Obs.Trace.task Obs.Trace.Reject task.Genset.task_id ?retries ~label
+  Obs.Trace.task Obs.Trace.Reject task.Genset.task_id ~retries ~label
 
-(* Deploy [accel], classifying a refusal: [`Dead] when the
-   accelerator can never deploy on this cluster ({!Runtime.feasible}),
-   so waiting is pointless, [`Full] when freed or restored capacity
-   may still let it in. *)
-let place run accel =
-  match Runtime.deploy run.runtime ~accel with
-  | Ok d -> `Ok d
-  | Error _ -> if Runtime.feasible run.runtime ~accel then `Full else `Dead
-
-(* Service start: trace the deploy, record the attempt's wait and the
-   task's service time, trace the service. *)
-let start run (task : Genset.task) ~attempt_wait ~service ?node ~deployment ?retries
+(* Service start: trace the deploy, record the attempt's wait (from
+   when this attempt entered its lane) and the task's service time,
+   trace the service. *)
+let start run (task : Genset.task) ~attempt_wait ~service ?node ~deployment ~retries
     ~label () =
-  Obs.Trace.task Obs.Trace.Deploy task.Genset.task_id ?node ~deployment ?retries ~label;
+  Obs.Trace.task Obs.Trace.Deploy task.Genset.task_id ?node ~deployment ~retries ~label;
+  Samples.add run.attempt_waits attempt_wait;
   Obs.Histogram.observe run.wait_attempt_h attempt_wait;
-  run.services <- service :: run.services;
+  Samples.add run.services service;
   Obs.Histogram.observe run.service_h service;
-  Obs.Trace.task Obs.Trace.Service task.Genset.task_id ?node ~deployment ?retries ~label
+  Obs.Trace.task Obs.Trace.Service task.Genset.task_id ?node ~deployment ~retries ~label
 
 (* Labeled series are interned by (name, labels); caching the handles
    per dimension value keeps completions from building label lists. *)
@@ -741,13 +770,18 @@ let completed_on_node n =
 let sojourn_of_kind kind =
   Obs.Histogram.get_labeled "sysim.task_sojourn_us" [ ("kind", kind) ]
 
-(* Completion at [finished] on a deployment whose dims are [node] and
-   [kind]: count the task, record its sojourn in the latency list, the
-   sojourn histograms and the p99 series, trace it, check it against
-   [deadline_us] and charge its tenant.  Returns the sojourn for the
-   loop's own observers. *)
-let complete run (task : Genset.task) ~finished ~deadline_us ?node ~kind ~deployment
-    ?retries ~label () =
+(* Completion at [finished] of a service that started at [started], on
+   a deployment whose dims are [node] and [kind]: count the task,
+   record its end-to-end wait (from its original arrival, so every
+   round of queueing of a retried task lands in one entry), record its
+   sojourn in the latency list, the sojourn histograms and the p99
+   series, trace it, check it against [deadline_us] and charge its
+   tenant.  Returns the sojourn. *)
+let complete run (task : Genset.task) ~started ~finished ~deadline_us ?node ~kind
+    ~deployment ~retries ~label () =
+  let wait = started -. task.Genset.arrival_us in
+  Samples.add run.waits wait;
+  Obs.Histogram.observe run.wait_h wait;
   run.completed <- run.completed + 1;
   Obs.Counter.incr run.completed_c;
   if Runtime.failed_count run.runtime > 0 then
@@ -762,7 +796,7 @@ let complete run (task : Genset.task) ~finished ~deadline_us ?node ~kind ~deploy
   | Some s -> Series.observe s ~now_us:finished sojourn
   | None -> ());
   Obs.Histogram.observe (memo run.kind_hs kind sojourn_of_kind) sojourn;
-  Obs.Trace.task Obs.Trace.Complete task.Genset.task_id ?node ~deployment ?retries
+  Obs.Trace.task Obs.Trace.Complete task.Genset.task_id ?node ~deployment ~retries
     ~label;
   let missed = sojourn > deadline_us in
   if missed then begin
@@ -793,10 +827,10 @@ let own_series tel kind name labels =
   Series.create_labeled ~buckets:series_buckets ~kind
     ~interval_us:tel.scrape_interval_us name labels
 
-(* Optional scrape loop: each interval, sample the series both loops
-   publish (completed / rejected / slo_missed rates, queue depth), the
-   loop's own [probes] and the per-tenant rates, then evaluate the
-   alert rules; completions feed the sojourn p99 series directly.
+(* Optional scrape loop: each interval, sample the run's series
+   (completed / rejected / slo_missed rates), the loop's [probes] and
+   the per-tenant rates, then evaluate the alert rules; completions
+   feed the sojourn p99 series directly.
    Ticks ride the event queue at absolute times k*interval so series
    bucket epochs align exactly with scrape boundaries.  A tick
    reschedules only while other work remains queued (at execution time
@@ -806,7 +840,7 @@ let own_series tel kind name labels =
    on or off; series are re-created at setup so back-to-back runs in
    one process stay independent.  Call it before the loop schedules
    anything: the first scrape is the first event at its time. *)
-let start_telemetry run ~queue_depth ~probes =
+let start_telemetry run ~probes =
   Option.map
     (fun tel ->
       let engine = Alert.create tel.rules in
@@ -838,7 +872,6 @@ let start_telemetry run ~queue_depth ~probes =
              Delta ("sysim.completed.rate", [], fun () -> run.completed);
              Delta ("sysim.rejected.rate", [], fun () -> run.rejected);
              Delta ("sysim.slo_missed.rate", [], fun () -> run.slo_misses);
-             Level ("sysim.queue_depth", queue_depth);
            ]
           @ probes @ tenant_probes)
       in
@@ -858,8 +891,8 @@ let start_telemetry run ~queue_depth ~probes =
 
 (* Report: drain the event queue (timed: [loop_wall_s] is the loop
    alone), let the loop settle what never finished ([leftovers]),
-   count whatever no tally claims as lost, and build the fields both
-   loops share; each loop adds its own with a record update. *)
+   count whatever no tally claims as lost, and build the run's fields;
+   the loop adds its own with a record update. *)
 let finish run ~leftovers alerts =
   let loop_t0 = Obs.wall_us () in
   Sim.run run.sim;
@@ -867,7 +900,6 @@ let finish run ~leftovers alerts =
   leftovers ();
   let lost = run.ntasks - run.completed - run.rejected - run.shed - run.preempted in
   if lost > 0 then Obs.Counter.add (Obs.Counter.get "sysim.tasks.lost") lost;
-  let mean xs = Mlv_util.Stats.mean xs in
   let p50, p95, p99 = latency_percentiles run.latencies in
   let per_s n =
     if run.makespan > 0.0 then float_of_int n /. (run.makespan /. 1e6) else 0.0
@@ -899,7 +931,7 @@ let finish run ~leftovers alerts =
   let cache_hits, cache_misses = cache_stats run.runtime in
   {
     completed = run.completed;
-    retried = 0;
+    retried = run.retried;
     rejected = run.rejected;
     shed = run.shed;
     lost;
@@ -908,11 +940,11 @@ let finish run ~leftovers alerts =
     goodput_per_s = per_s (run.completed - run.slo_misses);
     fault_downtime_us;
     fault_free_throughput_per_s;
-    mean_latency_us = mean run.latencies;
-    mean_wait_us = mean run.waits;
-    wait_attempts = List.length run.waits;
-    mean_wait_per_attempt_us = mean run.waits;
-    mean_service_us = mean run.services;
+    mean_latency_us = Mlv_util.Stats.mean run.latencies;
+    mean_wait_us = Samples.mean run.waits;
+    wait_attempts = Samples.count run.attempt_waits;
+    mean_wait_per_attempt_us = Samples.mean run.attempt_waits;
+    mean_service_us = Samples.mean run.services;
     p50_latency_us = p50;
     p95_latency_us = p95;
     p99_latency_us = p99;
@@ -954,196 +986,33 @@ let every sim ~interval_us ~live f =
   in
   Sim.schedule sim ~delay:interval_us tick
 
-(* The open loop (Fig. 12): one global FIFO with head-of-line blocking,
-   a deploy per task and an undeploy on its completion, and crash
-   retry under a fault plan. *)
-let run_open run =
-  let cfg = run.cfg and sim = run.sim and runtime = run.runtime in
-  let network = run.cluster.Cluster.network in
-  let retried_c = Obs.Counter.get "sysim.tasks.retried" in
-  let sojourn_kind_node_hs : (string * int, Obs.Histogram.t) Hashtbl.t =
-    Hashtbl.create 32
-  in
-  let sojourn_of_kind_node (kind, n) =
-    Obs.Histogram.get_labeled "sysim.task_sojourn_us"
-      [ ("kind", kind); ("node", string_of_int n) ]
-  in
-  let queue : pending Queue.t = Queue.create () in
-  (* In-service tasks by deployment id (never reused).  The completion
-     event stays queued after a crash interrupts its task (the
-     simulator has no cancel); the crash removed the key, so the
-     completion finds it gone and does nothing. *)
-  let inflight : (int, inflight) Hashtbl.t = Hashtbl.create 64 in
-  let retried = ref 0 in
-  let attempt_waits = ref [] in
-  let alerts =
-    start_telemetry run
-      ~queue_depth:(fun () -> Queue.length queue)
-      ~probes:
-        [
-          Delta ("sysim.retried.rate", [], fun () -> !retried);
-          Level ("sysim.nodes_down", fun () -> Runtime.failed_count runtime);
-        ]
-  in
-  let reject (p : pending) = reject run p.task ~retries:p.retries ~label:p.accel () in
-  let rec try_start () =
-    if not (Queue.is_empty queue) then begin
-      let p = Queue.peek queue in
-      match place run p.accel with
-      | `Full ->
-        (* The head blocks the FIFO queue to avoid starvation, also
-           through an outage: freed or restored capacity lets it in. *)
-        ()
-      | `Dead ->
-        (* A head that cannot deploy even on an empty, fully healthy
-           cluster will never start: reject it at once instead of
-           stalling the queue behind it. *)
-        ignore (Queue.pop queue);
-        reject p;
-        try_start ()
-      | `Ok d ->
-        ignore (Queue.pop queue);
-        let now = Sim.now sim in
-        let node, kind = deployment_dims d in
-        (* Two wait views: end-to-end (from the task's original
-           arrival to the deployment that actually completes, so a
-           crash retry accumulates every round of queueing into one
-           entry — recorded below, once the service survives) and per
-           attempt (from when this attempt entered the queue, recorded
-           here).  They differ only for retried tasks. *)
-        let wait = now -. p.task.Genset.arrival_us in
-        let attempt_wait = now -. p.ready_us in
-        attempt_waits := attempt_wait :: !attempt_waits;
-        let service =
-          d.Runtime.reconfig_us
-          +. (float_of_int cfg.repeats_per_task
-             *. service_latency_us ~policy:cfg.policy
-                  ~added_latency_us:(Network.added_latency_us network)
-                  p.task.Genset.point d)
-        in
-        start run p.task ~attempt_wait ~service ?node ~deployment:d.Runtime.id
-          ~retries:p.retries ~label:p.accel ();
-        Hashtbl.replace inflight d.Runtime.id { pend = p; depl = d };
-        Sim.schedule sim ~delay:service (fun () ->
-            if Hashtbl.mem inflight d.Runtime.id then begin
-              Hashtbl.remove inflight d.Runtime.id;
-              Runtime.undeploy runtime d;
-              run.waits <- wait :: run.waits;
-              Obs.Histogram.observe run.wait_h wait;
-              (* SLO: a task should finish within slo_multiplier x its
-                 unqueued service time. *)
-              let sojourn =
-                complete run p.task ~finished:(Sim.now sim)
-                  ~deadline_us:(cfg.slo_multiplier *. service)
-                  ?node ~kind ~deployment:d.Runtime.id ~retries:p.retries
-                  ~label:p.accel ()
-              in
-              (match node with
-              | Some n ->
-                Obs.Histogram.observe
-                  (memo sojourn_kind_node_hs (kind, n) sojourn_of_kind_node)
-                  sojourn
-              | None -> ());
-              try_start ()
-            end);
-        try_start ()
-    end
-  in
-  let max_retries =
-    match cfg.faults with Some f -> f.max_retries | None -> 0
-  in
-  let on_crash node =
-    Runtime.mark_node_failed runtime node;
-    (* Interrupt every in-service task with a piece on the dead node:
-       its partial progress is gone, its surviving placements free up,
-       and it goes back to the head of the queue — unless it already
-       burnt its retry budget, in which case it is rejected rather
-       than starving the queue. *)
-    let hit =
-      Hashtbl.fold
-        (fun _ fl acc ->
-          if
-            List.exists
-              (fun p -> p.Runtime.node_id = node)
-              fl.depl.Runtime.placements
-          then fl :: acc
-          else acc)
-        inflight []
-      |> List.sort (fun a b ->
-             compare a.pend.task.Genset.task_id b.pend.task.Genset.task_id)
-    in
-    List.iter
-      (fun fl ->
-        Hashtbl.remove inflight fl.depl.Runtime.id;
-        Runtime.undeploy runtime fl.depl;
-        Obs.Trace.task Obs.Trace.Crash_interrupt fl.pend.task.Genset.task_id
-          ~node ~deployment:fl.depl.Runtime.id ~retries:fl.pend.retries
-          ~label:fl.pend.accel)
-      hit;
-    let again, exhausted =
-      List.partition (fun fl -> fl.pend.retries < max_retries) hit
-    in
-    List.iter
-      (fun fl ->
-        fl.pend.retries <- fl.pend.retries + 1;
-        fl.pend.ready_us <- Sim.now sim;
-        incr retried;
-        Obs.Counter.incr retried_c;
-        Obs.Trace.task Obs.Trace.Retry fl.pend.task.Genset.task_id ~node
-          ~retries:fl.pend.retries ~label:fl.pend.accel)
-      again;
-    push_front queue (List.map (fun fl -> fl.pend) again);
-    List.iter (fun fl -> reject fl.pend) exhausted;
-    try_start ()
-  in
-  let on_restore node =
-    Runtime.restore_node runtime node;
-    try_start ()
-  in
-  let on_degrade us = Network.set_added_latency_us network us in
-  List.iter
-    (fun (task : Genset.task) ->
-      Sim.schedule_at sim ~at:task.Genset.arrival_us (fun () ->
-          let accel = arrive run task in
-          Queue.add
-            { task; accel; retries = 0; ready_us = task.Genset.arrival_us }
-            queue;
-          Obs.Trace.task Obs.Trace.Queue task.Genset.task_id ~label:accel;
-          run.peak_queue <- max run.peak_queue (Queue.length queue);
-          try_start ()))
-    run.tasks;
-  (match cfg.faults with
-  | None -> ()
-  | Some f ->
-    (match Fault_plan.validate f.plan ~nodes:(Cluster.node_count run.cluster) with
-    | Ok () -> ()
-    | Error e -> invalid_arg ("Sysim.run: " ^ e));
-    Fault_plan.schedule f.plan sim ~on_crash ~on_restore ~on_degrade);
-  let r =
-    finish run alerts ~leftovers:(fun () ->
-        (* Tasks still queued when the events drained could not be
-           served (e.g. a crash that was never restored): reject them
-           so every task is accounted for instead of silently
-           starving. *)
-        Queue.iter reject queue;
-        Queue.clear queue)
-  in
+(* The open loop's policy (Fig. 12) in serving terms: admit
+   everything, serve each request as its own batch, never autoscale,
+   pool tenants or defragment.  With it the dispatch loop runs FIFO:
+   one lane with head-of-line blocking, a fresh deployment per batch
+   and an undeploy on completion. *)
+let fifo_policy =
   {
-    r with
-    retried = !retried;
-    wait_attempts = List.length !attempt_waits;
-    mean_wait_per_attempt_us = Mlv_util.Stats.mean !attempt_waits;
+    classes = [];
+    batch = Batcher.config ~max_batch:1 ();
+    autoscale = None;
+    tenant_pool = None;
+    defrag = None;
   }
 
-(* Closed-loop serving: admission gate -> batcher -> router ->
-   replicas, with an optional autoscaler control loop on the sim
-   clock.  Fault plans are rejected up front (see [run]); every task
-   ends as completed, shed, rejected or preempted. *)
-let run_serving run serving =
+(* The dispatch loop: admission gate -> batcher -> lane -> replicas,
+   with an optional autoscaler control loop on the sim clock and crash
+   recovery under a fault plan.  [cfg.serving = None] runs it with
+   [fifo_policy]; every task ends as completed, shed, rejected or
+   preempted. *)
+let dispatch_loop run =
   let cfg = run.cfg and sim = run.sim and runtime = run.runtime in
+  let fifo = cfg.serving = None in
+  let serving = Option.value cfg.serving ~default:fifo_policy in
   let registry = Runtime.registry runtime in
   let batches_c = Obs.Counter.get "sysim.serving.batches" in
   let shed_c = Obs.Counter.get "sysim.serving.shed" in
+  let retried_c = Obs.Counter.get "sysim.tasks.retried" in
   let multi = run.multi in
   let gate = Slo.create serving.classes in
   (match serving.tenant_pool with
@@ -1208,9 +1077,11 @@ let run_serving run serving =
     in
     sorted_groups := ins !sorted_groups
   in
-  (* Groups whose backlog is non-empty: the per-completion pump only
-     looks at these instead of sweeping every group. *)
-  let starved : (string, unit) Hashtbl.t = Hashtbl.create 8 in
+  let new_lane key = { l_key = key; l_batches = Queue.create (); l_tasks = 0 } in
+  let fifo_lane = new_lane "" in
+  (* Lanes whose backlog is non-empty, by key: the per-completion pump
+     only looks at these instead of sweeping every group. *)
+  let starved : (string, lane) Hashtbl.t = Hashtbl.create 8 in
   let busy_count = ref 0 in
   let next_replica_id = ref 0 in
   let preemptions = ref 0 in
@@ -1229,8 +1100,7 @@ let run_serving run serving =
           g_tracker = Autoscaler.tracker ~name:("sojourn." ^ accel);
           g_replicas = [];
           g_by_id = Hashtbl.create 8;
-          g_backlog = Queue.create ();
-          g_backlog_tasks = 0;
+          g_lane = (if fifo then fifo_lane else new_lane accel);
           g_assigned_tasks = 0;
           g_priority = 0;
           g_arrivals = 0;
@@ -1255,10 +1125,12 @@ let run_serving run serving =
   in
   let alerts =
     start_telemetry run
-      ~queue_depth:(fun () -> !queued)
       ~probes:
         [
+          Level ("sysim.queue_depth", fun () -> !queued);
           Delta ("sysim.shed.rate", [], fun () -> run.shed);
+          Delta ("sysim.retried.rate", [], fun () -> run.retried);
+          Level ("sysim.nodes_down", fun () -> Runtime.failed_count runtime);
           Level
             ( "sysim.replicas",
               fun () ->
@@ -1274,33 +1146,40 @@ let run_serving run serving =
       cfg.telemetry
   in
   let backlog_push g batch =
-    Queue.add batch g.g_backlog;
-    g.g_backlog_tasks <- g.g_backlog_tasks + List.length batch;
-    Hashtbl.replace starved g.g_accel ()
+    let l = g.g_lane in
+    Queue.add batch l.l_batches;
+    l.l_tasks <- l.l_tasks + List.length batch;
+    Hashtbl.replace starved l.l_key l
   in
-  let backlog_pop g =
-    let b = Queue.pop g.g_backlog in
-    g.g_backlog_tasks <- g.g_backlog_tasks - List.length b;
-    if Queue.is_empty g.g_backlog then Hashtbl.remove starved g.g_accel;
+  let backlog_pop l =
+    let b = Queue.pop l.l_batches in
+    l.l_tasks <- l.l_tasks - List.length b;
+    if Queue.is_empty l.l_batches then Hashtbl.remove starved l.l_key;
     b
   in
-  let reject_stask ~accel (st : stask) =
+  (* Re-queued work is the oldest: [items] (oldest first) go to the
+     front of their lanes, in order. *)
+  let requeue_front items =
+    let rec by_lane = function
+      | [] -> ()
+      | (g, _) :: _ as items ->
+        let l = g.g_lane in
+        let mine, rest = List.partition (fun (g', _) -> g'.g_lane == l) items in
+        List.iter (fun (_, b) -> l.l_tasks <- l.l_tasks + List.length b) mine;
+        push_front l.l_batches (List.map snd mine);
+        Hashtbl.replace starved l.l_key l;
+        by_lane rest
+    in
+    by_lane items
+  in
+  let reject_stask (st : stask) =
     decr queued;
     (* A rejected seq must not block its session's in-order stream. *)
     (match (sessions, st.s_session) with
     | Some stbl, Some sess ->
       Session.skip stbl sess ~seq:st.s_seq ~now_us:(Sim.now sim)
     | _ -> ());
-    reject run st.s_task ~label:accel ()
-  in
-  let reject_batches ~accel q =
-    Queue.iter (List.iter (reject_stask ~accel)) q;
-    Queue.clear q
-  in
-  let reject_backlog g =
-    reject_batches ~accel:g.g_accel g.g_backlog;
-    g.g_backlog_tasks <- 0;
-    Hashtbl.remove starved g.g_accel
+    reject run st.s_task ~retries:st.s_retries ~label:st.s_group.g_accel
   in
   let is_idle r = (not r.r_busy) && Queue.is_empty r.r_queue in
   let longer_idle _ r _ br = r.r_idle_since < br.r_idle_since in
@@ -1341,14 +1220,24 @@ let run_serving run serving =
     Autoscaler.mark_scaled g.g_tracker ~now_us:(Sim.now sim);
     r
   in
-  (* A preempted victim's queued batches are its oldest work: they go
-     to the front of the backlog. *)
-  let backlog_push_front g batches =
-    if batches <> [] then begin
-      List.iter (fun b -> g.g_backlog_tasks <- g.g_backlog_tasks + List.length b) batches;
-      push_front g.g_backlog batches;
-      Hashtbl.replace starved g.g_accel ()
-    end
+  (* Take [r] out of service: void its in-flight batch (the epoch bump
+     orphans the scheduled completion) and return it, put the batches
+     assigned to it but not started back at the front of the lane,
+     uncharged, and undeploy it. *)
+  let retire g r =
+    let inflight = r.r_inflight in
+    if r.r_busy then begin
+      r.r_epoch <- r.r_epoch + 1;
+      r.r_busy <- false;
+      decr busy_count;
+      r.r_inflight <- []
+    end;
+    let qbatches = List.rev (Queue.fold (fun acc b -> b :: acc) [] r.r_queue) in
+    Queue.clear r.r_queue;
+    List.iter (fun b -> g.g_assigned_tasks <- g.g_assigned_tasks - List.length b) qbatches;
+    requeue_front (List.map (fun b -> (g, b)) qbatches);
+    remove_replica g r;
+    inflight
   in
   (* Victim for a priority preemption: any replica of a group whose
      work priority is below the demanding batch's — lowest priority
@@ -1365,62 +1254,44 @@ let run_serving run serving =
            && (rank r < rank br || (rank r = rank br && r.r_id < br.r_id)))
       !sorted_groups
   in
-  (* Evict a victim replica: cancel its in-flight batch (those tasks
-     are preempted losses, closing the per-tenant identity
-     arrived = completed + shed + rejected + preempted), requeue its
-     untouched batches at the front of its own group's backlog, and
-     undeploy. *)
+  (* Evict a victim replica: its in-flight tasks are preempted losses,
+     closing the per-tenant identity
+     arrived = completed + shed + rejected + preempted. *)
   let preempt_replica g' r ~now =
-    if r.r_busy then begin
-      r.r_epoch <- r.r_epoch + 1 (* orphan the scheduled completion *);
-      r.r_busy <- false;
-      decr busy_count;
-      List.iter
-        (fun (st : stask) ->
-          run.preempted <- run.preempted + 1;
-          Obs.Counter.incr (Lazy.force preempted_task_c);
-          (match (sessions, st.s_session) with
-          | Some stbl, Some sess ->
-            Session.skip stbl sess ~seq:st.s_seq ~now_us:now
-          | _ -> ());
-          match tally_of run st.s_task.Genset.tenant with
-          | Some t -> t.tt_preempted <- t.tt_preempted + 1
-          | None -> ())
-        r.r_inflight;
-      r.r_inflight <- []
-    end;
-    let qbatches = List.rev (Queue.fold (fun acc b -> b :: acc) [] r.r_queue) in
-    Queue.clear r.r_queue;
     List.iter
-      (fun b -> g'.g_assigned_tasks <- g'.g_assigned_tasks - List.length b)
-      qbatches;
-    backlog_push_front g' qbatches;
-    remove_replica g' r;
+      (fun (st : stask) ->
+        run.preempted <- run.preempted + 1;
+        Obs.Counter.incr (Lazy.force preempted_task_c);
+        (match (sessions, st.s_session) with
+        | Some stbl, Some sess -> Session.skip stbl sess ~seq:st.s_seq ~now_us:now
+        | _ -> ());
+        match tally_of run st.s_task.Genset.tenant with
+        | Some t -> t.tt_preempted <- t.tt_preempted + 1
+        | None -> ())
+      (retire g' r);
     incr preemptions;
     Obs.Counter.incr (Lazy.force preemption_c);
     Autoscaler.mark_scaled g'.g_tracker ~now_us:now
   in
   (* Add a replica to [g].  A refused deploy of an accelerator that
-     can never deploy is [`Dead] at once — nothing is reclaimed or
-     evicted for it, and the caller rejects rather than waits forever,
-     as the open loop does.  Otherwise, in order: with [allow_reclaim],
-     reclaim another group's longest-idle replica and retry; for a
-     batch of priority [prio] > 0, move the lowest-priority victim out
-     of the way and retry — an idle victim not yet in [tried] is first
-     relocated (force-migrate; the rollback guarantee keeps it live on
-     failure) in case a denser packing alone frees the needed device,
-     a victim that stays in the way is evicted; and [`Full] once
-     nothing is left to try.  Every retry removes a replica or grows
-     [tried] (bounded by the replica count), so the recursion
-     terminates. *)
+     can never deploy on this cluster ({!Runtime.feasible}) is [`Dead]
+     at once — nothing is reclaimed or evicted for it, and the caller
+     rejects rather than waits forever.
+     Otherwise, in order: with [allow_reclaim], reclaim another group's
+     longest-idle replica and retry; for a batch of priority [prio] >
+     0, move the lowest-priority victim out of the way and retry — an
+     idle victim not yet in [tried] is first relocated (force-migrate;
+     the rollback guarantee keeps it live on failure) in case a denser
+     packing alone frees the needed device, a victim that stays in the
+     way is evicted; and [`Full] once nothing is left to try.  Every
+     retry removes a replica or grows [tried] (bounded by the replica
+     count), so the recursion terminates. *)
   let grow g ~allow_reclaim ~prio =
     let rec attempt tried =
-      match place run g.g_accel with
-      | `Ok d ->
-        ignore (make_replica g d);
-        `Ok
-      | `Dead -> `Dead
-      | `Full -> (
+      match Runtime.deploy runtime ~accel:g.g_accel with
+      | Ok d -> `Ok (make_replica g d)
+      | Error _ when not (Runtime.feasible runtime ~accel:g.g_accel) -> `Dead
+      | Error _ -> (
         match
           if allow_reclaim then reclaim_candidate ~excluding:g.g_accel else None
         with
@@ -1488,23 +1359,18 @@ let run_serving run serving =
       List.iter2
         (fun st svc ->
           decr queued;
-          (* No retries in serving mode: per-attempt and end-to-end
-             waits coincide. *)
-          let wait = now -. st.s_task.Genset.arrival_us in
-          run.waits <- wait :: run.waits;
-          Obs.Histogram.observe run.wait_h wait;
           (* Reconfiguration (and compilation) amortizes across the
              batch. *)
           let task_service = svc +. ((reconfig +. compile) /. float_of_int n) in
           (match g.g_pt with
           | Some pt -> Autoscaler.observe_service pt task_service
           | None -> ());
-          start run st.s_task ~attempt_wait:wait ~service:task_service ?node
-            ~deployment:d.Runtime.id ~label:g.g_accel ())
+          start run st.s_task ~attempt_wait:(now -. st.s_ready_us) ~service:task_service
+            ?node ~deployment:d.Runtime.id ~retries:st.s_retries ~label:g.g_accel ())
         batch per_task;
       Sim.schedule sim ~delay:service (fun () ->
-          (* A preemption during service bumped the epoch: the replica
-             is gone and its batch was already counted as preempted —
+          (* A preemption or a crash during service bumped the epoch:
+             the replica is gone and its batch already accounted for —
              this completion is void. *)
           if r.r_epoch = epoch then begin
           let finished = Sim.now sim in
@@ -1524,8 +1390,8 @@ let run_serving run serving =
               else cfg.slo_multiplier *. task_service
             in
             Autoscaler.observe_sojourn g.g_tracker
-              (complete run st.s_task ~finished ~deadline_us ?node ~kind
-                 ~deployment:d.Runtime.id ~label:g.g_accel ())
+              (complete run st.s_task ~started:now ~finished ~deadline_us ?node ~kind
+                 ~deployment:d.Runtime.id ~retries:st.s_retries ~label:g.g_accel ())
           in
           List.iter2
             (fun st svc ->
@@ -1536,38 +1402,53 @@ let run_serving run serving =
               | _ -> record st svc ~finished)
             batch per_task;
           run.makespan <- Float.max run.makespan finished;
-          if Queue.is_empty r.r_queue && not (Queue.is_empty g.g_backlog)
-          then assign g r (backlog_pop g);
-          start_replica g r;
+          (* FIFO undeploys on completion; serving keeps the replica
+             warm and feeds it its group's oldest waiting batch. *)
+          if fifo then remove_replica g r
+          else begin
+            let l = g.g_lane in
+            if Queue.is_empty r.r_queue && not (Queue.is_empty l.l_batches) then
+              assign g r (backlog_pop l);
+            start_replica g r
+          end;
           pump_all ()
           end)
     end
-  (* A completion anywhere may unblock a starved group: retry
-     bootstrap deploys for groups whose backlog has no replica.  The
-     maintained starved set makes this O(1) when nothing is starved,
-     O(starved log starved) otherwise, instead of sweeping every group
-     per completion. *)
+  (* A capacity change anywhere may unblock a starved lane: pump the
+     lanes with a backlog, in key order.  The maintained starved set
+     makes this O(1) when nothing is starved, O(starved log starved)
+     otherwise, instead of sweeping every group per completion. *)
   and pump_all () =
     if Hashtbl.length starved > 0 then
-      Hashtbl.fold (fun k () acc -> k :: acc) starved []
-      |> List.sort compare
-      |> List.iter (fun k -> pump_group (Hashtbl.find groups k))
-  and pump_group g =
-    if not (Queue.is_empty g.g_backlog) then begin
-      match Router.pick router ~key:g.g_accel with
+      Hashtbl.fold (fun k l acc -> (k, l) :: acc) starved []
+      |> List.sort (fun (a, _) (b, _) -> compare a b)
+      |> List.iter (fun (_, l) -> pump_lane l)
+  (* Start the lane's head on an idle replica of its group (serving
+     only: FIFO never reuses one) or a fresh one.  A head that could
+     still deploy ([`Full]) blocks the lane; one that never can
+     ([`Dead]) is rejected and the pump goes on. *)
+  and pump_lane l =
+    match Queue.peek_opt l.l_batches with
+    | None | Some [] -> ()
+    | Some ({ s_group = g; _ } :: _) -> (
+      match if fifo then None else Router.pick router ~key:g.g_accel with
       | Some rid ->
         let r = Hashtbl.find g.g_by_id rid in
         if is_idle r then begin
-          assign g r (backlog_pop g);
+          assign g r (backlog_pop l);
           start_replica g r;
-          pump_group g
+          pump_lane l
         end
       | None -> (
         match grow g ~allow_reclaim:false ~prio:0 with
-        | `Ok -> pump_group g
-        | `Dead -> reject_backlog g
-        | `Full -> ())
-    end
+        | `Ok r ->
+          assign g r (backlog_pop l);
+          start_replica g r;
+          pump_lane l
+        | `Dead ->
+          List.iter reject_stask (backlog_pop l);
+          pump_lane l
+        | `Full -> ()))
   in
   (* Sticky routing: a batch whose head belongs to a session goes back
      to the replica that served that session last (warm weights, warm
@@ -1593,21 +1474,31 @@ let run_serving run serving =
           | None -> None))
       | _ -> Router.pick router ~key:g.g_accel)
   in
+  (* FIFO appends to the one lane and tries only a head: a batch behind
+     a waiting one makes no deploy attempt, since every capacity change
+     pumps.  Serving routes onto a replica, growing the group when it
+     has none. *)
   let rec dispatch g batch =
     Obs.Counter.incr batches_c;
-    match sticky_pick g batch with
-    | Some rid ->
-      let r = Hashtbl.find g.g_by_id rid in
-      assign g r batch;
-      start_replica g r
-    | None -> (
-      match
-        grow g ~allow_reclaim:(serving.autoscale <> None)
-          ~prio:(batch_priority 0 batch)
-      with
-      | `Ok -> dispatch g batch
-      | `Full -> backlog_push g batch
-      | `Dead -> List.iter (reject_stask ~accel:g.g_accel) batch)
+    if fifo then begin
+      let was_empty = Queue.is_empty g.g_lane.l_batches in
+      backlog_push g batch;
+      if was_empty then pump_lane g.g_lane
+    end
+    else
+      match sticky_pick g batch with
+      | Some rid ->
+        let r = Hashtbl.find g.g_by_id rid in
+        assign g r batch;
+        start_replica g r
+      | None -> (
+        match
+          grow g ~allow_reclaim:(serving.autoscale <> None)
+            ~prio:(batch_priority 0 batch)
+        with
+        | `Ok _ -> dispatch g batch
+        | `Full -> backlog_push g batch
+        | `Dead -> List.iter reject_stask batch)
   in
   (* Scale-down takes the group's longest-idle idle replica, then
      tries to consolidate a surviving idle multi-piece replica into a
@@ -1645,6 +1536,28 @@ let run_serving run serving =
     && List.for_all (fun g -> Batcher.pending batcher ~key:g.g_accel = 0) !sorted_groups
   in
   let progressing () = unfinished run && not (stalled ()) in
+  (* Restores the fault plan has yet to fire. *)
+  let restores_left =
+    ref
+      (match cfg.faults with
+      | None -> 0
+      | Some f ->
+        List.length
+          (List.filter
+             (fun (e : Fault_plan.event) ->
+               match e.Fault_plan.action with Fault_plan.Restore _ -> true | _ -> false)
+             (Fault_plan.events f.plan)))
+  in
+  (* A stalled run moves again only when the autoscaler reclaims a
+     replica for a starved lane or a crashed node comes back.  With no
+     replica and no restore left, capacity lost to a crash is gone for
+     good: the autoscaler stops so the run drains and the leftovers are
+     rejected.  Without faults a stalled run always holds a replica. *)
+  let revivable () =
+    (not (stalled ()))
+    || List.exists (fun g -> g.g_replicas <> []) !sorted_groups
+    || !restores_left > 0
+  in
   (match serving.autoscale with
   | None -> ()
   | Some acfg ->
@@ -1653,7 +1566,7 @@ let run_serving run serving =
         (fun acc (c : Slo.class_spec) -> min acc c.priority)
         max_int (Slo.classes gate)
     in
-    every sim ~interval_us:acfg.interval_us ~live:(fun () -> unfinished run)
+    every sim ~interval_us:acfg.interval_us ~live:(fun () -> unfinished run && revivable ())
       (fun () ->
         let now = Sim.now sim in
         let capacity_bound = ref false in
@@ -1661,7 +1574,7 @@ let run_serving run serving =
         List.iter
           (fun g ->
             let backlog =
-              Batcher.pending batcher ~key:g.g_accel + g.g_backlog_tasks
+              Batcher.pending batcher ~key:g.g_accel + g.g_lane.l_tasks
               + g.g_assigned_tasks
             in
             total_backlog := !total_backlog + backlog;
@@ -1702,15 +1615,19 @@ let run_serving run serving =
               let rec grow_n k =
                 if k > 0 then
                   match grow g ~allow_reclaim:true ~prio:0 with
-                  | `Ok ->
-                    pump_group g;
+                  | `Ok _ ->
+                    pump_lane g.g_lane;
                     grow_n (k - 1)
                   | `Full ->
                     (* With nothing busy the group already holds every
                        live deployment: no load is being turned away
                        for lack of capacity, so nothing is shed. *)
                     if !busy_count > 0 then capacity_bound := true
-                  | `Dead -> reject_backlog g
+                  | `Dead ->
+                    (* Its batches were rejected at dispatch: an
+                       accelerator that can never deploy has nothing in
+                       its lane. *)
+                    ()
               in
               grow_n (max 1 (target - replicas))
             | Autoscaler.Scale_down -> scale_down g ~now
@@ -1743,9 +1660,7 @@ let run_serving run serving =
         !sorted_groups;
       ids
     in
-    let quiet () =
-      List.for_all (fun g -> Queue.is_empty g.g_backlog) !sorted_groups
-    in
+    let quiet () = Hashtbl.length starved = 0 in
     every sim ~interval_us:dcfg.Defrag.interval_us ~live:progressing (fun () ->
         if quiet () && Defrag.should_run dcfg runtime then begin
           let ids = idle_deployments () in
@@ -1813,9 +1728,11 @@ let run_serving run serving =
                   Mapcache.put mc (shape_sig_of accel) ();
                   cost)
             in
+            let g = group_of accel in
             let st =
               {
                 s_task = task;
+                s_group = g;
                 s_deadline_us =
                   (match Slo.find gate cname with
                   | Some c -> c.Slo.deadline_us
@@ -1823,12 +1740,13 @@ let run_serving run serving =
                 s_session = sess;
                 s_seq = seq;
                 s_compile_us = compile_us;
+                s_retries = 0;
+                s_ready_us = task.Genset.arrival_us;
               }
             in
             incr queued;
             run.peak_queue <- max run.peak_queue !queued;
             Obs.Trace.task Obs.Trace.Queue task.Genset.task_id ~label:accel;
-            let g = group_of accel in
             g.g_arrivals <- g.g_arrivals + 1;
             (let p = prio_of task.Genset.tenant in
              if p > g.g_priority then g.g_priority <- p);
@@ -1844,19 +1762,81 @@ let run_serving run serving =
                   | batch -> dispatch g batch)
             | Batcher.Joined -> ())))
     run.tasks;
+  (* A crash kills every replica with a piece on the dead node: its
+     in-flight batch is void, and each interrupted task goes back to the
+     front of its lane in task-id order as a retry — unless it already
+     spent its retry budget, in which case it is rejected.  The batches
+     assigned to the replica but not started go back too, uncharged,
+     behind them.  Sticky routes to the dead replicas fall back to the
+     router, and the autoscaler sees the lost capacity. *)
+  let max_retries = match cfg.faults with Some f -> f.max_retries | None -> 0 in
+  let on_crash node =
+    Runtime.mark_node_failed runtime node;
+    let now = Sim.now sim in
+    let interrupted =
+      List.concat_map
+        (fun g ->
+          List.concat_map
+            (fun r ->
+              if
+                List.exists
+                  (fun (p : Runtime.placement) -> p.Runtime.node_id = node)
+                  r.r_depl.Runtime.placements
+              then List.map (fun st -> (r.r_depl.Runtime.id, st)) (retire g r)
+              else [])
+            g.g_replicas)
+        !sorted_groups
+      |> List.sort (fun (_, a) (_, b) ->
+             compare a.s_task.Genset.task_id b.s_task.Genset.task_id)
+    in
+    List.iter
+      (fun (deployment, st) ->
+        incr queued;
+        Obs.Trace.task Obs.Trace.Crash_interrupt st.s_task.Genset.task_id ~node
+          ~deployment ~retries:st.s_retries ~label:st.s_group.g_accel)
+      interrupted;
+    let again, exhausted =
+      List.partition (fun (_, st) -> st.s_retries < max_retries) interrupted
+    in
+    List.iter
+      (fun (_, st) ->
+        st.s_retries <- st.s_retries + 1;
+        st.s_ready_us <- now;
+        run.retried <- run.retried + 1;
+        Obs.Counter.incr retried_c;
+        Obs.Trace.task Obs.Trace.Retry st.s_task.Genset.task_id ~node
+          ~retries:st.s_retries ~label:st.s_group.g_accel)
+      again;
+    requeue_front (List.map (fun (_, st) -> (st.s_group, [ st ])) again);
+    List.iter (fun (_, st) -> reject_stask st) exhausted;
+    pump_all ()
+  in
+  let on_restore node =
+    decr restores_left;
+    Runtime.restore_node runtime node;
+    pump_all ()
+  in
+  let on_degrade us = Network.set_added_latency_us run.cluster.Cluster.network us in
+  (match cfg.faults with
+  | None -> ()
+  | Some f ->
+    (match Fault_plan.validate f.plan ~nodes:(Cluster.node_count run.cluster) with
+    | Ok () -> ()
+    | Error e -> invalid_arg ("Sysim.run: " ^ e));
+    Fault_plan.schedule f.plan sim ~on_crash ~on_restore ~on_degrade);
   let r =
     finish run alerts ~leftovers:(fun () ->
-        (* Whatever never reached a replica is rejected, and the warm
-           pool is torn down, so every task and every placement is
-           accounted for. *)
+        (* Whatever never reached a replica is rejected (e.g. behind a
+           crash that was never restored), and the warm pool is torn
+           down, so every task and every placement is accounted for. *)
         List.iter
           (fun g ->
-            let accel = g.g_accel in
-            List.iter (reject_stask ~accel) (Batcher.drain batcher ~key:accel);
-            reject_backlog g;
+            List.iter reject_stask (Batcher.drain batcher ~key:g.g_accel);
+            Queue.iter (List.iter reject_stask) g.g_lane.l_batches;
+            Queue.clear g.g_lane.l_batches;
             List.iter
               (fun r ->
-                reject_batches ~accel r.r_queue;
+                Queue.iter (List.iter reject_stask) r.r_queue;
                 Runtime.undeploy runtime r.r_depl)
               g.g_replicas;
             g.g_replicas <- [])
@@ -1882,17 +1862,11 @@ let run_serving run serving =
   }
 
 let run ~registry cfg =
-  (match cfg.serving with
-  | Some s ->
-    if cfg.faults <> None then
-      invalid_arg "Sysim.run: serving mode does not compose with fault plans";
-    (match cfg.frontend with
-    | Some f when f.predict <> None && s.autoscale = None ->
-      invalid_arg "Sysim.run: frontend.predict requires serving.autoscale"
-    | _ -> ())
-  | None ->
-    if cfg.frontend <> None then
-      invalid_arg "Sysim.run: config.frontend requires serving mode");
+  (match (cfg.serving, cfg.frontend) with
+  | Some s, Some f when f.predict <> None && s.autoscale = None ->
+    invalid_arg "Sysim.run: frontend.predict requires serving.autoscale"
+  | None, Some _ -> invalid_arg "Sysim.run: config.frontend requires serving mode"
+  | _ -> ());
   (* The run stamps its spans and lifecycle events with its own
      simulator's clock, and only for as long as it runs: a simulator
      created meanwhile or a later, unrelated run never reads or
@@ -1900,8 +1874,4 @@ let run ~registry cfg =
   let run = setup ~registry cfg in
   Obs.with_sim_clock
     (fun () -> Sim.now run.sim)
-    (fun () ->
-      Obs.Span.with_ "sysim.run" (fun () ->
-          match cfg.serving with
-          | Some s -> run_serving run s
-          | None -> run_open run))
+    (fun () -> Obs.Span.with_ "sysim.run" (fun () -> dispatch_loop run))

@@ -5,48 +5,52 @@
     Tasks arrive over time; each selects the smallest accelerator
     instance whose on-chip weight capacity covers its model, asks the
     system controller to deploy it, runs for its modeled inference
-    latency, and releases its resources.  Tasks that cannot be placed
-    queue FIFO, and the head blocks the tasks behind it (through an
-    outage too) until freed or restored capacity lets it in; a head
-    that could never deploy even on an empty, healthy cluster
-    ({!Mlv_core.Runtime.feasible}) is rejected at once rather than
-    stalling the queue.  Everything is deterministic given the seed.
+    latency, and releases its resources.  One dispatch loop (admission
+    gate, batcher, lanes of batches waiting for a replica, replicas)
+    serves every run, deterministically given the seed.
 
-    With a {!fault_config}, the plan's crash / restore / degrade
-    events fire as simulator events: a crash interrupts every
-    in-service task with a piece on the dead node (partial progress
-    lost, the task re-queues at the front and counts as retried —
-    until its retry budget is spent, after which it is rejected);
-    a restore returns capacity; degrade programs the ring's per-hop
-    delay, which feeds the scale-out service model.  The result's
-    availability fields account for every task:
-    [completed + rejected + shed + lost = tasks], with [lost > 0] only
-    on an accounting bug.
+    [serving = None] (the default) runs it with the open-loop policy
+    of Fig. 12: admit everything, one task per batch, one FIFO lane
+    shared by every accelerator, a fresh deployment per task and an
+    undeploy on its completion.  A head that cannot be placed blocks
+    the tasks behind it (through an outage too) until freed or
+    restored capacity lets it in.
 
-    With a {!serving} config the simulator switches to a closed-loop
-    elastic serving mode: arrivals pass an SLO admission gate
-    (token-bucket per request class; sheds early instead of queueing
-    unboundedly), admitted requests coalesce in a dynamic batcher, a
-    weighted least-outstanding-requests router spreads batches across
-    warm replicas (deployments kept live between batches), and an
-    optional autoscaler control loop grows and shrinks each group's
-    replica set from queue depth and observed p99 sojourn —
-    consolidating idle multi-piece replicas via forced migration when
-    load drops.  Tenant priority alone turns on preemption: when a
-    batch from a tenant with positive
+    With a {!serving} config the loop serves closed-loop and elastic:
+    arrivals pass an SLO admission gate (token-bucket per request
+    class; sheds early instead of queueing unboundedly), admitted
+    requests coalesce in a dynamic batcher, a weighted
+    least-outstanding-requests router spreads batches across warm
+    replicas (deployments kept live between batches), each
+    accelerator waits in its own lane, and an optional autoscaler
+    grows and shrinks each group's replica set from queue depth and
+    observed p99 sojourn — consolidating idle multi-piece replicas via
+    forced migration when load drops.  Tenant priority alone turns on
+    preemption: when a batch from a tenant with positive
     {!Genset.tenant_load.tl_priority} cannot be admitted to the
-    fabric, a lower-priority tenant's replica is evicted instead of
-    the batch backlogging.  An idle victim is first force-migrated
-    (denser packing may free the needed device; rollback keeps it
-    live); otherwise it is undeployed and its in-flight batch counts
-    as preempted losses.  A demand that could not deploy even on an
-    empty, healthy cluster ({!Mlv_core.Runtime.feasible}) never
-    reclaims or evicts anyone — it is rejected outright.  A workload without positive priorities (every
-    single-tenant one) never preempts.  [serving = None] (the
-    default) leaves the open loop untouched — results are
-    bit-identical to builds without the serving layer.  Serving mode
-    does not compose with fault plans; {!run} raises
-    [Invalid_argument] when both are set.
+    fabric, a lower-priority tenant's replica is force-migrated out of
+    the way or evicted (its in-flight batch counts as preempted).
+
+    One rejection rule holds for both policies: a request for an
+    accelerator that could not deploy even on an empty, healthy
+    cluster ({!Mlv_core.Runtime.feasible}) is rejected at once, never
+    reclaiming, evicting or stalling a lane; a feasible one refused
+    for lack of capacity waits.
+
+    A {!fault_config}'s crash / restore / degrade events fire under
+    either policy.  A crash kills every replica with a piece on the
+    dead node: each task of its in-flight batch goes back to the front
+    of its lane as a retry (rejected once its retry budget is spent),
+    unstarted batches go back uncharged, and sticky routes fall back
+    to the router.  Degrade programs the ring's per-hop delay.  What
+    can never be served is rejected when the run drains, so
+    [tasks = completed + rejected + shed + preempted + lost], with
+    [lost > 0] only on an accounting bug.
+
+    The wait rule: each service start records the attempt's wait (from
+    when it entered its lane); each completion records the task's
+    end-to-end wait once (from its arrival to the start of the service
+    that completed).
 
     While {!run} runs, its own simulator is the sim-time source of
     the spans and lifecycle events it emits
@@ -97,11 +101,10 @@ val default_serving : serving
     state into {!Mlv_obs.Series} rings every [scrape_interval_us] of
     simulated time and evaluates the alert [rules] against them.
 
-    Both loops publish [sysim.completed.rate], [sysim.rejected.rate],
-    [sysim.slo_missed.rate], [sysim.queue_depth] and
-    [sysim.sojourn_us.p99]; the open loop adds [sysim.retried.rate]
-    and [sysim.nodes_down], serving mode adds [sysim.shed.rate],
-    [sysim.replicas] and the autoscaler-sampled
+    Every run publishes [sysim.completed.rate], [sysim.rejected.rate],
+    [sysim.slo_missed.rate], [sysim.queue_depth],
+    [sysim.sojourn_us.p99], [sysim.shed.rate], [sysim.retried.rate],
+    [sysim.nodes_down], [sysim.replicas] and the autoscaler-sampled
     [sysim.autoscale.backlog]; multi-tenant runs add
     [sysim.tenant.completed.rate{tenant=..}] and
     [sysim.tenant.slo_missed.rate{tenant=..}] (the burn-rate rule
@@ -172,7 +175,7 @@ type config = {
       (** [None] (the default) runs fault-free and is bit-identical to
           a build without the fault layer *)
   serving : serving option;
-      (** [None] (the default) keeps the open loop *)
+      (** [None] (the default) runs the open-loop FIFO policy *)
   tenants : Genset.tenant_load list;
       (** non-empty: the workload is the merged multi-tenant stream of
           {!Genset.generate_tenants} and [tasks] is ignored in favour
@@ -195,7 +198,7 @@ type config = {
       (** play this exact recorded task stream (see
           {!Mlv_serve.Trace_file}) instead of generating one;
           overrides [composition] / [tasks] / [arrival] / [tenants]
-          task generation.  Both loops accept a replay *)
+          task generation *)
 }
 
 (** [default_config ~policy ~composition] gives 120 tasks, 200 µs
@@ -211,7 +214,7 @@ val default_config :
 type tenant_stats = {
   tn_name : string;
   tn_arrived : int;
-  tn_admitted : int;  (** passed the admission gate (serving mode) *)
+  tn_admitted : int;  (** passed the admission gate (all, open loop) *)
   tn_shed : int;
   tn_completed : int;
   tn_rejected : int;
@@ -231,10 +234,11 @@ type result = {
       (** tasks given up on: never-deployable head, retry budget
           exhausted, or unservable when the run drained *)
   shed : int;
-      (** requests the admission gate refused at arrival (serving
-          mode only; 0 in the open loop) *)
+      (** requests the admission gate refused at arrival (0 in the
+          open loop, which admits everything) *)
   lost : int;
-      (** [tasks - completed - rejected - shed]; 0 unless buggy *)
+      (** [tasks - completed - rejected - shed - preempted]; 0 unless
+          buggy *)
   makespan_us : float;
   throughput_per_s : float;  (** completed tasks / makespan *)
   goodput_per_s : float;
@@ -249,13 +253,13 @@ type result = {
           outage occurred *)
   mean_latency_us : float;  (** arrival to completion *)
   mean_wait_us : float;
-      (** arrival to deployment, {e end to end}: a crash retry
-          accumulates every round of queueing into one wait *)
-  wait_attempts : int;  (** deploy attempts that left the queue *)
+      (** arrival to the start of the service that completed, {e end
+          to end}, one per completion: a crash retry accumulates every
+          round of queueing into one wait *)
+  wait_attempts : int;  (** service starts (attempts that left a lane) *)
   mean_wait_per_attempt_us : float;
       (** queue wait of each attempt, measured from when the task
-          (re-)entered the queue; differs from [mean_wait_us] only
-          when crashes forced retries *)
+          (re-)entered its lane *)
   mean_service_us : float;
   p50_latency_us : float;
   p95_latency_us : float;
@@ -266,8 +270,10 @@ type result = {
   peak_queue : int;
   latencies_us : float list;  (** per task, completion order *)
   slo_misses : int;
-  batches : int;  (** serving mode: batches dispatched *)
-  scale_ups : int;  (** serving mode: replicas added (incl. bootstrap) *)
+  batches : int;  (** batches dispatched (one per task in the open loop) *)
+  scale_ups : int;
+      (** replicas added, bootstrap included (one per deploy in the
+          open loop) *)
   scale_downs : int;  (** serving mode: replicas retired by the loop *)
   preempted : int;
       (** serving mode: tasks lost mid-service to priority preemption
@@ -347,5 +353,9 @@ val scale_out_shape : hidden:int -> nodes:int -> tiles:int -> int * int
 val workload : config -> Genset.task list
 
 (** [run ~registry config] plays the workload to completion against
-    the accelerators of the mapping database [registry]. *)
+    the accelerators of the mapping database [registry].
+    @raise Invalid_argument on [config.frontend] without
+    [config.serving], [frontend.predict] without [serving.autoscale],
+    [serving.tenant_pool] without [config.tenants], or a fault plan
+    naming a node outside the cluster. *)
 val run : registry:Mlv_core.Mapdb.t -> config -> result

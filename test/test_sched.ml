@@ -831,16 +831,32 @@ let test_autoscaled_tail_vs_static () =
   Alcotest.(check (float 0.0)) "rerun: same makespan" autoscaled.Sysim.makespan_us
     again.Sysim.makespan_us
 
-let test_serving_rejects_fault_plans () =
-  let plan =
-    match Fault_plan.of_string "crash@100:1" with Ok p -> p | Error e -> Alcotest.fail e
+(* Serving composes with fault plans.  At 300 us node 0 holds the
+   first two batches in service (at 100 us nothing has started yet, so
+   a crash there interrupts nothing): they retry, and every task is
+   accounted for, reproducibly.  A crash of every node that never comes
+   back drains the run instead of ticking forever: the autoscaler stops
+   once no replica and no restore is left, and the leftovers are
+   rejected. *)
+let test_serving_through_a_crash () =
+  let go plan =
+    let plan = match Fault_plan.of_string plan with Ok p -> p | Error e -> Alcotest.fail e in
+    Sysim.run ~registry:(Lazy.force registry)
+      { (serving_config ()) with Sysim.faults = Some (Sysim.default_faults plan) }
   in
-  let cfg =
-    { (serving_config ()) with Sysim.faults = Some (Sysim.default_faults plan) }
+  let bytes (r : Sysim.result) =
+    Marshal.to_string { r with Sysim.loop_wall_s = 0.0 } [ Marshal.No_sharing ]
   in
-  Alcotest.check_raises "serving + faults"
-    (Invalid_argument "Sysim.run: serving mode does not compose with fault plans")
-    (fun () -> ignore (Sysim.run ~registry:(Lazy.force registry) cfg))
+  let r = go "crash@300:0" in
+  Alcotest.(check int) "none lost" 0 r.Sysim.lost;
+  Alcotest.(check int) "every task accounted" 30
+    (r.Sysim.completed + r.Sysim.rejected + r.Sysim.shed + r.Sysim.preempted);
+  Alcotest.(check bool) "interrupted work retried" true (r.Sysim.retried > 0);
+  Alcotest.(check bool) "rerun bit-identical" true (bytes r = bytes (go "crash@300:0"));
+  let dark = go "crash@300:0,crash@300:1,crash@300:2,crash@300:3" in
+  Alcotest.(check int) "fabric gone: nothing completes" 0 dark.Sysim.completed;
+  Alcotest.(check int) "fabric gone: all rejected" 30 dark.Sysim.rejected;
+  Alcotest.(check int) "fabric gone: none lost" 0 dark.Sysim.lost
 
 (* A fair-share pool divides capacity between tenants, so a run
    without [config.tenants] has nothing to divide. *)
@@ -873,10 +889,12 @@ let test_open_loop_untouched_by_arrival_field () =
     b.Sysim.latencies_us;
   Alcotest.(check (float 0.0)) "same makespan" a.Sysim.makespan_us b.Sysim.makespan_us;
   Alcotest.(check (float 0.0)) "same mean wait" a.Sysim.mean_wait_us b.Sysim.mean_wait_us;
-  (* open-loop runs carry zeroed serving fields *)
+  (* the open loop's FIFO policy admits everything and serves each
+     task as a batch of one on a fresh deployment *)
   Alcotest.(check int) "no shed" 0 a.Sysim.shed;
-  Alcotest.(check int) "no batches" 0 a.Sysim.batches;
-  Alcotest.(check int) "no scaling" 0 (a.Sysim.scale_ups + a.Sysim.scale_downs)
+  Alcotest.(check int) "a batch per task" 30 a.Sysim.batches;
+  Alcotest.(check int) "a deployment per task" 30 a.Sysim.scale_ups;
+  Alcotest.(check int) "no scale-down" 0 a.Sysim.scale_downs
 
 let test_percentiles_match_histogram () =
   Obs.reset ();
@@ -1379,7 +1397,7 @@ let () =
           Alcotest.test_case "deterministic" `Quick test_serving_deterministic;
           Alcotest.test_case "autoscaled tail vs static" `Quick
             test_autoscaled_tail_vs_static;
-          Alcotest.test_case "rejects fault plans" `Quick test_serving_rejects_fault_plans;
+          Alcotest.test_case "serves through a crash" `Quick test_serving_through_a_crash;
           Alcotest.test_case "tenant pool requires tenants" `Quick
             test_tenant_pool_requires_tenants;
           Alcotest.test_case "open loop untouched" `Quick

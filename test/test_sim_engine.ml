@@ -122,10 +122,13 @@ let test_run_until_agrees () =
 (* Whole-run pins: the MD5 of each result, scrubbed of the wall clock
    and marshalled without sharing, so every counter, every float and
    the completion-order latency list (an order-sensitive fingerprint
-   of the whole event sequence) take part.  Each pin was recorded
-   while the heap engine was still selectable inside [Sysim.run], with
-   the heap and wheel runs producing the identical result, so it
-   certifies both engines' output. *)
+   of the whole event sequence) take part.  The pins were first
+   recorded while the heap engine was still selectable inside
+   [Sysim.run], with the heap and wheel runs producing the identical
+   result; they were re-recorded when the open loop became the
+   dispatch loop's FIFO policy, with every model field unchanged (only
+   the open runs' [batches] and [scale_ups] and the serving run's
+   [mean_wait_us], now taken at completion, moved). *)
 let check_pin name cfg ~pin =
   let r = Sysim.run ~registry:(Lazy.force registry) cfg in
   let scrubbed = { r with Sysim.loop_wall_s = 0.0 } in
@@ -139,7 +142,7 @@ let test_sysim_open_loop () =
     Sysim.default_config ~policy:Runtime.greedy ~composition:Genset.table1.(6)
   in
   check_pin "open loop" { cfg with Sysim.tasks = 30 }
-    ~pin:"76884033d1915a34e402829cf12f2c64"
+    ~pin:"3c2eb3f2cb7287e93792fd0593d5b085"
 
 let test_sysim_faults () =
   let plan =
@@ -152,7 +155,7 @@ let test_sysim_faults () =
   in
   check_pin "faults"
     { cfg with Sysim.tasks = 30; faults = Some (Sysim.default_faults plan) }
-    ~pin:"1d60647e6e3c5a9f38deb3d1ee480d4d"
+    ~pin:"d5901e8786d5f569bed22ede304a36bf"
 
 let test_sysim_serving () =
   let cfg =
@@ -165,7 +168,7 @@ let test_sysim_serving () =
       arrival = Genset.Exponential { mean_us = 120.0 };
       serving = Some Sysim.default_serving;
     }
-    ~pin:"2fa7ee0a0059af9882e50e0f390429d4"
+    ~pin:"5a353aacd1def132e251001fc69119a4"
 
 let () =
   Alcotest.run "sim_engine"

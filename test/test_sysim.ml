@@ -191,12 +191,21 @@ let check_tenant_accounting (r : Sysim.result) =
 (* Each pin was recorded while the pre-index linear data shapes
    (list flight table, fold-per-pick router, per-completion group
    sweeps) were still selectable inside [Sysim.run], with both shapes
-   producing the identical result, so it certifies both. *)
+   producing the identical result, so it certifies both.  The open-loop
+   pin was re-recorded when the open loop became the dispatch loop's
+   FIFO policy: every model field is unchanged, while [batches],
+   [scale_ups] (one per task) and [tn_admitted] (the admit-all gate
+   passes every arrival) moved from 0. *)
 let test_multi_tenant_open_loop_shapes_identical () =
   let r = Sysim.run ~registry:(Lazy.force registry) (tenant_cfg ~serving:None) in
-  Alcotest.(check string) "result digest" "fcd993e6650dc7a0af658b2dc4b0cedc"
+  Alcotest.(check string) "result digest" "9d44cb20b762d1bea10a84825c5688b1"
     (result_md5 r);
-  check_tenant_accounting r
+  check_tenant_accounting r;
+  List.iter
+    (fun (t : Sysim.tenant_stats) ->
+      Alcotest.(check int) (t.Sysim.tn_name ^ " admitted = arrived") t.Sysim.tn_arrived
+        t.Sysim.tn_admitted)
+    r.Sysim.per_tenant
 
 let test_multi_tenant_serving_shapes_identical () =
   let r =
@@ -351,6 +360,45 @@ let test_serving_infeasible_reclaims_nothing () =
   Alcotest.(check int) "rejected" 1 r.Sysim.rejected;
   Alcotest.(check int) "nothing reclaimed" 0
     Mlv_obs.Obs.Counter.(value (get "sysim.serving.reclaimed"))
+
+(* One client session sends npu-t6 requests every 10 ms to a static
+   serving loop on two XCVU37P nodes: the first deploy lands on node 0
+   and becomes the session's sticky replica.  A crash of node 0 kills
+   it; the next batch finds its sticky route dead, falls back to the
+   router (one more sticky miss) on a replica deployed on node 1, and
+   every request still completes. *)
+let test_sticky_replica_crash () =
+  let cfg plan =
+    {
+      (replay_cfg
+         ~serving:
+           {
+             Sysim.default_serving with
+             Sysim.batch = Mlv_sched.Batcher.config ~max_batch:1 ();
+             autoscale = None;
+           }
+         (List.init 10 (fun i -> (small_point, 10_000.0 *. float_of_int i))))
+      with
+      Sysim.cluster_kinds = [ Device.XCVU37P; Device.XCVU37P ];
+      frontend =
+        Some
+          {
+            Sysim.default_frontend with
+            Sysim.sessions = Some (Mlv_serve.Session.config ~idle_timeout_us:1e9 ());
+          };
+      faults = Option.map Sysim.default_faults plan;
+    }
+  in
+  let go plan = Sysim.run ~registry:(Lazy.force registry) (cfg plan) in
+  let calm = go None in
+  let hit = go (Some (plan_of_string "crash@45000:0,restore@200000:0")) in
+  Alcotest.(check int) "calm: one miss, the first batch" 1 calm.Sysim.sticky_misses;
+  Alcotest.(check int) "crash: the dead route is one more miss" 2 hit.Sysim.sticky_misses;
+  Alcotest.(check int) "crash: the rest stick again" (calm.Sysim.sticky_hits - 1)
+    hit.Sysim.sticky_hits;
+  Alcotest.(check int) "crash: every request completes" 10 hit.Sysim.completed;
+  Alcotest.(check int) "crash: a second replica" 2 hit.Sysim.scale_ups;
+  Alcotest.(check int) "crash: none lost" 0 hit.Sysim.lost
 
 let test_late_crash_does_not_perturb () =
   (* a fault plan firing after the last completion must not change the
@@ -587,7 +635,44 @@ let test_trace_closed_accounting () =
     (r.Sysim.completed + r.Sysim.preempted)
     (count Obs.Trace.Service);
   Alcotest.(check int) "serving: nothing lost" 0 r.Sysim.lost;
-  Alcotest.(check bool) "serving: trace JSON valid" true json_ok
+  Alcotest.(check bool) "serving: trace JSON valid" true json_ok;
+  (* 4. The same two-tenant serving run through a crash of node 1 at
+     0.3 and its restore at 0.6 of the fault-free makespan: the
+     interrupted batches retry, and every tenant's accounting closes. *)
+  let base = Sysim.run ~registry:(Lazy.force registry) cfg in
+  let r, json_ok =
+    traced_run
+      {
+        cfg with
+        Sysim.faults = Some (Sysim.default_faults (crash_restore_plan base.Sysim.makespan_us));
+      }
+  in
+  Alcotest.(check bool) "serving crash: work was interrupted" true
+    (count Obs.Trace.Crash_interrupt > 0);
+  Alcotest.(check bool) "serving crash: some retried" true (r.Sysim.retried > 0);
+  Alcotest.(check int) "serving crash: retry events = retried" r.Sysim.retried
+    (count Obs.Trace.Retry);
+  Alcotest.(check int) "serving crash: complete events = completed" r.Sysim.completed
+    (count Obs.Trace.Complete);
+  Alcotest.(check int) "serving crash: reject events = rejected" r.Sysim.rejected
+    (count Obs.Trace.Reject);
+  Alcotest.(check int) "serving crash: shed events = shed" r.Sysim.shed
+    (count Obs.Trace.Shed);
+  Alcotest.(check int) "serving crash: deploy events = completed + preempted + interrupted"
+    (r.Sysim.completed + r.Sysim.preempted + count Obs.Trace.Crash_interrupt)
+    (count Obs.Trace.Deploy);
+  Alcotest.(check int) "serving crash: run accounting closes" tasks
+    (r.Sysim.completed + r.Sysim.rejected + r.Sysim.shed + r.Sysim.preempted);
+  Alcotest.(check int) "serving crash: nothing lost" 0 r.Sysim.lost;
+  List.iter
+    (fun (t : Sysim.tenant_stats) ->
+      Alcotest.(check int)
+        ("serving crash: tenant " ^ t.Sysim.tn_name ^ " closes")
+        t.Sysim.tn_arrived
+        (t.Sysim.tn_completed + t.Sysim.tn_shed + t.Sysim.tn_rejected
+       + t.Sysim.tn_preempted_lost))
+    r.Sysim.per_tenant;
+  Alcotest.(check bool) "serving crash: trace JSON valid" true json_ok
 
 let test_labeled_metrics_deterministic () =
   (* two identical runs must produce byte-identical sysim counter and
@@ -714,6 +799,25 @@ let pin_serving_cfg () =
         };
   }
 
+(* The every-feature serving run through a crash of node 1 at 0.3 and
+   its restore at 0.6 of its fault-free makespan, with the outage
+   alert beside the burn-rate one. *)
+let pin_serving_faulted_cfg () =
+  let cfg = pin_serving_cfg () in
+  let base = Sysim.run ~registry:(Lazy.force registry) cfg in
+  {
+    cfg with
+    Sysim.faults = Some (Sysim.default_faults (crash_restore_plan base.Sysim.makespan_us));
+    telemetry =
+      Option.map
+        (fun (t : Sysim.telemetry) ->
+          {
+            t with
+            Sysim.rules = t.Sysim.rules @ pin_rule "outage gt sysim.nodes_down 0 1 1 0";
+          })
+        cfg.Sysim.telemetry;
+  }
+
 (* A run stamps its lifecycle events with its own sim clock from the
    first arrival to the last completion, preemptions included. *)
 let test_trace_clock_owned_by_run () =
@@ -756,19 +860,26 @@ let test_deploy_spans_own_ids () =
   Alcotest.(check int) "distinct deployment ids" (List.length ids)
     (List.length (List.sort_uniq compare ids))
 
-(* Recorded before the two loops shared their setup, bookkeeping,
-   telemetry and report code; any change to what a run registers,
-   counts, traces or samples moves these. *)
+(* Any change to what a run registers, counts, traces or samples moves
+   these.  Re-recorded when the open loop became the dispatch loop's
+   FIFO policy: the lifecycle traces and the series values are
+   unchanged, while the open runs count half the refused deploys
+   ([runtime.deploy.fail]), gain the dispatch counters
+   ([sysim.serving.batches], [sysim.serving.scale_up]) and lose the
+   [sysim.task_sojourn_us{kind,node}] histograms, and every telemetry
+   run publishes the same series. *)
 let test_run_obs_pinned () =
   List.iter
     (fun (label, cfg, want) ->
       Alcotest.(check string) label want (run_obs_md5 (cfg ())))
     [
-      ("set-7 open loop", pin_open_cfg, "0436378b090db8f26e4b2fd9ee7aa285");
+      ("set-7 open loop", pin_open_cfg, "7b537fe250eb94317518273d2fef7cba");
       ("open loop, crash/restore, telemetry", pin_faulted_cfg,
-        "be56b95c8bfca0ef35ebc370594ff740");
+        "ba38bd47152bafc4e17521cdd66f9b80");
       ("multi-tenant serving, every feature", pin_serving_cfg,
-        "73f95b160e0dd1de2496a702a4bfa424");
+        "acd99e2ac87c341bfa8f4ff17ceae708");
+      ("multi-tenant serving, every feature, crash/restore", pin_serving_faulted_cfg,
+        "c15c950d9009d18053f65723bde99cef");
     ]
 
 let test_wait_reasonable () =
@@ -888,6 +999,7 @@ let () =
             test_availability_acceptance;
           Alcotest.test_case "crash hits a two-node flight" `Quick
             test_crash_hits_two_node_flight;
+          Alcotest.test_case "sticky replica crash" `Quick test_sticky_replica_crash;
         ] );
       ( "tracing",
         [
