@@ -124,14 +124,21 @@ bench-watch:
 # short runs on a shared machine, especially back-to-back inside
 # `make check`, routinely swing 2×; the guard is for
 # order-of-magnitude cliffs (an accidentally quadratic path), not
-# percent-level noise.
+# percent-level noise.  The speedups (indexed over oracle, wheel over
+# heap) are ratios of two engines timed on the same host, so a slow
+# host moves them far less than a code regression does; they get a
+# 50% budget.
 bench-diff: bench-place-smoke bench-sim-smoke
 	dune exec bench/benchdiff.exe -- --ref BENCH_place_smoke.json \
 	  --new $(SMOKE_DIR)/BENCH_place_smoke.json --key indexed.deploys_per_s \
 	  --max-regress 75
+	dune exec bench/benchdiff.exe -- --ref BENCH_place_smoke.json \
+	  --new $(SMOKE_DIR)/BENCH_place_smoke.json --key speedup --max-regress 50
 	dune exec bench/benchdiff.exe -- --ref BENCH_sim_smoke.json \
 	  --new $(SMOKE_DIR)/BENCH_sim_smoke.json --key wheel.events_per_s \
 	  --max-regress 75
+	dune exec bench/benchdiff.exe -- --ref BENCH_sim_smoke.json \
+	  --new $(SMOKE_DIR)/BENCH_sim_smoke.json --key speedup --max-regress 50
 
 # The repository benchmark (perfbench/README.md): every workload in
 # BENCHMARK.json, seed 1, 20 s of fresh processes each; prints each

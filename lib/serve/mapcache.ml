@@ -1,20 +1,10 @@
 module Obs = Mlv_obs.Obs
+module Lru = Mlv_util.Lru
 
-(* LRU of compiled-mapping results keyed by canonical shape
-   signatures.  Recency is a monotonic stamp per entry; eviction
-   scans for the minimum stamp (ties broken by smaller key for
-   determinism).  Hits are O(1); the scan only runs on an eviction,
-   i.e. on the miss path of a full cache — the workloads this fronts
-   are repeat-heavy by design, so misses are the rare case. *)
-type 'a entry = { mutable value : 'a; mutable stamp : int }
-
+(* An exact LRU of compiled-mapping results keyed by canonical shape
+   signatures, with its counts mirrored into the registry. *)
 type 'a t = {
-  capacity : int;
-  tbl : (string, 'a entry) Hashtbl.t;
-  mutable tick : int;
-  mutable m_hits : int;
-  mutable m_misses : int;
-  mutable m_evictions : int;
+  lru : (string, 'a) Lru.t;
   c_hits : Obs.Counter.t;
   c_misses : Obs.Counter.t;
   c_evictions : Obs.Counter.t;
@@ -23,72 +13,24 @@ type 'a t = {
 let create ~capacity () =
   if capacity < 1 then invalid_arg "Mapcache.create: capacity must be >= 1";
   {
-    capacity;
-    tbl = Hashtbl.create (2 * capacity);
-    tick = 0;
-    m_hits = 0;
-    m_misses = 0;
-    m_evictions = 0;
+    lru = Lru.create capacity;
     c_hits = Obs.Counter.get "serve.mapcache.hits";
     c_misses = Obs.Counter.get "serve.mapcache.misses";
     c_evictions = Obs.Counter.get "serve.mapcache.evictions";
   }
 
-let capacity t = t.capacity
-let length t = Hashtbl.length t.tbl
-let mem t key = Hashtbl.mem t.tbl key
-
-let next_stamp t =
-  let s = t.tick in
-  t.tick <- s + 1;
-  s
+let capacity t = Lru.capacity t.lru
+let length t = Lru.length t.lru
+let mem t key = Lru.mem t.lru key
 
 let find t key =
-  match Hashtbl.find_opt t.tbl key with
-  | Some e ->
-    e.stamp <- next_stamp t;
-    t.m_hits <- t.m_hits + 1;
-    Obs.Counter.incr t.c_hits;
-    Some e.value
-  | None ->
-    t.m_misses <- t.m_misses + 1;
-    Obs.Counter.incr t.c_misses;
-    None
+  let v = Lru.find t.lru key in
+  Obs.Counter.incr (match v with Some _ -> t.c_hits | None -> t.c_misses);
+  v
 
-let evict_lru t =
-  let victim =
-    Hashtbl.fold
-      (fun key e best ->
-        match best with
-        | Some (bk, bs) when (bs, bk) <= (e.stamp, key) -> best
-        | _ -> Some (key, e.stamp))
-      t.tbl None
-  in
-  match victim with
-  | Some (key, _) ->
-    Hashtbl.remove t.tbl key;
-    t.m_evictions <- t.m_evictions + 1;
-    Obs.Counter.incr t.c_evictions
-  | None -> ()
-
-let put t key value =
-  match Hashtbl.find_opt t.tbl key with
-  | Some e ->
-    e.value <- value;
-    e.stamp <- next_stamp t
-  | None ->
-    if Hashtbl.length t.tbl >= t.capacity then evict_lru t;
-    Hashtbl.replace t.tbl key { value; stamp = next_stamp t }
-
-let hits t = t.m_hits
-let misses t = t.m_misses
-let evictions t = t.m_evictions
-
-let hit_rate t =
-  let total = t.m_hits + t.m_misses in
-  if total = 0 then 0.0 else float_of_int t.m_hits /. float_of_int total
-
-let keys t =
-  Hashtbl.fold (fun k e acc -> (e.stamp, k) :: acc) t.tbl []
-  |> List.sort (fun a b -> compare b a)
-  |> List.map snd
+let put t key v = if Lru.put t.lru key v then Obs.Counter.incr t.c_evictions
+let hits t = Lru.hits t.lru
+let misses t = Lru.misses t.lru
+let evictions t = Lru.evictions t.lru
+let hit_rate t = Lru.hit_rate t.lru
+let keys t = Lru.keys t.lru

@@ -7,8 +7,8 @@
     decompose/partition/mapping pipeline and pay only queue and
     service time.
 
-    Hits are O(1); the LRU scan runs only when a miss evicts from a
-    full cache.  Hit / miss / eviction counts are mirrored into the
+    An exact LRU ({!Mlv_util.Lru}): every operation is O(1).  Hit /
+    miss / eviction counts are mirrored into the
     {!Mlv_obs.Obs} registry under [serve.mapcache.*], where the
     telemetry scrape loop picks them up. *)
 
@@ -27,9 +27,9 @@ val mem : 'a t -> string -> bool
     counts a hit or a miss. *)
 val find : 'a t -> string -> 'a option
 
-(** [put t key v] inserts or overwrites; inserting into a full cache
-    evicts the least-recently-used entry (oldest stamp, ties by
-    smaller key — deterministic). *)
+(** [put t key v] inserts or overwrites, as the most recently used
+    entry; inserting into a full cache evicts the least recently used
+    one. *)
 val put : 'a t -> string -> 'a -> unit
 
 val hits : 'a t -> int

@@ -243,9 +243,11 @@ let latency_percentiles latencies =
     | _ -> assert false)
 
 (* Per-tenant running tallies; finalized into [tenant_stats] once the
-   makespan is known. *)
+   makespan is known.  Each admitted task carries its tenant's tally,
+   resolved once at arrival. *)
 type ttally = {
   tt_name : string;
+  tt_priority : int;  (* the tenant's tl_priority: preemption rank *)
   mutable tt_arrived : int;
   mutable tt_admitted : int;
   mutable tt_shed : int;
@@ -254,36 +256,29 @@ type ttally = {
   mutable tt_preempted : int;
   mutable tt_slo_misses : int;
   mutable tt_latencies : float list;
-  tt_completed_c : Obs.Counter.t;
-  tt_shed_c : Obs.Counter.t;
 }
 
-(* Tallies in declaration order; the handles for the per-tenant
-   labeled series are hoisted here so the per-event paths never build
-   a label list. *)
+(* Tallies in declaration order. *)
 let make_tallies cfg =
   List.map
     (fun (l : Genset.tenant_load) ->
-      let labels = [ ("tenant", l.Genset.tl_name) ] in
-      ( l.Genset.tl_name,
-        {
-          tt_name = l.Genset.tl_name;
-          tt_arrived = 0;
-          tt_admitted = 0;
-          tt_shed = 0;
-          tt_completed = 0;
-          tt_rejected = 0;
-          tt_preempted = 0;
-          tt_slo_misses = 0;
-          tt_latencies = [];
-          tt_completed_c = Obs.Counter.get_labeled "sysim.tenant.completed" labels;
-          tt_shed_c = Obs.Counter.get_labeled "sysim.tenant.shed" labels;
-        } ))
+      {
+        tt_name = l.Genset.tl_name;
+        tt_priority = l.Genset.tl_priority;
+        tt_arrived = 0;
+        tt_admitted = 0;
+        tt_shed = 0;
+        tt_completed = 0;
+        tt_rejected = 0;
+        tt_preempted = 0;
+        tt_slo_misses = 0;
+        tt_latencies = [];
+      })
     cfg.tenants
 
 let tenant_stats_of ~makespan_us tallies =
   List.map
-    (fun (_, t) ->
+    (fun t ->
       {
         tn_name = t.tt_name;
         tn_arrived = t.tt_arrived;
@@ -311,11 +306,6 @@ let instance_tile_counts = [ 4; 6; 8; 10; 13; 16; 18; 21; 32; 42 ]
 
 let build_registry () =
   Framework.npu_registry ~iterations:2 ~tile_counts:instance_tile_counts ()
-
-let cache_stats runtime =
-  match Runtime.bitstream_cache runtime with
-  | Some c -> (Bitstream.Cache.hits c, Bitstream.Cache.misses c)
-  | None -> (0, 0)
 
 let tiles_needed point =
   let words = Deepbench.weight_words point in
@@ -499,6 +489,7 @@ let deployment_dims (d : Runtime.deployment) =
 type stask = {
   s_task : Genset.task;
   s_group : sgroup;  (* the group of the accelerator it asks for *)
+  s_tally : ttally option;  (* its tenant's tally; None single-tenant *)
   s_deadline_us : float;  (* class SLO deadline; 0 = multiplier rule *)
   s_session : Session.session option;
       (* front-door session (sticky routing, in-order delivery);
@@ -588,7 +579,7 @@ let least_replica ~skip ~eligible ~less = function
   | g :: gs -> first_in skip eligible less gs g (if skip g then [] else g.g_replicas)
 
 (* ------------------------------------------------------------------ *)
-(* Run skeleton                                                        *)
+(* Run state                                                           *)
 (* ------------------------------------------------------------------ *)
 
 (* Samples kept for an exact mean, unboxed in a growable array: one
@@ -622,10 +613,12 @@ module Samples = struct
     end
 end
 
-(* The state a run drives: the cluster, the task stream, the tallies
-   every task ends in and the metric handles the per-task paths emit
-   through.  The dispatch loop keeps its groups, lanes and replicas
-   beside it. *)
+(* The state a run drives: the cluster, the task stream, the groups
+   the dispatch loop serves, the metric handles the per-task paths
+   emit through, and every tally a run counts — each kept once, here.
+   The counters that mirror a tally are published from it as the run
+   ends ([publish]); the dispatch loop keeps its lanes, replicas and
+   policy state beside it. *)
 type run = {
   cfg : config;
   cluster : Cluster.t;
@@ -633,21 +626,21 @@ type run = {
   sim : Sim.t;
   tasks : Genset.task list;
   ntasks : int;
-  multi : bool;
-  tallies : (string * ttally) list;
+  tallies : ttally list;
   accel_names : (int, string) Hashtbl.t;
       (* instance size -> accelerator name: a sprintf per arrival
          otherwise *)
   node_cs : (int, Obs.Counter.t) Hashtbl.t;  (* sysim.tasks.completed{node} *)
   kind_hs : (string, Obs.Histogram.t) Hashtbl.t;  (* sysim.task_sojourn_us{kind} *)
-  rejected_c : Obs.Counter.t;
-  completed_c : Obs.Counter.t;
-  arrived_c : Obs.Counter.t;
-  slo_miss_c : Obs.Counter.t;
   wait_attempt_h : Obs.Histogram.t;
   service_h : Obs.Histogram.t;
   wait_h : Obs.Histogram.t;
   sojourn_h : Obs.Histogram.t;
+  mutable groups : sgroup list;
+      (* by name ascending, maintained on creation (groups are never
+         destroyed): decisions iterate groups in this order, never in
+         Hashtbl order, to stay deterministic *)
+  mutable arrived : int;
   mutable completed : int;
   mutable rejected : int;
   mutable shed : int;  (* turned away at the gate *)
@@ -655,11 +648,17 @@ type run = {
   mutable retried : int;  (* crash interruptions re-queued *)
   mutable slo_misses : int;
   mutable completed_in_outage : int;  (* completions while a node was down *)
+  mutable queued : int;  (* admitted, not yet in service *)
+  mutable peak_queue : int;
+  mutable busy : int;  (* replicas serving a batch *)
+  mutable scale_ups : int;  (* replicas made; the next one's id *)
+  mutable scale_downs : int;
+  mutable preemptions : int;  (* replicas evicted *)
+  mutable defrag_moves : int;
   mutable latencies : float list;
   waits : Samples.t;  (* end to end, one per completion *)
   attempt_waits : Samples.t;  (* one per service start *)
   services : Samples.t;
-  mutable peak_queue : int;
   mutable makespan : float;
   mutable sojourn_s : Series.t option;  (* sysim.sojourn_us.p99, telemetry on *)
   mutable scrapes : int;
@@ -672,17 +671,6 @@ let setup ~registry cfg =
   in
   let runtime = Runtime.create ~policy:cfg.policy ?cache cluster registry in
   let rng = Rng.create cfg.seed in
-  (* Metric handles are interned by name; hoisting the string-keyed
-     registry lookups out of the per-event closures lets the hot paths
-     emit through direct handles. *)
-  let rejected_c = Obs.Counter.get "sysim.tasks.rejected" in
-  let completed_c = Obs.Counter.get "sysim.tasks.completed" in
-  let arrived_c = Obs.Counter.get "sysim.tasks.arrived" in
-  let slo_miss_c = Obs.Counter.get "sysim.slo_misses" in
-  let wait_attempt_h = Obs.Histogram.get "sysim.task_wait_attempt_us" in
-  let service_h = Obs.Histogram.get "sysim.task_service_us" in
-  let wait_h = Obs.Histogram.get "sysim.task_wait_us" in
-  let sojourn_h = Obs.Histogram.get "sysim.task_sojourn_us" in
   let tasks = generate_tasks ~rng cfg in
   {
     cfg;
@@ -691,19 +679,17 @@ let setup ~registry cfg =
     sim = cluster.Cluster.sim;
     tasks;
     ntasks = task_count cfg;
-    multi = cfg.tenants <> [];
     tallies = make_tallies cfg;
     accel_names = Hashtbl.create 16;
     node_cs = Hashtbl.create 32;
     kind_hs = Hashtbl.create 8;
-    rejected_c;
-    completed_c;
-    arrived_c;
-    slo_miss_c;
-    wait_attempt_h;
-    service_h;
-    wait_h;
-    sojourn_h;
+    (* Interned once: the hot paths emit through direct handles. *)
+    wait_attempt_h = Obs.Histogram.get "sysim.task_wait_attempt_us";
+    service_h = Obs.Histogram.get "sysim.task_service_us";
+    wait_h = Obs.Histogram.get "sysim.task_wait_us";
+    sojourn_h = Obs.Histogram.get "sysim.task_sojourn_us";
+    groups = [];
+    arrived = 0;
     completed = 0;
     rejected = 0;
     shed = 0;
@@ -711,17 +697,24 @@ let setup ~registry cfg =
     retried = 0;
     slo_misses = 0;
     completed_in_outage = 0;
+    queued = 0;
+    peak_queue = 0;
+    busy = 0;
+    scale_ups = 0;
+    scale_downs = 0;
+    preemptions = 0;
+    defrag_moves = 0;
     latencies = [];
     waits = Samples.create ();
     attempt_waits = Samples.create ();
     services = Samples.create ();
-    peak_queue = 0;
     makespan = 0.0;
     sojourn_s = None;
     scrapes = 0;
   }
 
-let tally_of run tenant = if run.multi then List.assoc_opt tenant run.tallies else None
+(* A task's preemption rank: its tenant's priority, 0 single-tenant. *)
+let priority st = match st.s_tally with Some t -> t.tt_priority | None -> 0
 
 (* Tasks that ended one way or another; the periodic ticks stop once
    every task has. *)
@@ -733,34 +726,33 @@ let accel_of_point run point =
 
 (* Arrival prologue: count the task (and its tenant's arrival), trace
    it, and return the accelerator it asks for. *)
-let arrive run (task : Genset.task) =
-  Obs.Counter.incr run.arrived_c;
-  (match tally_of run task.Genset.tenant with
-  | Some t -> t.tt_arrived <- t.tt_arrived + 1
-  | None -> ());
+let arrive run (task : Genset.task) tally =
+  run.arrived <- run.arrived + 1;
+  (match tally with Some t -> t.tt_arrived <- t.tt_arrived + 1 | None -> ());
   let accel = accel_of_point run task.Genset.point in
   Obs.Trace.task Obs.Trace.Arrive task.Genset.task_id ~label:accel;
   accel
 
-let reject run (task : Genset.task) ~retries ~label =
+let reject run st =
+  run.queued <- run.queued - 1;
   run.rejected <- run.rejected + 1;
-  Obs.Counter.incr run.rejected_c;
-  (match tally_of run task.Genset.tenant with
-  | Some t -> t.tt_rejected <- t.tt_rejected + 1
-  | None -> ());
-  Obs.Trace.task Obs.Trace.Reject task.Genset.task_id ~retries ~label
+  (match st.s_tally with Some t -> t.tt_rejected <- t.tt_rejected + 1 | None -> ());
+  Obs.Trace.task Obs.Trace.Reject st.s_task.Genset.task_id ~retries:st.s_retries
+    ~label:st.s_group.g_accel
 
 (* Service start: trace the deploy, record the attempt's wait (from
    when this attempt entered its lane) and the task's service time,
    trace the service. *)
-let start run (task : Genset.task) ~attempt_wait ~service ?node ~deployment ~retries
-    ~label () =
-  Obs.Trace.task Obs.Trace.Deploy task.Genset.task_id ?node ~deployment ~retries ~label;
+let start run st ~attempt_wait ~service ?node ~deployment () =
+  let id = st.s_task.Genset.task_id and retries = st.s_retries in
+  let label = st.s_group.g_accel in
+  run.queued <- run.queued - 1;
+  Obs.Trace.task Obs.Trace.Deploy id ?node ~deployment ~retries ~label;
   Samples.add run.attempt_waits attempt_wait;
   Obs.Histogram.observe run.wait_attempt_h attempt_wait;
   Samples.add run.services service;
   Obs.Histogram.observe run.service_h service;
-  Obs.Trace.task Obs.Trace.Service task.Genset.task_id ?node ~deployment ~retries ~label
+  Obs.Trace.task Obs.Trace.Service id ?node ~deployment ~retries ~label
 
 (* Labeled series are interned by (name, labels); caching the handles
    per dimension value keeps completions from building label lists. *)
@@ -777,13 +769,12 @@ let sojourn_of_kind kind =
    sojourn in the latency list, the sojourn histograms and the p99
    series, trace it, check it against [deadline_us] and charge its
    tenant.  Returns the sojourn. *)
-let complete run (task : Genset.task) ~started ~finished ~deadline_us ?node ~kind
-    ~deployment ~retries ~label () =
+let complete run st ~started ~finished ~deadline_us ?node ~kind ~deployment () =
+  let task = st.s_task in
   let wait = started -. task.Genset.arrival_us in
   Samples.add run.waits wait;
   Obs.Histogram.observe run.wait_h wait;
   run.completed <- run.completed + 1;
-  Obs.Counter.incr run.completed_c;
   if Runtime.failed_count run.runtime > 0 then
     run.completed_in_outage <- run.completed_in_outage + 1;
   (match node with
@@ -796,28 +787,18 @@ let complete run (task : Genset.task) ~started ~finished ~deadline_us ?node ~kin
   | Some s -> Series.observe s ~now_us:finished sojourn
   | None -> ());
   Obs.Histogram.observe (memo run.kind_hs kind sojourn_of_kind) sojourn;
-  Obs.Trace.task Obs.Trace.Complete task.Genset.task_id ?node ~deployment ~retries
-    ~label;
+  Obs.Trace.task Obs.Trace.Complete task.Genset.task_id ?node ~deployment
+    ~retries:st.s_retries ~label:st.s_group.g_accel;
   let missed = sojourn > deadline_us in
-  if missed then begin
-    run.slo_misses <- run.slo_misses + 1;
-    Obs.Counter.incr run.slo_miss_c
-  end;
-  (match tally_of run task.Genset.tenant with
+  if missed then run.slo_misses <- run.slo_misses + 1;
+  (match st.s_tally with
   | Some t ->
     t.tt_completed <- t.tt_completed + 1;
     t.tt_latencies <- sojourn :: t.tt_latencies;
-    if missed then t.tt_slo_misses <- t.tt_slo_misses + 1;
-    Obs.Counter.incr t.tt_completed_c
+    if missed then t.tt_slo_misses <- t.tt_slo_misses + 1
   | None -> ());
   run.makespan <- Float.max run.makespan finished;
   sojourn
-
-(* A series the scrape loop samples: a cumulative tally observed as its
-   per-scrape delta, or a level observed as is. *)
-type probe =
-  | Delta of string * (string * string) list * (unit -> int)
-  | Level of string * (unit -> int)
 
 (* A telemetry series of this run.  Own the name: a previous run in
    this process may have registered it with a different interval or
@@ -827,10 +808,11 @@ let own_series tel kind name labels =
   Series.create_labeled ~buckets:series_buckets ~kind
     ~interval_us:tel.scrape_interval_us name labels
 
-(* Optional scrape loop: each interval, sample the run's series
-   (completed / rejected / slo_missed rates), the loop's [probes] and
-   the per-tenant rates, then evaluate the alert rules; completions
-   feed the sojourn p99 series directly.
+(* Optional scrape loop: each interval, sample the run's tallies as
+   per-scrape rates (completed, rejected, SLO-missed, shed, retried
+   and the per-tenant ones) and its levels (queue depth, nodes down,
+   replicas), then evaluate the alert rules; completions feed the
+   sojourn p99 series directly.
    Ticks ride the event queue at absolute times k*interval so series
    bucket epochs align exactly with scrape boundaries.  A tick
    reschedules only while other work remains queued (at execution time
@@ -840,40 +822,44 @@ let own_series tel kind name labels =
    on or off; series are re-created at setup so back-to-back runs in
    one process stay independent.  Call it before the loop schedules
    anything: the first scrape is the first event at its time. *)
-let start_telemetry run ~probes =
+let start_telemetry run =
   Option.map
     (fun tel ->
       let engine = Alert.create tel.rules in
-      let sampler = function
-        | Delta (name, labels, read) ->
-          let s = own_series tel Series.Rate name labels in
-          let last = ref 0 in
-          fun ~now_us ->
-            let v = read () in
-            Series.observe s ~now_us (float_of_int (v - !last));
-            last := v
-        | Level (name, read) ->
-          let s = own_series tel Series.Gauge name [] in
-          fun ~now_us -> Series.observe s ~now_us (float_of_int (read ()))
+      let rate ?(labels = []) name read =
+        let s = own_series tel Series.Rate name labels in
+        let last = ref 0 in
+        fun ~now_us ->
+          let v = read () in
+          Series.observe s ~now_us (float_of_int (v - !last));
+          last := v
       in
-      let tenant_probes =
-        List.concat_map
-          (fun (_, t) ->
-            let lbl = [ ("tenant", t.tt_name) ] in
-            [
-              Delta ("sysim.tenant.completed.rate", lbl, fun () -> t.tt_completed);
-              Delta ("sysim.tenant.slo_missed.rate", lbl, fun () -> t.tt_slo_misses);
-            ])
-          run.tallies
+      let level name read =
+        let s = own_series tel Series.Gauge name [] in
+        fun ~now_us -> Series.observe s ~now_us (float_of_int (read ()))
+      in
+      let replicas () =
+        List.fold_left (fun acc g -> acc + List.length g.g_replicas) 0 run.groups
       in
       let samplers =
-        List.map sampler
-          ([
-             Delta ("sysim.completed.rate", [], fun () -> run.completed);
-             Delta ("sysim.rejected.rate", [], fun () -> run.rejected);
-             Delta ("sysim.slo_missed.rate", [], fun () -> run.slo_misses);
-           ]
-          @ probes @ tenant_probes)
+        [
+          rate "sysim.completed.rate" (fun () -> run.completed);
+          rate "sysim.rejected.rate" (fun () -> run.rejected);
+          rate "sysim.slo_missed.rate" (fun () -> run.slo_misses);
+          level "sysim.queue_depth" (fun () -> run.queued);
+          rate "sysim.shed.rate" (fun () -> run.shed);
+          rate "sysim.retried.rate" (fun () -> run.retried);
+          level "sysim.nodes_down" (fun () -> Runtime.failed_count run.runtime);
+          level "sysim.replicas" replicas;
+        ]
+        @ List.concat_map
+            (fun t ->
+              let labels = [ ("tenant", t.tt_name) ] in
+              [
+                rate ~labels "sysim.tenant.completed.rate" (fun () -> t.tt_completed);
+                rate ~labels "sysim.tenant.slo_missed.rate" (fun () -> t.tt_slo_misses);
+              ])
+            run.tallies
       in
       run.sojourn_s <- Some (own_series tel (Series.Quantile 0.99) "sysim.sojourn_us.p99" []);
       let iv = tel.scrape_interval_us in
@@ -889,89 +875,55 @@ let start_telemetry run ~probes =
       engine)
     run.cfg.telemetry
 
-(* Report: drain the event queue (timed: [loop_wall_s] is the loop
-   alone), let the loop settle what never finished ([leftovers]),
-   count whatever no tally claims as lost, and build the run's fields;
-   the loop adds its own with a record update. *)
-let finish run ~leftovers alerts =
-  let loop_t0 = Obs.wall_us () in
-  Sim.run run.sim;
-  let loop_wall_s = (Obs.wall_us () -. loop_t0) /. 1e6 in
-  leftovers ();
-  let lost = run.ntasks - run.completed - run.rejected - run.shed - run.preempted in
-  if lost > 0 then Obs.Counter.add (Obs.Counter.get "sysim.tasks.lost") lost;
-  let p50, p95, p99 = latency_percentiles run.latencies in
-  let per_s n =
-    if run.makespan > 0.0 then float_of_int n /. (run.makespan /. 1e6) else 0.0
+(* Publish the counters that mirror a tally of the finished run, one
+   add each.  The always-present ones are registered even at zero; a
+   preemption, scaling or loss counter only when the run counted one. *)
+let publish run ~batches ~lost =
+  let add ?(labels = []) name n =
+    Obs.Counter.add (Obs.Counter.get_labeled name labels) n
   in
-  let throughput = per_s run.completed in
-  (* Outage windows come from the fault plan; throughput outside them
-     counts the completions that landed while every node was up, over
-     the makespan minus the downtime overlapping it.  Windows are
-     summed most recent first. *)
-  let fault_downtime_us, fault_free_throughput_per_s =
-    match run.cfg.faults with
-    | None -> (0.0, throughput)
-    | Some f ->
-      let until = Sim.now run.sim in
-      let windows = List.rev (Fault_plan.outages f.plan ~until) in
-      let downtime = Fault_plan.downtime_us f.plan ~until in
-      let in_makespan =
-        List.fold_left
-          (fun acc (t0, t1) -> acc +. Float.max 0.0 (Float.min t1 run.makespan -. t0))
-          0.0 windows
-      in
-      let up_time = run.makespan -. in_makespan in
-      ( downtime,
-        if downtime = 0.0 then throughput
-        else if up_time > 0.0 then
-          float_of_int (run.completed - run.completed_in_outage) /. (up_time /. 1e6)
-        else 0.0 )
-  in
-  let cache_hits, cache_misses = cache_stats run.runtime in
-  {
-    completed = run.completed;
-    retried = run.retried;
-    rejected = run.rejected;
-    shed = run.shed;
-    lost;
-    makespan_us = run.makespan;
-    throughput_per_s = throughput;
-    goodput_per_s = per_s (run.completed - run.slo_misses);
-    fault_downtime_us;
-    fault_free_throughput_per_s;
-    mean_latency_us = Mlv_util.Stats.mean run.latencies;
-    mean_wait_us = Samples.mean run.waits;
-    wait_attempts = Samples.count run.attempt_waits;
-    mean_wait_per_attempt_us = Samples.mean run.attempt_waits;
-    mean_service_us = Samples.mean run.services;
-    p50_latency_us = p50;
-    p95_latency_us = p95;
-    p99_latency_us = p99;
-    peak_queue = run.peak_queue;
-    latencies_us = List.rev run.latencies;
-    slo_misses = run.slo_misses;
-    batches = 0;
-    scale_ups = 0;
-    scale_downs = 0;
-    preempted = run.preempted;
-    preemptions = 0;
-    defrag_moves = 0;
-    cache_hits;
-    cache_misses;
-    sessions_opened = 0;
-    sessions_expired = 0;
-    sticky_hits = 0;
-    sticky_misses = 0;
-    held_results = 0;
-    mapcache_hits = 0;
-    mapcache_misses = 0;
-    mapcache_evictions = 0;
-    per_tenant = tenant_stats_of ~makespan_us:run.makespan run.tallies;
-    scrapes = run.scrapes;
-    alert_transitions = (match alerts with Some e -> Alert.transitions e | None -> []);
-    loop_wall_s;
-  }
+  let add_nonzero name n = if n > 0 then add name n in
+  add "sysim.tasks.arrived" run.arrived;
+  add "sysim.tasks.completed" run.completed;
+  add "sysim.tasks.rejected" run.rejected;
+  add "sysim.tasks.retried" run.retried;
+  add "sysim.slo_misses" run.slo_misses;
+  add "sysim.serving.batches" batches;
+  add "sysim.serving.shed" run.shed;
+  add_nonzero "sysim.tasks.lost" lost;
+  add_nonzero "sysim.serving.scale_up" run.scale_ups;
+  add_nonzero "sysim.serving.scale_down" run.scale_downs;
+  add_nonzero "sysim.serving.preempted" run.preempted;
+  add_nonzero "sysim.serving.preemptions" run.preemptions;
+  List.iter
+    (fun t ->
+      let labels = [ ("tenant", t.tt_name) ] in
+      add ~labels "sysim.tenant.completed" t.tt_completed;
+      add ~labels "sysim.tenant.shed" t.tt_shed)
+    run.tallies
+
+(* Outage windows come from the fault plan; throughput outside them
+   counts the completions that landed while every node was up, over
+   the makespan minus the downtime overlapping it.  Windows are summed
+   most recent first.  Returns the downtime and that throughput. *)
+let fault_free run ~throughput =
+  match run.cfg.faults with
+  | None -> (0.0, throughput)
+  | Some f ->
+    let until = Sim.now run.sim in
+    let windows = List.rev (Fault_plan.outages f.plan ~until) in
+    let downtime = Fault_plan.downtime_us f.plan ~until in
+    let in_makespan =
+      List.fold_left
+        (fun acc (t0, t1) -> acc +. Float.max 0.0 (Float.min t1 run.makespan -. t0))
+        0.0 windows
+    in
+    let up_time = run.makespan -. in_makespan in
+    ( downtime,
+      if downtime = 0.0 then throughput
+      else if up_time > 0.0 then
+        float_of_int (run.completed - run.completed_in_outage) /. (up_time /. 1e6)
+      else 0.0 )
 
 (* A periodic serving tick: [f] every [interval_us] of sim time while
    [live ()] holds, checked before each firing, so a drained (or
@@ -1010,10 +962,7 @@ let dispatch_loop run =
   let fifo = cfg.serving = None in
   let serving = Option.value cfg.serving ~default:fifo_policy in
   let registry = Runtime.registry runtime in
-  let batches_c = Obs.Counter.get "sysim.serving.batches" in
-  let shed_c = Obs.Counter.get "sysim.serving.shed" in
-  let retried_c = Obs.Counter.get "sysim.tasks.retried" in
-  let multi = run.multi in
+  let multi = cfg.tenants <> [] in
   let gate = Slo.create serving.classes in
   (match serving.tenant_pool with
   | None -> ()
@@ -1027,19 +976,9 @@ let dispatch_loop run =
          cfg.tenants));
   (* Tenant priorities drive the preemption policy; a run without
      positive priorities (every single-tenant run) never preempts. *)
-  let tenant_prio : (string, int) Hashtbl.t = Hashtbl.create 8 in
-  List.iter
-    (fun (l : Genset.tenant_load) ->
-      Hashtbl.replace tenant_prio l.Genset.tl_name l.Genset.tl_priority)
-    cfg.tenants;
-  (* Allocation-free: every admitted arrival asks, and every dispatch
-     that finds no replica. *)
-  let prio_of tenant =
-    match Hashtbl.find tenant_prio tenant with p -> p | exception Not_found -> 0
-  in
   let rec batch_priority acc = function
     | [] -> acc
-    | st :: batch -> batch_priority (max acc (prio_of st.s_task.Genset.tenant)) batch
+    | st :: batch -> batch_priority (max acc (priority st)) batch
   in
   (* The serving front door: all-None (the default) takes none of the
      branches below and is bit-identical to a build without it. *)
@@ -1059,37 +998,21 @@ let dispatch_loop run =
     | None -> accel
   in
   let shape_sig_of accel = memo shape_sigs accel shape_sig in
-  (* Interned lazily: a run that never preempts registers no
-     preemption metrics. *)
-  let preempted_task_c = lazy (Obs.Counter.get "sysim.serving.preempted") in
-  let preemption_c = lazy (Obs.Counter.get "sysim.serving.preemptions") in
   let batcher : stask Batcher.t = Batcher.create serving.batch in
   let router = Router.create () in
   let groups : (string, sgroup) Hashtbl.t = Hashtbl.create 8 in
-  (* Groups by name ascending, maintained on creation (groups are never
-     destroyed): decisions iterate groups in this order, never in
-     Hashtbl order, to stay deterministic. *)
-  let sorted_groups = ref [] in
   let insert_group g =
     let rec ins = function
       | [] -> [ g ]
       | x :: rest as l -> if g.g_accel < x.g_accel then g :: l else x :: ins rest
     in
-    sorted_groups := ins !sorted_groups
+    run.groups <- ins run.groups
   in
   let new_lane key = { l_key = key; l_batches = Queue.create (); l_tasks = 0 } in
   let fifo_lane = new_lane "" in
   (* Lanes whose backlog is non-empty, by key: the per-completion pump
      only looks at these instead of sweeping every group. *)
   let starved : (string, lane) Hashtbl.t = Hashtbl.create 8 in
-  let busy_count = ref 0 in
-  let next_replica_id = ref 0 in
-  let preemptions = ref 0 in
-  let defrag_moves = ref 0 in
-  let arrivals_in = ref 0 in
-  let scale_ups = ref 0 in
-  let scale_downs = ref 0 in
-  let queued = ref 0 in
   let group_of accel =
     match Hashtbl.find_opt groups accel with
     | Some g -> g
@@ -1123,22 +1046,7 @@ let dispatch_loop run =
       insert_group g;
       g
   in
-  let alerts =
-    start_telemetry run
-      ~probes:
-        [
-          Level ("sysim.queue_depth", fun () -> !queued);
-          Delta ("sysim.shed.rate", [], fun () -> run.shed);
-          Delta ("sysim.retried.rate", [], fun () -> run.retried);
-          Level ("sysim.nodes_down", fun () -> Runtime.failed_count runtime);
-          Level
-            ( "sysim.replicas",
-              fun () ->
-                List.fold_left
-                  (fun acc g -> acc + List.length g.g_replicas)
-                  0 !sorted_groups );
-        ]
-  in
+  let alerts = start_telemetry run in
   (* The autoscaler tick samples its observed backlog here. *)
   let autoscale_backlog_s =
     Option.map
@@ -1172,14 +1080,13 @@ let dispatch_loop run =
     in
     by_lane items
   in
-  let reject_stask (st : stask) =
-    decr queued;
+  let reject_stask st =
     (* A rejected seq must not block its session's in-order stream. *)
     (match (sessions, st.s_session) with
     | Some stbl, Some sess ->
       Session.skip stbl sess ~seq:st.s_seq ~now_us:(Sim.now sim)
     | _ -> ());
-    reject run st.s_task ~retries:st.s_retries ~label:st.s_group.g_accel
+    reject run st
   in
   let is_idle r = (not r.r_busy) && Queue.is_empty r.r_queue in
   let longer_idle _ r _ br = r.r_idle_since < br.r_idle_since in
@@ -1189,7 +1096,7 @@ let dispatch_loop run =
   let reclaim_candidate ~excluding =
     least_replica
       ~skip:(fun g -> g.g_accel = excluding)
-      ~eligible:is_idle ~less:longer_idle !sorted_groups
+      ~eligible:is_idle ~less:longer_idle run.groups
   in
   let remove_replica g r =
     Router.remove_replica router ~key:g.g_accel ~replica_id:r.r_id;
@@ -1198,8 +1105,8 @@ let dispatch_loop run =
     Runtime.undeploy runtime r.r_depl
   in
   let make_replica g d =
-    let id = !next_replica_id in
-    incr next_replica_id;
+    let id = run.scale_ups in
+    run.scale_ups <- id + 1;
     let r =
       {
         r_id = id;
@@ -1215,8 +1122,6 @@ let dispatch_loop run =
     Router.add_replica router ~key:g.g_accel ~replica_id:id ~weight:1.0;
     g.g_replicas <- g.g_replicas @ [ r ];
     Hashtbl.replace g.g_by_id id r;
-    incr scale_ups;
-    Obs.Counter.incr (Obs.Counter.get "sysim.serving.scale_up");
     Autoscaler.mark_scaled g.g_tracker ~now_us:(Sim.now sim);
     r
   in
@@ -1229,7 +1134,7 @@ let dispatch_loop run =
     if r.r_busy then begin
       r.r_epoch <- r.r_epoch + 1;
       r.r_busy <- false;
-      decr busy_count;
+      run.busy <- run.busy - 1;
       r.r_inflight <- []
     end;
     let qbatches = List.rev (Queue.fold (fun acc b -> b :: acc) [] r.r_queue) in
@@ -1252,25 +1157,23 @@ let dispatch_loop run =
         g.g_priority < bg.g_priority
         || g.g_priority = bg.g_priority
            && (rank r < rank br || (rank r = rank br && r.r_id < br.r_id)))
-      !sorted_groups
+      run.groups
   in
   (* Evict a victim replica: its in-flight tasks are preempted losses,
      closing the per-tenant identity
      arrived = completed + shed + rejected + preempted. *)
   let preempt_replica g' r ~now =
     List.iter
-      (fun (st : stask) ->
+      (fun st ->
         run.preempted <- run.preempted + 1;
-        Obs.Counter.incr (Lazy.force preempted_task_c);
         (match (sessions, st.s_session) with
         | Some stbl, Some sess -> Session.skip stbl sess ~seq:st.s_seq ~now_us:now
         | _ -> ());
-        match tally_of run st.s_task.Genset.tenant with
+        match st.s_tally with
         | Some t -> t.tt_preempted <- t.tt_preempted + 1
         | None -> ())
       (retire g' r);
-    incr preemptions;
-    Obs.Counter.incr (Lazy.force preemption_c);
+    run.preemptions <- run.preemptions + 1;
     Autoscaler.mark_scaled g'.g_tracker ~now_us:now
   in
   (* Add a replica to [g].  A refused deploy of an accelerator that
@@ -1333,7 +1236,7 @@ let dispatch_loop run =
       let batch = Queue.pop r.r_queue in
       g.g_assigned_tasks <- g.g_assigned_tasks - List.length batch;
       r.r_busy <- true;
-      incr busy_count;
+      run.busy <- run.busy + 1;
       r.r_inflight <- batch;
       let epoch = r.r_epoch in
       let now = Sim.now sim in
@@ -1358,15 +1261,14 @@ let dispatch_loop run =
       let service = reconfig +. compile +. List.fold_left ( +. ) 0.0 per_task in
       List.iter2
         (fun st svc ->
-          decr queued;
           (* Reconfiguration (and compilation) amortizes across the
              batch. *)
           let task_service = svc +. ((reconfig +. compile) /. float_of_int n) in
           (match g.g_pt with
           | Some pt -> Autoscaler.observe_service pt task_service
           | None -> ());
-          start run st.s_task ~attempt_wait:(now -. st.s_ready_us) ~service:task_service
-            ?node ~deployment:d.Runtime.id ~retries:st.s_retries ~label:g.g_accel ())
+          start run st ~attempt_wait:(now -. st.s_ready_us) ~service:task_service ?node
+            ~deployment:d.Runtime.id ())
         batch per_task;
       Sim.schedule sim ~delay:service (fun () ->
           (* A preemption or a crash during service bumped the epoch:
@@ -1375,7 +1277,7 @@ let dispatch_loop run =
           if r.r_epoch = epoch then begin
           let finished = Sim.now sim in
           r.r_busy <- false;
-          decr busy_count;
+          run.busy <- run.busy - 1;
           r.r_inflight <- [];
           r.r_idle_since <- finished;
           Router.end_work router ~key:g.g_accel ~replica_id:r.r_id n;
@@ -1390,8 +1292,8 @@ let dispatch_loop run =
               else cfg.slo_multiplier *. task_service
             in
             Autoscaler.observe_sojourn g.g_tracker
-              (complete run st.s_task ~started:now ~finished ~deadline_us ?node ~kind
-                 ~deployment:d.Runtime.id ~retries:st.s_retries ~label:g.g_accel ())
+              (complete run st ~started:now ~finished ~deadline_us ?node ~kind
+                 ~deployment:d.Runtime.id ())
           in
           List.iter2
             (fun st svc ->
@@ -1479,7 +1381,6 @@ let dispatch_loop run =
      pumps.  Serving routes onto a replica, growing the group when it
      has none. *)
   let rec dispatch g batch =
-    Obs.Counter.incr batches_c;
     if fifo then begin
       let was_empty = Queue.is_empty g.g_lane.l_batches in
       backlog_push g batch;
@@ -1510,8 +1411,7 @@ let dispatch_loop run =
     | None -> ()
     | Some (_, r) ->
       remove_replica g r;
-      incr scale_downs;
-      Obs.Counter.incr (Obs.Counter.get "sysim.serving.scale_down");
+      run.scale_downs <- run.scale_downs + 1;
       Autoscaler.mark_scaled g.g_tracker ~now_us:now;
       List.iter
         (fun r' ->
@@ -1532,8 +1432,8 @@ let dispatch_loop run =
      the fabric never frees up) and the run must drain so the leftovers
      can be rejected. *)
   let stalled () =
-    !arrivals_in >= run.ntasks && !busy_count = 0
-    && List.for_all (fun g -> Batcher.pending batcher ~key:g.g_accel = 0) !sorted_groups
+    run.arrived >= run.ntasks && run.busy = 0
+    && List.for_all (fun g -> Batcher.pending batcher ~key:g.g_accel = 0) run.groups
   in
   let progressing () = unfinished run && not (stalled ()) in
   (* Restores the fault plan has yet to fire. *)
@@ -1555,7 +1455,7 @@ let dispatch_loop run =
      rejected.  Without faults a stalled run always holds a replica. *)
   let revivable () =
     (not (stalled ()))
-    || List.exists (fun g -> g.g_replicas <> []) !sorted_groups
+    || List.exists (fun g -> g.g_replicas <> []) run.groups
     || !restores_left > 0
   in
   (match serving.autoscale with
@@ -1622,7 +1522,7 @@ let dispatch_loop run =
                     (* With nothing busy the group already holds every
                        live deployment: no load is being turned away
                        for lack of capacity, so nothing is shed. *)
-                    if !busy_count > 0 then capacity_bound := true
+                    if run.busy > 0 then capacity_bound := true
                   | `Dead ->
                     (* Its batches were rejected at dispatch: an
                        accelerator that can never deploy has nothing in
@@ -1632,7 +1532,7 @@ let dispatch_loop run =
               grow_n (max 1 (target - replicas))
             | Autoscaler.Scale_down -> scale_down g ~now
             | Autoscaler.Hold -> ())
-          !sorted_groups;
+          run.groups;
         (* Capacity-bound: shed the lowest-priority class at the gate
            until a tick passes without an unsatisfied scale-up. *)
         if !capacity_bound && Slo.classes gate <> [] then
@@ -1657,7 +1557,7 @@ let dispatch_loop run =
             (fun r ->
               if is_idle r then Hashtbl.replace ids r.r_depl.Runtime.id ())
             g.g_replicas)
-        !sorted_groups;
+        run.groups;
       ids
     in
     let quiet () = Hashtbl.length starved = 0 in
@@ -1670,7 +1570,7 @@ let dispatch_loop run =
                 Hashtbl.mem ids d.Runtime.id)
               dcfg runtime
           in
-          defrag_moves := !defrag_moves + pass.Defrag.moved
+          run.defrag_moves <- run.defrag_moves + pass.Defrag.moved
         end));
   (* Session idle expiry rides its own tick at the configured timeout
      period, under the defrag tick's guard. *)
@@ -1682,9 +1582,10 @@ let dispatch_loop run =
   List.iter
     (fun (task : Genset.task) ->
       Sim.schedule_at sim ~at:task.Genset.arrival_us (fun () ->
-          incr arrivals_in;
-          let accel = arrive run task in
-          let tally = tally_of run task.Genset.tenant in
+          let tally =
+            List.find_opt (fun t -> t.tt_name = task.Genset.tenant) run.tallies
+          in
+          let accel = arrive run task tally in
           let now = Sim.now sim in
           let cname = Sizes.name task.Genset.model_class in
           let verdict =
@@ -1696,12 +1597,7 @@ let dispatch_loop run =
           match verdict with
           | Slo.Shed_rate | Slo.Shed_priority | Slo.Shed_tenant ->
             run.shed <- run.shed + 1;
-            Obs.Counter.incr shed_c;
-            (match tally with
-            | Some t ->
-              t.tt_shed <- t.tt_shed + 1;
-              Obs.Counter.incr t.tt_shed_c
-            | None -> ());
+            (match tally with Some t -> t.tt_shed <- t.tt_shed + 1 | None -> ());
             Obs.Trace.task Obs.Trace.Shed task.Genset.task_id ~retries:0
               ~label:accel
           | Slo.Admitted -> (
@@ -1733,6 +1629,7 @@ let dispatch_loop run =
               {
                 s_task = task;
                 s_group = g;
+                s_tally = tally;
                 s_deadline_us =
                   (match Slo.find gate cname with
                   | Some c -> c.Slo.deadline_us
@@ -1744,12 +1641,11 @@ let dispatch_loop run =
                 s_ready_us = task.Genset.arrival_us;
               }
             in
-            incr queued;
-            run.peak_queue <- max run.peak_queue !queued;
+            run.queued <- run.queued + 1;
+            run.peak_queue <- max run.peak_queue run.queued;
             Obs.Trace.task Obs.Trace.Queue task.Genset.task_id ~label:accel;
             g.g_arrivals <- g.g_arrivals + 1;
-            (let p = prio_of task.Genset.tenant in
-             if p > g.g_priority then g.g_priority <- p);
+            g.g_priority <- max g.g_priority (priority st);
             match Batcher.add batcher ~key:accel ~now_us:now st with
             | Batcher.Dispatch batch -> dispatch g batch
             | Batcher.Opened deadline ->
@@ -1785,13 +1681,13 @@ let dispatch_loop run =
               then List.map (fun st -> (r.r_depl.Runtime.id, st)) (retire g r)
               else [])
             g.g_replicas)
-        !sorted_groups
+        run.groups
       |> List.sort (fun (_, a) (_, b) ->
              compare a.s_task.Genset.task_id b.s_task.Genset.task_id)
     in
     List.iter
       (fun (deployment, st) ->
-        incr queued;
+        run.queued <- run.queued + 1;
         Obs.Trace.task Obs.Trace.Crash_interrupt st.s_task.Genset.task_id ~node
           ~deployment ~retries:st.s_retries ~label:st.s_group.g_accel)
       interrupted;
@@ -1803,7 +1699,6 @@ let dispatch_loop run =
         st.s_retries <- st.s_retries + 1;
         st.s_ready_us <- now;
         run.retried <- run.retried + 1;
-        Obs.Counter.incr retried_c;
         Obs.Trace.task Obs.Trace.Retry st.s_task.Genset.task_id ~node
           ~retries:st.s_retries ~label:st.s_group.g_accel)
       again;
@@ -1824,33 +1719,70 @@ let dispatch_loop run =
     | Ok () -> ()
     | Error e -> invalid_arg ("Sysim.run: " ^ e));
     Fault_plan.schedule f.plan sim ~on_crash ~on_restore ~on_degrade);
-  let r =
-    finish run alerts ~leftovers:(fun () ->
-        (* Whatever never reached a replica is rejected (e.g. behind a
-           crash that was never restored), and the warm pool is torn
-           down, so every task and every placement is accounted for. *)
-        List.iter
-          (fun g ->
-            List.iter reject_stask (Batcher.drain batcher ~key:g.g_accel);
-            Queue.iter (List.iter reject_stask) g.g_lane.l_batches;
-            Queue.clear g.g_lane.l_batches;
-            List.iter
-              (fun r ->
-                Queue.iter (List.iter reject_stask) r.r_queue;
-                Runtime.undeploy runtime r.r_depl)
-              g.g_replicas;
-            g.g_replicas <- [])
-          !sorted_groups)
+  (* Drain the event queue, timed: [loop_wall_s] is the loop alone. *)
+  let loop_t0 = Obs.wall_us () in
+  Sim.run sim;
+  let loop_wall_s = (Obs.wall_us () -. loop_t0) /. 1e6 in
+  (* Whatever never reached a replica is rejected (e.g. behind a crash
+     that was never restored), and the warm pool is torn down, so every
+     task and every placement is accounted for. *)
+  List.iter
+    (fun g ->
+      List.iter reject_stask (Batcher.drain batcher ~key:g.g_accel);
+      Queue.iter (List.iter reject_stask) g.g_lane.l_batches;
+      Queue.clear g.g_lane.l_batches;
+      List.iter
+        (fun r ->
+          Queue.iter (List.iter reject_stask) r.r_queue;
+          Runtime.undeploy runtime r.r_depl)
+        g.g_replicas;
+      g.g_replicas <- [])
+    run.groups;
+  (* What no tally claims is lost. *)
+  let lost = run.ntasks - run.completed - run.rejected - run.shed - run.preempted in
+  let batches = Batcher.batches batcher in
+  publish run ~batches ~lost;
+  let p50, p95, p99 = latency_percentiles run.latencies in
+  let per_s n =
+    if run.makespan > 0.0 then float_of_int n /. (run.makespan /. 1e6) else 0.0
+  in
+  let throughput = per_s run.completed in
+  let fault_downtime_us, fault_free_throughput_per_s = fault_free run ~throughput in
+  let cache_stat f =
+    match Runtime.bitstream_cache runtime with Some c -> f c | None -> 0
   in
   let session_stat f = match sessions with Some s -> f s | None -> 0 in
   let mapcache_stat f = match mapcache with Some (mc, _) -> f mc | None -> 0 in
   {
-    r with
-    batches = Batcher.batches batcher;
-    scale_ups = !scale_ups;
-    scale_downs = !scale_downs;
-    preemptions = !preemptions;
-    defrag_moves = !defrag_moves;
+    completed = run.completed;
+    retried = run.retried;
+    rejected = run.rejected;
+    shed = run.shed;
+    lost;
+    makespan_us = run.makespan;
+    throughput_per_s = throughput;
+    goodput_per_s = per_s (run.completed - run.slo_misses);
+    fault_downtime_us;
+    fault_free_throughput_per_s;
+    mean_latency_us = Mlv_util.Stats.mean run.latencies;
+    mean_wait_us = Samples.mean run.waits;
+    wait_attempts = Samples.count run.attempt_waits;
+    mean_wait_per_attempt_us = Samples.mean run.attempt_waits;
+    mean_service_us = Samples.mean run.services;
+    p50_latency_us = p50;
+    p95_latency_us = p95;
+    p99_latency_us = p99;
+    peak_queue = run.peak_queue;
+    latencies_us = List.rev run.latencies;
+    slo_misses = run.slo_misses;
+    batches;
+    scale_ups = run.scale_ups;
+    scale_downs = run.scale_downs;
+    preempted = run.preempted;
+    preemptions = run.preemptions;
+    defrag_moves = run.defrag_moves;
+    cache_hits = cache_stat Bitstream.Cache.hits;
+    cache_misses = cache_stat Bitstream.Cache.misses;
     sessions_opened = session_stat Session.opened;
     sessions_expired = session_stat Session.expired;
     sticky_hits = session_stat Session.sticky_hits;
@@ -1859,6 +1791,10 @@ let dispatch_loop run =
     mapcache_hits = mapcache_stat Mapcache.hits;
     mapcache_misses = mapcache_stat Mapcache.misses;
     mapcache_evictions = mapcache_stat Mapcache.evictions;
+    per_tenant = tenant_stats_of ~makespan_us:run.makespan run.tallies;
+    scrapes = run.scrapes;
+    alert_transitions = (match alerts with Some e -> Alert.transitions e | None -> []);
+    loop_wall_s;
   }
 
 let run ~registry cfg =

@@ -52,6 +52,16 @@
     end-to-end wait once (from its arrival to the start of the service
     that completed).
 
+    Every tally a run counts has one owner, the run itself.  The
+    registry counters that mirror a result field
+    ([sysim.tasks.{arrived,completed,rejected,retried,lost}],
+    [sysim.slo_misses],
+    [sysim.serving.{batches,shed,scale_up,scale_down,preempted,preemptions}]
+    and [sysim.tenant.{completed,shed}{tenant=..}]) are published once,
+    as the run ends, so each equals its field; the scaling, preemption
+    and loss ones are registered only when non-zero.  Telemetry
+    samples the run's tallies, never these counters.
+
     While {!run} runs, its own simulator is the sim-time source of
     the spans and lifecycle events it emits
     ({!Mlv_obs.Obs.with_sim_clock}); nothing else it builds, and

@@ -20,96 +20,35 @@ let pp fmt t =
     t.crossings t.freq_mhz t.tiles
 
 module Cache = struct
+  module Lru = Mlv_util.Lru
+
   type bitstream = t
 
-  (* LRU over (accel, partition, device kind) — exactly [id].  A
-     hash table for lookup plus an intrusive doubly-linked recency
-     list for O(1) promote and evict.  Entries model bitstreams
-     staged in card DRAM: a hit reprograms from on-card memory at a
-     fraction of the PCIe transfer cost. *)
-  type entry = {
-    ekey : string;
-    mutable prev : entry option; (* toward MRU *)
-    mutable next : entry option; (* toward LRU *)
-  }
+  (* LRU over (accel, partition, device kind) — exactly [id].  Entries
+     model bitstreams staged in card DRAM: a hit reprograms from
+     on-card memory at a tenth of the PCIe transfer cost. *)
+  type t = (string, unit) Lru.t
 
-  type t = {
-    capacity : int;
-    hit_cost_factor : float;
-    table : (string, entry) Hashtbl.t;
-    mutable head : entry option; (* MRU *)
-    mutable tail : entry option; (* LRU *)
-    mutable hits : int;
-    mutable misses : int;
-    mutable evictions : int;
-  }
+  let hit_cost_factor = 0.1
 
-  let create ?(capacity = 64) ?(hit_cost_factor = 0.1) () =
+  let create ?(capacity = 64) () =
     if capacity <= 0 then invalid_arg "Bitstream.Cache.create: capacity <= 0";
-    if hit_cost_factor < 0.0 || hit_cost_factor > 1.0 then
-      invalid_arg "Bitstream.Cache.create: hit_cost_factor outside [0,1]";
-    {
-      capacity;
-      hit_cost_factor;
-      table = Hashtbl.create (2 * capacity);
-      head = None;
-      tail = None;
-      hits = 0;
-      misses = 0;
-      evictions = 0;
-    }
+    Lru.create capacity
 
-  let unlink c e =
-    (match e.prev with
-    | Some p -> p.next <- e.next
-    | None -> c.head <- e.next);
-    (match e.next with
-    | Some n -> n.prev <- e.prev
-    | None -> c.tail <- e.prev);
-    e.prev <- None;
-    e.next <- None
-
-  let push_front c e =
-    e.prev <- None;
-    e.next <- c.head;
-    (match c.head with
-    | Some h -> h.prev <- Some e
-    | None -> c.tail <- Some e);
-    c.head <- Some e
-
-  let evict_lru c =
-    match c.tail with
-    | None -> ()
-    | Some e ->
-      unlink c e;
-      Hashtbl.remove c.table e.ekey;
-      c.evictions <- c.evictions + 1
-
-  let mem c (bs : bitstream) = Hashtbl.mem c.table (id bs)
+  let mem c (bs : bitstream) = Lru.mem c (id bs)
 
   let charge c (bs : bitstream) ~base_us =
     let k = id bs in
-    match Hashtbl.find_opt c.table k with
-    | Some e ->
-      c.hits <- c.hits + 1;
-      unlink c e;
-      push_front c e;
-      base_us *. c.hit_cost_factor
+    match Lru.find c k with
+    | Some () -> base_us *. hit_cost_factor
     | None ->
-      c.misses <- c.misses + 1;
-      if Hashtbl.length c.table >= c.capacity then evict_lru c;
-      let e = { ekey = k; prev = None; next = None } in
-      Hashtbl.add c.table k e;
-      push_front c e;
+      ignore (Lru.put c k ());
       base_us
 
-  let capacity c = c.capacity
-  let length c = Hashtbl.length c.table
-  let hits c = c.hits
-  let misses c = c.misses
-  let evictions c = c.evictions
-
-  let hit_rate c =
-    let total = c.hits + c.misses in
-    if total = 0 then 0.0 else float_of_int c.hits /. float_of_int total
+  let capacity = Lru.capacity
+  let length = Lru.length
+  let hits = Lru.hits
+  let misses = Lru.misses
+  let evictions = Lru.evictions
+  let hit_rate = Lru.hit_rate
 end

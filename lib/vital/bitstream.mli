@@ -41,8 +41,8 @@ val pp : Format.formatter -> t -> unit
     device kind) — with a bounded capacity and least-recently-used
     eviction.  {!Cache.charge} folds the model into one call: a miss
     pays the full transfer cost and stages the bitstream (evicting
-    the LRU entry when full); a hit pays
-    [base_us *. hit_cost_factor] and refreshes recency.
+    the LRU entry when full); a hit pays a tenth of it and refreshes
+    recency.
 
     A runtime created without a cache never calls [charge], so
     deployment times are bit-identical to builds without this
@@ -52,12 +52,9 @@ module Cache : sig
 
   type t
 
-  (** [create ()] holds up to [capacity] bitstreams (default 64) and
-      charges [hit_cost_factor] (default 0.1, in [\[0,1\]]) of the
-      base reconfiguration cost on a hit.
-      @raise Invalid_argument on a non-positive capacity or an
-      out-of-range factor. *)
-  val create : ?capacity:int -> ?hit_cost_factor:float -> unit -> t
+  (** [create ()] holds up to [capacity] bitstreams (default 64).
+      @raise Invalid_argument on a non-positive capacity. *)
+  val create : ?capacity:int -> unit -> t
 
   (** [charge t bs ~base_us] is the modeled reconfiguration time for
       loading [bs] given a full-transfer cost of [base_us], updating

@@ -867,7 +867,12 @@ let test_deploy_spans_own_ids () =
    ([runtime.deploy.fail]), gain the dispatch counters
    ([sysim.serving.batches], [sysim.serving.scale_up]) and lose the
    [sysim.task_sojourn_us{kind,node}] histograms, and every telemetry
-   run publishes the same series. *)
+   run publishes the same series.  Re-recorded again for the two
+   serving runs when the mirrored counters came to be published from
+   the run's tallies: [sysim.serving.batches] reads the result's 20
+   where it read 24 (a dispatch that bootstrapped a replica counted its
+   batch twice, and the batches drained at the end not at all);
+   nothing else moved. *)
 let test_run_obs_pinned () =
   List.iter
     (fun (label, cfg, want) ->
@@ -877,9 +882,69 @@ let test_run_obs_pinned () =
       ("open loop, crash/restore, telemetry", pin_faulted_cfg,
         "ba38bd47152bafc4e17521cdd66f9b80");
       ("multi-tenant serving, every feature", pin_serving_cfg,
-        "acd99e2ac87c341bfa8f4ff17ceae708");
+        "36d1f4ddec800b6c12b951639006d204");
       ("multi-tenant serving, every feature, crash/restore", pin_serving_faulted_cfg,
-        "c15c950d9009d18053f65723bde99cef");
+        "eae94006310ef2c2bc569b38a21a1a3c");
+    ]
+
+(* The static-serving run whose dispatches bootstrap replicas: set 7,
+   200 tasks, batches of up to 4, no autoscaler. *)
+let static_serving_cfg () =
+  let cfg = Sysim.default_config ~policy:Runtime.greedy ~composition:Genset.table1.(6) in
+  {
+    cfg with
+    Sysim.tasks = 200;
+    serving =
+      Some
+        {
+          Sysim.default_serving with
+          Sysim.batch = Mlv_sched.Batcher.config ~max_batch:4 ();
+          autoscale = None;
+        };
+  }
+
+(* Every counter that mirrors a result field reads that field after a
+   run from a reset registry.  The always-published ones are registered
+   even at zero; the scaling, preemption and loss ones only when the
+   run counted one. *)
+let test_mirrored_counters () =
+  List.iter
+    (fun (label, cfg) ->
+      let cfg = cfg () in
+      Obs.reset ();
+      let r = Sysim.run ~registry:(Lazy.force registry) cfg in
+      let counters = Obs.counters () in
+      let check ?(always = true) name want =
+        let got = List.assoc_opt name counters in
+        let got = if always then got else Some (Option.value got ~default:0) in
+        Alcotest.(check (option int)) (label ^ ": " ^ name) (Some want) got
+      in
+      check "sysim.tasks.arrived"
+        (r.Sysim.completed + r.Sysim.rejected + r.Sysim.shed + r.Sysim.preempted
+       + r.Sysim.lost);
+      check "sysim.tasks.completed" r.Sysim.completed;
+      check "sysim.tasks.rejected" r.Sysim.rejected;
+      check "sysim.tasks.retried" r.Sysim.retried;
+      check "sysim.slo_misses" r.Sysim.slo_misses;
+      check "sysim.serving.batches" r.Sysim.batches;
+      check "sysim.serving.shed" r.Sysim.shed;
+      check ~always:false "sysim.tasks.lost" r.Sysim.lost;
+      check ~always:false "sysim.serving.scale_up" r.Sysim.scale_ups;
+      check ~always:false "sysim.serving.scale_down" r.Sysim.scale_downs;
+      check ~always:false "sysim.serving.preempted" r.Sysim.preempted;
+      check ~always:false "sysim.serving.preemptions" r.Sysim.preemptions;
+      List.iter
+        (fun (t : Sysim.tenant_stats) ->
+          let tenant = "{tenant=" ^ t.Sysim.tn_name ^ "}" in
+          check ("sysim.tenant.completed" ^ tenant) t.Sysim.tn_completed;
+          check ("sysim.tenant.shed" ^ tenant) t.Sysim.tn_shed)
+        r.Sysim.per_tenant)
+    [
+      ("set-7 open loop", pin_open_cfg);
+      ("open loop, crash/restore, telemetry", pin_faulted_cfg);
+      ("multi-tenant serving, every feature", pin_serving_cfg);
+      ("multi-tenant serving, every feature, crash/restore", pin_serving_faulted_cfg);
+      ("static serving, batches of 4", static_serving_cfg);
     ]
 
 let test_wait_reasonable () =
@@ -1008,6 +1073,8 @@ let () =
             test_labeled_metrics_deterministic;
           Alcotest.test_case "run metrics and trace pinned" `Quick
             test_run_obs_pinned;
+          Alcotest.test_case "mirrored counters equal the result" `Quick
+            test_mirrored_counters;
           Alcotest.test_case "run owns its trace clock" `Quick
             test_trace_clock_owned_by_run;
           Alcotest.test_case "deploy spans own their ids" `Quick

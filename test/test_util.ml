@@ -1,9 +1,10 @@
 (* Tests for the utility substrate: PRNG, statistics, priority queue,
-   union-find and table rendering. *)
+   LRU, union-find and table rendering. *)
 
 module Rng = Mlv_util.Rng
 module Stats = Mlv_util.Stats
 module Pqueue = Mlv_util.Pqueue
+module Lru = Mlv_util.Lru
 module Wheel = Mlv_util.Timing_wheel
 module Union_find = Mlv_util.Union_find
 module Table = Mlv_util.Table
@@ -497,6 +498,53 @@ let test_table_fmt () =
   Alcotest.(check string) "pct" "7.8%" (Table.fmt_pct 0.078);
   Alcotest.(check string) "float trim" "1.5" (Table.fmt_float ~digits:4 1.5)
 
+(* The LRU against a stamp-scan model: every entry carries the tick of
+   its last use, and inserting into a full cache evicts the smallest
+   stamp.  Over a seeded stream of finds and puts on a 4-entry cache,
+   the two return the same values, evict at the same puts, count the
+   same hits, misses and evictions, and order their keys alike. *)
+let test_lru_matches_stamp_model () =
+  let rng = Rng.create 7 and lru = Lru.create 4 in
+  let model = Hashtbl.create 8 and tick = ref 0 in
+  let hits = ref 0 and misses = ref 0 and evictions = ref 0 in
+  let touch k v =
+    incr tick;
+    Hashtbl.replace model k (v, !tick)
+  in
+  for i = 1 to 2000 do
+    let k = Rng.int rng 8 in
+    if Rng.bool rng then begin
+      let want = Option.map fst (Hashtbl.find_opt model k) in
+      (match want with
+      | Some v ->
+        incr hits;
+        touch k v
+      | None -> incr misses);
+      Alcotest.(check (option int)) "find" want (Lru.find lru k)
+    end
+    else begin
+      let evicts = (not (Hashtbl.mem model k)) && Hashtbl.length model >= 4 in
+      if evicts then begin
+        let oldest k (_, s) (bk, bs) = if s < bs then (k, s) else (bk, bs) in
+        Hashtbl.remove model (fst (Hashtbl.fold oldest model (-1, max_int)));
+        incr evictions
+      end;
+      touch k i;
+      Alcotest.(check bool) "put evicts" evicts (Lru.put lru k i)
+    end
+  done;
+  Alcotest.(check (list int)) "counts" [ !hits; !misses; !evictions ]
+    [ Lru.hits lru; Lru.misses lru; Lru.evictions lru ];
+  let by_recency =
+    Hashtbl.fold (fun k (_, s) acc -> (s, k) :: acc) model []
+    |> List.sort (fun a b -> compare b a)
+    |> List.map snd
+  in
+  Alcotest.(check (list int)) "keys most recent first" by_recency (Lru.keys lru);
+  Alcotest.check_raises "capacity >= 1"
+    (Invalid_argument "Lru.create: capacity must be >= 1")
+    (fun () -> ignore (Lru.create 0))
+
 let () =
   Alcotest.run "util"
     [
@@ -539,6 +587,9 @@ let () =
           Alcotest.test_case "bounded shrink policy" `Quick test_pqueue_shrink_policy;
           Alcotest.test_case "steady-state cycles" `Quick test_pqueue_cycle_allocation;
         ] );
+      ( "lru",
+        [ Alcotest.test_case "matches stamp model" `Quick test_lru_matches_stamp_model ]
+      );
       ( "timing_wheel",
         [
           Alcotest.test_case "differential vs heap" `Quick test_wheel_differential;

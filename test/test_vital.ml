@@ -126,7 +126,7 @@ let part i =
     ~device:Device.XCVU37P ~vbs:3 ~crossings:1 ~freq_mhz:400.0 ~tiles:11
 
 let test_cache_hit_pricing () =
-  let c = Bitstream.Cache.create ~capacity:4 ~hit_cost_factor:0.1 () in
+  let c = Bitstream.Cache.create ~capacity:4 () in
   Alcotest.(check (float 1e-9)) "miss pays full" 100.0
     (Bitstream.Cache.charge c (part 0) ~base_us:100.0);
   Alcotest.(check (float 1e-9)) "hit pays the factor" 10.0
@@ -159,10 +159,7 @@ let test_cache_lru_eviction () =
 let test_cache_validation () =
   Alcotest.check_raises "zero capacity"
     (Invalid_argument "Bitstream.Cache.create: capacity <= 0")
-    (fun () -> ignore (Bitstream.Cache.create ~capacity:0 ()));
-  Alcotest.check_raises "bad factor"
-    (Invalid_argument "Bitstream.Cache.create: hit_cost_factor outside [0,1]")
-    (fun () -> ignore (Bitstream.Cache.create ~hit_cost_factor:1.5 ()))
+    (fun () -> ignore (Bitstream.Cache.create ~capacity:0 ()))
 
 (* ---------------- Controller ---------------- *)
 
