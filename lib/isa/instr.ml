@@ -30,6 +30,39 @@ type effects = {
   barrier : bool;
 }
 
+type access = Vread | Vwrite | Mread | Mwrite | Mem_read | Mem_write | Wild_read | Wild_write | Barrier
+
+let iter_effects f = function
+  | V_rd { dst; addr; len } ->
+    f Mem_read addr len;
+    f Vwrite dst 0
+  | V_wr { src; addr; len } ->
+    f Vread src 0;
+    f Mem_write addr len
+  | V_fill { dst; _ } -> f Vwrite dst 0
+  | M_rd { dst; addr; rows; cols } ->
+    f Mem_read addr (rows * cols);
+    f Mwrite dst 0
+  | Mvm { dst; mat; src } ->
+    f Vread src 0;
+    f Mread mat 0;
+    f Vwrite dst 0
+  | Vv_add { dst; a; b } | Vv_sub { dst; a; b } | Vv_mul { dst; a; b } ->
+    f Vread a 0;
+    f Vread b 0;
+    f Vwrite dst 0
+  | Act { dst; src; _ } ->
+    f Vread src 0;
+    f Vwrite dst 0
+  | Nop -> ()
+  | Loop _ | End_loop -> f Barrier 0 0
+  | V_rd_i { dst; _ } ->
+    f Wild_read 0 0;
+    f Vwrite dst 0
+  | V_wr_i { src; _ } ->
+    f Vread src 0;
+    f Wild_write 0 0
+
 let no_effects =
   {
     vreads = [];
@@ -43,22 +76,24 @@ let no_effects =
     barrier = false;
   }
 
-let effects = function
-  | V_rd { dst; addr; len } ->
-    { no_effects with vwrites = [ dst ]; mem_read = Some (addr, len) }
-  | V_wr { src; addr; len } ->
-    { no_effects with vreads = [ src ]; mem_write = Some (addr, len) }
-  | V_fill { dst; _ } -> { no_effects with vwrites = [ dst ] }
-  | M_rd { dst; addr; rows; cols } ->
-    { no_effects with mwrites = [ dst ]; mem_read = Some (addr, rows * cols) }
-  | Mvm { dst; mat; src } -> { no_effects with vreads = [ src ]; vwrites = [ dst ]; mreads = [ mat ] }
-  | Vv_add { dst; a; b } | Vv_sub { dst; a; b } | Vv_mul { dst; a; b } ->
-    { no_effects with vreads = [ a; b ]; vwrites = [ dst ] }
-  | Act { dst; src; _ } -> { no_effects with vreads = [ src ]; vwrites = [ dst ] }
-  | Nop -> no_effects
-  | Loop _ | End_loop -> { no_effects with barrier = true }
-  | V_rd_i { dst; _ } -> { no_effects with vwrites = [ dst ]; mem_read_wild = true }
-  | V_wr_i { src; _ } -> { no_effects with vreads = [ src ]; mem_write_wild = true }
+let effects instr =
+  let e = ref no_effects in
+  iter_effects
+    (fun access x len ->
+      let c = !e in
+      e :=
+        match access with
+        | Vread -> { c with vreads = c.vreads @ [ x ] }
+        | Vwrite -> { c with vwrites = c.vwrites @ [ x ] }
+        | Mread -> { c with mreads = c.mreads @ [ x ] }
+        | Mwrite -> { c with mwrites = c.mwrites @ [ x ] }
+        | Mem_read -> { c with mem_read = Some (x, len) }
+        | Mem_write -> { c with mem_write = Some (x, len) }
+        | Wild_read -> { c with mem_read_wild = true }
+        | Wild_write -> { c with mem_write_wild = true }
+        | Barrier -> { c with barrier = true })
+    instr;
+  !e
 
 let ranges_overlap a b =
   match (a, b) with

@@ -53,7 +53,20 @@ type effects = {
   barrier : bool;  (** loop boundaries order against everything *)
 }
 
+(** [effects i] is [i]'s effect summary, built by {!iter_effects}. *)
 val effects : t -> effects
+
+(** One effect of an instruction, as {!iter_effects} reports it: a
+    read or write of vector or matrix register [x], of [len] words of
+    memory at address [x], of memory at a loop-dependent address, or a
+    loop boundary, which orders against everything. *)
+type access = Vread | Vwrite | Mread | Mwrite | Mem_read | Mem_write | Wild_read | Wild_write | Barrier
+
+(** [iter_effects f i] calls [f access x len] once per effect of [i]
+    ([x] and [len] are 0 where they have no meaning), every read before
+    any write, in operand order.  It allocates nothing, so analyses of
+    large programs use it instead of {!effects}; the two agree. *)
+val iter_effects : (access -> int -> int -> unit) -> t -> unit
 
 (** [depends ~earlier ~later] is true when [later] must not be moved
     before [earlier]: any RAW/WAR/WAW hazard through vector or matrix

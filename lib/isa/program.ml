@@ -16,27 +16,21 @@ let validate p =
   let loop_depth = ref 0 in
   Array.iteri
     (fun i instr ->
-      let e = Instr.effects instr in
-      List.iter
-        (fun r ->
-          if r < 0 || r >= p.vregs then err i "vector register v%d out of bounds" r
-          else if not vwritten.(r) then err i "read of uninitialized v%d" r)
-        e.vreads;
-      List.iter
-        (fun r ->
-          if r < 0 || r >= p.mregs then err i "matrix register m%d out of bounds" r
-          else if not mwritten.(r) then err i "read of uninitialized m%d" r)
-        e.mreads;
-      List.iter
-        (fun r ->
-          if r < 0 || r >= p.vregs then err i "vector register v%d out of bounds" r
-          else vwritten.(r) <- true)
-        e.vwrites;
-      List.iter
-        (fun r ->
-          if r < 0 || r >= p.mregs then err i "matrix register m%d out of bounds" r
-          else mwritten.(r) <- true)
-        e.mwrites;
+      let reg ~read kind file written r =
+        if r < 0 || r >= Array.length written then
+          err i "%s register %c%d out of bounds" kind file r
+        else if not read then written.(r) <- true
+        else if not written.(r) then err i "read of uninitialized %c%d" file r
+      in
+      Instr.iter_effects
+        (fun access r _ ->
+          match access with
+          | Instr.Vread -> reg ~read:true "vector" 'v' vwritten r
+          | Instr.Mread -> reg ~read:true "matrix" 'm' mwritten r
+          | Instr.Vwrite -> reg ~read:false "vector" 'v' vwritten r
+          | Instr.Mwrite -> reg ~read:false "matrix" 'm' mwritten r
+          | _ -> ())
+        instr;
       (match instr with
       | Instr.V_rd { len; _ } | Instr.V_wr { len; _ } | Instr.V_fill { len; _ }
       | Instr.V_rd_i { len; _ } | Instr.V_wr_i { len; _ } ->

@@ -368,9 +368,10 @@ let memo tbl key make =
 (* Modeled service time of one deployed inference task, keyed by the
    model inputs themselves: the point, the device kind and counts read
    off the placements in one pass, so a hit allocates only the key
-   tuple. *)
+   tuple.  The virtual-block count is part of the key only where the
+   model reads it (one node, not [whole_device]); elsewhere it is 0. *)
 let service_cache :
-    (Deepbench.point * int * int * Device.kind * float * float * bool, float) Hashtbl.t =
+    (Deepbench.point * int * int * Device.kind * float * float * bool * int, float) Hashtbl.t =
   Hashtbl.create 64
 
 (* Reordered scale-out plans, keyed by (point, parts): the program
@@ -386,31 +387,33 @@ let scale_out_plan (point : Deepbench.point) ~parts =
 
 let service_latency_us ~policy ~added_latency_us (point : Deepbench.point)
     (d : Runtime.deployment) =
-  (* One pass over the placements: the tiles, the number of distinct
-     nodes, the least device kind (what sorting the kinds put first) and
-     the fastest and slowest device clocks. *)
+  (* One pass over the placements: the tiles, the virtual blocks, the
+     number of distinct nodes, the least device kind (what sorting the
+     kinds put first) and the fastest and slowest device clocks. *)
   let rec node_later id = function
     | [] -> false
     | (q : Runtime.placement) :: rest -> q.Runtime.node_id = id || node_later id rest
   in
-  let rec scan tiles nodes kind fastest slowest = function
-    | [] -> (tiles, nodes, kind, fastest, slowest)
+  let rec scan tiles vbs nodes kind fastest slowest = function
+    | [] -> (tiles, vbs, nodes, kind, fastest, slowest)
     | (p : Runtime.placement) :: rest ->
       let b = p.Runtime.bitstream in
       let k = b.Mlv_vital.Bitstream.device in
       let f = (Device.get k).Device.base_freq_mhz in
       scan
         (tiles + b.Mlv_vital.Bitstream.tiles)
+        (vbs + b.Mlv_vital.Bitstream.vbs)
         (if node_later p.Runtime.node_id rest then nodes else nodes + 1)
         (match kind with Some k0 when compare k0 k <= 0 -> kind | _ -> Some k)
         (Float.max fastest f) (Float.min slowest f) rest
   in
-  let tiles, nodes, kind, fastest, slowest =
-    scan 0 0 None 1.0 infinity d.Runtime.placements
+  let tiles, vbs, nodes, kind, fastest, slowest =
+    scan 0 0 0 None 1.0 infinity d.Runtime.placements
   in
   let device_kind = match kind with Some k -> k | None -> Device.XCVU37P in
   (* Heterogeneous pieces: the barrier waits for the slowest device. *)
   let partner_slowdown = if slowest = infinity then 1.0 else fastest /. slowest in
+  let vbs = if nodes >= 2 || policy.Runtime.whole_device then 0 else vbs in
   let key =
     ( point,
       tiles,
@@ -418,7 +421,8 @@ let service_latency_us ~policy ~added_latency_us (point : Deepbench.point)
       device_kind,
       partner_slowdown,
       added_latency_us,
-      policy.Runtime.whole_device )
+      policy.Runtime.whole_device,
+      vbs )
   in
   match Hashtbl.find_opt service_cache key with
   | Some v -> v
@@ -438,20 +442,10 @@ let service_latency_us ~policy ~added_latency_us (point : Deepbench.point)
       end
       else begin
         let cfg = Config.make ~tiles ~mem_kind () in
-        let program, _ =
-          Codegen.generate point.Deepbench.kind ~hidden:point.Deepbench.hidden
-            ~input:point.Deepbench.hidden ~timesteps:point.Deepbench.timesteps
-        in
+        let program, _ = Deepbench.program point in
         let deploy =
           if policy.Runtime.whole_device then Perf.bare
-          else begin
-            let vbs =
-              List.fold_left
-                (fun acc p -> acc + p.Runtime.bitstream.Mlv_vital.Bitstream.vbs)
-                0 d.Runtime.placements
-            in
-            Perf.vital_deploy ~virtual_blocks:vbs ~pattern_aware:true
-          end
+          else Perf.vital_deploy ~virtual_blocks:vbs ~pattern_aware:true
         in
         (Perf.program_latency cfg device ~deploy program).Perf.total_us
       end

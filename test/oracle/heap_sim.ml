@@ -1,13 +1,11 @@
 (* Reference oracle for [Mlv_cluster.Sim]: the original event engine,
-   a binary heap of closures ([Mlv_util.Pqueue], FIFO on equal
-   times).  Same interface and the same per-event bookkeeping as the
+   a binary heap of closures ([Pqueue], FIFO on equal times).  Same interface and the same per-event bookkeeping as the
    timing-wheel engine — the [now] ref, the processed count, the two
    [sim.*] counters, the span sim clock, and the [run ?until] clamp —
    so a comparison of the two measures only the queue.
    [test/test_sim_engine.ml] checks event order against it and
    [bench/sim.ml] times it. *)
 
-module Pqueue = Mlv_util.Pqueue
 module Obs = Mlv_obs.Obs
 
 type t = {

@@ -105,12 +105,12 @@ let reorder ~sync_base (p : Program.t) =
     in
     (klass *. 1e9) +. float_of_int i
   in
-  let queue = Mlv_util.Pqueue.create () in
-  Array.iteri (fun i c -> if c = 0 then Mlv_util.Pqueue.push queue (priority i) i) pred_count;
+  let queue = Mlv_oracle.Pqueue.create () in
+  Array.iteri (fun i c -> if c = 0 then Mlv_oracle.Pqueue.push queue (priority i) i) pred_count;
   let out = ref [] in
   let emitted = ref 0 in
   let rec drain () =
-    match Mlv_util.Pqueue.pop queue with
+    match Mlv_oracle.Pqueue.pop queue with
     | None -> ()
     | Some (_, i) ->
       out := instrs.(i) :: !out;
@@ -118,7 +118,7 @@ let reorder ~sync_base (p : Program.t) =
       List.iter
         (fun j ->
           pred_count.(j) <- pred_count.(j) - 1;
-          if pred_count.(j) = 0 then Mlv_util.Pqueue.push queue (priority j) j)
+          if pred_count.(j) = 0 then Mlv_oracle.Pqueue.push queue (priority j) j)
         succs.(i);
       drain ()
   in

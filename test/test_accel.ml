@@ -294,6 +294,123 @@ let test_perf_sync_read_own_slot () =
   | _ -> Alcotest.fail "expected two sends");
   Alcotest.(check (float 0.0)) "the receive does not wait for slot 1" (fst (run 0.0)) total
 
+(* [Perf.program_latency] against the reference interpreter in
+   [Perf_oracle], on random programs with hardware loops, indexed and
+   sync accesses, under random deployments and options: every
+   [breakdown] field, and the trace when one is asked for, to the
+   bit. *)
+let perf_sync_base = 64
+
+let gen_perf_case =
+  let open QCheck.Gen in
+  let vreg = int_range 0 5 and mreg = int_range 0 2 in
+  (* A quarter of the accesses go to one of three sync slots, so sends
+     and receives to the same slot are common. *)
+  let addr =
+    frequency
+      [
+        (3, int_range 0 (perf_sync_base - 1));
+        (1, map (fun k -> perf_sync_base + k) (int_range 0 2));
+      ]
+  and len = int_range 1 300 in
+  let act = oneofl [ Instr.Sigmoid; Instr.Tanh; Instr.Relu; Instr.Identity ] in
+  let instr =
+    frequency
+      [
+        (3, map3 (fun dst addr len -> Instr.V_rd { dst; addr; len }) vreg addr len);
+        (3, map3 (fun src addr len -> Instr.V_wr { src; addr; len }) vreg addr len);
+        (1, map2 (fun dst len -> Instr.V_fill { dst; len; value = 0.5 }) vreg len);
+        ( 2,
+          map3
+            (fun dst addr (rows, cols) -> Instr.M_rd { dst; addr; rows; cols })
+            mreg addr
+            (pair (int_range 1 2000) (int_range 1 2000)) );
+        (3, map3 (fun dst mat src -> Instr.Mvm { dst; mat; src }) vreg mreg vreg);
+        (2, map3 (fun dst a b -> Instr.Vv_add { dst; a; b }) vreg vreg vreg);
+        (1, map3 (fun dst a b -> Instr.Vv_sub { dst; a; b }) vreg vreg vreg);
+        (1, map3 (fun dst a b -> Instr.Vv_mul { dst; a; b }) vreg vreg vreg);
+        (2, map3 (fun dst src f -> Instr.Act { dst; src; f }) vreg vreg act);
+        (1, return Instr.Nop);
+        (1, map (fun count -> Instr.Loop { count }) (int_range 1 3));
+        (1, return Instr.End_loop);
+        ( 1,
+          map3
+            (fun dst (base, stride) len -> Instr.V_rd_i { dst; base; stride; len })
+            vreg (pair addr (int_range 0 9)) len );
+        ( 1,
+          map3
+            (fun src (base, stride) len -> Instr.V_wr_i { src; base; stride; len })
+            vreg (pair addr (int_range 0 9)) len );
+      ]
+  in
+  let deploy =
+    oneof
+      [
+        return Perf.bare;
+        map2
+          (fun virtual_blocks pattern_aware -> Perf.vital_deploy ~virtual_blocks ~pattern_aware)
+          (int_range 0 20) bool;
+      ]
+  in
+  (* 0: no extra latency; 1: a transfer on every sync receive; 2: a
+     charge on every instruction, by opcode. *)
+  let extra = pair (int_range 0 2) (float_range 0.0 5.0) in
+  let options =
+    pair
+      (triple (int_range 1 4) bool deploy)
+      (triple (pair bool bool) (pair (int_range 1 4) (float_range 1.0 2.0)) (pair extra bool))
+  in
+  pair (list_size (int_range 0 40) instr) options
+
+let perf_case_print (instrs, _) = Mlv_isa.Asm.to_string (Program.make instrs)
+
+let prop_perf_matches_oracle =
+  QCheck.Test.make ~name:"program_latency equals the oracle on random programs" ~count:400
+    (QCheck.make ~print:perf_case_print gen_perf_case)
+    (fun ( instrs,
+           ( (tiles, on_ku115, deploy),
+             ((weights_resident, instr_buffer), (dram_sharers, partner_stretch), ((which, x), traced))
+           ) ) ->
+      let p = Program.make ~vregs:6 ~mregs:3 instrs in
+      let c = Config.make ~tiles () in
+      let dev = if on_ku115 then ku115 else vu37p in
+      let extra_latency_us =
+        match which with
+        | 0 -> None
+        | 1 ->
+          Some
+            (fun (i : Instr.t) ->
+              match i with
+              | Instr.V_rd { addr; _ } when addr >= perf_sync_base -> x
+              | _ -> 0.0)
+        | _ -> Some (fun i -> x *. float_of_int (String.length (Instr.opcode i)))
+      in
+      let run ~oracle =
+        let latency =
+          if oracle then Perf_oracle.program_latency else Perf.program_latency
+        in
+        let log = ref [] in
+        let trace =
+          if traced then
+            Some
+              (fun i ~start ~finish ->
+                log := (i, Int64.bits_of_float start, Int64.bits_of_float finish) :: !log)
+          else None
+        in
+        let b : Perf.breakdown =
+          latency c dev ~deploy ~weights_resident ~instr_buffer ~dram_sharers
+            ~partner_stretch ?extra_latency_us ~sync_base:perf_sync_base ?trace p
+        in
+        ( ( Int64.bits_of_float b.Perf.total_us,
+            b.Perf.compute_cycles,
+            Int64.bits_of_float b.Perf.memory_us,
+            b.Perf.li_cycles,
+            b.Perf.instructions,
+            Int64.bits_of_float b.Perf.freq_mhz ),
+          !log )
+      in
+      run ~oracle:false = run ~oracle:true)
+
 (* ---------------- Sync module ---------------- *)
 
 let test_sync_module_rtl_valid () =
@@ -373,6 +490,7 @@ let () =
           Alcotest.test_case "weight streaming penalty" `Quick test_perf_weight_streaming_penalty;
           Alcotest.test_case "sync arrival" `Quick test_perf_sync_read_blocks;
           Alcotest.test_case "sync arrival is per slot" `Quick test_perf_sync_read_own_slot;
+          QCheck_alcotest.to_alcotest prop_perf_matches_oracle;
         ] );
       ( "sync_module",
         [

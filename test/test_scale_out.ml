@@ -324,6 +324,35 @@ let test_service_model_goldens () =
         (Printf.sprintf "%h" want) (Printf.sprintf "%h" got))
     goldens
 
+(* Minor-heap words the service model's cold path allocates.  The
+   count depends only on the code, not on the host or its load, so each
+   bound is the reading when the reorderer, the generators and the
+   timing interpreter stopped allocating per instruction, plus 10%:
+   76,798 words for the plan (3.34 M before), 37,084 for its timing
+   (1.06 M) and 1,432 for the LSTM timing (103 k). *)
+let check_words what ~bound f =
+  let before = Gc.minor_words () in
+  ignore (Sys.opaque_identity (f ()));
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check bool)
+    (Printf.sprintf "%s: %.0f minor words <= %.0f" what words bound)
+    true (words <= bound)
+
+let test_allocation_gates () =
+  let plan () =
+    Scale_out.plan ~reordered:true Codegen.Gru ~hidden:1024 ~input:1024 ~timesteps:1500
+      ~parts:2
+  in
+  check_words "plan GRU h=1024 t=1500 parts=2" ~bound:84_478. plan;
+  let plan = plan () in
+  let device = Device.get Device.XCVU37P in
+  check_words "plan_latency_us at 3 tiles" ~bound:40_792. (fun () ->
+      Scale_out.plan_latency_us ~config:(Config.make ~tiles:3 ~mem_kind:Config.Bram_uram ())
+        ~device ~added_latency_us:0.0 plan);
+  let lstm, _ = Codegen.generate Codegen.Lstm ~hidden:256 ~input:256 ~timesteps:150 in
+  check_words "program_latency LSTM h=256 t=150 at 8 tiles" ~bound:1_575. (fun () ->
+      Mlv_accel.Perf.program_latency (Config.make ~tiles:8 ()) device lstm)
+
 let () =
   Alcotest.run "scale_out"
     [
@@ -342,5 +371,6 @@ let () =
           Alcotest.test_case "golden latencies" `Quick test_service_model_goldens;
           Alcotest.test_case "mlp latency no worse than interval hazards" `Quick
             test_mlp_no_regression;
+          Alcotest.test_case "cold-path allocation gates" `Quick test_allocation_gates;
         ] );
     ]

@@ -3,7 +3,7 @@
 
 module Rng = Mlv_util.Rng
 module Stats = Mlv_util.Stats
-module Pqueue = Mlv_util.Pqueue
+module Pqueue = Mlv_oracle.Pqueue
 module Lru = Mlv_util.Lru
 module Wheel = Mlv_util.Timing_wheel
 module Union_find = Mlv_util.Union_find
