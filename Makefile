@@ -43,11 +43,12 @@ test:
 # indexed placement engine no slower than the test-side snapshot-scan
 # oracle (test/oracle/placement.ml) and bench-sim-smoke keeps the
 # timing wheel no slower than the heap reference engine
-# (test/oracle/heap_sim.ml); their differential correctness parts are
-# also tier-1 (test_place "differential", test_sim_engine "random
-# stream differential").  bench-diff compares the smoke outputs
-# against the committed smoke artifacts to catch order-of-magnitude
-# throughput cliffs.
+# (test/oracle/heap_sim.ml) on a dense backlog, and runs a sparse one;
+# their differential correctness parts are also tier-1 (test_place
+# "differential", test_sim_engine "random stream differential" and
+# "sparse and edge-case streams").  bench-diff compares the smoke
+# outputs against the committed smoke artifacts to catch
+# order-of-magnitude throughput cliffs, the sparse engine's included.
 check: build fmt test bench-place-smoke bench-sim-smoke bench-diff
 
 # Regenerates every table/figure; writes no observability dump.
@@ -99,10 +100,17 @@ bench-sim:
 
 # Fast variant for `make check`: same bit-identity assertion, only
 # requires the wheel not be slower than the heap (wall-clock ratios on
-# a shared machine are too noisy for a tight bound at this size).
+# a shared machine are too noisy for a tight bound at this size).  A
+# second, sparse run (8 pending events, 5 ms mean delay: most 1 µs
+# buckets empty, as in the serving workloads) checks the same
+# bit-identity; the wheel is only at parity with the heap there, so
+# its speed is left to bench-diff.
 bench-sim-smoke:
 	dune exec bench/sim.exe -- --events 100000 --pending 20000 --reps 2 \
 	  --out $(SMOKE_DIR)/BENCH_sim_smoke.json --assert-speedup 1
+	dune exec bench/sim.exe -- --events 100000 --pending 8 \
+	  --mean-delay-us 5000 --reps 2 \
+	  --out $(SMOKE_DIR)/BENCH_sim_sparse_smoke.json
 
 # Datacenter-scale serving benchmark: ~1M tasks from three tenants at
 # 10k nodes (serving-loop throughput), a 100k-node run (sub-quadratic
@@ -139,6 +147,12 @@ bench-diff: bench-place-smoke bench-sim-smoke
 	  --max-regress 75
 	dune exec bench/benchdiff.exe -- --ref BENCH_sim_smoke.json \
 	  --new $(SMOKE_DIR)/BENCH_sim_smoke.json --key speedup --max-regress 50
+	dune exec bench/benchdiff.exe -- --ref BENCH_sim_sparse_smoke.json \
+	  --new $(SMOKE_DIR)/BENCH_sim_sparse_smoke.json --key wheel.events_per_s \
+	  --max-regress 75
+	dune exec bench/benchdiff.exe -- --ref BENCH_sim_sparse_smoke.json \
+	  --new $(SMOKE_DIR)/BENCH_sim_sparse_smoke.json --key speedup \
+	  --max-regress 50
 
 # The repository benchmark (perfbench/README.md): every workload in
 # BENCHMARK.json, seed 1, 20 s of fresh processes each; prints each

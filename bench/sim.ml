@@ -23,12 +23,15 @@
    Emits BENCH_sim.json with events/s, allocation words/event (from
    Gc counters) and the wheel-over-heap speedup.
 
-   Usage: sim.exe [--events N] [--pending K] [--seed S] [--reps R]
-                  [--out FILE] [--assert-speedup X]
+   Usage: sim.exe [--events N] [--pending K] [--mean-delay-us D]
+                  [--seed S] [--reps R] [--out FILE] [--assert-speedup X]
    Bit-identity between the engines is always asserted.
-   Defaults drive 1M events against a 300k-event backlog;
-   `make bench-sim-smoke` runs a small configuration as part of
-   `make check`. *)
+   Defaults drive 1M events against a 300k-event backlog, with a mean
+   delay equal to the backlog (dense: about one event per µs bucket);
+   a mean delay far above the backlog (--pending 8 --mean-delay-us
+   5000) models the serving workloads' sparse streams, where most
+   buckets are empty.  `make bench-sim-smoke` runs a small dense and
+   a small sparse configuration as part of `make check`. *)
 
 module Sim = Mlv_cluster.Sim
 module Heap_sim = Mlv_oracle.Heap_sim
@@ -50,7 +53,7 @@ type outcome = {
 
 module type ENGINE = Mlv_oracle.Engine.S
 
-let run_engine (module E : ENGINE) ~engine ~events ~pending ~seed =
+let run_engine (module E : ENGINE) ~engine ~events ~pending ~mean_delay_us ~seed =
   (* Pre-draw the randomness so the measured loop never touches the
      RNG (SplitMix64 boxes an int64 per draw, which would pollute the
      words/event accounting identically for both engines but hide the
@@ -58,7 +61,7 @@ let run_engine (module E : ENGINE) ~engine ~events ~pending ~seed =
   let prefill = min pending events in
   let spawn_budget = events - prefill in
   let rng = Rng.create seed in
-  let horizon = float_of_int pending in
+  let horizon = mean_delay_us in
   let prefill_at = Array.init prefill (fun _ -> Rng.float rng horizon) in
   let delays =
     Array.init spawn_budget (fun _ -> Rng.exponential rng ~mean:horizon)
@@ -138,10 +141,10 @@ let outcome_json o =
 
 (* Best of [reps] runs; every rep must reproduce the same digest and
    final clock (per-engine determinism). *)
-let best_of impl ~engine ~events ~pending ~seed ~reps =
-  let best = ref (run_engine impl ~engine ~events ~pending ~seed) in
+let best_of impl ~engine ~events ~pending ~mean_delay_us ~seed ~reps =
+  let best = ref (run_engine impl ~engine ~events ~pending ~mean_delay_us ~seed) in
   for _ = 2 to reps do
-    let o = run_engine impl ~engine ~events ~pending ~seed in
+    let o = run_engine impl ~engine ~events ~pending ~mean_delay_us ~seed in
     if
       o.order_digest <> !best.order_digest
       || o.final_now_us <> !best.final_now_us
@@ -157,6 +160,7 @@ let best_of impl ~engine ~events ~pending ~seed ~reps =
 let () =
   let events = ref 1_000_000
   and pending = ref 300_000
+  and mean_delay_us = ref None
   and seed = ref 1
   and reps = ref 5
   and out = ref "BENCH_sim.json"
@@ -167,6 +171,9 @@ let () =
       ( "--pending",
         Arg.Set_int pending,
         "backlog of pre-scheduled events (default 300000)" );
+      ( "--mean-delay-us",
+        Arg.Float (fun d -> mean_delay_us := Some d),
+        "mean successor delay and prefill horizon in µs (default: the backlog)" );
       ("--seed", Arg.Set_int seed, "event-stream seed (default 1)");
       ("--reps", Arg.Set_int reps, "runs per engine, best reported (default 5)");
       ("--out", Arg.Set_string out, "output JSON path (default BENCH_sim.json)");
@@ -180,15 +187,23 @@ let () =
     prerr_endline "events, pending and reps must be positive";
     exit 1
   end;
-  Printf.printf "hold model: %d events, %d pending, seed %d, best of %d\n%!"
-    !events !pending !seed !reps;
+  let mean_delay_us =
+    match !mean_delay_us with Some d -> d | None -> float_of_int !pending
+  in
+  if not (mean_delay_us > 0.0) then begin
+    prerr_endline "mean-delay-us must be positive";
+    exit 1
+  end;
+  Printf.printf
+    "hold model: %d events, %d pending, mean delay %gus, seed %d, best of %d\n%!"
+    !events !pending mean_delay_us !seed !reps;
   let heap =
     best_of (module Heap_sim) ~engine:"heap" ~events:!events ~pending:!pending
-      ~seed:!seed ~reps:!reps
+      ~mean_delay_us ~seed:!seed ~reps:!reps
   in
   let wheel =
     best_of (module Sim) ~engine:"wheel" ~events:!events ~pending:!pending
-      ~seed:!seed ~reps:!reps
+      ~mean_delay_us ~seed:!seed ~reps:!reps
   in
   let speedup =
     if heap.events_per_s > 0.0 then wheel.events_per_s /. heap.events_per_s
@@ -214,6 +229,7 @@ let () =
         ("benchmark", Obs.Json.String "sim_engine");
         ("events", Obs.Json.Int !events);
         ("pending", Obs.Json.Int !pending);
+        ("mean_delay_us", Obs.Json.Float mean_delay_us);
         ("seed", Obs.Json.Int !seed);
         ("reps", Obs.Json.Int !reps);
         ("heap", outcome_json heap);

@@ -28,7 +28,7 @@ type t = {
          eval] against the live series registry *)
   sessions : Session.t;
       (* front-door client sessions, on the cluster's sim clock *)
-  mutable mapcache : string Mapcache.t option;
+  mutable mapcache : (string, string) Mapcache.t option;
       (* compiled-mapping LRU keyed by shape signature (value: the
          accel that filled the entry); None until [mapcache <cap>] *)
 }

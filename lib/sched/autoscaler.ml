@@ -208,9 +208,14 @@ let decide cfg tr ~now_us ~backlog ~replicas ~idle ~deadline_us =
       if replicas = 0 then 0.0
       else float_of_int backlog /. float_of_int replicas
     in
+    (* A window's percentile is clamped to its exact maximum, so no
+       p99 can exceed a deadline the largest sojourn meets: skip the
+       bucket scan then. *)
     let p99_breach =
       deadline_us > 0.0
       && sojourn_count tr > 0
+      && Float.max (Obs.Histogram.max tr.cur) (Obs.Histogram.max tr.prev)
+         > deadline_us
       && p99_sojourn_us tr > deadline_us
     in
     if

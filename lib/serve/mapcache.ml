@@ -3,8 +3,8 @@ module Lru = Mlv_util.Lru
 
 (* An exact LRU of compiled-mapping results keyed by canonical shape
    signatures, with its counts mirrored into the registry. *)
-type 'a t = {
-  lru : (string, 'a) Lru.t;
+type ('k, 'a) t = {
+  lru : ('k, 'a) Lru.t;
   c_hits : Obs.Counter.t;
   c_misses : Obs.Counter.t;
   c_evictions : Obs.Counter.t;

@@ -983,15 +983,23 @@ let dispatch_loop run =
       (fun (capacity, compile_us) -> (Mapcache.create ~capacity (), compile_us))
       fe.mapping_cache
   in
-  (* Shape signatures are a pure function of the registered plan;
-     memoized so the admission path pays one hash lookup. *)
-  let shape_sigs : (string, string) Hashtbl.t = Hashtbl.create 16 in
-  let shape_sig accel =
-    match Mapdb.find registry accel with
-    | Some p -> Mapdb.shape_signature p
-    | None -> accel
+  (* Shape signatures are a pure function of the registered plan.
+     Each distinct signature (kilobytes long) is interned once to an
+     int, and each accelerator's id memoized, so the admission path
+     pays one lookup on the accelerator name and the cache hashes an
+     int; equal ids are equal signatures, so hits, misses and
+     evictions are those of a signature-keyed cache. *)
+  let shape_ids : (string, int) Hashtbl.t = Hashtbl.create 16 in
+  let shape_id accel =
+    let signature =
+      match Mapdb.find registry accel with
+      | Some p -> Mapdb.shape_signature p
+      | None -> accel
+    in
+    memo shape_ids signature (fun _ -> Hashtbl.length shape_ids)
   in
-  let shape_sig_of accel = memo shape_sigs accel shape_sig in
+  let accel_shape_ids : (string, int) Hashtbl.t = Hashtbl.create 16 in
+  let shape_id_of accel = memo accel_shape_ids accel shape_id in
   let batcher : stask Batcher.t = Batcher.create serving.batch in
   let router = Router.create () in
   let groups : (string, sgroup) Hashtbl.t = Hashtbl.create 8 in
@@ -1612,10 +1620,11 @@ let dispatch_loop run =
               match mapcache with
               | None -> 0.0
               | Some (mc, cost) -> (
-                match Mapcache.find mc (shape_sig_of accel) with
+                let key = shape_id_of accel in
+                match Mapcache.find mc key with
                 | Some () -> 0.0
                 | None ->
-                  Mapcache.put mc (shape_sig_of accel) ();
+                  Mapcache.put mc key ();
                   cost)
             in
             let g = group_of accel in

@@ -28,18 +28,92 @@ let stddev = function
       xs;
     sqrt (!m2 /. float_of_int !n)
 
+(* Ascending in-place sort of a NaN-free float array: the ternary heap
+   sort of [Array.sort], step for step, with [Float.compare] inlined
+   as float [<] / [>] (equivalent on NaN-free input, ±0 included)
+   instead of called through a closure.  So the result is the very
+   permutation [Array.sort Float.compare] produces, and no scratch
+   array is allocated. *)
+let sort_floats (a : float array) =
+  let l = Array.length a in
+  (* The largest child of [i] in a heap of size [len], -1 for a leaf. *)
+  let maxson len i =
+    let i31 = i + i + i + 1 in
+    if i31 + 2 < len then begin
+      let x = if a.(i31) < a.(i31 + 1) then i31 + 1 else i31 in
+      if a.(x) < a.(i31 + 2) then i31 + 2 else x
+    end
+    else if i31 + 1 < len && a.(i31) < a.(i31 + 1) then i31 + 1
+    else if i31 < len then i31
+    else -1
+  in
+  let trickle len i e =
+    let i = ref i and placed = ref false in
+    while not !placed do
+      let j = maxson len !i in
+      if j >= 0 && a.(j) > e then begin
+        a.(!i) <- a.(j);
+        i := j
+      end
+      else begin
+        a.(!i) <- e;
+        placed := true
+      end
+    done
+  in
+  let bubble len i =
+    let i = ref i and j = ref (maxson len i) in
+    while !j >= 0 do
+      a.(!i) <- a.(!j);
+      i := !j;
+      j := maxson len !i
+    done;
+    !i
+  in
+  let trickleup i e =
+    let i = ref i and placed = ref false in
+    while not !placed do
+      let father = (!i - 1) / 3 in
+      if a.(father) < e then begin
+        a.(!i) <- a.(father);
+        if father > 0 then i := father
+        else begin
+          a.(0) <- e;
+          placed := true
+        end
+      end
+      else begin
+        a.(!i) <- e;
+        placed := true
+      end
+    done
+  in
+  for i = ((l + 1) / 3) - 1 downto 0 do
+    trickle l i a.(i)
+  done;
+  for i = l - 1 downto 2 do
+    let e = a.(i) in
+    a.(i) <- a.(0);
+    trickleup (bubble i 0) e
+  done;
+  if l > 1 then begin
+    let e = a.(1) in
+    a.(1) <- a.(0);
+    a.(0) <- e
+  end
+
 let percentile p = function
   | [] -> invalid_arg "Stats.percentile: empty list"
   | xs ->
     if p < 0.0 || p > 100.0 then invalid_arg "Stats.percentile: p out of range";
     let arr = Array.of_list xs in
     (* Polymorphic compare silently misorders NaN (it sorts below
-       every float, skewing every rank); reject it and sort with the
-       float-aware comparison. *)
+       every float, skewing every rank), and so would the sort's
+       float [<]; reject it. *)
     Array.iter
       (fun x -> if Float.is_nan x then invalid_arg "Stats.percentile: NaN sample")
       arr;
-    Array.sort Float.compare arr;
+    sort_floats arr;
     let n = Array.length arr in
     let rank = p /. 100.0 *. float_of_int (n - 1) in
     let lo = int_of_float (floor rank) in
@@ -68,7 +142,7 @@ let percentile_many ps = function
       (fun x ->
         if Float.is_nan x then invalid_arg "Stats.percentile_many: NaN sample")
       arr;
-    Array.sort Float.compare arr;
+    sort_floats arr;
     let n = Array.length arr in
     List.map
       (fun p ->

@@ -31,6 +31,12 @@
    - When a cell lands in level 0 (it will pop within the current
      window) its thunk is touched once; that load overlaps the
      cascade and leaves the closure line in cache for the pop.
+   - Level 0 keeps an occupancy bitmap: one bit per slot in 32-bit
+     words, plus a summary word with one bit per non-empty word.
+     Finding the next occupied slot is a few word operations instead
+     of a read of every empty slot, so sparse streams (one event per
+     hundreds of buckets) do not pay for the simulated time between
+     events.
 
    Freed cells drop their closure immediately so popped events don't
    pin captured state. *)
@@ -39,6 +45,11 @@ let bits = 11
 let nslots = 1 lsl bits
 let slot_mask = nslots - 1
 let horizon_mask = (1 lsl (3 * bits)) - 1
+
+(* Level-0 occupancy: [nwords] 32-bit words of slot bits and
+   [nsummary] 32-bit words of word bits. *)
+let nwords = nslots lsr 5
+let nsummary = (nwords + 31) lsr 5
 
 (* Clamp for huge / infinite timestamps: ordering within a bucket is
    by exact time, so collapsing the far tail into one bucket is
@@ -81,6 +92,8 @@ type t = {
   vecs : int array array array; (* [level].[slot] -> resident cell ids *)
   vlens : int array array; (* [level].[slot] -> live prefix of the vector *)
   level_count : int array; (* cells resident per level *)
+  occ : int array; (* bit [s land 31] of word [s lsr 5]: level-0 slot s is non-empty *)
+  occ_sum : int array; (* bit [w land 31] of word [w lsr 5]: [occ.(w)] is non-zero *)
   mutable cur : int; (* next bucket not yet extracted *)
   mutable batch : int array; (* current bucket, sorted cell ids *)
   mutable scratch : int array; (* mergesort scratch, same length as batch *)
@@ -126,6 +139,8 @@ let create ?(granularity_us = 1.0) () =
     vecs = Array.init 3 (fun _ -> Array.make nslots empty_vec);
     vlens = Array.init 3 (fun _ -> Array.make nslots 0);
     level_count = Array.make 3 0;
+    occ = Array.make nwords 0;
+    occ_sum = Array.make nsummary 0;
     cur = 0;
     batch = Array.make 64 0;
     scratch = Array.make 64 0;
@@ -262,6 +277,53 @@ let merge_into_batch t i =
   batch.(!p) <- i;
   t.batch_len <- t.batch_len + 1
 
+(* -- level-0 occupancy bitmap ---------------------------------------- *)
+
+(* Count of trailing zeros of a non-zero 32-bit word: isolate the
+   lowest set bit and index a de Bruijn table (OCaml 5.1 has no ctz
+   primitive).  The product stays below 2^59, so it is exact in a
+   63-bit int; [land 31] keeps the five bits a uint32 product would. *)
+let debruijn =
+  [|
+    0; 1; 28; 2; 29; 14; 24; 3; 30; 22; 20; 15; 25; 17; 4; 8; 31; 27; 13; 23; 21; 19;
+    16; 7; 26; 12; 18; 6; 11; 5; 10; 9;
+  |]
+
+let ctz32 x = debruijn.((((x land -x) * 0x077CB531) lsr 27) land 31)
+
+let mark_occupied t slot =
+  let w = slot lsr 5 in
+  let word = t.occ.(w) in
+  t.occ.(w) <- word lor (1 lsl (slot land 31));
+  if word = 0 then
+    t.occ_sum.(w lsr 5) <- t.occ_sum.(w lsr 5) lor (1 lsl (w land 31))
+
+let mark_empty t slot =
+  let w = slot lsr 5 in
+  let word = t.occ.(w) land lnot (1 lsl (slot land 31)) in
+  t.occ.(w) <- word;
+  if word = 0 then
+    t.occ_sum.(w lsr 5) <- t.occ_sum.(w lsr 5) land lnot (1 lsl (w land 31))
+
+(* First non-empty word at index >= [w], or -1. *)
+let rec next_word t w =
+  if w >= nwords then -1
+  else begin
+    let k = w lsr 5 in
+    let m = t.occ_sum.(k) land (-1 lsl (w land 31)) in
+    if m <> 0 then (k lsl 5) + ctz32 m else next_word t ((k + 1) lsl 5)
+  end
+
+(* First non-empty level-0 slot at index >= [slot], or -1. *)
+let next_occupied t slot =
+  let w = slot lsr 5 in
+  let m = t.occ.(w) land (-1 lsl (slot land 31)) in
+  if m <> 0 then (w lsl 5) + ctz32 m
+  else begin
+    let w' = next_word t (w + 1) in
+    if w' < 0 then -1 else (w' lsl 5) + ctz32 t.occ.(w')
+  end
+
 (* -- wheel insertion ------------------------------------------------ *)
 
 (* Append cell [i] to the slot's vector.  Slots hold growable arrays
@@ -282,6 +344,7 @@ let put t level slot i =
     else vec
   in
   vec.(len) <- i;
+  if len = 0 && level = 0 then mark_occupied t slot;
   t.vlens.(level).(slot) <- len + 1;
   t.level_count.(level) <- t.level_count.(level) + 1
 
@@ -365,6 +428,7 @@ let extract t b =
   let vec = t.vecs.(0).(slot) in
   let n = t.vlens.(0).(slot) in
   t.vlens.(0).(slot) <- 0;
+  mark_empty t slot;
   t.level_count.(0) <- t.level_count.(0) - n;
   grow_batch t n;
   Array.blit vec 0 t.batch 0 n;
@@ -384,12 +448,19 @@ let boundary t m =
     cascade t 2 ((m lsr (2 * bits)) land slot_mask);
   if t.level_count.(1) > 0 then cascade t 1 ((m lsr bits) land slot_mask)
 
-(* Scan level-0 slots for the first non-empty bucket in [s, win_end);
-   -1 when the window remainder is empty. *)
-let rec scan_window vlens0 s win_end =
-  if s >= win_end then -1
-  else if vlens0.(s land slot_mask) <> 0 then s
-  else scan_window vlens0 (s + 1) win_end
+(* The first non-empty bucket in [s, win_end), -1 when the window
+   remainder is empty.  The window is the rest of one aligned
+   [nslots]-bucket block ([win_end] is the block's end), so its slots
+   are [s land slot_mask] up to the last one, in bucket order.  A
+   level-0 cell of the next block wraps to a lower slot index and is
+   not seen until the cursor reaches that block. *)
+let scan_window t s win_end =
+  (* On a dense stream the cursor's own slot is usually occupied. *)
+  if t.vlens.(0).(s land slot_mask) <> 0 then s
+  else begin
+    let slot = next_occupied t (s land slot_mask) in
+    if slot < 0 then -1 else win_end - nslots + slot
+  end
 
 (* Find and extract the next non-empty bucket.  Precondition: the
    batch is exhausted.  Returns false when no events remain. *)
@@ -405,7 +476,7 @@ let rec seek t =
   (* Scan the remainder of the current level-0 window. *)
   let win_end = t.next_boundary in
   let found =
-    if t.level_count.(0) > 0 then scan_window t.vlens.(0) t.cur win_end
+    if t.level_count.(0) > 0 then scan_window t t.cur win_end
     else -1
   in
   if found >= 0 then extract t found
@@ -467,6 +538,8 @@ let pop_fire t ~into =
 
 let clear t =
   Array.iter (fun vlens -> Array.fill vlens 0 nslots 0) t.vlens;
+  Array.fill t.occ 0 nwords 0;
+  Array.fill t.occ_sum 0 nsummary 0;
   Array.fill t.level_count 0 3 0;
   Array.fill t.fns 0 t.cap noop;
   init_free_list t.cells 0 t.cap;

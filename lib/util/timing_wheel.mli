@@ -10,6 +10,12 @@
     order is identical to a binary heap with FIFO tie-breaking — the
     granularity affects performance only, never ordering.
 
+    Level 0 keeps an occupancy bitmap (a bit per slot and a summary
+    bit per 32-slot word), so finding the next pending bucket costs a
+    few word operations however many empty buckets lie before it:
+    sparse streams, with one event per hundreds of buckets, do not pay
+    for the simulated time between events.
+
     The implementation is allocation-free on the steady-state path:
     event cells live in a struct-of-arrays arena (unboxed float
     timestamps, int links) recycled through a free list, so [push] and

@@ -443,7 +443,10 @@ let test_autoscaler_p99_trigger () =
 
 (* Reference tracker: the windowed p99 rules with a fresh detached
    histogram for every cleared or rotated window, as the autoscaler
-   allocated them before it reused its two windows in place. *)
+   allocated them before it reused its two windows in place.  It
+   decides a breach from the percentile alone; the autoscaler first
+   rules one out from the windows' exact maxima, which must never
+   change a decision. *)
 module Fresh_tracker = struct
   type t = {
     mutable cur : Obs.Histogram.t;
@@ -512,6 +515,9 @@ let gen_tracker_op =
         map
           (fun e -> Observe (10.0 ** e))
           (float_range 1.0 5.0) );
+      (* samples that can equal a deadline exactly, where the maximum
+         and the percentile tie *)
+      (3, map (fun us -> Observe us) (oneofl [ 500.0; 5_000.0; 5_200.0; 50_000.0 ]));
       (1, return (Observe 0.0));
       ( 4,
         map
@@ -520,7 +526,11 @@ let gen_tracker_op =
           (pair
              (pair (float_range 0.0 1_500.0) (int_range 0 40))
              (triple (int_range 0 9) (int_range 0 3)
-                (oneofl [ 0.0; 500.0; 5_000.0; 50_000.0 ]))) );
+                (frequency
+                   [
+                     (3, oneofl [ 0.0; 500.0; 5_000.0; 50_000.0 ]);
+                     (1, map (fun e -> 10.0 ** e) (float_range 1.0 5.0));
+                   ]))) );
       (1, map (fun dt -> Mark dt) (float_range 0.0 1_500.0));
     ]
 

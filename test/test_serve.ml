@@ -432,6 +432,32 @@ let test_mapping_cache_cost_differential () =
       cold.Sysim.mapcache_misses,
       cold.Sysim.mapcache_evictions )
 
+(* The run keys its cache by an int interned per distinct shape
+   signature rather than by the signature string.  Equal ids are equal
+   signatures, so every capacity, thrashing ones included, reports the
+   hits, misses and evictions the signature-keyed cache reported (the
+   triples were recorded with it). *)
+let test_mapping_cache_counts_pinned () =
+  let set k = { (base_cfg ~tasks:120) with Sysim.composition = Genset.table1.(k - 1) } in
+  List.iter
+    (fun (label, cfg, capacity, expected) ->
+      let r = run (with_cache cfg ~capacity ~compile_us:800.0) in
+      Alcotest.(check (triple int int int))
+        (Printf.sprintf "%s, capacity %d: hits/misses/evictions" label capacity)
+        expected
+        (r.Sysim.mapcache_hits, r.Sysim.mapcache_misses, r.Sysim.mapcache_evictions))
+    [
+      ("set 7, 120 tasks", set 7, 1, (34, 86, 85));
+      ("set 7, 120 tasks", set 7, 3, (84, 36, 33));
+      ("set 7, 120 tasks", set 7, 6, (110, 10, 4));
+      ("set 9, 120 tasks", set 9, 1, (23, 97, 96));
+      ("set 9, 120 tasks", set 9, 2, (46, 74, 72));
+      ("set 9, 120 tasks", set 9, 4, (78, 42, 38));
+      ("set 9, 120 tasks", set 9, 6, (108, 12, 6));
+      ("flash workload", flash_cfg, 1, (601, 199, 198));
+      ("flash workload", flash_cfg, 64, (798, 2, 0));
+    ]
+
 let test_frontend_requires_serving () =
   let base =
     Sysim.default_config ~policy:Runtime.greedy ~composition:Genset.table1.(2)
@@ -594,6 +620,8 @@ let () =
             test_frontend_none_bit_identical;
           Alcotest.test_case "cache cost differential" `Quick
             test_mapping_cache_cost_differential;
+          Alcotest.test_case "mapping cache counts pinned" `Quick
+            test_mapping_cache_counts_pinned;
           Alcotest.test_case "frontend requires serving" `Quick
             test_frontend_requires_serving;
           Alcotest.test_case "replay matches generation" `Quick

@@ -14,6 +14,7 @@ module Sysim = Mlv_sysim.Sysim
 module Runtime = Mlv_core.Runtime
 module Genset = Mlv_workload.Genset
 module Rng = Mlv_util.Rng
+module Wheel = Mlv_util.Timing_wheel
 
 (* The registry build compiles ten accelerator instances; share it. *)
 let registry = lazy (Sysim.build_registry ())
@@ -117,6 +118,160 @@ let test_run_until_agrees () =
   Alcotest.(check (float 0.0)) "final clock" hend wend;
   Alcotest.(check int) "events processed" hev wev
 
+(* ---------------- Sparse and edge-case streams ---------------- *)
+
+(* [Sim]'s semantics over a wheel that one earlier use left full and
+   [clear] then emptied: the reused wheel must pop exactly as a fresh
+   one.  Each [create] dirties the shared wheel before clearing it:
+   pending cells on every level and the overflow list, an open batch,
+   and two occupied level-0 slots in every 32-slot word. *)
+module Reused_wheel = struct
+  type t = { wheel : Wheel.t; now : float ref; mutable processed : int }
+
+  let shared = Wheel.create ()
+
+  let create () =
+    for w = 0 to 63 do
+      Wheel.push shared ~at:(Float.of_int (32 * w) +. 1.5) ignore;
+      Wheel.push shared ~at:(Float.of_int (32 * w) +. 30.5) ignore
+    done;
+    List.iter
+      (fun at -> Wheel.push shared ~at ignore)
+      [ 2048.0; 2049.0; 5e5; 4194304.0; 8589934592.0; 1e12 ];
+    ignore (Wheel.pop shared);
+    Wheel.clear shared;
+    { wheel = shared; now = ref 0.0; processed = 0 }
+
+  let now t = !(t.now)
+  let schedule t ~delay f = Wheel.push t.wheel ~at:(!(t.now) +. delay) f
+  let schedule_at t ~at f = Wheel.push t.wheel ~at f
+
+  let fire t =
+    let f = Wheel.pop_fire t.wheel ~into:t.now in
+    t.processed <- t.processed + 1;
+    f ()
+
+  let run ?until t =
+    (match until with
+    | None -> while not (Wheel.is_empty t.wheel) do fire t done
+    | Some limit ->
+      while (not (Wheel.is_empty t.wheel)) && Wheel.next_time t.wheel <= limit do
+        fire t
+      done);
+    match until with Some limit when !(t.now) < limit -> t.now := limit | _ -> ()
+
+  let pending t = Wheel.length t.wheel
+  let events_processed t = t.processed
+end
+
+let reused = (module Reused_wheel : ENGINE)
+
+(* Where a scheduled event lands: [Delay d] is [now + d]; [Cursor (k,
+   frac)] is [k] buckets past the open bucket's successor (the wheel's
+   cursor at 1 µs granularity) plus [frac] — the window edges 2047 /
+   2048 / 2049, the level-1 and level-2 spans 2^22 and 2^33.  Delays of
+   0 and sub-bucket fractions land in the batch being popped. *)
+type target = Delay of float | Cursor of int * float
+
+type stream = {
+  prefill : float list;  (* 1 to 64 initial events *)
+  actions : target list array;  (* successors of the i-th fired event *)
+  checkpoints : (float * target list) list;
+      (* [run ~until], then schedule these from the new clock *)
+}
+
+let at_of now = function
+  | Delay d -> now +. d
+  | Cursor (k, frac) -> Float.of_int (int_of_float now + 1 + k) +. frac
+
+let max_pending = 64
+
+exception Runaway
+
+(* Fire a stream and log every event as [(time bits, tag)], every
+   checkpoint as [(clock bits, -pending)].  No engine may fire more
+   handlers than the stream schedules: one that refires cells raises
+   [Runaway] instead of spinning. *)
+let fire_stream (module E : ENGINE) st =
+  let sim = E.create () in
+  let log = ref [] in
+  let next_tag = ref 0 and fired = ref 0 in
+  let most =
+    List.length st.prefill + (2 * Array.length st.actions)
+    + List.fold_left (fun n (_, injected) -> n + List.length injected) 0 st.checkpoints
+  in
+  let rec schedule target =
+    if E.pending sim < max_pending then begin
+      let tag = !next_tag in
+      incr next_tag;
+      E.schedule_at sim ~at:(at_of (E.now sim) target) (handler tag)
+    end
+  and handler tag () =
+    log := (Int64.bits_of_float (E.now sim), tag) :: !log;
+    if !fired >= most then raise Runaway;
+    let i = !fired in
+    incr fired;
+    if i < Array.length st.actions then List.iter schedule st.actions.(i)
+  in
+  List.iter (fun at -> schedule (Delay at)) st.prefill;
+  List.iter
+    (fun (limit, injected) ->
+      E.run ~until:limit sim;
+      log := (Int64.bits_of_float (E.now sim), -E.pending sim) :: !log;
+      List.iter schedule injected)
+    st.checkpoints;
+  E.run sim;
+  List.rev !log
+
+let mean_gap_us =
+  QCheck.Gen.(
+    frequency
+      [
+        (1, return 0.0);
+        (3, oneofl [ 0.5; 1.0; 367.0; 2048.0; 5_000.0; 50_000.0 ]);
+        (3, float_range 0.0 50_000.0);
+      ])
+
+let gen_stream =
+  let open QCheck.Gen in
+  let edge =
+    oneof
+      [
+        map2
+          (fun k frac -> Cursor (k, frac))
+          (oneofl [ 0; 2046; 2047; 2048; 2049; 1 lsl 22; 1 lsl 33 ])
+          (oneofl [ 0.0; 0.5 ]);
+        map (fun d -> Delay d) (oneofl [ 0.0; 0.25; 2047.0; 2048.0; 2049.0 ]);
+      ]
+  in
+  mean_gap_us >>= fun mean ->
+  let gap =
+    map (fun u -> Delay (-.mean *. log (1.0 -. u))) (float_bound_exclusive 1.0)
+  in
+  let target = frequency [ (8, gap); (1, edge) ] in
+  let successors =
+    frequency
+      [ (6, map (fun t -> [ t ]) target); (1, return []); (2, list_repeat 2 target) ]
+  in
+  let horizon = 600.0 *. Float.max 1.0 mean in
+  map3
+    (fun prefill actions checkpoints ->
+      {
+        prefill;
+        actions = Array.of_list actions;
+        checkpoints = List.sort (fun (a, _) (b, _) -> Float.compare a b) checkpoints;
+      })
+    (list_size (int_range 1 max_pending) (float_range 0.0 (4.0 *. Float.max 1.0 mean)))
+    (list_size (int_range 0 600) successors)
+    (list_size (int_range 0 4)
+       (pair (float_range 0.0 horizon) (list_size (int_range 0 3) target)))
+
+let prop_sparse_streams =
+  QCheck.Test.make ~name:"sparse and edge-case streams match the heap" ~count:300
+    (QCheck.make gen_stream) (fun st ->
+      let h = fire_stream heap st in
+      h = fire_stream wheel st && h = fire_stream reused st)
+
 (* ---------------- Sysim end-to-end ---------------- *)
 
 (* Whole-run pins: the MD5 of each result, scrubbed of the wall clock
@@ -179,6 +334,7 @@ let () =
           Alcotest.test_case "random stream differential" `Quick
             test_random_stream_differential;
           Alcotest.test_case "run ~until agrees" `Quick test_run_until_agrees;
+          QCheck_alcotest.to_alcotest prop_sparse_streams;
         ] );
       ( "sysim",
         [

@@ -3,6 +3,7 @@
 
 module Rng = Mlv_util.Rng
 module Stats = Mlv_util.Stats
+module Stats_oracle = Mlv_oracle.Stats_oracle
 module Pqueue = Mlv_oracle.Pqueue
 module Lru = Mlv_util.Lru
 module Wheel = Mlv_util.Timing_wheel
@@ -125,6 +126,59 @@ let test_stats_percentile () =
 let test_stats_percentile_nan () =
   Alcotest.check_raises "NaN sample" (Invalid_argument "Stats.percentile: NaN sample")
     (fun () -> ignore (Stats.percentile 50.0 [ 1.0; Float.nan; 3.0 ]))
+
+(* The in-place float sort behind [percentile] and [percentile_many]
+   against the [Array.sort Float.compare] versions it replaced
+   (test/oracle/stats_oracle.ml), on samples full of duplicates,
+   negatives, signed zeros and infinities, down to length 1.  The
+   sort yields the old permutation, so results match to the bit —
+   NaN from interpolating across opposite infinities included — and
+   empty or NaN inputs raise the same [Invalid_argument]. *)
+let gen_sample =
+  QCheck.Gen.(
+    frequency
+      [
+        (4, map float_of_int (int_range (-5) 5));
+        (4, float_range (-1e6) 1e6);
+        (1, oneofl [ 0.0; -0.0; infinity; neg_infinity; Float.min_float; 1e300 ]);
+        (1, oneofl [ Float.max_float; -.Float.max_float; 0.5; -0.5 ]);
+      ])
+
+let gen_percentile_case =
+  QCheck.Gen.(
+    let ps =
+      list_size (int_range 1 6)
+        (frequency [ (3, float_range 0.0 100.0); (2, oneofl [ 0.0; 50.0; 99.0; 100.0 ]) ])
+    in
+    let xs =
+      frequency
+        [
+          (1, return []);
+          (2, map (fun x -> [ x ]) gen_sample);
+          (12, list_size (int_range 2 300) gen_sample);
+          (1, map (fun xs -> Float.nan :: xs) (list_size (int_range 0 20) gen_sample));
+        ]
+    in
+    pair ps xs)
+
+let prop_percentile_matches_oracle =
+  let outcome f = match f () with v -> Ok v | exception Invalid_argument m -> Error m in
+  let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b) in
+  QCheck.Test.make ~name:"percentile and percentile_many equal the oracle" ~count:500
+    (QCheck.make ~print:QCheck.Print.(pair (list float) (list float)) gen_percentile_case)
+    (fun (ps, xs) ->
+      let same new_ old =
+        match (new_, old) with
+        | Ok a, Ok b -> List.length a = List.length b && List.for_all2 same_bits a b
+        | Error a, Error b -> String.equal a b
+        | _ -> false
+      in
+      same
+        (outcome (fun () -> List.map (fun p -> Stats.percentile p xs) ps))
+        (outcome (fun () -> List.map (fun p -> Stats_oracle.percentile p xs) ps))
+      && same
+           (outcome (fun () -> Stats.percentile_many ps xs))
+           (outcome (fun () -> Stats_oracle.percentile_many ps xs)))
 
 let test_stats_median_interpolates () =
   Alcotest.(check (float 1e-9)) "even count" 2.5 (Stats.median [ 1.0; 2.0; 3.0; 4.0 ])
@@ -569,6 +623,7 @@ let () =
             test_stats_single_pass_exact;
           Alcotest.test_case "percentile" `Quick test_stats_percentile;
           Alcotest.test_case "percentile rejects NaN" `Quick test_stats_percentile_nan;
+          QCheck_alcotest.to_alcotest prop_percentile_matches_oracle;
           Alcotest.test_case "median interpolation" `Quick test_stats_median_interpolates;
           Alcotest.test_case "geomean" `Quick test_stats_geomean;
           Alcotest.test_case "streaming accumulator" `Quick test_stats_acc;
