@@ -194,8 +194,12 @@ end
     against the task counters even when old events are dropped.
 
     Tracing is {b off by default}: emission behind [set_enabled false]
-    is a single flag test, so hot paths pay nothing ([mlvsim
-    --trace-out] and the bench trace experiments switch it on). *)
+    is a single flag test ([mlvsim --trace-out] and the bench trace
+    experiments switch it on).  The test sits inside {!task}, after
+    the caller has boxed its optional arguments, so a per-task call
+    site on a hot path guards the call itself:
+    [if Trace.enabled () then Trace.task ...] costs nothing with
+    tracing off. *)
 module Trace : sig
   type phase =
     | Arrive

@@ -62,7 +62,9 @@ let flush_due t ~key ~now_us =
 let drain t ~key =
   match Hashtbl.find_opt t.slots key with None -> [] | Some s -> take t s
 
+(* Asked per group on every autoscaler tick: [find] allocates no
+   option. *)
 let pending t ~key =
-  match Hashtbl.find_opt t.slots key with None -> 0 | Some s -> s.count
+  match Hashtbl.find t.slots key with s -> s.count | exception Not_found -> 0
 
 let batches t = t.dispatched

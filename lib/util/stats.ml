@@ -102,6 +102,108 @@ let sort_floats (a : float array) =
     a.(0) <- e
   end
 
+(* [sort_floats] on [a.(lo .. hi-1)] alone. *)
+let sort_range a lo hi =
+  if lo = 0 && hi = Array.length a then sort_floats a
+  else begin
+    let sub = Array.sub a lo (hi - lo) in
+    sort_floats sub;
+    Array.blit sub 0 a lo (hi - lo)
+  end
+
+(* Introselect: moves the [k]-th smallest of [a.(lo .. hi-1)] to index
+   [k], with nothing greater before it and nothing smaller after it,
+   in expected linear time.  Median-of-three quickselect with a
+   three-way partition, so a run of equal samples is settled in one
+   pass; after [depth] rounds the range is sorted instead, which
+   bounds the worst case at O(n log n).  NaN-free input. *)
+let rec select a lo hi k depth =
+  if hi - lo > 1 then
+    if depth = 0 then sort_range a lo hi
+    else begin
+      let x = a.(lo) and y = a.((lo + hi) / 2) and z = a.(hi - 1) in
+      let pivot =
+        if x < y then if y < z then y else if x < z then z else x
+        else if x < z then x
+        else if y < z then z
+        else y
+      in
+      (* [lo, lt) < pivot, [lt, i) = pivot, [gt, hi) > pivot. *)
+      let lt = ref lo and i = ref lo and gt = ref hi in
+      while !i < !gt do
+        let v = a.(!i) in
+        if v < pivot then begin
+          a.(!i) <- a.(!lt);
+          a.(!lt) <- v;
+          incr lt;
+          incr i
+        end
+        else if v > pivot then begin
+          decr gt;
+          a.(!i) <- a.(!gt);
+          a.(!gt) <- v
+        end
+        else incr i
+      done;
+      if k < !lt then select a lo !lt k (depth - 1)
+      else if k >= !gt then select a !gt hi k (depth - 1)
+    end
+
+(* Twice the floor of log2 n: the depth past which [select] sorts. *)
+let depth_bound n =
+  let rec go d n = if n <= 1 then d else go (d + 2) (n lsr 1) in
+  go 0 n
+
+(* -0.0 compares equal to 0.0, so which of the two a rank reads
+   depends on the permutation; only the full sort reproduces it. *)
+let has_negative_zero (arr : float array) =
+  let rec from i =
+    i < Array.length arr && ((arr.(i) = 0.0 && Float.sign_bit arr.(i)) || from (i + 1))
+  in
+  from 0
+
+(* Indexed loops rather than [Array.iter]: a closure over a float array
+   boxes every sample it is passed. *)
+let reject_nan what (arr : float array) =
+  for i = 0 to Array.length arr - 1 do
+    if Float.is_nan arr.(i) then invalid_arg ("Stats." ^ what ^ ": NaN sample")
+  done
+
+(* Puts the order statistics [ks] (ascending, distinct) of [arr] in
+   place: each one is selected from what lies past the previous one.
+   With a -0.0 among the samples the whole array is sorted instead. *)
+let place_ranks arr ks =
+  if has_negative_zero arr then sort_floats arr
+  else begin
+    let n = Array.length arr in
+    let depth = depth_bound n in
+    ignore
+      (List.fold_left
+         (fun from k ->
+           select arr from n k depth;
+           k + 1)
+         0 ks)
+  end
+
+(* The fractional rank of percentile [p] among [n] samples, and its
+   two closest whole ranks. *)
+let rank p n = p /. 100.0 *. float_of_int (n - 1)
+
+let ranks p n =
+  let r = rank p n in
+  (int_of_float (floor r), int_of_float (ceil r))
+
+(* The percentile [p] of [arr], whose ranks [ranks p] are in place. *)
+let interpolate arr p =
+  let n = Array.length arr in
+  let rank = rank p n in
+  let lo, hi = ranks p n in
+  if lo = hi then arr.(lo)
+  else begin
+    let w = rank -. float_of_int lo in
+    (arr.(lo) *. (1.0 -. w)) +. (arr.(hi) *. w)
+  end
+
 let percentile p = function
   | [] -> invalid_arg "Stats.percentile: empty list"
   | xs ->
@@ -110,25 +212,17 @@ let percentile p = function
     (* Polymorphic compare silently misorders NaN (it sorts below
        every float, skewing every rank), and so would the sort's
        float [<]; reject it. *)
-    Array.iter
-      (fun x -> if Float.is_nan x then invalid_arg "Stats.percentile: NaN sample")
-      arr;
-    sort_floats arr;
-    let n = Array.length arr in
-    let rank = p /. 100.0 *. float_of_int (n - 1) in
-    let lo = int_of_float (floor rank) in
-    let hi = int_of_float (ceil rank) in
-    if lo = hi then arr.(lo)
-    else begin
-      let w = rank -. float_of_int lo in
-      (arr.(lo) *. (1.0 -. w)) +. (arr.(hi) *. w)
-    end
+    reject_nan "percentile" arr;
+    let lo, hi = ranks p (Array.length arr) in
+    place_ranks arr (if lo = hi then [ lo ] else [ lo; hi ]);
+    interpolate arr p
 
 let median xs = percentile 50.0 xs
 
-(* Same rank interpolation as [percentile], sorting the samples once
-   for the whole list of ranks — at a million samples three separate
-   [percentile] calls would mean three full sorts. *)
+(* Same rank interpolation as [percentile], placing every rank the
+   list asks for in one ascending sweep, each selection starting past
+   the previous one: at a million samples three separate [percentile]
+   calls would mean three selections over the whole array. *)
 let percentile_many ps = function
   | [] -> invalid_arg "Stats.percentile_many: empty list"
   | xs ->
@@ -138,23 +232,17 @@ let percentile_many ps = function
           invalid_arg "Stats.percentile_many: p out of range")
       ps;
     let arr = Array.of_list xs in
-    Array.iter
-      (fun x ->
-        if Float.is_nan x then invalid_arg "Stats.percentile_many: NaN sample")
-      arr;
-    sort_floats arr;
+    reject_nan "percentile_many" arr;
     let n = Array.length arr in
-    List.map
-      (fun p ->
-        let rank = p /. 100.0 *. float_of_int (n - 1) in
-        let lo = int_of_float (floor rank) in
-        let hi = int_of_float (ceil rank) in
-        if lo = hi then arr.(lo)
-        else begin
-          let w = rank -. float_of_int lo in
-          (arr.(lo) *. (1.0 -. w)) +. (arr.(hi) *. w)
-        end)
-      ps
+    let ks =
+      List.concat_map
+        (fun p ->
+          let lo, hi = ranks p n in
+          [ lo; hi ])
+        ps
+    in
+    place_ranks arr (List.sort_uniq Int.compare ks);
+    List.map (interpolate arr) ps
 
 let geomean = function
   | [] -> invalid_arg "Stats.geomean: empty list"

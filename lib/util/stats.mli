@@ -17,7 +17,10 @@ val percentile : float -> float list -> float
 val median : float list -> float
 
 (** [percentile_many ps xs] is [List.map (fun p -> percentile p xs) ps]
-    computed with a single sort of [xs] — bit-identical results.
+    computed with one pass of selection over [xs] — bit-identical
+    results.  Both select the order statistics they need instead of
+    sorting [xs], except when a sample is [-0.0]: then they sort, since
+    which of two equal zeros a rank reads depends on the permutation.
     @raise Invalid_argument as {!percentile}. *)
 val percentile_many : float list -> float list -> float list
 

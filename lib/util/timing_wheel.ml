@@ -422,11 +422,15 @@ let rebase t =
   t.next_boundary <- ((t.cur lsr bits) + 1) lsl bits;
   refill_overflow t
 
-(* Extract bucket [b] of level 0 into the batch, sorted. *)
+(* Extract bucket [b] of level 0 into the batch, sorted.  [seek] only
+   picks a slot whose occupancy bit is set; an empty one means the
+   bitmap is out of step with the slots, and the cursor would skip
+   the cells whose bits were lost. *)
 let extract t b =
   let slot = b land slot_mask in
   let vec = t.vecs.(0).(slot) in
   let n = t.vlens.(0).(slot) in
+  if n = 0 then failwith "Timing_wheel.extract: occupancy bit set on an empty slot";
   t.vlens.(0).(slot) <- 0;
   mark_empty t slot;
   t.level_count.(0) <- t.level_count.(0) - n;
@@ -463,8 +467,12 @@ let scan_window t s win_end =
   end
 
 (* Find and extract the next non-empty bucket.  Precondition: the
-   batch is exhausted.  Returns false when no events remain. *)
-let rec seek t =
+   batch is exhausted and the wheel is not empty.  [misses] counts
+   the windows scanned in vain while level 0 held cells: a level-0
+   cell lies within [nslots] buckets of the cursor it was filed
+   against, so it is in the current window or the next, and a third
+   window means the occupancy bitmap lost it. *)
+let rec seek t misses =
   if t.size = t.overflow_count then rebase t;
   (* The cursor may have crossed a boundary on any path (extract sets
      [cur <- b + 1], which can land exactly on one); run the pending
@@ -481,14 +489,19 @@ let rec seek t =
   in
   if found >= 0 then extract t found
   else begin
+    let misses = if t.level_count.(0) > 0 then misses + 1 else misses in
+    if misses >= 2 then
+      failwith
+        "Timing_wheel.seek: level-0 cells found in no window within two of the cursor \
+         (occupancy bitmap out of step)";
     t.cur <- win_end;
-    seek t
+    seek t misses
   end
 
 let advance t =
   if t.size = 0 then false
   else begin
-    seek t;
+    seek t 0;
     true
   end
 
