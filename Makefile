@@ -29,7 +29,12 @@ fmt:
 test:
 	dune runtest
 
-# The one-stop pre-commit gate.  `test` is tier-1, and it carries
+# The one-stop pre-commit gate.  `test` is tier-1.  It diffs every
+# cell of the paper's tables (Tables 2-4, Figs. 11-12, MLP, isolation)
+# against the committed test/paper.expected: a change that moves the
+# model shows the moved cells as a diff, `dune promote` accepts them,
+# and the diff goes in the change's description.  test_paper checks
+# EXPERIMENTS.md's tables against the same rows.  It also carries
 # every property check of the runtime and serving stack: among them
 # test_sysim's "closed accounting" (zero lost tasks under a
 # single-crash plan, trace counts closing), test_sched's "autoscaled

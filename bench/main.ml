@@ -10,7 +10,6 @@
    deterministic. *)
 
 module Table = Mlv_util.Table
-module Stats = Mlv_util.Stats
 module Device = Mlv_fpga.Device
 module Resource = Mlv_fpga.Resource
 module Config = Mlv_accel.Config
@@ -26,9 +25,10 @@ module Partition = Mlv_core.Partition
 module Decompose = Mlv_core.Decompose
 module Framework = Mlv_core.Framework
 module Sysim = Mlv_sysim.Sysim
+module Paper = Mlv_experiments.Paper
+module Scenarios = Mlv_experiments.Scenarios
 
-let vu37p = Device.get Device.XCVU37P
-let ku115 = Device.get Device.XCKU115
+let vu37p = Paper.vu37p
 
 let section title =
   Printf.printf "\n%s\n%s\n" title (String.make (String.length title) '=')
@@ -47,15 +47,15 @@ let table2 () =
         "Freq (MHz)"; "Peak TFLOPS" ]
   in
   List.iter
-    (fun (name, dev) ->
-      let cfg = Resource_model.baseline_config dev in
-      let r = Resource_model.accel_resources cfg dev in
+    (fun (row : Paper.table2_row) ->
+      let dev = row.Paper.device in
+      let r = row.Paper.used in
       let cap = dev.Device.capacity in
       Table.add_row t
         [
-          name;
+          row.Paper.instance;
           dev.Device.name;
-          string_of_int cfg.Config.tiles;
+          string_of_int row.Paper.tiles;
           Printf.sprintf "%dk (%s)" (r.Resource.luts / 1000) (pct r.Resource.luts cap.Resource.luts);
           Printf.sprintf "%dk (%s)" (r.Resource.dffs / 1000) (pct r.Resource.dffs cap.Resource.dffs);
           Printf.sprintf "%s (%s)" (Resource.mb r.Resource.bram_kb) (pct r.Resource.bram_kb cap.Resource.bram_kb);
@@ -63,10 +63,10 @@ let table2 () =
              Printf.sprintf "%s (%s)" (Resource.mb r.Resource.uram_kb) (pct r.Resource.uram_kb cap.Resource.uram_kb)
            else "-");
           Printf.sprintf "%d (%s)" r.Resource.dsps (pct r.Resource.dsps cap.Resource.dsps);
-          Printf.sprintf "%.0f" (Resource_model.achieved_freq_mhz cfg dev ~floorplanned:true);
-          Printf.sprintf "%.1f" (Resource_model.peak_tflops cfg dev);
+          Printf.sprintf "%.0f" row.Paper.freq_mhz;
+          Printf.sprintf "%.1f" row.Paper.peak_tflops;
         ])
-    [ ("BW-V37", vu37p); ("BW-K115", ku115) ];
+    (Paper.table2 ());
   Table.print t;
   print_endline
     "Paper: BW-V37 21 tiles, 610k (46.8%) / 659k (25.3%) / 51.5Mb (72.6%) /\n\
@@ -85,13 +85,12 @@ let table3 () =
       [ "Device"; "LUTs"; "DFFs"; "BRAMs"; "URAMs"; "DSPs"; "Freq (MHz)"; "Peak TFLOPS" ]
   in
   List.iter
-    (fun kind ->
-      let r = Virtual_block.implementation_report kind in
-      let region = Virtual_block.region kind in
+    (fun (r : Virtual_block.impl_report) ->
+      let region = Virtual_block.region r.Virtual_block.device in
       let u = r.Virtual_block.used in
       Table.add_row t
         [
-          Device.kind_name kind;
+          Device.kind_name r.Virtual_block.device;
           Printf.sprintf "%.1fk (%s)" (float_of_int u.Resource.luts /. 1000.0) (pct u.Resource.luts region.Resource.luts);
           Printf.sprintf "%.1fk (%s)" (float_of_int u.Resource.dffs /. 1000.0) (pct u.Resource.dffs region.Resource.dffs);
           Printf.sprintf "%s (%s)" (Resource.mb u.Resource.bram_kb) (pct u.Resource.bram_kb region.Resource.bram_kb);
@@ -102,7 +101,7 @@ let table3 () =
           Printf.sprintf "%.0f" r.Virtual_block.freq_mhz;
           Printf.sprintf "%.2f" r.Virtual_block.peak_tflops;
         ])
-    Device.kinds;
+    (Paper.table3 ());
   Table.print t;
   print_endline
     "Paper: XCVU37P 44.9k (56.8%) / 48.8k (30.8%) / 3.9Mb (92.4%) / 2.1Mb (9.5%) /\n\
@@ -132,58 +131,41 @@ let table4 () =
       [ "Benchmark"; "Device"; "Baseline (ms)"; "This work (ms)"; "Overhead";
         "Paper base (ms)"; "Paper ovh" ]
   in
-  (* Overhead bands (min, max) over the rows that fit: ours, paper's. *)
-  let band = ref (infinity, neg_infinity) in
+  let rows = Paper.table4 () in
+  (* The paper's overhead band over the rows that fit. *)
   let paper_band = ref (infinity, neg_infinity) in
-  let widen b x = b := (Float.min (fst !b) x, Float.max (snd !b) x) in
   List.iter
-    (fun (p : Deepbench.point) ->
-      List.iter
-        (fun dev ->
-          let cfg = Resource_model.baseline_config dev in
-          let fits = Deepbench.weight_words p <= Config.weight_capacity_words cfg in
-          let paper_row = List.assoc (Deepbench.name p) paper_table4 in
-          let paper_base, paper_this =
-            List.nth paper_row (if dev.Device.kind = Device.XCVU37P then 0 else 1)
-          in
-          if not fits then
+    (fun ((p : Deepbench.point), cells) ->
+      let paper_row = List.assoc (Deepbench.name p) paper_table4 in
+      List.iter2
+        (fun (dev : Device.t) (cell, (paper_base, paper_this)) ->
+          match cell with
+          | None ->
             Table.add_row t
               [ Deepbench.name p; dev.Device.name; "-"; "-"; "-"; "-"; "-" ]
-          else begin
-            let program, _ = Deepbench.program p in
-            let base = (Perf.program_latency cfg dev program).Perf.total_us /. 1000.0 in
-            let vbs =
-              ((cfg.Config.tiles + 1) / Virtual_block.engines_per_block dev.Device.kind) + 3
-            in
-            let this =
-              (Perf.program_latency cfg dev
-                 ~deploy:(Perf.vital_deploy ~virtual_blocks:vbs ~pattern_aware:true)
-                 program)
-                .Perf.total_us /. 1000.0
-            in
-            let ovh = (this -. base) /. base in
+          | Some c ->
             let paper_ovh = (paper_this -. paper_base) /. paper_base in
-            widen band ovh;
-            if not (Float.is_nan paper_ovh) then widen paper_band paper_ovh;
+            if not (Float.is_nan paper_ovh) then
+              paper_band :=
+                (Float.min (fst !paper_band) paper_ovh, Float.max (snd !paper_band) paper_ovh);
             Table.add_row t
               [
                 Deepbench.name p;
                 dev.Device.name;
-                Table.fmt_float base;
-                Table.fmt_float this;
-                Table.fmt_pct ovh;
+                Table.fmt_float (c.Paper.base_us /. 1000.0);
+                Table.fmt_float (c.Paper.vital_us /. 1000.0);
+                Table.fmt_pct (Paper.overhead c);
                 Table.fmt_float paper_base;
                 Table.fmt_pct paper_ovh;
-              ]
-          end)
-        [ vu37p; ku115 ])
-    Deepbench.table4_points;
+              ])
+        Paper.table4_devices (List.combine cells paper_row))
+    rows;
   Table.print t;
   let pct (lo, hi) = Printf.sprintf "%.1f-%.1f%%" (100.0 *. lo) (100.0 *. hi) in
   Printf.printf
     "Shape checks: overhead band %s (the paper's: %s); LSTM h=1536 does\n\
      not fit the XCKU115 instance (paper's dash); XCKU115 is uniformly slower.\n"
-    (pct !band) (pct !paper_band)
+    (pct (Paper.table4_band rows)) (pct !paper_band)
 
 (* ------------------------------------------------------------------ *)
 (* Fig. 11: inter-FPGA latency sweep                                   *)
@@ -191,33 +173,18 @@ let table4 () =
 
 let fig11 () =
   section "Fig. 11: added inter-FPGA latency vs inference latency (2 FPGAs)";
-  let sweep = [ 0.0; 0.2; 0.4; 0.6; 0.8; 1.0; 1.2 ] in
-  let curves =
-    [
-      ("LSTM h=1024", Codegen.Lstm, 1024, 10);
-      ("GRU h=1024", Codegen.Gru, 1024, 10);
-      ("GRU h=2560", Codegen.Gru, 2560, 21);
-    ]
-  in
   let t =
     Table.create
-      ("Benchmark (us/step)" :: List.map (fun a -> Printf.sprintf "+%.1fus" a) sweep
+      ("Benchmark (us/step)" :: List.map (fun a -> Printf.sprintf "+%.1fus" a) Paper.fig11_added
       @ [ "no-reorder @0.6" ])
   in
   List.iter
-    (fun (name, kind, hidden, tiles) ->
-      let cfg = Config.make ~tiles () in
-      let timesteps = 50 in
-      let lat ~reordered added =
-        Scale_out.two_fpga_latency_us ~config:cfg ~device:vu37p ~added_latency_us:added
-          ~reordered kind ~hidden ~input:hidden ~timesteps
-        /. float_of_int timesteps
-      in
+    (fun (r : Paper.fig11_row) ->
       Table.add_row t
-        (name
-         :: List.map (fun a -> Printf.sprintf "%.2f" (lat ~reordered:true a)) sweep
-        @ [ Printf.sprintf "%.2f" (lat ~reordered:false 0.6) ]))
-    curves;
+        (r.Paper.curve.Paper.name
+         :: List.map (Printf.sprintf "%.2f") r.Paper.reordered
+        @ [ Printf.sprintf "%.2f" r.Paper.in_order_at_0_6 ]))
+    (Paper.fig11 ());
   Table.print t;
   print_endline
     "Shape: LSTM h=1024 flat across the sweep (transfer fully hidden);\n\
@@ -232,43 +199,34 @@ let fig11 () =
 
 let registry = lazy (Sysim.build_registry ())
 
-let fig12 ?(tasks = 120) () =
+let fig12 () =
   section "Fig. 12: aggregated system throughput, 10 workload sets";
   let t =
     Table.create
       [ "Set"; "Composition"; "Baseline (t/s)"; "Restricted (t/s)"; "This work (t/s)";
         "vs base"; "vs restr" ]
   in
-  let speedups_base = ref [] in
-  let speedups_restr = ref [] in
-  Array.iteri
-    (fun i composition ->
-      let run policy =
-        let cfg = Sysim.default_config ~policy ~composition in
-        (Sysim.run ~registry:(Lazy.force registry) { cfg with Sysim.tasks })
-          .Sysim.throughput_per_s
-      in
-      let base = run Runtime.baseline in
-      let restr = run Runtime.restricted in
-      let greedy = run Runtime.greedy in
-      speedups_base := (greedy /. base) :: !speedups_base;
-      speedups_restr := (greedy /. restr) :: !speedups_restr;
+  let rows = Paper.fig12 ~registry:(Lazy.force registry) in
+  List.iteri
+    (fun i (r : Paper.fig12_row) ->
+      let base = r.Paper.baseline and restr = r.Paper.restricted and greedy = r.Paper.greedy in
       Table.add_row t
         [
           string_of_int (i + 1);
-          Genset.composition_name composition;
+          Genset.composition_name r.Paper.composition;
           Printf.sprintf "%.1f" base;
           Printf.sprintf "%.1f" restr;
           Printf.sprintf "%.1f" greedy;
           Printf.sprintf "%.2fx" (greedy /. base);
           Printf.sprintf "%.2fx" (greedy /. restr);
         ])
-    Genset.table1;
+    rows;
   Table.print t;
+  let vs_base, vs_restr = Paper.fig12_mean_speedups rows in
   Printf.printf
     "Mean speedup vs AS-ISA-only baseline: %.2fx (paper: 2.54x)\n\
      Mean speedup vs same-type-restricted: %.2fx (paper: ~1.16x)\n"
-    (Stats.mean !speedups_base) (Stats.mean !speedups_restr)
+    vs_base vs_restr
 
 (* ------------------------------------------------------------------ *)
 (* Availability: Fig. 12 harness under injected faults                 *)
@@ -282,12 +240,7 @@ let fault_scenarios makespan_us =
   let at frac = frac *. makespan_us in
   [
     ("no faults", Fault_plan.empty);
-    ( "crash n1, restore",
-      Fault_plan.make
-        [
-          { Fault_plan.at = at 0.3; action = Fault_plan.Crash 1 };
-          { Fault_plan.at = at 0.6; action = Fault_plan.Restore 1 };
-        ] );
+    ("crash n1, restore", Scenarios.crash_restore_plan makespan_us);
     ( "crash n1, permanent",
       Fault_plan.make [ { Fault_plan.at = at 0.3; action = Fault_plan.Crash 1 } ] );
     ( "crash n1+n2, restore both",
@@ -378,13 +331,6 @@ let faults ?(tasks = 60) () =
 
 module Obs = Mlv_obs.Obs
 
-let crash_restore_plan makespan_us =
-  Fault_plan.make
-    [
-      { Fault_plan.at = 0.3 *. makespan_us; action = Fault_plan.Crash 1 };
-      { Fault_plan.at = 0.6 *. makespan_us; action = Fault_plan.Restore 1 };
-    ]
-
 (* Faulted workload-set-7 run with tracing on, exported as a Chrome
    trace, plus the overhead check: the simulated results must be
    bit-identical tracing on or off (tracing never perturbs the model),
@@ -393,7 +339,7 @@ let trace ?(tasks = 60) () =
   section "Trace: Perfetto export of a faulted run + tracing overhead";
   let composition = Genset.table1.(6) in
   let base = run_availability ~tasks composition Fault_plan.empty in
-  let plan = crash_restore_plan base.Sysim.makespan_us in
+  let plan = Scenarios.crash_restore_plan base.Sysim.makespan_us in
   let timed f =
     let t0 = Unix.gettimeofday () in
     let r = f () in
@@ -555,26 +501,22 @@ let ablate () =
   Table.print t;
   section "Ablation: instruction reordering on/off (2-FPGA scale-out)";
   let t2 = Table.create [ "Benchmark"; "Added (us)"; "Reordered (us/step)"; "In-order (us/step)" ] in
+  (* Fig. 11's two h=1024 curves. *)
+  let h1024 = List.filter (fun c -> c.Paper.hidden = 1024) Paper.fig11_curves in
   List.iter
-    (fun (name, kind, hidden, tiles) ->
-      let cfg = Config.make ~tiles () in
+    (fun (c : Paper.fig11_curve) ->
       List.iter
         (fun added ->
-          let lat reordered =
-            Scale_out.two_fpga_latency_us ~config:cfg ~device:vu37p
-              ~added_latency_us:added ~reordered kind ~hidden ~input:hidden
-              ~timesteps:50
-            /. 50.0
-          in
+          let lat reordered = Paper.fig11_us_per_step c ~reordered added in
           Table.add_row t2
             [
-              name;
+              c.Paper.name;
               Printf.sprintf "%.1f" added;
               Printf.sprintf "%.2f" (lat true);
               Printf.sprintf "%.2f" (lat false);
             ])
         [ 0.0; 0.6 ])
-    [ ("LSTM h=1024", Codegen.Lstm, 1024, 10); ("GRU h=1024", Codegen.Gru, 1024, 10) ];
+    h1024;
   Table.print t2;
   section "Ablation: pipeline-order packing vs best-fit-decreasing";
   let tp =
@@ -629,28 +571,28 @@ let ablate () =
       [ "Benchmark"; "Ordering"; "VU37P+VU37P (us/step)"; "VU37P+KU115 (us/step)"; "penalty" ]
   in
   List.iter
-    (fun (name, kind, hidden) ->
-      let cfg = Config.make ~tiles:10 () in
+    (fun (c : Paper.fig11_curve) ->
+      let cfg = Config.make ~tiles:c.Paper.part_tiles () in
       List.iter
         (fun reordered ->
           let lat slowdown =
             Scale_out.multi_fpga_latency_us ~partner_slowdown:slowdown ~parts:2
-              ~config:cfg ~device:vu37p ~added_latency_us:0.0 ~reordered kind ~hidden
-              ~input:hidden ~timesteps:50
+              ~config:cfg ~device:vu37p ~added_latency_us:0.0 ~reordered c.Paper.kind
+              ~hidden:c.Paper.hidden ~input:c.Paper.hidden ~timesteps:50
             /. 50.0
           in
           let homo = lat 1.0 in
           let hetero = lat (400.0 /. 300.0) in
           Table.add_row th
             [
-              name;
+              c.Paper.name;
               (if reordered then "reordered" else "in-order");
               Printf.sprintf "%.2f" homo;
               Printf.sprintf "%.2f" hetero;
               Printf.sprintf "%.0f%%" ((hetero -. homo) /. homo *. 100.0);
             ])
         [ true; false ])
-    [ ("LSTM h=1024", Codegen.Lstm, 1024); ("GRU h=1024", Codegen.Gru, 1024) ];
+    h1024;
   Table.print th;
   print_endline
     "Mixing device types lets the runtime deploy when no same-type pair is\n\
@@ -661,11 +603,8 @@ let ablate () =
   List.iter
     (fun i ->
       let run policy =
-        let cfg =
-          Sysim.default_config ~policy ~composition:Genset.table1.(i)
-        in
-        (Sysim.run ~registry:(Lazy.force registry) { cfg with Sysim.tasks = 80 })
-          .Sysim.throughput_per_s
+        Paper.fig12_throughput ~registry:(Lazy.force registry) ~tasks:80 policy
+          Genset.table1.(i)
       in
       Table.add_row t3
         [
@@ -790,39 +729,17 @@ let mlp () =
     Table.create
       [ "Network"; "Params"; "1 FPGA (us/sample)"; "2 FPGAs reordered"; "2 FPGAs in-order" ]
   in
-  let batch = 20 in
   List.iter
-    (fun dims ->
-      let spec = Mlv_isa.Mlp.make_spec dims in
-      let cfg = Resource_model.baseline_config vu37p in
-      let program, _ = Mlv_isa.Mlp.generate spec ~batch in
-      let single =
-        (Perf.program_latency cfg vu37p
-           ~deploy:(Perf.vital_deploy ~virtual_blocks:14 ~pattern_aware:true)
-           program)
-          .Perf.total_us
-        /. float_of_int batch
-      in
-      let half = Config.make ~tiles:10 () in
-      let two reordered =
-        Scale_out.mlp_latency_us ~parts:2 ~config:half ~device:vu37p
-          ~added_latency_us:0.0 ~reordered spec ~batch
-        /. float_of_int batch
-      in
+    (fun (r : Paper.mlp_row) ->
       Table.add_row t
         [
-          String.concat "-" (List.map string_of_int dims);
-          Printf.sprintf "%.1fM" (float_of_int (Mlv_isa.Mlp.weight_words spec) /. 1e6);
-          Printf.sprintf "%.2f" single;
-          Printf.sprintf "%.2f" (two true);
-          Printf.sprintf "%.2f" (two false);
+          String.concat "-" (List.map string_of_int r.Paper.dims);
+          Printf.sprintf "%.1fM" (float_of_int r.Paper.weight_words /. 1e6);
+          Printf.sprintf "%.2f" r.Paper.single_us;
+          Printf.sprintf "%.2f" r.Paper.two_reordered_us;
+          Printf.sprintf "%.2f" r.Paper.two_in_order_us;
         ])
-    [
-      [ 512; 1024; 512 ];
-      [ 1024; 2048; 2048; 1024 ];
-      [ 2048; 4096; 4096; 2048 ];
-      [ 4096; 4096; 4096; 4096 ];
-    ];
+    (Paper.mlp ());
   Table.print t;
   print_endline
     "Feed-forward samples are independent, so the scale-out exchanges hide\n\
@@ -841,32 +758,21 @@ let isolation () =
      matches the non-sharing one.  We measure a small-instance GRU
      solo and with 1/3 co-tenants on the same device, with the buffer
      enabled and disabled. *)
-  let cfg = Config.make ~tiles:6 () in
-  let program, _ = Codegen.generate Codegen.Gru ~hidden:512 ~input:512 ~timesteps:50 in
-  let lat ~instr_buffer ~sharers =
-    (Perf.program_latency cfg vu37p
-       ~deploy:(Perf.vital_deploy ~virtual_blocks:6 ~pattern_aware:true)
-       ~instr_buffer ~dram_sharers:sharers program)
-      .Perf.total_us
-  in
   let t =
     Table.create
       [ "Instruction buffer"; "Solo (us)"; "2 tenants"; "4 tenants"; "4-tenant slowdown" ]
   in
   List.iter
-    (fun instr_buffer ->
-      let solo = lat ~instr_buffer ~sharers:1 in
-      let two = lat ~instr_buffer ~sharers:2 in
-      let four = lat ~instr_buffer ~sharers:4 in
+    (fun (r : Paper.isolation_row) ->
       Table.add_row t
         [
-          (if instr_buffer then "enabled (paper design)" else "disabled (ablation)");
-          Printf.sprintf "%.1f" solo;
-          Printf.sprintf "%.1f" two;
-          Printf.sprintf "%.1f" four;
-          Printf.sprintf "%.2fx" (four /. solo);
+          (if r.Paper.instr_buffer then "enabled (paper design)" else "disabled (ablation)");
+          Printf.sprintf "%.1f" r.Paper.solo_us;
+          Printf.sprintf "%.1f" r.Paper.two_us;
+          Printf.sprintf "%.1f" r.Paper.four_us;
+          Printf.sprintf "%.2fx" (r.Paper.four_us /. r.Paper.solo_us);
         ])
-    [ true; false ];
+    (Paper.isolation ());
   Table.print t;
   print_endline
     "Paper claim: with the buffer, machine code stays on-chip, DRAM contention\n\
@@ -988,58 +894,6 @@ let micro () =
 (* Elastic serving: static vs autoscaled under a bursty trace          *)
 (* ------------------------------------------------------------------ *)
 
-module Slo = Mlv_sched.Slo
-module Batcher = Mlv_sched.Batcher
-module Autoscaler = Mlv_sched.Autoscaler
-
-(* Two-rate burst cycle: 2 ms of heavy traffic (50 us mean
-   inter-arrival), 8 ms of light traffic.  Static provisioning must
-   either waste replicas during the lull or queue during the burst;
-   the autoscaler rides the cycle. *)
-let sched_arrival =
-  Genset.Bursty
-    { on_us = 2_000.0; off_us = 8_000.0; on_mean_us = 50.0; off_mean_us = 2_000.0 }
-
-(* Admission classes keyed by model class.  Rates are set well above
-   the offered load so the gate sheds nothing here — the p99
-   comparison stays apples to apples — while the deadlines feed the
-   goodput accounting.  The [sched] experiment adds a capacity-starved
-   row that actually sheds. *)
-let sched_classes ~deadline_us =
-  [
-    Slo.class_spec ~priority:2 ~deadline_us ~rate_per_s:100_000.0 ~burst:256 "S";
-    Slo.class_spec ~priority:1 ~deadline_us ~rate_per_s:100_000.0 ~burst:256 "M";
-    Slo.class_spec ~priority:0 ~deadline_us:(2.0 *. deadline_us)
-      ~rate_per_s:100_000.0 ~burst:256 "L";
-  ]
-
-let sched_config ~tasks serving =
-  let cfg = Sysim.default_config ~policy:Runtime.greedy ~composition:Genset.table1.(6) in
-  { cfg with Sysim.tasks; arrival = sched_arrival; serving }
-
-let sched_serving ~deadline_us ~autoscale =
-  {
-    Sysim.classes = sched_classes ~deadline_us;
-    batch = Batcher.config ~max_batch:4 ~max_linger_us:100.0 ();
-    autoscale;
-    tenant_pool = None;
-    defrag = None;
-  }
-
-(* The three serving rows share one deadline, derived from the static
-   row's open-loop service times so the bench stays meaningful if the
-   service model shifts. *)
-let sched_rows ~tasks =
-  let static = Sysim.run ~registry:(Lazy.force registry) (sched_config ~tasks None) in
-  let deadline_us = 20.0 *. static.Sysim.mean_service_us in
-  let serve autoscale =
-    Sysim.run ~registry:(Lazy.force registry)
-      (sched_config ~tasks (Some (sched_serving ~deadline_us ~autoscale)))
-  in
-  let served = serve None in
-  let autoscaled = serve (Some Autoscaler.default) in
-  (deadline_us, [ ("static", static); ("served-static", served); ("autoscaled", autoscaled) ])
-
 let sched_json ~deadline_us rows =
   let open Obs.Json in
   Obj
@@ -1080,11 +934,12 @@ let sched_row t name (r : Sysim.result) =
       string_of_int r.Sysim.scale_downs;
     ]
 
-let sched ?(tasks = 120) () =
+let sched () =
   section "Elastic serving: SLO admission + batching + autoscaling (bursty trace)";
   Printf.printf "arrival: %s, workload set 7 (greedy policy)\n"
-    (Genset.arrival_name sched_arrival);
-  let deadline_us, rows = sched_rows ~tasks in
+    (Genset.arrival_name Scenarios.sched_arrival);
+  let registry = Lazy.force registry and tasks = Scenarios.sched_tasks in
+  let deadline_us, rows = Scenarios.sched_rows ~registry ~tasks in
   Printf.printf "SLO deadline: %.0f us (20x static mean service)\n" deadline_us;
   let t =
     Table.create
@@ -1092,29 +947,7 @@ let sched ?(tasks = 120) () =
         "goodput/s"; "up"; "down" ]
   in
   List.iter (fun (name, r) -> sched_row t name r) rows;
-  (* Capacity-starved row: a one-node cluster with tight admission
-     rates forces the gate to shed — early rejection instead of
-     unbounded queueing. *)
-  let starved =
-    let serving =
-      {
-        Sysim.classes =
-          [
-            Slo.class_spec ~priority:2 ~deadline_us ~rate_per_s:2_000.0 ~burst:8 "S";
-            Slo.class_spec ~priority:1 ~deadline_us ~rate_per_s:2_000.0 ~burst:8 "M";
-            Slo.class_spec ~priority:0 ~deadline_us:(2.0 *. deadline_us)
-              ~rate_per_s:2_000.0 ~burst:8 "L";
-          ];
-        batch = Batcher.config ~max_batch:4 ~max_linger_us:100.0 ();
-        autoscale = Some Autoscaler.default;
-        tenant_pool = None;
-        defrag = None;
-      }
-    in
-    let cfg = sched_config ~tasks (Some serving) in
-    Sysim.run ~registry:(Lazy.force registry)
-      { cfg with Sysim.cluster_kinds = [ Mlv_fpga.Device.XCVU37P ] }
-  in
+  let starved = Scenarios.sched_starved ~registry ~tasks ~deadline_us in
   sched_row t "starved (1 node)" starved;
   Table.print t;
   let path = "BENCH_sched.json" in
@@ -1142,10 +975,10 @@ let experiments =
     ("table3", table3);
     ("table4", table4);
     ("fig11", fig11);
-    ("fig12", fun () -> fig12 ());
+    ("fig12", fig12);
     ("faults", fun () -> faults ());
     ("trace", fun () -> trace ());
-    ("sched", fun () -> sched ());
+    ("sched", sched);
     ("compile", compile_overhead);
     ("mlp", mlp);
     ("compact", compact);

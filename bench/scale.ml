@@ -23,82 +23,16 @@
 
 module Sysim = Mlv_sysim.Sysim
 module Genset = Mlv_workload.Genset
-module Runtime = Mlv_core.Runtime
-module Device = Mlv_fpga.Device
-module Batcher = Mlv_sched.Batcher
-module Autoscaler = Mlv_sched.Autoscaler
 module Obs = Mlv_obs.Obs
+module Scenarios = Mlv_experiments.Scenarios
 
 (* ---------------- workload ---------------- *)
 
-(* Tenant mix: alice and carol are steady Poisson streams, bob is
-   either calm (Poisson, same average rate as alice) or bursty (short
-   on-phases at several times his fair share).  [unit_mean_us] is the
-   mean inter-arrival of the combined stream; shares are 40/40/20. *)
-let tenant_loads ~tasks ~unit_mean_us ~bursty =
-  let a = tasks * 2 / 5 in
-  let b = tasks * 2 / 5 in
-  let c = tasks - a - b in
-  let bob_arrival =
-    if bursty then
-      Genset.Bursty
-        {
-          (* Phases scale with the stream so each on-phase carries a
-             couple hundred arrivals — enough to overwhelm a fair-share
-             token bucket, not just ride it. *)
-          on_us = unit_mean_us *. 150.0;
-          off_us = unit_mean_us *. 450.0;
-          (* ~4x the calm rate while on, near-silent while off: the
-             duty cycle keeps the average near the calm stream's. *)
-          on_mean_us = unit_mean_us *. 0.66;
-          off_mean_us = unit_mean_us *. 37.5;
-        }
-    else Genset.Exponential { mean_us = unit_mean_us /. 0.4 }
-  in
-  [
-    Genset.tenant_load "alice" ~tasks:a
-      ~arrival:(Genset.Exponential { mean_us = unit_mean_us /. 0.4 });
-    Genset.tenant_load "bob" ~tasks:b ~arrival:bob_arrival;
-    Genset.tenant_load "carol" ~tasks:c
-      ~arrival:(Genset.Exponential { mean_us = unit_mean_us /. 0.2 });
-  ]
+(* The tenant mix, cluster shape and result digest are
+   [Mlv_experiments.Scenarios]'s, shared with tier-1. *)
 
 let total_tasks loads =
   List.fold_left (fun acc l -> acc + l.Genset.tl_tasks) 0 loads
-
-(* A 3:1 XCVU37P:XCKU115 mix, the heterogeneous-cloud shape of the
-   paper scaled out to datacenter node counts. *)
-let cluster_kinds nodes =
-  List.init nodes (fun i ->
-      if i land 3 = 3 then Device.XCKU115 else Device.XCVU37P)
-
-let scale_config ~nodes ~tasks ~unit_mean_us ~max_replicas ~repeats ~seed
-    ~bursty ~tenant_pool =
-  let base =
-    Sysim.default_config ~policy:Runtime.greedy
-      ~composition:{ Genset.s = 1.0; m = 0.0; l = 0.0 }
-  in
-  {
-    base with
-    Sysim.seed;
-    repeats_per_task = repeats;
-    slo_multiplier = 50.0;
-    cluster_kinds = cluster_kinds nodes;
-    tenants = tenant_loads ~tasks ~unit_mean_us ~bursty;
-    serving =
-      Some
-        {
-          Sysim.classes = [];
-          batch = Batcher.config ~max_batch:4 ~max_linger_us:50.0 ();
-          autoscale =
-            Some
-              (Autoscaler.config ~interval_us:250.0
-                 ~high_backlog_per_replica:2.0 ~low_backlog_per_replica:0.0
-                 ~cooldown_us:0.0 ~idle_timeout_us:1e9 ~max_replicas ());
-          tenant_pool;
-          defrag = None;
-        };
-  }
 
 (* ---------------- measurement ---------------- *)
 
@@ -112,41 +46,6 @@ type outcome = {
   digest : int;
   result : Sysim.result;
 }
-
-let fbits f = Int64.to_int (Int64.bits_of_float f)
-
-(* Order-sensitive fold over every deterministic result field
-   (loop_wall_s is real time and excluded): two runs agree on the
-   digest iff they made the identical event-by-event decisions. *)
-let digest_result (r : Sysim.result) =
-  let d = ref 0 in
-  let mix v = d := (!d * 31) + v in
-  mix r.Sysim.completed;
-  mix r.Sysim.rejected;
-  mix r.Sysim.shed;
-  mix r.Sysim.lost;
-  mix r.Sysim.slo_misses;
-  mix r.Sysim.batches;
-  mix r.Sysim.scale_ups;
-  mix r.Sysim.scale_downs;
-  mix r.Sysim.peak_queue;
-  mix (fbits r.Sysim.makespan_us);
-  mix (fbits r.Sysim.mean_latency_us);
-  mix (fbits r.Sysim.p99_latency_us);
-  List.iter (fun l -> mix (fbits l)) r.Sysim.latencies_us;
-  List.iter
-    (fun (t : Sysim.tenant_stats) ->
-      mix (Hashtbl.hash t.Sysim.tn_name);
-      mix t.Sysim.tn_arrived;
-      mix t.Sysim.tn_admitted;
-      mix t.Sysim.tn_shed;
-      mix t.Sysim.tn_completed;
-      mix t.Sysim.tn_rejected;
-      mix t.Sysim.tn_slo_misses;
-      mix (fbits t.Sysim.tn_goodput_per_s);
-      mix (fbits t.Sysim.tn_p99_latency_us))
-    r.Sysim.per_tenant;
-  !d
 
 let tenant_line (t : Sysim.tenant_stats) =
   Printf.sprintf
@@ -176,7 +75,7 @@ let run_case ~registry ~label cfg =
         (if r.Sysim.loop_wall_s > 0.0 then
            float_of_int tasks /. r.Sysim.loop_wall_s
          else 0.0);
-      digest = digest_result r;
+      digest = Scenarios.digest_result r;
       result = r;
     }
   in
@@ -276,7 +175,7 @@ let () =
   let registry = Sysim.build_registry () in
   let indexed =
     run_case ~registry ~label:"indexed"
-      (scale_config ~nodes:!nodes ~tasks:!tasks ~unit_mean_us:!mean_us
+      (Scenarios.scale_config ~nodes:!nodes ~tasks:!tasks ~unit_mean_us:!mean_us
          ~max_replicas:!max_replicas ~repeats:!repeats ~seed:!seed ~bursty:true
          ~tenant_pool:None)
   in
@@ -286,7 +185,7 @@ let () =
   let big =
     if !big_nodes > !nodes then begin
       let cfg =
-        scale_config ~nodes:!big_nodes ~tasks:!tasks ~unit_mean_us:!mean_us
+        Scenarios.scale_config ~nodes:!big_nodes ~tasks:!tasks ~unit_mean_us:!mean_us
           ~max_replicas:!max_replicas ~repeats:!repeats ~seed:!seed
           ~bursty:true ~tenant_pool:None
       in
@@ -324,7 +223,7 @@ let () =
      bob's on-phase burst rate. *)
   let pool_rate = 1.65 /. (iso_mean /. 1e6) in
   let iso_cfg ~bursty =
-    scale_config ~nodes:iso_nodes ~tasks:iso_tasks ~unit_mean_us:iso_mean
+    Scenarios.scale_config ~nodes:iso_nodes ~tasks:iso_tasks ~unit_mean_us:iso_mean
       ~max_replicas:iso_replicas ~repeats:!repeats ~seed:!seed ~bursty
       ~tenant_pool:(Some (pool_rate, 60))
   in

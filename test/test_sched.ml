@@ -17,6 +17,7 @@ module Fault_plan = Mlv_cluster.Fault_plan
 module Genset = Mlv_workload.Genset
 module Device = Mlv_fpga.Device
 module Obs = Mlv_obs.Obs
+module Scenarios = Mlv_experiments.Scenarios
 
 (* ---------------- SLO admission ---------------- *)
 
@@ -750,26 +751,18 @@ let test_bursty_arrivals_deterministic_and_clustered () =
 
 let registry = lazy (Sysim.build_registry ())
 
+(* [bench/main.exe sched]'s workload (set 7 on the bursty trace),
+   served without admission classes. *)
 let serving_config ?(tasks = 30) ?(autoscale = Some Autoscaler.default) () =
-  let cfg =
-    Sysim.default_config ~policy:Runtime.greedy ~composition:Genset.table1.(6)
-  in
-  {
-    cfg with
-    Sysim.tasks;
-    arrival =
-      Genset.Bursty
-        { on_us = 2000.0; off_us = 8000.0; on_mean_us = 50.0; off_mean_us = 2000.0 };
-    serving =
-      Some
-        {
-          Sysim.classes = [];
-          batch = Batcher.config ~max_batch:4 ~max_linger_us:100.0 ();
-          autoscale;
-          tenant_pool = None;
-          defrag = None;
-        };
-  }
+  Scenarios.sched_config ~tasks
+    (Some
+       {
+         Sysim.classes = [];
+         batch = Batcher.config ~max_batch:4 ~max_linger_us:100.0 ();
+         autoscale;
+         tenant_pool = None;
+         defrag = None;
+       })
 
 let test_serving_accounting_closes () =
   let r = Sysim.run ~registry:(Lazy.force registry) (serving_config ()) in
@@ -798,42 +791,19 @@ let test_serving_deterministic () =
    deadlines are 20x the static row's mean service time and whose
    rates shed nothing. *)
 let test_autoscaled_tail_vs_static () =
-  let tasks = 60 in
-  let run serving =
-    Sysim.run ~registry:(Lazy.force registry)
-      { (serving_config ~tasks ()) with Sysim.serving }
-  in
-  let static = run None in
-  let deadline_us = 20.0 *. static.Sysim.mean_service_us in
-  let serve autoscale =
-    run
-      (Some
-         {
-           Sysim.classes =
-             [
-               Slo.class_spec ~priority:2 ~deadline_us ~rate_per_s:100_000.0 ~burst:256 "S";
-               Slo.class_spec ~priority:1 ~deadline_us ~rate_per_s:100_000.0 ~burst:256 "M";
-               Slo.class_spec ~priority:0 ~deadline_us:(2.0 *. deadline_us)
-                 ~rate_per_s:100_000.0 ~burst:256 "L";
-             ];
-           batch = Batcher.config ~max_batch:4 ~max_linger_us:100.0 ();
-           autoscale;
-           tenant_pool = None;
-           defrag = None;
-         })
-  in
-  let served = serve None in
-  let autoscaled = serve (Some Autoscaler.default) in
+  let registry = Lazy.force registry and tasks = 60 in
+  let deadline_us, rows = Scenarios.sched_rows ~registry ~tasks in
   List.iter
     (fun (name, (r : Sysim.result)) ->
       Alcotest.(check int) (name ^ ": accounting closes") tasks
         (r.Sysim.completed + r.Sysim.rejected + r.Sysim.shed);
       Alcotest.(check int) (name ^ ": none lost") 0 r.Sysim.lost)
-    [ ("static", static); ("served", served); ("autoscaled", autoscaled) ];
+    rows;
+  let static = List.assoc "static" rows and autoscaled = List.assoc "autoscaled" rows in
   Alcotest.(check bool) "autoscaled p99 <= static p99" true
     (autoscaled.Sysim.p99_latency_us <= static.Sysim.p99_latency_us);
   Alcotest.(check bool) "autoscaler scaled up" true (autoscaled.Sysim.scale_ups > 0);
-  let again = serve (Some Autoscaler.default) in
+  let again = Scenarios.sched_serve ~registry ~tasks ~deadline_us (Some Autoscaler.default) in
   Alcotest.(check (list (float 0.0))) "rerun: same latencies" autoscaled.Sysim.latencies_us
     again.Sysim.latencies_us;
   Alcotest.(check int) "rerun: same scale_ups" autoscaled.Sysim.scale_ups
@@ -976,94 +946,13 @@ let slo_met r name =
   let t = tenant r name in
   t.Sysim.tn_completed - t.Sysim.tn_slo_misses
 
-(* The serving stack at the small end of [bench/scale.exe]'s shape:
-   three tenants (alice 40%, bob 40%, carol 20%) of single-inference
-   S-class models over a 3:1 XCVU37P:XCKU115 cluster, behind the
-   autoscaler at a 250 us tick.  bob is either calm (Poisson at
-   alice's rate) or bursty: on-phases of ~200 arrivals at ~4x his fair
-   share, near-silent between, the same average rate. *)
-let scale_config ~nodes ~tasks ~unit_mean_us ~max_replicas ~bursty ~tenant_pool =
-  let a = tasks * 2 / 5 and b = tasks * 2 / 5 in
-  let bob_arrival =
-    if bursty then
-      Genset.Bursty
-        {
-          on_us = unit_mean_us *. 150.0;
-          off_us = unit_mean_us *. 450.0;
-          on_mean_us = unit_mean_us *. 0.66;
-          off_mean_us = unit_mean_us *. 37.5;
-        }
-    else Genset.Exponential { mean_us = unit_mean_us /. 0.4 }
-  in
-  let base =
-    Sysim.default_config ~policy:Runtime.greedy
-      ~composition:{ Genset.s = 1.0; m = 0.0; l = 0.0 }
-  in
-  {
-    base with
-    Sysim.seed = 11;
-    repeats_per_task = 8;
-    slo_multiplier = 50.0;
-    cluster_kinds =
-      List.init nodes (fun i -> if i land 3 = 3 then Device.XCKU115 else Device.XCVU37P);
-    tenants =
-      [
-        Genset.tenant_load "alice" ~tasks:a
-          ~arrival:(Genset.Exponential { mean_us = unit_mean_us /. 0.4 });
-        Genset.tenant_load "bob" ~tasks:b ~arrival:bob_arrival;
-        Genset.tenant_load "carol" ~tasks:(tasks - a - b)
-          ~arrival:(Genset.Exponential { mean_us = unit_mean_us /. 0.2 });
-      ];
-    serving =
-      Some
-        {
-          Sysim.classes = [];
-          batch = Batcher.config ~max_batch:4 ~max_linger_us:50.0 ();
-          autoscale =
-            Some
-              (Autoscaler.config ~interval_us:250.0 ~high_backlog_per_replica:2.0
-                 ~low_backlog_per_replica:0.0 ~cooldown_us:0.0 ~idle_timeout_us:1e9
-                 ~max_replicas ());
-          tenant_pool;
-          defrag = None;
-        };
-  }
-
-let fbits f = Int64.to_int (Int64.bits_of_float f)
-
-(* Order-sensitive fold over every deterministic result field
-   (loop_wall_s is real time and excluded): two runs agree on the
-   digest iff they made the identical event-by-event decisions. *)
-let digest_result (r : Sysim.result) =
-  let d = ref 0 in
-  let mix v = d := (!d * 31) + v in
-  mix r.Sysim.completed;
-  mix r.Sysim.rejected;
-  mix r.Sysim.shed;
-  mix r.Sysim.lost;
-  mix r.Sysim.slo_misses;
-  mix r.Sysim.batches;
-  mix r.Sysim.scale_ups;
-  mix r.Sysim.scale_downs;
-  mix r.Sysim.peak_queue;
-  mix (fbits r.Sysim.makespan_us);
-  mix (fbits r.Sysim.mean_latency_us);
-  mix (fbits r.Sysim.p99_latency_us);
-  List.iter (fun l -> mix (fbits l)) r.Sysim.latencies_us;
-  List.iter
-    (fun (t : Sysim.tenant_stats) ->
-      mix (Hashtbl.hash t.Sysim.tn_name);
-      mix t.Sysim.tn_arrived;
-      mix t.Sysim.tn_admitted;
-      mix t.Sysim.tn_shed;
-      mix t.Sysim.tn_completed;
-      mix t.Sysim.tn_rejected;
-      mix t.Sysim.tn_slo_misses;
-      mix (fbits t.Sysim.tn_goodput_per_s);
-      mix (fbits t.Sysim.tn_p99_latency_us))
-    r.Sysim.per_tenant;
-  !d
-
+(* The serving stack at the small end of [bench/scale.exe]'s shape
+   ([Scenarios.scale_config]): three tenants (alice 40%, bob 40%, carol
+   20%) of single-inference S-class models over a 3:1
+   XCVU37P:XCKU115 cluster, behind the autoscaler at a 250 us tick.
+   bob is either calm (Poisson at alice's rate) or bursty: on-phases
+   of ~200 arrivals at ~4x his fair share, near-silent between, the
+   same average rate.  Seed 11, 8 inferences per deployment. *)
 let test_datacenter_shape () =
   let run label cfg =
     let r = Sysim.run ~registry:(Lazy.force registry) cfg in
@@ -1073,7 +962,8 @@ let test_datacenter_shape () =
   (* Saturated: 24k tasks over 1k nodes at a 33 us combined mean. *)
   let saturated =
     run "saturated"
-      (scale_config ~nodes:1_000 ~tasks:24_000 ~unit_mean_us:33.0 ~max_replicas:96
+      (Scenarios.scale_config ~repeats:8 ~seed:11 ~nodes:1_000 ~tasks:24_000
+         ~unit_mean_us:33.0 ~max_replicas:96
          ~bursty:true ~tenant_pool:None)
   in
   (* Recorded while the pre-index linear data shapes (list flight
@@ -1081,7 +971,7 @@ let test_datacenter_shape () =
      still selectable, with both shapes producing this digest, so it
      certifies both. *)
   Alcotest.(check int) "saturated run digest" 3361769800954537541
-    (digest_result saturated);
+    (Scenarios.digest_result saturated);
   (* Isolation at moderate load: 6k tasks over 200 nodes at a 16x
      slower stream, behind a weighted fair-share pool sized at ~1.65x
      the combined calm rate.  alice's arrivals are seed-split, so they
@@ -1090,7 +980,8 @@ let test_datacenter_shape () =
   let iso ~bursty =
     run
       (if bursty then "iso-bursty" else "iso-calm")
-      (scale_config ~nodes:200 ~tasks:6_000 ~unit_mean_us:iso_mean ~max_replicas:24
+      (Scenarios.scale_config ~repeats:8 ~seed:11 ~nodes:200 ~tasks:6_000
+         ~unit_mean_us:iso_mean ~max_replicas:24
          ~bursty
          ~tenant_pool:(Some (1.65 /. (iso_mean /. 1e6), 60)))
   in

@@ -6,6 +6,7 @@ module Runtime = Mlv_core.Runtime
 module Genset = Mlv_workload.Genset
 module Deepbench = Mlv_workload.Deepbench
 module Codegen = Mlv_isa.Codegen
+module Scenarios = Mlv_experiments.Scenarios
 
 (* The registry build compiles ten accelerator instances; share it. *)
 let registry = lazy (Sysim.build_registry ())
@@ -421,13 +422,7 @@ let test_availability_acceptance () =
      node with a later restore — every task completes (some retried),
      nothing is lost *)
   let base = run Runtime.greedy 7 in
-  let plan =
-    Fault_plan.make
-      [
-        { Fault_plan.at = 0.3 *. base.Sysim.makespan_us; action = Fault_plan.Crash 1 };
-        { Fault_plan.at = 0.6 *. base.Sysim.makespan_us; action = Fault_plan.Restore 1 };
-      ]
-  in
+  let plan = Scenarios.crash_restore_plan base.Sysim.makespan_us in
   let cfg = Sysim.default_config ~policy:Runtime.greedy ~composition:Genset.table1.(7) in
   let r =
     Sysim.run ~registry:(Lazy.force registry)
@@ -457,13 +452,6 @@ let traced_run cfg =
         Obs.Json.is_valid (Obs.Json.to_string (Obs.Trace.to_chrome_json ()))
       in
       (r, json_ok))
-
-let crash_restore_plan makespan_us =
-  Fault_plan.make
-    [
-      { Fault_plan.at = 0.3 *. makespan_us; action = Fault_plan.Crash 1 };
-      { Fault_plan.at = 0.6 *. makespan_us; action = Fault_plan.Restore 1 };
-    ]
 
 (* test_sched's preemption config (seed 3) plus a fair-share pool: two
    tenants on two XCVU37P nodes, a best-effort tenant whose replicas
@@ -567,7 +555,8 @@ let test_trace_closed_accounting () =
       {
         cfg with
         Sysim.tasks = 40;
-        faults = Some (Sysim.default_faults (crash_restore_plan base.Sysim.makespan_us));
+        faults =
+          Some (Sysim.default_faults (Scenarios.crash_restore_plan base.Sysim.makespan_us));
       }
   in
   Alcotest.(check int) "arrive events = tasks" 40 (count Obs.Trace.Arrive);
@@ -597,7 +586,8 @@ let test_trace_closed_accounting () =
     traced_run
       {
         cfg with
-        Sysim.faults = Some (Sysim.default_faults (crash_restore_plan base.Sysim.makespan_us));
+        Sysim.faults =
+          Some (Sysim.default_faults (Scenarios.crash_restore_plan base.Sysim.makespan_us));
       }
   in
   Alcotest.(check int) "single crash: nothing lost" 0 r.Sysim.lost;
@@ -644,7 +634,8 @@ let test_trace_closed_accounting () =
     traced_run
       {
         cfg with
-        Sysim.faults = Some (Sysim.default_faults (crash_restore_plan base.Sysim.makespan_us));
+        Sysim.faults =
+          Some (Sysim.default_faults (Scenarios.crash_restore_plan base.Sysim.makespan_us));
       }
   in
   Alcotest.(check bool) "serving crash: work was interrupted" true
@@ -756,7 +747,8 @@ let pin_faulted_cfg () =
   let base = Sysim.run ~registry:(Lazy.force registry) cfg in
   {
     cfg with
-    Sysim.faults = Some (Sysim.default_faults (crash_restore_plan base.Sysim.makespan_us));
+    Sysim.faults =
+      Some (Sysim.default_faults (Scenarios.crash_restore_plan base.Sysim.makespan_us));
     telemetry =
       Some
         {
@@ -807,7 +799,8 @@ let pin_serving_faulted_cfg () =
   let base = Sysim.run ~registry:(Lazy.force registry) cfg in
   {
     cfg with
-    Sysim.faults = Some (Sysim.default_faults (crash_restore_plan base.Sysim.makespan_us));
+    Sysim.faults =
+      Some (Sysim.default_faults (Scenarios.crash_restore_plan base.Sysim.makespan_us));
     telemetry =
       Option.map
         (fun (t : Sysim.telemetry) ->
