@@ -1,10 +1,11 @@
 (* Benchmark harness: regenerates every table and figure of the
    paper's evaluation (Section 4).
 
-   Usage:  main.exe [table2|table3|table4|fig11|fig12|faults|trace|
-           sched|compile|mlp|compact|congestion|isolation|
-           ablate|micro]
-   With no argument, every experiment runs in order.  Paper reference
+   Usage:  main.exe [--obs-out PATH] [EXPERIMENT ...]
+   where EXPERIMENT is table2|table3|table4|fig11|fig12|faults|trace|
+           sched|compile|mlp|compact|congestion|isolation|ablate|micro
+   The named experiments run in the order given, all names checked
+   before any runs; with none, every experiment runs in order.  Paper reference
    values are printed alongside so EXPERIMENTS.md can record
    paper-vs-measured.  All randomness is seeded; output is
    deterministic. *)
@@ -989,12 +990,13 @@ let experiments =
   ]
 
 let usage () =
-  prerr_endline "usage: main.exe [--obs-out PATH] [experiment]";
+  prerr_endline "usage: main.exe [--obs-out PATH] [experiment ...]";
   exit 1
 
-(* Runs one experiment, or all of them.  With [--obs-out PATH] the
-   observability registry the experiments accumulated is dumped to
-   PATH as a machine-readable artifact next to the tables. *)
+(* Runs the named experiments in order, or all of them.  With
+   [--obs-out PATH] the observability registry the experiments
+   accumulated is dumped to PATH as a machine-readable artifact next
+   to the tables. *)
 let () =
   let rec parse obs_out names = function
     | "--obs-out" :: path :: rest -> parse (Some path) names rest
@@ -1006,14 +1008,16 @@ let () =
   let run =
     match names with
     | [] -> List.map snd experiments
-    | [ name ] -> (
-      match List.assoc_opt name experiments with
-      | Some f -> [ f ]
-      | None ->
-        Printf.eprintf "unknown experiment %s; available: %s\n" name
-          (String.concat " " (List.map fst experiments));
-        exit 1)
-    | _ -> usage ()
+    | names ->
+      List.map
+        (fun name ->
+          match List.assoc_opt name experiments with
+          | Some f -> f
+          | None ->
+            Printf.eprintf "unknown experiment %s; available: %s\n" name
+              (String.concat " " (List.map fst experiments));
+            exit 1)
+        names
   in
   List.iter (fun f -> f ()) run;
   Option.iter

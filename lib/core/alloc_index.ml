@@ -20,7 +20,7 @@ type t = {
   total : int array;
   failed : bool array;
   node_kind : Device.kind array;
-  kinds : (Device.kind * kind_idx) list;
+  kinds : kind_idx array; (* by [Device.kind_rank] *)
   (* Incremental fragmentation counters over healthy nodes only;
      maintained by attach/detach so the defragmenter reads them in
      O(1) instead of rescanning the fleet. *)
@@ -29,9 +29,7 @@ type t = {
   mutable whole_free_nodes : int;
 }
 
-let kind_idx t kind =
-  (* Device.kinds is tiny (one entry per device family). *)
-  List.assoc kind t.kinds
+let kind_idx t kind = t.kinds.(Device.kind_rank kind)
 
 let attach t i =
   if not t.failed.(i) then begin
@@ -64,20 +62,20 @@ let index cluster ~vacant =
   let node_kind = Array.init n (fun i -> (Cluster.node cluster i).Node.kind) in
   let total = Array.init n (fun i -> Node.total_vbs (Cluster.node cluster i)) in
   let kinds =
-    List.map
-      (fun kind ->
-        let max_vbs = ref 0 in
-        Array.iteri
-          (fun i k -> if Device.equal_kind k kind then max_vbs := max !max_vbs total.(i))
-          node_kind;
-        let max_vbs = !max_vbs in
-        ( kind,
-          {
-            max_vbs;
-            by_free = Array.make (max_vbs + 1) ISet.empty;
-            empty_by_free = Array.make (max_vbs + 1) ISet.empty;
-          } ))
-      Device.kinds
+    Array.of_list
+      (List.map
+         (fun kind ->
+           let max_vbs = ref 0 in
+           Array.iteri
+             (fun i k -> if Device.equal_kind k kind then max_vbs := max !max_vbs total.(i))
+             node_kind;
+           let max_vbs = !max_vbs in
+           {
+             max_vbs;
+             by_free = Array.make (max_vbs + 1) ISet.empty;
+             empty_by_free = Array.make (max_vbs + 1) ISet.empty;
+           })
+         Device.kinds)
   in
   let t =
     {
@@ -102,10 +100,15 @@ let index cluster ~vacant =
 let build cluster = index cluster ~vacant:false
 let vacant cluster = index cluster ~vacant:true
 
+(* Re-filing a node under the count it already has would leave every
+   bucket and counter as it is: a [refresh] after the loads a
+   reservation announced costs nothing. *)
 let set_free t i f =
-  detach t i;
-  t.free.(i) <- f;
-  attach t i
+  if f <> t.free.(i) then begin
+    detach t i;
+    t.free.(i) <- f;
+    attach t i
+  end
 
 let refresh t i = set_free t i (Node.free_vbs (Cluster.node t.cluster i))
 
@@ -129,6 +132,7 @@ let free t i = t.free.(i)
 let total t i = t.total.(i)
 
 let whole_free_nodes t = t.whole_free_nodes
+let free_total t = t.free_total
 
 (* Fraction of free virtual blocks stranded on partially-occupied
    devices — free capacity a whole-device request cannot use. *)

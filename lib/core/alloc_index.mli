@@ -62,6 +62,9 @@ val total : t -> int -> int
 (** [whole_free_nodes t] counts healthy nodes with every block free. *)
 val whole_free_nodes : t -> int
 
+(** [free_total t] sums the free blocks of the healthy nodes. *)
+val free_total : t -> int
+
 (** [fragmentation t] is the fraction of free virtual blocks stranded
     on partially-occupied devices:
     [(free_total - free_whole) / free_total], or [0.] when nothing is

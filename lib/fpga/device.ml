@@ -55,6 +55,7 @@ let ku115 =
 
 let get = function XCVU37P -> vu37p | XCKU115 -> ku115
 let kinds = [ XCVU37P; XCKU115 ]
+let kind_rank = function XCVU37P -> 0 | XCKU115 -> 1
 let kind_name = function XCVU37P -> "XCVU37P" | XCKU115 -> "XCKU115"
 
 let of_name s =

@@ -31,6 +31,10 @@ val get : kind -> t
 (** [kinds] lists every known device kind. *)
 val kinds : kind list
 
+(** [kind_rank k] is [k]'s position in {!kinds}, for tables indexed
+    by kind. *)
+val kind_rank : kind -> int
+
 (** [kind_name k] is the marketing name, e.g. ["XCVU37P"]. *)
 val kind_name : kind -> string
 

@@ -22,6 +22,11 @@ val total_vbs : t -> int
 
 val free_vbs : t -> int
 
+(** [consistent t] is true when the free count {!free_vbs} keeps
+    equals the number of unoccupied blocks; the tests check it after
+    every load and unload. *)
+val consistent : t -> bool
+
 (** [load t bitstream] allocates the bitstream's virtual blocks.
     Returns the handle and the reconfiguration time in microseconds,
     or [Error reason] on device-type mismatch or lack of space. *)

@@ -51,6 +51,12 @@ let test_device_catalog_consistency () =
       Alcotest.(check bool) "positive freq" true (d.Device.base_freq_mhz > 0.0))
     Device.kinds
 
+let test_device_kind_rank () =
+  List.iteri
+    (fun i kind ->
+      Alcotest.(check int) (Device.kind_name kind ^ " rank") i (Device.kind_rank kind))
+    Device.kinds
+
 let test_device_table2_capacities () =
   (* Capacities must reproduce Table 2's utilization percentages. *)
   let vu37p = Device.get Device.XCVU37P in
@@ -153,6 +159,7 @@ let () =
           Alcotest.test_case "catalog consistency" `Quick test_device_catalog_consistency;
           Alcotest.test_case "table 2 capacities" `Quick test_device_table2_capacities;
           Alcotest.test_case "of_name" `Quick test_device_of_name;
+          Alcotest.test_case "kind_rank indexes kinds" `Quick test_device_kind_rank;
         ] );
       ( "floorplan",
         [
