@@ -16,10 +16,6 @@ open Mlv_fpga
     unit on device [kind]. *)
 type cost_model = unit_tree:Soft_block.t -> Device.kind -> Resource.t
 
-(** Prices a unit by summing leaf annotations, scaled by the device's
-    synthesis factors. *)
-val estimate_cost_model : cost_model
-
 (** Prices engine subtrees (recognized by their [accum] stage) at the
     calibrated per-engine mapped cost. *)
 val npu_cost_model : cost_model

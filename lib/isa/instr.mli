@@ -77,7 +77,6 @@ val depends : earlier:t -> later:t -> bool
 (** [opcode i] is the mnemonic, e.g. ["mvm"]. *)
 val opcode : t -> string
 
-val act_name : act -> string
 val act_of_name : string -> act option
 
 (** [pp] formats one instruction in assembler syntax. *)

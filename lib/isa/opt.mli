@@ -5,15 +5,14 @@
     words and fewer issue slots.
 
     - [remove_nops] drops [nop]s;
-    - [dead_code] drops instructions whose only effect is writing a
-      register that is overwritten before any read (memory writes and
-      synchronization accesses are never dropped; programs containing
-      hardware loops are returned unchanged — liveness across a back
-      edge needs a fixpoint this pass does not do);
-    - [optimize] composes both to a fixpoint. *)
+    - [optimize] also drops, to a fixpoint, instructions whose only
+      effect is writing a register that is overwritten before any read
+      (memory writes and synchronization accesses are never dropped;
+      programs containing hardware loops keep all but their [nop]s —
+      liveness across a back edge needs a fixpoint this pass does not
+      do). *)
 
 val remove_nops : Program.t -> Program.t
-val dead_code : Program.t -> Program.t
 val optimize : Program.t -> Program.t
 
 (** [eliminated ~before ~after] counts removed instructions. *)

@@ -62,12 +62,6 @@ type rule = {
           inactive; [0] disables hysteresis *)
 }
 
-(** [validate_rule r] raises [Invalid_argument] on a malformed rule
-    (bad name, windows < 1, objective outside (0,1), non-positive
-    factor, non-finite threshold, [for_intervals < 1] or negative
-    cooldown). *)
-val validate_rule : rule -> unit
-
 (** {2 Rule grammar}
 
     One rule per [;]-separated clause, fields whitespace-separated:
@@ -110,9 +104,12 @@ type transition = {
 
 type t
 
-(** [create rules] builds an engine; rules are validated
-    ({!validate_rule}) and evaluated in list order.
-    @raise Invalid_argument on a malformed or duplicate rule name. *)
+(** [create rules] builds an engine; rules are validated and
+    evaluated in list order.
+    @raise Invalid_argument on a malformed rule (bad name, windows
+    < 1, objective outside (0,1), non-positive factor, non-finite
+    threshold, [for_intervals < 1] or negative cooldown) or a
+    duplicate rule name. *)
 val create : rule list -> t
 
 (** [add_rule t r] appends one rule (validated; duplicate names
@@ -134,8 +131,6 @@ val transitions : t -> transition list
 val firing : t -> string list
 
 val rule_state : t -> string -> state option
-
-val transition_json : transition -> Obs.Json.t
 
 (** [to_json t] is [{"rules": [{"name","spec","state","pending",
     "cooldown"}...], "transitions": [...]}]. *)

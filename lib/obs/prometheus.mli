@@ -24,9 +24,6 @@ val metric_name : string -> string
     double-quotes and newlines. *)
 val escape_label_value : string -> string
 
-(** [render_labels labels] is [""] for the empty set, else
-    [{k="v",...}]. *)
-val render_labels : Obs.Labels.t -> string
 
 (** [render ()] is the full exposition document (text format 0.0.4),
     terminated by a newline. *)

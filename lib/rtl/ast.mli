@@ -73,8 +73,6 @@ val prim_ports : prim -> port list
     (registers, RAM/ROM, MAC). *)
 val prim_is_sequential : prim -> bool
 
-(** [find_port m name] looks up a port of [m]. *)
-val find_port : module_def -> string -> port option
 
 (** [net_width m name] is the declared width of net or port [name] in
     [m].

@@ -2,8 +2,5 @@
     {!Parser}, so generated accelerators can be inspected and
     round-tripped in tests. *)
 
-(** [module_to_string m] renders one module. *)
-val module_to_string : Ast.module_def -> string
-
 (** [design_to_string d] renders every module in registration order. *)
 val design_to_string : Design.t -> string

@@ -190,9 +190,6 @@ let observe_service pt us =
     pt.pt_service_n <- pt.pt_service_n + 1
   end
 
-let predicted_rate_per_s (p : predict) pt =
-  Float.max 0.0 (Forecast.forecast pt.pt_forecast ~ahead:p.horizon)
-
 let rate_samples pt = Forecast.observations pt.pt_forecast
 
 let decide cfg tr ~now_us ~backlog ~replicas ~idle ~deadline_us =
@@ -249,7 +246,7 @@ let decide_predictive cfg (p : predict) tr pt ~now_us ~backlog ~replicas ~idle
   end
   else begin
     rotate_window cfg tr ~now_us;
-    let rate = predicted_rate_per_s p pt in
+    let rate = Float.max 0.0 (Forecast.forecast pt.pt_forecast ~ahead:p.horizon) in
     let per_replica_per_s = 1e6 /. pt.pt_service_ewma_us in
     let demand = rate /. (per_replica_per_s *. p.headroom) in
     let target = int_of_float (Float.ceil demand) in

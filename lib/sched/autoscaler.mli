@@ -164,10 +164,6 @@ val observe_rate : ptracker -> float -> unit
     ignored. *)
 val observe_service : ptracker -> float -> unit
 
-(** The model's current [horizon]-ahead rate estimate, clamped at
-    0. *)
-val predicted_rate_per_s : predict -> ptracker -> float
-
 (** [decide_predictive cfg p tr pt ...] is one predictive control
     step: the decision plus the target replica count to grow toward
     (a predicted flash crowd closes the whole gap in one tick, where

@@ -49,11 +49,6 @@ let create ?(alpha = 0.5) ?(beta = 0.1) ?(gamma = 0.3) ~period () =
 let period t = t.period
 let observations t = t.n
 let level t = t.level
-let trend t = t.trend
-
-let season_at t i =
-  if i < 0 || i >= t.period then invalid_arg "Forecast.season_at: bad slot";
-  t.season.(i)
 
 let observe t v =
   if not (Float.is_finite v) then invalid_arg "Forecast.observe: non-finite";

@@ -27,11 +27,6 @@ val period : t -> int
 val observations : t -> int
 
 val level : t -> float
-val trend : t -> float
-
-(** [season_at t i] is slot [i]'s additive seasonal component.
-    @raise Invalid_argument when [i] is outside [0, period). *)
-val season_at : t -> int -> float
 
 (** [observe t v] feeds the next sample (one per tick, in order).
     @raise Invalid_argument on NaN or infinite [v]. *)

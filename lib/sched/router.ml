@@ -10,6 +10,9 @@
    checked op by op against the sorted-list reference in
    test/router_oracle.ml. *)
 
+module Int_table = Mlv_util.Int_table
+module Names = Hashtbl.Make (String)
+
 type replica = {
   id : int;
   weight : float;
@@ -20,11 +23,11 @@ type replica = {
 type group = {
   mutable heap : replica array;
   mutable heap_n : int;
-  by_id : (int, replica) Hashtbl.t;
+  by_id : replica Int_table.t;
 }
 
 type t = {
-  groups : (string, group) Hashtbl.t;
+  groups : group Names.t;
   mutable routed : int;
   mutable total_out : int;  (* incremental Σ outstanding *)
   mutable keys_cache : string list;
@@ -33,7 +36,7 @@ type t = {
 
 let create () =
   {
-    groups = Hashtbl.create 8;
+    groups = Names.create 8;
     routed = 0;
     total_out = 0;
     keys_cache = [];
@@ -97,44 +100,44 @@ let heap_delete g r =
   r.pos <- -1
 
 let group t key =
-  match Hashtbl.find_opt t.groups key with
+  match Names.find_opt t.groups key with
   | Some g -> g
   | None ->
-    let g = { heap = [||]; heap_n = 0; by_id = Hashtbl.create 8 } in
-    Hashtbl.replace t.groups key g;
+    let g = { heap = [||]; heap_n = 0; by_id = Int_table.create 8 } in
+    Names.replace t.groups key g;
     g
 
 let add_replica t ~key ~replica_id ~weight =
   if weight <= 0.0 then invalid_arg "Router.add_replica: weight must be positive";
   let g = group t key in
-  if Hashtbl.mem g.by_id replica_id then
+  if Int_table.mem g.by_id replica_id then
     invalid_arg "Router.add_replica: duplicate replica id";
   let r = { id = replica_id; weight; outstanding = 0; pos = -1 } in
-  Hashtbl.replace g.by_id replica_id r;
+  Int_table.replace g.by_id replica_id r;
   heap_push g r;
   t.keys_dirty <- true
 
 let remove_replica t ~key ~replica_id =
-  match Hashtbl.find_opt t.groups key with
+  match Names.find_opt t.groups key with
   | None -> ()
   | Some g -> (
-    match Hashtbl.find_opt g.by_id replica_id with
+    match Int_table.find_opt g.by_id replica_id with
     | None -> ()
     | Some r ->
-      Hashtbl.remove g.by_id replica_id;
+      Int_table.remove g.by_id replica_id;
       heap_delete g r;
       t.total_out <- t.total_out - r.outstanding;
       t.keys_dirty <- true)
 
 let pick t ~key =
-  match Hashtbl.find_opt t.groups key with
+  match Names.find_opt t.groups key with
   | None -> None
   | Some g -> if g.heap_n = 0 then None else Some g.heap.(0).id
 
 let find t ~key ~replica_id =
-  match Hashtbl.find_opt t.groups key with
+  match Names.find_opt t.groups key with
   | None -> None
-  | Some g -> Hashtbl.find_opt g.by_id replica_id
+  | Some g -> Int_table.find_opt g.by_id replica_id
 
 let begin_work t ~key ~replica_id n =
   match find t ~key ~replica_id with
@@ -144,7 +147,7 @@ let begin_work t ~key ~replica_id n =
     t.routed <- t.routed + n;
     t.total_out <- t.total_out + n;
     (* load grew: the replica can only move away from the root *)
-    sift_down (Hashtbl.find t.groups key) r.pos
+    sift_down (Names.find t.groups key) r.pos
 
 let end_work t ~key ~replica_id n =
   match find t ~key ~replica_id with
@@ -153,7 +156,7 @@ let end_work t ~key ~replica_id n =
     let next = max 0 (r.outstanding - n) in
     t.total_out <- t.total_out - (r.outstanding - next);
     r.outstanding <- next;
-    sift_up (Hashtbl.find t.groups key) r.pos
+    sift_up (Names.find t.groups key) r.pos
 
 let outstanding t ~key ~replica_id =
   match find t ~key ~replica_id with None -> 0 | Some r -> r.outstanding
@@ -161,18 +164,18 @@ let outstanding t ~key ~replica_id =
 let total_outstanding t = t.total_out
 
 let replicas t ~key =
-  match Hashtbl.find_opt t.groups key with
+  match Names.find_opt t.groups key with
   | None -> []
   | Some g ->
-    Hashtbl.fold (fun id _ acc -> id :: acc) g.by_id [] |> List.sort compare
+    Int_table.fold (fun id _ acc -> id :: acc) g.by_id [] |> List.sort Int.compare
 
 let keys t =
   if t.keys_dirty then begin
     t.keys_cache <-
-      Hashtbl.fold
+      Names.fold
         (fun k g acc -> if g.heap_n > 0 then k :: acc else acc)
         t.groups []
-      |> List.sort compare;
+      |> List.sort String.compare;
     t.keys_dirty <- false
   end;
   t.keys_cache

@@ -13,6 +13,7 @@ module Sim = Mlv_cluster.Sim
 module Network = Mlv_cluster.Network
 module Fault_plan = Mlv_cluster.Fault_plan
 module Rng = Mlv_util.Rng
+module Int_table = Mlv_util.Int_table
 module Codegen = Mlv_isa.Codegen
 module Obs = Mlv_obs.Obs
 module Series = Mlv_obs.Series
@@ -304,8 +305,33 @@ let tenant_stats_of ~makespan_us tallies =
    single device and exist purely as multi-FPGA deployments. *)
 let instance_tile_counts = [ 4; 6; 8; 10; 13; 16; 18; 21; 32; 42 ]
 
+(* What the service model reads off a deployment.  [vbs] is 0 where the
+   model ignores it (several nodes, or whole devices). *)
+type shape = {
+  tiles : int;
+  nodes : int;
+  kind : Device.kind;  (* the least, what sorting the kinds puts first *)
+  partner_slowdown : float;  (* fastest clock / slowest *)
+  added_latency_us : float;
+  whole_device : bool;
+  vbs : int;
+}
+
+(* A mapping database and the service model's memos: service times by
+   point and shape (exactly the model's input), and reordered scale-out
+   plans by point and part count, which is all a program depends on. *)
+type registry = {
+  db : Mapdb.t;
+  service : (Deepbench.point * shape, float) Hashtbl.t;
+  plans : (Deepbench.point * int, Scale_out.plan) Hashtbl.t;
+}
+
+let of_mapdb db = { db; service = Hashtbl.create 64; plans = Hashtbl.create 16 }
+
 let build_registry () =
-  Framework.npu_registry ~iterations:2 ~tile_counts:instance_tile_counts ()
+  of_mapdb (Framework.npu_registry ~iterations:2 ~tile_counts:instance_tile_counts ())
+
+let mapdb r = r.db
 
 let tiles_needed point =
   let words = Deepbench.weight_words point in
@@ -365,93 +391,89 @@ let memo tbl key make =
     Hashtbl.replace tbl key v;
     v
 
-(* Modeled service time of one deployed inference task, keyed by the
-   model inputs themselves: the point, the device kind and counts read
-   off the placements in one pass, so a hit allocates only the key
-   tuple.  The virtual-block count is part of the key only where the
-   model reads it (one node, not [whole_device]); elsewhere it is 0. *)
-let service_cache :
-    (Deepbench.point * int * int * Device.kind * float * float * bool * int, float) Hashtbl.t =
-  Hashtbl.create 64
+(* One pass over a deployment's placements, once per batch start: its
+   shape and its dims for labeled metrics and lifecycle events (the
+   lowest node id and the first placement's device kind).  The scan
+   captures nothing, so it allocates only what it returns. *)
+let rec scan_placements whole_device added_latency_us tiles vbs nodes kind fastest slowest
+    primary kind_name = function
+  | [] ->
+    let partner_slowdown = if slowest = infinity then 1.0 else fastest /. slowest in
+    let vbs = if nodes >= 2 || whole_device then 0 else vbs in
+    ( { tiles; nodes; kind; partner_slowdown; added_latency_us; whole_device; vbs },
+      (if nodes = 0 then None else Some primary),
+      kind_name )
+  | (p : Runtime.placement) :: rest ->
+    let rec node_later id = function
+      | [] -> false
+      | (q : Runtime.placement) :: rest -> q.Runtime.node_id = id || node_later id rest
+    in
+    let b = p.Runtime.bitstream in
+    let k = b.Mlv_vital.Bitstream.device in
+    let f = (Device.get k).Device.base_freq_mhz in
+    scan_placements whole_device added_latency_us
+      (tiles + b.Mlv_vital.Bitstream.tiles)
+      (vbs + b.Mlv_vital.Bitstream.vbs)
+      (if node_later p.Runtime.node_id rest then nodes else nodes + 1)
+      (if compare kind k <= 0 then kind else k)
+      (Float.max fastest f) (Float.min slowest f)
+      (Int.min primary p.Runtime.node_id)
+      kind_name rest
 
-(* Reordered scale-out plans, keyed by (point, parts): the program
-   depends only on the model shape (input = hidden here) and the part
-   count, so the keys that differ in tiles, device, partner slowdown or
-   added latency share one [Scale_out.reorder] run. *)
-let plan_cache : (Deepbench.point * int, Scale_out.plan) Hashtbl.t = Hashtbl.create 16
+let deployment_shape ~policy ~added_latency_us (d : Runtime.deployment) =
+  let whole = policy.Runtime.whole_device in
+  match d.Runtime.placements with
+  | [] -> scan_placements whole added_latency_us 0 0 0 Device.XCVU37P 1.0 infinity 0 "none" []
+  | p :: _ as ps ->
+    let k = p.Runtime.bitstream.Mlv_vital.Bitstream.device in
+    scan_placements whole added_latency_us 0 0 0 k 1.0 infinity p.Runtime.node_id
+      (Device.kind_name k) ps
 
-let scale_out_plan (point : Deepbench.point) ~parts =
-  memo plan_cache (point, parts) (fun ((point : Deepbench.point), parts) ->
-      Scale_out.plan ~reordered:true point.Deepbench.kind ~hidden:point.Deepbench.hidden
-        ~input:point.Deepbench.hidden ~timesteps:point.Deepbench.timesteps ~parts)
-
-let service_latency_us ~policy ~added_latency_us (point : Deepbench.point)
-    (d : Runtime.deployment) =
-  (* One pass over the placements: the tiles, the virtual blocks, the
-     number of distinct nodes, the least device kind (what sorting the
-     kinds put first) and the fastest and slowest device clocks. *)
-  let rec node_later id = function
-    | [] -> false
-    | (q : Runtime.placement) :: rest -> q.Runtime.node_id = id || node_later id rest
-  in
-  let rec scan tiles vbs nodes kind fastest slowest = function
-    | [] -> (tiles, vbs, nodes, kind, fastest, slowest)
-    | (p : Runtime.placement) :: rest ->
-      let b = p.Runtime.bitstream in
-      let k = b.Mlv_vital.Bitstream.device in
-      let f = (Device.get k).Device.base_freq_mhz in
-      scan
-        (tiles + b.Mlv_vital.Bitstream.tiles)
-        (vbs + b.Mlv_vital.Bitstream.vbs)
-        (if node_later p.Runtime.node_id rest then nodes else nodes + 1)
-        (match kind with Some k0 when compare k0 k <= 0 -> kind | _ -> Some k)
-        (Float.max fastest f) (Float.min slowest f) rest
-  in
-  let tiles, vbs, nodes, kind, fastest, slowest =
-    scan 0 0 0 None 1.0 infinity d.Runtime.placements
-  in
-  let device_kind = match kind with Some k -> k | None -> Device.XCVU37P in
-  (* Heterogeneous pieces: the barrier waits for the slowest device. *)
-  let partner_slowdown = if slowest = infinity then 1.0 else fastest /. slowest in
-  let vbs = if nodes >= 2 || policy.Runtime.whole_device then 0 else vbs in
-  let key =
-    ( point,
-      tiles,
-      nodes,
-      device_kind,
-      partner_slowdown,
-      added_latency_us,
-      policy.Runtime.whole_device,
-      vbs )
-  in
-  match Hashtbl.find service_cache key with
+(* One inference of [point] on a deployment of [shape]. *)
+let service_us registry (point : Deepbench.point) shape =
+  let key = (point, shape) in
+  match Hashtbl.find registry.service key with
   | v -> v
   | exception Not_found ->
-    let device = Device.get device_kind in
+    let device = Device.get shape.kind in
     let mem_kind = if device.Device.has_uram then Config.Bram_uram else Config.Bram_only in
     let v =
-      if nodes >= 2 then begin
+      if shape.nodes >= 2 then begin
         (* Scale-out across the allocated nodes with the overlap
            optimization. *)
         let parts, per_part =
-          scale_out_shape ~hidden:point.Deepbench.hidden ~nodes ~tiles
+          scale_out_shape ~hidden:point.Deepbench.hidden ~nodes:shape.nodes ~tiles:shape.tiles
+        in
+        let plan =
+          try Hashtbl.find registry.plans (point, parts)
+          with Not_found ->
+            let { Deepbench.kind; hidden; timesteps } = point in
+            let plan =
+              Scale_out.plan ~reordered:true kind ~hidden ~input:hidden ~timesteps ~parts
+            in
+            Hashtbl.replace registry.plans (point, parts) plan;
+            plan
         in
         let cfg = Config.make ~tiles:per_part ~mem_kind () in
-        Scale_out.plan_latency_us ~partner_slowdown ~config:cfg ~device
-          ~added_latency_us (scale_out_plan point ~parts)
+        Scale_out.plan_latency_us ~partner_slowdown:shape.partner_slowdown ~config:cfg
+          ~device ~added_latency_us:shape.added_latency_us plan
       end
       else begin
-        let cfg = Config.make ~tiles ~mem_kind () in
+        let cfg = Config.make ~tiles:shape.tiles ~mem_kind () in
         let program, _ = Deepbench.program point in
         let deploy =
-          if policy.Runtime.whole_device then Perf.bare
-          else Perf.vital_deploy ~virtual_blocks:vbs ~pattern_aware:true
+          if shape.whole_device then Perf.bare
+          else Perf.vital_deploy ~virtual_blocks:shape.vbs ~pattern_aware:true
         in
         (Perf.program_latency cfg device ~deploy program).Perf.total_us
       end
     in
-    Hashtbl.replace service_cache key v;
+    Hashtbl.replace registry.service key v;
     v
+
+let service_latency_us registry ~policy ~added_latency_us point d =
+  let shape, _, _ = deployment_shape ~policy ~added_latency_us d in
+  service_us registry point shape
 
 (* Put [xs] at the front of [q], in order: re-queued work is the
    oldest, and lane order must survive a crash retry or an eviction. *)
@@ -460,21 +482,6 @@ let push_front q xs =
   List.iter (fun x -> Queue.add x tmp) xs;
   Queue.transfer q tmp;
   Queue.transfer tmp q
-
-(* Deployment dimensions for labeled metrics and lifecycle events:
-   the primary (lowest-numbered) node and the device kind of the first
-   placement.  This runs per batch, so it takes the minimum node id in
-   one pass instead of sorting the node list for its head. *)
-let deployment_dims (d : Runtime.deployment) =
-  match d.Runtime.placements with
-  | [] -> (None, "none")
-  | p :: rest ->
-    let node =
-      List.fold_left
-        (fun n (q : Runtime.placement) -> Int.min n q.Runtime.node_id)
-        p.Runtime.node_id rest
-    in
-    (Some node, Device.kind_name p.Runtime.bitstream.Mlv_vital.Bitstream.device)
 
 (* Dispatch state.  Requests for the same accelerator instance form a
    group; a group owns replicas (live deployments, kept warm across
@@ -519,7 +526,7 @@ and sgroup = {
   g_accel : string;
   g_tracker : Autoscaler.tracker;
   mutable g_replicas : replica list;  (* creation order *)
-  g_by_id : (int, replica) Hashtbl.t;  (* g_replicas by id *)
+  g_by_id : replica Int_table.t;  (* g_replicas by id *)
   g_lane : lane;  (* where its batches wait for a replica *)
   mutable g_assigned_tasks : int;  (* Σ batch sizes across replica queues *)
   mutable g_priority : int;
@@ -618,6 +625,7 @@ end
    policy state beside it. *)
 type run = {
   cfg : config;
+  registry : registry;
   cluster : Cluster.t;
   runtime : Runtime.t;
   sim : Sim.t;
@@ -666,11 +674,12 @@ let setup ~registry cfg =
   let cache =
     Option.map (fun capacity -> Bitstream.Cache.create ~capacity ()) cfg.bitstream_cache
   in
-  let runtime = Runtime.create ~policy:cfg.policy ?cache cluster registry in
+  let runtime = Runtime.create ~policy:cfg.policy ?cache cluster registry.db in
   let rng = Rng.create cfg.seed in
   let tasks = generate_tasks ~rng cfg in
   {
     cfg;
+    registry;
     cluster;
     runtime;
     sim = cluster.Cluster.sim;
@@ -963,7 +972,6 @@ let dispatch_loop run =
   let cfg = run.cfg and sim = run.sim and runtime = run.runtime in
   let fifo = cfg.serving = None in
   let serving = Option.value cfg.serving ~default:fifo_policy in
-  let registry = Runtime.registry runtime in
   let multi = cfg.tenants <> [] in
   let gate = Slo.create serving.classes in
   (match serving.tenant_pool with
@@ -1000,7 +1008,7 @@ let dispatch_loop run =
   let shape_ids : (string, int) Hashtbl.t = Hashtbl.create 16 in
   let shape_id accel =
     let signature =
-      match Mapdb.find registry accel with
+      match Mapdb.find run.registry.db accel with
       | Some p -> Mapdb.shape_signature p
       | None -> accel
     in
@@ -1032,7 +1040,7 @@ let dispatch_loop run =
           g_accel = accel;
           g_tracker = Autoscaler.tracker ~name:("sojourn." ^ accel);
           g_replicas = [];
-          g_by_id = Hashtbl.create 8;
+          g_by_id = Int_table.create 8;
           g_lane = (if fifo then fifo_lane else new_lane accel);
           g_assigned_tasks = 0;
           g_priority = 0;
@@ -1111,7 +1119,7 @@ let dispatch_loop run =
   let remove_replica g r =
     Router.remove_replica router ~key:g.g_accel ~replica_id:r.r_id;
     g.g_replicas <- List.filter (fun x -> x != r) g.g_replicas;
-    Hashtbl.remove g.g_by_id r.r_id;
+    Int_table.remove g.g_by_id r.r_id;
     Runtime.undeploy runtime r.r_depl
   in
   let make_replica g d =
@@ -1131,7 +1139,7 @@ let dispatch_loop run =
     in
     Router.add_replica router ~key:g.g_accel ~replica_id:id ~weight:1.0;
     g.g_replicas <- g.g_replicas @ [ r ];
-    Hashtbl.replace g.g_by_id id r;
+    Int_table.replace g.g_by_id id r;
     Autoscaler.mark_scaled g.g_tracker ~now_us:(Sim.now sim);
     r
   in
@@ -1267,16 +1275,15 @@ let dispatch_loop run =
   (* Each task's modeled service time, stored on the task, and the
      batch's sums of those and of the compilation times, added in
      batch order from [service] and [compile]. *)
-  let rec batch_service d ~added service compile = function
+  let rec batch_service shape service compile = function
     | [] -> (service, compile)
     | st :: batch ->
       let svc =
         float_of_int cfg.repeats_per_task
-        *. service_latency_us ~policy:cfg.policy ~added_latency_us:added
-             st.s_task.Genset.point d
+        *. service_us run.registry st.s_task.Genset.point shape
       in
       st.s_service_us <- svc;
-      batch_service d ~added (service +. svc) (compile +. st.s_compile_us) batch
+      batch_service shape (service +. svc) (compile +. st.s_compile_us) batch
   in
   let rec start_replica g r =
     if (not r.r_busy) && not (Queue.is_empty r.r_queue) then begin
@@ -1287,15 +1294,18 @@ let dispatch_loop run =
       r.r_inflight <- batch;
       let now = Sim.now sim in
       let d = r.r_depl in
-      let node, kind = deployment_dims d in
-      let added = Network.added_latency_us run.cluster.Cluster.network in
+      let shape, node, kind =
+        deployment_shape ~policy:cfg.policy
+          ~added_latency_us:(Network.added_latency_us run.cluster.Cluster.network)
+          d
+      in
       let reconfig = if r.r_fresh then d.Runtime.reconfig_us else 0.0 in
       r.r_fresh <- false;
       let n = List.length batch in
       (* Mapping-cache misses pay their compilation on the batch, like
          reconfiguration does; all-hit (or cacheless) batches add an
          exact 0.0, keeping service times bit-identical. *)
-      let tasks_service, compile = batch_service d ~added 0.0 0.0 batch in
+      let tasks_service, compile = batch_service shape 0.0 0.0 batch in
       let service = reconfig +. compile +. tasks_service in
       (* Reconfiguration (and compilation) amortizes across the batch. *)
       let overhead = (reconfig +. compile) /. float_of_int n in
@@ -1358,7 +1368,7 @@ let dispatch_loop run =
     | Some ({ s_group = g; _ } :: _) -> (
       match if fifo then None else Router.pick router ~key:g.g_accel with
       | Some rid ->
-        let r = Hashtbl.find g.g_by_id rid in
+        let r = Int_table.find g.g_by_id rid in
         if is_idle r then begin
           assign g r (backlog_pop l);
           start_replica g r;
@@ -1387,7 +1397,7 @@ let dispatch_loop run =
       match batch with
       | { s_session = Some sess; _ } :: _ -> (
         match Session.affinity sess ~accel:g.g_accel with
-        | Some rid when Hashtbl.mem g.g_by_id rid ->
+        | Some rid when Int_table.mem g.g_by_id rid ->
           Session.note_sticky stbl true;
           Some rid
         | _ -> (
@@ -1412,7 +1422,7 @@ let dispatch_loop run =
     else
       match sticky_pick g batch with
       | Some rid ->
-        let r = Hashtbl.find g.g_by_id rid in
+        let r = Int_table.find g.g_by_id rid in
         assign g r batch;
         start_replica g r
       | None -> (

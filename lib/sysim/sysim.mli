@@ -333,9 +333,30 @@ type result = {
     ten tile counts, as in the paper's evaluation (§4.3). *)
 val instance_tile_counts : int list
 
+(** A mapping database and the service model's memos of modeled
+    service times and scale-out plans.  Runs that share a registry
+    share that work; nothing else in the process does. *)
+type registry
+
 (** [build_registry ()] compiles every instance into one mapping
     database (expensive; share the result across runs). *)
-val build_registry : unit -> Mlv_core.Mapdb.t
+val build_registry : unit -> registry
+
+(** [of_mapdb db] is a registry of [db] with empty memos. *)
+val of_mapdb : Mlv_core.Mapdb.t -> registry
+
+val mapdb : registry -> Mlv_core.Mapdb.t
+
+(** [service_latency_us registry ~policy ~added_latency_us point d]
+    is the modeled time, in µs, of one inference of [point] on [d],
+    memoized in [registry] by exactly the inputs the model reads. *)
+val service_latency_us :
+  registry ->
+  policy:Mlv_core.Runtime.policy ->
+  added_latency_us:float ->
+  Deepbench.point ->
+  Mlv_core.Runtime.deployment ->
+  float
 
 (** [instance_within ~need ~cap candidates] picks the smallest
     candidate covering [need] within [cap]; an oversized demand falls
@@ -368,4 +389,4 @@ val workload : config -> Genset.task list
     [config.serving], [frontend.predict] without [serving.autoscale],
     [serving.tenant_pool] without [config.tenants], or a fault plan
     naming a node outside the cluster. *)
-val run : registry:Mlv_core.Mapdb.t -> config -> result
+val run : registry:registry -> config -> result

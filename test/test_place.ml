@@ -229,7 +229,7 @@ let test_churn_invariant () =
 
 module Obs = Mlv_obs.Obs
 
-let full_registry = lazy (Mlv_sysim.Sysim.build_registry ())
+let full_registry = lazy (Mlv_sysim.Sysim.(mapdb (build_registry ())))
 let policies = [ Runtime.greedy; Runtime.restricted; Runtime.baseline; Runtime.first_fit ]
 
 let shapes =

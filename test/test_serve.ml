@@ -287,7 +287,7 @@ let test_diurnal_deterministic_and_flash_dense () =
 (* ---------------- shape signatures ---------------- *)
 
 let test_shape_signature_separates_registry () =
-  let registry = Lazy.force registry in
+  let registry = Sysim.mapdb (Lazy.force registry) in
   let names = Mapdb.names registry in
   let sigs =
     List.filter_map

@@ -16,7 +16,7 @@ let run ?(tasks = 40) policy set =
   Sysim.run ~registry:(Lazy.force registry) { cfg with Sysim.tasks }
 
 let test_instances_registered () =
-  let names = Mlv_core.Mapdb.names (Lazy.force registry) in
+  let names = Mlv_core.Mapdb.names (Sysim.mapdb (Lazy.force registry)) in
   Alcotest.(check int) "10 instances" 10 (List.length names);
   Alcotest.(check bool) "has t21" true (List.mem "npu-t21" names)
 
@@ -234,6 +234,84 @@ let test_results_independent_of_history () =
   let b2 = go serving in
   Alcotest.(check string) "open loop rerun" a1 a2;
   Alcotest.(check string) "serving rerun" b1 b2
+
+(* The service memo's key is complete: over every deployment of every
+   accelerator the Fig. 12 sets request, under each of the four
+   policies on the paper cluster, a registry shared by all calls
+   answers bit for bit what a registry that has computed nothing
+   answers.  Each accelerator is deployed on an empty cluster (one
+   node, or two for the instances no device holds; whole devices under
+   the baseline) and, largest first, onto one cluster that fills up
+   (pieces on an XCKU115 beside an XCVU37P).  Each deployment is
+   priced under every policy, so the same placements meet both the
+   whole-device and the ViTAL model. *)
+let test_service_memo_matches_fresh () =
+  let module Sizes = Mlv_workload.Sizes in
+  let module Cluster = Mlv_cluster.Cluster in
+  let shared = Lazy.force registry in
+  let db = Sysim.mapdb shared in
+  let policies =
+    [ Runtime.greedy; Runtime.restricted; Runtime.baseline; Runtime.first_fit ]
+  in
+  let requested (c : Genset.composition) =
+    List.filter_map
+      (fun (share, cls) -> if share > 0.0 then Some cls else None)
+      [ (c.Genset.s, Sizes.S); (c.Genset.m, Sizes.M); (c.Genset.l, Sizes.L) ]
+  in
+  let classes =
+    List.sort_uniq compare (List.concat_map requested (Array.to_list Genset.table1))
+  in
+  let points = List.concat_map Sizes.points_of_class classes in
+  let cluster () = Cluster.create ~kinds:Cluster.paper_kinds () in
+  let ring_us = Mlv_cluster.Network.added_latency_us (cluster ()).Cluster.network in
+  let accel ~policy point =
+    Mlv_core.Framework.accel_name ~tiles:(Sysim.instance_for ~policy point)
+  in
+  let heterogeneous = ref 0 and whole = ref 0 and calls = ref 0 in
+  let check policy d =
+    let kinds =
+      List.sort_uniq compare
+        (List.map
+           (fun (p : Runtime.placement) -> p.Runtime.bitstream.Mlv_vital.Bitstream.device)
+           d.Runtime.placements)
+    in
+    if List.length kinds > 1 then incr heterogeneous;
+    if policy.Runtime.whole_device then incr whole;
+    let price point pricing added_latency_us =
+      let price registry =
+        Printf.sprintf "%h"
+          (Sysim.service_latency_us registry ~policy:pricing ~added_latency_us point d)
+      in
+      incr calls;
+      Alcotest.(check string)
+        (Printf.sprintf "%s on %s deployed %s, priced %s at %g us" (Deepbench.name point)
+           d.Runtime.accel policy.Runtime.policy_name pricing.Runtime.policy_name
+           added_latency_us)
+        (price (Sysim.of_mapdb db)) (price shared)
+    in
+    List.iter
+      (fun point ->
+        if accel ~policy point = d.Runtime.accel then
+          List.iter
+            (fun pricing -> List.iter (price point pricing) [ ring_us; ring_us +. 1.0 ])
+            policies)
+      points
+  in
+  List.iter
+    (fun policy ->
+      let sizes = List.sort_uniq compare (List.map (Sysim.instance_for ~policy) points) in
+      let deploy rt tiles =
+        match Runtime.deploy rt ~accel:(Mlv_core.Framework.accel_name ~tiles) with
+        | Ok d -> check policy d
+        | Error _ -> ()
+      in
+      List.iter (fun tiles -> deploy (Runtime.create ~policy (cluster ()) db) tiles) sizes;
+      let filling = Runtime.create ~policy (cluster ()) db in
+      List.iter (deploy filling) (List.rev sizes))
+    policies;
+  Alcotest.(check bool) "heterogeneous multi-node deployments seen" true (!heterogeneous > 0);
+  Alcotest.(check bool) "whole-device deployments seen" true (!whole > 0);
+  Alcotest.(check bool) "deployments priced" true (!calls > 0)
 
 (* ---------------- fault injection ---------------- *)
 
@@ -522,7 +600,7 @@ let test_crash_hits_two_node_flight () =
         let rt =
           Runtime.create ~policy:Runtime.greedy
             (Mlv_cluster.Cluster.create ~kinds ())
-            (Lazy.force registry)
+            (Sysim.mapdb (Lazy.force registry))
         in
         (match Runtime.deploy rt ~accel:first.Obs.Trace.label with
         | Ok d ->
@@ -698,20 +776,21 @@ module Alert = Mlv_obs.Alert
 (* The MD5 of everything a run leaves in the observability layer: the
    counters, every histogram's count (plus sum/min/max except for the
    wall-clock [span.*.wall_us] ones), the lifecycle trace and the
-   telemetry series.  Taken on a warm second run after a reset, because
-   the process-wide service and plan caches emit spans on first sight.
-   Metrics the run leaves at zero are indistinguishable from ones an
-   earlier test registered, so only non-zero ones take part. *)
+   telemetry series.  Taken on one run after a reset, with the registry
+   built first so its compile spans stay out.  The registry's service
+   memo emits nothing, so the run leaves the same whether an earlier run
+   warmed the memo or not.  Metrics the run leaves at zero are
+   indistinguishable from ones an earlier test registered, so only
+   non-zero ones take part. *)
 let run_obs_md5 cfg =
-  let go () = ignore (Sysim.run ~registry:(Lazy.force registry) cfg) in
-  go ();
+  let registry = Lazy.force registry in
   Obs.reset ();
   Series.remove_all ();
   Fun.protect
     ~finally:(fun () -> Obs.Trace.set_enabled false)
     (fun () ->
       Obs.Trace.set_enabled true;
-      go ());
+      ignore (Sysim.run ~registry cfg));
   let counters = List.filter (fun (_, v) -> v <> 0) (Obs.counters ()) in
   let wall n =
     String.length n > 13
@@ -1069,8 +1148,8 @@ let test_registry_build_allocation () =
 
 (* Minor words and direct major words ([major - promoted]: arrays too
    large for the minor heap) of [Sysim.run cfg], measured on the
-   second of two identical runs, so the process-wide service and plan
-   caches are warm and the count covers the loop alone.
+   second of two identical runs on one registry, so its service memo
+   is warm and the count covers the loop alone.
    [Gc.minor_words] is exact. *)
 let run_allocation cfg =
   ignore (Sysim.run ~registry:(Lazy.force registry) cfg);
@@ -1085,10 +1164,12 @@ let run_allocation cfg =
   (r, mwords, (direct_major () -. major_before) /. 1e6)
 
 (* One serving run's allocation: 200 tasks of set 8 under the default
-   serving loop.  1.81 M minor words; 2.28 M before the autoscaler tick
-   stopped allocating, arrivals shared one handler and a batch's start
-   and completion kept their state on its tasks and replica; 2.45 M
-   while each batch sorted its node list for [deployment_dims] and
+   serving loop.  0.889 M minor words since a batch start scans its
+   deployment's placements once for all its tasks (0.891 M before, and
+   1.81 M when the previous bound was set); 2.28 M before the
+   autoscaler tick stopped allocating, arrivals shared one handler and
+   a batch's start and completion kept their state on its tasks and
+   replica; 2.45 M while each batch sorted its node list for its dims and
    each replica cached its own labeled handles; 2.85 M while every
    refused deploy formatted its message with [sprintf] (~7,100
    refusals a run: the loop retries a full cluster); 4.29 M before the
@@ -1100,8 +1181,9 @@ let run_allocation cfg =
    The same for a [serve_steady]-shaped run (perfbench): three Poisson
    tenants of S models (40/40/20 of 2,000 tasks, 250 us mean gap) on
    64 nodes, batches of 4 lingering 50 us and an autoscaler ticking
-   every 250 us.  0.602 M minor words; 0.896 M before the changes
-   above.  Each bound is its reading plus ~7%. *)
+   every 250 us.  0.582 M minor words (0.596 M before the one scan per
+   batch start); 0.896 M before the changes above.  Each bound is its
+   reading plus ~7%. *)
 let test_serving_run_allocation () =
   let gate label cfg ~tasks ~bound =
     let r, mwords, major_mwords = run_allocation cfg in
@@ -1123,7 +1205,7 @@ let test_serving_run_allocation () =
       serving = Some Sysim.default_serving;
     }
   in
-  gate "set 8, default serving" set8 ~tasks:200 ~bound:1.93;
+  gate "set 8, default serving" set8 ~tasks:200 ~bound:0.95;
   let tenant name share =
     Genset.tenant_load name
       ~tasks:(int_of_float (2_000.0 *. share))
@@ -1156,7 +1238,7 @@ let test_serving_run_allocation () =
           };
     }
   in
-  gate "serve_steady shape" steady ~tasks:2_000 ~bound:0.645
+  gate "serve_steady shape" steady ~tasks:2_000 ~bound:0.622
 
 let () =
   Alcotest.run "sysim"
@@ -1179,6 +1261,8 @@ let () =
             test_serving_run_allocation;
           Alcotest.test_case "results independent of history" `Quick
             test_results_independent_of_history;
+          Alcotest.test_case "service memo matches fresh" `Quick
+            test_service_memo_matches_fresh;
         ] );
       ( "tenants",
         [
