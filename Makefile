@@ -46,7 +46,12 @@ test:
 # mapping cache, sessions, predictive vs reactive autoscaling).
 # test_sysim's "serving run allocation" gates the exact minor words
 # of a warm set-8 serving run and of a serve_steady-shaped one (the
-# serving hot path's allocation), and "moved replicas serve again"
+# serving hot path's allocation), its "registry build allocation"
+# bounds one registry build at 4.0 M words (3.76 M since one compile
+# session shares the tile-independent modules across the ten
+# instances) and requires a second build in the process to allocate
+# within 3% of the first, so a compile cache that outlives its build
+# fails, and "moved replicas serve again"
 # pins runs whose moved replicas serve again.  The
 # three smoke benchmarks are speed checks: bench-place-smoke keeps the
 # indexed placement engine no slower than the test-side snapshot-scan

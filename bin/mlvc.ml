@@ -32,10 +32,12 @@ let run_decompose path top controls quiet flow dot_out =
     1
   | Ok design -> (
     let config = { Decompose.default_config with Decompose.control_modules = controls } in
-    let runner =
-      match flow with "top-down" -> Mlv_core.Top_down.run | _ -> Decompose.run
+    let result =
+      match flow with
+      | "top-down" -> Mlv_core.Top_down.run ~config design ~top
+      | _ -> Decompose.run ~config design ~top
     in
-    match runner ~config design ~top with
+    match result with
     | Error e ->
       prerr_endline ("decompose: " ^ e);
       1

@@ -605,16 +605,34 @@ let top (c : Config.t) =
           [ conn "a" "vrf_rdata"; conn "o" "result" ];
       ])
 
-let generate (c : Config.t) =
+(* Modules whose generator reads no [tiles], keyed by generator name
+   and by the configuration with [tiles] blanked. *)
+type shared = (string * Config.t, Ast.module_def) Hashtbl.t
+
+let shared () : shared = Hashtbl.create 8
+
+let generate ?shared (c : Config.t) =
+  let tile_independent name gen =
+    match shared with
+    | None -> gen c
+    | Some tbl -> (
+      let key = (name, { c with Config.tiles = 0 }) in
+      match Hashtbl.find_opt tbl key with
+      | Some m -> m
+      | None ->
+        let m = gen c in
+        Hashtbl.add tbl key m;
+        m)
+  in
   Design.of_modules
     [
-      dot_unit c;
-      accum c;
-      mfu_slice c;
-      engine c;
-      fp16_to_bfp c;
-      vector_rf c;
+      tile_independent "dot_unit" dot_unit;
+      tile_independent "accum" accum;
+      tile_independent "mfu_slice" mfu_slice;
+      tile_independent "engine" engine;
+      tile_independent "fp16_to_bfp" fp16_to_bfp;
+      tile_independent "vector_rf" vector_rf;
       writeback c;
-      control_path c;
+      tile_independent "control_path" control_path;
       top c;
     ]

@@ -25,9 +25,20 @@
 
 open Mlv_rtl
 
-(** [generate config] builds the design; the top module is
-    ["bw_npu"]. *)
-val generate : Config.t -> Design.t
+(** Generated modules that do not depend on [tiles], for sharing
+    across the instances of one build.  Only [writeback] and the top
+    [bw_npu] read [tiles]; the other seven modules are kept here,
+    keyed by generator and by the configuration with [tiles] blanked. *)
+type shared
+
+val shared : unit -> shared
+
+(** [generate ?shared config] builds the design; the top module is
+    ["bw_npu"].  With [shared], every tile-independent module is taken
+    from (or added to) the table, so designs generated through one
+    table hold physically the same values for those modules; the
+    design is structurally the one generated without it. *)
+val generate : ?shared:shared -> Config.t -> Design.t
 
 (** Module names of the small components the case study moves into
     the control-path soft block so the data path root becomes

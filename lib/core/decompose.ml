@@ -36,6 +36,51 @@ type decomposition = {
 }
 
 (* ------------------------------------------------------------------ *)
+(* Per-module analyses, shared by the runs of one session              *)
+(* ------------------------------------------------------------------ *)
+
+(* What a run learns about one module value.  It depends on nothing but
+   that value (and, for [lanes], the equivalence-checking effort), so
+   every run that meets physically the same module may reuse it. *)
+type analysis = {
+  basic : bool;
+  formals : (string, Ast.port) Hashtbl.t Lazy.t; (* port by name *)
+  mutable estimate : Resource.t option; (* leaf resources *)
+  mutable lanes : (Check.config * (int * Resource.t) option * int) option;
+      (* step 2's lanes under that effort, and the checks they cost *)
+}
+
+(* Ports by name.  [List.find] on the port list returns the first port
+   of a name; the table is filled last to first so [Hashtbl.replace]
+   keeps that one. *)
+let port_table ports =
+  let t = Hashtbl.create 8 in
+  List.iter (fun (p : Ast.port) -> Hashtbl.replace t p.Ast.port_name p) (List.rev ports);
+  t
+
+(* By module name; the entries of one name are told apart by physical
+   identity, never by structure. *)
+type session = (string, (Ast.module_def * analysis) list) Hashtbl.t
+
+let session () : session = Hashtbl.create 16
+
+let analysis (session : session) (m : Ast.module_def) =
+  let entries = Option.value ~default:[] (Hashtbl.find_opt session m.Ast.mod_name) in
+  match List.find_opt (fun (m', _) -> m' == m) entries with
+  | Some (_, a) -> a
+  | None ->
+    let a =
+      {
+        basic = Ast.is_basic m;
+        formals = lazy (port_table m.Ast.ports);
+        estimate = None;
+        lanes = None;
+      }
+    in
+    Hashtbl.replace session m.Ast.mod_name ((m, a) :: entries);
+    a
+
+(* ------------------------------------------------------------------ *)
 (* Step 1: elaboration into the block graph                            *)
 (* ------------------------------------------------------------------ *)
 
@@ -49,7 +94,16 @@ type blk = {
 let is_control_module config (m : Ast.module_def) =
   List.mem "control_path" m.Ast.attrs || List.mem m.Ast.mod_name config.control_modules
 
-let elaborate config design top =
+let elaborate config design analysis_of top =
+  let prim_formals = Hashtbl.create 16 in
+  let formals_of_prim p =
+    match Hashtbl.find_opt prim_formals p with
+    | Some t -> t
+    | None ->
+      let t = port_table (Ast.prim_ports p) in
+      Hashtbl.add prim_formals p t;
+      t
+  in
   let blocks = ref [] in
   let nblocks = ref 0 in
   let next_net = ref 0 in
@@ -80,27 +134,24 @@ let elaborate config design top =
         match inst.Ast.master with
         | Ast.M_prim p ->
           (* Residue primitive in a non-basic module: its own block. *)
-          let ports = Ast.prim_ports p in
+          let formals = formals_of_prim p in
           let pins =
             List.map
               (fun (c : Ast.conn) ->
-                let port = List.find (fun (q : Ast.port) -> q.Ast.port_name = c.Ast.formal) ports in
+                let port = Hashtbl.find formals c.Ast.formal in
                 (resolve c.Ast.actual, port.Ast.dir, port.Ast.width))
               inst.Ast.conns
           in
           ignore (add_block ipath ("prim:" ^ Ast.prim_name p) in_control pins)
         | Ast.M_module child_name ->
-          let child = Design.find_exn design child_name in
+          let child, info = analysis_of child_name in
           let child_control = in_control || is_control_module config child in
-          if Ast.is_basic child then begin
+          if info.basic then begin
+            let formals = Lazy.force info.formals in
             let pins =
               List.map
                 (fun (c : Ast.conn) ->
-                  let port =
-                    List.find
-                      (fun (q : Ast.port) -> q.Ast.port_name = c.Ast.formal)
-                      child.Ast.ports
-                  in
+                  let port = Hashtbl.find formals c.Ast.formal in
                   (resolve c.Ast.actual, port.Ast.dir, port.Ast.width))
                 inst.Ast.conns
             in
@@ -449,7 +500,7 @@ let leaf_resources estimate bmodule =
     Resource.make ~luts:1 ()
   else estimate bmodule
 
-let run_untraced ?(config = default_config) design ~top =
+let run_untraced ~config ~session design ~top =
   match Design.find design top with
   | None -> Error (Printf.sprintf "no module named %s" top)
   | Some _ -> (
@@ -458,13 +509,35 @@ let run_untraced ?(config = default_config) design ~top =
       Error (Printf.sprintf "design does not validate: %s" (String.concat "; " errs))
     | [] ->
       let design = if config.simplify then simplify_design design else design in
-      let blocks, edges = elaborate config design top in
+      (* Each module name resolves to its value and its analysis once
+         per run. *)
+      let masters = Hashtbl.create 16 in
+      let analysis_of name =
+        match Hashtbl.find_opt masters name with
+        | Some ma -> ma
+        | None ->
+          let m = Design.find_exn design name in
+          let ma = (m, analysis session m) in
+          Hashtbl.add masters name ma;
+          ma
+      in
+      let blocks, edges = elaborate config design analysis_of top in
       if Array.length blocks = 0 then Error "top module contains no instances"
       else begin
         let ctx =
           { design; eq_config = config.eq; cache = Hashtbl.create 64; checks = 0 }
         in
-        let estimate = Estimate.memo design in
+        (* Leaf blocks are basic modules, whose estimate depends on the
+           module alone. *)
+        let estimate name =
+          let _, a = analysis_of name in
+          match a.estimate with
+          | Some r -> r
+          | None ->
+            let r = Estimate.of_module design name in
+            a.estimate <- Some r;
+            r
+        in
         (* Residue blocks connected only to control blocks fold into
            the control path (case-study adjustment). *)
         (* Chains of residue primitives require iterating the fold
@@ -538,8 +611,21 @@ let run_untraced ?(config = default_config) design ~top =
               let lanes =
                 match Hashtbl.find_opt intra_cache b.bmodule with
                 | Some l -> l
+                | None when not (Design.mem design b.bmodule) -> None
                 | None ->
-                  let l = intra_lanes ctx b.bmodule in
+                  (* A reused analysis counts its checks as if run. *)
+                  let _, a = analysis_of b.bmodule in
+                  let l =
+                    match a.lanes with
+                    | Some (eq, l, checks) when eq = config.eq ->
+                      ctx.checks <- ctx.checks + checks;
+                      l
+                    | Some _ | None ->
+                      let before = ctx.checks in
+                      let l = intra_lanes ctx b.bmodule in
+                      a.lanes <- Some (config.eq, l, ctx.checks - before);
+                      l
+                  in
                   Hashtbl.replace intra_cache b.bmodule l;
                   l
               in
@@ -596,5 +682,5 @@ let run_untraced ?(config = default_config) design ~top =
         end
       end)
 
-let run ?(config = default_config) design ~top =
-  Mlv_obs.Obs.Span.with_ "decompose" (fun () -> run_untraced ~config design ~top)
+let run ?(config = default_config) ?(session = session ()) design ~top =
+  Mlv_obs.Obs.Span.with_ "decompose" (fun () -> run_untraced ~config ~session design ~top)

@@ -68,7 +68,10 @@ type eq_ctx = {
   design : Design.t;
   eq_config : Mlv_eqcheck.Check.config;
   cache : (string * string, bool) Hashtbl.t;  (** by ordered name pair *)
-  mutable checks : int;  (** equivalence checks actually run *)
+  mutable checks : int;
+      (** equivalence checks of this run; a check whose result is
+          reused from the {!session} counts as if run, so the count
+          does not depend on sharing *)
 }
 
 (** [modules_equivalent ctx a b]: [a] and [b] name the same module, or
@@ -76,7 +79,22 @@ type eq_ctx = {
     equivalent; each pair is checked once and cached. *)
 val modules_equivalent : eq_ctx -> string -> string -> bool
 
-(** [run ?config design ~top] decomposes module [top].  Returns
-    [Error reason] when the design does not validate, [top] is
-    missing, or no control path can be identified. *)
-val run : ?config:config -> Design.t -> top:string -> (decomposition, string) result
+(** Per-module analyses shared by the runs that are given the same
+    session: whether a module is basic, its ports by name, its leaf
+    resource estimate and step 2's lanes (with the equivalence checks
+    they cost and the checking effort they were found under).  An
+    analysis is reused only for physically the same module value
+    ([==]), so designs that share modules (as
+    {!Mlv_accel.Rtl_gen.generate}[ ~shared] makes them) share their
+    analyses, and no two distinct values are ever confused. *)
+type session
+
+val session : unit -> session
+
+(** [run ?config ?session design ~top] decomposes module [top].
+    Without [session] every analysis is made for this run alone; with
+    one, the result is the same.  Returns [Error reason] when the
+    design does not validate, [top] is missing, or no control path can
+    be identified. *)
+val run :
+  ?config:config -> ?session:session -> Design.t -> top:string -> (decomposition, string) result

@@ -18,17 +18,29 @@ type npu = {
   mapping : Mapping.t;
 }
 
-(** [build_npu ?iterations ?cost_cache ~tiles ()] runs the full flow.
-    [iterations] is the partitioning depth (default 2); [cost_cache]
-    shares memoized per-shape cost-model results across builds. *)
+(** A compile session: the work that several builds may share.  It
+    holds the generated modules that do not depend on [tiles]
+    ({!Mlv_accel.Rtl_gen.shared}), the decomposer's per-module
+    analyses ({!Decompose.session}) and the mapping's priced unit
+    shapes ({!Mapping.cost_cache}).  Every build through a session
+    returns what it returns without one. *)
+type session
+
+val session : unit -> session
+
+(** [build_npu ?iterations ?session ~tiles ()] runs the full flow.
+    [iterations] is the partitioning depth (default 2); [session]
+    shares the tile-independent work with the other builds given the
+    same session (default: a fresh one, dropped on return). *)
 val build_npu :
-  ?iterations:int -> ?cost_cache:Mapping.cost_cache -> tiles:int -> unit -> (npu, string) result
+  ?iterations:int -> ?session:session -> tiles:int -> unit -> (npu, string) result
 
 (** [accel_name ~tiles] is the registry key, e.g. ["npu-t21"]. *)
 val accel_name : tiles:int -> string
 
 (** [npu_registry ?iterations ~tile_counts ()] compiles one instance
-    per tile count and registers them all.
+    per tile count, through one session made for this call and
+    dropped when it returns, and registers them all.
     @raise Failure if any build fails. *)
 val npu_registry : ?iterations:int -> tile_counts:int list -> unit -> Mapdb.t
 

@@ -26,9 +26,21 @@ let npu_cost_model ~unit_tree kind =
   if is_engine_unit unit_tree then Virtual_block.engine_mapped_resources kind
   else estimate_cost_model ~unit_tree kind
 
-type cost_cache = (string * Resource.t * Device.kind, Resource.t) Hashtbl.t
+(* One table per cost model, told apart by physical identity: the key
+   says nothing of the model, so two models never share a table. *)
+type cost_cache = {
+  mutable tables : (cost_model * (string * Resource.t * Device.kind, Resource.t) Hashtbl.t) list;
+}
 
-let cost_cache () : cost_cache = Hashtbl.create 64
+let cost_cache () = { tables = [] }
+
+let prices cache cost_model =
+  match List.find_opt (fun (m, _) -> m == cost_model) cache.tables with
+  | Some (_, t) -> t
+  | None ->
+    let t = Hashtbl.create 64 in
+    cache.tables <- (cost_model, t) :: cache.tables;
+    t
 
 type compiled_piece = {
   piece : Partition.piece;
@@ -82,7 +94,7 @@ let tiles_of_groups groups =
     0 groups
 
 let compile_untraced ~cost_model ~cache ~iterations ~name ~control ~data () =
-  let cache = match cache with Some c -> c | None -> cost_cache () in
+  let cache = prices (match cache with Some c -> c | None -> cost_cache ()) cost_model in
   let levels = Partition.run data ~iterations in
   let compiled_levels =
     List.map

@@ -21,8 +21,10 @@ type cost_model = unit_tree:Soft_block.t -> Device.kind -> Resource.t
 val npu_cost_model : cost_model
 
 (** Memoized cost-model results, keyed by (unit shape, summed leaf
-    annotation, device kind).  Pass one cache to several {!compile}
-    calls (as {!Framework.npu_registry} does across its instances) to
+    annotation, device kind) and kept apart per cost model (compared
+    physically), so compiles under different models never read each
+    other's prices.  Pass one cache to several {!compile} calls (as
+    {!Framework.npu_registry}'s session does across its instances) to
     price each distinct unit shape once per device kind.  Sound for
     cost models that are pure functions of those three inputs — both
     built-ins are. *)

@@ -32,6 +32,11 @@ let parse_ok src =
   | Error msg -> Alcotest.failf "parse error: %s" msg
 
 let res l = Resource.make ~luts:l ()
+(* Structural: [No_sharing] makes the bytes independent of which equal
+   values happen to be physically shared. *)
+let structural_digest v =
+  Digest.to_hex (Digest.string (Marshal.to_string v [ Marshal.No_sharing ]))
+
 let mk_leaf ?(m = "m") name = SB.leaf ~name ~module_name:m ~resources:(res 10) ()
 
 (* ---------------- Soft blocks ---------------- *)
@@ -407,7 +412,18 @@ endmodule
   | SB.Leaf _ -> ()
   | other ->
     Alcotest.failf "expected an unsplit leaf, got %s" (Format.asprintf "%a" SB.pp other));
-  Alcotest.(check int) "checks performed" 1 r.Decompose.stats.Decompose.eq_checks
+  Alcotest.(check int) "checks performed" 1 r.Decompose.stats.Decompose.eq_checks;
+  (* Through one session the second run reuses step 2's analysis of
+     [simd3] and still counts its check. *)
+  let design = parse_ok src and session = Decompose.session () in
+  List.iter
+    (fun run ->
+      match Decompose.run ~session design ~top:"top5" with
+      | Error e -> Alcotest.fail e
+      | Ok shared ->
+        Alcotest.(check string) (run ^ " run through a session") (structural_digest r)
+          (structural_digest shared))
+    [ "first"; "second" ]
 
 (* Seeded random data-path graphs for the decomposer: basic modules
    of three kinds (two inputs, one output), chained mostly forward,
@@ -644,35 +660,73 @@ let registry_pins =
      "f9cf2387fcb70ab5e3e7e4ec2464e4a7");
   ]
 
-(* Structural: [No_sharing] makes the bytes independent of which equal
-   values happen to be physically shared. *)
-let structural_digest v =
-  Digest.to_hex (Digest.string (Marshal.to_string v [ Marshal.No_sharing ]))
-
 let test_registry_pinned () =
   Alcotest.(check (list int))
     "pins cover every registry instance" Mlv_sysim.Sysim.instance_tile_counts
     (List.map (fun (t, _, _, _) -> t) registry_pins);
-  let cost_cache = Mapping.cost_cache () in
+  let name tiles what = Printf.sprintf "npu-t%d %s" tiles what in
+  (* Standalone builds, and builds in order through one session, which
+     share the tile-independent modules and their analyses. *)
+  let session = Framework.session () in
   List.iter
     (fun (tiles, decomposed, mapping, top_down) ->
-      match Framework.build_npu ~cost_cache ~tiles () with
-      | Error e -> Alcotest.fail e
-      | Ok npu ->
-        let name what = Printf.sprintf "npu-t%d %s" tiles what in
+      List.iter
+        (fun (how, session) ->
+          match Framework.build_npu ?session ~tiles () with
+          | Error e -> Alcotest.fail e
+          | Ok npu ->
+            let name what = name tiles (how ^ what) in
+            Alcotest.(check string)
+              (name "decomposition") decomposed
+              (structural_digest npu.Framework.decomposed);
+            Alcotest.(check string)
+              (name "mapping") mapping
+              (structural_digest npu.Framework.mapping);
+            (match
+               Top_down.run ~config:Framework.decompose_config npu.Framework.design
+                 ~top:Mlv_accel.Rtl_gen.top_name
+             with
+            | Error e -> Alcotest.fail e
+            | Ok d -> Alcotest.(check string) (name "top-down") top_down (structural_digest d)))
+        [ ("", None); ("shared ", Some session) ])
+    registry_pins;
+  (* The registry the simulator builds, read back through the
+     database. *)
+  let db = Framework.npu_registry ~tile_counts:Mlv_sysim.Sysim.instance_tile_counts () in
+  List.iter
+    (fun (tiles, _, mapping, _) ->
+      match Mapdb.find db (Framework.accel_name ~tiles) with
+      | None -> Alcotest.failf "npu-t%d not registered" tiles
+      | Some plan ->
         Alcotest.(check string)
-          (name "decomposition") decomposed
-          (structural_digest npu.Framework.decomposed);
-        Alcotest.(check string)
-          (name "mapping") mapping
-          (structural_digest npu.Framework.mapping);
-        (match
-           Top_down.run ~config:Framework.decompose_config npu.Framework.design
-             ~top:Mlv_accel.Rtl_gen.top_name
-         with
-        | Error e -> Alcotest.fail e
-        | Ok d -> Alcotest.(check string) (name "top-down") top_down (structural_digest d)))
+          (name tiles "registered mapping") mapping
+          (structural_digest plan.Mapdb.mapping))
     registry_pins
+
+(* A cost cache keeps each model's prices apart: compiling under the
+   NPU model with a cache the estimate model filled gives the fresh
+   NPU-model mapping, not one priced at the estimate model's engines. *)
+let test_cost_cache_per_model () =
+  match Framework.build_npu ~tiles:6 () with
+  | Error e -> Alcotest.fail e
+  | Ok npu ->
+    let d = npu.Framework.decomposed in
+    let compile ?cost_model ?cost_cache () =
+      Mapping.compile ?cost_model ?cost_cache ~name:"npu-t6" ~control:d.Decompose.control
+        ~data:d.Decompose.data ()
+    in
+    let cost_cache = Mapping.cost_cache () in
+    let estimate = compile ~cost_cache () in
+    let npu_priced = compile ~cost_model:Mapping.npu_cost_model ~cost_cache () in
+    Alcotest.(check string)
+      "NPU model through a shared cache"
+      (structural_digest (compile ~cost_model:Mapping.npu_cost_model ()))
+      (structural_digest npu_priced);
+    Alcotest.(check string)
+      "estimate model through the same cache" (structural_digest (compile ()))
+      (structural_digest estimate);
+    Alcotest.(check string) "the NPU mapping is pinned" "28031e963080ebbff31fcb3cf06426f0"
+      (structural_digest npu_priced)
 
 let test_registry () =
   let npu = Lazy.force npu_result in
@@ -1322,6 +1376,75 @@ let test_decompose_with_simplify () =
     Alcotest.(check bool) "same shape" true
       (SB.equal_shape npu.Framework.decomposed.Decompose.data r.Decompose.data)
 
+(* Property: generating and decomposing through one session equals
+   doing each fresh, module by module and by structural digest of the
+   result (its stats, so [eq_checks], included).  The configurations
+   are a base and a variant that differs from it in at most one field,
+   built in the order (base, t1), (variant, t2), (base, t2): a module
+   key that forgot a field would hand the variant the base's module. *)
+let prop_session_matches_fresh =
+  let module Config = Mlv_accel.Config in
+  let module Rtl_gen = Mlv_accel.Rtl_gen in
+  let field k =
+    QCheck.Gen.(
+      match k with
+      | 0 -> map (fun v (c : Config.t) -> { c with Config.lanes = v }) (oneofl [ 1; 2; 4; 8 ])
+      | 1 -> map (fun v (c : Config.t) -> { c with Config.rows_per_tile = v }) (int_range 1 3)
+      | 2 -> map (fun v (c : Config.t) -> { c with Config.vrf_words = v }) (oneofl [ 16; 64; 2048 ])
+      | 3 ->
+        map (fun v (c : Config.t) -> { c with Config.instr_buffer_words = v }) (oneofl [ 16; 512 ])
+      | 4 ->
+        map
+          (fun v (c : Config.t) -> { c with Config.mem_kind = v })
+          (oneofl [ Config.Bram_only; Config.Bram_uram ])
+      | 5 -> map (fun v (c : Config.t) -> { c with Config.mvm_mantissa_bits = v }) (oneofl [ 4; 6 ])
+      | _ -> return Fun.id)
+  in
+  let gen =
+    QCheck.Gen.(
+      let* base =
+        List.fold_left
+          (fun acc k -> map2 (fun f c -> f c) (field k) acc)
+          (return (Config.make ~tiles:1 ()))
+          [ 0; 1; 2; 3; 4; 5 ]
+      in
+      let* vary = int_range 0 6 >>= field in
+      let* t1 = int_range 1 5 and* t2 = int_range 1 5 in
+      return (base, vary base, t1, t2))
+  in
+  let print ((b : Config.t), (v : Config.t), t1, t2) =
+    let show (c : Config.t) =
+      Printf.sprintf "{lanes=%d rows=%d vrf=%d ibuf=%d uram=%b mant=%d}" c.Config.lanes
+        c.Config.rows_per_tile c.Config.vrf_words c.Config.instr_buffer_words
+        (c.Config.mem_kind = Config.Bram_uram) c.Config.mvm_mantissa_bits
+    in
+    Printf.sprintf "base %s variant %s tiles %d, %d" (show b) (show v) t1 t2
+  in
+  QCheck.Test.make ~name:"session matches fresh" ~count:25 (QCheck.make ~print gen)
+    (fun (base, variant, t1, t2) ->
+      let shared = Rtl_gen.shared () and session = Decompose.session () in
+      let decompose ?session design =
+        Decompose.run ~config:Framework.decompose_config ?session design
+          ~top:Rtl_gen.top_name
+      in
+      let build (c : Config.t) tiles =
+        let c = { c with Config.tiles } in
+        let design = Rtl_gen.generate ~shared c in
+        let fresh = Rtl_gen.generate c in
+        if Design.modules design <> Design.modules fresh then
+          QCheck.Test.fail_reportf "tiles %d: generated modules differ" tiles;
+        if
+          structural_digest (decompose ~session design)
+          <> structural_digest (decompose fresh)
+        then QCheck.Test.fail_reportf "tiles %d: decompositions differ" tiles;
+        design
+      in
+      let first = build base t1 in
+      ignore (build variant t2);
+      let last = build base t2 in
+      (* The sharing is real: one dot unit value serves both builds. *)
+      Design.find_exn first "dot_unit" == Design.find_exn last "dot_unit")
+
 (* Property: for a generated k-lane accelerator, the decomposer's
    data tree holds exactly the data-path leaf blocks and the root is
    a k-way data-parallel node. *)
@@ -1915,6 +2038,7 @@ let () =
           Alcotest.test_case "NPU text round-trip" `Quick test_npu_text_roundtrip;
           Alcotest.test_case "simplify option" `Quick test_decompose_with_simplify;
           QCheck_alcotest.to_alcotest prop_decompose_lane_accel;
+          QCheck_alcotest.to_alcotest prop_session_matches_fresh;
         ] );
       ( "partition",
         [
@@ -1932,6 +2056,7 @@ let () =
           Alcotest.test_case "infeasible large" `Quick test_mapping_infeasible_large;
           Alcotest.test_case "registry" `Quick test_registry;
           Alcotest.test_case "registry pinned" `Quick test_registry_pinned;
+          Alcotest.test_case "cost cache per model" `Quick test_cost_cache_per_model;
           Alcotest.test_case "custom accel end to end" `Quick test_custom_accel_end_to_end;
         ] );
       ( "runtime",
