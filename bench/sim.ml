@@ -1,7 +1,7 @@
 (* Discrete-event engine microbenchmark: a hold-model workload (pop
    the earliest event, schedule a successor) drives ≥1M events through
-   the timing-wheel engine ([Sim]) and the binary-heap reference
-   engine ([Mlv_oracle.Heap_sim], test/oracle/) behind the same
+   the array-heap engine ([Sim]) and the binary-heap reference engine
+   over boxed entries ([Mlv_oracle.Heap_sim], test/oracle/) behind the same
    interface and per-event bookkeeping.  Delays and prefill times are
    drawn into arrays before the clock starts, so the measured loop is
    pure engine cost and the two engines consume the identical event
@@ -21,17 +21,19 @@
    covering both cross-engine agreement and per-engine determinism.
 
    Emits BENCH_sim.json with events/s, allocation words/event (from
-   Gc counters) and the wheel-over-heap speedup.
+   Gc counters) and the sim-over-heap speedup.
 
    Usage: sim.exe [--events N] [--pending K] [--mean-delay-us D]
                   [--seed S] [--reps R] [--out FILE] [--assert-speedup X]
    Bit-identity between the engines is always asserted.
    Defaults drive 1M events against a 300k-event backlog, with a mean
-   delay equal to the backlog (dense: about one event per µs bucket);
-   a mean delay far above the backlog (--pending 8 --mean-delay-us
-   5000) models the serving workloads' sparse streams, where most
-   buckets are empty.  `make bench-sim-smoke` runs a small dense and
-   a small sparse configuration as part of `make check`. *)
+   delay equal to the backlog (dense: about one event per µs); a small
+   backlog with a long mean delay (--pending 8 --mean-delay-us 5000)
+   models the serving workloads, whose arrivals stream in so that
+   only the events in flight are queued.  A backlog of 10^5 events is
+   a synthetic load the simulator no longer produces.  `make
+   bench-sim-smoke` runs a small dense and a small sparse
+   configuration as part of `make check`. *)
 
 module Sim = Mlv_cluster.Sim
 module Heap_sim = Mlv_oracle.Heap_sim
@@ -179,7 +181,7 @@ let () =
       ("--out", Arg.Set_string out, "output JSON path (default BENCH_sim.json)");
       ( "--assert-speedup",
         Arg.Set_float assert_speedup,
-        "exit non-zero unless wheel/heap events/s ratio reaches this" );
+        "exit non-zero unless sim/heap events/s ratio reaches this" );
     ]
     (fun a -> raise (Arg.Bad ("unexpected argument " ^ a)))
     "discrete-event engine microbenchmark";
@@ -201,17 +203,17 @@ let () =
     best_of (module Heap_sim) ~engine:"heap" ~events:!events ~pending:!pending
       ~mean_delay_us ~seed:!seed ~reps:!reps
   in
-  let wheel =
-    best_of (module Sim) ~engine:"wheel" ~events:!events ~pending:!pending
+  let sim =
+    best_of (module Sim) ~engine:"sim" ~events:!events ~pending:!pending
       ~mean_delay_us ~seed:!seed ~reps:!reps
   in
   let speedup =
-    if heap.events_per_s > 0.0 then wheel.events_per_s /. heap.events_per_s
+    if heap.events_per_s > 0.0 then sim.events_per_s /. heap.events_per_s
     else 0.0
   in
   let identical =
-    heap.order_digest = wheel.order_digest
-    && heap.final_now_us = wheel.final_now_us
+    heap.order_digest = sim.order_digest
+    && heap.final_now_us = sim.final_now_us
   in
   List.iter
     (fun o ->
@@ -220,8 +222,8 @@ let () =
          (%.2fs)\n"
         o.engine o.events_per_s o.alloc_words_per_event o.gap_p50_us o.gap_p99_us
         o.wall_s)
-    [ heap; wheel ];
-  Printf.printf "wheel/heap events/s: %.1fx  order digests %s\n" speedup
+    [ heap; sim ];
+  Printf.printf "sim/heap events/s: %.1fx  order digests %s\n" speedup
     (if identical then "identical" else "DIFFER");
   let json =
     Obs.Json.Obj
@@ -233,7 +235,7 @@ let () =
         ("seed", Obs.Json.Int !seed);
         ("reps", Obs.Json.Int !reps);
         ("heap", outcome_json heap);
-        ("wheel", outcome_json wheel);
+        ("sim", outcome_json sim);
         ("speedup", Obs.Json.Float speedup);
         ("identical", Obs.Json.Bool identical);
       ]
@@ -245,8 +247,8 @@ let () =
   Printf.printf "results written to %s\n" !out;
   if not identical then begin
     Printf.eprintf
-      "FAIL: engines disagree (heap digest %d now %.6f, wheel digest %d now %.6f)\n"
-      heap.order_digest heap.final_now_us wheel.order_digest wheel.final_now_us;
+      "FAIL: engines disagree (heap digest %d now %.6f, sim digest %d now %.6f)\n"
+      heap.order_digest heap.final_now_us sim.order_digest sim.final_now_us;
     exit 1
   end;
   if !assert_speedup > 0.0 && speedup < !assert_speedup then begin

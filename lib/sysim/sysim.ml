@@ -1718,12 +1718,9 @@ let dispatch_loop run =
         Sim.schedule_at sim ~at:deadline (fun () -> on_linger g)
       | Batcher.Joined -> ())
   in
-  (* Every arrival is scheduled now and its thunk stays live until it
-     fires, so it captures the shared handler and its task alone: each
-     word more would be a word per task of promoted heap. *)
-  List.iter
-    (fun (task : Genset.task) ->
-      Sim.schedule_at sim ~at:task.Genset.arrival_us (fun () -> on_arrival task))
+  (* Arrivals stream in: only the next one is queued at any time, in
+     the order scheduling them all now would give. *)
+  Sim.schedule_stream sim ~at:(fun (task : Genset.task) -> task.Genset.arrival_us) on_arrival
     run.tasks;
   (* A crash kills every replica with a piece on the dead node: its
      in-flight batch is void, and each interrupted task goes back to the

@@ -206,9 +206,9 @@ type config = {
           default) is bit-identical to pre-front-door builds *)
   replay : Genset.task list option;
       (** play this exact recorded task stream (see
-          {!Mlv_serve.Trace_file}) instead of generating one;
-          overrides [composition] / [tasks] / [arrival] / [tenants]
-          task generation *)
+          {!Mlv_serve.Trace_file}) instead of generating one, in
+          arrival order; overrides [composition] / [tasks] /
+          [arrival] / [tenants] task generation *)
 }
 
 (** [default_config ~policy ~composition] gives 120 tasks, 200 µs
@@ -387,6 +387,7 @@ val workload : config -> Genset.task list
     the accelerators of the mapping database [registry].
     @raise Invalid_argument on [config.frontend] without
     [config.serving], [frontend.predict] without [serving.autoscale],
-    [serving.tenant_pool] without [config.tenants], or a fault plan
-    naming a node outside the cluster. *)
+    [serving.tenant_pool] without [config.tenants], a fault plan
+    naming a node outside the cluster, or a replay whose arrival times
+    are NaN, negative or out of order (before any event fires). *)
 val run : registry:registry -> config -> result

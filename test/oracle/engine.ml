@@ -8,6 +8,7 @@ module type S = sig
   val now : t -> float
   val schedule : t -> delay:float -> (unit -> unit) -> unit
   val schedule_at : t -> at:float -> (unit -> unit) -> unit
+  val schedule_stream : t -> at:('a -> float) -> ('a -> unit) -> 'a list -> unit
   val run : ?until:float -> t -> unit
   val pending : t -> int
   val events_processed : t -> int

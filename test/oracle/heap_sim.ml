@@ -1,8 +1,9 @@
 (* Reference oracle for [Mlv_cluster.Sim]: the original event engine,
-   a binary heap of closures ([Pqueue], FIFO on equal times).  Same interface and the same per-event bookkeeping as the
-   timing-wheel engine — the [now] ref, the processed count, the two
-   [sim.*] counters, the span sim clock, and the [run ?until] clamp —
-   so a comparison of the two measures only the queue.
+   a binary heap of boxed entries ([Pqueue], FIFO on equal times).
+   Same interface and the same per-event bookkeeping as [Sim] — the
+   [now] ref, the processed count, the two [sim.*] counters and the
+   [run ?until] clamp — so a comparison of the two measures only the
+   queue.  Its [schedule_stream] queues every element up front.
    [test/test_sim_engine.ml] checks event order against it and
    [bench/sim.ml] times it. *)
 
@@ -36,6 +37,11 @@ let schedule_at t ~at f =
   if at < !(t.now) then invalid_arg "Heap_sim.schedule_at: time in the past";
   Obs.Counter.incr t.scheduled_counter;
   Pqueue.push t.queue at f
+
+(* Every element queued up front: the order [Sim.schedule_stream]
+   must reproduce. *)
+let schedule_stream t ~at f items =
+  List.iter (fun x -> schedule_at t ~at:(at x) (fun () -> f x)) items
 
 let step t =
   match Pqueue.pop t.queue with

@@ -1,11 +1,14 @@
-(* Differential suite for the discrete-event engine: the timing wheel
+(* Differential suite for the discrete-event engine: the array heap
    ([Sim]) must fire every event in the same order at the same time as
    the binary-heap oracle ([Mlv_oracle.Heap_sim]), including FIFO
-   tie-breaks, on adversarial streams.  End-to-end sysim results under
-   the wheel (open loop, fault plans, elastic serving) are pinned to
-   digests both engines produced.  The microbenchmark (bench/sim.ml)
-   asserts the same order contract over millions of events; this suite
-   pins it in the test tier with small, fast cases. *)
+   tie-breaks, on adversarial streams, and an arrival stream
+   ([Sim.schedule_stream]) must fire exactly as scheduling every
+   element up front does.  End-to-end sysim results (open loop, fault
+   plans, elastic serving, a linger timer tied with an arrival) are
+   pinned to digests recorded while every arrival was queued up
+   front.  The microbenchmark (bench/sim.ml) asserts the same order
+   contract over a million events; this suite pins it in the test
+   tier with small, fast cases. *)
 
 module Sim = Mlv_cluster.Sim
 module Heap_sim = Mlv_oracle.Heap_sim
@@ -14,7 +17,7 @@ module Sysim = Mlv_sysim.Sysim
 module Runtime = Mlv_core.Runtime
 module Genset = Mlv_workload.Genset
 module Rng = Mlv_util.Rng
-module Wheel = Mlv_util.Timing_wheel
+module Deepbench = Mlv_workload.Deepbench
 
 (* The registry build compiles ten accelerator instances; share it. *)
 let registry = lazy (Sysim.build_registry ())
@@ -24,7 +27,7 @@ let registry = lazy (Sysim.build_registry ())
 module type ENGINE = Mlv_oracle.Engine.S
 
 let heap = (module Heap_sim : ENGINE)
-let wheel = (module Sim : ENGINE)
+let sim = (module Sim : ENGINE)
 
 (* Fire the spec on one engine and return the (time, tag) sequence. *)
 let fire_order (module E : ENGINE) spec =
@@ -39,7 +42,7 @@ let fire_order (module E : ENGINE) spec =
 
 let check_same_order name spec =
   let h = fire_order heap spec in
-  let w = fire_order wheel spec in
+  let w = fire_order sim spec in
   Alcotest.(check (list (pair (float 0.0) int))) name h w
 
 let test_fifo_tie_break () =
@@ -59,17 +62,16 @@ let test_fifo_tie_break () =
     ]
   in
   check_same_order "tie order" spec;
-  (* The wheel's in-bucket sort must yield FIFO for the ties itself,
-     not just agree with the heap. *)
-  let w = fire_order wheel spec in
+  (* The heap's (time, seq) key must yield FIFO for the ties itself,
+     not just agree with the oracle. *)
+  let w = fire_order sim spec in
   let ties = List.filter_map (fun (t, g) -> if t = 5.0 then Some g else None) w in
   Alcotest.(check (list int)) "FIFO among equal times" [ 0; 2; 4; 7 ] ties
 
 let test_random_stream_differential () =
   (* A hold model over a deliberately nasty time distribution:
-     clustered times (many bucket collisions and exact ties from the
-     coarse quantisation) plus occasional far-future jumps that cross
-     wheel levels. *)
+     clustered times (exact ties from the coarse quantisation) plus
+     occasional far-future jumps. *)
   let spec (module E : ENGINE) =
     let rng = Rng.create 7 in
     let sim = E.create () in
@@ -83,7 +85,7 @@ let test_random_stream_differential () =
         let delay =
           if r < 0.5 then Float.of_int (Rng.int rng 40) (* exact ties *)
           else if r < 0.9 then Rng.float rng 5_000.0
-          else Rng.float rng 40_000_000.0 (* level-2 / overflow hops *)
+          else Rng.float rng 40_000_000.0
         in
         E.schedule sim ~delay handler
       end
@@ -94,7 +96,7 @@ let test_random_stream_differential () =
     E.run sim;
     List.rev !log
   in
-  let h = spec heap and w = spec wheel in
+  let h = spec heap and w = spec sim in
   Alcotest.(check int) "same length" (List.length h) (List.length w);
   Alcotest.(check (list (float 0.0))) "same pop times" h w
 
@@ -110,7 +112,7 @@ let test_run_until_agrees () =
     E.run sim;
     (mid, E.now sim, E.events_processed sim)
   in
-  let h = go heap and w = go wheel in
+  let h = go heap and w = go sim in
   let (hn, hf, hp), hend, hev = h and (wn, wf, wp), wend, wev = w in
   Alcotest.(check (float 0.0)) "clock at limit" hn wn;
   Alcotest.(check (list (float 0.0))) "fired before limit" hf wf;
@@ -120,57 +122,10 @@ let test_run_until_agrees () =
 
 (* ---------------- Sparse and edge-case streams ---------------- *)
 
-(* [Sim]'s semantics over a wheel that one earlier use left full and
-   [clear] then emptied: the reused wheel must pop exactly as a fresh
-   one.  Each [create] dirties the shared wheel before clearing it:
-   pending cells on every level and the overflow list, an open batch,
-   and two occupied level-0 slots in every 32-slot word. *)
-module Reused_wheel = struct
-  type t = { wheel : Wheel.t; now : float ref; mutable processed : int }
-
-  let shared = Wheel.create ()
-
-  let create () =
-    for w = 0 to 63 do
-      Wheel.push shared ~at:(Float.of_int (32 * w) +. 1.5) ignore;
-      Wheel.push shared ~at:(Float.of_int (32 * w) +. 30.5) ignore
-    done;
-    List.iter
-      (fun at -> Wheel.push shared ~at ignore)
-      [ 2048.0; 2049.0; 5e5; 4194304.0; 8589934592.0; 1e12 ];
-    ignore (Wheel.pop shared);
-    Wheel.clear shared;
-    { wheel = shared; now = ref 0.0; processed = 0 }
-
-  let now t = !(t.now)
-  let schedule t ~delay f = Wheel.push t.wheel ~at:(!(t.now) +. delay) f
-  let schedule_at t ~at f = Wheel.push t.wheel ~at f
-
-  let fire t =
-    let f = Wheel.pop_fire t.wheel ~into:t.now in
-    t.processed <- t.processed + 1;
-    f ()
-
-  let run ?until t =
-    (match until with
-    | None -> while not (Wheel.is_empty t.wheel) do fire t done
-    | Some limit ->
-      while (not (Wheel.is_empty t.wheel)) && Wheel.next_time t.wheel <= limit do
-        fire t
-      done);
-    match until with Some limit when !(t.now) < limit -> t.now := limit | _ -> ()
-
-  let pending t = Wheel.length t.wheel
-  let events_processed t = t.processed
-end
-
-let reused = (module Reused_wheel : ENGINE)
-
 (* Where a scheduled event lands: [Delay d] is [now + d]; [Cursor (k,
-   frac)] is [k] buckets past the open bucket's successor (the wheel's
-   cursor at 1 µs granularity) plus [frac] — the window edges 2047 /
-   2048 / 2049, the level-1 and level-2 spans 2^22 and 2^33.  Delays of
-   0 and sub-bucket fractions land in the batch being popped. *)
+   frac)] is [k] whole microseconds past the one after [now], plus
+   [frac]: near ties, power-of-two edges (2047 / 2048 / 2049, 2^22,
+   2^33) and far jumps.  Delays of 0 tie with the event being fired. *)
 type target = Delay of float | Cursor of int * float
 
 type stream = {
@@ -270,7 +225,137 @@ let prop_sparse_streams =
   QCheck.Test.make ~name:"sparse and edge-case streams match the heap" ~count:300
     (QCheck.make gen_stream) (fun st ->
       let h = fire_stream heap st in
-      h = fire_stream wheel st && h = fire_stream reused st)
+      h = fire_stream sim st)
+
+(* ---------------- Arrival streams ---------------- *)
+
+(* [Heap_sim.schedule_stream] schedules every element up front, so it
+   is the reference for [Sim.schedule_stream], which queues one
+   element at a time under sequence numbers reserved at the call.
+   [At_arrival k] lands exactly on the [k]-th (cyclically) stream time
+   not before the clock: an event tied with an arrival that is not
+   queued yet, which fires after it only if the arrival keeps its
+   reserved number. *)
+type arrival_target = After of float | At_arrival of int
+
+type arrival_case = {
+  arrivals : float list;  (* sorted, mostly on a coarse grid: many ties *)
+  before : arrival_target list;  (* queued before the stream *)
+  after : arrival_target list;  (* queued after it, before the run *)
+  successors : arrival_target list array;  (* of the i-th fired event *)
+}
+
+let fire_arrivals (module E : ENGINE) c =
+  let sim = E.create () in
+  let log = ref [] and next_tag = ref 0 and fired = ref 0 in
+  let at_of = function
+    | After d -> E.now sim +. d
+    | At_arrival k -> (
+      match List.filter (fun a -> a >= E.now sim) c.arrivals with
+      | [] -> E.now sim
+      | ahead -> List.nth ahead (k mod List.length ahead))
+  in
+  let rec schedule target =
+    let tag = !next_tag in
+    incr next_tag;
+    E.schedule_at sim ~at:(at_of target) (fun () -> fire tag)
+  and fire tag =
+    log := (Int64.bits_of_float (E.now sim), tag) :: !log;
+    let i = !fired in
+    incr fired;
+    if i < Array.length c.successors then List.iter schedule c.successors.(i)
+  in
+  List.iter schedule c.before;
+  E.schedule_stream sim ~at:snd
+    (fun (k, _) -> fire (-1 - k))
+    (List.mapi (fun k a -> (k, a)) c.arrivals);
+  List.iter schedule c.after;
+  E.run sim;
+  List.rev !log
+
+let gen_arrival_case =
+  let open QCheck.Gen in
+  let time =
+    frequency
+      [
+        (3, map (fun k -> 50.0 *. Float.of_int k) (int_bound 8));
+        (1, float_bound_inclusive 400.0);
+      ]
+  in
+  let target =
+    frequency
+      [
+        (3, map (fun k -> At_arrival k) (int_bound 4));
+        (1, return (After 0.0));
+        (1, map (fun d -> After d) (oneof [ return 50.0; float_bound_inclusive 200.0 ]));
+      ]
+  in
+  let targets n = list_size (int_bound n) target in
+  map
+    (fun (arrivals, before, after, successors) ->
+      {
+        arrivals = List.sort Float.compare arrivals;
+        before;
+        after;
+        successors = Array.of_list successors;
+      })
+    (quad
+       (list_size (int_bound 24) time)
+       (targets 4) (targets 4)
+       (list_size (int_bound 40) (targets 2)))
+
+let prop_arrival_streams =
+  QCheck.Test.make ~name:"arrival streams fire as if scheduled up front" ~count:500
+    (QCheck.make gen_arrival_case) (fun c -> fire_arrivals heap c = fire_arrivals sim c)
+
+(* The checks [Sim] makes on every time it is given: a NaN key would
+   silently break the heap order, and a time in the past cannot fire. *)
+let test_input_validation () =
+  let s = Sim.create () in
+  let past = Invalid_argument "Sim.schedule_at: time in the past or NaN" in
+  Alcotest.check_raises "negative time" past (fun () ->
+      Sim.schedule_at s ~at:(-1.0) ignore);
+  Alcotest.check_raises "NaN time" past (fun () ->
+      Sim.schedule_at s ~at:Float.nan ignore);
+  let delay = Invalid_argument "Sim.schedule: negative or NaN delay" in
+  Alcotest.check_raises "negative delay" delay (fun () ->
+      Sim.schedule s ~delay:(-1.0) ignore);
+  Alcotest.check_raises "NaN delay" delay (fun () ->
+      Sim.schedule s ~delay:Float.nan ignore);
+  let stream =
+    Invalid_argument "Sim.schedule_stream: time in the past, NaN or out of order"
+  in
+  List.iter
+    (fun (name, times) ->
+      Alcotest.check_raises name stream (fun () ->
+          Sim.schedule_stream s ~at:Fun.id ignore times))
+    [
+      ("NaN in a stream", [ 1.0; Float.nan; 3.0 ]);
+      ("negative in a stream", [ -1.0; 2.0 ]);
+      ("stream out of order", [ 1.0; 3.0; 2.0 ]);
+    ];
+  Alcotest.(check int) "a refused stream queues nothing" 0 (Sim.pending s);
+  Sim.schedule_at s ~at:5.0 ignore;
+  Sim.run s;
+  Alcotest.check_raises "time before now" past (fun () ->
+      Sim.schedule_at s ~at:4.0 ignore);
+  Alcotest.check_raises "stream before now" stream (fun () ->
+      Sim.schedule_stream s ~at:Fun.id ignore [ 4.0 ]);
+  (* A replay with a NaN arrival is refused before any event fires. *)
+  let fired = Mlv_obs.Obs.Counter.get "sim.events_processed" in
+  let fired_before = Mlv_obs.Obs.Counter.value fired in
+  let cfg = Sysim.default_config ~policy:Runtime.greedy ~composition:Genset.table1.(6) in
+  let poisoned =
+    List.mapi
+      (fun i (t : Genset.task) ->
+        if i = 1 then { t with Genset.arrival_us = Float.nan } else t)
+      (Sysim.workload { cfg with Sysim.tasks = 3 })
+  in
+  Alcotest.check_raises "NaN arrival in a replay" stream (fun () ->
+      ignore
+        (Sysim.run ~registry:(Lazy.force registry)
+           { cfg with Sysim.replay = Some poisoned }));
+  Alcotest.(check int) "no event fired" fired_before (Mlv_obs.Obs.Counter.value fired)
 
 (* ---------------- Sysim end-to-end ---------------- *)
 
@@ -278,12 +363,13 @@ let prop_sparse_streams =
    and marshalled without sharing, so every counter, every float and
    the completion-order latency list (an order-sensitive fingerprint
    of the whole event sequence) take part.  The pins were first
-   recorded while the heap engine was still selectable inside
-   [Sysim.run], with the heap and wheel runs producing the identical
-   result; they were re-recorded when the open loop became the
-   dispatch loop's FIFO policy, with every model field unchanged (only
-   the open runs' [batches] and [scale_ups] and the serving run's
-   [mean_wait_us], now taken at completion, moved). *)
+   recorded while two engines were still selectable inside
+   [Sysim.run], with both producing the identical result; they were
+   re-recorded when the open loop became the dispatch loop's FIFO
+   policy, with every model field unchanged (only the open runs'
+   [batches] and [scale_ups] and the serving run's [mean_wait_us], now
+   taken at completion, moved), and held when arrivals began to stream
+   into the array heap. *)
 let check_pin name cfg ~pin =
   let r = Sysim.run ~registry:(Lazy.force registry) cfg in
   let scrubbed = { r with Sysim.loop_wall_s = 0.0 } in
@@ -325,6 +411,45 @@ let test_sysim_serving () =
     }
     ~pin:"5a353aacd1def132e251001fc69119a4"
 
+(* A batch opened at 0 lingers until 300 µs, the time of the fourth
+   arrival.  Scheduled up front, that arrival holds a smaller sequence
+   number than the linger timer, so it joins the batch first and fills
+   it: two batches of four.  An arrival that took a fresh number when
+   it was queued would lose the tie, and the timer would flush a batch
+   of three (three batches). *)
+let test_sysim_linger_tie () =
+  let point = { Deepbench.kind = Mlv_isa.Codegen.Lstm; hidden = 256; timesteps = 10 } in
+  let cfg =
+    Sysim.default_config ~policy:Runtime.greedy ~composition:Genset.table1.(6)
+  in
+  let tasks =
+    List.init 8 (fun task_id ->
+        {
+          Genset.task_id;
+          point;
+          model_class = Mlv_workload.Sizes.S;
+          arrival_us = 100.0 *. Float.of_int task_id;
+          tenant = "-";
+        })
+  in
+  let cfg =
+    {
+      cfg with
+      Sysim.tasks = 8;
+      replay = Some tasks;
+      serving =
+        Some
+          {
+            Sysim.default_serving with
+            Sysim.batch = Mlv_sched.Batcher.config ~max_batch:4 ~max_linger_us:300.0 ();
+            autoscale = None;
+          };
+    }
+  in
+  let r = Sysim.run ~registry:(Lazy.force registry) cfg in
+  Alcotest.(check int) "batches" 2 r.Sysim.batches;
+  check_pin "linger tie" cfg ~pin:"8766a81ee6092457ebc72a9a372326d2"
+
 let () =
   Alcotest.run "sim_engine"
     [
@@ -335,11 +460,14 @@ let () =
             test_random_stream_differential;
           Alcotest.test_case "run ~until agrees" `Quick test_run_until_agrees;
           QCheck_alcotest.to_alcotest prop_sparse_streams;
+          QCheck_alcotest.to_alcotest prop_arrival_streams;
+          Alcotest.test_case "input validation" `Quick test_input_validation;
         ] );
       ( "sysim",
         [
           Alcotest.test_case "open loop bit-identical" `Quick test_sysim_open_loop;
           Alcotest.test_case "fault plan bit-identical" `Quick test_sysim_faults;
           Alcotest.test_case "serving bit-identical" `Quick test_sysim_serving;
+          Alcotest.test_case "linger tied with an arrival" `Quick test_sysim_linger_tie;
         ] );
     ]

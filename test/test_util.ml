@@ -6,7 +6,6 @@ module Stats = Mlv_util.Stats
 module Stats_oracle = Mlv_oracle.Stats_oracle
 module Pqueue = Mlv_oracle.Pqueue
 module Lru = Mlv_util.Lru
-module Wheel = Mlv_util.Timing_wheel
 module Union_find = Mlv_util.Union_find
 module Table = Mlv_util.Table
 
@@ -188,7 +187,7 @@ let gen_percentile_case =
 let prop_percentile_matches_oracle =
   let outcome f = match f () with v -> Ok v | exception Invalid_argument m -> Error m in
   let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b) in
-  QCheck.Test.make ~name:"percentile and percentile_many equal the oracle" ~count:500
+  QCheck.Test.make ~name:"percentile(_many) equal the oracle" ~count:500
     (QCheck.make ~print:QCheck.Print.(pair (list float) (list float)) gen_percentile_case)
     (fun (ps, xs) ->
       let same new_ old =
@@ -406,154 +405,6 @@ let test_union_find_groups () =
   let groups = Union_find.groups uf |> List.map snd in
   Alcotest.(check (list (list int))) "groups" [ [ 0; 4 ]; [ 1; 2 ]; [ 3 ] ] groups
 
-(* ---------------- timing wheel ---------------- *)
-
-(* Randomized differential against the binary heap over a mix of exact
-   ties, in-wheel times and far-future (level-2 / overflow) jumps, with
-   an interleaved push phase after the clock has advanced. *)
-let test_wheel_differential () =
-  let rng = Rng.create 31 in
-  let w = Wheel.create () and q = Pqueue.create () in
-  let wlog = ref [] and qlog = ref [] in
-  let draw () =
-    let r = Rng.float rng 1.0 in
-    if r < 0.4 then Float.of_int (Rng.int rng 50) (* exact ties *)
-    else if r < 0.8 then Rng.float rng 10_000.0 (* levels 0-1 *)
-    else Rng.float rng 1e10 (* level 2 and overflow *)
-  in
-  let push_both at tag =
-    Wheel.push w ~at (fun () -> wlog := (at, tag) :: !wlog);
-    Pqueue.push q at (fun () -> qlog := (at, tag) :: !qlog)
-  in
-  for i = 0 to 2999 do
-    push_both (draw ()) i
-  done;
-  let now = ref 0.0 in
-  let pop_both () =
-    (match Wheel.pop w with
-    | Some (t, f) ->
-      now := t;
-      f ()
-    | None -> Alcotest.fail "wheel empty early");
-    match Pqueue.pop q with
-    | Some (_, f) -> f ()
-    | None -> Alcotest.fail "heap empty early"
-  in
-  for _ = 1 to 1500 do
-    pop_both ()
-  done;
-  for i = 3000 to 4999 do
-    push_both (!now +. draw ()) i
-  done;
-  while not (Wheel.is_empty w) do
-    pop_both ()
-  done;
-  Alcotest.(check bool) "heap drained too" true (Pqueue.is_empty q);
-  Alcotest.(check (list (pair (float 0.0) int)))
-    "identical pop order" (List.rev !qlog) (List.rev !wlog)
-
-let test_wheel_far_future_rebase () =
-  let w = Wheel.create () in
-  let log = ref [] in
-  let push at tag = Wheel.push w ~at (fun () -> log := tag :: !log) in
-  (* Everything lands beyond the wheel horizon on the overflow list;
-     the first pop must rebase onto the overflow minimum and ordering
-     (including FIFO on the tie) must survive the refill. *)
-  push 1e12 0;
-  push 9.0e11 1;
-  push 1e12 2;
-  Alcotest.(check bool) "next_time sees overflow min" true
-    (Wheel.next_time w = 9.0e11);
-  let order =
-    List.init 3 (fun _ ->
-        match Wheel.pop w with
-        | Some (_, f) ->
-          f ();
-          List.hd !log
-        | None -> Alcotest.fail "empty")
-  in
-  Alcotest.(check (list int)) "overflow pops in order" [ 1; 0; 2 ] order;
-  (* A second far-future round after the clock advanced: rebase again. *)
-  push 2.0e12 3;
-  push 1.5e12 4;
-  (match Wheel.pop w with
-  | Some (t, _) -> Alcotest.(check bool) "second rebase min" true (t = 1.5e12)
-  | None -> Alcotest.fail "empty");
-  Alcotest.(check int) "one left" 1 (Wheel.length w)
-
-let test_wheel_clear_reuse () =
-  let w = Wheel.create () in
-  for i = 1 to 500 do
-    Wheel.push w ~at:(float_of_int (i * 7)) (fun () -> ())
-  done;
-  Alcotest.(check int) "length" 500 (Wheel.length w);
-  Wheel.clear w;
-  Alcotest.(check bool) "empty after clear" true (Wheel.is_empty w);
-  Alcotest.(check bool) "next_time infinity" true (Wheel.next_time w = infinity);
-  Alcotest.(check bool) "pop None" true (Wheel.pop w = None);
-  (* Reuse after clear; all four times share bucket arithmetic but pop
-     in exact time order — granularity never affects ordering. *)
-  let log = ref [] in
-  List.iter
-    (fun (at, tag) -> Wheel.push w ~at (fun () -> log := tag :: !log))
-    [ (5.25, 0); (5.5, 1); (5.125, 2); (0.0, 3) ];
-  while not (Wheel.is_empty w) do
-    match Wheel.pop w with Some (_, f) -> f () | None -> ()
-  done;
-  Alcotest.(check (list int)) "exact sub-bucket order" [ 3; 2; 0; 1 ] (List.rev !log)
-
-let test_wheel_granularity_only_perf () =
-  (* Coarse and fine bucket widths must produce the identical pop
-     sequence: the granularity is a performance knob only. *)
-  let run gran =
-    let w = Wheel.create ~granularity_us:gran () in
-    let rng = Rng.create 37 in
-    let log = ref [] in
-    for i = 0 to 999 do
-      let at = Rng.float rng 5_000.0 in
-      Wheel.push w ~at (fun () -> log := (at, i) :: !log)
-    done;
-    let rec drain () =
-      match Wheel.pop w with
-      | Some (_, f) ->
-        f ();
-        drain ()
-      | None -> ()
-    in
-    drain ();
-    List.rev !log
-  in
-  let fine = run 0.25 and coarse = run 512.0 in
-  Alcotest.(check (list (pair (float 0.0) int))) "granularity never reorders" fine
-    coarse
-
-let test_wheel_pop_fire () =
-  let w = Wheel.create () in
-  let hit = ref 0 in
-  Wheel.push w ~at:3.5 (fun () -> hit := 1);
-  let into = ref 0.0 in
-  let f = Wheel.pop_fire w ~into in
-  Alcotest.(check (float 0.0)) "timestamp stored" 3.5 !into;
-  f ();
-  Alcotest.(check int) "thunk fired" 1 !hit;
-  Alcotest.(check bool) "empty" true (Wheel.is_empty w)
-
-let test_wheel_validation () =
-  let w = Wheel.create () in
-  Alcotest.check_raises "negative time"
-    (Invalid_argument "Timing_wheel.push: time must be non-negative (not NaN)")
-    (fun () -> Wheel.push w ~at:(-1.0) (fun () -> ()));
-  Alcotest.check_raises "NaN time"
-    (Invalid_argument "Timing_wheel.push: time must be non-negative (not NaN)")
-    (fun () -> Wheel.push w ~at:Float.nan (fun () -> ()));
-  Alcotest.check_raises "pop_fire on empty"
-    (Invalid_argument "Timing_wheel.pop_fire: empty wheel") (fun () ->
-      let _f : unit -> unit = Wheel.pop_fire w ~into:(ref 0.0) in
-      ());
-  Alcotest.check_raises "non-positive granularity"
-    (Invalid_argument "Timing_wheel.create: granularity must be positive")
-    (fun () -> ignore (Wheel.create ~granularity_us:0.0 ()))
-
 let test_table_render () =
   let t = Table.create ~title:"T" [ "name"; "value" ] in
   Table.add_row t [ "a"; "1" ];
@@ -669,16 +520,6 @@ let () =
       ( "lru",
         [ Alcotest.test_case "matches stamp model" `Quick test_lru_matches_stamp_model ]
       );
-      ( "timing_wheel",
-        [
-          Alcotest.test_case "differential vs heap" `Quick test_wheel_differential;
-          Alcotest.test_case "far-future rebase" `Quick test_wheel_far_future_rebase;
-          Alcotest.test_case "clear and reuse" `Quick test_wheel_clear_reuse;
-          Alcotest.test_case "granularity is perf-only" `Quick
-            test_wheel_granularity_only_perf;
-          Alcotest.test_case "pop_fire" `Quick test_wheel_pop_fire;
-          Alcotest.test_case "validation" `Quick test_wheel_validation;
-        ] );
       ( "union_find",
         [
           Alcotest.test_case "basic union/same" `Quick test_union_find_basic;
