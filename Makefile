@@ -46,8 +46,11 @@ test:
 # mapping cache, sessions, predictive vs reactive autoscaling).
 # test_sysim's "serving run allocation" gates the exact minor words
 # of a warm set-8 serving run and of a serve_steady-shaped one (the
-# serving hot path's allocation), and "moved replicas serve again"
-# pins runs whose moved replicas serve again.  test_registry_alloc,
+# serving hot path's allocation), "moved replicas serve again"
+# pins runs whose moved replicas serve again, and "idle path pinned"
+# pins a run whose autoscaler reclaims replicas that went idle out of
+# creation order (the tick reads each group's idle list, oldest
+# first).  test_registry_alloc,
 # a process of its own so that no earlier test moves its reading,
 # bounds one registry build at 4.0 M words (3.70 M since one compile
 # session shares the tile-independent modules across the ten

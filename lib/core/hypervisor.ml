@@ -380,7 +380,7 @@ let do_autoscale_eval t accel =
     let tracker = Autoscaler.tracker ~name:("hyp." ^ accel) in
     let decision =
       Autoscaler.decide t.autoscale_cfg tracker ~now_us:(now_us t) ~backlog
-        ~replicas ~idle ~deadline_us:(Slo.min_deadline_us t.gate)
+        ~replicas ~idle:(idle > 0) ~deadline_us:(Slo.min_deadline_us t.gate)
     in
     Printf.sprintf "ok accel=%s decision=%s backlog=%d replicas=%d idle=%d"
       accel

@@ -220,7 +220,7 @@ let decide cfg tr ~now_us ~backlog ~replicas ~idle ~deadline_us =
       && (per_replica > cfg.high_backlog_per_replica || p99_breach)
     then Scale_up
     else if
-      replicas > cfg.min_replicas && idle > 0
+      replicas > cfg.min_replicas && idle
       && per_replica <= cfg.low_backlog_per_replica
     then Scale_down
     else Hold
@@ -255,7 +255,7 @@ let decide_predictive cfg (p : predict) tr pt ~now_us ~backlog ~replicas ~idle
     let target = min (Stdlib.max target cfg.min_replicas) cfg.max_replicas in
     if target > replicas then (Scale_up, target)
     else if
-      target < replicas && idle > 0
+      target < replicas && idle
       && now_us -. tr.last_scale_us >= cfg.cooldown_us
     then (Scale_down, target)
     else (Hold, target)

@@ -93,16 +93,17 @@ val mark_scaled : tracker -> now_us:float -> unit
 (** [decide cfg tr ~now_us ~backlog ~replicas ~idle ~deadline_us]
     evaluates one control step.  [backlog] counts queued requests for
     the group (batcher pending plus undispatched batches), [replicas]
-    its current replica count, [idle] how many replicas have been idle
-    for at least [idle_timeout_us], and [deadline_us] the SLO deadline
-    driving the p99 trigger (0 disables it). *)
+    its current replica count, [idle] whether some replica has been
+    idle for at least [idle_timeout_us] (the rules never need to know
+    how many), and [deadline_us] the SLO deadline driving the p99
+    trigger (0 disables it). *)
 val decide :
   config ->
   tracker ->
   now_us:float ->
   backlog:int ->
   replicas:int ->
-  idle:int ->
+  idle:bool ->
   deadline_us:float ->
   decision
 
@@ -178,6 +179,6 @@ val decide_predictive :
   now_us:float ->
   backlog:int ->
   replicas:int ->
-  idle:int ->
+  idle:bool ->
   deadline_us:float ->
   decision * int

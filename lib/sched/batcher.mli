@@ -1,12 +1,15 @@
 (** Dynamic batching for the elastic serving layer.
 
-    Per-key (accelerator-instance) queues coalesce compatible requests
-    into batches before dispatch, amortizing reconfiguration and
-    control overhead the way a real serving system amortizes kernel
-    launches.  A batch dispatches when it reaches [max_batch]
+    Per-slot (one per accelerator instance) queues coalesce compatible
+    requests into batches before dispatch, amortizing reconfiguration
+    and control overhead the way a real serving system amortizes
+    kernel launches.  A batch dispatches when it reaches [max_batch]
     requests, or when [max_linger_us] has elapsed since its first
     request — whichever comes first, so a lone request never waits
     longer than the linger bound.
+
+    A caller takes one {!slot} per queue, once, and holds it: no call
+    on the hot path looks a queue up by name.
 
     The batcher itself owns no timers: {!add} tells the caller when a
     flush deadline was armed ([Opened]), and the caller schedules a
@@ -27,8 +30,15 @@ val config : ?max_batch:int -> ?max_linger_us:float -> unit -> config
 
 type 'a t
 
-(** [create cfg] builds a batcher with no pending requests. *)
+(** [create cfg] builds a batcher with no slots. *)
 val create : config -> 'a t
+
+(** One queue of a batcher, with no pending requests when made. *)
+type 'a slot
+
+(** [slot t] makes a new, empty queue of [t]; its batches count in
+    [batches t]. *)
+val slot : 'a t -> 'a slot
 
 type 'a outcome =
   | Dispatch of 'a list  (** batch filled: serve these now *)
@@ -37,20 +47,20 @@ type 'a outcome =
           time *)
   | Joined  (** request joined the pending batch *)
 
-(** [add t ~key ~now_us x] enqueues one request. *)
-val add : 'a t -> key:string -> now_us:float -> 'a -> 'a outcome
+(** [add s ~now_us x] enqueues one request. *)
+val add : 'a slot -> now_us:float -> 'a -> 'a outcome
 
-(** [flush_due t ~key ~now_us] pops the pending batch if its linger
+(** [flush_due s ~now_us] pops the pending batch if its linger
     deadline has passed; [[]] otherwise (including stale timers). *)
-val flush_due : 'a t -> key:string -> now_us:float -> 'a list
+val flush_due : 'a slot -> now_us:float -> 'a list
 
-(** [drain t ~key] unconditionally pops the pending batch (end-of-run
+(** [drain s] unconditionally pops the pending batch (end-of-run
     cleanup). *)
-val drain : 'a t -> key:string -> 'a list
+val drain : 'a slot -> 'a list
 
-(** [pending t ~key] counts requests waiting in [key]'s open batch. *)
-val pending : 'a t -> key:string -> int
+(** [pending s] counts requests waiting in [s]'s open batch. *)
+val pending : 'a slot -> int
 
-(** [batches t] counts batches dispatched so far (fullness, linger and
-    drain alike). *)
+(** [batches t] counts batches dispatched so far from every slot of
+    [t] (fullness, linger and drain alike). *)
 val batches : 'a t -> int

@@ -8,7 +8,9 @@
    rebuilt only when group membership changes.  The policy — least
    outstanding per unit weight, ties to the lowest replica id — is
    checked op by op against the sorted-list reference in
-   test/router_oracle.ml. *)
+   test/router_oracle.ml.  A group is the handle callers hold: it
+   points back at its router for the totals, and each keyed entry
+   point resolves its name to the group and calls the handle one. *)
 
 module Int_table = Mlv_util.Int_table
 module Names = Hashtbl.Make (String)
@@ -21,12 +23,13 @@ type replica = {
 }
 
 type group = {
+  owner : t;
   mutable heap : replica array;
   mutable heap_n : int;
   by_id : replica Int_table.t;
 }
 
-type t = {
+and t = {
   groups : group Names.t;
   mutable routed : int;
   mutable total_out : int;  (* incremental Σ outstanding *)
@@ -99,17 +102,17 @@ let heap_delete g r =
   end;
   r.pos <- -1
 
-let group t key =
-  match Names.find_opt t.groups key with
-  | Some g -> g
-  | None ->
-    let g = { heap = [||]; heap_n = 0; by_id = Int_table.create 8 } in
+let group t ~key =
+  match Names.find t.groups key with
+  | g -> g
+  | exception Not_found ->
+    let g = { owner = t; heap = [||]; heap_n = 0; by_id = Int_table.create 8 } in
     Names.replace t.groups key g;
     g
 
 let add_replica t ~key ~replica_id ~weight =
   if weight <= 0.0 then invalid_arg "Router.add_replica: weight must be positive";
-  let g = group t key in
+  let g = group t ~key in
   if Int_table.mem g.by_id replica_id then
     invalid_arg "Router.add_replica: duplicate replica id";
   let r = { id = replica_id; weight; outstanding = 0; pos = -1 } in
@@ -118,56 +121,51 @@ let add_replica t ~key ~replica_id ~weight =
   t.keys_dirty <- true
 
 let remove_replica t ~key ~replica_id =
-  match Names.find_opt t.groups key with
-  | None -> ()
-  | Some g -> (
-    match Int_table.find_opt g.by_id replica_id with
-    | None -> ()
-    | Some r ->
-      Int_table.remove g.by_id replica_id;
-      heap_delete g r;
-      t.total_out <- t.total_out - r.outstanding;
-      t.keys_dirty <- true)
-
-let pick t ~key =
-  match Names.find_opt t.groups key with
-  | None -> None
-  | Some g -> if g.heap_n = 0 then None else Some g.heap.(0).id
-
-let find t ~key ~replica_id =
-  match Names.find_opt t.groups key with
-  | None -> None
-  | Some g -> Int_table.find_opt g.by_id replica_id
-
-let begin_work t ~key ~replica_id n =
-  match find t ~key ~replica_id with
+  let g = group t ~key in
+  match Int_table.find_opt g.by_id replica_id with
   | None -> ()
   | Some r ->
+    Int_table.remove g.by_id replica_id;
+    heap_delete g r;
+    t.total_out <- t.total_out - r.outstanding;
+    t.keys_dirty <- true
+
+let pick_in g = if g.heap_n = 0 then -1 else g.heap.(0).id
+
+let begin_work_in g ~replica_id n =
+  match Int_table.find g.by_id replica_id with
+  | exception Not_found -> ()
+  | r ->
+    let t = g.owner in
     r.outstanding <- r.outstanding + n;
     t.routed <- t.routed + n;
     t.total_out <- t.total_out + n;
     (* load grew: the replica can only move away from the root *)
-    sift_down (Names.find t.groups key) r.pos
+    sift_down g r.pos
 
-let end_work t ~key ~replica_id n =
-  match find t ~key ~replica_id with
-  | None -> ()
-  | Some r ->
+let end_work_in g ~replica_id n =
+  match Int_table.find g.by_id replica_id with
+  | exception Not_found -> ()
+  | r ->
     let next = max 0 (r.outstanding - n) in
-    t.total_out <- t.total_out - (r.outstanding - next);
+    g.owner.total_out <- g.owner.total_out - (r.outstanding - next);
     r.outstanding <- next;
-    sift_up (Names.find t.groups key) r.pos
+    sift_up g r.pos
+
+let pick t ~key = match pick_in (group t ~key) with -1 -> None | id -> Some id
+let begin_work t ~key ~replica_id n = begin_work_in (group t ~key) ~replica_id n
+let end_work t ~key ~replica_id n = end_work_in (group t ~key) ~replica_id n
 
 let outstanding t ~key ~replica_id =
-  match find t ~key ~replica_id with None -> 0 | Some r -> r.outstanding
+  match Int_table.find_opt (group t ~key).by_id replica_id with
+  | None -> 0
+  | Some r -> r.outstanding
 
 let total_outstanding t = t.total_out
 
 let replicas t ~key =
-  match Names.find_opt t.groups key with
-  | None -> []
-  | Some g ->
-    Int_table.fold (fun id _ acc -> id :: acc) g.by_id [] |> List.sort Int.compare
+  Int_table.fold (fun id _ acc -> id :: acc) (group t ~key).by_id []
+  |> List.sort Int.compare
 
 let keys t =
   if t.keys_dirty then begin

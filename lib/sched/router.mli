@@ -14,11 +14,35 @@
     {!total_outstanding}/{!keys} return incrementally maintained
     values without allocating.  A sorted-list reference router in
     [test/router_oracle.ml] implements the same policy with linear
-    scans; [test/test_sched.ml] checks this one against it op by op. *)
+    scans; [test/test_sched.ml] checks this one against it op by op.
+
+    A caller on a hot path resolves a key once with {!group} and
+    routes through the handle ({!pick_in}, {!begin_work_in},
+    {!end_work_in}); the keyed functions resolve the key and call the
+    same code. *)
 
 type t
 
 val create : unit -> t
+
+(** A key's replica group. *)
+type group
+
+(** [group t ~key] is [key]'s group, made empty on first sight; an
+    empty group is not listed by {!keys}. *)
+val group : t -> key:string -> group
+
+(** [pick_in g] is the id of [g]'s replica with the least outstanding
+    work per unit weight, or [-1] when [g] has no replicas. *)
+val pick_in : group -> int
+
+(** [begin_work_in g ~replica_id n] records [n] requests dispatched
+    to a replica of [g]; unknown ids are ignored. *)
+val begin_work_in : group -> replica_id:int -> int -> unit
+
+(** [end_work_in g ~replica_id n] records [n] requests of a replica
+    of [g] completed (clamped at zero); unknown ids are ignored. *)
+val end_work_in : group -> replica_id:int -> int -> unit
 
 (** [add_replica t ~key ~replica_id ~weight] registers a replica.
     @raise Invalid_argument on a non-positive weight or duplicate id

@@ -13,7 +13,7 @@ let class_spec ?(priority = 0) ?(deadline_us = 50_000.0) ?(rate_per_s = 1000.0)
   if deadline_us <= 0.0 then invalid_arg "Slo.class_spec: deadline must be positive";
   { class_name = name; priority; deadline_us; rate_per_s; burst }
 
-type bucket = {
+type class_bucket = {
   spec : class_spec;
   mutable tokens : float;
   mutable refilled_us : float;
@@ -31,7 +31,7 @@ let tenant_spec ?(weight = 1.0) name =
    refills at [weight / sum weights] of the pool rate, so a bursty
    tenant saturates its own bucket and is shed at the gate without
    touching its neighbours' shares. *)
-type tbucket = {
+type tenant_bucket = {
   t_rate_per_s : float;
   t_burst : float;
   mutable t_tokens : float;
@@ -39,7 +39,7 @@ type tbucket = {
 }
 
 type t = {
-  buckets : (string * bucket) list;  (* declaration order *)
+  buckets : (string * class_bucket) list;  (* declaration order *)
   mutable threshold : int;  (* shed classes with priority < threshold *)
   mutable t_admitted : int;
   mutable t_shed : int;
@@ -50,7 +50,7 @@ type t = {
            = admitted + shed
          holds exactly instead of silently leaking unknown classes
          into the admitted total *)
-  mutable tenant_buckets : (string * tbucket) list;  (* declaration order *)
+  mutable tenant_buckets : (string * tenant_bucket) list;  (* declaration order *)
 }
 
 let create specs =
@@ -140,7 +140,9 @@ let tenant_burst_of t name =
   | None -> 0.0
 
 let classes t = List.map (fun (_, b) -> b.spec) t.buckets
-let find t name = List.assoc_opt name t.buckets |> Option.map (fun b -> b.spec)
+let class_bucket t name = List.assoc_opt name t.buckets
+let bucket_spec b = b.spec
+let tenant_bucket t name = List.assoc_opt name t.tenant_buckets
 
 let min_deadline_us t =
   List.fold_left
@@ -161,8 +163,8 @@ let refill_tenant b ~now_us =
   b.t_tokens <- Float.min b.t_burst (b.t_tokens +. (dt /. 1e6 *. b.t_rate_per_s));
   b.t_refilled_us <- Float.max b.t_refilled_us now_us
 
-let admit_class t ~class_name ~now_us =
-  match List.assoc_opt class_name t.buckets with
+let admit_class t b ~now_us =
+  match b with
   | None ->
     t.t_admitted <- t.t_admitted + 1;
     t.t_unknown_admitted <- t.t_unknown_admitted + 1;
@@ -189,14 +191,9 @@ let admit_class t ~class_name ~now_us =
 (* The tenant fair-share gate sits in front of the class gate.  A
    tenant token is only consumed when the request is finally admitted,
    so a class-level shed does not burn the tenant's share. *)
-let admit ?tenant t ~class_name ~now_us =
-  let tb =
-    match tenant with
-    | None -> None
-    | Some tn -> List.assoc_opt tn t.tenant_buckets
-  in
+let admit_in t b tb ~now_us =
   match tb with
-  | None -> admit_class t ~class_name ~now_us
+  | None -> admit_class t b ~now_us
   | Some tb ->
     refill_tenant tb ~now_us;
     if tb.t_tokens < 1.0 then begin
@@ -204,12 +201,15 @@ let admit ?tenant t ~class_name ~now_us =
       Shed_tenant
     end
     else begin
-      match admit_class t ~class_name ~now_us with
+      match admit_class t b ~now_us with
       | Admitted ->
         tb.t_tokens <- tb.t_tokens -. 1.0;
         Admitted
       | v -> v
     end
+
+let admit ?tenant t ~class_name ~now_us =
+  admit_in t (class_bucket t class_name) (Option.bind tenant (tenant_bucket t)) ~now_us
 
 let set_shed_below t prio = t.threshold <- prio
 let shed_below t = t.threshold

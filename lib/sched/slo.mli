@@ -81,9 +81,6 @@ val tenant_burst_of : t -> string -> float
 
 val classes : t -> class_spec list
 
-(** [find t name] is the spec of a known class. *)
-val find : t -> string -> class_spec option
-
 (** [min_deadline_us t] is the tightest configured deadline, or 0 when
     no class is configured (no SLO). *)
 val min_deadline_us : t -> float
@@ -94,12 +91,37 @@ type verdict =
   | Shed_priority  (** class priority below the shed threshold *)
   | Shed_tenant  (** tenant fair-share bucket empty *)
 
-(** [admit t ~class_name ~now_us] refills the class bucket to [now_us]
-    and takes a token.  Unknown classes (and the empty gate) are
-    always admitted.  [now_us] must not go backwards between calls for
-    the same class.  [~tenant] routes the request through that
-    tenant's fair-share bucket first (see {!set_tenant_pool});
-    omitted or unknown tenants bypass the fair-share gate. *)
+(** A configured class's token bucket. *)
+type class_bucket
+
+(** [class_bucket t name] is the bucket of class [name], [None] when no
+    class has that name. *)
+val class_bucket : t -> string -> class_bucket option
+
+val bucket_spec : class_bucket -> class_spec
+
+(** A tenant's fair-share bucket (see {!set_tenant_pool}). *)
+type tenant_bucket
+
+(** [tenant_bucket t name] is tenant [name]'s bucket, [None] when the
+    pool has no such tenant (or is not set).  Resolve after
+    {!set_tenant_pool}. *)
+val tenant_bucket : t -> string -> tenant_bucket option
+
+(** [admit_in t b tb ~now_us] refills the class bucket [b] to [now_us]
+    and takes a token.  An unknown class ([None]; and every class of
+    the empty gate) is always admitted.  [now_us] must not go
+    backwards between calls for the same class.  [Some tb] routes the
+    request through that tenant's fair-share bucket first; [None]
+    bypasses the fair-share gate.  Resolve the buckets once with
+    {!class_bucket} and {!tenant_bucket}: admission then looks no name
+    up. *)
+val admit_in :
+  t -> class_bucket option -> tenant_bucket option -> now_us:float -> verdict
+
+(** [admit t ~class_name ~now_us] is {!admit_in} over [class_name]'s
+    bucket and, given [~tenant], that tenant's; omitted or unknown
+    tenants bypass the fair-share gate. *)
 val admit : ?tenant:string -> t -> class_name:string -> now_us:float -> verdict
 
 (** [set_shed_below t prio] sheds every class with [priority < prio]

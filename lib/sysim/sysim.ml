@@ -520,13 +520,24 @@ and replica = {
          so the already-scheduled completion event recognizes it is
          void *)
   mutable r_inflight : stask list;  (* the batch currently in service *)
+  mutable r_prev : replica;
+  mutable r_next : replica;
+      (* its neighbours in its group's idle list; itself when not in
+         it *)
 }
 
 and sgroup = {
   g_accel : string;
+  g_slot : stask Batcher.slot;  (* its requests waiting to batch *)
+  g_route : Router.group;  (* its replicas in the router *)
   g_tracker : Autoscaler.tracker;
   mutable g_replicas : replica list;  (* creation order *)
+  mutable g_count : int;  (* List.length g_replicas *)
   g_by_id : replica Int_table.t;  (* g_replicas by id *)
+  g_idle : replica;
+      (* the sentinel of a circular list of the idle replicas, in the
+         order they went idle, so by [r_idle_since]: the one after it
+         has been idle longest *)
   g_lane : lane;  (* where its batches wait for a replica *)
   mutable g_assigned_tasks : int;  (* Σ batch sizes across replica queues *)
   mutable g_priority : int;
@@ -543,6 +554,16 @@ and sgroup = {
          rate the forecaster consumes (predictive mode only) *)
 }
 
+(* What an arrival of a point resolves once per run: the accelerator it
+   asks for, its group (made on the point's first admitted arrival)
+   and, with a mapping cache, the interned shape signature of that
+   accelerator (-1 until first asked). *)
+and target = {
+  t_accel : string;
+  mutable t_group : sgroup option;
+  mutable t_shape_id : int;
+}
+
 (* Batches that found no replica to run on, oldest first.  Serving
    gives every group a lane of its own; the open loop's FIFO policy
    shares one lane among all groups, so a refused head blocks every
@@ -552,6 +573,42 @@ and lane = {
   l_batches : stask list Queue.t;
   mutable l_tasks : int;  (* Σ batch sizes across l_batches *)
 }
+
+(* A group's idle list.  A replica joins at the back when it goes idle
+   (made, or a completion with nothing left to start): at [Sim.now],
+   the moment its [r_idle_since] is set, so the list runs in
+   [r_idle_since] order.  It leaves when work is assigned to it or it
+   is removed.  Unlinking a replica not in the list changes nothing. *)
+let idle_sentinel () =
+  let depl = { Runtime.id = -1; accel = ""; placements = []; reconfig_us = 0.0 } in
+  let rec s =
+    {
+      r_id = -1;
+      r_depl = depl;
+      r_queue = Queue.create ();
+      r_busy = false;
+      r_fresh = false;
+      r_idle_since = 0.0;
+      r_epoch = 0;
+      r_inflight = [];
+      r_prev = s;
+      r_next = s;
+    }
+  in
+  s
+
+let idle_append g r =
+  let last = g.g_idle.r_prev in
+  r.r_prev <- last;
+  r.r_next <- g.g_idle;
+  last.r_next <- r;
+  g.g_idle.r_prev <- r
+
+let idle_unlink r =
+  r.r_prev.r_next <- r.r_next;
+  r.r_next.r_prev <- r.r_prev;
+  r.r_prev <- r;
+  r.r_next <- r
 
 (* The replica selection every eviction shares: over the [groups] not
    [skip]ped (in list order) and their [eligible] replicas (in creation
@@ -632,9 +689,6 @@ type run = {
   tasks : Genset.task list;
   ntasks : int;
   tallies : ttally list;
-  accel_names : (int, string) Hashtbl.t;
-      (* instance size -> accelerator name: a sprintf per arrival
-         otherwise *)
   node_cs : (int, Obs.Counter.t) Hashtbl.t;  (* sysim.tasks.completed{node} *)
   kind_hs : (string, Obs.Histogram.t) Hashtbl.t;  (* sysim.task_sojourn_us{kind} *)
   wait_attempt_h : Obs.Histogram.t;
@@ -686,7 +740,6 @@ let setup ~registry cfg =
     tasks;
     ntasks = task_count cfg;
     tallies = make_tallies cfg;
-    accel_names = Hashtbl.create 16;
     node_cs = Hashtbl.create 32;
     kind_hs = Hashtbl.create 8;
     (* Interned once: the hot paths emit through direct handles. *)
@@ -726,19 +779,13 @@ let priority st = match st.s_tally with Some t -> t.tt_priority | None -> 0
    every task has. *)
 let unfinished run = run.completed + run.rejected + run.shed + run.preempted < run.ntasks
 
-let accel_of_point run point =
-  memo run.accel_names (instance_for ~policy:run.cfg.policy point) (fun tiles ->
-      Framework.accel_name ~tiles)
-
-(* Arrival prologue: count the task (and its tenant's arrival), trace
-   it, and return the accelerator it asks for. *)
-let arrive run (task : Genset.task) tally =
+(* Arrival prologue: count the task (and its tenant's arrival) and
+   trace it asking for [accel]. *)
+let arrive run (task : Genset.task) tally accel =
   run.arrived <- run.arrived + 1;
   (match tally with Some t -> t.tt_arrived <- t.tt_arrived + 1 | None -> ());
-  let accel = accel_of_point run task.Genset.point in
   if Obs.Trace.enabled () then
-    Obs.Trace.task Obs.Trace.Arrive task.Genset.task_id ~label:accel;
-  accel
+    Obs.Trace.task Obs.Trace.Arrive task.Genset.task_id ~label:accel
 
 let reject run st =
   run.queued <- run.queued - 1;
@@ -849,9 +896,7 @@ let start_telemetry run =
         let s = own_series tel Series.Gauge name [] in
         fun ~now_us -> Series.observe s ~now_us (float_of_int (read ()))
       in
-      let replicas () =
-        List.fold_left (fun acc g -> acc + List.length g.g_replicas) 0 run.groups
-      in
+      let replicas () = List.fold_left (fun acc g -> acc + g.g_count) 0 run.groups in
       let samplers =
         [
           rate "sysim.completed.rate" (fun () -> run.completed);
@@ -1001,10 +1046,10 @@ let dispatch_loop run =
   in
   (* Shape signatures are a pure function of the registered plan.
      Each distinct signature (kilobytes long) is interned once to an
-     int, and each accelerator's id memoized, so the admission path
-     pays one lookup on the accelerator name and the cache hashes an
-     int; equal ids are equal signatures, so hits, misses and
-     evictions are those of a signature-keyed cache. *)
+     int, and each point's target keeps its accelerator's id, so the
+     admission path looks nothing up and the cache hashes an int;
+     equal ids are equal signatures, so hits, misses and evictions are
+     those of a signature-keyed cache. *)
   let shape_ids : (string, int) Hashtbl.t = Hashtbl.create 16 in
   let shape_id accel =
     let signature =
@@ -1014,8 +1059,6 @@ let dispatch_loop run =
     in
     memo shape_ids signature (fun _ -> Hashtbl.length shape_ids)
   in
-  let accel_shape_ids : (string, int) Hashtbl.t = Hashtbl.create 16 in
-  let shape_id_of accel = memo accel_shape_ids accel shape_id in
   let batcher : stask Batcher.t = Batcher.create serving.batch in
   let router = Router.create () in
   let groups : (string, sgroup) Hashtbl.t = Hashtbl.create 8 in
@@ -1038,9 +1081,13 @@ let dispatch_loop run =
       let g =
         {
           g_accel = accel;
+          g_slot = Batcher.slot batcher;
+          g_route = Router.group router ~key:accel;
           g_tracker = Autoscaler.tracker ~name:("sojourn." ^ accel);
           g_replicas = [];
+          g_count = 0;
           g_by_id = Int_table.create 8;
+          g_idle = idle_sentinel ();
           g_lane = (if fifo then fifo_lane else new_lane accel);
           g_assigned_tasks = 0;
           g_priority = 0;
@@ -1118,14 +1165,16 @@ let dispatch_loop run =
   in
   let remove_replica g r =
     Router.remove_replica router ~key:g.g_accel ~replica_id:r.r_id;
+    idle_unlink r;
     g.g_replicas <- List.filter (fun x -> x != r) g.g_replicas;
+    g.g_count <- g.g_count - 1;
     Int_table.remove g.g_by_id r.r_id;
     Runtime.undeploy runtime r.r_depl
   in
   let make_replica g d =
     let id = run.scale_ups in
     run.scale_ups <- id + 1;
-    let r =
+    let rec r =
       {
         r_id = id;
         r_depl = d;
@@ -1135,10 +1184,14 @@ let dispatch_loop run =
         r_idle_since = Sim.now sim;
         r_epoch = 0;
         r_inflight = [];
+        r_prev = r;
+        r_next = r;
       }
     in
     Router.add_replica router ~key:g.g_accel ~replica_id:id ~weight:1.0;
     g.g_replicas <- g.g_replicas @ [ r ];
+    g.g_count <- g.g_count + 1;
+    idle_append g r;
     Int_table.replace g.g_by_id id r;
     Autoscaler.mark_scaled g.g_tracker ~now_us:(Sim.now sim);
     r
@@ -1245,7 +1298,8 @@ let dispatch_loop run =
      append, with the group's assigned-task counter kept in step. *)
   let assign g r batch =
     let n = List.length batch in
-    Router.begin_work router ~key:g.g_accel ~replica_id:r.r_id n;
+    Router.begin_work_in g.g_route ~replica_id:r.r_id n;
+    idle_unlink r;
     g.g_assigned_tasks <- g.g_assigned_tasks + n;
     Queue.add batch r.r_queue
   in
@@ -1335,7 +1389,7 @@ let dispatch_loop run =
       run.busy <- run.busy - 1;
       r.r_inflight <- [];
       r.r_idle_since <- finished;
-      Router.end_work router ~key:g.g_accel ~replica_id:r.r_id (List.length batch);
+      Router.end_work_in g.g_route ~replica_id:r.r_id (List.length batch);
       deliver g ~node ~kind ~deployment:r.r_depl.Runtime.id ~started ~finished batch;
       run.makespan <- Float.max run.makespan finished;
       (* FIFO undeploys on completion; serving keeps the replica warm
@@ -1345,7 +1399,8 @@ let dispatch_loop run =
         let l = g.g_lane in
         if Queue.is_empty r.r_queue && not (Queue.is_empty l.l_batches) then
           assign g r (backlog_pop l);
-        start_replica g r
+        start_replica g r;
+        if not r.r_busy then idle_append g r
       end;
       pump_all ()
     end
@@ -1366,15 +1421,8 @@ let dispatch_loop run =
     match Queue.peek_opt l.l_batches with
     | None | Some [] -> ()
     | Some ({ s_group = g; _ } :: _) -> (
-      match if fifo then None else Router.pick router ~key:g.g_accel with
-      | Some rid ->
-        let r = Int_table.find g.g_by_id rid in
-        if is_idle r then begin
-          assign g r (backlog_pop l);
-          start_replica g r;
-          pump_lane l
-        end
-      | None -> (
+      match if fifo then -1 else Router.pick_in g.g_route with
+      | -1 -> (
         match grow g ~allow_reclaim:false ~prio:0 with
         | `Ok r ->
           assign g r (backlog_pop l);
@@ -1383,31 +1431,38 @@ let dispatch_loop run =
         | `Dead ->
           List.iter reject_stask (backlog_pop l);
           pump_lane l
-        | `Full -> ()))
+        | `Full -> ())
+      | rid ->
+        let r = Int_table.find g.g_by_id rid in
+        if is_idle r then begin
+          assign g r (backlog_pop l);
+          start_replica g r;
+          pump_lane l
+        end)
   in
   (* Sticky routing: a batch whose head belongs to a session goes back
      to the replica that served that session last (warm weights, warm
      cache) when it is still alive; otherwise the router picks and the
      choice becomes the session's new affinity.  Without sessions this
-     is exactly [Router.pick]. *)
+     is exactly [Router.pick_in]: a replica id, -1 for none. *)
   let sticky_pick g batch =
     match sessions with
-    | None -> Router.pick router ~key:g.g_accel
+    | None -> Router.pick_in g.g_route
     | Some stbl -> (
       match batch with
       | { s_session = Some sess; _ } :: _ -> (
         match Session.affinity sess ~accel:g.g_accel with
         | Some rid when Int_table.mem g.g_by_id rid ->
           Session.note_sticky stbl true;
-          Some rid
+          rid
         | _ -> (
-          match Router.pick router ~key:g.g_accel with
-          | Some rid ->
+          match Router.pick_in g.g_route with
+          | -1 -> -1
+          | rid ->
             Session.note_sticky stbl false;
             Session.set_affinity sess ~accel:g.g_accel ~replica:rid;
-            Some rid
-          | None -> None))
-      | _ -> Router.pick router ~key:g.g_accel)
+            rid))
+      | _ -> Router.pick_in g.g_route)
   in
   (* FIFO appends to the one lane and tries only a head: a batch behind
      a waiting one makes no deploy attempt, since every capacity change
@@ -1421,11 +1476,7 @@ let dispatch_loop run =
     end
     else
       match sticky_pick g batch with
-      | Some rid ->
-        let r = Int_table.find g.g_by_id rid in
-        assign g r batch;
-        start_replica g r
-      | None -> (
+      | -1 -> (
         match
           grow g ~allow_reclaim:(serving.autoscale <> None)
             ~prio:(batch_priority 0 batch)
@@ -1433,6 +1484,10 @@ let dispatch_loop run =
         | `Ok _ -> dispatch g batch
         | `Full -> backlog_push g batch
         | `Dead -> List.iter reject_stask batch)
+      | rid ->
+        let r = Int_table.find g.g_by_id rid in
+        assign g r batch;
+        start_replica g r
   in
   (* Scale-down takes the group's longest-idle idle replica, then
      tries to consolidate a surviving idle multi-piece replica into a
@@ -1466,7 +1521,7 @@ let dispatch_loop run =
      can be rejected. *)
   let stalled () =
     run.arrived >= run.ntasks && run.busy = 0
-    && List.for_all (fun g -> Batcher.pending batcher ~key:g.g_accel = 0) run.groups
+    && List.for_all (fun g -> Batcher.pending g.g_slot = 0) run.groups
   in
   let progressing () = unfinished run && not (stalled ()) in
   (* Restores the fault plan has yet to fire. *)
@@ -1557,10 +1612,11 @@ let dispatch_loop run =
              ~deadline_us)
           ~now ~target:replicas ~replicas
     in
-    (* One tick over the groups in order.  [count] walks a group's
-       replicas once, counting them and the idle ones past the
-       timeout, then runs the group's control step; the tick carries
-       whether any step was capacity-bound and the total backlog. *)
+    (* One tick over the groups in order, O(1) per group: a replica
+       has sat idle past the timeout iff the longest-idle one has,
+       since [now - x] is monotone in [x] in floating point too.  The
+       tick carries whether any control step was capacity-bound and
+       the total backlog. *)
     let rec tick_groups now capacity_bound total_backlog = function
       | [] -> (
         (* Capacity-bound: shed the lowest-priority class at the gate
@@ -1569,19 +1625,13 @@ let dispatch_loop run =
         match autoscale_backlog_s with
         | Some s -> Series.observe s ~now_us:now (float_of_int total_backlog)
         | None -> ())
-      | g :: gs -> count now capacity_bound total_backlog g gs 0 0 g.g_replicas
-    and count now capacity_bound total_backlog g gs replicas idle = function
-      | r :: rs ->
+      | g :: gs ->
+        let oldest = g.g_idle.r_next in
         let idle =
-          if is_idle r && now -. r.r_idle_since >= acfg.idle_timeout_us then idle + 1
-          else idle
+          oldest != g.g_idle && now -. oldest.r_idle_since >= acfg.idle_timeout_us
         in
-        count now capacity_bound total_backlog g gs (replicas + 1) idle rs
-      | [] ->
-        let backlog =
-          Batcher.pending batcher ~key:g.g_accel + g.g_lane.l_tasks + g.g_assigned_tasks
-        in
-        let bound = control g ~now ~backlog ~replicas ~idle in
+        let backlog = Batcher.pending g.g_slot + g.g_lane.l_tasks + g.g_assigned_tasks in
+        let bound = control g ~now ~backlog ~replicas:g.g_count ~idle in
         tick_groups now (capacity_bound || bound) (total_backlog + backlog) gs
     in
     every sim ~interval_us:acfg.interval_us ~live:(fun () -> unfinished run && revivable ())
@@ -1625,44 +1675,59 @@ let dispatch_loop run =
         ignore (Session.expire stbl ~now_us:(Sim.now sim)))
   | _ -> ());
   (* Resolved once per run rather than per arrival: a tenant's tally
-     (the first of that name; None when no tally has it) and a model
-     class's SLO deadline (0 = the multiplier rule). *)
-  let tally_of =
+     and fair-share bucket (the first tally of that name; None when no
+     tally has it, or the pool does not), a model class's gate bucket
+     and SLO deadline (0 = the multiplier rule), and a point's
+     accelerator and group. *)
+  let tenant_of =
     let by_name = Hashtbl.create 8 in
     List.iter
-      (fun t -> Hashtbl.replace by_name t.tt_name (Some t))
+      (fun t ->
+        Hashtbl.replace by_name t.tt_name (Some t, Slo.tenant_bucket gate t.tt_name))
       (List.rev run.tallies);
     fun name ->
-      match Hashtbl.find by_name name with t -> t | exception Not_found -> None
+      match Hashtbl.find by_name name with t -> t | exception Not_found -> (None, None)
   in
-  let class_deadline c =
-    match Slo.find gate (Sizes.name c) with Some c -> c.Slo.deadline_us | None -> 0.0
+  let class_s = Slo.class_bucket gate (Sizes.name Sizes.S)
+  and class_m = Slo.class_bucket gate (Sizes.name Sizes.M)
+  and class_l = Slo.class_bucket gate (Sizes.name Sizes.L) in
+  let class_of = function Sizes.S -> class_s | Sizes.M -> class_m | Sizes.L -> class_l in
+  let class_deadline = function
+    | Some b -> (Slo.bucket_spec b).Slo.deadline_us
+    | None -> 0.0
   in
-  let deadline_s = class_deadline Sizes.S
-  and deadline_m = class_deadline Sizes.M
-  and deadline_l = class_deadline Sizes.L in
+  let deadline_s = class_deadline class_s
+  and deadline_m = class_deadline class_m
+  and deadline_l = class_deadline class_l in
   let deadline_of = function
     | Sizes.S -> deadline_s
     | Sizes.M -> deadline_m
     | Sizes.L -> deadline_l
   in
+  let targets : (Deepbench.point, target) Hashtbl.t = Hashtbl.create 16 in
+  let target_of point =
+    memo targets point (fun point ->
+        {
+          t_accel = Framework.accel_name ~tiles:(instance_for ~policy:cfg.policy point);
+          t_group = None;
+          t_shape_id = -1;
+        })
+  in
   (* A batch's linger timer: release it if its deadline has come. *)
   let on_linger g =
-    match Batcher.flush_due batcher ~key:g.g_accel ~now_us:(Sim.now sim) with
+    match Batcher.flush_due g.g_slot ~now_us:(Sim.now sim) with
     | [] -> ()
     | batch -> dispatch g batch
   in
   let on_arrival (task : Genset.task) =
-    let tally = match run.tallies with [] -> None | _ -> tally_of task.Genset.tenant in
-    let accel = arrive run task tally in
-    let now = Sim.now sim in
-    let cname = Sizes.name task.Genset.model_class in
-    let verdict =
-      if multi then
-        Slo.admit ~tenant:task.Genset.tenant gate ~class_name:cname ~now_us:now
-      else Slo.admit gate ~class_name:cname ~now_us:now
+    let tally, share =
+      match run.tallies with [] -> (None, None) | _ -> tenant_of task.Genset.tenant
     in
-    match verdict with
+    let target = target_of task.Genset.point in
+    let accel = target.t_accel in
+    arrive run task tally accel;
+    let now = Sim.now sim in
+    match Slo.admit_in gate (class_of task.Genset.model_class) share ~now_us:now with
     | Slo.Shed_rate | Slo.Shed_priority | Slo.Shed_tenant ->
       run.shed <- run.shed + 1;
       (match tally with Some t -> t.tt_shed <- t.tt_shed + 1 | None -> ());
@@ -1684,14 +1749,22 @@ let dispatch_loop run =
         match mapcache with
         | None -> 0.0
         | Some (mc, cost) -> (
-          let key = shape_id_of accel in
+          if target.t_shape_id < 0 then target.t_shape_id <- shape_id accel;
+          let key = target.t_shape_id in
           match Mapcache.find mc key with
           | Some () -> 0.0
           | None ->
             Mapcache.put mc key ();
             cost)
       in
-      let g = group_of accel in
+      let g =
+        match target.t_group with
+        | Some g -> g
+        | None ->
+          let g = group_of accel in
+          target.t_group <- Some g;
+          g
+      in
       let st =
         {
           s_task = task;
@@ -1712,7 +1785,7 @@ let dispatch_loop run =
         Obs.Trace.task Obs.Trace.Queue task.Genset.task_id ~label:accel;
       g.g_arrivals <- g.g_arrivals + 1;
       g.g_priority <- max g.g_priority (priority st);
-      match Batcher.add batcher ~key:accel ~now_us:now st with
+      match Batcher.add g.g_slot ~now_us:now st with
       | Batcher.Dispatch batch -> dispatch g batch
       | Batcher.Opened deadline ->
         Sim.schedule_at sim ~at:deadline (fun () -> on_linger g)
@@ -1794,7 +1867,7 @@ let dispatch_loop run =
      task and every placement is accounted for. *)
   List.iter
     (fun g ->
-      List.iter reject_stask (Batcher.drain batcher ~key:g.g_accel);
+      List.iter reject_stask (Batcher.drain g.g_slot);
       Queue.iter (List.iter reject_stask) g.g_lane.l_batches;
       Queue.clear g.g_lane.l_batches;
       List.iter
@@ -1802,7 +1875,8 @@ let dispatch_loop run =
           Queue.iter (List.iter reject_stask) r.r_queue;
           Runtime.undeploy runtime r.r_depl)
         g.g_replicas;
-      g.g_replicas <- [])
+      g.g_replicas <- [];
+      g.g_count <- 0)
     run.groups;
   (* What no tally claims is lost. *)
   let lost = run.ntasks - run.completed - run.rejected - run.shed - run.preempted in

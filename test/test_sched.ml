@@ -203,35 +203,35 @@ let test_slo_tenant_pool_burst_bound () =
 
 let test_batch_dispatch_on_fullness () =
   let b = Batcher.create (Batcher.config ~max_batch:3 ~max_linger_us:100.0 ()) in
-  (match Batcher.add b ~key:"k" ~now_us:0.0 1 with
+  let k = Batcher.slot b in
+  (match Batcher.add k ~now_us:0.0 1 with
   | Batcher.Opened due -> Alcotest.(check (float 1e-9)) "flush armed" 100.0 due
   | _ -> Alcotest.fail "first request should open the batch");
-  (match Batcher.add b ~key:"k" ~now_us:10.0 2 with
+  (match Batcher.add k ~now_us:10.0 2 with
   | Batcher.Joined -> ()
   | _ -> Alcotest.fail "second request should join");
-  (match Batcher.add b ~key:"k" ~now_us:20.0 3 with
+  (match Batcher.add k ~now_us:20.0 3 with
   | Batcher.Dispatch batch ->
     Alcotest.(check (list int)) "oldest first" [ 1; 2; 3 ] batch
   | _ -> Alcotest.fail "third request should fill and dispatch");
-  Alcotest.(check int) "nothing pending" 0 (Batcher.pending b ~key:"k");
+  Alcotest.(check int) "nothing pending" 0 (Batcher.pending k);
   Alcotest.(check int) "one batch" 1 (Batcher.batches b)
 
 let test_batch_linger_flush_and_stale_timer () =
   let b = Batcher.create (Batcher.config ~max_batch:4 ~max_linger_us:100.0 ()) in
-  ignore (Batcher.add b ~key:"k" ~now_us:0.0 1);
+  let k = Batcher.slot b in
+  ignore (Batcher.add k ~now_us:0.0 1);
   (* the armed timer fires but the batch already dispatched on
      fullness — the stale flush must be a no-op *)
-  ignore (Batcher.add b ~key:"k" ~now_us:5.0 2);
-  Alcotest.(check (list int)) "too early" [] (Batcher.flush_due b ~key:"k" ~now_us:50.0);
-  Alcotest.(check (list int)) "due" [ 1; 2 ] (Batcher.flush_due b ~key:"k" ~now_us:100.0);
-  Alcotest.(check (list int)) "stale timer no-op" []
-    (Batcher.flush_due b ~key:"k" ~now_us:100.0);
+  ignore (Batcher.add k ~now_us:5.0 2);
+  Alcotest.(check (list int)) "too early" [] (Batcher.flush_due k ~now_us:50.0);
+  Alcotest.(check (list int)) "due" [ 1; 2 ] (Batcher.flush_due k ~now_us:100.0);
+  Alcotest.(check (list int)) "stale timer no-op" [] (Batcher.flush_due k ~now_us:100.0);
   (* a batch opened later must not be released by the old deadline *)
-  ignore (Batcher.add b ~key:"k" ~now_us:150.0 3);
+  ignore (Batcher.add k ~now_us:150.0 3);
   Alcotest.(check (list int)) "new batch not due yet" []
-    (Batcher.flush_due b ~key:"k" ~now_us:200.0);
-  Alcotest.(check (list int)) "drain pops unconditionally" [ 3 ]
-    (Batcher.drain b ~key:"k");
+    (Batcher.flush_due k ~now_us:200.0);
+  Alcotest.(check (list int)) "drain pops unconditionally" [ 3 ] (Batcher.drain k);
   Alcotest.(check int) "two batches total" 2 (Batcher.batches b)
 
 let test_batch_validation () =
@@ -307,12 +307,22 @@ let test_router_validation () =
 
 (* Differential: the min-heap router must agree with the sorted-list
    reference in [Router_oracle] on every pick, count and listing over
-   a random add/remove/work sequence. *)
+   a random add/remove/work sequence.  Picks and work go through the
+   group handles (resolved before the groups had a replica) or the
+   keyed wrappers, chosen by a second stream, so both agree with the
+   reference op by op, interleaved. *)
 let test_router_shapes_differential () =
   let rng = Mlv_util.Rng.create 23 in
+  let via = Mlv_util.Rng.create 29 in
   let idx = Router.create () in
   let lin = Router_oracle.create () in
   let keys = [| "a"; "b"; "c" |] in
+  let groups = Array.map (fun key -> Router.group idx ~key) keys in
+  let handle key =
+    let g = groups.(if key = "a" then 0 else if key = "b" then 1 else 2) in
+    Alcotest.(check bool) "a key resolves to one group" true (Router.group idx ~key == g);
+    if Mlv_util.Rng.float via 1.0 < 0.5 then Some g else None
+  in
   let next_id = ref 0 in
   let live = ref [] in
   for _ = 0 to 799 do
@@ -335,18 +345,26 @@ let test_router_shapes_differential () =
     end
     else begin
       let key = keys.(Mlv_util.Rng.int rng 3) in
-      let pi = Router.pick idx ~key in
+      let pi =
+        match handle key with
+        | Some g -> ( match Router.pick_in g with -1 -> None | id -> Some id)
+        | None -> Router.pick idx ~key
+      in
       Alcotest.(check (option int)) "pick agrees" (Router_oracle.pick lin ~key) pi;
       match pi with
       | None -> ()
       | Some id ->
         let n = 1 + Mlv_util.Rng.int rng 4 in
         if Mlv_util.Rng.float rng 1.0 < 0.7 then begin
-          Router.begin_work idx ~key ~replica_id:id n;
+          (match handle key with
+          | Some g -> Router.begin_work_in g ~replica_id:id n
+          | None -> Router.begin_work idx ~key ~replica_id:id n);
           Router_oracle.begin_work lin ~key ~replica_id:id n
         end
         else begin
-          Router.end_work idx ~key ~replica_id:id n;
+          (match handle key with
+          | Some g -> Router.end_work_in g ~replica_id:id n
+          | None -> Router.end_work idx ~key ~replica_id:id n);
           Router_oracle.end_work lin ~key ~replica_id:id n
         end
     end;
@@ -385,40 +403,40 @@ let test_autoscaler_bootstrap_and_cooldown () =
   Autoscaler.mark_scaled tr ~now_us:0.0;
   (* zero replicas + backlog: scales up even inside the cooldown *)
   Alcotest.check decision "bootstrap beats cooldown" Autoscaler.Scale_up
-    (Autoscaler.decide acfg tr ~now_us:100.0 ~backlog:1 ~replicas:0 ~idle:0
+    (Autoscaler.decide acfg tr ~now_us:100.0 ~backlog:1 ~replicas:0 ~idle:false
        ~deadline_us:0.0);
   (* with a replica present the cooldown holds even under pressure *)
   Alcotest.check decision "cooldown holds" Autoscaler.Hold
-    (Autoscaler.decide acfg tr ~now_us:100.0 ~backlog:100 ~replicas:1 ~idle:0
+    (Autoscaler.decide acfg tr ~now_us:100.0 ~backlog:100 ~replicas:1 ~idle:false
        ~deadline_us:0.0);
   Alcotest.check decision "cooldown expired" Autoscaler.Scale_up
     (Autoscaler.decide acfg tr ~now_us:acfg.Autoscaler.cooldown_us ~backlog:100
-       ~replicas:1 ~idle:0 ~deadline_us:0.0)
+       ~replicas:1 ~idle:false ~deadline_us:0.0)
 
 let test_autoscaler_watermarks () =
   let tr = Autoscaler.tracker ~name:"test.marks" in
   (* 4 backlog / 2 replicas = 2.0, between the 0.5 and 3.0 watermarks *)
   Alcotest.check decision "between watermarks" Autoscaler.Hold
-    (Autoscaler.decide acfg tr ~now_us:0.0 ~backlog:4 ~replicas:2 ~idle:0
+    (Autoscaler.decide acfg tr ~now_us:0.0 ~backlog:4 ~replicas:2 ~idle:false
        ~deadline_us:0.0);
   Alcotest.check decision "above high watermark" Autoscaler.Scale_up
-    (Autoscaler.decide acfg tr ~now_us:0.0 ~backlog:7 ~replicas:2 ~idle:0
+    (Autoscaler.decide acfg tr ~now_us:0.0 ~backlog:7 ~replicas:2 ~idle:false
        ~deadline_us:0.0);
   (* at the max replica count the loop holds instead *)
   Alcotest.check decision "capped at max" Autoscaler.Hold
     (Autoscaler.decide acfg tr ~now_us:0.0 ~backlog:100
-       ~replicas:acfg.Autoscaler.max_replicas ~idle:0 ~deadline_us:0.0);
+       ~replicas:acfg.Autoscaler.max_replicas ~idle:false ~deadline_us:0.0);
   (* low backlog alone is not enough: an idle replica is required *)
   Alcotest.check decision "low but nothing idle" Autoscaler.Hold
-    (Autoscaler.decide acfg tr ~now_us:0.0 ~backlog:1 ~replicas:2 ~idle:0
+    (Autoscaler.decide acfg tr ~now_us:0.0 ~backlog:1 ~replicas:2 ~idle:false
        ~deadline_us:0.0);
   Alcotest.check decision "low and idle" Autoscaler.Scale_down
-    (Autoscaler.decide acfg tr ~now_us:0.0 ~backlog:1 ~replicas:2 ~idle:1
+    (Autoscaler.decide acfg tr ~now_us:0.0 ~backlog:1 ~replicas:2 ~idle:true
        ~deadline_us:0.0);
   (* min_replicas floors the shrink *)
   let floored = Autoscaler.config ~min_replicas:2 () in
   Alcotest.check decision "at the floor" Autoscaler.Hold
-    (Autoscaler.decide floored tr ~now_us:0.0 ~backlog:0 ~replicas:2 ~idle:2
+    (Autoscaler.decide floored tr ~now_us:0.0 ~backlog:0 ~replicas:2 ~idle:true
        ~deadline_us:0.0)
 
 let test_autoscaler_p99_trigger () =
@@ -431,15 +449,15 @@ let test_autoscaler_p99_trigger () =
     (Autoscaler.p99_sojourn_us tr > 5000.0);
   (* backlog is calm (1 per replica) but p99 breaches the deadline *)
   Alcotest.check decision "p99 breach scales up" Autoscaler.Scale_up
-    (Autoscaler.decide acfg tr ~now_us:0.0 ~backlog:2 ~replicas:2 ~idle:0
+    (Autoscaler.decide acfg tr ~now_us:0.0 ~backlog:2 ~replicas:2 ~idle:false
        ~deadline_us:5000.0);
   Alcotest.check decision "deadline 0 disables the trigger" Autoscaler.Hold
-    (Autoscaler.decide acfg tr ~now_us:0.0 ~backlog:2 ~replicas:2 ~idle:0
+    (Autoscaler.decide acfg tr ~now_us:0.0 ~backlog:2 ~replicas:2 ~idle:false
        ~deadline_us:0.0);
   (* a fresh tracker has no evidence: no breach *)
   let calm = Autoscaler.tracker ~name:"test.calm" in
   Alcotest.check decision "no samples, no breach" Autoscaler.Hold
-    (Autoscaler.decide acfg calm ~now_us:0.0 ~backlog:2 ~replicas:2 ~idle:0
+    (Autoscaler.decide acfg calm ~now_us:0.0 ~backlog:2 ~replicas:2 ~idle:false
        ~deadline_us:5000.0)
 
 (* Reference tracker: the windowed p99 rules with a fresh detached
@@ -559,7 +577,8 @@ let prop_tracker_reuse_matches_fresh =
             | Decide (dt, backlog, replicas, idle, deadline_us) ->
               now := !now +. dt;
               let now_us = !now in
-              Autoscaler.decide cfg tr ~now_us ~backlog ~replicas ~idle ~deadline_us
+              Autoscaler.decide cfg tr ~now_us ~backlog ~replicas ~idle:(idle > 0)
+                ~deadline_us
               = Fresh_tracker.decide cfg ref_tr ~now_us ~backlog ~replicas ~idle
                   ~deadline_us
           in
@@ -604,19 +623,19 @@ let test_autoscaler_p99_window () =
     Autoscaler.observe_sojourn tr 50_000.0
   done;
   Alcotest.check decision "burst breaches the deadline" Autoscaler.Scale_up
-    (Autoscaler.decide cfg tr ~now_us:10.0 ~backlog:2 ~replicas:2 ~idle:0
+    (Autoscaler.decide cfg tr ~now_us:10.0 ~backlog:2 ~replicas:2 ~idle:false
        ~deadline_us:10_000.0);
   (* first rotation: the burst moves to the previous epoch (still
      visible — a breach must not vanish the instant the window turns) *)
   ignore
-    (Autoscaler.decide cfg tr ~now_us:1_500.0 ~backlog:0 ~replicas:2 ~idle:1
+    (Autoscaler.decide cfg tr ~now_us:1_500.0 ~backlog:0 ~replicas:2 ~idle:true
        ~deadline_us:10_000.0);
   (* second rotation: the burst has aged out entirely; with a calm
      queue and an idle replica the loop scales down (the pre-fix
      cumulative tracker returned Scale_up here forever) *)
   Alcotest.check decision "calm after the burst scales down"
     Autoscaler.Scale_down
-    (Autoscaler.decide cfg tr ~now_us:3_000.0 ~backlog:0 ~replicas:2 ~idle:1
+    (Autoscaler.decide cfg tr ~now_us:3_000.0 ~backlog:0 ~replicas:2 ~idle:true
        ~deadline_us:10_000.0);
   Alcotest.(check (float 0.0)) "old samples aged out" 0.0
     (Autoscaler.p99_sojourn_us tr)
@@ -660,7 +679,7 @@ let test_predictive_cold_falls_back () =
      the target moves by one replica as the reactive loop does *)
   let d, target =
     Autoscaler.decide_predictive cfg p tr pt ~now_us:0.0 ~backlog:10 ~replicas:1
-      ~idle:0 ~deadline_us:0.0
+      ~idle:false ~deadline_us:0.0
   in
   Alcotest.(check bool) "cold model scales reactively" true (d = Autoscaler.Scale_up);
   Alcotest.(check int) "cold target is one step" 2 target
@@ -679,7 +698,7 @@ let test_predictive_preprovisions_peak () =
      whole gap at once, not one replica *)
   let d, target =
     Autoscaler.decide_predictive cfg p tr pt ~now_us:0.0 ~backlog:0 ~replicas:2
-      ~idle:0 ~deadline_us:0.0
+      ~idle:false ~deadline_us:0.0
   in
   Alcotest.(check bool) "peak predicted: scale up" true (d = Autoscaler.Scale_up);
   Alcotest.(check bool)
@@ -690,7 +709,7 @@ let test_predictive_preprovisions_peak () =
   Autoscaler.observe_rate pt 1000.0;
   let d2, target2 =
     Autoscaler.decide_predictive cfg p tr pt ~now_us:10_000.0 ~backlog:0
-      ~replicas:8 ~idle:2 ~deadline_us:0.0
+      ~replicas:8 ~idle:true ~deadline_us:0.0
   in
   Alcotest.(check bool) "trough predicted: scale down" true
     (d2 = Autoscaler.Scale_down);

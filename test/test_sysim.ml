@@ -1148,7 +1148,10 @@ let run_allocation cfg =
   (r, mwords, (direct_major () -. major_before) /. 1e6)
 
 (* One serving run's allocation: 200 tasks of set 8 under the default
-   serving loop.  0.882 M minor words since arrivals stream into the
+   serving loop.  0.878 M minor words since the loop resolves names
+   once per run (batcher slots, router and gate handles, a point's
+   accelerator and group) and the autoscaler tick reads its groups'
+   idle lists; 0.882 M since arrivals stream into the
    event heap one at a time (0.889 M while every arrival was queued up
    front); 0.889 M since a batch start scans its deployment's
    placements once for all its tasks (0.891 M before, and
@@ -1167,7 +1170,8 @@ let run_allocation cfg =
    The same for a [serve_steady]-shaped run (perfbench): three Poisson
    tenants of S models (40/40/20 of 2,000 tasks, 250 us mean gap) on
    64 nodes, batches of 4 lingering 50 us and an autoscaler ticking
-   every 250 us.  0.566 M minor words since arrivals stream (0.582 M
+   every 250 us.  0.515 M minor words since names resolve once per
+   run; 0.566 M since arrivals stream (0.582 M
    before; 0.596 M before the one scan per batch start); 0.896 M
    before the changes above.  Each bound is its
    reading plus ~7%. *)
@@ -1192,7 +1196,7 @@ let test_serving_run_allocation () =
       serving = Some Sysim.default_serving;
     }
   in
-  gate "set 8, default serving" set8 ~tasks:200 ~bound:0.944;
+  gate "set 8, default serving" set8 ~tasks:200 ~bound:0.940;
   let tenant name share =
     Genset.tenant_load name
       ~tasks:(int_of_float (2_000.0 *. share))
@@ -1225,7 +1229,86 @@ let test_serving_run_allocation () =
           };
     }
   in
-  gate "serve_steady shape" steady ~tasks:2_000 ~bound:0.605
+  gate "serve_steady shape" steady ~tasks:2_000 ~bound:0.551
+
+(* The autoscaler's idle path: two waves of one accelerator group's
+   requests, 20 ms apart, on eight XCVU37Ps, with a 500 µs idle
+   timeout and a 100 µs tick.  Four requests of two models arrive at
+   once and make two identical batches, so replicas finish together;
+   models of different service times make replicas go idle in an order
+   other than the one they were made in.  Scale-down must reclaim as
+   soon as the longest-idle replica passes the timeout, and the second
+   wave meets the fleet that leaves.  Pinned before the tick tracked
+   its idle replicas in a list. *)
+let idle_path_cfg () =
+  let points =
+    [|
+      { Deepbench.kind = Codegen.Gru; hidden = 512; timesteps = 1 };
+      { Deepbench.kind = Codegen.Lstm; hidden = 512; timesteps = 25 };
+      { Deepbench.kind = Codegen.Lstm; hidden = 256; timesteps = 150 };
+      { Deepbench.kind = Codegen.Gru; hidden = 768; timesteps = 100 };
+    |]
+  in
+  let tasks =
+    List.init 64 (fun task_id ->
+        let wave = task_id / 32 and quad = task_id mod 32 / 4 in
+        let p = (quad + wave) mod 4 and q = ((quad * 3) + 1) mod 4 in
+        {
+          Genset.task_id;
+          point = points.(if task_id mod 2 = 0 then p else q);
+          model_class = Mlv_workload.Sizes.S;
+          arrival_us = (float_of_int wave *. 20_000.0) +. (80.0 *. float_of_int quad);
+          tenant = "-";
+        })
+  in
+  let cfg = Sysim.default_config ~policy:Runtime.greedy ~composition:Genset.table1.(6) in
+  {
+    cfg with
+    Sysim.tasks = 64;
+    replay = Some tasks;
+    repeats_per_task = 2;
+    cluster_kinds = List.init 8 (fun _ -> Device.XCVU37P);
+    serving =
+      Some
+        {
+          Sysim.default_serving with
+          Sysim.batch = Mlv_sched.Batcher.config ~max_batch:2 ~max_linger_us:30.0 ();
+          autoscale =
+            Some
+              (Mlv_sched.Autoscaler.config ~interval_us:100.0
+                 ~high_backlog_per_replica:1.0 ~low_backlog_per_replica:0.5
+                 ~cooldown_us:0.0 ~idle_timeout_us:500.0 ~max_replicas:16 ());
+        };
+  }
+
+let test_idle_path_pinned () =
+  let r, _ = traced_run (idle_path_cfg ()) in
+  let completions =
+    List.filter_map
+      (fun (e : Obs.Trace.event) ->
+        match (e.Obs.Trace.phase, e.Obs.Trace.deployment) with
+        | Obs.Trace.Complete, Some d -> Some (e.Obs.Trace.at_sim_us, d)
+        | _ -> None)
+      (Obs.Trace.events ())
+    |> List.sort_uniq compare
+  in
+  Alcotest.(check bool)
+    "two batches complete at one instant" true
+    (List.exists
+       (fun (t, d) -> List.exists (fun (t', d') -> t = t' && d <> d') completions)
+       completions);
+  (* The first time each deployment goes idle, in time order. *)
+  let first_idle =
+    List.fold_left
+      (fun acc (_, d) -> if List.mem d acc then acc else acc @ [ d ])
+      [] completions
+  in
+  Alcotest.(check bool)
+    "replicas go idle out of creation order" true
+    (first_idle <> List.sort compare first_idle);
+  Alcotest.(check int) "completed" 64 r.Sysim.completed;
+  Alcotest.(check int) "scale-downs" 26 r.Sysim.scale_downs;
+  Alcotest.(check string) "result" "7523d133ce0ca0f12af0dab175729e7e" (result_md5 r)
 
 let () =
   Alcotest.run "sysim"
@@ -1248,6 +1331,7 @@ let () =
             test_results_independent_of_history;
           Alcotest.test_case "service memo matches fresh" `Quick
             test_service_memo_matches_fresh;
+          Alcotest.test_case "idle path pinned" `Quick test_idle_path_pinned;
         ] );
       ( "tenants",
         [
